@@ -2,7 +2,7 @@ GO ?= go
 BENCH_DURATION ?= 1s
 BENCH_DATE := $(shell date +%Y-%m-%d)
 
-.PHONY: all build test race vet fuzz ci obs-smoke trace-smoke bench-range bench-xact bench-durable bench-recovery bench-batch bench-json profile benchdiff
+.PHONY: all build test race vet fuzz ci obs-smoke trace-smoke bench-range bench-xact bench-durable bench-recovery bench-batch bench-json profile benchdiff bench-ab
 
 all: build
 
@@ -18,7 +18,11 @@ test:
 # cross-shard transaction oracle and Move tortures, the ftx coordinator,
 # the observability registry/flight recorder, and the public facade). The
 # timeout guards against a stress test livelocking under the detector's
-# serialization.
+# serialization. The AllocsPerRun == 0 gates (./internal/stm hotpath_test,
+# ./internal/ftx TestSingleZeroAllocs, ./internal/forest TestAtomicZeroAllocs,
+# . TestAtomicPooledContextFacade) run here too and hold: the detector's
+# shadow memory is not counted as Go allocations. Should a toolchain change
+# that, skip them under a `race` build tag rather than loosen them.
 race:
 	$(GO) test -race -timeout 10m ./internal/stm ./internal/sftree ./internal/trees ./internal/ring ./internal/forest ./internal/ftx ./internal/durable ./internal/obs .
 
@@ -153,5 +157,41 @@ profile:
 # NEW=). Fails when a matched row regresses by more than the threshold.
 benchdiff:
 	$(GO) run ./cmd/benchdiff $(BENCHDIFF_FLAGS) $(BASE) $(NEW)
+
+# A/B measurement of the working tree against a git ref with the repo
+# benchmark, as the choosing-metrics guide prescribes: both sides built once,
+# PAIRS runs of each on WORKLOAD alternating which side goes first, a fresh
+# seed per pair (the same for both sides of it), then the benchmark's own
+# -compare over the two result files. Everything lands under AB_OUT, which
+# .gitignore covers; the ref's sources are unpacked there too (git archive,
+# so no worktree is registered), on the same filesystem as the working
+# tree's runs because durable-large writes where it runs.
+#
+#	make bench-ab BASE=HEAD~1 WORKLOAD=xshard-transfer PAIRS=10
+BASE ?= HEAD
+WORKLOAD ?= xshard-transfer
+PAIRS ?= 10
+SEED ?= 100
+AB_OUT ?= benchmark/out/ab
+bench-ab:
+	@set -eu; mkdir -p $(AB_OUT); out=$$(cd $(AB_OUT) && pwd); \
+	rm -rf "$$out/src-base"; mkdir "$$out/src-base"; \
+	git archive $(BASE) | tar -x -C "$$out/src-base"; \
+	(cd "$$out/src-base" && $(GO) build -o "$$out/bench-base" ./benchmark); \
+	$(GO) build -o "$$out/bench-new" ./benchmark; \
+	rm -f "$$out/base-$(WORKLOAD).jsonl" "$$out/new-$(WORKLOAD).jsonl"; \
+	run() { (cd "$$2" && "$$out/bench-$$1" -workload $(WORKLOAD) -seed "$$3" -out "$$out/$$1-$(WORKLOAD).jsonl" >/dev/null); }; \
+	i=1; while [ $$i -le $(PAIRS) ]; do \
+		seed=$$(( $(SEED) + i )); \
+		if [ $$(( i % 2 )) -eq 1 ]; then \
+			run base "$$out/src-base" $$seed; run new . $$seed; \
+		else \
+			run new . $$seed; run base "$$out/src-base" $$seed; \
+		fi; \
+		echo "bench-ab: $(WORKLOAD) pair $$i/$(PAIRS) done (seed $$seed)"; \
+		i=$$(( i + 1 )); \
+	done; \
+	rm -rf "$$out/src-base"; \
+	$(GO) run ./benchmark -compare "$$out/base-$(WORKLOAD).jsonl" "$$out/new-$(WORKLOAD).jsonl"
 
 ci: build vet test race fuzz obs-smoke trace-smoke

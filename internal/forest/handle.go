@@ -22,6 +22,15 @@ type Handle struct {
 	ops   []uint64         // operations routed to each shard
 	coord *ftx.Coordinator // cross-shard transaction coordinator, on first Atomic
 
+	// mv is the cross-shard Move in flight and moveFn the transaction body
+	// that performs it, built once with the coordinator (a literal per call
+	// would be an allocation per Move).
+	mv struct {
+		src, dst uint64
+		ok       bool
+	}
+	moveFn func(*ftx.Tx) error
+
 	// oplog is the reusable per-transaction effect buffer of the durable
 	// path: mutating operations collect their effects here during the
 	// attempt, and a reliable post-commit hook appends them to the WAL only
@@ -130,7 +139,9 @@ func (h *Handle) route(k uint64) (*shard, *stm.Thread, int) {
 }
 
 // OpsPerShard returns how many operations this handle routed to each shard
-// (the per-shard load-balance view the benchmark harness aggregates).
+// (the per-shard load-balance view the benchmark harness aggregates). A
+// cross-shard transaction counts once on every shard it touched, per
+// attempt (see ftxDomain).
 func (h *Handle) OpsPerShard() []uint64 {
 	out := make([]uint64, len(h.ops))
 	copy(out, h.ops)
@@ -352,25 +363,30 @@ func (h *Handle) Move(src, dst uint64) bool {
 	if tr != nil {
 		c.SetTraceContext(tr, id)
 	}
-	var ok bool
-	// The error return is unused: the closure always returns nil, and a
+	h.mv.src, h.mv.dst = src, dst
+	// The error return is unused: moveFn always returns nil, and a
 	// nil-returning Run cannot fail (it retries until commit).
-	_ = c.Run(func(t *ftx.Tx) error {
-		ok = false
-		v, present := t.Get(src)
-		if !present || t.Contains(dst) {
-			return nil
-		}
-		t.Delete(src)
-		t.Put(dst, v)
-		ok = true
-		return nil
-	})
+	_ = c.Run(h.moveFn)
+	ok := h.mv.ok
 	if tr != nil {
 		c.SetTraceContext(nil, 0)
 		h.traceEnd(tr, nil, id, obs.OpMove, t0, boolA(ok))
 	}
 	return ok
+}
+
+// moveTx is the body of a cross-shard Move, acting on h.mv.
+func (h *Handle) moveTx(t *ftx.Tx) error {
+	m := &h.mv
+	m.ok = false
+	v, present := t.Get(m.src)
+	if !present || t.Contains(m.dst) {
+		return nil
+	}
+	t.Delete(m.src)
+	t.Put(m.dst, v)
+	m.ok = true
+	return nil
 }
 
 // moveSameShard is the intra-shard move: the composition of paper §5.4 as
@@ -409,9 +425,11 @@ func (h *Handle) moveSameShard(sh *shard, th *stm.Thread, si int, src, dst uint6
 }
 
 // ftxDomain adapts a Handle to the cross-shard coordinator's Domain
-// interface. Shard accesses charge the handle's routed-operation counter,
-// so OpsPerShard reflects coordinator traffic too (approximately: one
-// charge per shard touch, including commit-phase touches and retries).
+// interface. The coordinator looks a shard up once per attempt, when the
+// transaction first touches it, and the lookup charges the handle's
+// routed-operation counter: OpsPerShard counts an Atomic as one operation
+// per participating shard per attempt (a cross-shard Move pays that on top
+// of its own routing charges).
 type ftxDomain struct{ h *Handle }
 
 func (d ftxDomain) Shards() int          { return len(d.h.f.shards) }
@@ -435,6 +453,13 @@ func (d ftxDomain) Shard(si int) ftx.Shard {
 // until it commits and returns nil. Like Update's fn, Atomic's fn may be
 // re-executed and must be free of side effects beyond the Tx and locals it
 // re-assigns.
+//
+// The handle has one transaction context, reset for every attempt, so an
+// Atomic allocates nothing in steady state. In exchange the Tx is valid only
+// inside the fn invocation it was passed to (its methods panic afterwards),
+// and Atomic must not be called on this handle — nor Move across shards —
+// from inside fn: that panics instead of clobbering the outer transaction.
+// Compose inside one fn.
 //
 // When every key fn touches lands on one shard, the transaction commits as
 // one ordinary single-shard transaction (no intents, no prepare); for
@@ -471,6 +496,7 @@ func (h *Handle) Atomic(fn func(t *ftx.Tx) error) error {
 func (h *Handle) coordinator() *ftx.Coordinator {
 	if h.coord == nil {
 		h.coord = ftx.NewCoordinator(ftxDomain{h: h})
+		h.moveFn = h.moveTx
 		if h.f.wal != nil {
 			h.coord.SetWAL(h.f.wal)
 		}

@@ -20,12 +20,29 @@
 //	})
 //
 // The function body executes against a buffering Tx: Get/Contains read
-// through to the owning shard (one committed read transaction per distinct
-// key, cached for repeatable reads), Put/Delete/Insert buffer their effect
-// locally. Nothing touches shared state until fn returns nil; returning an
-// error aborts the transaction with nothing applied. Like stm.Thread.Atomic,
-// fn may be re-executed when the commit loses a conflict, so it must be free
-// of side effects beyond the Tx and locals it re-assigns.
+// through to the owning shard (one open stm.Snapshot session per
+// participating shard, each key cached for repeatable reads),
+// Put/Delete/Insert buffer their effect locally. Nothing touches shared
+// state until fn returns nil; returning an error aborts the transaction
+// with nothing applied. Like stm.Thread.Atomic, fn may be re-executed when
+// the commit loses a conflict, so it must be free of side effects beyond
+// the Tx and locals it re-assigns.
+//
+// # One context per coordinator
+//
+// Everything a transaction needs between its first read and its last
+// finalize — the Tx with its per-shard read logs and write buffers, the
+// commit-order participant list, the prepared handles, the WAL record
+// buffers, and the closures handed to the STM — belongs to the Coordinator
+// and is reset, not rebuilt, for every attempt; the STM's session and
+// prepared handles are values inside stm.Thread. A transaction therefore
+// allocates nothing once the coordinator has grown to its size (gated by
+// AllocsPerRun tests in forest, ftx and the facade). Two rules follow.
+// The Tx is valid only inside the fn invocation it was passed to: its
+// methods panic afterwards, because a Tx kept longer would alias the next
+// transaction. And a coordinator runs one transaction at a time: Run
+// panics when called from inside its own fn instead of clobbering the
+// outer transaction — compose inside one fn.
 //
 // # Commit protocol
 //
@@ -78,7 +95,6 @@
 package ftx
 
 import (
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -181,8 +197,11 @@ const (
 // Coordinator runs cross-shard transactions against one Domain. Like the
 // handle it is built from, a Coordinator belongs to one goroutine.
 type Coordinator struct {
-	d     Domain
-	stats Stats
+	// tx is the one transaction context, handed to every fn and reset per
+	// attempt (see Tx); running guards it against a nested Run.
+	tx      Tx
+	running bool
+	stats   Stats
 	// live is the seqlock-published mirror of stats: the owning goroutine
 	// republishes the whole struct once per Run iteration, and Stats()
 	// reads it under the seqlock, so a concurrent reader gets one
@@ -195,10 +214,22 @@ type Coordinator struct {
 	// atomicity carries onto disk — the record is wholly present or wholly
 	// torn), or an ordinary update record for the single-shard fallback.
 	wal *durable.Log
-	// opbuf is the reusable single-shard record buffer; clkbuf the reusable
-	// clock-sample buffer of the read-only fast path.
-	opbuf  []durable.Op
-	clkbuf []uint64
+	// Reusable buffers: opbuf is the single-shard durable record, logged the
+	// multi-shard one (kept at its longest, Ops slices included), clkbuf the
+	// read-only fast path's clock samples, prepared the shards currently
+	// held at their lock points.
+	opbuf    []durable.Op
+	logged   []durable.ShardOps
+	clkbuf   []uint64
+	prepared []*stm.Prepared
+
+	// The closures handed to the STM are built once and act on cur, the
+	// participant being committed; replayed is replayApply's verdict.
+	cur         *participant
+	replayed    bool
+	replayApply func(*stm.Tx)    // AtomicMode body of the fallback and read-only paths
+	prepareFn   func(*stm.Tx)    // Prepare body of the two-phase path
+	logSingle   func(pos uint64) // OnCommitted hook of a durable fallback commit
 
 	// fr is the optional flight recorder (slow prepares, abort storms). An
 	// atomic pointer because the forest attaches it while the owning
@@ -217,7 +248,29 @@ type Coordinator struct {
 
 // NewCoordinator returns a coordinator for d.
 func NewCoordinator(d Domain) *Coordinator {
-	return &Coordinator{d: d, live: obs.NewGroup(liveFields)}
+	c := &Coordinator{live: obs.NewGroup(liveFields)}
+	c.tx.init(d)
+	c.replayApply = func(tx *stm.Tx) {
+		p := c.cur
+		c.replayed = replayReads(p.sh.Map, tx, p.reads.recs)
+		if !c.replayed {
+			return // commit read-only; the coordinator re-executes fn
+		}
+		applyWrites(p.sh.Map, tx, p.writes.recs)
+		if c.wal != nil && len(p.writes.recs) > 0 {
+			c.opbuf = appendWriteOps(c.opbuf[:0], p.writes.recs)
+			tx.OnCommitted(c.logSingle)
+		}
+	}
+	c.prepareFn = func(tx *stm.Tx) {
+		p := c.cur
+		if !replayReads(p.sh.Map, tx, p.reads.recs) {
+			tx.Restart()
+		}
+		applyWrites(p.sh.Map, tx, p.writes.recs)
+	}
+	c.logSingle = func(pos uint64) { c.wal.LogUpdateT(c.cur.si, pos, c.opbuf, c.traceID) }
+	return c
 }
 
 // SetWAL attaches a write-ahead log: every transaction the coordinator
@@ -271,12 +324,17 @@ func (c *Coordinator) Stats() Stats {
 // Run executes fn as one atomic cross-shard transaction (see the package
 // comment for the protocol), retrying on conflict until it commits. It
 // returns nil on commit; a non-nil error from fn aborts the transaction
-// with nothing applied and is returned verbatim.
+// with nothing applied and is returned verbatim. Run panics when called
+// from inside fn: the coordinator has one transaction context.
 func (c *Coordinator) Run(fn func(*Tx) error) error {
+	if c.running {
+		panic("ftx: Run inside a running transaction's fn; a coordinator runs one transaction at a time — compose inside one fn")
+	}
+	c.running = true
+	defer func() { c.running = false }()
 	retries := 0
 	for {
-		t := newTx(c.d)
-		parts, err, committed := c.attempt(t, fn)
+		parts, err, committed := c.attempt(fn)
 		if err != nil {
 			c.stats.UserAborts++
 			c.publish()
@@ -307,11 +365,13 @@ func (c *Coordinator) Run(fn func(*Tx) error) error {
 	}
 }
 
-// attempt runs one execution+commit cycle of fn on a fresh Tx, closing the
-// Tx's per-shard snapshot sessions on every exit path (the thread session
-// slots are singletons, and a foreign panic out of fn must not leak them).
-func (c *Coordinator) attempt(t *Tx, fn func(*Tx) error) (parts []*participant, userErr error, committed bool) {
-	defer t.close()
+// attempt runs one execution+commit cycle of fn on the emptied Tx, ending
+// the Tx — dead to its holders, per-shard snapshot sessions closed — on
+// every exit path (a foreign panic out of fn must leak neither).
+func (c *Coordinator) attempt(fn func(*Tx) error) (parts []*participant, userErr error, committed bool) {
+	t := &c.tx
+	defer t.end()
+	t.begin()
 	if err := fn(t); err != nil {
 		return nil, err, false
 	}
@@ -355,7 +415,7 @@ func (c *Coordinator) commit(parts []*participant) bool {
 		return c.commitSingle(parts[0])
 	default:
 		for _, p := range parts {
-			if len(p.writes) > 0 {
+			if len(p.writes.recs) > 0 {
 				return c.commitCross(parts)
 			}
 		}
@@ -391,20 +451,7 @@ func (c *Coordinator) commitReadOnly(parts []*participant) bool {
 		clocks[i] = p.sh.Thread.STM().Now()
 	}
 	for _, p := range parts {
-		ok := false
-		// Full read tracking (CTL), exactly as commitSingle: every replayed
-		// read must be validated at the replay's own commit point.
-		if c.traceID != 0 {
-			p.sh.Thread.SetTraceContext(c.tr, c.traceID, obs.OpAtomic)
-		}
-		p.sh.Thread.AtomicMode(stm.CTL, func(tx *stm.Tx) {
-			ok = replayReads(p.sh.Map, tx, p.reads)
-		})
-		if c.traceID != 0 {
-			p.sh.Thread.SetTraceContext(nil, 0, 0)
-		}
-		if !ok {
-			c.lastAbortCause = ftxAbortReplay
+		if !c.replayOn(p) {
 			return false
 		}
 	}
@@ -424,42 +471,42 @@ func (c *Coordinator) commitReadOnly(parts []*participant) bool {
 // as usual; only a read-revalidation mismatch (the world moved since fn
 // ran) escapes to the coordinator for full re-execution.
 func (c *Coordinator) commitSingle(p *participant) bool {
-	sh := p.sh
-	ok := false
-	// Full read tracking (CTL) regardless of the domain default: every
-	// replayed read must be validated at commit, and an elastic cut would
-	// drop exactly the validation the protocol depends on.
-	if c.traceID != 0 {
-		sh.Thread.SetTraceContext(c.tr, c.traceID, obs.OpAtomic)
-	}
-	sh.Thread.AtomicMode(stm.CTL, func(tx *stm.Tx) {
-		ok = replayReads(sh.Map, tx, p.reads)
-		if !ok {
-			return // commit read-only; the coordinator re-executes fn
-		}
-		applyWrites(sh.Map, tx, p.writes)
-		if c.wal != nil && len(p.writes) > 0 {
-			c.opbuf = appendWriteOps(c.opbuf[:0], p.writes)
-			tx.OnCommitted(func(pos uint64) { c.wal.LogUpdateT(p.si, pos, c.opbuf, c.traceID) })
-		}
-	})
-	if c.traceID != 0 {
-		sh.Thread.SetTraceContext(nil, 0, 0)
-	}
+	ok := c.replayOn(p)
 	if ok {
 		c.stats.Commits++
 		c.stats.Fallbacks++
-	} else {
-		c.lastAbortCause = ftxAbortReplay
 	}
 	return ok
 }
 
+// replayOn runs replayApply on p's shard as one ordinary transaction:
+// replay p's reads and, while they still match, apply its writes (the
+// read-only path has none) and register the durable record. A false return
+// is a revalidation mismatch, which the transaction committed read-only.
+func (c *Coordinator) replayOn(p *participant) bool {
+	th := p.sh.Thread
+	c.cur = p
+	if c.traceID != 0 {
+		th.SetTraceContext(c.tr, c.traceID, obs.OpAtomic)
+	}
+	// Full read tracking (CTL) regardless of the domain default: every
+	// replayed read must be validated at commit, and an elastic cut would
+	// drop exactly the validation the protocol depends on.
+	th.AtomicMode(stm.CTL, c.replayApply)
+	if c.traceID != 0 {
+		th.SetTraceContext(nil, 0, 0)
+	}
+	if !c.replayed {
+		c.lastAbortCause = ftxAbortReplay
+	}
+	return c.replayed
+}
+
 // appendWriteOps converts buffered write records to durable log ops.
-func appendWriteOps(dst []durable.Op, writes []writeRec) []durable.Op {
+func appendWriteOps(dst []durable.Op, writes []keyState) []durable.Op {
 	for i := range writes {
 		w := &writes[i]
-		dst = append(dst, durable.Op{Key: w.key, Val: w.val, Del: w.del})
+		dst = append(dst, durable.Op{Key: w.key, Val: w.val, Del: !w.present})
 	}
 	return dst
 }
@@ -493,16 +540,20 @@ func (c *Coordinator) commitCross(parts []*participant) bool {
 		}
 		return false
 	}
-	defer releaseIntents(c, parts)
+	defer releaseIntents(parts)
 	if traced {
 		c.tr.Record(c.traceID, obs.SpanFtxIntent, obs.OpAtomic, t0, time.Now().UnixNano(), int64(len(parts)), 0)
 	}
-	// The prepare phase is timed on every cross-shard commit — traced or
-	// not — because the slow-prepare flight event needs the duration; two
-	// clock reads are noise next to the per-shard sub-transactions.
-	prepStart := time.Now().UnixNano()
+	// The prepare phase is timed for its span and for the slow-prepare
+	// flight event; with neither a trace nor a recorder to tell, the clock
+	// is left alone.
+	timed := traced || c.fr.Load() != nil
+	var prepStart int64
+	if timed {
+		prepStart = time.Now().UnixNano()
+	}
 
-	prepared := make([]*stm.Prepared, 0, len(parts))
+	c.prepared = c.prepared[:0]
 	// A foreign panic out of a later shard's prepare (a bug in user code,
 	// e.g. a buffered Put of a tree-reserved key) must not leave earlier
 	// shards' prepared write locks behind — that would wedge every other
@@ -510,33 +561,26 @@ func (c *Coordinator) commitCross(parts []*participant) bool {
 	// the panicking attempt's own locks; this unwinds the rest.
 	defer func() {
 		if r := recover(); r != nil {
-			for i := len(prepared) - 1; i >= 0; i-- {
-				if prepared[i] != nil {
-					prepared[i].Drop()
-				}
-			}
+			c.dropPrepared()
 			panic(r)
 		}
 	}()
 	for _, p := range parts {
-		p := p
-		pr, ok := p.sh.Thread.Prepare(func(tx *stm.Tx) {
-			if !replayReads(p.sh.Map, tx, p.reads) {
-				tx.Restart()
-			}
-			applyWrites(p.sh.Map, tx, p.writes)
-		})
+		c.cur = p
+		pr, ok := p.sh.Thread.Prepare(c.prepareFn)
 		if !ok {
-			for i := len(prepared) - 1; i >= 0; i-- {
-				prepared[i].Drop()
-			}
+			c.dropPrepared()
 			c.lastAbortCause = ftxAbortPrepare
-			c.notePrepare(prepStart, int64(len(parts)), 1)
+			if timed {
+				c.notePrepare(prepStart, int64(len(parts)), 1)
+			}
 			return false
 		}
-		prepared = append(prepared, pr)
+		c.prepared = append(c.prepared, pr)
 	}
-	c.notePrepare(prepStart, int64(len(parts)), 0)
+	if timed {
+		c.notePrepare(prepStart, int64(len(parts)), 0)
+	}
 	var finStart int64
 	if traced {
 		finStart = time.Now().UnixNano()
@@ -548,20 +592,24 @@ func (c *Coordinator) commitCross(parts []*participant) bool {
 	// whole record, never half of it.
 	var logged []durable.ShardOps
 	if c.wal != nil {
+		n := 0
 		for i, p := range parts {
-			if len(p.writes) == 0 {
+			if len(p.writes.recs) == 0 {
 				continue
 			}
-			logged = append(logged, durable.ShardOps{
-				Shard: p.si,
-				Seq:   prepared[i].WriteVersion(),
-				Ops:   appendWriteOps(nil, p.writes),
-			})
+			if n == len(c.logged) {
+				c.logged = append(c.logged, durable.ShardOps{})
+			}
+			so := &c.logged[n]
+			n++
+			so.Shard, so.Seq = p.si, c.prepared[i].WriteVersion()
+			so.Ops = appendWriteOps(so.Ops[:0], p.writes.recs)
 		}
+		logged = c.logged[:n]
 	}
-	for i, pr := range prepared {
+	for i, pr := range c.prepared {
 		pr.Finalize()
-		prepared[i] = nil // finalized: no longer droppable by the unwind path
+		c.prepared[i] = nil // finalized: no longer droppable by the unwind path
 	}
 	if len(logged) > 0 {
 		c.wal.LogAtomicT(logged, c.traceID)
@@ -573,10 +621,21 @@ func (c *Coordinator) commitCross(parts []*participant) bool {
 	return true
 }
 
+// dropPrepared rolls back, latest first, every shard still held at its lock
+// point.
+func (c *Coordinator) dropPrepared() {
+	for i := len(c.prepared) - 1; i >= 0; i-- {
+		if c.prepared[i] != nil {
+			c.prepared[i].Drop()
+		}
+	}
+	c.prepared = c.prepared[:0]
+}
+
 // replayReads re-performs every logged read inside tx, reporting whether
 // the world still matches what fn observed. The reads join tx's read set,
 // so a "still matches" answer is validated at the transaction's lock point.
-func replayReads(m trees.Map, tx *stm.Tx, reads []readRec) bool {
+func replayReads(m trees.Map, tx *stm.Tx, reads []keyState) bool {
 	for i := range reads {
 		r := &reads[i]
 		v, present := m.GetTx(tx, r.key)
@@ -596,11 +655,11 @@ type setterTx interface {
 
 // applyWrites replays the buffered writes inside tx, in ascending key
 // order.
-func applyWrites(m trees.Map, tx *stm.Tx, writes []writeRec) {
+func applyWrites(m trees.Map, tx *stm.Tx, writes []keyState) {
 	st, hasSet := m.(setterTx)
 	for i := range writes {
 		w := &writes[i]
-		if w.del {
+		if !w.present {
 			m.DeleteTx(tx, w.key)
 			continue
 		}
@@ -617,60 +676,4 @@ func applyWrites(m trees.Map, tx *stm.Tx, writes []writeRec) {
 			tx.Restart()
 		}
 	}
-}
-
-// participant is one shard's share of a transaction: its logged reads and
-// buffered writes, each sorted ascending by key.
-type participant struct {
-	si     int
-	sh     Shard
-	reads  []readRec
-	writes []writeRec
-	// touched is the sorted union of read and written keys — the shard's
-	// share of the transaction's intent footprint.
-	touched []uint64
-}
-
-// participants splits the transaction's read log and write buffer by
-// owning shard, sorted ascending by shard index (the deterministic prepare
-// order) and by key within each shard (the deterministic intent and replay
-// order).
-func (t *Tx) participants() []*participant {
-	byShard := make(map[int]*participant)
-	get := func(si int) *participant {
-		p := byShard[si]
-		if p == nil {
-			p = &participant{si: si, sh: t.d.Shard(si)}
-			byShard[si] = p
-		}
-		return p
-	}
-	for _, r := range t.reads {
-		p := get(t.d.ShardOf(r.key))
-		p.reads = append(p.reads, r)
-	}
-	for k, w := range t.writes {
-		p := get(t.d.ShardOf(k))
-		p.writes = append(p.writes, writeRec{key: k, val: w.val, del: w.del})
-	}
-	parts := make([]*participant, 0, len(byShard))
-	for _, p := range byShard {
-		sort.Slice(p.reads, func(i, j int) bool { return p.reads[i].key < p.reads[j].key })
-		sort.Slice(p.writes, func(i, j int) bool { return p.writes[i].key < p.writes[j].key })
-		seen := make(map[uint64]struct{}, len(p.reads)+len(p.writes))
-		for _, r := range p.reads {
-			seen[r.key] = struct{}{}
-		}
-		for _, w := range p.writes {
-			seen[w.key] = struct{}{}
-		}
-		p.touched = make([]uint64, 0, len(seen))
-		for k := range seen {
-			p.touched = append(p.touched, k)
-		}
-		sort.Slice(p.touched, func(i, j int) bool { return p.touched[i] < p.touched[j] })
-		parts = append(parts, p)
-	}
-	sort.Slice(parts, func(i, j int) bool { return parts[i].si < parts[j].si })
-	return parts
 }

@@ -25,26 +25,34 @@ type IntentTable struct {
 	m  map[uint64]*Coordinator // key → holder; lazily allocated
 }
 
-// tryAcquire claims k for owner, reporting success. A key the owner
-// already holds re-acquires trivially (a key both read and written is
-// touched once per role).
-func (it *IntentTable) tryAcquire(k uint64, owner *Coordinator) bool {
+// tryAcquireAll claims every key of ks for owner, reporting success; on
+// meeting another coordinator's claim it gives back the ones it took and
+// fails. The whole list goes under one hold of the table's lock — a
+// shard's share of a transaction is a handful of keys, and per-key locking
+// cost more than the work it guarded.
+func (it *IntentTable) tryAcquireAll(ks []uint64, owner *Coordinator) bool {
 	it.mu.Lock()
-	defer it.mu.Unlock()
-	if cur, held := it.m[k]; held {
-		return cur == owner
-	}
 	if it.m == nil {
 		it.m = make(map[uint64]*Coordinator)
 	}
-	it.m[k] = owner
+	for i, k := range ks {
+		if cur, held := it.m[k]; held && cur != owner {
+			for _, taken := range ks[:i] {
+				delete(it.m, taken)
+			}
+			it.mu.Unlock()
+			return false
+		}
+		it.m[k] = owner
+	}
+	it.mu.Unlock()
 	return true
 }
 
-// release drops owner's claim on k (a no-op if owner does not hold it).
-func (it *IntentTable) release(k uint64, owner *Coordinator) {
+// releaseAll drops the claims a successful tryAcquireAll(ks) took.
+func (it *IntentTable) releaseAll(ks []uint64) {
 	it.mu.Lock()
-	if it.m[k] == owner {
+	for _, k := range ks {
 		delete(it.m, k)
 	}
 	it.mu.Unlock()
@@ -57,19 +65,8 @@ func (it *IntentTable) release(k uint64, owner *Coordinator) {
 // coordinator stalls through the contention manager and retries.
 func acquireIntents(c *Coordinator, parts []*participant) bool {
 	for pi, p := range parts {
-		for ki, k := range p.touched {
-			if p.sh.Intents.tryAcquire(k, c) {
-				continue
-			}
-			for j := 0; j < ki; j++ {
-				p.sh.Intents.release(p.touched[j], c)
-			}
-			for j := 0; j < pi; j++ {
-				q := parts[j]
-				for _, qk := range q.touched {
-					q.sh.Intents.release(qk, c)
-				}
-			}
+		if !p.sh.Intents.tryAcquireAll(p.touched, c) {
+			releaseIntents(parts[:pi])
 			return false
 		}
 	}
@@ -77,10 +74,8 @@ func acquireIntents(c *Coordinator, parts []*participant) bool {
 }
 
 // releaseIntents drops every intent acquireIntents claimed.
-func releaseIntents(c *Coordinator, parts []*participant) {
+func releaseIntents(parts []*participant) {
 	for _, p := range parts {
-		for _, k := range p.touched {
-			p.sh.Intents.release(k, c)
-		}
+		p.sh.Intents.releaseAll(p.touched)
 	}
 }

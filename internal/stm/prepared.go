@@ -25,6 +25,9 @@ package stm
 // Prepared is a transaction attempt held at its lock point. Exactly one of
 // Finalize or Drop must be called, on the same goroutine that called
 // Prepare; the owning Thread cannot start another transaction until then.
+// The handle is a value embedded in that Thread — a thread holds at most one
+// prepared attempt, so Prepare allocates nothing and returns the same
+// pointer every time; drop it once the attempt is finalized or dropped.
 type Prepared struct {
 	th   *Thread
 	done bool
@@ -58,7 +61,8 @@ func (th *Thread) Prepare(fn func(*Tx)) (*Prepared, bool) {
 		th.finishPreparedOp()
 		return nil, false
 	}
-	return &Prepared{th: th}, true
+	th.prep = Prepared{th: th}
+	return &th.prep, true
 }
 
 // runPrepareAttempt executes one attempt of fn and tries to reach the lock

@@ -26,6 +26,11 @@ package stm
 // that. At most one Snapshot may be open per thread; Close releases the
 // slot. Like everything on a Thread, a Snapshot is single-goroutine.
 //
+// Ownership: the session is a value embedded in its Thread, so opening one
+// allocates nothing and NewSnapshot hands out the same pointer every time.
+// A *Snapshot kept past Close therefore aliases whichever session the
+// thread opens next; drop it at Close.
+//
 // Garbage-collection note: each Read call raises the thread's §3.4 pending
 // flag and counts one completed operation on the way out, so the arena
 // collector never frees nodes under a traversal in progress. Between Read
@@ -53,7 +58,8 @@ func (th *Thread) NewSnapshot() *Snapshot {
 		th.snapTx = t
 	}
 	th.snapLive = true
-	return &Snapshot{th: th}
+	th.snap = Snapshot{th: th}
+	return &th.snap
 }
 
 // Read runs fn against the session's snapshot. fn receives the session's

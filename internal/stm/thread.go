@@ -83,9 +83,16 @@ type Thread struct {
 	_    cacheLinePad
 
 	// tx is the reusable transaction descriptor. It is by far the largest
-	// field (it embeds the inline read/write sets), so it sits last, after
-	// the fields above have settled into the leading lines.
+	// field (it embeds the inline read/write sets), so it sits after the
+	// fields above have settled into the leading lines.
 	tx Tx
+
+	// snap and prep are the session and prepared-attempt handles NewSnapshot
+	// and Prepare hand out: at most one of each exists per thread, so they
+	// live here instead of on the heap — behind tx, where they move none of
+	// the offsets above.
+	snap Snapshot
+	prep Prepared
 }
 
 // completeOp counts one completed operation for the §3.4 collector. The

@@ -791,6 +791,13 @@ type Txn = ftx.Tx
 // re-executed and must be free of side effects beyond the Txn and locals
 // it re-assigns.
 //
+// A handle has one transaction context, reset for every attempt, so Atomic
+// allocates nothing in steady state. The Txn is therefore valid only inside
+// the fn invocation it was passed to — its methods panic afterwards — and
+// Atomic must not be called on the same handle from inside fn (nor, on a
+// sharded tree, a cross-shard Move): that panics rather than corrupt the
+// outer transaction. Compose inside one fn.
+//
 // Atomic is the general composition; UpdateShard remains cheaper when the
 // keys are known co-located (Tree.SameShard).
 func (h *Handle) Atomic(fn func(t *Txn) error) error {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -113,6 +114,58 @@ func TestAtomicSumConservationFacade(t *testing.T) {
 			}
 			if sum != nAcc*bal {
 				t.Fatalf("sum %d, want %d", sum, nAcc*bal)
+			}
+		})
+	}
+}
+
+// TestAtomicPooledContextFacade pins the two rules the handle's single
+// transaction context imposes, on both configurations: a nested Atomic on
+// the same handle panics with an ftx message instead of clobbering the outer
+// transaction (and leaves the handle usable), and a warmed-up Atomic
+// allocates nothing (no WAL, no tracer, maintenance stopped; the body is
+// hoisted, a closure literal per call is the caller's own allocation).
+func TestAtomicPooledContextFacade(t *testing.T) {
+	for _, shards := range []int{1, 8} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			tr := repro.NewTree(repro.SpeculationFriendlyOptimized, repro.WithShards(shards), repro.WithoutMaintenance())
+			defer tr.Close()
+			h := tr.NewHandle()
+			for k := uint64(0); k < 64; k++ {
+				h.Insert(k*37%64, 1000)
+			}
+
+			func() {
+				defer func() {
+					if msg, _ := recover().(string); !strings.HasPrefix(msg, "ftx: ") {
+						t.Fatalf("nested Atomic: recovered %q, want an ftx: panic", msg)
+					}
+				}()
+				h.Atomic(func(tx *repro.Txn) error {
+					tx.Put(1, 0)
+					return h.Atomic(func(tx *repro.Txn) error { tx.Get(2); return nil })
+				})
+			}()
+			if v, _ := h.Get(1); v != 1000 {
+				t.Fatalf("key 1 = %d: the abandoned outer transaction applied its write", v)
+			}
+
+			transfer := func(tx *repro.Txn) error {
+				a, _ := tx.Get(1)
+				b, _ := tx.Get(2)
+				tx.Get(3)
+				tx.Get(4)
+				tx.Put(1, a-1)
+				tx.Put(2, b+1)
+				return nil
+			}
+			op := func() { h.Atomic(transfer) }
+			op()
+			if avg := testing.AllocsPerRun(200, op); avg != 0 {
+				t.Fatalf("Atomic allocates %.2f times per run, want 0", avg)
+			}
+			if a, _ := h.Get(1); a != 1000-202 {
+				t.Fatalf("key 1 = %d after 202 transfers, want %d", a, 1000-202)
 			}
 		})
 	}

@@ -2,7 +2,7 @@ GO ?= go
 BENCH_DURATION ?= 1s
 BENCH_DATE := $(shell date +%Y-%m-%d)
 
-.PHONY: all build test race vet fuzz ci obs-smoke trace-smoke bench-range bench-xact bench-durable bench-recovery bench-batch bench-json profile benchdiff bench-ab
+.PHONY: all build test race vet fuzz ci obs-smoke trace-smoke bench-range bench-xact bench-durable bench-recovery bench-batch bench-json profile benchdiff bench-ab bench-ab-all
 
 all: build
 
@@ -193,5 +193,22 @@ bench-ab:
 	done; \
 	rm -rf "$$out/src-base"; \
 	$(GO) run ./benchmark -compare "$$out/base-$(WORKLOAD).jsonl" "$$out/new-$(WORKLOAD).jsonl"
+
+# bench-ab over every workload BENCHMARK.json declares (its entries that
+# carry a "why"), then the four -compare tables once more in one block: the
+# claimed row and all the must-not-move rows of a change from one command.
+# A regression verdict in one workload does not stop the others; the target
+# fails at the end if any table did.
+#
+#	make bench-ab-all BASE=HEAD~1 PAIRS=10
+AB_WORKLOADS ?= $(shell grep -B1 '"why"' BENCHMARK.json | sed -n 's/.*"name": "\(.*\)",/\1/p')
+bench-ab-all:
+	@status=0; for w in $(AB_WORKLOADS); do \
+		$(MAKE) --no-print-directory bench-ab BASE=$(BASE) WORKLOAD=$$w PAIRS=$(PAIRS) SEED=$(SEED) AB_OUT=$(AB_OUT) || status=1; \
+	done; \
+	echo "bench-ab-all: $(BASE) vs working tree, $(PAIRS) pairs per workload"; \
+	for w in $(AB_WORKLOADS); do \
+		$(GO) run ./benchmark -compare "$(AB_OUT)/base-$$w.jsonl" "$(AB_OUT)/new-$$w.jsonl" || status=1; \
+	done; exit $$status
 
 ci: build vet test race fuzz obs-smoke trace-smoke

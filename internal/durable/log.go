@@ -19,10 +19,11 @@
 // # Durability contract
 //
 // Group commit bounds the loss window: with Options.Sync every record is
-// flushed and fsynced before the append returns (per-operation durability);
-// otherwise a background committer flushes and fsyncs every GroupCommit
-// interval, so a crash loses at most the operations of the last unsynced
-// window. Because records are appended after publication, commit order and
+// written and fsynced before the append returns (per-operation durability);
+// otherwise appends only fill an in-memory buffer and a background
+// committer writes and fsyncs it every GroupCommit interval — off the
+// append lock, see Log — so a crash loses at most the operations of the
+// last unsynced window. Because records are appended after publication, commit order and
 // append order can differ under concurrency; recovery restores per-shard,
 // per-key ordering among the surviving records by sorting them on their
 // shard-clock positions. The contract is therefore: every operation whose
@@ -39,11 +40,12 @@
 // # Checkpoints and recovery
 //
 // A checkpoint first rotates the log to a fresh segment, then scans every
-// shard with one consistent read-only snapshot (recording the shard's
-// commit-clock cut), writes the pairs to a temporary file and seals it by
-// rename. Rotating first guarantees every record in the older segments is
-// covered by the snapshot (its transaction published before the rotation,
-// hence before the snapshot's clock draw), so the older segments and
+// shard with a consistent read-only snapshot (recording the shard's
+// commit-clock cut; the source may take it in chunks and report their
+// minimum, see Source), writes the pairs to a temporary file and seals it
+// by rename. Rotating first guarantees every record in the older segments
+// is covered by the snapshot (its transaction published before the rotation,
+// hence before any of the snapshot's clock draws), so the older segments and
 // checkpoints are deleted once the seal lands. A crash anywhere in that
 // window is safe: recovery picks the newest sealed checkpoint, replays only
 // segments at or above its base, and skips any record position at or below
@@ -78,12 +80,12 @@
 package durable
 
 import (
-	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -211,17 +213,45 @@ func (o Options) recoveryAppliers(shards int) int {
 	return max(1, n)
 }
 
-// Source is the in-memory store a Log checkpoints: per-shard consistent
-// snapshots cut at a commit-clock position. forest.Forest implements it.
-// SnapshotShard is called by one checkpointer at a time (never
-// concurrently with itself).
+// Source is the in-memory store a Log checkpoints: per-shard snapshots cut
+// at a commit-clock position. forest.Forest implements it. SnapshotShard is
+// called by one checkpointer at a time (never concurrently with itself).
+//
+// A snapshot need not be one transaction. A source may stream a shard as a
+// sequence of chunks — disjoint key ranges that together cover the key
+// space, each read consistently at its own position c_j, every one begun
+// after the call — and return cut = min c_j (forest.Forest does, because a
+// whole-shard transaction under write load restarts without end). That is
+// safe for the three things a cut is used for:
+//
+//   - Truncation. The log rotates before it calls SnapshotShard, and a
+//     record is appended after its transaction published, so every record
+//     in the segments below the rotation has a position at or below every
+//     chunk's c_j: each chunk already holds its effect, and those segments
+//     can go once the checkpoint seals — whatever the cut.
+//   - Replay. Recovery loads the snapshot, then applies the surviving
+//     records with position > cut in position order. A chunk read at
+//     c_j >= cut holds each of its keys as of c_j, so records in (cut, c_j]
+//     are applied over a state that already includes them. Effects are
+//     absolute puts and deletes, so replaying a key's records in order
+//     ends at its last record's effect however many of them the starting
+//     state had already absorbed: re-applying (cut, c_j] is idempotent.
+//   - Skipping. A record appended late (its committer was preempted
+//     between publication and append) with position <= cut is at or below
+//     every c_j, so every chunk holds it and skipping it loses nothing.
+//
+// The durability contract is unchanged by chunking, neither stronger nor
+// weaker: an operation that returned before the last sync is recovered
+// exactly; operations in flight at the crash are retained or lost
+// independently of one another.
 type Source interface {
 	// Shards reports the number of partitions.
 	Shards() int
-	// SnapshotShard streams one consistent snapshot of shard si through fn
-	// and returns the shard-clock position the snapshot was cut at: every
-	// transaction that published at or below it is included, everything
-	// later excluded.
+	// SnapshotShard streams a snapshot of shard si through fn — one
+	// consistent read, or consistent chunks as described above — and returns
+	// the shard-clock position it was cut at: every transaction that
+	// published at or below it is included; a later one may or may not be,
+	// and is replayed from the log either way.
 	SnapshotShard(si int, fn func(k, v uint64)) uint64
 }
 
@@ -233,10 +263,11 @@ type Source interface {
 // store-sized reads). forest.Forest implements it.
 type DeltaSource interface {
 	Source
-	// SnapshotShardKeys reads the given keys of shard si under one
-	// consistent snapshot, calling fn(k, v, true) for each present key and
-	// fn(k, 0, false) for each absent one (in the order given), and
-	// returns the shard-clock position the snapshot was cut at.
+	// SnapshotShardKeys reads the given keys of shard si consistently — in
+	// one transaction, or in runs with the minimum of their positions as
+	// the cut, by the argument on Source — calling fn(k, v, true) for each
+	// present key and fn(k, 0, false) for each absent one (in the order
+	// given), and returns the shard-clock position the read was cut at.
 	SnapshotShardKeys(si int, keys []uint64, fn func(k, v uint64, ok bool)) uint64
 }
 
@@ -245,7 +276,7 @@ type Stats struct {
 	Records            uint64  // records appended (update + atomic)
 	AtomicRecords      uint64  // the cross-shard subset of Records
 	Bytes              uint64  // framed bytes appended
-	Flushes            uint64  // buffered-writer flushes
+	Flushes            uint64  // append-buffer writes to the live segment
 	Syncs              uint64  // fsyncs of the live segment
 	Stalls             uint64  // appends that hit the MaxUnsynced bound and fsynced inline
 	Dropped            uint64  // records not logged: oversize payload, or appended while wedged on an I/O error
@@ -279,38 +310,60 @@ type pendSpan struct {
 // number of committing threads; Checkpoint/StartCheckpoints drive one
 // checkpointer at a time. Create one with Open, which also performs
 // recovery.
+//
+// Group commit is double-buffered. Appenders frame their records into an
+// in-memory buffer under mu — encode, checksum, dirty-mark, nothing else —
+// and whoever makes records durable (the committer, Sync, a Sync-mode or
+// stalled appender, rotation, Close) takes ioMu, swaps the buffer out under
+// mu, and writes and fsyncs it with mu released. No append ever waits for a
+// disk unless the durability dial says it must (Sync, or the MaxUnsynced
+// bound). Lock order: ioMu before mu.
 type Log struct {
 	dir    string
 	o      Options
 	shards int
 
+	// mu guards everything an append touches: the fill buffer, the segment
+	// and generation counters, the dirty-key sets, the counters and the
+	// error/wedge state. It is never held across file I/O.
 	mu       sync.Mutex
-	f        *os.File
-	w        *bufio.Writer
-	seg      uint64 // live segment index
+	buf      []byte // framed records awaiting the next flush (the fill buffer)
+	seg      uint64 // live segment index: where the fill buffer is destined
 	nextGen  uint64 // next checkpoint generation
-	dirty    bool   // bytes written since the last fsync
 	closed   bool
-	err      error // first write error, sticky (surfaced by Err)
-	wedged   bool  // an I/O error poisoned the live segment; appends drop until the next rotation
-	unsynced int   // framed bytes appended since the last fsync (backpressure)
-	payload  []byte
-	framed   []byte
+	err      error      // first write error, sticky (surfaced by Err)
+	wedged   bool       // an I/O error poisoned the live segment; appends drop until the next rotation
+	unsynced int        // framed bytes appended but not yet fsynced, in-flight flushes included (backpressure)
+	live     []ShardOps // LogAtomicT's non-empty-parts scratch
 	st       Stats
+
+	// ioMu serializes all file I/O on the live segment — flushes, fsyncs,
+	// rotation, Close — and guards the file, its written-but-unsynced flag
+	// and the spare buffer a flush swaps in. A flusher holds it from the
+	// buffer swap until its fsync has returned, so a waiter that then finds
+	// the buffer empty and the file clean knows its record is durable: the
+	// leader/follower of per-operation Sync falls out of the lock.
+	ioMu      sync.Mutex
+	f         *os.File
+	fileDirty bool       // bytes written to f since its last fsync
+	spare     []byte     // the drained buffer, swapped in at the next flush
+	ioPend    []pendSpan // spans taken at a swap, closed after that flush's fsync
+	// fsync is (*os.File).Sync, a field so tests can hold a sync open.
+	fsync func(*os.File) error
 
 	// Observability hooks, all optional (nil when the obs layer is not
 	// wired): the flight recorder receives checkpoint/stall/drop/rotation
 	// events, the histograms fsync latency and checkpoint duration. Set
-	// under mu (SetFlightRecorder/RegisterObs), read by paths holding mu.
+	// under mu (SetFlightRecorder/RegisterObs), read under mu.
 	fr    *obs.FlightRecorder
 	syncH *obs.Histogram
 	ckptH *obs.Histogram
 
 	// tracer receives one SpanWALAppend per traced record, stretching from
 	// the append to the fsync that made it durable. pend is the bounded
-	// buffer of traced appends awaiting that fsync, drained by
-	// flushSyncLocked; overflow or a wedged segment drops the span, never
-	// the record. Set under mu (SetTracer), read by paths holding mu.
+	// buffer of traced appends awaiting that fsync, taken by the flush whose
+	// fsync covers them; overflow or a wedged segment drops the span, never
+	// the record. Set under mu (SetTracer), read under mu.
 	tracer *obs.Tracer
 	pend   [64]pendSpan
 	pendN  int
@@ -336,6 +389,9 @@ type Log struct {
 	ckptDone      chan struct{}
 }
 
+// logBufSize is the initial capacity of each of the two append buffers.
+const logBufSize = 1 << 16
+
 // Open recovers the directory's durable state and opens a fresh log
 // generation for appends. shards must match the store the log feeds (and
 // the value any prior state in dir was written with). The returned Recovery
@@ -353,14 +409,13 @@ func Open(dir string, shards int, o Options) (*Log, *Recovery, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	l := &Log{dir: dir, o: o, shards: shards, seg: maxSeg, nextGen: maxGen + 1}
+	l := &Log{dir: dir, o: o, shards: shards, seg: maxSeg + 1, nextGen: maxGen + 1,
+		buf: make([]byte, 0, logBufSize), spare: make([]byte, 0, logBufSize),
+		fsync: (*os.File).Sync}
 	if o.deltas() {
 		l.dirtyKeys = freshDirty(shards)
 	}
-	l.mu.Lock()
-	err = l.openSegmentLocked(maxSeg + 1)
-	l.mu.Unlock()
-	if err != nil {
+	if err := l.openSegment(l.seg); err != nil {
 		return nil, nil, err
 	}
 	if d := o.groupCommit(); d > 0 {
@@ -411,26 +466,39 @@ func segmentName(dir string, i uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("wal-%016d.log", i))
 }
 
-// openSegmentLocked creates and heads a fresh segment. Caller holds mu.
-func (l *Log) openSegmentLocked(i uint64) error {
+// openSegment creates and heads segment i as the live file. Caller holds
+// ioMu (Open runs before the log is shared). On failure no file is live.
+func (l *Log) openSegment(i uint64) error {
+	l.f = nil
 	f, err := os.OpenFile(segmentName(l.dir, i), os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return err
 	}
-	l.f = f
-	l.seg = i
-	l.w = bufio.NewWriterSize(f, 1<<16)
 	hdr := make([]byte, 0, segHeaderLen)
 	hdr = append(hdr, segMagic...)
-	hdr = append(hdr, byte(l.shards), byte(l.shards>>8), byte(l.shards>>16), byte(l.shards>>24))
-	if _, err := l.w.Write(hdr); err != nil {
+	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(l.shards))
+	if _, err := f.Write(hdr); err != nil {
+		f.Close()
 		return err
 	}
-	l.dirty = true
-	l.unsynced = 0
-	l.wedged = false // fresh segment, fresh writer: past I/O errors stay in Err only
-	return syncDir(l.dir)
+	if err := syncDir(l.dir); err != nil {
+		f.Close()
+		return err
+	}
+	l.f = f
+	l.fileDirty = true
+	return nil
 }
+
+// flushMode is what an append owes the disk once mu is released.
+type flushMode uint8
+
+const (
+	flushNone  flushMode = iota // the committer will get to it
+	flushWrite                  // no committer: hand the record to the OS now
+	flushSync                   // Options.Sync: fsync before returning
+	flushStall                  // crossed MaxUnsynced: fsync inline, counted
+)
 
 // LogUpdate appends one committed single-shard transaction: its shard, the
 // commit-clock position its publication carried, and its effects. The ops
@@ -449,8 +517,8 @@ func (l *Log) LogUpdateT(shard int, seq uint64, ops []Op, traceID uint64) {
 		return
 	}
 	l.mu.Lock()
-	defer l.mu.Unlock()
 	if l.closed {
+		l.mu.Unlock()
 		return
 	}
 	if l.dirtyKeys != nil {
@@ -459,8 +527,11 @@ func (l *Log) LogUpdateT(shard int, seq uint64, ops []Op, traceID uint64) {
 			d[ops[i].Key] = struct{}{}
 		}
 	}
-	l.payload = encodeUpdate(l.payload[:0], shard, seq, ops)
-	l.appendLocked(false, traceID, int64(shard))
+	buf, start := beginFrame(l.buf)
+	l.buf = encodeUpdate(buf, shard, seq, ops)
+	mode, pre := l.endRecord(start, false, traceID, int64(shard))
+	l.mu.Unlock()
+	l.afterAppend(mode, pre)
 }
 
 // LogAtomic appends one committed cross-shard transaction as a single
@@ -474,26 +545,28 @@ func (l *Log) LogAtomic(parts []ShardOps) {
 // LogAtomicT is LogAtomic carrying a sampled transaction's trace id (see
 // LogUpdateT). The span's shard field is -1: the record spans shards.
 func (l *Log) LogAtomicT(parts []ShardOps, traceID uint64) {
-	n := 0
+	empty := true
 	for i := range parts {
 		if len(parts[i].Ops) > 0 {
-			n++
+			empty = false
+			break
 		}
 	}
-	if n == 0 {
+	if empty {
 		return
 	}
-	live := make([]ShardOps, 0, n)
+	l.mu.Lock()
+	if l.closed {
+		l.mu.Unlock()
+		return
+	}
+	live := l.live[:0]
 	for i := range parts {
 		if len(parts[i].Ops) > 0 {
 			live = append(live, parts[i])
 		}
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return
-	}
+	l.live = live
 	if l.dirtyKeys != nil {
 		for _, p := range live {
 			d := l.dirtyKeys[p.Shard]
@@ -502,8 +575,11 @@ func (l *Log) LogAtomicT(parts []ShardOps, traceID uint64) {
 			}
 		}
 	}
-	l.payload = encodeAtomic(l.payload[:0], live)
-	l.appendLocked(true, traceID, -1)
+	buf, start := beginFrame(l.buf)
+	l.buf = encodeAtomic(buf, live)
+	mode, pre := l.endRecord(start, true, traceID, -1)
+	l.mu.Unlock()
+	l.afterAppend(mode, pre)
 }
 
 // restoreDirtyLocked merges a captured dirty set back into l.dirtyKeys
@@ -533,80 +609,80 @@ func freshDirty(shards int) []map[uint64]struct{} {
 	return d
 }
 
-// appendLocked frames l.payload into the live segment and applies the
-// configured flush/sync discipline. A non-zero traceID enqueues a pending
+// endRecord seals the record encoded behind the frame header at start
+// (beginFrame) or takes it back out of the buffer when it cannot be logged, and reports what the append owes the disk (pre is the unsynced
+// byte count behind a flushStall). A non-zero traceID enqueues a pending
 // SpanWALAppend closed by the record's fsync (shard is the span's A field).
 // Caller holds mu.
-func (l *Log) appendLocked(atomic bool, traceID uint64, shard int64) {
+func (l *Log) endRecord(start int, atomic bool, traceID uint64, shard int64) (mode flushMode, pre int) {
+	payload := l.buf[start+frameOverhead:]
 	if l.wedged {
 		// An earlier I/O error poisoned this segment; writing more into it
 		// cannot produce a recoverable prefix. Count the drop and wait for
 		// the next rotation to try a fresh segment.
+		l.buf = l.buf[:start]
 		l.st.Dropped++
-		l.fr.Record(obs.EvWALDrop, 0, int64(len(l.payload)), 0)
-		return
+		l.fr.Record(obs.EvWALDrop, 0, int64(len(payload)), 0)
+		return flushNone, 0
 	}
-	if len(l.payload) > maxPayload {
+	if len(payload) > maxPayload {
 		// Recovery rejects frames over maxPayload as corruption and drops
 		// everything after them, so writing one would poison the whole log
 		// tail. A transaction whose write set encodes past 16MB (~1M ops)
 		// is far outside this system's envelope; surface it as the sticky
 		// error instead of appending. Only this record is dropped — the
 		// segment stays healthy.
+		l.buf = l.buf[:start]
 		l.st.Dropped++
-		l.fr.Record(obs.EvWALDrop, 0, int64(len(l.payload)), 0)
-		l.setErrLocked(fmt.Errorf("durable: record payload %d bytes exceeds the %d-byte bound; transaction not logged", len(l.payload), maxPayload))
-		return
+		l.fr.Record(obs.EvWALDrop, 0, int64(len(payload)), 0)
+		l.setErrLocked(fmt.Errorf("durable: record payload %d bytes exceeds the %d-byte bound; transaction not logged", len(payload), maxPayload))
+		return flushNone, 0
 	}
-	l.framed = frame(l.framed[:0], l.payload)
-	if _, err := l.w.Write(l.framed); err != nil {
-		l.st.Dropped++
-		l.fr.Record(obs.EvWALDrop, 0, int64(len(l.framed)), 0)
-		l.setErrLocked(err)
-		l.wedged = true
-		return
-	}
+	endFrame(l.buf, start)
+	framed := len(l.buf) - start
 	l.st.Records++
 	if atomic {
 		l.st.AtomicRecords++
 	}
-	l.st.Bytes += uint64(len(l.framed))
-	l.dirty = true
-	l.unsynced += len(l.framed)
+	l.st.Bytes += uint64(framed)
+	l.unsynced += framed
 	if traceID != 0 && l.tracer != nil && l.pendN < len(l.pend) {
 		l.pend[l.pendN] = pendSpan{id: traceID, at: time.Now().UnixNano(),
-			shard: shard, bytes: int64(len(l.framed))}
+			shard: shard, bytes: int64(framed)}
 		l.pendN++
 	}
-	if l.o.Sync {
-		l.flushSyncLocked()
-		return
-	}
-	if l.o.groupCommit() == 0 {
-		// No committer: hand the record to the OS immediately so the loss
-		// window is the OS cache, not this process's buffer.
-		if err := l.w.Flush(); err != nil {
-			l.setErrLocked(err)
-			l.wedged = true
-			return
-		}
-		l.st.Flushes++
-	}
-	if l.unsynced > l.o.maxUnsynced() {
+	switch {
+	case l.o.Sync:
+		return flushSync, 0
+	case l.unsynced > l.o.maxUnsynced():
 		// Backpressure: writers outran the group committer past the bound.
 		// Blocking this append for one flush+fsync keeps the loss window
 		// (and the committer's queue) bounded instead of letting it grow
 		// with the write rate.
 		l.st.Stalls++
-		pre := l.unsynced
-		var t0 time.Time
-		if l.fr != nil {
-			t0 = time.Now()
-		}
-		l.flushSyncLocked()
-		if l.fr != nil {
-			l.fr.Record(obs.EvWALStall, time.Since(t0), int64(pre), 0)
-		}
+		return flushStall, l.unsynced
+	case l.o.groupCommit() == 0:
+		// No committer: hand the record to the OS immediately so the loss
+		// window is the OS cache, not this process's buffer.
+		return flushWrite, 0
+	}
+	return flushNone, 0
+}
+
+// afterAppend pays what endRecord said the append owes, with mu released.
+func (l *Log) afterAppend(mode flushMode, pre int) {
+	if mode == flushNone {
+		return
+	}
+	t0 := time.Now()
+	l.ioMu.Lock()
+	l.flushIO(mode != flushWrite)
+	l.ioMu.Unlock()
+	if mode == flushStall {
+		l.mu.Lock()
+		fr := l.fr
+		l.mu.Unlock()
+		fr.Record(obs.EvWALStall, time.Since(t0), int64(pre), 0)
 	}
 }
 
@@ -617,48 +693,100 @@ func (l *Log) setErrLocked(err error) {
 	}
 }
 
-// flushSyncLocked flushes the buffered writer and fsyncs the segment if
-// anything reached it since the last sync. Caller holds mu. Flush and
-// fsync failures wedge the segment (post-failure write state is unknown);
-// the next rotation un-wedges onto a fresh file.
-func (l *Log) flushSyncLocked() {
-	if l.w.Buffered() > 0 {
-		if err := l.w.Flush(); err != nil {
-			l.setErrLocked(err)
-			l.wedged = true
-			l.pendN = 0 // durability unknown: drop the pending spans
-			return
+// flushIO drains the fill buffer into the live segment and, with sync set,
+// fsyncs it. Caller holds ioMu and not mu. A sync that finds the buffer
+// empty and the file clean does nothing: whoever held ioMu before made
+// everything durable.
+func (l *Log) flushIO(sync bool) {
+	l.mu.Lock()
+	out, cover, ok := l.swapLocked(sync)
+	l.mu.Unlock()
+	if ok {
+		l.writeOut(out, cover, sync)
+	}
+}
+
+// swapLocked takes the fill buffer for writing and leaves the spare in its
+// place, so appends carry on into the other buffer while the caller does
+// the I/O. cover is the unsynced byte count a successful fsync of out will
+// have made durable: everything appended so far is in the file or in out.
+// With sync set the pending trace spans move to ioPend for that fsync to
+// close. ok is false when there is nothing to write to — no live file, or a
+// wedged one: what sits in the buffer then was appended between a failed
+// flush and its verdict, behind a write of unknown outcome, and is
+// discarded like the rest of that flush. Caller holds ioMu and mu.
+func (l *Log) swapLocked(sync bool) (out []byte, cover int, ok bool) {
+	if l.f == nil || l.wedged {
+		l.buf = l.buf[:0]
+		l.unsynced = 0
+		l.pendN = 0
+		return nil, 0, false
+	}
+	out = l.buf
+	l.buf = l.spare[:0]
+	if sync {
+		l.ioPend = append(l.ioPend[:0], l.pend[:l.pendN]...)
+		l.pendN = 0
+	}
+	return out, l.unsynced, true
+}
+
+// writeOut writes a swapped-out buffer to the live segment and, with sync
+// set, fsyncs it, then settles the accounts under mu. Caller holds ioMu and
+// not mu. Write and fsync failures wedge the segment (post-failure write
+// state is unknown); the next rotation un-wedges onto a fresh file.
+func (l *Log) writeOut(out []byte, cover int, sync bool) {
+	var err error
+	wrote, synced := false, false
+	var syncDur time.Duration
+	if len(out) > 0 {
+		if _, err = l.f.Write(out); err == nil {
+			wrote, l.fileDirty = true, true
 		}
+	}
+	l.spare = out[:0]
+	if err == nil && sync && l.fileDirty {
+		t0 := time.Now()
+		if err = l.fsync(l.f); err == nil {
+			synced, l.fileDirty = true, false
+			syncDur = time.Since(t0)
+		}
+	}
+
+	l.mu.Lock()
+	if err != nil {
+		l.setErrLocked(err)
+		l.wedged = true
+		l.pendN = 0 // durability unknown: drop the pending spans
+		l.mu.Unlock()
+		l.ioPend = l.ioPend[:0]
+		return
+	}
+	if wrote {
 		l.st.Flushes++
 	}
-	if l.dirty {
-		var t0 time.Time
-		if l.syncH != nil {
-			t0 = time.Now()
-		}
-		if err := l.f.Sync(); err != nil {
-			l.setErrLocked(err)
-			l.wedged = true
-			l.pendN = 0
-			return
-		}
-		if l.syncH != nil {
-			l.syncH.Record(uint64(time.Since(t0)))
-		}
+	if synced {
 		l.st.Syncs++
-		l.dirty = false
-	}
-	l.unsynced = 0
-	if l.pendN > 0 {
-		// Every pending record is now durable: close its append→fsync span.
-		// Under Sync this fires inline per append; under group commit a whole
-		// window's traced records share this fsync's end instant.
-		now := time.Now().UnixNano()
-		for i := 0; i < l.pendN; i++ {
-			p := &l.pend[i]
-			l.tracer.Record(p.id, obs.SpanWALAppend, obs.OpNone, p.at, now, p.shard, p.bytes)
+		if l.syncH != nil {
+			l.syncH.Record(uint64(syncDur))
 		}
-		l.pendN = 0
+	}
+	if sync {
+		l.unsynced -= cover
+	}
+	tracer := l.tracer
+	l.mu.Unlock()
+	if len(l.ioPend) > 0 {
+		// Every record pending at the swap is now durable: close its
+		// append→fsync span. Under Sync this fires inline per append; under
+		// group commit a whole window's traced records share this fsync's
+		// end instant.
+		now := time.Now().UnixNano()
+		for i := range l.ioPend {
+			p := &l.ioPend[i]
+			tracer.Record(p.id, obs.SpanWALAppend, obs.OpNone, p.at, now, p.shard, p.bytes)
+		}
+		l.ioPend = l.ioPend[:0]
 	}
 }
 
@@ -666,12 +794,14 @@ func (l *Log) flushSyncLocked() {
 // callable directly for an explicit durability point). It returns the
 // log's sticky error state.
 func (l *Log) Sync() error {
+	l.ioMu.Lock()
+	l.flushIO(true)
+	l.ioMu.Unlock()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return errClosed
 	}
-	l.flushSyncLocked()
 	return l.err
 }
 
@@ -718,12 +848,19 @@ func (l *Log) checkpoint(src Source, truncate bool) error {
 	// Rotate first: every record already in the old segments belongs to a
 	// transaction that published before the snapshot below draws its clock
 	// positions, so the snapshot covers the old segments entirely. The
-	// dirty capture happens in the same critical section as the rotation,
-	// so the captured set is exactly (a superset of) the keys of every
-	// record in the segments below the new base.
+	// dirty capture, the buffer swap and the segment/generation assignment
+	// happen in one mu critical section: a record is either in the swapped
+	// buffer (old segment, key in the captured set) or in the next one (new
+	// segment, key in the fresh set), never in the old segment with its key
+	// only in the fresh set — that record would be deleted with the segment
+	// and lost. The file work that follows needs ioMu alone, so appends
+	// fill the next buffer while the old segment is fsynced and closed and
+	// the new one created.
+	l.ioMu.Lock()
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
+		l.ioMu.Unlock()
 		return errClosed
 	}
 	dirtyCount := 0
@@ -736,6 +873,7 @@ func (l *Log) checkpoint(src Source, truncate bool) error {
 			// the (empty) live tail already describe the store exactly.
 			l.st.SkippedCheckpoints++
 			l.mu.Unlock()
+			l.ioMu.Unlock()
 			return nil
 		}
 	}
@@ -749,22 +887,39 @@ func (l *Log) checkpoint(src Source, truncate bool) error {
 		captured = l.dirtyKeys
 		l.dirtyKeys = freshDirty(l.shards)
 	}
-	l.flushSyncLocked()
-	if err := l.f.Close(); err != nil {
-		l.setErrLocked(err)
-	}
+	out, cover, ok := l.swapLocked(true)
 	gen := l.nextGen
 	l.nextGen++
 	base := l.seg + 1
-	if err := l.openSegmentLocked(base); err != nil {
-		l.setErrLocked(err)
+	l.seg = base
+	l.mu.Unlock()
+
+	if ok {
+		l.writeOut(out, cover, true)
+	}
+	var closeErr error
+	if l.f != nil {
+		closeErr = l.f.Close()
+	}
+	openErr := l.openSegment(base)
+	l.mu.Lock()
+	if closeErr != nil {
+		l.setErrLocked(closeErr)
+	}
+	if openErr != nil {
+		// No live file: appends drop until the next rotation tries again.
+		l.setErrLocked(openErr)
+		l.wedged = true
 		l.restoreDirtyLocked(captured)
 		l.mu.Unlock()
-		return err
+		l.ioMu.Unlock()
+		return openErr
 	}
+	l.wedged = false // fresh segment: past I/O errors stay in Err only
 	l.st.Rotations++
 	l.fr.Record(obs.EvWALRotate, 0, int64(base), 0)
 	l.mu.Unlock()
+	l.ioMu.Unlock()
 
 	var err error
 	var fileBytes, pairCount int
@@ -818,7 +973,9 @@ func (l *Log) checkpoint(src Source, truncate bool) error {
 // plus its one-entry manifest, resetting the chain. Caller holds ckptMu.
 func (l *Log) writeFullGeneration(src Source, gen, base uint64) (bytes, pairs int, err error) {
 	cuts := make([]uint64, l.shards)
-	var kvs []kvPair
+	// The previous base's pair count (plus slack for growth) saves the
+	// doubling copies of a store-sized slice.
+	kvs := make([]kvPair, 0, l.chainFullPairs+l.chainFullPairs/8)
 	for si := 0; si < l.shards; si++ {
 		cuts[si] = src.SnapshotShard(si, func(k, v uint64) {
 			kvs = append(kvs, kvPair{k: k, v: v})
@@ -859,7 +1016,7 @@ func (l *Log) writeDeltaGeneration(src Source, gen, base uint64, captured []map[
 		for k := range captured[si] {
 			keys = append(keys, k)
 		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+		slices.Sort(keys)
 		entries := make([]deltaEntry, 0, len(keys))
 		if perKey {
 			cuts[si] = ds.SnapshotShardKeys(si, keys, func(k, v uint64, ok bool) {
@@ -970,15 +1127,26 @@ func (l *Log) Close() error {
 		<-l.committerDone
 		l.committerStop = nil
 	}
+	l.ioMu.Lock()
+	defer l.ioMu.Unlock()
+	l.mu.Lock()
+	if l.closed {
+		err := l.err
+		l.mu.Unlock()
+		return err
+	}
+	l.closed = true // appends are refused from here on
+	l.mu.Unlock()
+	l.flushIO(true)
+	var closeErr error
+	if l.f != nil {
+		closeErr = l.f.Close()
+		l.f = nil
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return l.err
+	if closeErr != nil {
+		l.setErrLocked(closeErr)
 	}
-	l.flushSyncLocked()
-	if err := l.f.Close(); err != nil {
-		l.setErrLocked(err)
-	}
-	l.closed = true
 	return l.err
 }

@@ -644,3 +644,140 @@ func TestLogGroupCommitFlushesOnClose(t *testing.T) {
 		t.Fatalf("recovered %d keys, want 100", len(rec.State))
 	}
 }
+
+// holdFsync replaces the log's fsync seam with one that reports each entry
+// on entered and then blocks until release is closed.
+func holdFsync(l *Log) (entered chan struct{}, release chan struct{}) {
+	entered, release = make(chan struct{}, 16), make(chan struct{})
+	l.ioMu.Lock()
+	l.fsync = func(f *os.File) error {
+		entered <- struct{}{}
+		<-release
+		return f.Sync()
+	}
+	l.ioMu.Unlock()
+	return entered, release
+}
+
+// returnsWithin reports whether done is signalled n times before the deadline.
+func returnsWithin(done <-chan struct{}, n int, d time.Duration) bool {
+	deadline := time.After(d)
+	for ; n > 0; n-- {
+		select {
+		case <-done:
+		case <-deadline:
+			return false
+		}
+	}
+	return true
+}
+
+// TestLogAppendsDoNotWaitForFsync: under group commit an fsync in flight
+// holds ioMu only, so appends from other goroutines return while it is
+// stuck — until they cross MaxUnsynced, where the crossing append stalls
+// (counted) behind the same fsync. Everything appended is recovered.
+func TestLogAppendsDoNotWaitForFsync(t *testing.T) {
+	dir := t.TempDir()
+	const bound = 4 << 10
+	l, _, err := Open(dir, 1, Options{GroupCommit: time.Hour, MaxUnsynced: bound, CheckpointEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	entered, release := holdFsync(l)
+	l.LogUpdate(0, 1, []Op{{Key: 0, Val: 1}})
+	syncDone := make(chan struct{}, 1)
+	go func() { l.Sync(); syncDone <- struct{}{} }()
+	<-entered // the fsync holds ioMu from here until release
+
+	const perWriter = 20 // 2×20 records of 33 framed bytes stay far below the bound
+	done := make(chan struct{}, 2)
+	for w := uint64(0); w < 2; w++ {
+		go func() {
+			for i := uint64(0); i < perWriter; i++ {
+				k := 1 + w*perWriter + i
+				l.LogUpdate(0, 1+k, []Op{{Key: k, Val: k}})
+			}
+			done <- struct{}{}
+		}()
+	}
+	if !returnsWithin(done, 2, 10*time.Second) {
+		t.Fatal("appends blocked behind an fsync in flight")
+	}
+	if st := l.Stats(); st.Records != 1+2*perWriter || st.Syncs != 0 || st.Stalls != 0 {
+		t.Fatalf("during the held fsync: %d records, %d syncs, %d stalls; want %d, 0, 0", st.Records, st.Syncs, st.Stalls, 1+2*perWriter)
+	}
+
+	// Fill up to the bound: the append that crosses it must wait for the
+	// disk, and say so.
+	next := uint64(1 + 2*perWriter)
+	go func() {
+		for l.Stats().Stalls == 0 {
+			l.LogUpdate(0, 1+next, []Op{{Key: next, Val: next}})
+			next++
+		}
+		done <- struct{}{}
+	}()
+	if returnsWithin(done, 1, 100*time.Millisecond) {
+		t.Fatal("the append crossing MaxUnsynced returned while the fsync covering it was held")
+	}
+	if st := l.Stats(); st.Stalls != 1 || st.Syncs != 0 {
+		t.Fatalf("at the bound: %d stalls, %d syncs; want 1, 0", st.Stalls, st.Syncs)
+	}
+	close(release)
+	if !returnsWithin(done, 1, 10*time.Second) || !returnsWithin(syncDone, 1, 10*time.Second) {
+		t.Fatal("stalled append or Sync did not return after the fsync was released")
+	}
+	if st := l.Stats(); st.Syncs < 2 || st.Bytes <= bound {
+		t.Fatalf("after release: %d syncs (want the held one and the stall's), %d bytes (want > %d)", st.Syncs, st.Bytes, bound)
+	}
+	l.Close()
+	rec, l2 := reopen(t, dir, 1)
+	defer l2.Close()
+	if uint64(len(rec.State)) != next {
+		t.Fatalf("recovered %d keys, want %d", len(rec.State), next)
+	}
+}
+
+// TestLogSyncAppendWaitsForItsFsync: with Options.Sync an append returns
+// only once an fsync covering its record has returned — and appends that
+// queue behind a held fsync share the next one (leader/follower): three
+// records, two fsyncs.
+func TestLogSyncAppendWaitsForItsFsync(t *testing.T) {
+	dir := t.TempDir()
+	l, _, err := Open(dir, 1, Options{Sync: true, CheckpointEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	entered, release := holdFsync(l)
+	done := make(chan struct{}, 3)
+	appendOne := func(k uint64) {
+		l.LogUpdate(0, k, []Op{{Key: k, Val: k}})
+		done <- struct{}{}
+	}
+	go appendOne(1)
+	<-entered // record 1's fsync is held
+	go appendOne(2)
+	go appendOne(3)
+	for l.Stats().Records < 3 { // both framed, both queued on ioMu
+		time.Sleep(time.Millisecond)
+	}
+	if returnsWithin(done, 1, 100*time.Millisecond) {
+		t.Fatal("a Sync append returned before any fsync did")
+	}
+	if st := l.Stats(); st.Syncs != 0 {
+		t.Fatalf("%d syncs counted while the first is held", st.Syncs)
+	}
+	close(release)
+	if !returnsWithin(done, 3, 10*time.Second) {
+		t.Fatal("Sync appends did not return after the fsync was released")
+	}
+	if st := l.Stats(); st.Syncs != 2 {
+		t.Fatalf("%d fsyncs for one held record and two queued behind it, want 2", st.Syncs)
+	}
+	l.Close()
+	rec, l2 := reopen(t, dir, 1)
+	defer l2.Close()
+	if len(rec.State) != 3 {
+		t.Fatalf("recovered %d keys, want 3", len(rec.State))
+	}
+}

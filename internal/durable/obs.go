@@ -46,7 +46,7 @@ func (l *Log) RegisterObs(r *obs.Registry) {
 		counter("durable_wal_records_total", "Records appended (update + atomic).", st.Records)
 		counter("durable_wal_atomic_records_total", "The cross-shard subset of records.", st.AtomicRecords)
 		counter("durable_wal_bytes_total", "Framed bytes appended.", st.Bytes)
-		counter("durable_wal_flushes_total", "Buffered-writer flushes.", st.Flushes)
+		counter("durable_wal_flushes_total", "Append-buffer writes to the live segment.", st.Flushes)
 		counter("durable_wal_syncs_total", "fsyncs of the live segment.", st.Syncs)
 		counter("durable_wal_stalls_total", "Appends that hit the unsynced-bytes bound and fsynced inline.", st.Stalls)
 		counter("durable_wal_dropped_total", "Records not logged (oversize, or appended while wedged).", st.Dropped)

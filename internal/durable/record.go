@@ -106,11 +106,27 @@ func encodeAtomic(b []byte, parts []ShardOps) []byte {
 	return b
 }
 
+// beginFrame reserves a frame header at the end of b and returns its
+// offset: the caller appends the payload straight behind it — no staging
+// copy — and seals the frame with endFrame.
+func beginFrame(b []byte) ([]byte, int) {
+	return append(b, make([]byte, frameOverhead)...), len(b)
+}
+
+// endFrame fills in the header reserved at start: the length and CRC of
+// the payload, which is everything behind the header.
+func endFrame(b []byte, start int) {
+	payload := b[start+frameOverhead:]
+	binary.LittleEndian.PutUint32(b[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(b[start+4:], crc32.Checksum(payload, crcTable))
+}
+
 // frame appends the length+CRC framing and the payload to b.
 func frame(b, payload []byte) []byte {
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(payload)))
-	b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(payload, crcTable))
-	return append(b, payload...)
+	b, start := beginFrame(b)
+	b = append(b, payload...)
+	endFrame(b, start)
+	return b
 }
 
 // decoder walks an encoded payload.

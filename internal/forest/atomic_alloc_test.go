@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/durable"
 	"repro/internal/ftx"
 	"repro/internal/trees"
 )
@@ -132,6 +133,58 @@ func TestAtomicZeroAllocs(t *testing.T) {
 			}
 		})
 	})
+	t.Run("transfer/cross-shard/wal", func(t *testing.T) {
+		x := newAtomicFixture(t, 8, 1<<10)
+		x.spread(t)
+		st := x.attachQuietWAL(t)
+		before := st().AtomicRecords
+		// x.h has no coordinator yet, so its first Atomic wires the WAL in.
+		gate(t, "WAL-attached cross-shard transfer", func() { x.h.Atomic(x.transfer) })
+		if n := st().AtomicRecords - before; n < 200 {
+			t.Fatalf("%d atomic records logged, want one per transfer", n)
+		}
+	})
+}
+
+// attachQuietWAL attaches a write-ahead log whose background loops stay out
+// of an AllocsPerRun window — a committer that will not tick, no periodic
+// checkpoints — and returns its statistics accessor. Call before the
+// handle's first Atomic (the coordinator picks the WAL up when it is built).
+func (x *atomicFixture) attachQuietWAL(tb testing.TB) func() durable.Stats {
+	tb.Helper()
+	l, _, err := durable.Open(tb.TempDir(), x.f.Shards(), durable.Options{GroupCommit: time.Hour, CheckpointEvery: -1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { l.Close() })
+	x.f.AttachWAL(l)
+	return l.Stats
+}
+
+// TestDurableUpdateZeroAllocs: a durable single-key update — transaction
+// body, post-commit hook, WAL record — allocates nothing once the handle,
+// the log's buffers and the dirty-key set have seen the key. (A fresh key
+// may grow the dirty set or the arena; that is the store growing, not the
+// path.)
+func TestDurableUpdateZeroAllocs(t *testing.T) {
+	for _, shards := range []int{1, 8} {
+		x := newAtomicFixture(t, shards, 1<<10)
+		st := x.attachQuietWAL(t)
+		const k = 1 << 20
+		op := func() {
+			if !x.h.Insert(k, 7) || !x.h.Delete(k) {
+				t.Fatal("Insert/Delete of a private key failed")
+			}
+		}
+		op()
+		before := st().Records
+		if avg := testing.AllocsPerRun(200, op); avg != 0 {
+			t.Fatalf("shards=%d: durable Insert+Delete allocates %.2f times per run, want 0", shards, avg)
+		}
+		if n := st().Records - before; n < 400 {
+			t.Fatalf("shards=%d: %d records logged, want two per run", shards, n)
+		}
+	}
 }
 
 func benchAtomic(b *testing.B, shards int, body func(x *atomicFixture) func(*ftx.Tx) error) {

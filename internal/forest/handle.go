@@ -34,8 +34,24 @@ type Handle struct {
 	// oplog is the reusable per-transaction effect buffer of the durable
 	// path: mutating operations collect their effects here during the
 	// attempt, and a reliable post-commit hook appends them to the WAL only
-	// if the attempt commits.
-	oplog []durable.Op
+	// if the attempt commits. logFn is that hook, acting on the shard and
+	// trace id logCommit stamped into logSi/logTid.
+	oplog  []durable.Op
+	logSi  int
+	logTid uint64
+	logFn  func(pos uint64)
+
+	// cur is the durable single-key Insert or Delete in flight, and
+	// insertFn/deleteFn the transaction bodies that perform it. Like logFn
+	// and moveFn they are built once per handle: a literal per call would
+	// be an allocation per durable update.
+	cur struct {
+		sh   *shard
+		si   int
+		k, v uint64
+		ok   bool
+	}
+	insertFn, deleteFn func(*stm.Tx)
 
 	// op is the handle's reusable combiner future (one in-flight submission
 	// per handle); batch is the reusable drain buffer for when this handle
@@ -59,12 +75,14 @@ var handleSeq atomic.Uint64
 
 // NewHandle returns a handle with no shard threads allocated yet.
 func (f *Forest) NewHandle() *Handle {
-	return &Handle{
+	h := &Handle{
 		f:     f,
 		ths:   make([]*stm.Thread, len(f.shards)),
 		ops:   make([]uint64, len(f.shards)),
 		trRng: handleSeq.Add(1)*0x9e3779b97f4a7c15 | 1,
 	}
+	h.logFn, h.insertFn, h.deleteFn = h.logHook, h.insertTx, h.deleteTx
+	return h
 }
 
 // nextRand advances the handle's xorshift64 sampling stream.
@@ -184,11 +202,16 @@ func (h *Handle) logCommit(tx *stm.Tx, si int) {
 	if len(h.oplog) == 0 {
 		return
 	}
-	// tid stitches the WAL record to the in-flight sampled op (zero when
+	// logTid stitches the WAL record to the in-flight sampled op (zero when
 	// untraced): captured at registration, since a batch runner's trID can
 	// move on before a group-commit fsync closes the span.
-	wal, tid := h.f.wal, h.trID
-	tx.OnCommitted(func(pos uint64) { wal.LogUpdateT(si, pos, h.oplog, tid) })
+	h.logSi, h.logTid = si, h.trID
+	tx.OnCommitted(h.logFn)
+}
+
+// logHook is the post-commit hook logCommit registers (h.logFn).
+func (h *Handle) logHook(pos uint64) {
+	h.f.wal.LogUpdateT(h.logSi, pos, h.oplog, h.logTid)
 }
 
 // Insert maps k to v; false when k was already present. On a durable
@@ -224,16 +247,21 @@ func (h *Handle) insertDirect(sh *shard, th *stm.Thread, si int, k, v uint64) bo
 	if h.f.wal == nil {
 		return sh.m.Insert(th, k, v)
 	}
-	var ok bool
-	trees.Atomic(sh.m, th, func(tx *stm.Tx) {
-		h.oplog = h.oplog[:0]
-		ok = sh.m.InsertTxA(tx, k, v)
-		if ok {
-			h.oplog = append(h.oplog, durable.Op{Key: k, Val: v})
-			h.logCommit(tx, si)
-		}
-	})
-	return ok
+	c := &h.cur
+	c.sh, c.si, c.k, c.v = sh, si, k, v
+	trees.Atomic(sh.m, th, h.insertFn)
+	return c.ok
+}
+
+// insertTx is the body of a durable insertDirect, acting on h.cur.
+func (h *Handle) insertTx(tx *stm.Tx) {
+	c := &h.cur
+	h.oplog = h.oplog[:0]
+	c.ok = c.sh.m.InsertTxA(tx, c.k, c.v)
+	if c.ok {
+		h.oplog = append(h.oplog, durable.Op{Key: c.k, Val: c.v})
+		h.logCommit(tx, c.si)
+	}
 }
 
 // Delete removes k; false when absent.
@@ -264,16 +292,21 @@ func (h *Handle) deleteDirect(sh *shard, th *stm.Thread, si int, k uint64) bool 
 	if h.f.wal == nil {
 		return sh.m.Delete(th, k)
 	}
-	var ok bool
-	trees.Atomic(sh.m, th, func(tx *stm.Tx) {
-		h.oplog = h.oplog[:0]
-		ok = sh.m.DeleteTx(tx, k)
-		if ok {
-			h.oplog = append(h.oplog, durable.Op{Key: k, Del: true})
-			h.logCommit(tx, si)
-		}
-	})
-	return ok
+	c := &h.cur
+	c.sh, c.si, c.k = sh, si, k
+	trees.Atomic(sh.m, th, h.deleteFn)
+	return c.ok
+}
+
+// deleteTx is the body of a durable deleteDirect, acting on h.cur.
+func (h *Handle) deleteTx(tx *stm.Tx) {
+	c := &h.cur
+	h.oplog = h.oplog[:0]
+	c.ok = c.sh.m.DeleteTx(tx, c.k)
+	if c.ok {
+		h.oplog = append(h.oplog, durable.Op{Key: c.k, Del: true})
+		h.logCommit(tx, c.si)
+	}
 }
 
 // Get returns the value at k.

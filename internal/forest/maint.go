@@ -5,7 +5,9 @@
 // each shard's fallback sweep on a capped exponential idle backoff. Workers
 // serialize per shard through a claim flag, preserving the trees'
 // single-maintenance-driver contract; hints arriving on any shard wake the
-// pool through the trees' notify callback.
+// pool through the trees' notify callback. A worker that found work rests
+// three times as long as the work took (maintRest), so maintenance costs a
+// bounded share of a core per worker however much of it is queued.
 package forest
 
 import (
@@ -40,6 +42,14 @@ const (
 	// resizeQuantum paces the pool's adaptive sizing: worker 0 reconsiders
 	// the active worker count at most this often (see maybeResize).
 	resizeQuantum = 10 * time.Millisecond
+	// maintRest is the maintenance duty share, the same as the standalone
+	// tree's loop applies (sftree's maintRest — unexported there, so it is
+	// restated here; the two must agree): a worker that has just spent d
+	// servicing a shard that had work stays off the CPU for maintRest·d, so
+	// a worker takes at most maintDuty of a core. Only the pool's stop cuts
+	// the rest short; Quiesce drives the trees directly and is exempt.
+	maintRest = 3
+	maintDuty = 1.0 / (1 + maintRest)
 )
 
 // poolCounters aggregates pool activity. It lives on the Forest, not the
@@ -265,7 +275,10 @@ func (p *maintPool) maybeResize() {
 	}
 	busy := p.f.pc.busyNanos.Load()
 	active := int(p.active.Load())
-	util := float64(busy-p.lastBusy) / (float64(window) * float64(active))
+	// Utilization is measured against what the duty share lets a worker
+	// use, so sizePolicy's thresholds keep meaning "over half of what
+	// they may" and "near idle".
+	util := float64(busy-p.lastBusy) / (float64(window) * float64(active) * maintDuty)
 	p.lastResize, p.lastBusy = now, busy
 	backlog := 0
 	for _, sh := range p.f.shards {
@@ -310,9 +323,11 @@ func sizePolicy(active, lo, hi, backlog int, util float64) int {
 }
 
 // scan makes one fairness round over all shards, servicing every claimable
-// shard that has hint backlog or a due fallback sweep. It reports whether
-// any shard yielded work (the caller keeps scanning while true). The
-// rotating start offset keeps one hot shard from shadowing the others.
+// shard that has hint backlog or a due fallback sweep, and resting after
+// each one that yielded work (maintRest). It reports whether any shard
+// yielded work (the caller keeps scanning while true; false also when the
+// pool stopped during a rest). The rotating start offset keeps one hot
+// shard from shadowing the others.
 func (p *maintPool) scan() bool {
 	shards := p.f.shards
 	start := int(p.rr.Add(1)) % len(shards)
@@ -365,12 +380,30 @@ func (p *maintPool) scan() bool {
 			work += w
 		}
 		sh.claim.Store(false)
-		p.f.pc.busyNanos.Add(uint64(time.Since(t0)))
+		d := time.Since(t0)
+		p.f.pc.busyNanos.Add(uint64(d))
 		if hints > 0 || work > 0 {
 			busy = true
+			if !p.rest(maintRest * d) {
+				return false // stopping: the worker sees quit next
+			}
 		}
 	}
 	return busy
+}
+
+// rest keeps the worker off the CPU for d — the budget it owes after
+// servicing a shard (maintRest) — and reports false when the pool stopped
+// meanwhile. Hint notifications do not cut it short: they queue.
+func (p *maintPool) rest(d time.Duration) bool {
+	timer := time.NewTimer(d)
+	select {
+	case <-p.quit:
+		timer.Stop()
+		return false
+	case <-timer.C:
+		return true
+	}
 }
 
 // adaptPacing returns the gap to apply after a drain session and updates

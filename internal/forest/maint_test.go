@@ -2,7 +2,9 @@ package forest
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -331,4 +333,83 @@ func TestMaintPoolStress(t *testing.T) {
 	wg.Wait()
 	f.Quiesce(1 << 20)
 	checkShardInvariants(t, f, false)
+}
+
+// TestMaintPoolDutyShare: under sustained churn on every shard a pool
+// worker works at most its duty share of the wall clock (maintDuty = ¼;
+// the gate leaves room for timer slack), where a productive sweep used to
+// re-arm after sweepGapMin and keep one worker sweeping continuously.
+func TestMaintPoolDutyShare(t *testing.T) {
+	const keyRange = 1 << 12
+	const workers = 1
+	f := New(trees.SFOpt, WithShards(4), WithMaintWorkers(workers))
+	defer f.Close()
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		h := f.NewHandle()
+		rng := rand.New(rand.NewSource(1))
+		for !stop.Load() {
+			if k := uint64(rng.Intn(keyRange)); rng.Intn(2) == 0 {
+				h.Insert(k, k)
+			} else {
+				h.Delete(k)
+			}
+			// One writer that yields: the share is of the wall clock, and
+			// a worker starved of the CPU would make one sweep (it yields
+			// as it walks) outlast the test.
+			runtime.Gosched()
+		}
+	}()
+	time.Sleep(20 * time.Millisecond) // let the churn build a backlog first
+	before, mBefore := f.PoolStats(), f.MaintenanceStats()
+	t0 := time.Now()
+	time.Sleep(400 * time.Millisecond)
+	after, mAfter := f.PoolStats(), f.MaintenanceStats()
+	wall := time.Since(t0)
+	stop.Store(true)
+	wg.Wait()
+
+	busy := time.Duration(after.BusyNanos - before.BusyNanos)
+	work := mAfter.Rotations + mAfter.Removals - mBefore.Rotations - mBefore.Removals
+	share := float64(busy) / (float64(wall) * workers)
+	t.Logf("busy %v over %d workers × %v (%.2f per worker), %d rotations+removals, %d sweeps",
+		busy, workers, wall, share, work, after.Sweeps-before.Sweeps)
+	if work == 0 {
+		t.Fatal("the pool did no structural work under churn: the budget starved it")
+	}
+	if share > 0.4 {
+		t.Fatalf("pool busy %.2f of the wall clock per worker, over 0.4", share)
+	}
+}
+
+// TestCloseCutsBudgetRest: Close must not wait out a worker's budget rest.
+// The pool's first sweep of a 2¹⁶-key shard nobody has balanced yet is long
+// (d) and its rest 3d; a Close issued as that sweep ends has to return well
+// inside it.
+func TestCloseCutsBudgetRest(t *testing.T) {
+	const n = 1 << 16
+	f := New(trees.SFOpt, WithoutMaintenance())
+	h := f.NewHandle()
+	for i := uint64(0); i < n; i++ {
+		k := i * 40503 & (n - 1) // odd multiplier: a permutation of [0, n)
+		h.Insert(k, k)
+	}
+	f.maintMu.Lock()
+	f.maint, f.maintWorkers, f.maintMin = true, 1, 1
+	f.startPool()
+	f.maintMu.Unlock()
+	for f.PoolStats().BusyNanos == 0 { // set as the first sweep ends
+		time.Sleep(100 * time.Microsecond)
+	}
+	d := time.Duration(f.PoolStats().BusyNanos)
+	t0 := time.Now()
+	f.Close()
+	took := time.Since(t0)
+	t.Logf("first sweep %v (rest %v); Close returned in %v", d, maintRest*d, took)
+	if took > d {
+		t.Fatalf("Close took %v with the worker in a %v budget rest: the rest was not cut short", took, maintRest*d)
+	}
 }

@@ -30,6 +30,16 @@ const (
 	// the gap up to SweepGapMax.
 	SweepGapMin = time.Millisecond
 	SweepGapMax = 256 * time.Millisecond
+	// maintRest is the maintenance duty share: a driver that has just spent
+	// d on a drain or sweep that found work stays off the CPU for
+	// maintRest·d before it looks again, so maintenance takes at most
+	// 1/(1+maintRest) of a core however much work is queued — a productive
+	// sweep re-arms after SweepGapMin, and without the rest one driver
+	// sweeps continuously beside the clients it is meant to serve. Only
+	// Stop cuts the rest short; Quiesce and manual passes are exempt. The
+	// forest's pool applies the same share per worker (its own maintRest:
+	// the two must agree).
+	maintRest = 3
 )
 
 // This file implements the maintenance ("rotator") side of the paper,
@@ -62,13 +72,14 @@ func (t *Tree) Start() {
 	}
 	t.stop.Store(false)
 	t.done = make(chan struct{})
+	t.quit = make(chan struct{})
 	t.running.Store(true)
 	// Hints arriving while the loop idles must wake it (hints.go). The
 	// registration is idempotent and deliberately left in place across
 	// Stop/Start cycles: nudging the 1-slot wake channel of a stopped loop
 	// is harmless.
 	t.SetMaintNotify(t.nudgeWake)
-	go t.maintLoop()
+	go t.maintLoop(t.quit)
 }
 
 // Stop halts the maintenance goroutine and waits for it to finish its
@@ -84,7 +95,7 @@ func (t *Tree) Stop() {
 		return
 	}
 	t.stop.Store(true)
-	t.nudgeWake() // break the loop out of its idle wait immediately
+	close(t.quit) // break the loop out of its idle wait or budget rest
 	<-t.done
 	t.stop.Store(false) // leave manual RunMaintenancePass/Quiesce usable
 	t.running.Store(false)
@@ -103,8 +114,10 @@ func (t *Tree) nudgeWake() {
 // repairs, run the fallback sweep when due, and otherwise sleep until a
 // hint arrives or the next sweep deadline — the sweep gap doubling (capped)
 // while the tree stays clean, so an idle tree costs ~0 CPU instead of the
-// fixed-period polling it used to burn.
-func (t *Tree) maintLoop() {
+// fixed-period polling it used to burn. A round that found work is followed
+// by its budget rest (maintRest), so a busy tree costs a bounded share of a
+// core instead of all of it.
+func (t *Tree) maintLoop(quit <-chan struct{}) {
 	defer close(t.done)
 	sweepGap := SweepGapMin
 	nextSweep := time.Now()
@@ -121,17 +134,23 @@ func (t *Tree) maintLoop() {
 			}
 			nextSweep = time.Now().Add(sweepGap)
 		}
-		t.busyNanos.Add(uint64(time.Since(t0)))
+		d := time.Since(t0)
+		t.busyNanos.Add(uint64(d))
+		var wake <-chan struct{}
 		if hints > 0 || work > 0 {
-			continue // stay hot while there is work
+			d *= maintRest // the budget rest: hints queue up meanwhile
+		} else {
+			d = time.Until(nextSweep)
+			wake = t.wake // idle: a hint ends the wait
 		}
-		d := time.Until(nextSweep)
 		if d <= 0 {
 			continue
 		}
 		timer := time.NewTimer(d)
 		select {
-		case <-t.wake:
+		case <-quit:
+			timer.Stop()
+		case <-wake:
 			timer.Stop()
 		case <-timer.C:
 		}

@@ -75,65 +75,71 @@ func (t *Tree) rotateLeft(parentRef arena.Ref, leftChild bool) bool {
 // its subtree re-hung, so concurrent portable traversals — whose whole path
 // is in their read set — are invalidated rather than misled.
 func (t *Tree) rotatePortable(parentRef arena.Ref, leftChild, mirror bool) bool {
-	ok := false
-	t.maintTh.AtomicMode(stm.CTL, func(tx *stm.Tx) {
-		ok = false
-		p := t.node(parentRef)
-		var nRef arena.Ref
-		if leftChild {
-			nRef = tx.Read(&p.L)
-		} else {
-			nRef = tx.Read(&p.R)
-		}
-		if nRef == arena.Nil {
+	o := &t.sop
+	o.parent, o.left, o.mirror = parentRef, leftChild, mirror
+	t.maintTh.AtomicMode(stm.CTL, t.rotateFn)
+	return o.ok
+}
+
+// rotatePortableTx is the body of rotatePortable, acting on t.sop.
+func (t *Tree) rotatePortableTx(tx *stm.Tx) {
+	o := &t.sop
+	parentRef, leftChild := o.parent, o.left
+	o.ok = false
+	p := t.node(parentRef)
+	var nRef arena.Ref
+	if leftChild {
+		nRef = tx.Read(&p.L)
+	} else {
+		nRef = tx.Read(&p.R)
+	}
+	if nRef == arena.Nil {
+		return
+	}
+	n := t.node(nRef)
+	if !o.mirror {
+		// Right rotation: the left child l rises.
+		lRef := tx.Read(&n.L)
+		if lRef == arena.Nil {
 			return
 		}
-		n := t.node(nRef)
-		if !mirror {
-			// Right rotation: the left child l rises.
-			lRef := tx.Read(&n.L)
-			if lRef == arena.Nil {
-				return
-			}
-			l := t.node(lRef)
-			lrRef := tx.Read(&l.R)
-			tx.Write(&n.L, lrRef)
-			tx.Write(&l.R, nRef)
-			if leftChild {
-				tx.Write(&p.L, lRef)
-			} else {
-				tx.Write(&p.R, lRef)
-			}
-			// update-balance-values (paper line 57).
-			n.LeftH.Store(t.heightOf(lrRef))
-			n.LocalH.Store(1 + maxi32(n.LeftH.Load(), n.RightH.Load()))
-			l.RightH.Store(n.LocalH.Load())
-			l.LocalH.Store(1 + maxi32(l.LeftH.Load(), l.RightH.Load()))
-			setChildHeight(p, leftChild, l.LocalH.Load())
+		l := t.node(lRef)
+		lrRef := tx.Read(&l.R)
+		tx.Write(&n.L, lrRef)
+		tx.Write(&l.R, nRef)
+		if leftChild {
+			tx.Write(&p.L, lRef)
 		} else {
-			// Left rotation: the right child r rises.
-			rRef := tx.Read(&n.R)
-			if rRef == arena.Nil {
-				return
-			}
-			r := t.node(rRef)
-			rlRef := tx.Read(&r.L)
-			tx.Write(&n.R, rlRef)
-			tx.Write(&r.L, nRef)
-			if leftChild {
-				tx.Write(&p.L, rRef)
-			} else {
-				tx.Write(&p.R, rRef)
-			}
-			n.RightH.Store(t.heightOf(rlRef))
-			n.LocalH.Store(1 + maxi32(n.LeftH.Load(), n.RightH.Load()))
-			r.LeftH.Store(n.LocalH.Load())
-			r.LocalH.Store(1 + maxi32(r.LeftH.Load(), r.RightH.Load()))
-			setChildHeight(p, leftChild, r.LocalH.Load())
+			tx.Write(&p.R, lRef)
 		}
-		ok = true
-	})
-	return ok
+		// update-balance-values (paper line 57).
+		n.LeftH.Store(t.heightOf(lrRef))
+		n.LocalH.Store(1 + maxi32(n.LeftH.Load(), n.RightH.Load()))
+		l.RightH.Store(n.LocalH.Load())
+		l.LocalH.Store(1 + maxi32(l.LeftH.Load(), l.RightH.Load()))
+		setChildHeight(p, leftChild, l.LocalH.Load())
+	} else {
+		// Left rotation: the right child r rises.
+		rRef := tx.Read(&n.R)
+		if rRef == arena.Nil {
+			return
+		}
+		r := t.node(rRef)
+		rlRef := tx.Read(&r.L)
+		tx.Write(&n.R, rlRef)
+		tx.Write(&r.L, nRef)
+		if leftChild {
+			tx.Write(&p.L, rRef)
+		} else {
+			tx.Write(&p.R, rRef)
+		}
+		n.RightH.Store(t.heightOf(rlRef))
+		n.LocalH.Store(1 + maxi32(n.LeftH.Load(), n.RightH.Load()))
+		r.LeftH.Store(n.LocalH.Load())
+		r.LocalH.Store(1 + maxi32(r.LeftH.Load(), r.RightH.Load()))
+		setChildHeight(p, leftChild, r.LocalH.Load())
+	}
+	o.ok = true
 }
 
 // rotateOpt is Algorithm 2's rotation (§3.3, Figure 2(c)): instead of
@@ -144,92 +150,97 @@ func (t *Tree) rotatePortable(parentRef arena.Ref, leftChild, mirror bool) bool 
 // true-by-left-rotate for the mirror — so the optimized find knows to
 // reroute, and n is handed to the epoch collector.
 func (t *Tree) rotateOpt(parentRef arena.Ref, leftChild, mirror bool) bool {
-	scratch := t.ar.Alloc(0, 0)
-	var removed arena.Ref
-	used, ok := false, false
-	t.maintTh.AtomicMode(stm.CTL, func(tx *stm.Tx) {
-		used, ok = false, false
-		removed = arena.Nil
-		p := t.node(parentRef)
-		if tx.Read(&p.Rem) != arena.RemFalse {
-			return
-		}
-		var nRef arena.Ref
-		if leftChild {
-			nRef = tx.Read(&p.L)
-		} else {
-			nRef = tx.Read(&p.R)
-		}
-		if nRef == arena.Nil {
-			return
-		}
-		n := t.node(nRef)
-		sn := t.node(scratch)
-		if !mirror {
-			// Right rotation: l rises; n' = copy of n with children (l.R, n.R)
-			// becomes l's right child.
-			lRef := tx.Read(&n.L)
-			if lRef == arena.Nil {
-				return
-			}
-			l := t.node(lRef)
-			lrRef := tx.Read(&l.R)
-			rRef := tx.Read(&n.R)
-			t.ar.Reinit(scratch, n.Key.Plain(), tx.Read(&n.Val))
-			sn.Del.SetPlain(tx.Read(&n.Del))
-			sn.L.SetPlain(lrRef)
-			sn.R.SetPlain(rRef)
-			sn.LeftH.Store(t.heightOf(lrRef))
-			sn.RightH.Store(t.heightOf(rRef))
-			sn.LocalH.Store(1 + maxi32(sn.LeftH.Load(), sn.RightH.Load()))
-			tx.Write(&l.R, scratch)
-			tx.Write(&n.Rem, arena.RemTrue)
-			if leftChild {
-				tx.Write(&p.L, lRef)
-			} else {
-				tx.Write(&p.R, lRef)
-			}
-			l.RightH.Store(sn.LocalH.Load())
-			l.LocalH.Store(1 + maxi32(l.LeftH.Load(), l.RightH.Load()))
-			setChildHeight(p, leftChild, l.LocalH.Load())
-		} else {
-			// Left rotation: r rises; n' with children (n.L, r.L) becomes
-			// r's left child; n is marked true-by-left-rotate so an equal-key
-			// traversal preempted on n goes right to reach n' (§3.3).
-			rRef := tx.Read(&n.R)
-			if rRef == arena.Nil {
-				return
-			}
-			r := t.node(rRef)
-			rlRef := tx.Read(&r.L)
-			lRef := tx.Read(&n.L)
-			t.ar.Reinit(scratch, n.Key.Plain(), tx.Read(&n.Val))
-			sn.Del.SetPlain(tx.Read(&n.Del))
-			sn.L.SetPlain(lRef)
-			sn.R.SetPlain(rlRef)
-			sn.LeftH.Store(t.heightOf(lRef))
-			sn.RightH.Store(t.heightOf(rlRef))
-			sn.LocalH.Store(1 + maxi32(sn.LeftH.Load(), sn.RightH.Load()))
-			tx.Write(&r.L, scratch)
-			tx.Write(&n.Rem, arena.RemTrueByLeftRot)
-			if leftChild {
-				tx.Write(&p.L, rRef)
-			} else {
-				tx.Write(&p.R, rRef)
-			}
-			r.LeftH.Store(sn.LocalH.Load())
-			r.LocalH.Store(1 + maxi32(r.LeftH.Load(), r.RightH.Load()))
-			setChildHeight(p, leftChild, r.LocalH.Load())
-		}
-		removed = nRef
-		used, ok = true, true
-	})
-	if used {
-		t.collector.Defer(removed)
+	o := &t.sop
+	o.parent, o.left, o.mirror = parentRef, leftChild, mirror
+	o.scratch = t.ar.Alloc(0, 0)
+	t.maintTh.AtomicMode(stm.CTL, t.rotateFn)
+	if o.used {
+		t.collector.Defer(o.removed)
 	} else {
-		t.ar.Free(scratch)
+		t.ar.Free(o.scratch)
 	}
-	return ok
+	return o.ok
+}
+
+// rotateOptTx is the body of rotateOpt, acting on t.sop.
+func (t *Tree) rotateOptTx(tx *stm.Tx) {
+	o := &t.sop
+	parentRef, leftChild, scratch := o.parent, o.left, o.scratch
+	o.used, o.ok = false, false
+	o.removed = arena.Nil
+	p := t.node(parentRef)
+	if tx.Read(&p.Rem) != arena.RemFalse {
+		return
+	}
+	var nRef arena.Ref
+	if leftChild {
+		nRef = tx.Read(&p.L)
+	} else {
+		nRef = tx.Read(&p.R)
+	}
+	if nRef == arena.Nil {
+		return
+	}
+	n := t.node(nRef)
+	sn := t.node(scratch)
+	if !o.mirror {
+		// Right rotation: l rises; n' = copy of n with children (l.R, n.R)
+		// becomes l's right child.
+		lRef := tx.Read(&n.L)
+		if lRef == arena.Nil {
+			return
+		}
+		l := t.node(lRef)
+		lrRef := tx.Read(&l.R)
+		rRef := tx.Read(&n.R)
+		t.ar.Reinit(scratch, n.Key.Plain(), tx.Read(&n.Val))
+		sn.Del.SetPlain(tx.Read(&n.Del))
+		sn.L.SetPlain(lrRef)
+		sn.R.SetPlain(rRef)
+		sn.LeftH.Store(t.heightOf(lrRef))
+		sn.RightH.Store(t.heightOf(rRef))
+		sn.LocalH.Store(1 + maxi32(sn.LeftH.Load(), sn.RightH.Load()))
+		tx.Write(&l.R, scratch)
+		tx.Write(&n.Rem, arena.RemTrue)
+		if leftChild {
+			tx.Write(&p.L, lRef)
+		} else {
+			tx.Write(&p.R, lRef)
+		}
+		l.RightH.Store(sn.LocalH.Load())
+		l.LocalH.Store(1 + maxi32(l.LeftH.Load(), l.RightH.Load()))
+		setChildHeight(p, leftChild, l.LocalH.Load())
+	} else {
+		// Left rotation: r rises; n' with children (n.L, r.L) becomes
+		// r's left child; n is marked true-by-left-rotate so an equal-key
+		// traversal preempted on n goes right to reach n' (§3.3).
+		rRef := tx.Read(&n.R)
+		if rRef == arena.Nil {
+			return
+		}
+		r := t.node(rRef)
+		rlRef := tx.Read(&r.L)
+		lRef := tx.Read(&n.L)
+		t.ar.Reinit(scratch, n.Key.Plain(), tx.Read(&n.Val))
+		sn.Del.SetPlain(tx.Read(&n.Del))
+		sn.L.SetPlain(lRef)
+		sn.R.SetPlain(rlRef)
+		sn.LeftH.Store(t.heightOf(lRef))
+		sn.RightH.Store(t.heightOf(rlRef))
+		sn.LocalH.Store(1 + maxi32(sn.LeftH.Load(), sn.RightH.Load()))
+		tx.Write(&r.L, scratch)
+		tx.Write(&n.Rem, arena.RemTrueByLeftRot)
+		if leftChild {
+			tx.Write(&p.L, rRef)
+		} else {
+			tx.Write(&p.R, rRef)
+		}
+		r.LeftH.Store(sn.LocalH.Load())
+		r.LocalH.Store(1 + maxi32(r.LeftH.Load(), r.RightH.Load()))
+		setChildHeight(p, leftChild, r.LocalH.Load())
+	}
+	o.removed = nRef
+	o.used, o.ok = true, true
 }
 
 // removeChild physically removes parent's designated child if it is
@@ -257,41 +268,46 @@ func (t *Tree) removeChild(parentRef arena.Ref, leftChild bool) (arena.Ref, aren
 // unlink a logically deleted node with at most one child by pointing the
 // parent at that child.
 func (t *Tree) removePortable(parentRef arena.Ref, leftChild bool) (arena.Ref, arena.Ref, bool) {
-	var repl, removed arena.Ref
-	ok := false
-	t.maintTh.AtomicMode(stm.CTL, func(tx *stm.Tx) {
-		ok = false
-		p := t.node(parentRef)
-		var nRef arena.Ref
-		if leftChild {
-			nRef = tx.Read(&p.L)
-		} else {
-			nRef = tx.Read(&p.R)
+	o := &t.sop
+	o.parent, o.left = parentRef, leftChild
+	t.maintTh.AtomicMode(stm.CTL, t.removeFn)
+	return o.repl, o.removed, o.ok
+}
+
+// removePortableTx is the body of removePortable, acting on t.sop.
+func (t *Tree) removePortableTx(tx *stm.Tx) {
+	o := &t.sop
+	parentRef, leftChild := o.parent, o.left
+	o.repl, o.removed, o.ok = arena.Nil, arena.Nil, false
+	p := t.node(parentRef)
+	var nRef arena.Ref
+	if leftChild {
+		nRef = tx.Read(&p.L)
+	} else {
+		nRef = tx.Read(&p.R)
+	}
+	if nRef == arena.Nil {
+		return
+	}
+	n := t.node(nRef)
+	if tx.Read(&n.Del) == 0 {
+		return
+	}
+	child := tx.Read(&n.L)
+	if child != arena.Nil {
+		if tx.Read(&n.R) != arena.Nil {
+			return // two children: never removed physically (§3.3)
 		}
-		if nRef == arena.Nil {
-			return
-		}
-		n := t.node(nRef)
-		if tx.Read(&n.Del) == 0 {
-			return
-		}
-		child := tx.Read(&n.L)
-		if child != arena.Nil {
-			if tx.Read(&n.R) != arena.Nil {
-				return // two children: never removed physically (§3.3)
-			}
-		} else {
-			child = tx.Read(&n.R)
-		}
-		if leftChild {
-			tx.Write(&p.L, child)
-		} else {
-			tx.Write(&p.R, child)
-		}
-		setChildHeight(p, leftChild, t.heightOf(child))
-		repl, removed, ok = child, nRef, true
-	})
-	return repl, removed, ok
+	} else {
+		child = tx.Read(&n.R)
+	}
+	if leftChild {
+		tx.Write(&p.L, child)
+	} else {
+		tx.Write(&p.R, child)
+	}
+	setChildHeight(p, leftChild, t.heightOf(child))
+	o.repl, o.removed, o.ok = child, nRef, true
 }
 
 // removeOpt is Algorithm 2's remove: in addition to unlinking, the removed
@@ -299,45 +315,50 @@ func (t *Tree) removePortable(parentRef arena.Ref, leftChild bool) (arena.Ref, a
 // a traversal preempted on it has a way back into the tree, and its removed
 // flag is raised (line 24).
 func (t *Tree) removeOpt(parentRef arena.Ref, leftChild bool) (arena.Ref, arena.Ref, bool) {
-	var repl, removed arena.Ref
-	ok := false
-	t.maintTh.AtomicMode(stm.CTL, func(tx *stm.Tx) {
-		ok = false
-		p := t.node(parentRef)
-		if tx.Read(&p.Rem) != arena.RemFalse {
+	o := &t.sop
+	o.parent, o.left = parentRef, leftChild
+	t.maintTh.AtomicMode(stm.CTL, t.removeFn)
+	return o.repl, o.removed, o.ok
+}
+
+// removeOptTx is the body of removeOpt, acting on t.sop.
+func (t *Tree) removeOptTx(tx *stm.Tx) {
+	o := &t.sop
+	parentRef, leftChild := o.parent, o.left
+	o.repl, o.removed, o.ok = arena.Nil, arena.Nil, false
+	p := t.node(parentRef)
+	if tx.Read(&p.Rem) != arena.RemFalse {
+		return
+	}
+	var nRef arena.Ref
+	if leftChild {
+		nRef = tx.Read(&p.L)
+	} else {
+		nRef = tx.Read(&p.R)
+	}
+	if nRef == arena.Nil {
+		return
+	}
+	n := t.node(nRef)
+	if tx.Read(&n.Del) == 0 {
+		return
+	}
+	child := tx.Read(&n.L)
+	if child != arena.Nil {
+		if tx.Read(&n.R) != arena.Nil {
 			return
 		}
-		var nRef arena.Ref
-		if leftChild {
-			nRef = tx.Read(&p.L)
-		} else {
-			nRef = tx.Read(&p.R)
-		}
-		if nRef == arena.Nil {
-			return
-		}
-		n := t.node(nRef)
-		if tx.Read(&n.Del) == 0 {
-			return
-		}
-		child := tx.Read(&n.L)
-		if child != arena.Nil {
-			if tx.Read(&n.R) != arena.Nil {
-				return
-			}
-		} else {
-			child = tx.Read(&n.R)
-		}
-		if leftChild {
-			tx.Write(&p.L, child)
-		} else {
-			tx.Write(&p.R, child)
-		}
-		tx.Write(&n.L, parentRef)
-		tx.Write(&n.R, parentRef)
-		tx.Write(&n.Rem, arena.RemTrue)
-		setChildHeight(p, leftChild, t.heightOf(child))
-		repl, removed, ok = child, nRef, true
-	})
-	return repl, removed, ok
+	} else {
+		child = tx.Read(&n.R)
+	}
+	if leftChild {
+		tx.Write(&p.L, child)
+	} else {
+		tx.Write(&p.R, child)
+	}
+	tx.Write(&n.L, parentRef)
+	tx.Write(&n.R, parentRef)
+	tx.Write(&n.Rem, arena.RemTrue)
+	setChildHeight(p, leftChild, t.heightOf(child))
+	o.repl, o.removed, o.ok = child, nRef, true
 }

@@ -129,11 +129,14 @@ type Tree struct {
 	targeted       atomic.Uint64
 	busyNanos      atomic.Uint64
 
-	stop    atomic.Bool
-	done    chan struct{}
+	stop atomic.Bool
+	done chan struct{}
+	// quit is closed by Stop: it ends the maintenance loop's sleeps, the
+	// budget rest included, which hint arrivals must not cut short.
+	quit    chan struct{}
 	running atomic.Bool
-	// wake is nudged (non-blocking) when a hint arrives or Stop needs the
-	// maintenance loop out of its idle wait.
+	// wake is nudged (non-blocking) when a hint arrives, to end the
+	// maintenance loop's idle wait.
 	wake chan struct{}
 	// lifeMu serializes Start/Stop against each other, so concurrent
 	// callers cannot double-wait on done or leak a second goroutine.
@@ -141,6 +144,21 @@ type Tree struct {
 	// stopEpoch counts Stop calls; Quiesce uses it to avoid resurrecting a
 	// maintenance goroutine that a concurrent Stop/Close meant to end.
 	stopEpoch atomic.Uint64
+
+	// sop is the structural transaction in flight — a rotation or a
+	// physical removal (rotate.go); the single maintenance driver runs them
+	// one at a time — and rotateFn/removeFn the variant's transaction bodies
+	// acting on it, built once in New: a closure literal per call was an
+	// allocation per structural change.
+	sop struct {
+		parent       arena.Ref
+		left, mirror bool
+		scratch      arena.Ref // rotateOpt's pre-allocated copy node
+		repl         arena.Ref // removal: the subtree that took the node's place
+		removed      arena.Ref
+		used, ok     bool
+	}
+	rotateFn, removeFn func(*stm.Tx)
 
 	// maintVisits counts nodes visited by maintenance traversals; it is
 	// only touched by the single maintenance driver (see maintYieldStride).
@@ -217,6 +235,11 @@ func New(s *stm.STM, opts ...Option) *Tree {
 		t.hintq = newHintPQ(c.hintCap, c.promoteAge)
 	}
 	t.collector = arena.NewCollector(ar)
+	if t.variant == Optimized {
+		t.rotateFn, t.removeFn = t.rotateOptTx, t.removeOptTx
+	} else {
+		t.rotateFn, t.removeFn = t.rotatePortableTx, t.removePortableTx
+	}
 	t.maintTh = s.NewThread()
 	// Every transaction this thread runs is structural (rotation, removal,
 	// targeted repair): mark it so the STM's abort taxonomy splits its

@@ -361,7 +361,12 @@ func TestBankTransferInvariant(t *testing.T) {
 			stop := make(chan struct{})
 			observerDone := make(chan struct{})
 			// Observer goroutine: every transactional snapshot must sum to
-			// the conserved total while transfers race.
+			// the conserved total while transfers race. The observer pins
+			// CTL whatever the mode under test (as forest Range does): a
+			// read-only elastic transaction cuts all but its last reads by
+			// design, so its 16-word sum is no snapshot and may be off by an
+			// in-flight transfer. The transfers run in the mode under test;
+			// what is asserted is that they never publish a broken total.
 			obs := s.NewThread()
 			go func() {
 				defer close(observerDone)
@@ -372,7 +377,7 @@ func TestBankTransferInvariant(t *testing.T) {
 					default:
 					}
 					var sum uint64
-					obs.Atomic(func(tx *Tx) {
+					obs.AtomicMode(CTL, func(tx *Tx) {
 						sum = 0
 						for i := range accounts {
 							sum += tx.Read(&accounts[i])

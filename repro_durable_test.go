@@ -560,3 +560,102 @@ func TestDurableBatchedRecoveryOracle(t *testing.T) {
 		assertStateEqual(t, tr.NewHandle(), model, "after batched recovery")
 	})
 }
+
+// TestDurableChunkedCheckpointCrashOracle: writers churn private key stripes
+// while checkpoints run back to back — shards big enough that every full
+// snapshot spans several chunk transactions and every delta several key
+// runs, so generations are sealed with per-shard cuts that are minima over
+// chunks cut at different clock positions. The writers then stop, the log
+// is synced, and the directory is copied as it stands (a crash: no Close,
+// no final checkpoint, a chain of whatever generations happened to seal).
+// Every operation returned before that sync, so recovery of the copy must
+// equal the model exactly: replaying the records above a minimum cut over
+// chunks that already hold them has to be idempotent.
+func TestDurableChunkedCheckpointCrashOracle(t *testing.T) {
+	for _, shards := range []int{1, 8} {
+		t.Run("shards="+string(rune('0'+shards)), func(t *testing.T) {
+			const writers = 2
+			const stripe = 1 << 13 // 2¹⁴ keys: ≥ 2 chunks per shard at 8 shards, 16 at 1
+			dir := t.TempDir()
+			opts := []Option{WithShards(shards),
+				WithDurability(DurabilityOptions{GroupCommit: time.Millisecond, CheckpointEvery: -1})}
+			tr, err := Open(dir, SpeculationFriendlyOptimized, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer tr.Close()
+
+			var stop atomic.Bool
+			var wg sync.WaitGroup
+			models := make([]map[uint64]uint64, writers)
+			for w := range models {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					h := tr.NewHandle()
+					m := make(map[uint64]uint64, stripe)
+					base := uint64(w) * stripe
+					for k := base; k < base+stripe; k++ {
+						h.Insert(k, k)
+						m[k] = k
+					}
+					rng := rand.New(rand.NewSource(int64(w) + 1))
+					for i := uint64(1); !stop.Load(); i++ {
+						k := base + uint64(rng.Intn(stripe))
+						if _, ok := m[k]; ok {
+							h.Delete(k)
+							delete(m, k)
+						} else {
+							h.Insert(k, i)
+							m[k] = i
+						}
+					}
+					models[w] = m
+				}()
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				// Bursts of back-to-back checkpoints (tiny deltas, skips,
+				// rotations chasing each other) separated by pauses long
+				// enough for a delta to outgrow one key run per shard.
+				for i := 1; !stop.Load(); i++ {
+					if err := tr.Checkpoint(); err != nil {
+						t.Error(err)
+						return
+					}
+					if i%8 == 0 {
+						time.Sleep(20 * time.Millisecond)
+					}
+				}
+			}()
+			d := 400 * time.Millisecond
+			if testing.Short() {
+				d = 150 * time.Millisecond
+			}
+			time.Sleep(d)
+			stop.Store(true)
+			wg.Wait()
+			if err := tr.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			crashed := t.TempDir()
+			copyDir(t, dir, crashed)
+
+			model := map[uint64]uint64{}
+			for _, m := range models {
+				for k, v := range m {
+					model[k] = v
+				}
+			}
+			st := tr.Durable().Stats()
+			t.Logf("%d checkpoints (%d deltas, %d pairs) against %d records", st.Checkpoints, st.DeltaCheckpoints, st.CheckpointPairs, st.Records)
+			tr2, err := Open(crashed, SpeculationFriendlyOptimized, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer tr2.Close()
+			assertStateEqual(t, tr2.NewHandle(), model, "recovery of the crash copy")
+		})
+	}
+}

@@ -2,7 +2,7 @@ GO ?= go
 BENCH_DURATION ?= 1s
 BENCH_DATE := $(shell date +%Y-%m-%d)
 
-.PHONY: all build test race vet fuzz ci obs-smoke trace-smoke bench-range bench-xact bench-durable bench-recovery bench-batch bench-json profile benchdiff bench-ab bench-ab-all
+.PHONY: all build test race allocs vet fuzz ci obs-smoke trace-smoke bench-range bench-xact bench-durable bench-recovery bench-batch bench-json profile benchdiff bench-ab bench-ab-all
 
 all: build
 
@@ -18,13 +18,22 @@ test:
 # cross-shard transaction oracle and Move tortures, the ftx coordinator,
 # the observability registry/flight recorder, and the public facade). The
 # timeout guards against a stress test livelocking under the detector's
-# serialization. The AllocsPerRun == 0 gates (./internal/stm hotpath_test,
-# ./internal/ftx TestSingleZeroAllocs, ./internal/forest TestAtomicZeroAllocs,
-# . TestAtomicPooledContextFacade) run here too and hold: the detector's
-# shadow memory is not counted as Go allocations. Should a toolchain change
-# that, skip them under a `race` build tag rather than loosen them.
+# serialization. The AllocsPerRun == 0 gates run here too and hold today (the
+# detector's shadow memory is not counted as Go allocations), but what they
+# gate is the uninstrumented build: `make allocs` is their home. Should a
+# toolchain change make them fail here only, skip them under a `race` build
+# tag rather than loosen them.
 race:
 	$(GO) test -race -timeout 10m ./internal/stm ./internal/sftree ./internal/trees ./internal/ring ./internal/forest ./internal/ftx ./internal/durable ./internal/obs .
+
+# Every steady-state allocation gate of the module — the tests asserting
+# testing.AllocsPerRun == 0, named ...ZeroAllocs, ...AllocFree,
+# ...PooledContext..., ...RetainCapacity or ...Reentrant — in one run WITHOUT
+# the race detector: instrumentation changes what escapes to the heap, so a
+# count taken under -race describes a binary nobody ships. -count=1 because
+# a cached pass proves nothing about the toolchain in use.
+allocs:
+	$(GO) test -count=1 -run 'Alloc|PooledContext|RetainCapacity|Reentrant' ./...
 
 # Live-endpoint smoke: run a short durable sharded benchmark with the
 # observability server attached and scrape /metrics mid-run, asserting
@@ -211,4 +220,4 @@ bench-ab-all:
 		$(GO) run ./benchmark -compare "$(AB_OUT)/base-$$w.jsonl" "$(AB_OUT)/new-$$w.jsonl" || status=1; \
 	done; exit $$status
 
-ci: build vet test race fuzz obs-smoke trace-smoke
+ci: build vet test race allocs fuzz obs-smoke trace-smoke

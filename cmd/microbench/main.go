@@ -56,7 +56,7 @@
 // checkpoints, Go runtime), a JSON snapshot on /snapshot, the
 // flight-recorder event ring on /flight, and net/http/pprof under
 // /debug/pprof/. The CSV additionally reports the abort-cause breakdown
-// (aborts_validation .. aborts_coordinated, structural_commits/aborts) and
+// (aborts_validation .. aborts_unlogged, structural_commits/aborts) and
 // the runtime columns gc_pause_p99_ns (p99 GC pause among cycles inside
 // the hammer window) and goroutines (live count at the window's end) on
 // every run, -obs or not.
@@ -298,9 +298,9 @@ func main() {
 	}
 
 	if *header {
-		fmt.Println("tree,mode,threads,shards,cm,dist,update,move,biased,range,range_frac,range_len,xact_frac,xact_keys,xact_cross,batch,duration_s,ops,throughput_ops_per_us,effective_ratio,allocs_per_op,bytes_per_op,range_scans,range_items,xact_ops,xact_moved,xact_commits,xact_fallbacks,xact_aborts,xact_intent_conflicts,commits,aborts,abort_rate,retries,backoff_ms,max_op_reads,spin_exhausted,rotations,maint_workers,hints_emitted,hints_coalesced,hints_dropped,targeted_repairs,sweep_passes,maint_busy_ms,worker_util,durable,fsync,ckpt_compact,wal_records,wal_atomic_records,wal_bytes,wal_syncs,wal_stalls,wal_dropped,checkpoints,delta_checkpoints,checkpoint_pairs,ckpt_bytes,ckpt_dirty_frac,recovery_ms,recovery_ns,recovery_appliers,recovery_deltas,recovered_keys,batched_ops,batches,avg_batch,p50_ns,p99_ns,aborts_validation,aborts_lock_wait,aborts_spin,aborts_explicit,aborts_coordinated,structural_commits,structural_aborts,gc_pause_p99_ns,goroutines")
+		fmt.Println("tree,mode,threads,shards,cm,dist,update,move,biased,range,range_frac,range_len,xact_frac,xact_keys,xact_cross,batch,duration_s,ops,throughput_ops_per_us,effective_ratio,allocs_per_op,bytes_per_op,range_scans,range_items,xact_ops,xact_moved,xact_commits,xact_fallbacks,xact_aborts,xact_intent_conflicts,commits,aborts,abort_rate,retries,backoff_ms,max_op_reads,spin_exhausted,rotations,maint_workers,hints_emitted,hints_coalesced,hints_dropped,targeted_repairs,sweep_passes,maint_busy_ms,worker_util,durable,fsync,ckpt_compact,wal_records,wal_atomic_records,wal_bytes,wal_syncs,wal_stalls,wal_dropped,checkpoints,delta_checkpoints,checkpoint_pairs,ckpt_bytes,ckpt_dirty_frac,recovery_ms,recovery_ns,recovery_appliers,recovery_deltas,recovered_keys,batched_ops,batches,avg_batch,p50_ns,p99_ns,aborts_validation,aborts_lock_wait,aborts_spin,aborts_explicit,aborts_coordinated,aborts_unlogged,structural_commits,structural_aborts,gc_pause_p99_ns,goroutines")
 	}
-	fmt.Printf("%s,%s,%d,%d,%s,%s,%d,%d,%t,%d,%.3f,%d,%.3f,%d,%.3f,%d,%.3f,%d,%.3f,%.3f,%.4f,%.2f,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%.4f,%d,%.3f,%d,%d,%d,%d,%d,%d,%d,%d,%d,%.3f,%.4f,%t,%t,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%.4f,%.3f,%d,%d,%d,%d,%d,%d,%.2f,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d\n",
+	fmt.Printf("%s,%s,%d,%d,%s,%s,%d,%d,%t,%d,%.3f,%d,%.3f,%d,%.3f,%d,%.3f,%d,%.3f,%.3f,%.4f,%.2f,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%.4f,%d,%.3f,%d,%d,%d,%d,%d,%d,%d,%d,%d,%.3f,%.4f,%t,%t,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%.4f,%.3f,%d,%d,%d,%d,%d,%d,%.2f,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d\n",
 		kind, m, res.Threads, res.Shards, res.CM, res.Dist, *update, *movePct, *biased, *keyRange,
 		*rangeFrac, *rangeLen, *xactFrac, *xactKeys, *xactCross, res.Batch,
 		res.Elapsed.Seconds(), res.Ops, res.Throughput, res.EffectiveRatio,
@@ -322,7 +322,7 @@ func main() {
 		res.BatchedOps, res.Batches, res.AvgBatch, res.P50Nanos, res.P99Nanos,
 		res.STM.AbortCauses[stm.AbortValidation], res.STM.AbortCauses[stm.AbortLockWait],
 		res.STM.AbortCauses[stm.AbortSpinExhausted], res.STM.AbortCauses[stm.AbortExplicit],
-		res.STM.AbortCauses[stm.AbortCoordinated],
+		res.STM.AbortCauses[stm.AbortCoordinated], res.STM.AbortCauses[stm.AbortUnlogged],
 		res.STM.StructuralCommits, res.STM.StructuralAborts,
 		res.GCPauseP99Nanos, res.Goroutines)
 	for si, sr := range res.PerShard {

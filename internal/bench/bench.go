@@ -833,6 +833,7 @@ type treeTarget struct {
 	m     trees.Map
 	th    *stm.Thread
 	coord *ftx.Coordinator
+	mv    trees.Mover
 }
 
 func newTreeTarget(m trees.Map, th *stm.Thread) *treeTarget {
@@ -842,7 +843,7 @@ func newTreeTarget(m trees.Map, th *stm.Thread) *treeTarget {
 func (t *treeTarget) Insert(k, v uint64) bool   { return t.m.Insert(t.th, k, v) }
 func (t *treeTarget) Delete(k uint64) bool      { return t.m.Delete(t.th, k) }
 func (t *treeTarget) Contains(k uint64) bool    { return t.m.Contains(t.th, k) }
-func (t *treeTarget) Move(src, dst uint64) bool { return trees.Move(t.m, t.th, src, dst) }
+func (t *treeTarget) Move(src, dst uint64) bool { return trees.MoveWith(&t.mv, t.m, t.th, src, dst) }
 func (t *treeTarget) Range(lo, hi uint64, fn func(k, v uint64) bool) bool {
 	return t.m.Range(t.th, lo, hi, fn)
 }

@@ -240,6 +240,13 @@ func (o Options) recoveryAppliers(shards int) int {
 //     between publication and append) with position <= cut is at or below
 //     every c_j, so every chunk holds it and skipping it loses nothing.
 //
+// The argument asks of a chunk only that it is a consistent read at the
+// position it reports, not how the source came by that: forest.Forest reads
+// its chunks in read-only transactions that at first keep no read set
+// (stm.Thread.AtomicRO), whose position is the snapshot they began with —
+// everything they return is the state at it — and, once retried, the
+// snapshot their last extension validated, as before. Nothing here changes.
+//
 // The durability contract is unchanged by chunking, neither stronger nor
 // weaker: an operation that returned before the last sync is recovered
 // exactly; operations in flight at the crash are retained or lost

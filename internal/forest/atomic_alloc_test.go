@@ -161,11 +161,11 @@ func (x *atomicFixture) attachQuietWAL(tb testing.TB) func() durable.Stats {
 	return l.Stats
 }
 
-// TestDurableUpdateZeroAllocs: a durable single-key update — transaction
-// body, post-commit hook, WAL record — allocates nothing once the handle,
-// the log's buffers and the dirty-key set have seen the key. (A fresh key
-// may grow the dirty set or the arena; that is the store growing, not the
-// path.)
+// TestDurableUpdateZeroAllocs: a durable single-key update or same-shard
+// Move — transaction body, post-commit hook, WAL record — allocates nothing
+// once the handle, the log's buffers and the dirty-key set have seen the
+// key. (A fresh key may grow the dirty set or the arena; that is the store
+// growing, not the path.)
 func TestDurableUpdateZeroAllocs(t *testing.T) {
 	for _, shards := range []int{1, 8} {
 		x := newAtomicFixture(t, shards, 1<<10)
@@ -180,6 +180,27 @@ func TestDurableUpdateZeroAllocs(t *testing.T) {
 		before := st().Records
 		if avg := testing.AllocsPerRun(200, op); avg != 0 {
 			t.Fatalf("shards=%d: durable Insert+Delete allocates %.2f times per run, want 0", shards, avg)
+		}
+		if n := st().Records - before; n < 400 {
+			t.Fatalf("shards=%d: %d records logged, want two per run", shards, n)
+		}
+
+		// The same-shard Move, its WAL hook included: there and back between
+		// two private keys of one shard.
+		k2 := uint64(k + 1)
+		for !x.f.SameShard(k, k2) {
+			k2++
+		}
+		x.h.Insert(k, 7)
+		move := func() {
+			if !x.h.Move(k, k2) || !x.h.Move(k2, k) {
+				t.Fatal("Move between two private keys failed")
+			}
+		}
+		move()
+		before = st().Records
+		if avg := testing.AllocsPerRun(200, move); avg != 0 {
+			t.Fatalf("shards=%d: durable same-shard Move pair allocates %.2f times per run, want 0", shards, avg)
 		}
 		if n := st().Records - before; n < 400 {
 			t.Fatalf("shards=%d: %d records logged, want two per run", shards, n)

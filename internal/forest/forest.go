@@ -234,9 +234,11 @@ func (f *Forest) SnapshotShard(si int, fn func(k, v uint64)) uint64 {
 		chunk = append(chunk, kv{k, v})
 		return len(chunk) < limit
 	}
-	// Full read tracking (CTL) regardless of the domain default, so each
-	// chunk is one consistent cut; fn is fed only after the chunk's
-	// transaction commits (retries reset the buffer).
+	// A read-only CTL transaction regardless of the domain default, so each
+	// chunk is one consistent cut at its tx.Snapshot() (an unlogged first
+	// attempt's rv never moves, a logged retry's ends where its last
+	// extension left it); fn is fed only after the chunk's transaction
+	// commits (retries reset the buffer).
 	scan := func(tx *stm.Tx) {
 		limit = size.attempt()
 		chunk = chunk[:0]
@@ -244,7 +246,7 @@ func (f *Forest) SnapshotShard(si int, fn func(k, v uint64)) uint64 {
 		pos = tx.Snapshot()
 	}
 	for {
-		th.AtomicMode(stm.CTL, scan)
+		th.AtomicRO(scan)
 		size.committed()
 		cut = min(cut, pos)
 		for _, e := range chunk {
@@ -278,7 +280,7 @@ func (f *Forest) SnapshotShardKeys(si int, keys []uint64, fn func(k, v uint64, o
 		size = chunkSize{n: snapChunkKeys, hi: snapChunkKeys}
 		snap = make([]kvOK, 0, min(len(keys), snapChunkKeys))
 	)
-	// Full read tracking (CTL) for the same reason as SnapshotShard: a
+	// A read-only CTL transaction for the same reason as SnapshotShard: a
 	// run's reads must form one consistent cut, and fn is fed only after
 	// its transaction commits (retries reset the buffer).
 	read := func(tx *stm.Tx) {
@@ -292,7 +294,7 @@ func (f *Forest) SnapshotShardKeys(si int, keys []uint64, fn func(k, v uint64, o
 	// An empty key list still runs one (empty) transaction, as the whole-set
 	// read this replaces did: the caller gets a real clock position.
 	for {
-		th.AtomicMode(stm.CTL, read)
+		th.AtomicRO(read)
 		size.committed()
 		cut = min(cut, pos)
 		for _, e := range snap {

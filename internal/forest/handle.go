@@ -53,6 +53,16 @@ type Handle struct {
 	}
 	insertFn, deleteFn func(*stm.Tx)
 
+	// smv performs the same-shard moves (the §5.4 composition, written once
+	// in sftree.Mover); its OnMoved hook, logMove, registers a durable
+	// forest's WAL record of the move for shard smvSi.
+	smv   trees.Mover
+	smvSi int
+
+	// scan is the handle's reusable Range state (range.go): nil while a
+	// Range is feeding its callback, which may scan again on this handle.
+	scan *rangeScan
+
 	// op is the handle's reusable combiner future (one in-flight submission
 	// per handle); batch is the reusable drain buffer for when this handle
 	// is elected batch runner. Both nil/empty until batching is enabled
@@ -82,6 +92,7 @@ func (f *Forest) NewHandle() *Handle {
 		trRng: handleSeq.Add(1)*0x9e3779b97f4a7c15 | 1,
 	}
 	h.logFn, h.insertFn, h.deleteFn = h.logHook, h.insertTx, h.deleteTx
+	h.smv.OnMoved = h.logMove
 	return h
 }
 
@@ -425,36 +436,20 @@ func (h *Handle) moveTx(t *ftx.Tx) error {
 // moveSameShard is the intra-shard move: the composition of paper §5.4 as
 // one atomic transaction.
 func (h *Handle) moveSameShard(sh *shard, th *stm.Thread, si int, src, dst uint64) bool {
-	if src == dst {
-		return sh.m.Contains(th, src)
+	h.smvSi = si
+	return trees.MoveWith(&h.smv, sh.m, th, src, dst)
+}
+
+// logMove is smv's OnMoved hook: the attempt moved v from src to dst, so on
+// a durable forest its commit must log both effects.
+func (h *Handle) logMove(tx *stm.Tx, src, dst, v uint64) {
+	if h.f.wal == nil {
+		return
 	}
-	var ok bool
-	trees.Atomic(sh.m, th, func(tx *stm.Tx) {
-		ok = false
-		h.oplog = h.oplog[:0]
-		v, present := sh.m.GetTx(tx, src)
-		if !present || sh.m.ContainsTx(tx, dst) {
-			return
-		}
-		if !sh.m.DeleteTx(tx, src) {
-			return
-		}
-		if !sh.m.InsertTxA(tx, dst, v) {
-			// dst was checked absent in this very transaction: only a
-			// doomed (zombie) attempt or an elastic cut of that check can
-			// see it occupied now. Never commit the half-move (the src
-			// delete is already buffered) — retry from scratch.
-			tx.Restart()
-		}
-		ok = true
-		if h.f.wal != nil {
-			h.oplog = append(h.oplog,
-				durable.Op{Key: src, Del: true},
-				durable.Op{Key: dst, Val: v})
-			h.logCommit(tx, si)
-		}
-	})
-	return ok
+	h.oplog = append(h.oplog[:0],
+		durable.Op{Key: src, Del: true},
+		durable.Op{Key: dst, Val: v})
+	h.logCommit(tx, h.smvSi)
 }
 
 // ftxDomain adapts a Handle to the cross-shard coordinator's Domain
@@ -584,97 +579,6 @@ func (h *Handle) Keys() []uint64 {
 		return true
 	})
 	return all
-}
-
-// kv is one element of a per-shard range snapshot.
-type kv struct{ k, v uint64 }
-
-// Range visits, in ascending key order, every element whose key lies in
-// [lo, hi] (both inclusive), calling fn(k, v) for each; fn returning false
-// stops the scan. It reports whether the scan ran to the end of the
-// interval. Keys are shard-routed by hash, so every shard intersects every
-// interval: Range takes one ordered snapshot of [lo, hi] per shard (each
-// internally consistent, the shards not cut at one instant — the same
-// contract as Len and Keys) and then merges the S sorted snapshots lazily,
-// k-way, while feeding fn. Shards observed empty are skipped without
-// opening a transaction; each scanned shard is charged one routed op.
-//
-// An early fn stop saves the remaining merge work but not the per-shard
-// snapshot collection, which is bounded by the interval width; callers
-// wanting "first n elements" scans should bound [lo, hi] accordingly.
-func (h *Handle) Range(lo, hi uint64, fn func(k, v uint64) bool) bool {
-	if lo > hi {
-		return true
-	}
-	var (
-		tr *obs.Tracer
-		id uint64
-		t0 int64
-	)
-	if t := h.f.tracer.Load(); t != nil {
-		tr, id, t0 = h.traceStart(t, nil, obs.OpRange)
-	}
-	snaps := make([][]kv, 0, len(h.f.shards))
-	for si, sh := range h.f.shards {
-		th := h.scanThread(si)
-		if th == nil {
-			continue
-		}
-		if tr != nil {
-			th.SetTraceContext(tr, id, obs.OpRange)
-		}
-		var snap []kv
-		// Full read tracking (CTL) regardless of the domain default, so
-		// each shard's snapshot is consistent (as Size/Keys promise); the
-		// in-transaction reset keeps retries from duplicating entries.
-		th.AtomicMode(stm.CTL, func(tx *stm.Tx) {
-			snap = snap[:0]
-			sh.m.RangeTx(tx, lo, hi, func(k, v uint64) bool {
-				snap = append(snap, kv{k, v})
-				return true
-			})
-		})
-		if tr != nil {
-			th.SetTraceContext(nil, 0, 0)
-		}
-		if len(snap) > 0 {
-			snaps = append(snaps, snap)
-		}
-	}
-	done := mergeSnaps(snaps, fn)
-	if tr != nil {
-		h.traceEnd(tr, nil, id, obs.OpRange, t0, boolA(done))
-	}
-	return done
-}
-
-// mergeSnaps merges the sorted per-shard snapshots, feeding fn in globally
-// ascending key order until fn stops it or the snapshots drain. Shard
-// routing is a function of the key, so no key appears in two snapshots and
-// the merged stream is strictly increasing. With the small shard counts a
-// forest runs (a handful to a few dozen) a linear min-pick per element
-// beats a heap's bookkeeping.
-func mergeSnaps(snaps [][]kv, fn func(k, v uint64) bool) bool {
-	idx := make([]int, len(snaps))
-	for {
-		best := -1
-		for i := range snaps {
-			if idx[i] >= len(snaps[i]) {
-				continue
-			}
-			if best == -1 || snaps[i][idx[i]].k < snaps[best][idx[best]].k {
-				best = i
-			}
-		}
-		if best == -1 {
-			return true
-		}
-		e := snaps[best][idx[best]]
-		idx[best]++
-		if !fn(e.k, e.v) {
-			return false
-		}
-	}
 }
 
 // Update runs fn as one atomic transaction on the shard owning the routing

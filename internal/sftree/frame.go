@@ -13,7 +13,9 @@ package sftree
 // allocates the bound-method closure once; afterwards an operation is
 // "store args into the frame, run the pre-bound function, read results
 // back", with zero allocator traffic. The frame also owns the insert
-// path's arena.Scratch, whose Release resets it for reuse.
+// path's arena.Scratch, whose Release resets it for reuse, the buffer the
+// scans (Range, RangeElastic, Size, Keys) snapshot their interval into, and the
+// thread's Mover (move.go).
 //
 // Frames are keyed by stm.Thread.Slot(), which is dense and unique per
 // registered thread, so the cache is a slice indexed by slot. Growth is
@@ -38,6 +40,16 @@ type opFrame struct {
 	getFn      func(*stm.Tx)
 	insertFn   func(*stm.Tx)
 	deleteFn   func(*stm.Tx)
+
+	// The scan in flight: its interval and the buffer its transaction
+	// collects into (reset on every attempt, see runRange).
+	lo, hi uint64
+	buf    [][2]uint64
+
+	rangeFn   func(*stm.Tx)
+	collectFn func(k, v uint64) bool
+
+	mv Mover
 }
 
 func newOpFrame(t *Tree) *opFrame {
@@ -46,6 +58,8 @@ func newOpFrame(t *Tree) *opFrame {
 	f.getFn = f.runGet
 	f.insertFn = f.runInsert
 	f.deleteFn = f.runDelete
+	f.rangeFn = f.runRange
+	f.collectFn = f.collect
 	return f
 }
 

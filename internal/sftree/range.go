@@ -11,10 +11,12 @@ import (
 // nodes. Two disciplines are provided:
 //
 //   - RangeTx / Range read the structure with the same transactional reads
-//     as find: every child pointer and every deleted flag on the visited
-//     frontier enters the read set, so a committed scan is one consistent
-//     snapshot (exactly the discipline Size and Keys already use, but
-//     pruned to the requested interval).
+//     as find — every child pointer and every deleted flag on the visited
+//     frontier — so a committed scan is one consistent snapshot (exactly
+//     the discipline Size and Keys use, pruned to the requested interval).
+//     Inside an enclosing transaction (RangeTx) the reads join its read
+//     set; Range, a read-only transaction of its own, logs them only on a
+//     retry (stm.Thread.AtomicRO).
 //   - RangeElastic runs the scan as a read-only elastic transaction (the
 //     paper's §4 / E-STM model): only a short hand-over-hand window of
 //     trailing reads is validated and older reads are cut, so the scan
@@ -69,18 +71,24 @@ func (t *Tree) rangeWalk(tx *stm.Tx, r arena.Ref, lo, hi uint64, fn func(k, v ui
 
 // Range visits every element with key in [lo, hi] in ascending order,
 // calling fn(k, v) for each; fn returning false stops the scan. It reports
-// whether the scan ran to the end of the interval. Like Size and Keys it
-// always runs with full read tracking (CTL), so the reported elements form
-// one consistent snapshot of the interval even when the domain defaults to
-// elastic transactions.
+// whether the scan ran to the end of the interval. The reported elements
+// form one consistent snapshot of the interval even when the domain
+// defaults to elastic transactions: like Size and Keys it runs as a
+// read-only CTL transaction (stm.Thread.AtomicRO), whose first attempt
+// logs no reads — it holds the snapshot it began with or gives up at the
+// first word newer than it — and whose retry is the fully logged scan with
+// timestamp extension.
 //
 // The interval is snapshotted inside the transaction and fn is invoked
 // after it commits — exactly once per element, never from an aborted
 // attempt — so fn may freely accumulate state and perform side effects
 // (unlike a callback passed to RangeTx, which runs inside the transaction
-// and is re-executed on retry).
+// and is re-executed on retry), including further operations on the same
+// thread.
 func (t *Tree) Range(th *stm.Thread, lo, hi uint64, fn func(k, v uint64) bool) bool {
-	return feedSnapshot(snapshotRange(th, stm.CTL, t.RangeTx, lo, hi), fn)
+	f := t.frame(th)
+	f.snapshot(th, lo, hi)
+	return f.feed(fn)
 }
 
 // RangeElastic is Range under the elastic (E-STM) read discipline of the
@@ -95,41 +103,69 @@ func (t *Tree) Range(th *stm.Thread, lo, hi uint64, fn func(k, v uint64) bool) b
 //
 // The elastic discipline is only sound for the Portable variant (see
 // ElasticSafe); on the Optimized variant — whose traversals already run on
-// unit reads and gain nothing from cutting — RangeElastic demotes to the
-// fully validated CTL scan.
+// unit reads and gain nothing from cutting — RangeElastic is Range.
 func (t *Tree) RangeElastic(th *stm.Thread, lo, hi uint64, fn func(k, v uint64) bool) bool {
-	mode := stm.Elastic
 	if t.variant == Optimized {
-		mode = stm.CTL
+		return t.Range(th, lo, hi, fn)
 	}
-	return feedSnapshot(snapshotRange(th, mode, t.RangeTx, lo, hi), fn)
+	f := t.frame(th)
+	f.lo, f.hi = lo, hi
+	th.AtomicMode(stm.Elastic, f.rangeFn)
+	return f.feed(fn)
 }
 
-// snapshotRange collects the [lo, hi] contents reported by a RangeTx-shaped
-// traversal into a buffer, resetting it on every transaction attempt so only
-// the committed attempt's elements survive.
-func snapshotRange(th *stm.Thread, mode stm.Mode,
-	rangeTx func(*stm.Tx, uint64, uint64, func(k, v uint64) bool) bool,
-	lo, hi uint64) [][2]uint64 {
-	var buf [][2]uint64
-	th.AtomicMode(mode, func(tx *stm.Tx) {
-		buf = buf[:0]
-		rangeTx(tx, lo, hi, func(k, v uint64) bool {
-			buf = append(buf, [2]uint64{k, v})
-			return true
-		})
-	})
+// runRange is the scans' transaction body: it collects the frame's interval
+// into the frame's buffer, resetting it on every attempt so only the
+// committed attempt's elements survive.
+func (f *opFrame) runRange(tx *stm.Tx) {
+	f.buf = f.buf[:0]
+	f.t.RangeTx(tx, f.lo, f.hi, f.collectFn)
+}
+
+func (f *opFrame) collect(k, v uint64) bool {
+	f.buf = append(f.buf, [2]uint64{k, v})
+	return true
+}
+
+// keepScanBuf bounds, in elements, the snapshot buffer a frame keeps between
+// scans (64 KB): the frame lives as long as the tree, and one whole-tree
+// Ascend must not pin a copy of the tree to every thread that ran one.
+const keepScanBuf = 1 << 12
+
+// snapshot runs the frame's scan of [lo, hi] as one read-only transaction.
+func (f *opFrame) snapshot(th *stm.Thread, lo, hi uint64) {
+	f.lo, f.hi = lo, hi
+	th.AtomicRO(f.rangeFn)
+}
+
+// takeBuf removes the committed snapshot from the frame and putBuf returns
+// its storage. fn runs between the two and may scan again on this very
+// thread: with the buffer out of the frame the nested scan grows one of its
+// own instead of overwriting the elements still being fed.
+func (f *opFrame) takeBuf() [][2]uint64 {
+	buf := f.buf
+	f.buf = nil
 	return buf
 }
 
-// feedSnapshot replays a collected snapshot into fn, honoring early stop.
-func feedSnapshot(buf [][2]uint64, fn func(k, v uint64) bool) bool {
+func (f *opFrame) putBuf(buf [][2]uint64) {
+	if cap(buf) <= keepScanBuf {
+		f.buf = buf[:0]
+	}
+}
+
+// feed replays the committed snapshot into fn, honoring early stop.
+func (f *opFrame) feed(fn func(k, v uint64) bool) bool {
+	buf := f.takeBuf()
+	done := true
 	for _, e := range buf {
 		if !fn(e[0], e[1]) {
-			return false
+			done = false
+			break
 		}
 	}
-	return true
+	f.putBuf(buf)
+	return done
 }
 
 // EmptyHint reports, from one plain read, whether the tree was just observed

@@ -30,6 +30,7 @@ package sftree
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -499,85 +500,40 @@ func (t *Tree) DeleteTx(tx *stm.Tx, k uint64) bool {
 
 // Move atomically relocates the value at key src to key dst. It succeeds —
 // deleting src and inserting dst — only when src is present and dst is
-// absent. Move is the composed operation of paper §5.4, built from the
-// exported *Tx forms exactly as an application programmer would.
+// absent (src == dst: when it is present). Move is the composed operation of
+// paper §5.4, built from the exported *Tx forms exactly as an application
+// programmer would: see Mover, the one place the composition is written.
 func (t *Tree) Move(th *stm.Thread, src, dst uint64) bool {
 	checkKey(src)
 	checkKey(dst)
-	if src == dst {
-		var ok bool
-		t.atomic(th, func(tx *stm.Tx) { ok = t.ContainsTx(tx, src) })
-		return ok
-	}
-	var sc arena.Scratch
-	var ok bool
-	t.atomic(th, func(tx *stm.Tx) {
-		ok = false
-		v, present := t.GetTx(tx, src)
-		if !present {
-			return
-		}
-		if t.ContainsTx(tx, dst) {
-			return
-		}
-		if !t.DeleteTx(tx, src) {
-			return
-		}
-		if !t.InsertTx(tx, dst, v, &sc) {
-			// dst was checked absent above within the same transaction:
-			// only a doomed (zombie) attempt or an elastic cut of that
-			// check can see it occupied now. Retry from scratch — under
-			// elastic transactions committing here would make the
-			// half-move durable (the cut ContainsTx read is exempt from
-			// commit validation), and panicking would crash on a state
-			// that legitimately occurs.
-			tx.Restart()
-		}
-		ok = true
-	})
-	sc.Release(t.ar)
-	return ok
+	mv := &t.frame(th).mv
+	t.atomic(th, mv.Bind(t, src, dst))
+	return mv.Moved()
 }
 
-// Size counts the abstraction's elements in one read-only transaction.
-// It is intended for tests and example programs, not hot paths. It always
-// runs with full read tracking (CTL) so the count is one consistent
-// snapshot even when the domain defaults to elastic transactions.
+// Size counts the abstraction's elements in one read-only transaction
+// (stm.Thread.AtomicRO: CTL whatever the domain's default, so the count is
+// one consistent snapshot even under elastic transactions). It is intended
+// for tests and example programs, not hot paths: it is the length of a
+// whole-tree scan.
 func (t *Tree) Size(th *stm.Thread) int {
-	var count int
-	th.AtomicMode(stm.CTL, func(tx *stm.Tx) {
-		count = 0
-		t.walk(tx, tx.Read(&t.node(t.root).L), func(n *arena.Node) {
-			if tx.Read(&n.Del) == 0 {
-				count++
-			}
-		})
-	})
-	return count
+	f := t.frame(th)
+	f.snapshot(th, 0, MaxKey)
+	buf := f.takeBuf()
+	f.putBuf(buf)
+	return len(buf)
 }
 
-// Keys returns the sorted keys of the abstraction in one transaction, with
-// full read tracking for snapshot consistency (see Size).
+// Keys returns the sorted keys of the abstraction, one consistent snapshot
+// (see Size).
 func (t *Tree) Keys(th *stm.Thread) []uint64 {
-	var keys []uint64
-	th.AtomicMode(stm.CTL, func(tx *stm.Tx) {
-		keys = keys[:0]
-		t.walk(tx, tx.Read(&t.node(t.root).L), func(n *arena.Node) {
-			if tx.Read(&n.Del) == 0 {
-				keys = append(keys, n.Key.Plain())
-			}
-		})
-	})
-	return keys
-}
-
-// walk performs an in-order traversal with transactional reads.
-func (t *Tree) walk(tx *stm.Tx, r arena.Ref, visit func(*arena.Node)) {
-	if r == arena.Nil {
-		return
+	f := t.frame(th)
+	f.snapshot(th, 0, MaxKey)
+	buf := f.takeBuf()
+	keys := slices.Grow([]uint64(nil), len(buf)) // nil when empty, as ever
+	for _, e := range buf {
+		keys = append(keys, e[0])
 	}
-	n := t.node(r)
-	t.walk(tx, tx.Read(&n.L), visit)
-	visit(n)
-	t.walk(tx, tx.Read(&n.R), visit)
+	f.putBuf(buf)
+	return keys
 }

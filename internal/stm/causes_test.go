@@ -3,13 +3,16 @@ package stm
 import (
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
 // TestAbortCausesSumToAborts hammers a small hot word array from several
-// threads in every mode and asserts the taxonomy invariant: every abort
-// site charges exactly one cause, so the per-cause counters sum to Aborts
-// on every thread and in every aggregate.
+// threads in every mode — writers, and one reader summing the array under
+// AtomicRO, whose lost unlogged attempts are a cause of their own — and
+// asserts the taxonomy invariant: every abort site charges exactly one
+// cause, so the per-cause counters sum to Aborts on every thread and in
+// every aggregate.
 func TestAbortCausesSumToAborts(t *testing.T) {
 	for _, mode := range []Mode{CTL, ETL, Elastic} {
 		t.Run(mode.String(), func(t *testing.T) {
@@ -18,7 +21,21 @@ func TestAbortCausesSumToAborts(t *testing.T) {
 			const goroutines = 4
 			const txPerG = 2000
 			words := make([]Word, nWords)
-			var wg sync.WaitGroup
+			var wg, reader sync.WaitGroup
+			var stop atomic.Bool
+			reader.Add(1)
+			go func() {
+				defer reader.Done()
+				th := s.NewThread()
+				sumAll := func(tx *Tx) {
+					for i := range words {
+						tx.Read(&words[i])
+					}
+				}
+				for !stop.Load() {
+					th.AtomicRO(sumAll)
+				}
+			}()
 			for g := 0; g < goroutines; g++ {
 				wg.Add(1)
 				go func(seed int64) {
@@ -41,8 +58,11 @@ func TestAbortCausesSumToAborts(t *testing.T) {
 				}(int64(g) * 7919)
 			}
 			wg.Wait()
+			stop.Store(true)
+			reader.Wait()
 
 			total := s.TotalStats()
+			t.Logf("aborts by cause: %v", total.AbortCauses)
 			if total.Aborts == 0 {
 				t.Log("no aborts this run; invariant holds trivially")
 			}
@@ -62,6 +82,22 @@ func TestAbortCausesSumToAborts(t *testing.T) {
 				t.Error("no explicit aborts recorded despite Restart calls")
 			}
 		})
+	}
+}
+
+// TestAbortCauseLabels: every cause has a metric label of its own (the
+// registry's stm_abort_cause_total series are keyed by it).
+func TestAbortCauseLabels(t *testing.T) {
+	seen := map[string]AbortCause{}
+	for c := AbortCause(0); c < NumAbortCauses; c++ {
+		l := c.String()
+		if prev, dup := seen[l]; dup || l == "unknown" {
+			t.Errorf("cause %d is labelled %q (cause %d has that label: %v)", c, l, prev, dup)
+		}
+		seen[l] = c
+	}
+	if AbortUnlogged.String() != "unlogged" {
+		t.Errorf("AbortUnlogged is labelled %q, want \"unlogged\"", AbortUnlogged.String())
 	}
 }
 

@@ -11,7 +11,9 @@ import (
 // the domain's ContentionManager between attempts. It was extracted from the
 // original Thread.AtomicMode retry loop so that the abort→retry path is a
 // pluggable policy rather than a hard-coded backoff. The cycle is
-// begin → run → (commit | abort → contention-manager stall → begin).
+// begin → run → (commit | abort → contention-manager stall → begin). The one
+// abort that skips the stall is a read-only operation's unlogged first
+// attempt giving its snapshot up (lostUnlogged).
 //
 // lifecycle lives on the thread's stack for the duration of one AtomicMode
 // call.
@@ -41,8 +43,25 @@ func (lc *lifecycle) run() {
 		}
 		lc.retries++
 		th.noteRetry()
+		if tx.lostUnlogged() {
+			continue
+		}
 		cm.OnAbort(th, lc.retries)
 	}
+}
+
+// lostUnlogged is called after an aborted attempt. It ends the unlogged
+// phase of an AtomicRO call — every later attempt logs its reads and can
+// extend — and reports whether the attempt was lost to that phase's own
+// rule (a word newer than the snapshot, AbortUnlogged) rather than to a
+// conflict: nobody holds anything the retry has to wait for, so the
+// contention manager is not consulted.
+func (tx *Tx) lostUnlogged() bool {
+	if !tx.unlogged {
+		return false
+	}
+	tx.unlogged = false
+	return tx.th.lastCause == AbortUnlogged
 }
 
 // runTraced is the sampled-op variant of run: identical control flow plus
@@ -67,6 +86,9 @@ func (lc *lifecycle) runTraced() {
 		tr.Record(id, obs.SpanAttempt, op, start, time.Now().UnixNano(), int64(th.lastCause), int64(lc.retries))
 		lc.retries++
 		th.noteRetry()
+		if tx.lostUnlogged() {
+			continue
+		}
 		cm.OnAbort(th, lc.retries)
 	}
 }

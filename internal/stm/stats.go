@@ -10,7 +10,8 @@ const (
 	// AbortValidation: a read-set (or elastic-window) validation failure —
 	// some word this attempt read was overwritten after the snapshot and a
 	// timestamp extension could not save it. The classic optimistic-read
-	// conflict.
+	// conflict. (An attempt that never tried an extension because it logged
+	// nothing is charged to AbortUnlogged instead.)
 	AbortValidation AbortCause = iota
 	// AbortLockWait: the attempt ran into a write lock held by a concurrent
 	// transaction — a commit-time (or prepare-time) lock CAS lost the race,
@@ -26,6 +27,11 @@ const (
 	// cross-shard coordinator (Prepared.Drop) because some other shard of
 	// the compound transaction failed.
 	AbortCoordinated
+	// AbortUnlogged: the unlogged first attempt of a read-only operation
+	// (Thread.AtomicRO) met a word newer than its snapshot and, having no
+	// read set to extend over, was retried with logging. Not contention in
+	// the contention manager's sense: the retry starts at once.
+	AbortUnlogged
 	// NumAbortCauses sizes per-cause counter arrays.
 	NumAbortCauses = iota
 )
@@ -44,6 +50,8 @@ func (c AbortCause) String() string {
 		return "explicit"
 	case AbortCoordinated:
 		return "coordinated"
+	case AbortUnlogged:
+		return "unlogged"
 	}
 	return "unknown"
 }

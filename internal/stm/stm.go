@@ -20,7 +20,10 @@
 // version clock, and the optional URead ("unit read", TinySTM's unit load)
 // returns the latest committed value of a word without recording anything in
 // the read set. URead is the explicit-call extension exercised by the
-// optimized speculation-friendly tree (paper §3.3).
+// optimized speculation-friendly tree (paper §3.3). Thread.AtomicRO applies
+// the same economy to whole read-only operations (scans): its first attempt
+// reads consistently at its snapshot but logs nothing, and only a retry
+// pays for a read set.
 //
 // Transactional data lives in Word values (a 64-bit value guarded by a
 // versioned lock). All accesses go through atomic operations, so programs

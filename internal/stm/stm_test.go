@@ -365,26 +365,34 @@ func TestBankTransferInvariant(t *testing.T) {
 			// CTL whatever the mode under test (as forest Range does): a
 			// read-only elastic transaction cuts all but its last reads by
 			// design, so its 16-word sum is no snapshot and may be off by an
-			// in-flight transfer. The transfers run in the mode under test;
-			// what is asserted is that they never publish a broken total.
+			// in-flight transfer. It alternates the fully logged CTL
+			// transaction with AtomicRO, whose first attempt logs nothing:
+			// both must see a snapshot. The transfers run in the mode under
+			// test; what is asserted is that they never publish a broken
+			// total.
 			obs := s.NewThread()
 			go func() {
 				defer close(observerDone)
-				for {
+				var sum uint64
+				sumAll := func(tx *Tx) {
+					sum = 0
+					for i := range accounts {
+						sum += tx.Read(&accounts[i])
+					}
+				}
+				for i := 0; ; i++ {
 					select {
 					case <-stop:
 						return
 					default:
 					}
-					var sum uint64
-					obs.AtomicMode(CTL, func(tx *Tx) {
-						sum = 0
-						for i := range accounts {
-							sum += tx.Read(&accounts[i])
-						}
-					})
+					if i%2 == 0 {
+						obs.AtomicRO(sumAll)
+					} else {
+						obs.AtomicMode(CTL, sumAll)
+					}
 					if sum != total {
-						t.Errorf("observer saw total %d, want %d", sum, total)
+						t.Errorf("observer saw total %d, want %d (unlogged first: %v)", sum, total, i%2 == 0)
 						return
 					}
 				}

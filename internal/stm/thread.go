@@ -262,6 +262,38 @@ func (th *Thread) AtomicMode(mode Mode, fn func(*Tx)) {
 	th.inAtomic = false
 }
 
+// AtomicRO runs fn as a read-only CTL transaction — an operation exactly as
+// AtomicMode delimits one: pending raised for the §3.4 collector, reads
+// counted towards Stats.Reads and MaxOpReads, one completed operation on
+// the way out — whose first attempt is unlogged: Tx.Read samples each word
+// as always (unlocked, with a stable meta) and accepts it iff its version is
+// within the snapshot rv, but appends nothing to the read set. Write panics
+// inside fn, as in a Snapshot session.
+//
+// Why logging nothing is safe. Every value an unlogged attempt returns was
+// observed unlocked under an unchanged meta whose version is ≤ rv, and a
+// committer holds its locks from before the clock reaches its write version
+// (see commit's protocol comment), so each such value is the one current at
+// rv: together they are the snapshot at rv, which is TL2's read-only
+// argument. A read-only commit validates nothing — commit returns on an
+// empty write set — so the read set of a read-only CTL transaction has
+// exactly one consumer, the timestamp extension in Read. The unlogged
+// attempt forgoes extension: where a logged one would revalidate and advance
+// rv, it aborts (AbortUnlogged). rv therefore never moves during an unlogged
+// attempt, and Tx.Snapshot (= rv) is the cut of everything it read.
+//
+// The retry is the logged attempt AtomicMode(CTL, fn) has always run, with
+// extension, and it starts at once — a lost unlogged attempt found a newer
+// word, not a held one, so the contention manager is not consulted. Under
+// heavy writers the worst case is therefore what it was, plus one attempt
+// that stopped at the first word newer than its snapshot.
+func (th *Thread) AtomicRO(fn func(*Tx)) {
+	tx := &th.tx
+	tx.readOnly, tx.unlogged = true, true
+	th.AtomicMode(CTL, fn)
+	tx.readOnly, tx.unlogged = false, false
+}
+
 // runAttempt executes one attempt of fn and tries to commit, converting the
 // abort panic into a false return.
 func (th *Thread) runAttempt(tx *Tx, fn func(*Tx)) (ok bool) {

@@ -95,6 +95,13 @@ type Tx struct {
 	windowN  int
 	hasWrite bool
 
+	// unlogged marks the first attempt of an AtomicRO call: Read accepts a
+	// word only at a version within the snapshot, logs nothing, and aborts
+	// where a logged attempt would try a timestamp extension. The lifecycle
+	// engine clears it when that attempt is lost, so the retry is logged.
+	// (It shares hasWrite's padding: no other field moves.)
+	unlogged bool
+
 	// Post-commit hooks registered by the current attempt (Tx.OnCommit).
 	// Discarded on abort, run exactly once after a successful commit.
 	hooks  [maxCommitHooks]commitHookEntry
@@ -116,9 +123,10 @@ type Tx struct {
 	onCommitted func(pos uint64)
 	commitPos   uint64
 
-	// readOnly marks a Snapshot descriptor (snapshot.go): Write panics, so a
-	// long-lived read session can never acquire locks it has no commit path
-	// to release.
+	// readOnly marks a descriptor that must not write: a Snapshot session's
+	// (snapshot.go), where a long-lived read session could never release the
+	// locks it has no commit path for, and the thread's own for the duration
+	// of an AtomicRO call. Write panics.
 	readOnly bool
 
 	// Inline storage for the read and write sets; reads/writes alias these
@@ -242,7 +250,9 @@ func (tx *Tx) releaseLocks() {
 // Read performs a transactional read of w and returns its value. The read
 // is invisible: it records the observed version and is validated lazily
 // (TinySTM timestamp extension) and at commit. Read aborts the transaction
-// (by panicking internally) when a consistent value cannot be obtained.
+// (by panicking internally) when a consistent value cannot be obtained. In
+// the unlogged first attempt of an AtomicRO call it samples and checks the
+// word the same way but records nothing, and aborts where it would extend.
 //
 // The write-set filter test is spelled out inline (rather than calling
 // findWrite) here and in URead/Write: the combined function would exceed
@@ -263,8 +273,15 @@ func (tx *Tx) Read(w *Word) uint64 {
 			v, meta = tx.sampleContended(w)
 		}
 		if metaVersion(meta) <= tx.rv {
-			tx.recordRead(w, meta)
+			if !tx.unlogged {
+				tx.recordRead(w, meta)
+			}
 			return v
+		}
+		if tx.unlogged {
+			// Nothing was logged, so there is nothing to extend over: give
+			// the snapshot up and let the logged retry take it from here.
+			tx.abort(AbortUnlogged)
 		}
 		// The word was written after our snapshot: try a timestamp
 		// extension. If every prior read is still valid we can advance the
@@ -340,7 +357,7 @@ func (tx *Tx) uReadContended(w *Word) uint64 {
 // immediately and a conflicting lock holder forces an abort.
 func (tx *Tx) Write(w *Word, v uint64) {
 	if tx.readOnly {
-		panic("stm: Write inside a read-only Snapshot session")
+		panic("stm: Write inside a read-only transaction (a Snapshot session or an AtomicRO call)")
 	}
 	tx.th.maybeYield()
 	tx.th.stats.Writes++

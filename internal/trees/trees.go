@@ -214,37 +214,22 @@ func Atomic(m Map, th *stm.Thread, fn func(*stm.Tx)) {
 	th.AtomicMode(mode, fn)
 }
 
-// Move atomically relocates the value at src to dst on any Map, composed
-// from the interface's *Tx forms exactly as paper §5.4 prescribes: it
-// succeeds — deleting src and inserting dst — only when src is present and
-// dst absent. (sftree.Tree also offers a scratch-managed Move method; this
-// free function is the portable composition that works for every library.)
+// Mover is the reusable holder of the §5.4 move composition (see
+// sftree.Mover): a caller that moves repeatedly keeps one per thread and
+// runs it with MoveWith, which then allocates nothing.
+type Mover = sftree.Mover
+
+// MoveWith atomically relocates the value at src to dst on any Map through
+// the caller's Mover: it succeeds — deleting src and inserting dst — only
+// when src is present and dst absent.
+func MoveWith(mv *Mover, m Map, th *stm.Thread, src, dst uint64) bool {
+	Atomic(m, th, mv.Bind(m, src, dst))
+	return mv.Moved()
+}
+
+// Move is MoveWith for the occasional caller with no Mover at hand.
 func Move(m Map, th *stm.Thread, src, dst uint64) bool {
-	if src == dst {
-		return m.Contains(th, src)
-	}
-	var ok bool
-	Atomic(m, th, func(tx *stm.Tx) {
-		ok = false
-		v, present := m.GetTx(tx, src)
-		if !present || m.ContainsTx(tx, dst) {
-			return
-		}
-		if !m.DeleteTx(tx, src) {
-			return
-		}
-		if !m.InsertTxA(tx, dst, v) {
-			// dst was checked absent in this very transaction: only a
-			// doomed (zombie) attempt or an elastic cut of that check can
-			// see it occupied now. Committing would make the half-move
-			// (the buffered src delete) durable and lose the value under
-			// elastic transactions, whose cut reads are exempt from commit
-			// validation — retry from scratch instead.
-			tx.Restart()
-		}
-		ok = true
-	})
-	return ok
+	return MoveWith(new(Mover), m, th, src, dst)
 }
 
 // Rotations reports structural rotations for kinds that expose them:

@@ -87,6 +87,7 @@ func TestObsEndpointSmoke(t *testing.T) {
 		`stm_commits_total{shard="0"}`,
 		`stm_commits_total{shard="1"}`,
 		`stm_abort_cause_total{shard="0",cause="validation"}`,
+		`stm_abort_cause_total{shard="0",cause="unlogged"}`,
 		// Tree maintenance layer.
 		`sftree_hints_emitted_total{shard="0"}`,
 		`sftree_rotations_total{shard="1"}`,

@@ -721,6 +721,7 @@ type Handle struct {
 	th    *stm.Thread      // single-domain path
 	fh    *forest.Handle   // sharded path
 	coord *ftx.Coordinator // single-domain Atomic coordinator, on first use
+	mv    trees.Mover      // single-domain Move: the §5.4 composition, bound once
 }
 
 // Insert maps k to v; false when k was already present.
@@ -763,7 +764,7 @@ func (h *Handle) Move(src, dst uint64) bool {
 	if h.fh != nil {
 		return h.fh.Move(src, dst)
 	}
-	return trees.Move(h.t.m, h.th, src, dst)
+	return trees.MoveWith(&h.mv, h.t.m, h.th, src, dst)
 }
 
 // SameShard reports whether k1 and k2 live on the same shard (always true

@@ -335,3 +335,66 @@ func TestCloseStatsRace(t *testing.T) {
 		}
 	}
 }
+
+// TestRangeMoveZeroAllocsFacade: Handle.Range and Handle.Move stay off the
+// allocator in steady state on both facade paths — the bare tree (shards=1:
+// the tree's frame-owned scan buffer, the handle's Mover) and the forest
+// (shards=8: the handle's scan state, same-shard Mover or pooled cross-shard
+// transaction) — and a Range callback may use the handle it came from.
+func TestRangeMoveZeroAllocsFacade(t *testing.T) {
+	const n = 1 << 10
+	for _, shards := range []int{1, 8} {
+		tr := NewTree(SpeculationFriendlyOptimized, WithShards(shards), WithoutMaintenance())
+		h := tr.NewHandle()
+		for i := uint64(0); i < n; i++ {
+			h.Insert(i*40503&(n-1), i)
+		}
+		tr.Maintain(64)
+		for k := uint64(1); k < n; k += 2 {
+			h.Delete(k)
+		}
+		visited := 0
+		fn := func(_, _ uint64) bool { visited++; return true }
+		lo := uint64(0)
+		scan := func() {
+			lo = (lo + 97) % (n - 100)
+			h.Range(lo, lo+99, fn)
+		}
+		i, odd := uint64(0), [n / 2]bool{}
+		move := func() { // the live key of pair i onto its deleted sibling
+			i = (i + 97) % (n / 2)
+			src, dst := 2*i, 2*i+1
+			if odd[i] {
+				src, dst = dst, src
+			}
+			if !h.Move(src, dst) {
+				t.Fatalf("shards=%d: Move(%d, %d) failed", shards, src, dst)
+			}
+			odd[i] = !odd[i]
+		}
+		for name, op := range map[string]func(){"Range": scan, "Move": move} {
+			for w := 0; w < 8; w++ {
+				op() // warm up: scan buffers, the coordinator's per-shard logs
+			}
+			if avg := testing.AllocsPerRun(100, op); avg != 0 {
+				t.Errorf("shards=%d: %s allocates %.2f times per run, want 0", shards, name, avg)
+			}
+		}
+		if visited == 0 {
+			t.Errorf("shards=%d: the scans visited nothing", shards)
+		}
+
+		nested := 0
+		h.Range(0, 99, func(k, _ uint64) bool {
+			if k == 50 || k == 51 {
+				h.Range(100, 199, func(_, _ uint64) bool { nested++; return true })
+				nested += h.Len()
+			}
+			return true
+		})
+		if nested != 50+n/2 {
+			t.Errorf("shards=%d: a scan and a Len nested in a Range callback counted %d, want %d", shards, nested, 50+n/2)
+		}
+		tr.Close()
+	}
+}

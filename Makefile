@@ -1,8 +1,6 @@
 GO ?= go
-BENCH_DURATION ?= 1s
-BENCH_DATE := $(shell date +%Y-%m-%d)
 
-.PHONY: all build test race allocs vet fuzz ci obs-smoke trace-smoke bench-range bench-xact bench-durable bench-recovery bench-batch bench-json profile benchdiff bench-ab bench-ab-all
+.PHONY: all build test race allocs vet fuzz ci obs-smoke trace-smoke experiments-smoke profile bench-ab bench-ab-all
 
 all: build
 
@@ -35,20 +33,26 @@ race:
 allocs:
 	$(GO) test -count=1 -run 'Alloc|PooledContext|RetainCapacity|Reentrant' ./...
 
-# Live-endpoint smoke: run a short durable sharded benchmark with the
-# observability server attached and scrape /metrics mid-run, asserting
-# that every layer's metric families (stm, sftree, forest pool, ftx,
-# durable, Go runtime) appear in one exposition.
+# Live-endpoint smoke: drive a short durable sharded workload through the
+# facade with the observability server attached and scrape /metrics
+# mid-run, asserting that every layer's metric families (stm, sftree,
+# forest pool, ftx, durable, Go runtime) appear in one exposition.
 obs-smoke:
 	$(GO) test -run TestObsEndpointSmoke -count=1 -v .
 
-# Span-tracer smoke: run a short durable batched contended benchmark with
-# full sampling and scrape /trace mid-hammer, asserting the accumulated
-# spans cover every instrumented layer — an STM retry, a combiner batch
-# wait, an ftx prepare phase, and a WAL append stretching to its
-# group-commit fsync.
+# Span-tracer smoke: drive a short durable batched contended workload
+# through the facade with full sampling and poll /trace while it runs,
+# asserting the accumulated spans cover every instrumented layer — an STM
+# retry, a combiner batch wait, an ftx prepare phase, and a WAL append
+# stretching to its group-commit fsync.
 trace-smoke:
 	$(GO) test -run TestTraceEndpointSmoke -count=1 -v .
+
+# Every table and figure of the paper (cmd/experiments) end to end at
+# millisecond cells: the paper-figure CLI stays runnable, numbers mean
+# nothing at this size.
+experiments-smoke:
+	$(GO) run ./cmd/experiments -duration 20ms -threads 1,2 all
 
 vet:
 	$(GO) vet ./...
@@ -65,107 +69,17 @@ fuzz:
 	$(GO) test ./internal/durable -run '^$$' -fuzz FuzzDeltaDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/durable -run '^$$' -fuzz FuzzManifestDecode -fuzztime $(FUZZTIME)
 
-# Range-scan microbenchmark points: the scan mix at one shard (the paper's
-# single-domain tree) and at eight (per-shard snapshot + k-way merge).
-bench-range:
-	$(GO) run ./cmd/microbench -tree sf-opt -threads 4 -update 10 -range-frac 0.1 -range-len 100 -shards 1 -header
-	$(GO) run ./cmd/microbench -tree sf-opt -threads 4 -update 10 -range-frac 0.1 -range-len 100 -shards 8
-
-# Cross-shard transfer microbenchmark points: the multi-key transfer
-# workload at one shard (every transaction on the coordinator's
-# single-shard fallback) and at eight (the shard-ordered two-phase commit),
-# with the cross-shard dial at both extremes. The xact_* CSV columns report
-# the coordinator's commit/abort/fallback/intent-conflict accounting.
-bench-xact:
-	$(GO) run ./cmd/microbench -tree sf-opt -threads 4 -update 20 -xact-frac 0.2 -shards 1 -header
-	$(GO) run ./cmd/microbench -tree sf-opt -threads 4 -update 20 -xact-frac 0.2 -shards 8
-	$(GO) run ./cmd/microbench -tree sf-opt -threads 4 -update 20 -xact-frac 0.2 -xact-cross 0 -shards 8
-
-# Durability microbenchmark points: the WAL-attached forest at one and
-# eight shards under asynchronous group commit, and the per-operation
-# fsync regime. The durable CSV columns report log bytes/records/syncs,
-# checkpoints, and the timed post-run recovery (recovery_ms,
-# recovered_keys).
-bench-durable:
-	$(GO) run ./cmd/microbench -tree sf-opt -threads 4 -update 20 -durable -shards 1 -header
-	$(GO) run ./cmd/microbench -tree sf-opt -threads 4 -update 20 -durable -shards 8
-	$(GO) run ./cmd/microbench -tree sf-opt -threads 4 -update 20 -durable -fsync -shards 8
-
-# Recovery-cost microbenchmark points: the same durable workload at two
-# store sizes (key ranges 1<<15 and 1<<17), with incremental checkpoints on
-# (the default chain, ckpt_compact 8) and off (-ckpt-compact -1, the
-# pre-delta full-checkpoint regime). The ckpt_bytes and ckpt_dirty_frac
-# columns show checkpoint cost tracking churn rather than store size, and
-# recovery_ns/recovery_appliers time the segment-parallel replay of the
-# directory after the run.
-bench-recovery:
-	$(GO) run ./cmd/microbench -tree sf-opt -threads 4 -update 20 -durable -shards 8 -range 32768 -header
-	$(GO) run ./cmd/microbench -tree sf-opt -threads 4 -update 20 -durable -shards 8 -range 32768 -ckpt-compact -1
-	$(GO) run ./cmd/microbench -tree sf-opt -threads 4 -update 20 -durable -shards 8 -range 131072
-	$(GO) run ./cmd/microbench -tree sf-opt -threads 4 -update 20 -durable -shards 8 -range 131072 -ckpt-compact -1
-
-# Batched-execution microbenchmark points: the contended skewed update mix
-# with the per-shard op combiner off and on, at one shard (maximum
-# coalescing pressure — the combiner's headline configuration) and at
-# eight. The batched_ops/batches/avg_batch CSV columns report the
-# coalescing rate; p50_ns/p99_ns report sampled per-op latency.
-bench-batch:
-	$(GO) run ./cmd/microbench -tree sf-opt -threads 8 -update 20 -dist zipf -shards 1 -header
-	$(GO) run ./cmd/microbench -tree sf-opt -threads 8 -update 20 -dist zipf -shards 1 -batch 64
-	$(GO) run ./cmd/microbench -tree sf-opt -threads 8 -update 20 -dist zipf -shards 8 -batch 64
-
-# Benchmark points recorded as one JSON artifact per session
-# (BENCH_<date>.json) so the perf trajectory is durable (the scheduled
-# bench workflow uploads the same artifact weekly). The first two rows are
-# the single-thread sf-opt hot-path baselines (update 20 and 10) that the
-# cmd/benchdiff regression gate keys on — single-thread rows are the
-# meaningful ones on small CI hosts, where multi-thread numbers are mostly
-# scheduler noise. The next rows compare the single-domain tree, the
-# sharded forest with the default pool, and the sharded forest with an
-# explicitly small pool on the skewed (Zipf) workload — the configuration
-# the sub-linear-maintenance-CPU claim is about (see the maint_* CSV
-# columns); then the multi-key transfer workload at shards 1 and 8 (see
-# the xact_* columns) and a durable (WAL-attached) point, followed by the
-# recovery-cost pair: the durable workload at key ranges 1<<15 and 1<<17, so
-# the artifact records ckpt_bytes/ckpt_dirty_frac (incremental-checkpoint
-# cost vs store size) and recovery_ns (segment-parallel replay) at two store
-# sizes. The final three rows are the batched-execution series: the contended skewed update mix at
-# t8 shards=1 unbatched (anchor) and with the op combiner at batch 64, plus
-# the sharded batched point (see the batched_ops/batches/avg_batch and
-# p50_ns/p99_ns columns).
-bench-json:
-	{ $(GO) run ./cmd/microbench -header -tree sf-opt -threads 1 -update 20 -duration $(BENCH_DURATION) ; \
-	  $(GO) run ./cmd/microbench -tree sf-opt -threads 1 -update 10 -duration $(BENCH_DURATION) ; \
-	  $(GO) run ./cmd/microbench -tree sf-opt -threads 4 -update 20 -duration $(BENCH_DURATION) ; \
-	  $(GO) run ./cmd/microbench -tree sf-opt -threads 4 -update 20 -shards 8 -dist zipf -duration $(BENCH_DURATION) ; \
-	  $(GO) run ./cmd/microbench -tree sf-opt -threads 4 -update 20 -shards 8 -maint-workers 2 -dist zipf -duration $(BENCH_DURATION) ; \
-	  $(GO) run ./cmd/microbench -tree sf -threads 4 -update 20 -shards 8 -maint-workers 2 -dist zipf -duration $(BENCH_DURATION) ; \
-	  $(GO) run ./cmd/microbench -tree sf-opt -threads 4 -update 20 -xact-frac 0.2 -shards 1 -duration $(BENCH_DURATION) ; \
-	  $(GO) run ./cmd/microbench -tree sf-opt -threads 4 -update 20 -xact-frac 0.2 -shards 8 -duration $(BENCH_DURATION) ; \
-	  $(GO) run ./cmd/microbench -tree sf-opt -threads 4 -update 20 -durable -shards 8 -duration $(BENCH_DURATION) ; \
-	  $(GO) run ./cmd/microbench -tree sf-opt -threads 4 -update 20 -durable -shards 8 -range 32768 -duration $(BENCH_DURATION) ; \
-	  $(GO) run ./cmd/microbench -tree sf-opt -threads 4 -update 20 -durable -shards 8 -range 131072 -duration $(BENCH_DURATION) ; \
-	  $(GO) run ./cmd/microbench -tree sf-opt -threads 8 -update 20 -dist zipf -shards 1 -duration $(BENCH_DURATION) ; \
-	  $(GO) run ./cmd/microbench -tree sf-opt -threads 8 -update 20 -dist zipf -shards 1 -batch 64 -duration $(BENCH_DURATION) ; \
-	  $(GO) run ./cmd/microbench -tree sf-opt -threads 8 -update 20 -dist zipf -shards 8 -batch 64 -duration $(BENCH_DURATION) ; } \
-	| $(GO) run ./cmd/benchjson -out BENCH_$(BENCH_DATE).json
-
-# CPU + allocation profiles of the hot path (single-thread sf-opt, the
-# configuration the mechanical-sympathy work targets), written under
-# profiles/. Inspect with: go tool pprof -top profiles/cpu.pb.gz
+# CPU + allocation profiles of the paper's hot path — the optimized
+# speculation-friendly tree under 20% effective updates (Fig. 5(a)'s
+# OptSFtree cell) — written under profiles/ with the test binary they
+# belong to. Inspect with: go tool pprof -top profiles/cpu.pb.gz
 PROFILE_DURATION ?= 3s
 profile:
 	mkdir -p profiles
-	$(GO) run ./cmd/microbench -tree sf-opt -threads 1 -update 20 \
-		-duration $(PROFILE_DURATION) \
-		-cpuprofile profiles/cpu.pb.gz -memprofile profiles/mem.pb.gz
+	$(GO) test -run '^$$' -bench 'Fig5a/OptSFtree' -benchtime $(PROFILE_DURATION) \
+		-o profiles/repro.test -outputdir profiles \
+		-cpuprofile cpu.pb.gz -memprofile mem.pb.gz .
 	@echo "profiles written: profiles/cpu.pb.gz profiles/mem.pb.gz"
-
-# Regression gate: compare the newest checked-in BENCH_*.json baseline
-# against a fresh bench-json artifact (or the two files given as BASE= and
-# NEW=). Fails when a matched row regresses by more than the threshold.
-benchdiff:
-	$(GO) run ./cmd/benchdiff $(BENCHDIFF_FLAGS) $(BASE) $(NEW)
 
 # A/B measurement of the working tree against a git ref with the repo
 # benchmark, as the choosing-metrics guide prescribes: both sides built once,
@@ -220,4 +134,4 @@ bench-ab-all:
 		$(GO) run ./benchmark -compare "$(AB_OUT)/base-$$w.jsonl" "$(AB_OUT)/new-$$w.jsonl" || status=1; \
 	done; exit $$status
 
-ci: build vet test race allocs fuzz obs-smoke trace-smoke
+ci: build vet test race allocs fuzz obs-smoke trace-smoke experiments-smoke

@@ -2,8 +2,8 @@
 // evaluation. These exercise exactly the code paths the cmd/experiments
 // sweeps measure, but under `go test -bench` semantics (b.N operations,
 // -benchmem allocation accounting). The full parameter sweeps that
-// regenerate the paper's tables live in cmd/experiments; EXPERIMENTS.md
-// maps each experiment to both.
+// regenerate the paper's tables live in cmd/experiments, one subcommand per
+// benchmark below (table1, fig3, fig4, fig5a, fig5b, fig6).
 //
 // Custom metrics reported where the paper's metric is not time:
 //
@@ -19,7 +19,7 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/bench"
+	"repro/internal/experiments"
 	"repro/internal/sftree"
 	"repro/internal/stm"
 	"repro/internal/trees"
@@ -36,7 +36,7 @@ const yieldEvery = 8
 
 // runTreeBench executes b.N operations of the given workload spread over
 // benchWorkers goroutines against a freshly filled tree.
-func runTreeBench(b *testing.B, kind trees.Kind, mode stm.Mode, wl bench.Workload) {
+func runTreeBench(b *testing.B, kind trees.Kind, mode stm.Mode, wl experiments.Workload) {
 	b.Helper()
 	s := stm.New(stm.WithMode(mode), stm.WithYield(yieldEvery), stm.WithContentionManager(stm.Suicide()))
 	m := trees.New(kind, s)
@@ -54,12 +54,12 @@ func runTreeBench(b *testing.B, kind trees.Kind, mode stm.Mode, wl bench.Workloa
 	defer stop()
 
 	var seq atomic.Int64
-	runners := make([]*bench.Runner, 0, benchWorkers)
+	runners := make([]*experiments.Runner, 0, benchWorkers)
 	var mu sync.Mutex
 	b.ResetTimer()
 	b.SetParallelism(benchWorkers) // workers per GOMAXPROCS
 	b.RunParallel(func(pb *testing.PB) {
-		r := bench.NewRunner(m, s.NewThread(), wl, 100+seq.Add(1))
+		r := experiments.NewRunner(m, s.NewThread(), wl, 100+seq.Add(1))
 		mu.Lock()
 		runners = append(runners, r)
 		mu.Unlock()
@@ -88,7 +88,7 @@ func BenchmarkTable1(b *testing.B) {
 	for _, kind := range []trees.Kind{trees.AVL, trees.RB, trees.SF, trees.SFOpt} {
 		for _, update := range []int{0, 20, 50} {
 			b.Run(fmt.Sprintf("%s/update%d", kind, update), func(b *testing.B) {
-				runTreeBench(b, kind, stm.CTL, bench.Workload{
+				runTreeBench(b, kind, stm.CTL, experiments.Workload{
 					KeyRange:      1 << 13,
 					UpdatePercent: update,
 					Effective:     false,
@@ -109,7 +109,7 @@ func BenchmarkFig3(b *testing.B) {
 		}
 		for _, kind := range []trees.Kind{trees.RB, trees.SF, trees.NR, trees.AVL} {
 			b.Run(fmt.Sprintf("%s/%s", name, kind), func(b *testing.B) {
-				runTreeBench(b, kind, stm.CTL, bench.Workload{
+				runTreeBench(b, kind, stm.CTL, experiments.Workload{
 					KeyRange:      1 << 13,
 					UpdatePercent: 15,
 					Biased:        biased,
@@ -126,7 +126,7 @@ func BenchmarkFig4(b *testing.B) {
 	for _, mode := range []stm.Mode{stm.Elastic, stm.ETL} {
 		for _, kind := range []trees.Kind{trees.RB, trees.SF, trees.AVL} {
 			b.Run(fmt.Sprintf("%s/%s", mode, kind), func(b *testing.B) {
-				runTreeBench(b, kind, mode, bench.Workload{
+				runTreeBench(b, kind, mode, experiments.Workload{
 					KeyRange:      1 << 13,
 					UpdatePercent: 10,
 					Effective:     true,
@@ -153,7 +153,7 @@ func BenchmarkFig5a(b *testing.B) {
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
-			runTreeBench(b, c.kind, c.mode, bench.Workload{
+			runTreeBench(b, c.kind, c.mode, experiments.Workload{
 				KeyRange:      1 << 13,
 				UpdatePercent: 20,
 				Effective:     true,
@@ -167,7 +167,7 @@ func BenchmarkFig5a(b *testing.B) {
 func BenchmarkFig5b(b *testing.B) {
 	for _, movePct := range []int{1, 5, 10} {
 		b.Run(fmt.Sprintf("move%d", movePct), func(b *testing.B) {
-			runTreeBench(b, trees.SFOpt, stm.CTL, bench.Workload{
+			runTreeBench(b, trees.SFOpt, stm.CTL, experiments.Workload{
 				KeyRange:      1 << 13,
 				UpdatePercent: 10,
 				MovePercent:   movePct,
@@ -238,7 +238,7 @@ func BenchmarkFig6(b *testing.B) {
 // transaction granularity of the maintenance differs. The coupled variant's
 // abort metric explodes under update load.
 func BenchmarkAblationMaintenanceCoupling(b *testing.B) {
-	wl := bench.Workload{KeyRange: 1 << 12, UpdatePercent: 40, Effective: true}
+	wl := experiments.Workload{KeyRange: 1 << 12, UpdatePercent: 40, Effective: true}
 	run := func(b *testing.B, coupled bool) {
 		s := stm.New(stm.WithYield(yieldEvery), stm.WithContentionManager(stm.Suicide()))
 		tr := sftree.New(s, sftree.WithVariant(sftree.Portable))
@@ -271,7 +271,7 @@ func BenchmarkAblationMaintenanceCoupling(b *testing.B) {
 		b.ResetTimer()
 		b.SetParallelism(benchWorkers)
 		b.RunParallel(func(pb *testing.PB) {
-			r := bench.NewRunner(tr, s.NewThread(), wl, 900+seq.Add(1))
+			r := experiments.NewRunner(tr, s.NewThread(), wl, 900+seq.Add(1))
 			for pb.Next() {
 				r.Step()
 			}
@@ -294,7 +294,7 @@ func BenchmarkAblationMaintenanceCoupling(b *testing.B) {
 func BenchmarkAblationContentionManagement(b *testing.B) {
 	for _, mode := range []stm.Mode{stm.CTL, stm.ETL, stm.Elastic} {
 		b.Run(mode.String(), func(b *testing.B) {
-			runTreeBench(b, trees.SFOpt, mode, bench.Workload{
+			runTreeBench(b, trees.SFOpt, mode, experiments.Workload{
 				KeyRange:      1 << 12,
 				UpdatePercent: 30,
 				Effective:     true,

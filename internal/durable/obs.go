@@ -6,7 +6,7 @@ import (
 
 // SetFlightRecorder attaches a flight recorder: from now on the log records
 // checkpoint/compaction phases, WAL stalls, drops and rotations into it.
-// Attach before the first append (repro.Open and the bench harness do);
+// Attach before the first append (repro.Open does);
 // a nil recorder detaches.
 func (l *Log) SetFlightRecorder(fr *obs.FlightRecorder) {
 	l.mu.Lock()

@@ -1,9 +1,10 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation section (§2 Table 1, §5.2 Fig. 3, §5.3 Fig. 4 and Fig. 5(a),
-// §5.4 Fig. 5(b), §5.5 Fig. 6) on top of the micro-benchmark harness and
-// the vacation application. Each experiment prints rows shaped like the
-// paper's so shape comparisons (who wins, by what factor, where crossovers
-// fall) are immediate; EXPERIMENTS.md records paper-vs-measured.
+// §5.4 Fig. 5(b), §5.5 Fig. 6) on top of the micro-benchmark runner
+// (runner.go) and the vacation application. Each experiment prints rows
+// shaped like the paper's, with a one-line reminder of the paper's numbers,
+// so shape comparisons (who wins, by what factor, where crossovers fall)
+// are immediate.
 //
 // The cmd/experiments binary is a thin CLI over this package, and the
 // root-level bench_test.go exposes one testing.B benchmark per experiment.
@@ -13,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -47,7 +49,7 @@ type Opts struct {
 	VacBaseTx    int
 
 	// YieldEvery configures the STM interleaving simulation for the
-	// micro-benchmarks (bench.Options.YieldEvery). -1 disables it; 0 picks
+	// micro-benchmarks (stm.WithYield). -1 disables it; 0 picks
 	// a default that enables it only when the host has fewer processors
 	// than the largest swept thread count (without it, transactions on an
 	// under-provisioned host serialize and the contention the paper
@@ -62,19 +64,16 @@ func (o *Opts) yieldEvery() int {
 		return 0
 	case o.YieldEvery > 0:
 		return o.YieldEvery
+	case runtime.GOMAXPROCS(0) < o.maxThreads():
+		return 8
 	default:
-		maxTh := 0
-		for _, t := range o.Threads {
-			if t > maxTh {
-				maxTh = t
-			}
-		}
-		if runtime.GOMAXPROCS(0) < maxTh {
-			return 8
-		}
 		return 0
 	}
 }
+
+// maxThreads is the largest swept thread count: the configuration of the
+// single-thread-count experiments (Table 1, Fig. 5(a)).
+func (o *Opts) maxThreads() int { return slices.Max(o.Threads) }
 
 // keyRange returns the override or the figure's default.
 func (o *Opts) keyRange(def uint64) uint64 {

@@ -36,6 +36,21 @@ func TestTable1Runs(t *testing.T) {
 	}
 }
 
+// TestTable1UsesMaxThreads: the single-thread-count experiments run at the
+// largest swept count, however -threads was ordered.
+func TestTable1UsesMaxThreads(t *testing.T) {
+	var buf bytes.Buffer
+	o := tinyOpts(&buf)
+	o.Threads = []int{8, 1}
+	o.Duration = 2 * time.Millisecond
+	if err := Table1(o); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "2^12-sized trees, 8 threads, CTL") {
+		t.Fatalf("Table 1 header does not claim 8 threads:\n%s", buf.String())
+	}
+}
+
 func TestFig3Runs(t *testing.T) {
 	var buf bytes.Buffer
 	o := tinyOpts(&buf)

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/bench"
 	"repro/internal/stm"
 	"repro/internal/trees"
 )
@@ -32,19 +31,11 @@ func Fig3(o Opts) error {
 			for _, th := range sortedCopy(o.Threads) {
 				row := []string{fmt.Sprintf("%d", th)}
 				for _, kind := range kinds {
-					res := bench.Run(bench.Options{
-						Kind:     kind,
-						Mode:     stm.CTL,
-						Threads:  th,
-						Duration: o.Duration,
-						Workload: bench.Workload{
-							KeyRange:      o.keyRange(1 << 13),
-							UpdatePercent: u,
-							Biased:        biased,
-							Effective:     true,
-						},
-						Seed:       o.Seed,
-						YieldEvery: o.yieldEvery(),
+					res := run(&o, kind, stm.CTL, th, Workload{
+						KeyRange:      o.keyRange(1 << 13),
+						UpdatePercent: u,
+						Biased:        biased,
+						Effective:     true,
 					})
 					row = append(row, fmtF(res.Throughput))
 				}

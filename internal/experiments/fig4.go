@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/bench"
 	"repro/internal/stm"
 	"repro/internal/trees"
 )
@@ -30,18 +29,10 @@ func Fig4(o Opts) error {
 		for _, th := range sortedCopy(o.Threads) {
 			row := []string{fmt.Sprintf("%d", th)}
 			for _, kind := range kinds {
-				res := bench.Run(bench.Options{
-					Kind:     kind,
-					Mode:     cfg.mode,
-					Threads:  th,
-					Duration: o.Duration,
-					Workload: bench.Workload{
-						KeyRange:      o.keyRange(cfg.keyRange),
-						UpdatePercent: 10,
-						Effective:     true,
-					},
-					Seed:       o.Seed,
-					YieldEvery: o.yieldEvery(),
+				res := run(&o, kind, cfg.mode, th, Workload{
+					KeyRange:      o.keyRange(cfg.keyRange),
+					UpdatePercent: 10,
+					Effective:     true,
 				})
 				row = append(row, fmtF(res.Throughput))
 			}

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/bench"
 	"repro/internal/stm"
 	"repro/internal/trees"
 )
@@ -21,27 +20,18 @@ import (
 func Fig5a(o Opts) error {
 	o.defaults()
 	updates := []int{10, 20, 30, 40}
-	threads := o.Threads[len(o.Threads)-1]
+	threads := o.maxThreads()
 	fmt.Fprintf(o.Out, "Figure 5(a): speedup-1 (%%) over RBtree/CTL at %d threads\n\n", threads)
 	t := &table{header: []string{"update", "Elastic speedup", "SFtree speedup", "Opt SFtree speedup"}}
-	run := func(kind trees.Kind, mode stm.Mode, u int) float64 {
-		res := bench.Run(bench.Options{
-			Kind:       kind,
-			Mode:       mode,
-			Threads:    threads,
-			Duration:   o.Duration,
-			Workload:   bench.Workload{KeyRange: o.keyRange(1 << 13), UpdatePercent: u, Effective: true},
-			Seed:       o.Seed,
-			YieldEvery: o.yieldEvery(),
-		})
-		return res.Throughput
+	throughput := func(kind trees.Kind, mode stm.Mode, u int) float64 {
+		return run(&o, kind, mode, threads, Workload{KeyRange: o.keyRange(1 << 13), UpdatePercent: u, Effective: true}).Throughput
 	}
 	var sums [3]float64
 	for _, u := range updates {
-		base := run(trees.RB, stm.CTL, u)
-		elastic := run(trees.RB, stm.Elastic, u)
-		sf := run(trees.SF, stm.CTL, u)
-		opt := run(trees.SFOpt, stm.CTL, u)
+		base := throughput(trees.RB, stm.CTL, u)
+		elastic := throughput(trees.RB, stm.Elastic, u)
+		sf := throughput(trees.SF, stm.CTL, u)
+		opt := throughput(trees.SFOpt, stm.CTL, u)
 		pct := func(x float64) float64 {
 			if base == 0 {
 				return 0
@@ -81,19 +71,11 @@ func Fig5b(o Opts) error {
 	for _, th := range sortedCopy(o.Threads) {
 		row := []string{fmt.Sprintf("%d", th)}
 		for _, mv := range moves {
-			res := bench.Run(bench.Options{
-				Kind:     trees.SFOpt,
-				Mode:     stm.CTL,
-				Threads:  th,
-				Duration: o.Duration,
-				Workload: bench.Workload{
-					KeyRange:      o.keyRange(1 << 13),
-					UpdatePercent: 10,
-					MovePercent:   mv,
-					Effective:     true,
-				},
-				Seed:       o.Seed,
-				YieldEvery: o.yieldEvery(),
+			res := run(&o, trees.SFOpt, stm.CTL, th, Workload{
+				KeyRange:      o.keyRange(1 << 13),
+				UpdatePercent: 10,
+				MovePercent:   mv,
+				Effective:     true,
 			})
 			row = append(row, fmtF(res.Throughput))
 		}

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/bench"
 	"repro/internal/stm"
 	"repro/internal/trees"
 )
@@ -22,7 +21,7 @@ func Table1(o Opts) error {
 	updates := []int{0, 10, 20, 30, 40, 50}
 	kinds := []trees.Kind{trees.AVL, trees.RB, trees.SF, trees.SFOpt}
 
-	threads := o.Threads[len(o.Threads)-1] // Table 1 is a single (max) thread count
+	threads := o.maxThreads() // Table 1 is a single (max) thread count
 	fmt.Fprintf(o.Out, "Table 1: max transactional reads per operation (2^12-sized trees, %d threads, CTL)\n\n", threads)
 
 	t := &table{header: append([]string{"Update"}, func() []string {
@@ -36,18 +35,10 @@ func Table1(o Opts) error {
 	for _, kind := range kinds {
 		row := []string{kind.Label()}
 		for _, u := range updates {
-			res := bench.Run(bench.Options{
-				Kind:     kind,
-				Mode:     stm.CTL,
-				Threads:  threads,
-				Duration: o.Duration,
-				Workload: bench.Workload{
-					KeyRange:      o.keyRange(1 << 13), // expected size 2^12
-					UpdatePercent: u,
-					Effective:     false, // Table 1 uses equal-probability attempted updates
-				},
-				Seed:       o.Seed,
-				YieldEvery: o.yieldEvery(),
+			res := run(&o, kind, stm.CTL, threads, Workload{
+				KeyRange:      o.keyRange(1 << 13), // expected size 2^12
+				UpdatePercent: u,
+				Effective:     false, // Table 1 uses equal-probability attempted updates
 			})
 			row = append(row, fmt.Sprintf("%d", res.STM.MaxOpReads))
 		}

@@ -83,7 +83,7 @@ type shard struct {
 	nextDrain atomic.Int64
 
 	// pacing is the shard's current adaptive hint-drain gap in nanoseconds
-	// (maint.go): it backs off from the forest's base gap when the shard's
+	// (maint.go): it backs off from the base gap drainGap when the shard's
 	// structural transactions keep failing — i.e. keep aborting against
 	// application transactions — and tightens back as they succeed again.
 	// maintFails/maintOKs are the last observed structural counter totals
@@ -120,12 +120,6 @@ type Forest struct {
 	maintWorkers int
 	maintMin     int
 	pc           poolCounters
-	// drainPacing is the per-shard base hint-drain pacing gap of the
-	// maintenance pool; pacingFixed pins every shard to it exactly
-	// (WithMaintPacing), otherwise the per-shard gap adapts between the base
-	// and pacingBackoffCap times it (maint.go). Both immutable after New.
-	drainPacing time.Duration
-	pacingFixed bool
 
 	// batchN/batchWait are the combiner dials (WithBatching; batchN <= 1
 	// means batching is off), immutable after New. drainH is the internal
@@ -332,8 +326,6 @@ type cfg struct {
 	maintenance  bool
 	maintWorkers int // pool ceiling (0 = default)
 	maintMin     int // pool floor (0 = default)
-	maintPacing  time.Duration
-	pacingFixed  bool
 	yieldEvery   int
 	batchN       int
 	batchWait    time.Duration
@@ -389,26 +381,6 @@ func defaultMaintWorkers(shards int) int {
 	return max(1, min(shards, runtime.GOMAXPROCS(0)/2))
 }
 
-// WithMaintPacing pins the per-shard hint-drain pacing gap of the shared
-// maintenance pool to exactly d: hints younger than the gap wait and
-// coalesce, bounding the rate of structural transactions maintenance
-// injects against the application's. 0 disables pacing (every scan with
-// backlog drains immediately); negative values are ignored. Exposed so the
-// benchmark harness can sweep the gap against abort rates.
-//
-// Without this option the gap adapts per shard: it starts at the 2ms
-// default and backs off — up to pacingBackoffCap times the base — while
-// the shard's structural transactions keep failing against application
-// traffic, tightening back as they succeed (see maint.go's scan).
-func WithMaintPacing(d time.Duration) Option {
-	return func(c *cfg) {
-		if d >= 0 {
-			c.maintPacing = d
-			c.pacingFixed = true
-		}
-	}
-}
-
 // WithYield enables the STM interleaving simulation on every shard
 // (stm.WithYield).
 func WithYield(n int) Option { return func(c *cfg) { c.yieldEvery = n } }
@@ -443,7 +415,7 @@ func WithBatching(n int, wait time.Duration) Option {
 // shared pool of maintenance workers started immediately (WithMaintWorkers
 // sizes it); Close stops the pool.
 func New(kind trees.Kind, opts ...Option) *Forest {
-	c := cfg{shards: 1, mode: stm.CTL, maintenance: true, maintPacing: drainGap}
+	c := cfg{shards: 1, mode: stm.CTL, maintenance: true}
 	for _, o := range opts {
 		o(&c)
 	}
@@ -456,8 +428,8 @@ func New(kind trees.Kind, opts ...Option) *Forest {
 	if c.maintMin == 0 {
 		c.maintMin = 1 // default: adaptive between 1 and the ceiling
 	}
-	f := &Forest{kind: kind, shards: make([]*shard, c.shards), maint: c.maintenance, drainPacing: c.maintPacing,
-		pacingFixed: c.pacingFixed, batchN: c.batchN, batchWait: c.batchWait}
+	f := &Forest{kind: kind, shards: make([]*shard, c.shards), maint: c.maintenance,
+		batchN: c.batchN, batchWait: c.batchWait}
 	maintained := false
 	now := time.Now().UnixNano()
 	for i := range f.shards {
@@ -470,7 +442,7 @@ func New(kind trees.Kind, opts ...Option) *Forest {
 			sh.mt = mt
 			sh.sweepGap.Store(int64(sweepGapMin))
 			sh.nextSweep.Store(now)
-			sh.pacing.Store(int64(c.maintPacing))
+			sh.pacing.Store(int64(drainGap))
 			maintained = true
 		}
 		f.shards[i] = sh

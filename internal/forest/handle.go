@@ -168,9 +168,8 @@ func (h *Handle) route(k uint64) (*shard, *stm.Thread, int) {
 }
 
 // OpsPerShard returns how many operations this handle routed to each shard
-// (the per-shard load-balance view the benchmark harness aggregates). A
-// cross-shard transaction counts once on every shard it touched, per
-// attempt (see ftxDomain).
+// (the per-shard load-balance view). A cross-shard transaction counts once
+// on every shard it touched, per attempt (see ftxDomain).
 func (h *Handle) OpsPerShard() []uint64 {
 	out := make([]uint64, len(h.ops))
 	copy(out, h.ops)

@@ -27,17 +27,17 @@ const (
 	maintBatch  = sftree.MaintHintBatch
 	sweepGapMin = sftree.SweepGapMin
 	sweepGapMax = sftree.SweepGapMax
-	// drainGap is the default per-shard hint-drain pacing gap: hints
-	// younger than it wait and coalesce, bounding the rate of structural
+	// drainGap is the base per-shard hint-drain pacing gap: hints younger
+	// than it wait and coalesce, bounding the rate of structural
 	// transactions the pool injects against the application's (each repair
 	// is a commit that can invalidate overlapping application
-	// transactions). WithMaintPacing overrides it per forest.
+	// transactions). The gap adapts per shard from there (see adaptPacing).
 	drainGap = 2 * time.Millisecond
 	// idleWaitMax caps a worker's idle sleep so a lost deadline estimate
 	// can never park a worker for long.
 	idleWaitMax = sweepGapMax
 	// pacingBackoffCap bounds the adaptive hint-drain gap at this multiple
-	// of the forest's base gap (see adaptPacing).
+	// of drainGap (see adaptPacing).
 	pacingBackoffCap = 16
 	// resizeQuantum paces the pool's adaptive sizing: worker 0 reconsiders
 	// the active worker count at most this often (see maybeResize).
@@ -91,10 +91,9 @@ type PoolStats struct {
 	// Backlog is the instantaneous number of queued hints across shards.
 	Backlog int
 	// PacingNanos is the mean current hint-drain pacing gap over the
-	// maintained shards, in nanoseconds. With WithMaintPacing it equals the
-	// pinned gap; otherwise it reflects where the per-shard adaptation
-	// (abort-rate-driven backoff between the base gap and pacingBackoffCap
-	// times it) currently sits.
+	// maintained shards, in nanoseconds: where the per-shard adaptation
+	// (abort-rate-driven backoff between drainGap and pacingBackoffCap times
+	// it) currently sits.
 	PacingNanos uint64
 }
 
@@ -412,19 +411,13 @@ func (p *maintPool) rest(d time.Duration) bool {
 // returned false, i.e. aborted against concurrent application traffic)
 // diffed against the successes since the previous drain: a
 // failure-dominated session doubles the gap (up to pacingBackoffCap times
-// the base), so repairs wait for the contention to pass and coalesce
-// harder, while a clean session halves it back toward the base. With
-// WithMaintPacing the gap is pinned and this degenerates to the constant.
-// Caller holds the shard's claim, which serializes the plain last-seen
-// fields.
+// drainGap), so repairs wait for the contention to pass and coalesce
+// harder, while a clean session halves it back toward drainGap. Caller
+// holds the shard's claim, which serializes the plain last-seen fields.
 func (p *maintPool) adaptPacing(sh *shard) int64 {
-	base := int64(p.f.drainPacing)
-	if p.f.pacingFixed {
-		return base
-	}
 	sf, ok := sh.m.(interface{ Stats() sftree.Stats })
 	if !ok {
-		return base
+		return int64(drainGap)
 	}
 	st := sf.Stats()
 	fails := st.FailedRot + st.FailedRemove
@@ -432,26 +425,21 @@ func (p *maintPool) adaptPacing(sh *shard) int64 {
 	dFail := fails - sh.maintFails
 	dOK := oks - sh.maintOKs
 	sh.maintFails, sh.maintOKs = fails, oks
-	cur := pacePolicy(sh.pacing.Load(), base, dFail, dOK)
+	cur := pacePolicy(sh.pacing.Load(), dFail, dOK)
 	sh.pacing.Store(cur)
 	return cur
 }
 
 // pacePolicy is the pure adaptation step: the next drain gap given the
-// current one, the configured base, and the failed/successful structural
-// transaction counts of the session just ended.
-func pacePolicy(cur, base int64, dFail, dOK uint64) int64 {
+// current one and the failed/successful structural transaction counts of
+// the session just ended.
+func pacePolicy(cur int64, dFail, dOK uint64) int64 {
+	const base = int64(drainGap)
 	switch {
 	case dFail > dOK:
 		// More failed than successful structural transactions since the
-		// last drain: the shard is abort-hot, back off. A zero base still
-		// backs off (from a 1ms floor), so disabled pacing only stays
-		// disabled when pinned.
-		floor := base
-		if floor <= 0 {
-			floor = int64(time.Millisecond)
-		}
-		return min(max(2*cur, floor), pacingBackoffCap*floor)
+		// last drain: the shard is abort-hot, back off.
+		return min(2*cur, pacingBackoffCap*base)
 	case dFail == 0:
 		// Clean session: tighten back toward the base.
 		return max(cur/2, base)

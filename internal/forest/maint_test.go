@@ -179,21 +179,16 @@ func TestMaintPoolTargetsHints(t *testing.T) {
 	}
 }
 
-// TestMaintPacingOption: WithMaintPacing overrides the per-shard
-// hint-drain pacing gap (default 2ms), including down to zero, and a
-// paced-out forest still drains its hints.
-func TestMaintPacingOption(t *testing.T) {
-	if f := New(trees.SFOpt, WithShards(2), WithoutMaintenance()); f.drainPacing != drainGap {
-		t.Fatalf("default pacing %v, want %v", f.drainPacing, drainGap)
-	}
-	if f := New(trees.SFOpt, WithShards(2), WithoutMaintenance(), WithMaintPacing(0)); f.drainPacing != 0 {
-		t.Fatalf("pacing %v after WithMaintPacing(0), want 0", f.drainPacing)
-	}
-	if f := New(trees.SFOpt, WithShards(2), WithoutMaintenance(), WithMaintPacing(-1)); f.drainPacing != drainGap {
-		t.Fatalf("negative pacing accepted: %v", f.drainPacing)
-	}
-	f := New(trees.SFOpt, WithShards(2), WithMaintWorkers(1), WithMaintPacing(10*time.Millisecond))
+// TestDrainPacingDefault: every maintained shard starts at the drainGap
+// hint-drain pacing, and a single worker paced by it still drains hints.
+func TestDrainPacingDefault(t *testing.T) {
+	f := New(trees.SFOpt, WithShards(2), WithMaintWorkers(1))
 	defer f.Close()
+	for i, sh := range f.shards {
+		if got := sh.pacing.Load(); got != int64(drainGap) {
+			t.Fatalf("shard %d starts at pacing %d, want %d", i, got, drainGap)
+		}
+	}
 	h := f.NewHandle()
 	for k := uint64(0); k < 512; k++ {
 		h.Insert(k, k)
@@ -204,58 +199,43 @@ func TestMaintPacingOption(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for f.MaintenanceStats().Removals == 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("no removals under a 10ms drain pacing: %+v", f.MaintenanceStats())
+			t.Fatalf("no removals under the default drain pacing: %+v", f.MaintenanceStats())
 		}
 		time.Sleep(time.Millisecond)
 	}
 }
 
 // TestAdaptivePacing covers the abort-rate-driven drain pacing: the pure
-// policy's backoff/tighten/hold behavior, the WithMaintPacing pin, and the
-// PacingNanos report.
+// policy's backoff/tighten/hold behavior and the PacingNanos report.
 func TestAdaptivePacing(t *testing.T) {
 	base := int64(drainGap)
 	// Failure-dominated sessions double up to the cap.
-	if got := pacePolicy(base, base, 10, 2); got != 2*base {
+	if got := pacePolicy(base, 10, 2); got != 2*base {
 		t.Fatalf("backoff: got %d, want %d", got, 2*base)
 	}
 	cur := base
 	for i := 0; i < 20; i++ {
-		cur = pacePolicy(cur, base, 100, 0)
+		cur = pacePolicy(cur, 100, 0)
 	}
 	if cur != pacingBackoffCap*base {
 		t.Fatalf("cap: got %d, want %d", cur, pacingBackoffCap*base)
 	}
 	// Clean sessions halve back down to the base, never below.
-	if got := pacePolicy(cur, base, 0, 5); got != cur/2 {
+	if got := pacePolicy(cur, 0, 5); got != cur/2 {
 		t.Fatalf("tighten: got %d, want %d", got, cur/2)
 	}
-	if got := pacePolicy(base, base, 0, 0); got != base {
+	if got := pacePolicy(base, 0, 0); got != base {
 		t.Fatalf("floor: got %d, want base %d", got, base)
 	}
 	// Mixed sessions hold.
-	if got := pacePolicy(4*base, base, 3, 7); got != 4*base {
+	if got := pacePolicy(4*base, 3, 7); got != 4*base {
 		t.Fatalf("hold: got %d, want %d", got, 4*base)
 	}
-	// A zero adaptive base still backs off from the 1ms floor.
-	if got := pacePolicy(0, 0, 9, 1); got != int64(time.Millisecond) {
-		t.Fatalf("zero-base backoff: got %d, want 1ms", got)
-	}
 
-	// WithMaintPacing pins the gap: adaptPacing returns the base verbatim.
-	f := New(trees.SFOpt, WithShards(2), WithoutMaintenance(), WithMaintPacing(10*time.Millisecond))
+	// A forest starts at — and reports — the base gap.
+	f := New(trees.SFOpt, WithShards(2), WithoutMaintenance())
 	defer f.Close()
-	p := &maintPool{f: f}
-	if got := p.adaptPacing(f.shards[0]); got != int64(10*time.Millisecond) {
-		t.Fatalf("pinned adaptPacing = %d, want 10ms", got)
-	}
-	if ps := f.PoolStats(); ps.PacingNanos != uint64(10*time.Millisecond) {
-		t.Fatalf("PacingNanos = %d, want the pinned 10ms", ps.PacingNanos)
-	}
-	// The default (adaptive) forest starts at — and reports — the base gap.
-	f2 := New(trees.SFOpt, WithShards(2), WithoutMaintenance())
-	defer f2.Close()
-	if ps := f2.PoolStats(); ps.PacingNanos != uint64(drainGap) {
+	if ps := f.PoolStats(); ps.PacingNanos != uint64(drainGap) {
 		t.Fatalf("initial PacingNanos = %d, want %d", ps.PacingNanos, drainGap)
 	}
 }

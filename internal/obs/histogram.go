@@ -87,16 +87,6 @@ func (s HistSnapshot) Quantile(q float64) uint64 {
 	return BucketUpper(histBuckets - 1)
 }
 
-// Add returns the bucket-wise sum s + other (merging per-worker histograms
-// into one distribution).
-func (s HistSnapshot) Add(other HistSnapshot) HistSnapshot {
-	m := HistSnapshot{Count: s.Count + other.Count, Sum: s.Sum + other.Sum}
-	for i := range s.Buckets {
-		m.Buckets[i] = s.Buckets[i] + other.Buckets[i]
-	}
-	return m
-}
-
 // Sub returns the histogram delta s - prev (bucket-wise saturating).
 func (s HistSnapshot) Sub(prev HistSnapshot) HistSnapshot {
 	d := HistSnapshot{Count: satSub(s.Count, prev.Count), Sum: satSub(s.Sum, prev.Sum)}

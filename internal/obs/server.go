@@ -84,7 +84,7 @@ func Handler(r *Registry) http.Handler {
 	mux.HandleFunc("/trace", func(w http.ResponseWriter, _ *http.Request) {
 		t := r.Tracer()
 		if t == nil {
-			http.Error(w, "no tracer attached (repro.WithTracing / microbench -trace)", http.StatusNotFound)
+			http.Error(w, "no tracer attached (repro.WithTracing)", http.StatusNotFound)
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
@@ -162,8 +162,7 @@ func RegisterRuntime(r *Registry) {
 }
 
 // histQuantileNanos returns the q-th quantile of a runtime/metrics
-// seconds histogram, in nanoseconds. Exported logic shared with the bench
-// harness via HistogramQuantileNanos.
+// seconds histogram, in nanoseconds.
 func histQuantileNanos(h *metrics.Float64Histogram, q float64) uint64 {
 	if h == nil {
 		return 0
@@ -196,10 +195,4 @@ func histQuantileNanos(h *metrics.Float64Histogram, q float64) uint64 {
 		}
 	}
 	return 0
-}
-
-// HistogramQuantileNanos exposes the runtime/metrics histogram quantile
-// helper for harnesses that sample /gc/pauses:seconds themselves.
-func HistogramQuantileNanos(h *metrics.Float64Histogram, q float64) uint64 {
-	return histQuantileNanos(h, q)
 }

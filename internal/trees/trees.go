@@ -1,8 +1,9 @@
 // Package trees defines the common transactional-map interface the four
 // benchmarked tree libraries implement, and a registry to construct them by
-// the names used in the paper's figures. The benchmark harness, the
-// vacation application and the public facade all program against this
-// interface, so every experiment can swap tree libraries with a flag.
+// the names used in the paper's figures. The paper-figure runner
+// (internal/experiments), the vacation application, the sharded forest and
+// the public facade all program against this interface, so every
+// experiment can swap tree libraries with a flag.
 package trees
 
 import (

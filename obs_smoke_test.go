@@ -2,13 +2,13 @@ package repro
 
 import (
 	"io"
+	"math/rand"
 	"net/http"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
-
-	"repro/internal/bench"
-	"repro/internal/trees"
 )
 
 // scrape fetches one path from the observability endpoint.
@@ -29,9 +29,78 @@ func scrape(t *testing.T, addr, path string) string {
 	return string(body)
 }
 
-// TestObsEndpointSmoke runs a short durable sharded benchmark with the
-// observability endpoint live and scrapes /metrics in the middle of the
-// hammer phase: every layer's families — STM taxonomy per shard, tree
+// smokeMix is the op mix of a smoke run over keys [0, keys), in percent of
+// operations: cross-shard Atomic swaps, Range scans of a quarter of the key
+// space, Moves, and Insert/Delete; the rest are Contains.
+type smokeMix struct {
+	keys                         uint64
+	transfer, scan, move, update int
+}
+
+// hammer drives workers closed-loop goroutines of mix against tr, one Handle
+// each, for as long as probe runs, and returns the operations they
+// completed. The workers are stopped and waited for even when probe fails
+// the test, so the tree is quiet by the time the caller closes it.
+func hammer(tr *Tree, workers int, mix smokeMix, probe func()) (ops uint64) {
+	stop := make(chan struct{})
+	var done atomic.Uint64
+	var wg sync.WaitGroup
+	defer func() {
+		close(stop)
+		wg.Wait()
+		ops = done.Load()
+	}()
+	for i := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			h := tr.NewHandle()
+			rng := rand.New(rand.NewSource(int64(i) + 1))
+			key := func() uint64 { return uint64(rng.Int63n(int64(mix.keys))) }
+			for n := uint64(0); ; n++ {
+				select {
+				case <-stop:
+					done.Add(n)
+					return
+				default:
+				}
+				switch p := rng.Intn(100); {
+				case p < mix.transfer:
+					a, b := key(), key()
+					for tr.SameShard(a, b) {
+						b = key()
+					}
+					h.Atomic(func(tx *Txn) error {
+						va, _ := tx.Get(a)
+						vb, _ := tx.Get(b)
+						tx.Put(a, vb)
+						tx.Put(b, va)
+						return nil
+					})
+				case p < mix.transfer+mix.scan:
+					lo := key()
+					h.Range(lo, lo+mix.keys/4, func(_, _ uint64) bool { return true })
+				case p < mix.transfer+mix.scan+mix.move:
+					h.Move(key(), key())
+				case p < mix.transfer+mix.scan+mix.move+mix.update:
+					if k := key(); rng.Intn(2) == 0 {
+						h.Insert(k, k)
+					} else {
+						h.Delete(k)
+					}
+				default:
+					h.Contains(key())
+				}
+			}
+		}()
+	}
+	probe()
+	return
+}
+
+// TestObsEndpointSmoke runs a short durable sharded workload through the
+// facade with the observability endpoint live and scrapes /metrics in the
+// middle of it: every layer's families — STM taxonomy per shard, tree
 // maintenance, maintenance pool, cross-shard coordinator, WAL/checkpoint,
 // Go runtime — must be present in one exposition, served while the
 // workload is running. This is the `make obs-smoke` CI gate.
@@ -39,49 +108,21 @@ func TestObsEndpointSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live endpoint scrape; skipped in -short")
 	}
-	addrCh := make(chan string, 1)
-	bodyCh := make(chan string, 1)
-	go func() {
-		// Scrape as soon as the endpoint is up — the hammer phase is still
-		// running then, which is the point of the test.
-		addr := <-addrCh
-		resp, err := http.Get("http://" + addr + "/metrics")
-		if err != nil {
-			bodyCh <- "ERR " + err.Error()
-			return
-		}
-		defer resp.Body.Close()
-		body, _ := io.ReadAll(resp.Body)
-		bodyCh <- string(body)
-	}()
-
-	res := bench.Run(bench.Options{
-		Kind:     trees.SFOpt,
-		Threads:  2,
-		Duration: 400 * time.Millisecond,
-		Workload: bench.Workload{
-			KeyRange:      1 << 10,
-			UpdatePercent: 20,
-			XactFrac:      0.05,
-			XactKeys:      2,
-		},
-		Seed:    7,
-		Shards:  2,
-		CM:      "backoff",
-		Durable: true,
-		ObsAddr: "127.0.0.1:0",
-		ObsReady: func(addr string) {
-			addrCh <- addr
-		},
+	tr, err := Open(t.TempDir(), SpeculationFriendlyOptimized, WithShards(2),
+		WithContention(ContentionBackoff), WithObservability("127.0.0.1:0"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	var body string
+	ops := hammer(tr, 2, smokeMix{keys: 1 << 10, transfer: 5, update: 20}, func() {
+		time.Sleep(100 * time.Millisecond)
+		body = scrape(t, tr.ObsAddr(), "/metrics")
 	})
-	if res.Ops == 0 {
-		t.Fatal("benchmark did no operations")
+	if ops == 0 {
+		t.Fatal("workload did no operations")
 	}
 
-	body := <-bodyCh
-	if strings.HasPrefix(body, "ERR ") {
-		t.Fatalf("mid-run scrape failed: %s", body)
-	}
 	families := []string{
 		// STM layer, per shard, with the abort-cause taxonomy.
 		`stm_commits_total{shard="0"}`,

@@ -3,8 +3,8 @@
 // search tree designed for optimistic (transactional) synchronization, built
 // on a word-based software transactional memory, together with the
 // transactional red-black, AVL and no-restructuring trees the paper
-// evaluates against, the synchrobench-style micro-benchmark harness, and a
-// port of the STAMP vacation application.
+// evaluates against, and a port of the STAMP vacation application;
+// cmd/experiments regenerates the paper's tables and figures from them.
 //
 // The speculation-friendly tree decouples each update into an abstract
 // transaction (insert, logical delete, contains — tiny read/write sets) and

@@ -3,12 +3,10 @@ package repro
 import (
 	"encoding/json"
 	"net/http"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
-
-	"repro/internal/bench"
-	"repro/internal/trees"
 )
 
 // traceDoc mirrors the /trace JSON shape.
@@ -31,8 +29,8 @@ type traceDoc struct {
 }
 
 // TestTraceEndpointSmoke is the `make trace-smoke` CI gate: a short durable
-// batched cross-shard benchmark with full sampling, /trace scraped in the
-// middle of the hammer phase. The scrape must prove spans from every
+// batched cross-shard workload through the facade with full sampling, /trace
+// polled while it runs. The scrapes must prove spans from every
 // instrumented layer stitched together: an STM retry (an attempt span that
 // aborted or a follow-up attempt), a combiner batch wait, an ftx prepare
 // phase, and a WAL append that stretched to its group-commit fsync.
@@ -40,104 +38,81 @@ func TestTraceEndpointSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live endpoint scrape; skipped in -short")
 	}
-	addrCh := make(chan string, 1)
-	docCh := make(chan traceDoc, 1)
-	errCh := make(chan string, 1)
-	go func() {
-		addr := <-addrCh
-		// Poll /trace while the hammer runs, accumulating span kinds until
-		// every layer has shown up or the run ends. Each poll sees the
-		// current ring window; the union over polls is what we assert on.
-		var acc traceDoc
-		deadline := time.Now().Add(5 * time.Second)
-		for time.Now().Before(deadline) {
-			resp, err := http.Get("http://" + addr + "/trace")
+	// Transactions overlap only where clients run in parallel: on one P
+	// nothing yields inside a transaction, so nothing would abort. Two Ps
+	// are preempted against each other by the OS even on a one-CPU host.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	tr, err := Open(t.TempDir(), SpeculationFriendlyOptimized, WithShards(2),
+		WithContention(ContentionSuicide),     // no backoff: aborts stay frequent
+		WithBatching(16, 20*time.Microsecond), // linger: every single-key op rides the combiner
+		WithTracing(1), WithObservability("127.0.0.1:0"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	// 64 keys so that moves, scans and transfers — direct transactions —
+	// really conflict with each other and with the combiner's batches.
+	mix := smokeMix{keys: 1 << 6, transfer: 10, scan: 5, move: 50, update: 10}
+	// Poll /trace while the workload runs, accumulating span kinds until
+	// every layer has shown up or the deadline passes. Each poll sees the
+	// current ring window; the union over polls is what we assert on.
+	var doc traceDoc
+	ops := hammer(tr, 4, mix, func() {
+		for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); {
+			time.Sleep(25 * time.Millisecond)
+			resp, err := http.Get("http://" + tr.ObsAddr() + "/trace")
 			if err != nil {
-				break // endpoint shut down: the run is over
+				t.Fatalf("GET /trace: %v", err)
 			}
-			var doc traceDoc
-			derr := json.NewDecoder(resp.Body).Decode(&doc)
+			var d traceDoc
+			derr := json.NewDecoder(resp.Body).Decode(&d)
 			resp.Body.Close()
 			if derr != nil {
-				errCh <- "bad /trace JSON: " + derr.Error()
+				t.Fatalf("bad /trace JSON: %v", derr)
+			}
+			doc.SampleEvery = d.SampleEvery
+			doc.Sampled = d.Sampled
+			doc.Spans = append(doc.Spans, d.Spans...)
+			doc.SlowOps = append(doc.SlowOps, d.SlowOps...)
+			if hasAllTraceLayers(doc) {
 				return
 			}
-			acc.SampleEvery = doc.SampleEvery
-			acc.Sampled = doc.Sampled
-			acc.Spans = append(acc.Spans, doc.Spans...)
-			acc.SlowOps = append(acc.SlowOps, doc.SlowOps...)
-			if hasAllTraceLayers(acc) {
-				break
-			}
-			time.Sleep(25 * time.Millisecond)
 		}
-		docCh <- acc
-	}()
-
-	res := bench.Run(bench.Options{
-		Kind:     trees.SFOpt,
-		Threads:  4,
-		Duration: 800 * time.Millisecond,
-		Workload: bench.Workload{
-			KeyRange:      1 << 6, // tiny range: real conflicts for the retry spans
-			UpdatePercent: 50,
-			MovePercent:   60,   // moves run direct transactions that conflict with batches
-			RangeFrac:     0.05, // so do range-scan snapshots
-			RangeLen:      64,
-			XactFrac:      0.10,
-			XactKeys:      2,
-			XactCrossFrac: 1, // cross-shard transfers: 2PC prepare + intent conflicts
-		},
-		Seed:       11,
-		Shards:     2,
-		CM:         "suicide", // no backoff: aborts stay frequent
-		Batch:      16,
-		BatchWait:  20 * time.Microsecond, // linger: every op rides the combiner
-		Durable:    true,
-		TraceEvery: 1,
-		YieldEvery: 4, // force interleavings so retries reliably appear in the ring
-		ObsAddr:    "127.0.0.1:0",
-		ObsReady:   func(addr string) { addrCh <- addr },
 	})
-	if res.Ops == 0 {
-		t.Fatal("benchmark did no operations")
+	if ops == 0 {
+		t.Fatal("workload did no operations")
 	}
 
-	select {
-	case msg := <-errCh:
-		t.Fatal(msg)
-	case doc := <-docCh:
-		if doc.SampleEvery != 1 {
-			t.Errorf("sample_every = %d, want 1", doc.SampleEvery)
+	if doc.SampleEvery != 1 {
+		t.Errorf("sample_every = %d, want 1", doc.SampleEvery)
+	}
+	if doc.Sampled == 0 {
+		t.Error("no sampled ops reported")
+	}
+	kinds := map[string]int{}
+	retries, walFsync := 0, 0
+	for _, sp := range doc.Spans {
+		kinds[sp.Kind]++
+		if sp.Kind == "stm.attempt" && (sp.A >= 0 || sp.B > 0) {
+			retries++ // an aborted attempt, or any attempt after the first
 		}
-		if doc.Sampled == 0 {
-			t.Error("no sampled ops reported")
+		if sp.Kind == "wal.append" && sp.DurNs > 0 {
+			walFsync++
 		}
-		kinds := map[string]int{}
-		retries, walFsync := 0, 0
-		for _, sp := range doc.Spans {
-			kinds[sp.Kind]++
-			if sp.Kind == "stm.attempt" && (sp.A >= 0 || sp.B > 0) {
-				retries++ // an aborted attempt, or any attempt after the first
-			}
-			if sp.Kind == "wal.append" && sp.DurNs > 0 {
-				walFsync++
-			}
+	}
+	for _, k := range []string{"op", "stm.attempt", "combiner.wait", "ftx.prepare", "wal.append"} {
+		if kinds[k] == 0 {
+			t.Errorf("mid-run /trace missing %q spans (have %v)", k, kinds)
 		}
-		for _, k := range []string{"op", "stm.attempt", "combiner.wait", "ftx.prepare", "wal.append"} {
-			if kinds[k] == 0 {
-				t.Errorf("mid-run /trace missing %q spans (have %v)", k, kinds)
-			}
-		}
-		if retries == 0 {
-			t.Error("no STM retry visible in attempt spans despite a contended workload")
-		}
-		if walFsync == 0 {
-			t.Error("no WAL append span stretching to a group-commit fsync")
-		}
-		if len(doc.SlowOps) == 0 {
-			t.Error("slow-op table empty despite full sampling")
-		}
+	}
+	if retries == 0 {
+		t.Error("no STM retry visible in attempt spans despite a contended workload")
+	}
+	if walFsync == 0 {
+		t.Error("no WAL append span stretching to a group-commit fsync")
+	}
+	if len(doc.SlowOps) == 0 {
+		t.Error("slow-op table empty despite full sampling")
 	}
 }
 

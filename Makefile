@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race allocs vet fuzz ci obs-smoke trace-smoke experiments-smoke profile bench-ab bench-ab-all
+.PHONY: all build test race allocs inline vet fuzz ci obs-smoke trace-smoke experiments-smoke profile bench-ab bench-ab-all
 
 all: build
 
@@ -32,6 +32,13 @@ race:
 # a cached pass proves nothing about the toolchain in use.
 allocs:
 	$(GO) test -count=1 -run 'Alloc|PooledContext|RetainCapacity|Reentrant' ./...
+
+# Inlining gate: arena.Get resolves a Ref once per traversal hop in every
+# tree and must stay inlineable (see its doc comment); the build fails here
+# when an edit pushes it past the inliner's budget.
+inline:
+	@$(GO) build -gcflags=-m ./internal/arena 2>&1 | grep -q 'can inline (\*Arena).Get$$' || \
+		{ echo 'inline: (*arena.Arena).Get is no longer inlineable'; exit 1; }
 
 # Live-endpoint smoke: drive a short durable sharded workload through the
 # facade with the observability server attached and scrape /metrics
@@ -134,4 +141,4 @@ bench-ab-all:
 		$(GO) run ./benchmark -compare "$(AB_OUT)/base-$$w.jsonl" "$(AB_OUT)/new-$$w.jsonl" || status=1; \
 	done; exit $$status
 
-ci: build vet test race allocs fuzz obs-smoke trace-smoke experiments-smoke
+ci: build vet inline test race allocs fuzz obs-smoke trace-smoke experiments-smoke

@@ -31,7 +31,7 @@ const (
 	chunkMask = chunkSize - 1
 
 	// maxChunks bounds the chunk directory (see Arena.chunkPtr): 8192
-	// chunks × 8192 nodes ≈ 67M nodes ≈ 12 GiB of 192-byte nodes, far
+	// chunks × 8192 nodes ≈ 67M nodes ≈ 8 GiB of 128-byte nodes, far
 	// beyond any workload in this repository. The fixed directory is what
 	// lets Get resolve a Ref with a single dependent load.
 	maxChunks = 8192
@@ -39,38 +39,42 @@ const (
 
 // Node is the universal tree node. The speculation-friendly tree, the
 // no-restructuring tree, the red-black tree and the AVL tree all use a
-// subset of its fields; sharing one layout keeps the arena monomorphic.
+// subset of its words; sharing one layout keeps the arena monomorphic.
 //
-// Transactional fields (accessed through stm.Tx):
+// Transactional words (accessed through stm.Tx) by tree kind:
 //
-//	Key  — node key; immutable in the SF/NR trees (read with Plain/URead),
-//	       mutable in the RB/AVL trees (successor replacement writes it)
-//	Val  — associated value
-//	L, R — left/right child Refs
-//	P    — parent Ref (used by the red-black tree only)
-//	Del  — logical deletion flag (paper §3.2): 1 when the key is absent
-//	       from the abstraction even though the node is linked
-//	Rem  — physical removal flag (paper §3.3): RemFalse, RemTrue or
-//	       RemTrueByLeftRot
-//	Aux  — per-tree extra word: red-black color, or AVL subtree height
+//	slot  SF/NR trees              RB tree            AVL tree
+//	Key   key (immutable)          key (mutable)      key (mutable)
+//	L, R  child Refs               child Refs         child Refs
+//	Rem   removal flag (§3.3)      Parent()           unused
+//	Del   deletion flag (§3.2)     Balance(): color   Balance(): height
+//	Val   value                    value              value
 //
-// Maintenance-local fields (plain atomics, never part of a read/write set,
-// exactly like the paper's node-local height estimates, §3.1):
+// SF/NR keys never change after publication (read with Plain/URead); the
+// RB/AVL deletions copy the successor's key in place. Rem holds RemFalse,
+// RemTrue or RemTrueByLeftRot; Del is 1 when the key is absent from the
+// abstraction even though the node is linked. The RB and AVL trees never
+// mark nodes removed or deleted, and the SF/NR trees keep no parent link
+// and no transactional balance word, so the kinds share those two slots.
+// A fresh node reads Rem = Del = 0: RemFalse and not deleted, or parent =
+// Nil and color/height 0.
+//
+// Maintenance-local words (plain atomics, never part of a read/write set,
+// exactly like the paper's node-local height estimates, §3.1; SF/NR only):
 //
 //	LeftH, RightH — estimated heights of the child subtrees
 //	LocalH        — expected local height (1 + max of the two)
 //
-// Layout: the struct is exactly three 64-byte cache lines, grouped by
-// access pattern. Line one holds what a search traversal touches at every
-// hop (Key to branch, L/R to descend, Rem to reject removed nodes); line
-// two holds what only the found node or an update touches (Del/Val at the
-// candidate, P and Aux for the rotating/recoloring trees); line three is
-// maintenance-local state plus the free-list link. Chunks are 64-byte
-// aligned (they are large heap objects) and 192 is a multiple of 64, so
-// every node's lines coincide with hardware lines — a k-node traversal
-// costs k data lines instead of up to 2k with the unpadded 152-byte
-// layout. The trailing padding buys back its 26% size cost by halving the
-// lines a traversal misses on.
+// Layout: the struct is exactly two 64-byte cache lines, grouped by access
+// pattern. Line one holds what a search traversal touches at every hop
+// (Key to branch, L/R to descend, Rem to reject removed nodes — the RB
+// tree's parent link is read on its rebalancing paths only); line two holds
+// what only the found node, an update or the maintenance sweep touches
+// (Del/Val at the candidate, the heights, the hint word and the free-list
+// link). Chunks are 64-byte aligned (they are large heap objects) and 128
+// is a multiple of 64, so every node's lines coincide with hardware lines
+// and a k-node traversal costs k data lines. TestNodeLayout enforces all of
+// this.
 type Node struct {
 	Key stm.Word
 	L   stm.Word
@@ -79,8 +83,6 @@ type Node struct {
 
 	Del stm.Word
 	Val stm.Word
-	P   stm.Word
-	Aux stm.Word
 
 	LeftH  atomic.Int32
 	RightH atomic.Int32
@@ -97,8 +99,15 @@ type Node struct {
 
 	nextFree Ref // free-list link, guarded by the arena mutex
 
-	_ [40]byte // pad to 3 full cache lines; see the layout comment
+	_ [8]byte // pad to 2 full cache lines; see the layout comment
 }
+
+// Parent is the red-black tree's parent link, kept in the Rem slot.
+func (n *Node) Parent() *stm.Word { return &n.Rem }
+
+// Balance is the red-black tree's color or the AVL tree's subtree height,
+// kept in the Del slot.
+func (n *Node) Balance() *stm.Word { return &n.Del }
 
 // Rem flag values (paper §3.3: false, true, true-by-left-rotate).
 const (
@@ -196,25 +205,12 @@ func (a *Arena) Alloc(key, val uint64) Ref {
 	}
 	a.mu.Unlock()
 	a.allocs.Add(1)
-
-	n := a.Get(r)
-	n.Key.SetPlain(key)
-	n.Val.SetPlain(val)
-	n.L.SetPlain(Nil)
-	n.R.SetPlain(Nil)
-	n.P.SetPlain(Nil)
-	n.Del.SetPlain(0)
-	n.Rem.SetPlain(RemFalse)
-	n.Aux.SetPlain(0)
-	n.LeftH.Store(0)
-	n.RightH.Store(0)
-	n.LocalH.Store(1)
-	n.Hint.Store(0)
+	a.Reinit(r, key, val)
 	return r
 }
 
 // Reinit resets a node the caller privately owns (allocated but never
-// published) to the same state Alloc would produce for (key, val). It lets
+// published) to the same state Alloc produces for (key, val). It lets
 // operations preallocate one scratch node and retarget it across retries of
 // an enclosing transaction.
 func (a *Arena) Reinit(r Ref, key, val uint64) {
@@ -223,10 +219,8 @@ func (a *Arena) Reinit(r Ref, key, val uint64) {
 	n.Val.SetPlain(val)
 	n.L.SetPlain(Nil)
 	n.R.SetPlain(Nil)
-	n.P.SetPlain(Nil)
 	n.Del.SetPlain(0)
 	n.Rem.SetPlain(RemFalse)
-	n.Aux.SetPlain(0)
 	n.LeftH.Store(0)
 	n.RightH.Store(0)
 	n.LocalH.Store(1)

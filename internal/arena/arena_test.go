@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/stm"
 )
@@ -18,14 +19,54 @@ func TestAllocInitialState(t *testing.T) {
 	if n.Key.Plain() != 42 || n.Val.Plain() != 7 {
 		t.Fatalf("key/val = %d/%d, want 42/7", n.Key.Plain(), n.Val.Plain())
 	}
-	if n.L.Plain() != Nil || n.R.Plain() != Nil || n.P.Plain() != Nil {
+	if n.L.Plain() != Nil || n.R.Plain() != Nil || n.Parent().Plain() != Nil {
 		t.Fatal("children/parent not Nil")
 	}
-	if n.Del.Plain() != 0 || n.Rem.Plain() != RemFalse {
-		t.Fatal("flags not clear")
+	if n.Del.Plain() != 0 || n.Rem.Plain() != RemFalse || n.Balance().Plain() != 0 {
+		t.Fatal("flags/color/height not clear")
 	}
 	if n.LeftH.Load() != 0 || n.RightH.Load() != 0 || n.LocalH.Load() != 1 {
 		t.Fatal("paper initial heights violated (left-h=right-h=0, local-h=1)")
+	}
+}
+
+// TestNodeLayout pins the two-cache-line contract of the Node doc comment:
+// 128 bytes, the traversal words on the first line, the found-node words on
+// the second, and chunks that start on a line boundary so the node lines
+// coincide with hardware lines.
+func TestNodeLayout(t *testing.T) {
+	var n Node
+	if s := unsafe.Sizeof(n); s != 128 {
+		t.Fatalf("Sizeof(Node) = %d, want 128 (two cache lines)", s)
+	}
+	for _, f := range []struct {
+		name   string
+		off    uintptr
+		lo, hi uintptr
+	}{
+		{"Key", unsafe.Offsetof(n.Key), 0, 64},
+		{"L", unsafe.Offsetof(n.L), 0, 64},
+		{"R", unsafe.Offsetof(n.R), 0, 64},
+		{"Rem", unsafe.Offsetof(n.Rem), 0, 64},
+		{"Del", unsafe.Offsetof(n.Del), 64, 128},
+		{"Val", unsafe.Offsetof(n.Val), 64, 128},
+	} {
+		if f.off < f.lo || f.off+unsafe.Sizeof(stm.Word{}) > f.hi {
+			t.Errorf("%s at bytes [%d,%d), want inside [%d,%d)",
+				f.name, f.off, f.off+unsafe.Sizeof(stm.Word{}), f.lo, f.hi)
+		}
+	}
+	if n.Parent() != &n.Rem || n.Balance() != &n.Del {
+		t.Error("Parent/Balance must alias the Rem/Del slots")
+	}
+	a := New()
+	for i := 0; i < chunkSize; i++ { // slot 0 is burned: this reaches chunk 1
+		a.Alloc(uint64(i), 0)
+	}
+	for ci := range 2 {
+		if p := uintptr(unsafe.Pointer(&a.chunkPtr[ci].Load()[0])); p%64 != 0 {
+			t.Errorf("chunk %d starts at %#x, not 64-byte aligned", ci, p)
+		}
 	}
 }
 
@@ -323,23 +364,29 @@ func TestReinitResetsEverything(t *testing.T) {
 	n := a.Get(r)
 	n.L.SetPlain(7)
 	n.R.SetPlain(8)
-	n.P.SetPlain(9)
 	n.Del.SetPlain(1)
 	n.Rem.SetPlain(RemTrue)
-	n.Aux.SetPlain(3)
 	n.LeftH.Store(4)
 	a.Reinit(r, 2, 20)
 	if n.Key.Plain() != 2 || n.Val.Plain() != 20 {
 		t.Fatal("payload not reset")
 	}
-	if n.L.Plain() != Nil || n.R.Plain() != Nil || n.P.Plain() != Nil {
+	if n.L.Plain() != Nil || n.R.Plain() != Nil {
 		t.Fatal("links not reset")
 	}
-	if n.Del.Plain() != 0 || n.Rem.Plain() != RemFalse || n.Aux.Plain() != 0 {
+	if n.Del.Plain() != 0 || n.Rem.Plain() != RemFalse {
 		t.Fatal("flags not reset")
 	}
 	if n.LeftH.Load() != 0 || n.LocalH.Load() != 1 {
 		t.Fatal("heights not reset")
+	}
+	// The RB/AVL view of the same slots: the reset leaves no stale parent
+	// or color/height behind.
+	n.Parent().SetPlain(9)
+	n.Balance().SetPlain(3)
+	a.Reinit(r, 2, 20)
+	if n.Parent().Plain() != Nil || n.Balance().Plain() != 0 {
+		t.Fatal("parent/balance not reset")
 	}
 }
 

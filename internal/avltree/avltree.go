@@ -49,12 +49,12 @@ func (t *Tree) Retired() uint64 { return t.retired.Load() }
 
 func (t *Tree) node(r arena.Ref) *arena.Node { return t.ar.Get(r) }
 
-// height reads a subtree height (0 for ⊥). Heights are stored in Aux.
+// height reads a subtree height (0 for ⊥). Heights are stored in Balance().
 func (t *Tree) height(tx *stm.Tx, ref arena.Ref) uint64 {
 	if ref == arena.Nil {
 		return 0
 	}
-	return tx.Read(&t.node(ref).Aux)
+	return tx.Read(t.node(ref).Balance())
 }
 
 // fixHeight recomputes ref's height from its children, writing only on
@@ -67,8 +67,8 @@ func (t *Tree) fixHeight(tx *stm.Tx, ref arena.Ref) {
 	if rh > lh {
 		h = 1 + rh
 	}
-	if tx.Read(&n.Aux) != h {
-		tx.Write(&n.Aux, h)
+	if tx.Read(n.Balance()) != h {
+		tx.Write(n.Balance(), h)
 	}
 }
 
@@ -226,7 +226,7 @@ func (t *Tree) SetTx(tx *stm.Tx, k, v uint64) {
 func (t *Tree) insertRec(tx *stm.Tx, ref arena.Ref, k, v uint64, sc *arena.Scratch) (arena.Ref, bool) {
 	if ref == arena.Nil {
 		r := sc.Take(t.ar, k, v)
-		t.node(r).Aux.SetPlain(1) // height of a fresh leaf
+		t.node(r).Balance().SetPlain(1) // height of a fresh leaf
 		sc.MarkLinked()
 		return r, true
 	}
@@ -464,8 +464,8 @@ func (t *Tree) checkRec(ref arena.Ref, lo uint64, loSet bool, hi uint64, hiSet b
 	if rh > lh {
 		h = 1 + rh
 	}
-	if int(n.Aux.Plain()) != h {
-		return 0, fmt.Errorf("key %d stored height %d, actual %d", k, n.Aux.Plain(), h)
+	if int(n.Balance().Plain()) != h {
+		return 0, fmt.Errorf("key %d stored height %d, actual %d", k, n.Balance().Plain(), h)
 	}
 	diff := lh - rh
 	if diff < 0 {

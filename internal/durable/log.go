@@ -66,8 +66,11 @@
 // back through its ancestors to the last full base. Long chains are folded
 // by compaction — after Options.CompactEvery deltas (or when the dirty
 // fraction exceeds Options.DeltaMaxFrac) the next checkpoint is a fresh
-// full base and the old chain is deleted. A checkpoint with an empty dirty
-// set is skipped outright, so an idle store costs no checkpoint I/O at all.
+// full base and the old chain is deleted. Once the dirty set outgrows what
+// the next checkpoint could write as a delta it saturates: appends stop
+// inserting keys, and that checkpoint writes a full base. A checkpoint
+// with an empty dirty set is skipped outright, so an idle store costs no
+// checkpoint I/O at all.
 //
 // Correctness does not depend on append timing: a record can reach the log
 // after the delta that covers its window was cut (its committer was
@@ -83,6 +86,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -379,8 +383,16 @@ type Log struct {
 	// checkpoint capture, maintained at append time under mu — the same
 	// critical section the records take, so a checkpoint's captured set is
 	// exactly the keys of the records in the segments it covers. Nil when
-	// incremental checkpoints are disabled.
-	dirtyKeys []map[uint64]struct{}
+	// incremental checkpoints are disabled. dirtyN counts its keys across
+	// shards. Once dirtyN exceeds dirtyCap — the most dirty keys the next
+	// checkpoint may still write as a delta (deltaBudget, published by the
+	// checkpointer) — the set is saturated: the next checkpoint must be a
+	// full base, which covers every key, so appends stop inserting until
+	// the next capture.
+	dirtyKeys      []map[uint64]struct{}
+	dirtyN         int
+	dirtyCap       int
+	dirtySaturated bool
 
 	// ckptMu serializes whole checkpoints (the periodic loop and manual
 	// Checkpoint calls). It also guards the chain fields below, which only
@@ -421,6 +433,7 @@ func Open(dir string, shards int, o Options) (*Log, *Recovery, error) {
 		fsync: (*os.File).Sync}
 	if o.deltas() {
 		l.dirtyKeys = freshDirty(shards)
+		l.dirtyCap = l.deltaBudget() // no chain yet: the first checkpoint is full
 	}
 	if err := l.openSegment(l.seg); err != nil {
 		return nil, nil, err
@@ -451,9 +464,10 @@ func (l *Log) Stats() Stats {
 // appends to the poisoned segment are dropped and counted in
 // Stats.Dropped, until the next successful rotation opens a fresh segment.
 // With incremental checkpoints enabled the dropped records' keys stay in
-// the dirty set, so the next delta checkpoint re-captures their current
-// values and the loss window closes at the next checkpoint. The in-memory
-// store stays usable throughout; the caller decides whether to fail over.
+// the dirty set (or the set is saturated and the next checkpoint is a full
+// base), so the next checkpoint re-captures their current values and the
+// loss window closes there. The in-memory store stays usable throughout;
+// the caller decides whether to fail over.
 func (l *Log) Err() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -528,12 +542,7 @@ func (l *Log) LogUpdateT(shard int, seq uint64, ops []Op, traceID uint64) {
 		l.mu.Unlock()
 		return
 	}
-	if l.dirtyKeys != nil {
-		d := l.dirtyKeys[shard]
-		for i := range ops {
-			d[ops[i].Key] = struct{}{}
-		}
-	}
+	l.markDirtyLocked(shard, ops)
 	buf, start := beginFrame(l.buf)
 	l.buf = encodeUpdate(buf, shard, seq, ops)
 	mode, pre := l.endRecord(start, false, traceID, int64(shard))
@@ -574,13 +583,8 @@ func (l *Log) LogAtomicT(parts []ShardOps, traceID uint64) {
 		}
 	}
 	l.live = live
-	if l.dirtyKeys != nil {
-		for _, p := range live {
-			d := l.dirtyKeys[p.Shard]
-			for i := range p.Ops {
-				d[p.Ops[i].Key] = struct{}{}
-			}
-		}
+	for _, p := range live {
+		l.markDirtyLocked(p.Shard, p.Ops)
 	}
 	buf, start := beginFrame(l.buf)
 	l.buf = encodeAtomic(buf, live)
@@ -589,21 +593,61 @@ func (l *Log) LogAtomicT(parts []ShardOps, traceID uint64) {
 	l.afterAppend(mode, pre)
 }
 
+// markDirtyLocked adds the keys of shard's ops to the dirty set, unless
+// incremental checkpoints are off or the set is saturated. Caller holds mu.
+func (l *Log) markDirtyLocked(shard int, ops []Op) {
+	if l.dirtyKeys == nil || l.dirtySaturated {
+		return
+	}
+	d := l.dirtyKeys[shard]
+	n0 := len(d)
+	for i := range ops {
+		d[ops[i].Key] = struct{}{}
+	}
+	l.dirtyN += len(d) - n0
+	if l.dirtyN > l.dirtyCap {
+		l.dirtySaturated = true
+	}
+}
+
+// deltaBudget returns the most dirty keys the next checkpoint may capture
+// and still write as a delta, or -1 when it must be a full base whatever
+// the count: no chain yet, or a chain due for compaction. Caller holds
+// ckptMu.
+func (l *Log) deltaBudget() int {
+	n := len(l.chain)
+	if n == 0 || n-1 >= l.o.compactEvery() || l.chainFullPairs == 0 {
+		return -1
+	}
+	return int(l.o.deltaMaxFrac() * float64(l.chainFullPairs))
+}
+
 // restoreDirtyLocked merges a captured dirty set back into l.dirtyKeys
 // after a failed checkpoint attempt, so the mutated keys stay covered by
 // the next generation instead of silently falling out of the chain (their
 // records live only in segments a later successful delta would let
 // removeObsolete delete). Union, not assignment: appends since the swap
-// may have dirtied the fresh set. Caller holds mu.
-func (l *Log) restoreDirtyLocked(captured []map[uint64]struct{}) {
+// may have dirtied the fresh set. A saturated capture carries its
+// saturation back instead — its set is incomplete, so only a full base
+// covers it. The chain did not change, so its cap is republished (the next
+// append saturates the set if the union is already past it). Caller holds
+// ckptMu and mu.
+func (l *Log) restoreDirtyLocked(captured []map[uint64]struct{}, saturated bool) {
 	if captured == nil || l.dirtyKeys == nil {
+		return
+	}
+	l.dirtyCap = l.deltaBudget()
+	if saturated {
+		l.dirtySaturated = true
 		return
 	}
 	for si, m := range captured {
 		d := l.dirtyKeys[si]
+		n0 := len(d)
 		for k := range m {
 			d[k] = struct{}{}
 		}
+		l.dirtyN += len(d) - n0
 	}
 }
 
@@ -870,29 +914,25 @@ func (l *Log) checkpoint(src Source, truncate bool) error {
 		l.ioMu.Unlock()
 		return errClosed
 	}
-	dirtyCount := 0
-	if deltas {
-		for _, m := range l.dirtyKeys {
-			dirtyCount += len(m)
-		}
-		if dirtyCount == 0 && len(l.chain) > 0 && truncate {
-			// Nothing appended since the last capture: the chain tip plus
-			// the (empty) live tail already describe the store exactly.
-			l.st.SkippedCheckpoints++
-			l.mu.Unlock()
-			l.ioMu.Unlock()
-			return nil
-		}
+	dirtyCount, saturated := l.dirtyN, l.dirtySaturated
+	if deltas && dirtyCount == 0 && !saturated && len(l.chain) > 0 && truncate {
+		// Nothing appended since the last capture: the chain tip plus the
+		// (empty) live tail already describe the store exactly.
+		l.st.SkippedCheckpoints++
+		l.mu.Unlock()
+		l.ioMu.Unlock()
+		return nil
 	}
 	chainLen := len(l.chain)
-	wantDelta := deltas && chainLen > 0 &&
-		chainLen-1 < l.o.compactEvery() &&
-		l.chainFullPairs > 0 &&
-		float64(dirtyCount) <= l.o.deltaMaxFrac()*float64(l.chainFullPairs)
+	wantDelta := deltas && !saturated && dirtyCount <= l.deltaBudget()
 	var captured []map[uint64]struct{}
 	if deltas {
 		captured = l.dirtyKeys
 		l.dirtyKeys = freshDirty(l.shards)
+		l.dirtyN, l.dirtySaturated = 0, false
+		// The fresh set feeds the chain this checkpoint is about to write,
+		// whose budget is not known until it seals: no cap until then.
+		l.dirtyCap = math.MaxInt
 	}
 	out, cover, ok := l.swapLocked(true)
 	gen := l.nextGen
@@ -917,7 +957,7 @@ func (l *Log) checkpoint(src Source, truncate bool) error {
 		// No live file: appends drop until the next rotation tries again.
 		l.setErrLocked(openErr)
 		l.wedged = true
-		l.restoreDirtyLocked(captured)
+		l.restoreDirtyLocked(captured, saturated)
 		l.mu.Unlock()
 		l.ioMu.Unlock()
 		return openErr
@@ -938,7 +978,7 @@ func (l *Log) checkpoint(src Source, truncate bool) error {
 	if err != nil {
 		l.mu.Lock()
 		l.setErrLocked(err)
-		l.restoreDirtyLocked(captured)
+		l.restoreDirtyLocked(captured, saturated)
 		l.mu.Unlock()
 		return err
 	}
@@ -948,6 +988,9 @@ func (l *Log) checkpoint(src Source, truncate bool) error {
 	}
 
 	l.mu.Lock()
+	if deltas {
+		l.dirtyCap = l.deltaBudget()
+	}
 	l.st.Checkpoints++
 	if wantDelta {
 		l.st.DeltaCheckpoints++

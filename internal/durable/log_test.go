@@ -583,6 +583,128 @@ func TestLogCheckpointFailureKeepsDirtyKeys(t *testing.T) {
 	}
 }
 
+// dirtyState reads the dirty-set bookkeeping under mu.
+func dirtyState(l *Log) (keys int, saturated bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, m := range l.dirtyKeys {
+		keys += len(m)
+	}
+	return keys, l.dirtySaturated
+}
+
+// TestLogDirtySetSaturates: with a 40-pair base and DeltaMaxFrac 0.25 the
+// next checkpoint may be a delta of at most 10 keys. Up to that cap the set
+// tracks every key and the checkpoint is a delta; past it the set stops
+// growing and the next checkpoint is a full base that recovers exactly.
+func TestLogDirtySetSaturates(t *testing.T) {
+	dir := t.TempDir()
+	l, _, err := Open(dir, 1, Options{Sync: true, CheckpointEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := newMapSource(1)
+	for i := uint64(0); i < 40; i++ {
+		src.apply(l, Op{Key: i, Val: i})
+	}
+	if err := l.Checkpoint(src); err != nil { // gen 1: full base, cap 10
+		t.Fatal(err)
+	}
+
+	for i := uint64(0); i < 10; i++ {
+		src.apply(l, Op{Key: i, Val: i + 100})
+	}
+	if n, sat := dirtyState(l); n != 10 || sat {
+		t.Fatalf("at the cap: %d dirty keys, saturated %v; want 10, false", n, sat)
+	}
+	if err := l.Checkpoint(src); err != nil { // gen 2: delta
+		t.Fatal(err)
+	}
+	if st := l.Stats(); st.DeltaCheckpoints != 1 {
+		t.Fatalf("DeltaCheckpoints = %d, want 1 (10 keys is within the cap)", st.DeltaCheckpoints)
+	}
+
+	for i := uint64(0); i < 30; i++ {
+		src.apply(l, Op{Key: i, Val: i + 200})
+	}
+	if n, sat := dirtyState(l); n != 11 || !sat {
+		t.Fatalf("past the cap: %d dirty keys, saturated %v; want 11 (stopped growing), true", n, sat)
+	}
+	if err := l.Checkpoint(src); err != nil { // gen 3: forced full base
+		t.Fatal(err)
+	}
+	if st := l.Stats(); st.Checkpoints != 3 || st.DeltaCheckpoints != 1 {
+		t.Fatalf("Checkpoints = %d DeltaCheckpoints = %d, want 3 and 1", st.Checkpoints, st.DeltaCheckpoints)
+	}
+	if n, sat := dirtyState(l); n != 0 || sat {
+		t.Fatalf("after the capture: %d dirty keys, saturated %v; want 0, false", n, sat)
+	}
+	l.Close()
+
+	rec, l2 := reopen(t, dir, 1)
+	defer l2.Close()
+	if rec.ChainDeltas != 0 || rec.CheckpointGen != 3 {
+		t.Fatalf("recovered gen %d with %d deltas, want full gen 3", rec.CheckpointGen, rec.ChainDeltas)
+	}
+	if !reflect.DeepEqual(rec.State, src.state) {
+		t.Fatalf("recovered state mismatch: got %v want %v", rec.State, src.state)
+	}
+}
+
+// TestLogSaturatedCheckpointFailure: a failed checkpoint whose captured set
+// was saturated must leave the log saturated. The captured set is missing
+// keys, so a delta written next would omit them while its truncation
+// deletes the segments holding their records.
+func TestLogSaturatedCheckpointFailure(t *testing.T) {
+	dir := t.TempDir()
+	l, _, err := Open(dir, 1, Options{Sync: true, CheckpointEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := newMapSource(1)
+	for i := uint64(0); i < 40; i++ {
+		src.apply(l, Op{Key: i, Val: i})
+	}
+	if err := l.Checkpoint(src); err != nil { // gen 1: full base, cap 10
+		t.Fatal(err)
+	}
+	for i := uint64(0); i < 20; i++ {
+		src.apply(l, Op{Key: i, Val: i + 100})
+	}
+	if _, sat := dirtyState(l); !sat {
+		t.Fatal("20 dirty keys past a cap of 10 did not saturate the set")
+	}
+
+	blocked := checkpointName(l.dir, l.nextGen) + ".tmp"
+	if err := os.Mkdir(blocked, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Checkpoint(src); err == nil {
+		t.Fatal("checkpoint succeeded despite the blocked path")
+	}
+	if err := os.Remove(blocked); err != nil {
+		t.Fatal(err)
+	}
+	if _, sat := dirtyState(l); !sat {
+		t.Fatal("failed checkpoint dropped the saturation of its captured set")
+	}
+
+	src.apply(l, Op{Key: 30, Val: 300}) // one key: within the cap on its own
+	if err := l.Checkpoint(src); err != nil {
+		t.Fatal(err)
+	}
+	if st := l.Stats(); st.DeltaCheckpoints != 0 {
+		t.Fatalf("DeltaCheckpoints = %d, want 0: the retry must be a full base", st.DeltaCheckpoints)
+	}
+	l.Close() // returns the injected sticky error; on-disk state is sealed
+
+	rec, l2 := reopen(t, dir, 1)
+	defer l2.Close()
+	if !reflect.DeepEqual(rec.State, src.state) {
+		t.Fatalf("recovered state mismatch: got %v want %v", rec.State, src.state)
+	}
+}
+
 // TestLogDroppedOversize: an oversize record is dropped and counted, the
 // error surfaces in Err, and the segment stays healthy for later records.
 func TestLogDroppedOversize(t *testing.T) {

@@ -61,7 +61,7 @@ func Fig6(o Opts) error {
 					row = append(row, fmtF(seqDur.Seconds()/dur.Seconds()), fmt.Sprintf("%.3f", dur.Seconds()))
 					// §5.5 rotation comparison at the 8-thread (or max)
 					// high-contention point, as in the paper's text.
-					if preset.name == "high contention" && mult == 8 && th == maxInt(o.Threads) &&
+					if preset.name == "high contention" && mult == 8 && th == o.maxThreads() &&
 						(kind == trees.RB || kind == trees.SFOpt) {
 						fmt.Fprintf(o.Out, "  [rotations] %s at %d threads: %d\n", kind.Label(), th, rot)
 					}
@@ -125,14 +125,4 @@ func runVacationSeq(cfg vacation.Config, seed int64) time.Duration {
 	start := time.Now()
 	cl.Run(cfg.NumTransactions)
 	return time.Since(start)
-}
-
-func maxInt(xs []int) int {
-	m := xs[0]
-	for _, x := range xs {
-		if x > m {
-			m = x
-		}
-	}
-	return m
 }

@@ -21,7 +21,7 @@ import (
 	"repro/internal/stm"
 )
 
-// Colors, stored in Node.Aux.
+// Colors, stored in Node.Balance().
 const (
 	red   = uint64(0)
 	black = uint64(1)
@@ -82,7 +82,7 @@ func (t *Tree) parentOf(tx *stm.Tx, r arena.Ref) arena.Ref {
 	if r == arena.Nil {
 		return arena.Nil
 	}
-	return tx.Read(&t.node(r).P)
+	return tx.Read(t.node(r).Parent())
 }
 
 func (t *Tree) leftOf(tx *stm.Tx, r arena.Ref) arena.Ref {
@@ -104,7 +104,7 @@ func (t *Tree) colorOf(tx *stm.Tx, r arena.Ref) uint64 {
 	if r == arena.Nil {
 		return black
 	}
-	return tx.Read(&t.node(r).Aux)
+	return tx.Read(t.node(r).Balance())
 }
 
 // setColor writes the color only when it changes, keeping write sets tight.
@@ -112,7 +112,7 @@ func (t *Tree) setColor(tx *stm.Tx, r arena.Ref, c uint64) {
 	if r == arena.Nil {
 		return
 	}
-	w := &t.node(r).Aux
+	w := t.node(r).Balance()
 	if tx.Read(w) != c {
 		tx.Write(w, c)
 	}
@@ -137,10 +137,10 @@ func (t *Tree) rotateLeft(tx *stm.Tx, p arena.Ref) {
 	rl := tx.Read(&rn.L)
 	tx.Write(&pn.R, rl)
 	if rl != arena.Nil {
-		tx.Write(&t.node(rl).P, p)
+		tx.Write(t.node(rl).Parent(), p)
 	}
-	g := tx.Read(&pn.P)
-	tx.Write(&rn.P, g)
+	g := tx.Read(pn.Parent())
+	tx.Write(rn.Parent(), g)
 	if g == arena.Nil {
 		tx.Write(&t.root, r)
 	} else if tx.Read(&t.node(g).L) == p {
@@ -149,7 +149,7 @@ func (t *Tree) rotateLeft(tx *stm.Tx, p arena.Ref) {
 		tx.Write(&t.node(g).R, r)
 	}
 	tx.Write(&rn.L, p)
-	tx.Write(&pn.P, r)
+	tx.Write(pn.Parent(), r)
 }
 
 func (t *Tree) rotateRight(tx *stm.Tx, p arena.Ref) {
@@ -166,10 +166,10 @@ func (t *Tree) rotateRight(tx *stm.Tx, p arena.Ref) {
 	lr := tx.Read(&ln.R)
 	tx.Write(&pn.L, lr)
 	if lr != arena.Nil {
-		tx.Write(&t.node(lr).P, p)
+		tx.Write(t.node(lr).Parent(), p)
 	}
-	g := tx.Read(&pn.P)
-	tx.Write(&ln.P, g)
+	g := tx.Read(pn.Parent())
+	tx.Write(ln.Parent(), g)
 	if g == arena.Nil {
 		tx.Write(&t.root, l)
 	} else if tx.Read(&t.node(g).R) == p {
@@ -178,7 +178,7 @@ func (t *Tree) rotateRight(tx *stm.Tx, p arena.Ref) {
 		tx.Write(&t.node(g).L, l)
 	}
 	tx.Write(&ln.R, p)
-	tx.Write(&pn.P, l)
+	tx.Write(pn.Parent(), l)
 }
 
 // --- abstract operations ---------------------------------------------------
@@ -244,7 +244,7 @@ func (t *Tree) InsertTx(tx *stm.Tx, k, v uint64, sc *arena.Scratch) bool {
 	ref := tx.Read(&t.root)
 	if ref == arena.Nil {
 		r := sc.Take(t.ar, k, v)
-		t.node(r).Aux.SetPlain(black)
+		t.node(r).Balance().SetPlain(black)
 		sc.MarkLinked()
 		tx.Write(&t.root, r)
 		return true
@@ -267,10 +267,10 @@ func (t *Tree) InsertTx(tx *stm.Tx, k, v uint64, sc *arena.Scratch) bool {
 	}
 	x := sc.Take(t.ar, k, v)
 	xn := t.node(x)
-	xn.Aux.SetPlain(red)
-	xn.P.SetPlain(arena.Nil)
+	xn.Balance().SetPlain(red)
+	xn.Parent().SetPlain(arena.Nil)
 	sc.MarkLinked()
-	tx.Write(&xn.P, parent)
+	tx.Write(xn.Parent(), parent)
 	if goLeft {
 		tx.Write(&t.node(parent).L, x)
 	} else {
@@ -382,10 +382,10 @@ func (t *Tree) deleteEntry(tx *stm.Tx, p arena.Ref) {
 	if replacement == arena.Nil {
 		replacement = tx.Read(&pn.R)
 	}
-	parent := tx.Read(&pn.P)
+	parent := tx.Read(pn.Parent())
 	switch {
 	case replacement != arena.Nil:
-		tx.Write(&t.node(replacement).P, parent)
+		tx.Write(t.node(replacement).Parent(), parent)
 		if parent == arena.Nil {
 			tx.Write(&t.root, replacement)
 		} else if p == tx.Read(&t.node(parent).L) {
@@ -395,18 +395,18 @@ func (t *Tree) deleteEntry(tx *stm.Tx, p arena.Ref) {
 		}
 		tx.Write(&pn.L, arena.Nil)
 		tx.Write(&pn.R, arena.Nil)
-		tx.Write(&pn.P, arena.Nil)
-		if tx.Read(&pn.Aux) == black {
+		tx.Write(pn.Parent(), arena.Nil)
+		if tx.Read(pn.Balance()) == black {
 			t.fixAfterDeletion(tx, replacement)
 		}
 	case parent == arena.Nil:
 		tx.Write(&t.root, arena.Nil)
 	default:
 		// p is a leaf: fix up with p still in place, then unlink it.
-		if tx.Read(&pn.Aux) == black {
+		if tx.Read(pn.Balance()) == black {
 			t.fixAfterDeletion(tx, p)
 		}
-		parent = tx.Read(&pn.P)
+		parent = tx.Read(pn.Parent())
 		if parent != arena.Nil {
 			gn := t.node(parent)
 			if p == tx.Read(&gn.L) {
@@ -414,7 +414,7 @@ func (t *Tree) deleteEntry(tx *stm.Tx, p arena.Ref) {
 			} else if p == tx.Read(&gn.R) {
 				tx.Write(&gn.R, arena.Nil)
 			}
-			tx.Write(&pn.P, arena.Nil)
+			tx.Write(pn.Parent(), arena.Nil)
 		}
 	}
 }
@@ -596,10 +596,10 @@ func (t *Tree) CheckInvariants() error {
 		return nil
 	}
 	rn := t.node(root)
-	if rn.Aux.Plain() != black {
+	if rn.Balance().Plain() != black {
 		return fmt.Errorf("root is red")
 	}
-	if rn.P.Plain() != arena.Nil {
+	if rn.Parent().Plain() != arena.Nil {
 		return fmt.Errorf("root has a parent")
 	}
 	_, _, err := t.checkRec(root, 0, false, 0, false)
@@ -619,18 +619,18 @@ func (t *Tree) checkRec(ref arena.Ref, lo uint64, loSet bool, hi uint64, hiSet b
 		return 0, 0, fmt.Errorf("key %d violates upper bound %d", k, hi)
 	}
 	l, r := n.L.Plain(), n.R.Plain()
-	if n.Aux.Plain() == red {
-		if l != arena.Nil && t.node(l).Aux.Plain() == red {
+	if n.Balance().Plain() == red {
+		if l != arena.Nil && t.node(l).Balance().Plain() == red {
 			return 0, 0, fmt.Errorf("red node %d has red left child", k)
 		}
-		if r != arena.Nil && t.node(r).Aux.Plain() == red {
+		if r != arena.Nil && t.node(r).Balance().Plain() == red {
 			return 0, 0, fmt.Errorf("red node %d has red right child", k)
 		}
 	}
-	if l != arena.Nil && t.node(l).P.Plain() != ref {
+	if l != arena.Nil && t.node(l).Parent().Plain() != ref {
 		return 0, 0, fmt.Errorf("left child of %d has wrong parent", k)
 	}
-	if r != arena.Nil && t.node(r).P.Plain() != ref {
+	if r != arena.Nil && t.node(r).Parent().Plain() != ref {
 		return 0, 0, fmt.Errorf("right child of %d has wrong parent", k)
 	}
 	lb, ls, err := t.checkRec(l, lo, loSet, k, true)
@@ -645,7 +645,7 @@ func (t *Tree) checkRec(ref arena.Ref, lo uint64, loSet bool, hi uint64, hiSet b
 		return 0, 0, fmt.Errorf("black-height mismatch at %d: %d vs %d", k, lb, rb)
 	}
 	bh := lb
-	if n.Aux.Plain() == black {
+	if n.Balance().Plain() == black {
 		bh++
 	}
 	return bh, 1 + ls + rs, nil

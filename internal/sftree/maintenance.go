@@ -238,9 +238,7 @@ func (t *Tree) maintain(parentRef arena.Ref, leftChild bool, ref arena.Ref) (int
 	// are the freshest available estimates.
 	lh, lw := t.maintain(ref, true, n.L.Plain())
 	rh, rw := t.maintain(ref, false, n.R.Plain())
-	n.LeftH.Store(lh)
-	n.RightH.Store(rh)
-	n.LocalH.Store(1 + maxi32(lh, rh))
+	setHeights(n, lh, rh)
 	work := lw + rw
 
 	// Rebalance (§3.1): trigger when the estimated child heights differ by
@@ -258,4 +256,21 @@ func (t *Tree) maintain(parentRef arena.Ref, leftChild bool, ref arena.Ref) (int
 		cur = p.R.Plain()
 	}
 	return t.heightOf(cur), work
+}
+
+// setHeights refreshes n's height estimates from its children's, storing
+// only the words that change. A pass visits every node, and in a balanced,
+// settled tree nearly every estimate is already right: unconditional stores
+// would dirty every node's second cache line — the one holding Del and Val,
+// which application reads and updates touch — on every pass.
+func setHeights(n *arena.Node, lh, rh int32) {
+	if n.LeftH.Load() != lh {
+		n.LeftH.Store(lh)
+	}
+	if n.RightH.Load() != rh {
+		n.RightH.Store(rh)
+	}
+	if h := 1 + maxi32(lh, rh); n.LocalH.Load() != h {
+		n.LocalH.Store(h)
+	}
 }

@@ -91,9 +91,7 @@ func (t *Tree) settle(parentRef arena.Ref, leftChild bool) int {
 	}
 	n := t.node(ref)
 	lh, rh := t.heightOf(n.L.Plain()), t.heightOf(n.R.Plain())
-	n.LeftH.Store(lh)
-	n.RightH.Store(rh)
-	n.LocalH.Store(1 + maxi32(lh, rh))
+	setHeights(n, lh, rh)
 	work := t.rebalance(parentRef, leftChild, ref, lh, rh)
 	// The child may have been replaced by a rotation; propagate the height
 	// of whatever hangs there now.

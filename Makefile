@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race allocs inline vet fuzz ci obs-smoke trace-smoke experiments-smoke profile bench-ab bench-ab-all
+.PHONY: all build test race allocs inline fmt vet fuzz ci obs-smoke trace-smoke experiments-smoke profile bench-ab bench-ab-all
 
 all: build
 
@@ -63,6 +63,10 @@ experiments-smoke:
 
 vet:
 	$(GO) vet ./...
+
+# Format gate: fails, listing the files, when gofmt would change any.
+fmt:
+	@out=$$(gofmt -l .); [ -z "$$out" ] || { echo "fmt: gofmt -l lists:"; echo "$$out"; exit 1; }
 
 # Short fuzz smoke over the durable on-disk codecs: the WAL record framing
 # and the incremental-checkpoint delta/manifest formats. Each corpus is
@@ -141,4 +145,4 @@ bench-ab-all:
 		$(GO) run ./benchmark -compare "$(AB_OUT)/base-$$w.jsonl" "$(AB_OUT)/new-$$w.jsonl" || status=1; \
 	done; exit $$status
 
-ci: build vet inline test race allocs fuzz obs-smoke trace-smoke experiments-smoke
+ci: build fmt vet inline test race allocs fuzz obs-smoke trace-smoke experiments-smoke

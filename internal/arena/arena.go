@@ -70,11 +70,11 @@ const (
 // (Key to branch, L/R to descend, Rem to reject removed nodes — the RB
 // tree's parent link is read on its rebalancing paths only); line two holds
 // what only the found node, an update or the maintenance sweep touches
-// (Del/Val at the candidate, the heights, the hint word and the free-list
-// link). Chunks are 64-byte aligned (they are large heap objects) and 128
-// is a multiple of 64, so every node's lines coincide with hardware lines
-// and a k-node traversal costs k data lines. TestNodeLayout enforces all of
-// this.
+// (Del/Val at the candidate, the heights and the free-list link; 12 bytes
+// are padding). Chunks are 64-byte aligned (they are large heap objects)
+// and 128 is a multiple of 64, so every node's lines coincide with hardware
+// lines and a k-node traversal costs k data lines. TestNodeLayout enforces
+// all of this.
 type Node struct {
 	Key stm.Word
 	L   stm.Word
@@ -87,15 +87,6 @@ type Node struct {
 	LeftH  atomic.Int32
 	RightH atomic.Int32
 	LocalH atomic.Int32
-
-	// Hint is the maintenance-hint dedup word: it holds the priority of
-	// the hint currently queued for this node (0 none, 1 rebalance,
-	// 2 removal — sftree's hint levels), so a hot node never floods the
-	// bounded hint queue and a removal is never folded into a queued
-	// lower-priority rebalance. Cleared when a maintenance worker consumes
-	// the owning hint. Advisory only — a spurious clear (node recycled
-	// while a stale hint was queued) merely lets a duplicate hint through.
-	Hint atomic.Uint32
 
 	nextFree Ref // free-list link, guarded by the arena mutex
 
@@ -224,7 +215,6 @@ func (a *Arena) Reinit(r Ref, key, val uint64) {
 	n.LeftH.Store(0)
 	n.RightH.Store(0)
 	n.LocalH.Store(1)
-	n.Hint.Store(0)
 }
 
 // get resolves without the Nil check; caller holds the mutex or owns r.

@@ -114,15 +114,11 @@ func TestRunner(t *testing.T) {
 			measure(&Opts{Threads: []int{2}, Duration: 80 * time.Millisecond, Seed: 1}, m, s, 2, wl)
 			ts := sf.Stats()
 			// Measured phase only (the fill's counters are subtracted).
-			// Activity shows up as targeted repairs and/or fallback sweeps;
-			// on a heavily oversubscribed host a full sweep may not complete
-			// within the window, so accept either signal — plus the hints
-			// that drive them.
-			if ts.Passes == base.Passes && ts.TargetedRepairs == base.TargetedRepairs && ts.BusyNanos == base.BusyNanos {
+			// Activity shows up as completed sweeps and the loop's busy
+			// time; on a heavily oversubscribed host a sweep may not
+			// complete within the window, so accept either signal.
+			if ts.Passes == base.Passes && ts.BusyNanos == base.BusyNanos {
 				t.Fatalf("maintenance never ran during the measurement: %+v -> %+v", base, ts)
-			}
-			if ts.HintsEmitted+ts.HintsCoalesced+ts.HintsDropped == base.HintsEmitted+base.HintsCoalesced+base.HintsDropped {
-				t.Fatalf("no hints published by a 40%% update run: %+v -> %+v", base, ts)
 			}
 		}},
 		{name: "BadOptionsPanicThreads", kind: trees.SF, threads: -1, wl: Workload{KeyRange: 8}},

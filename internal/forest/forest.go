@@ -4,11 +4,12 @@
 //
 // Each shard owns a private stm.STM (its own global version clock), a
 // private tree of any trees.Kind, and — for the speculation-friendly
-// variants — its own background maintenance goroutine. Keys are routed to
-// shards by a fixed avalanche hash of the key, so the hot single points of
-// the one-domain design (version-clock increments, the lone rotator
-// goroutine, commit-time lock contention) all split S ways while every
-// intra-shard property of the paper's algorithm is preserved unchanged.
+// variants — its own maintenance sweep, run by a worker pool the shards
+// share (maint.go). Keys are routed to shards by a fixed avalanche hash of
+// the key, so the hot single points of the one-domain design
+// (version-clock increments, commit-time lock contention) all split S ways
+// while every intra-shard property of the paper's algorithm is preserved
+// unchanged.
 //
 // # Atomicity semantics
 //
@@ -62,36 +63,22 @@ import (
 type shard struct {
 	stm *stm.STM
 	m   trees.Map
-	mt  trees.HintMaintained
+	mt  trees.Maintained
 
 	// intents is the shard's cross-shard-commit intent table: every
 	// coordinator (Handle.Atomic) of the forest claims its touched keys
 	// here for the prepare→finalize window (see internal/ftx).
 	intents ftx.IntentTable
 
-	// claim serializes maintenance drivers: a pool worker owns the shard's
-	// maintenance (hint drain + sweep) only while holding the claim, which
-	// preserves the tree's single-driver contract under a shared pool.
+	// claim serializes maintenance drivers: a pool worker sweeps the shard
+	// only while holding the claim, which preserves the tree's single-driver
+	// contract under a shared pool.
 	claim atomic.Bool
-	// nextSweep is the unix-nano deadline of the shard's next fallback
-	// sweep; sweepGap is the current adaptive gap (capped exponential idle
-	// backoff, see maint.go). nextDrain paces hint-drain sessions so
-	// repairs batch up instead of issuing one structural transaction per
-	// committed update (maint.go's drainGap).
+	// nextSweep is the unix-nano deadline of the shard's next sweep;
+	// sweepGap is the current adaptive gap (capped exponential idle backoff,
+	// see maint.go).
 	nextSweep atomic.Int64
 	sweepGap  atomic.Int64
-	nextDrain atomic.Int64
-
-	// pacing is the shard's current adaptive hint-drain gap in nanoseconds
-	// (maint.go): it backs off from the base gap drainGap when the shard's
-	// structural transactions keep failing — i.e. keep aborting against
-	// application transactions — and tightens back as they succeed again.
-	// maintFails/maintOKs are the last observed structural counter totals
-	// the adaptation diffs against; they are plain fields serialized by the
-	// claim flag (the release/acquire pair of its Store/CompareAndSwap).
-	pacing     atomic.Int64
-	maintFails uint64
-	maintOKs   uint64
 
 	// comb is the shard's op combiner (nil unless WithBatching): single-key
 	// operations submit into its ring and are applied in coalesced batch
@@ -112,13 +99,11 @@ type Forest struct {
 	maintMu sync.Mutex
 	maint   bool // background maintenance currently enabled; guarded by maintMu
 	// pool is the shared maintenance worker pool (nil when maintenance is
-	// disabled, stopped, or the kind has none); maintWorkers is its size
-	// ceiling, maintMin its floor (equal when the size is pinned — see
-	// WithMaintWorkerRange). All guarded by maintMu; pc accumulates pool
-	// counters across pause/resume generations.
+	// disabled, stopped, or the kind has none) and maintWorkers its size,
+	// both guarded by maintMu; pc accumulates pool counters across
+	// pause/resume generations.
 	pool         *maintPool
 	maintWorkers int
-	maintMin     int
 	pc           poolCounters
 
 	// batchN/batchWait are the combiner dials (WithBatching; batchN <= 1
@@ -324,8 +309,7 @@ type cfg struct {
 	mode         stm.Mode
 	cm           stm.ContentionManager
 	maintenance  bool
-	maintWorkers int // pool ceiling (0 = default)
-	maintMin     int // pool floor (0 = default)
+	maintWorkers int // pool size (0 = default)
 	yieldEvery   int
 	batchN       int
 	batchWait    time.Duration
@@ -347,31 +331,14 @@ func WithContentionManager(cm stm.ContentionManager) Option {
 // drives maintenance manually via Quiesce.
 func WithoutMaintenance() Option { return func(c *cfg) { c.maintenance = false } }
 
-// WithMaintWorkers pins the shared maintenance worker pool to exactly n
-// workers, disabling the adaptive sizing. The pool drains hint queues
-// across all shards and runs the fallback sweeps, so its size bounds the
-// forest's total maintenance CPU regardless of the shard count.
+// WithMaintWorkers sizes the shared maintenance worker pool at n workers
+// (default min(shards, GOMAXPROCS/2), at least 1). The pool runs the sweeps
+// of all shards, so its size bounds the forest's total maintenance CPU
+// regardless of the shard count.
 func WithMaintWorkers(n int) Option {
 	return func(c *cfg) {
 		if n > 0 {
 			c.maintWorkers = n
-			c.maintMin = n
-		}
-	}
-}
-
-// WithMaintWorkerRange lets the maintenance pool size itself between lo and
-// hi workers (the default is [1, min(shards, GOMAXPROCS/2)]): between drain
-// quanta the pool grows a worker when the hint backlog outruns the active
-// workers' drain quantum while they are busy, and parks one when the
-// backlog is gone and the active workers sit idle (see maint.go's
-// sizePolicy). lo must be >= 1 and hi >= lo; lo == hi pins the size, which
-// is what WithMaintWorkers does.
-func WithMaintWorkerRange(lo, hi int) Option {
-	return func(c *cfg) {
-		if lo >= 1 && hi >= lo {
-			c.maintMin = lo
-			c.maintWorkers = hi
 		}
 	}
 }
@@ -425,9 +392,6 @@ func New(kind trees.Kind, opts ...Option) *Forest {
 	if c.maintWorkers == 0 {
 		c.maintWorkers = defaultMaintWorkers(c.shards)
 	}
-	if c.maintMin == 0 {
-		c.maintMin = 1 // default: adaptive between 1 and the ceiling
-	}
 	f := &Forest{kind: kind, shards: make([]*shard, c.shards), maint: c.maintenance,
 		batchN: c.batchN, batchWait: c.batchWait}
 	maintained := false
@@ -438,18 +402,16 @@ func New(kind trees.Kind, opts ...Option) *Forest {
 		if c.batchN > 1 {
 			sh.comb = newCombiner(c.batchN, c.batchWait)
 		}
-		if mt, ok := trees.HintMaintainedOf(sh.m); ok {
+		if mt, ok := trees.MaintainedOf(sh.m); ok {
 			sh.mt = mt
 			sh.sweepGap.Store(int64(sweepGapMin))
 			sh.nextSweep.Store(now)
-			sh.pacing.Store(int64(drainGap))
 			maintained = true
 		}
 		f.shards[i] = sh
 	}
 	if c.maintenance && maintained {
 		f.maintWorkers = min(c.maintWorkers, c.shards)
-		f.maintMin = min(c.maintMin, f.maintWorkers)
 		f.startPool()
 	} else {
 		f.maint = false
@@ -505,9 +467,9 @@ func (f *Forest) pauseMaintenance() func() {
 	}
 }
 
-// Quiesce drains maintenance work on every shard (up to maxPasses each):
-// queued hints first, then full sweeps until clean. The worker pool is
-// paused for the duration (the per-tree drains are single-driver).
+// Quiesce runs maintenance sweeps on every shard until clean (up to
+// maxPasses each). The worker pool is paused for the duration (the sweeps
+// are single-driver).
 func (f *Forest) Quiesce(maxPasses int) {
 	f.maintMu.Lock()
 	f.drainCombiners()

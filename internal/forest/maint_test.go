@@ -21,7 +21,7 @@ func sfTreeOf(m trees.Map) (*sftree.Tree, bool) {
 }
 
 // TestMaintenanceOracle is the randomized maintenance-invariant oracle of
-// the hint-driven scheduler: for every tree kind × shard count {1, 8},
+// the pooled sweep: for every tree kind × shard count {1, 8},
 // apply a random operation stream against a model map, quiesce, and check
 //
 //   - the abstraction matches the model exactly (Keys / Get);
@@ -133,8 +133,8 @@ func checkShardInvariants(t *testing.T, f *Forest, empty bool) {
 		if err := st.CheckBalanced(1); err != nil {
 			t.Fatalf("shard %d not balanced post-Quiesce: %v", si, err)
 		}
-		if bl := st.HintBacklog(); bl != 0 {
-			t.Fatalf("shard %d: hint backlog %d after Quiesce", si, bl)
+		if st.Stats().Passes == 0 {
+			t.Fatalf("shard %d: Quiesce ran no maintenance sweep", si)
 		}
 		if empty {
 			if n := st.DeletedReachable(); n != 0 {
@@ -147,96 +147,50 @@ func checkShardInvariants(t *testing.T, f *Forest, empty bool) {
 	}
 }
 
-// TestMaintPoolTargetsHints checks the scheduler end-to-end: with the pool
-// running, committed deletes are physically removed by targeted repairs
-// (not only by sweeps), and the pool reports its activity.
-func TestMaintPoolTargetsHints(t *testing.T) {
+// TestMaintPoolSweepRemoves checks the pool end-to-end: with the pool
+// running, committed deletes are physically removed by its sweeps alone,
+// and the pool reports its activity.
+func TestMaintPoolSweepRemoves(t *testing.T) {
 	f := New(trees.SFOpt, WithShards(4), WithMaintWorkers(2))
 	defer f.Close()
 	h := f.NewHandle()
 	for k := uint64(0); k < 4096; k++ {
 		h.Insert(k, k)
 	}
-	for k := uint64(0); k < 4096; k += 2 {
+	for k := uint64(0); k < 4096; k++ {
 		h.Delete(k)
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		ms := f.MaintenanceStats()
-		// BusyNanos is charged when a worker's claim session ends, so wait
-		// for it too — repairs are visible slightly before the session
-		// accounting.
-		if ms.TargetedRepairs > 0 && ms.Removals > 0 && f.PoolStats().BusyNanos > 0 {
+		// BusyNanos is charged when a worker's sweep ends, so wait for it
+		// too — removals are visible slightly before the sweep accounting.
+		if f.MaintenanceStats().Removals > 0 && f.PoolStats().BusyNanos > 0 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("pool made no targeted progress: %+v (pool %+v)", ms, f.PoolStats())
+			t.Fatalf("pool removed nothing: %+v (pool %+v)", f.MaintenanceStats(), f.PoolStats())
 		}
 		time.Sleep(time.Millisecond)
 	}
 	if ps := f.PoolStats(); ps.Workers != 2 {
 		t.Fatalf("Workers = %d, want 2", ps.Workers)
 	}
-}
-
-// TestDrainPacingDefault: every maintained shard starts at the drainGap
-// hint-drain pacing, and a single worker paced by it still drains hints.
-func TestDrainPacingDefault(t *testing.T) {
-	f := New(trees.SFOpt, WithShards(2), WithMaintWorkers(1))
-	defer f.Close()
-	for i, sh := range f.shards {
-		if got := sh.pacing.Load(); got != int64(drainGap) {
-			t.Fatalf("shard %d starts at pacing %d, want %d", i, got, drainGap)
+	// Every node is eventually unlinked: a deleted node with two children
+	// stays until sweeps have removed enough below it.
+	for deadline = time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		resume := f.pauseMaintenance()
+		left := 0
+		for _, sh := range f.shards {
+			st, _ := sfTreeOf(sh.m)
+			left += st.PhysicalSize()
 		}
-	}
-	h := f.NewHandle()
-	for k := uint64(0); k < 512; k++ {
-		h.Insert(k, k)
-	}
-	for k := uint64(0); k < 512; k += 2 {
-		h.Delete(k)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for f.MaintenanceStats().Removals == 0 {
+		resume()
+		if left == 0 {
+			break
+		}
 		if time.Now().After(deadline) {
-			t.Fatalf("no removals under the default drain pacing: %+v", f.MaintenanceStats())
+			t.Fatalf("%d nodes still reachable after 5s of pool sweeps", left)
 		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-// TestAdaptivePacing covers the abort-rate-driven drain pacing: the pure
-// policy's backoff/tighten/hold behavior and the PacingNanos report.
-func TestAdaptivePacing(t *testing.T) {
-	base := int64(drainGap)
-	// Failure-dominated sessions double up to the cap.
-	if got := pacePolicy(base, 10, 2); got != 2*base {
-		t.Fatalf("backoff: got %d, want %d", got, 2*base)
-	}
-	cur := base
-	for i := 0; i < 20; i++ {
-		cur = pacePolicy(cur, 100, 0)
-	}
-	if cur != pacingBackoffCap*base {
-		t.Fatalf("cap: got %d, want %d", cur, pacingBackoffCap*base)
-	}
-	// Clean sessions halve back down to the base, never below.
-	if got := pacePolicy(cur, 0, 5); got != cur/2 {
-		t.Fatalf("tighten: got %d, want %d", got, cur/2)
-	}
-	if got := pacePolicy(base, 0, 0); got != base {
-		t.Fatalf("floor: got %d, want base %d", got, base)
-	}
-	// Mixed sessions hold.
-	if got := pacePolicy(4*base, 3, 7); got != 4*base {
-		t.Fatalf("hold: got %d, want %d", got, 4*base)
-	}
-
-	// A forest starts at — and reports — the base gap.
-	f := New(trees.SFOpt, WithShards(2), WithoutMaintenance())
-	defer f.Close()
-	if ps := f.PoolStats(); ps.PacingNanos != uint64(drainGap) {
-		t.Fatalf("initial PacingNanos = %d, want %d", ps.PacingNanos, drainGap)
 	}
 }
 
@@ -256,7 +210,7 @@ func TestMaintPoolStopsOnClose(t *testing.T) {
 	}
 	time.Sleep(20 * time.Millisecond)
 	after := f.MaintenanceStats()
-	if after.Passes != before.Passes || after.TargetedRepairs != before.TargetedRepairs {
+	if after.Passes != before.Passes || after.BusyNanos != before.BusyNanos {
 		t.Fatalf("maintenance advanced after Close: %+v -> %+v", before, after)
 	}
 }
@@ -378,7 +332,7 @@ func TestCloseCutsBudgetRest(t *testing.T) {
 		h.Insert(k, k)
 	}
 	f.maintMu.Lock()
-	f.maint, f.maintWorkers, f.maintMin = true, 1, 1
+	f.maint, f.maintWorkers = true, 1
 	f.startPool()
 	f.maintMu.Unlock()
 	for f.PoolStats().BusyNanos == 0 { // set as the first sweep ends

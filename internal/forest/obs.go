@@ -8,7 +8,7 @@ import (
 )
 
 // SetFlightRecorder attaches a flight recorder to the forest: combiner
-// batch executions and maintenance-pool drain/sweep sessions record into
+// batch executions and productive maintenance-pool sweeps record into
 // it from now on. Safe to attach while the forest is in use; a nil
 // recorder detaches. The attached WAL (if any) keeps its own recorder —
 // see durable.Log.SetFlightRecorder.
@@ -51,22 +51,12 @@ func (f *Forest) RegisterObs(r *obs.Registry) {
 		"Operations executed per combiner batch (one shard transaction each)."))
 	r.RegisterCollector(func(emit func(obs.Sample)) {
 		ps := f.PoolStats()
-		gauge := func(name, help string, v float64) {
-			emit(obs.Sample{Name: name, Kind: obs.KindGauge, Help: help, Value: v})
-		}
 		counter := func(name, help string, v uint64) {
 			emit(obs.Sample{Name: name, Kind: obs.KindCounter, Help: help, Value: float64(v)})
 		}
-		gauge("forest_pool_workers", "Configured maintenance pool ceiling.", float64(ps.Workers))
-		gauge("forest_pool_active_workers", "Maintenance workers currently unparked.", float64(ps.ActiveWorkers))
-		counter("forest_pool_grows_total", "Adaptive pool size increases.", ps.Grows)
-		counter("forest_pool_shrinks_total", "Adaptive pool size decreases.", ps.Shrinks)
-		counter("forest_pool_busy_nanos_total", "Cumulative time workers spent draining hints and sweeping.", ps.BusyNanos)
-		counter("forest_pool_wakeups_total", "Idle workers woken by hint arrival.", ps.Wakeups)
-		counter("forest_pool_sweeps_total", "Full fallback maintenance sweeps.", ps.Sweeps)
-		counter("forest_pool_hint_batches_total", "Shard claims that consumed at least one hint.", ps.HintBatches)
-		gauge("forest_hint_backlog", "Queued maintenance hints across shards right now.", float64(ps.Backlog))
-		gauge("forest_pool_pacing_nanos", "Mean current hint-drain pacing gap, nanoseconds.", float64(ps.PacingNanos))
+		emit(obs.Sample{Name: "forest_pool_workers", Kind: obs.KindGauge, Help: "Maintenance pool size.", Value: float64(ps.Workers)})
+		counter("forest_pool_busy_nanos_total", "Cumulative time workers spent sweeping.", ps.BusyNanos)
+		counter("forest_pool_sweeps_total", "Maintenance sweeps.", ps.Sweeps)
 	})
 	r.RegisterCollector(func(emit func(obs.Sample)) {
 		f.coordMu.Lock()

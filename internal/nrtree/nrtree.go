@@ -22,11 +22,8 @@ type Tree struct {
 }
 
 // New creates an empty no-restructuring tree on the given STM domain.
-// Maintenance hints are disabled at the source (sftree.WithoutHints): a
-// tree that never restructures has no use for repair hints, and emitting
-// them would charge the ablation for work it never performs.
 func New(s *stm.STM) *Tree {
-	return &Tree{Tree: sftree.New(s, sftree.WithVariant(sftree.Portable), sftree.WithoutHints())}
+	return &Tree{Tree: sftree.New(s, sftree.WithVariant(sftree.Portable))}
 }
 
 // Start is a no-op: the defining property of the NRtree is the absence of
@@ -41,13 +38,3 @@ func (t *Tree) RunMaintenancePass() int { return 0 }
 
 // Quiesce trivially succeeds: there is never maintenance work to drain.
 func (t *Tree) Quiesce(int) bool { return true }
-
-// DrainHints is a no-op: hints are never emitted (see New) and targeted
-// repairs are restructuring, which this tree never does.
-func (t *Tree) DrainHints(int) (int, int) { return 0, 0 }
-
-// HintBacklog is always zero, matching DrainHints.
-func (t *Tree) HintBacklog() int { return 0 }
-
-// SetMaintNotify is a no-op: with hints disabled nothing ever notifies.
-func (t *Tree) SetMaintNotify(func()) {}

@@ -31,10 +31,8 @@ const (
 	EvWALRotate
 	// EvBatch: the combiner applied a coalesced batch. A=batch size.
 	EvBatch
-	// EvMaintDrain: a maintenance hint-drain burst. A=hints consumed,
-	// B=repairs performed.
-	EvMaintDrain
-	// EvMaintSweep: a fallback maintenance sweep. A=repairs performed.
+	// EvMaintSweep: a maintenance sweep that found work. A=structural
+	// changes plus nodes freed.
 	EvMaintSweep
 	// EvFtxPrepare: a slow cross-shard prepare phase (recorded only above a
 	// duration threshold so the ring isn't flooded). A=participating shards,
@@ -49,8 +47,8 @@ const (
 
 var eventKindNames = [numEventKinds]string{
 	"checkpoint.full", "checkpoint.delta", "compaction", "recovery",
-	"wal.stall", "wal.drop", "wal.rotate", "batch", "maint.drain",
-	"maint.sweep", "ftx.prepare", "ftx.abort",
+	"wal.stall", "wal.drop", "wal.rotate", "batch", "maint.sweep",
+	"ftx.prepare", "ftx.abort",
 }
 
 func (k EventKind) String() string {

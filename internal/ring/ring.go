@@ -1,10 +1,8 @@
 // Package ring provides a bounded lock-free multi-producer multi-consumer
 // queue (Vyukov's bounded MPMC ring), generic over the element type. It is
-// the shared submission substrate of the repository's two producer/consumer
-// fast paths: the sftree maintenance hint queues (many committing
-// application threads, one externally-serialized maintenance driver) and
-// the forest's per-shard op combiner (many submitting handles, one
-// CAS-elected batch runner).
+// the submission substrate of the forest's per-shard op combiner (many
+// submitting handles, one CAS-elected batch runner); besides the combiner
+// only the benchmark's layer ladder uses it, to price it.
 //
 // Each slot carries a sequence word. A producer claims a slot by CAS on the
 // enqueue counter and publishes the element by advancing the slot's
@@ -24,8 +22,7 @@ type cell[T any] struct {
 }
 
 // Ring is a bounded MPMC queue. The zero value is not usable; create with
-// New. Peek is the one operation that needs external serialization of the
-// consumer side; Push/Pop/Size are safe from any number of goroutines.
+// New. Push/Pop/Size are safe from any number of goroutines.
 type Ring[T any] struct {
 	mask uint64
 	enq  atomic.Uint64
@@ -70,21 +67,6 @@ func (q *Ring[T]) Push(v T) bool {
 			pos = q.enq.Load()
 		}
 	}
-}
-
-// Peek returns the element at the front without dequeuing it. It is only
-// meaningful on an externally-serialized consumer side (e.g. the single
-// maintenance driver of a hint queue): no other goroutine may pop the
-// peeked cell, and producers never touch a cell whose sequence marks it
-// filled.
-func (q *Ring[T]) Peek() (T, bool) {
-	pos := q.deq.Load()
-	cell := &q.buf[pos&q.mask]
-	if cell.seq.Load() == pos+1 {
-		return cell.v, true
-	}
-	var zero T
-	return zero, false
 }
 
 // Pop dequeues one element, returning ok=false when the ring is empty.

@@ -35,7 +35,7 @@ func parentOf(t *testing.T, tr *Tree, k uint64) (arena.Ref, bool) {
 func TestStructuralTxZeroAllocs(t *testing.T) {
 	for _, v := range []Variant{Portable, Optimized} {
 		s := stm.New()
-		tr := New(s, WithVariant(v), WithoutHints())
+		tr := New(s, WithVariant(v))
 		th := s.NewThread()
 		for i := uint64(0); i < 1024; i++ {
 			tr.Insert(th, (i*40503&1023)*2, i)

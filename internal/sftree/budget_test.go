@@ -10,8 +10,8 @@ import (
 	"repro/internal/stm"
 )
 
-// TestMaintLoopDutyShare: under sustained churn — hints and sweep work
-// always pending — the tree's own maintenance loop works at most its duty
+// TestMaintLoopDutyShare: under sustained churn — sweep work always
+// pending — the tree's own maintenance loop works at most its duty
 // share of the wall clock (1/(1+maintRest) = ¼; the gate leaves room for
 // timer slack), where it used to stay hot for as long as there was work.
 func TestMaintLoopDutyShare(t *testing.T) {

@@ -5,53 +5,19 @@ import (
 	"repro/internal/stm"
 )
 
-// obsMaxDepth bounds how many descent hops an observation samples: the
-// upper levels of the path are where imbalance is worth a targeted repair
-// (they shorten every traversal), and the bound keeps the per-operation
-// overhead constant regardless of tree depth.
-const obsMaxDepth = 8
-
-// pathObs records the hint observation of a descent: the first (closest to
-// the root) node whose height estimates differed by more than one. A nil
-// *pathObs disables observation (hints off, read-only operations, internal
-// traversals).
-type pathObs struct {
-	key   uint64
-	ref   arena.Ref
-	ok    bool
-	depth int
-}
-
-// observe samples the node's height estimates (plain atomic loads, off the
-// transactional path) and records the first imbalanced node seen.
-func (t *Tree) observe(n *arena.Node, ref arena.Ref, obs *pathObs) {
-	if obs == nil || obs.ok || obs.depth >= obsMaxDepth {
-		return
-	}
-	obs.depth++
-	lh, rh := n.LeftH.Load(), n.RightH.Load()
-	if lh > rh+1 || rh > lh+1 {
-		obs.key = n.Key.Plain()
-		obs.ref = ref
-		obs.ok = true
-	}
-}
-
 // find locates the node for key k: either the node whose key equals k, or
 // the would-be parent of k (a node with a ⊥ child pointer on k's side). It
-// dispatches on the tree variant. When obs is non-nil the descent also
-// watches for height imbalance along the traversed path (the hint source of
-// hint-driven maintenance).
+// dispatches on the tree variant.
 //
 // Note on the pseudocode: Algorithm 1 lines 19–20 and Algorithm 2 lines 39
 // and 44–45 of the paper print the left/right choice inverted relative to
 // Algorithm 2 lines 48–50, the insert code and the proofs ("its left child
 // has range [−∞,k]"). We follow the proofs: smaller keys to the left.
-func (t *Tree) find(tx *stm.Tx, k uint64, obs *pathObs) arena.Ref {
+func (t *Tree) find(tx *stm.Tx, k uint64) arena.Ref {
 	if t.variant == Optimized {
-		return t.findOptimized(tx, k, obs)
+		return t.findOptimized(tx, k)
 	}
-	return t.findPortable(tx, k, obs)
+	return t.findPortable(tx, k)
 }
 
 // findPortable is paper Algorithm 1 lines 13–22: every child-pointer load is
@@ -59,16 +25,13 @@ func (t *Tree) find(tx *stm.Tx, k uint64, obs *pathObs) arena.Ref {
 // and any concurrent structural change along it invalidates the transaction
 // at commit. Keys are immutable after insertion and are read plainly, as in
 // the pseudocode.
-func (t *Tree) findPortable(tx *stm.Tx, k uint64, obs *pathObs) arena.Ref {
+func (t *Tree) findPortable(tx *stm.Tx, k uint64) arena.Ref {
 	next := t.root
 	var curr arena.Ref
 	for {
 		curr = next
 		n := t.node(curr)
 		val := n.Key.Plain()
-		if curr != t.root {
-			t.observe(n, curr, obs)
-		}
 		if val == k {
 			break
 		}
@@ -112,7 +75,7 @@ func (t *Tree) removedStep(tx *stm.Tx, n *arena.Node, preferLeft bool) arena.Ref
 // on a physically removed node recovers by following the node's child
 // pointers, which removals re-point at the former parent and which rotations
 // leave directed at live subtrees (Lemmas 13–16).
-func (t *Tree) findOptimized(tx *stm.Tx, k uint64, obs *pathObs) arena.Ref {
+func (t *Tree) findOptimized(tx *stm.Tx, k uint64) arena.Ref {
 	curr := t.root
 	next := t.root
 	for {
@@ -123,9 +86,6 @@ func (t *Tree) findOptimized(tx *stm.Tx, k uint64, obs *pathObs) arena.Ref {
 			curr = next
 			n := t.node(curr)
 			val := n.Key.Plain()
-			if curr != t.root {
-				t.observe(n, curr, obs)
-			}
 			if val == k {
 				rem := tx.Read(&n.Rem)
 				if rem == arena.RemFalse {

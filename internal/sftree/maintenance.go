@@ -14,53 +14,38 @@ import (
 // starve — the pass itself is cheap, but it must stay interleaved.
 const maintYieldStride = 64
 
-// Scheduling parameters of the hint-driven maintenance loop. The loop
-// prefers targeted repairs (DrainHints); full sweeps degrade to a fallback
-// run on a capped exponential backoff, so an idle or hint-covered tree
-// costs asymptotically no CPU while eventual propagation and GC-epoch
-// progress stay guaranteed.
-// They are exported so the forest's shared worker pool (internal/forest)
-// runs the very same schedule — one source of truth for both drivers.
+// Scheduling parameters of the maintenance sweep. A sweep that found work
+// is followed by another SweepGapMin later (after the budget rest); every
+// idle sweep doubles the gap up to SweepGapMax, so an idle tree costs
+// asymptotically no CPU while eventual propagation and GC-epoch progress
+// stay guaranteed. They are exported so the forest's shared worker pool
+// (internal/forest) runs the very same schedule — one source of truth for
+// both drivers.
 const (
-	// MaintHintBatch bounds how many hints one drain session consumes; on a
-	// forest it is also the fairness quantum of a pool worker's shard claim.
-	MaintHintBatch = 128
-	// SweepGapMin/Max bound the fallback-sweep backoff: after a sweep that
-	// found work the next is due SweepGapMin later; every idle sweep doubles
-	// the gap up to SweepGapMax.
 	SweepGapMin = time.Millisecond
 	SweepGapMax = 256 * time.Millisecond
 	// maintRest is the maintenance duty share: a driver that has just spent
-	// d on a drain or sweep that found work stays off the CPU for
-	// maintRest·d before it looks again, so maintenance takes at most
-	// 1/(1+maintRest) of a core however much work is queued — a productive
-	// sweep re-arms after SweepGapMin, and without the rest one driver
-	// sweeps continuously beside the clients it is meant to serve. Only
-	// Stop cuts the rest short; Quiesce and manual passes are exempt. The
-	// forest's pool applies the same share per worker (its own maintRest:
-	// the two must agree).
+	// d on a sweep that found work stays off the CPU for maintRest·d before
+	// it looks again, so maintenance takes at most 1/(1+maintRest) of a core
+	// however much work there is — without the rest one driver sweeps
+	// continuously beside the clients it is meant to serve. Only Stop cuts
+	// the rest short; Quiesce and manual passes are exempt. The forest's
+	// pool applies the same share per worker (its own maintRest: the two
+	// must agree).
 	maintRest = 3
 )
 
-// This file implements the maintenance ("rotator") side of the paper,
-// upgraded from the paper's single blind sweeper to a hint-driven scheduler:
+// This file implements the maintenance ("rotator") side of the paper
+// (§3): one depth-first sweep of the whole tree that propagates height
+// estimates (§3.1), physically removes logically deleted nodes with at most
+// one child (§3.2) and performs node-local rotations (§3.1), each
+// structural change its own small transaction, then collects unlinked nodes
+// with the §3.4 epoch scheme.
 //
-//  1. targeted repairs — application transactions publish hints at commit
-//     (hints.go) and the maintenance driver repairs exactly the hinted
-//     root-to-key paths (repair.go): height propagation (§3.1), physical
-//     removal of logically deleted nodes with at most one child (§3.2) and
-//     node-local rotations (§3.1), each as its own transaction;
-//  2. fallback sweeps — the original depth-first traversal of the whole
-//     tree, now run at a low adaptive frequency (capped exponential idle
-//     backoff) to guarantee eventual repair of anything hints missed and to
-//     keep §3.4 garbage-collection epochs progressing;
-//  3. garbage collection of unlinked nodes with the §3.4 epoch scheme,
-//     performed by both paths.
-//
-// A Tree used standalone drives all of this from its own goroutine
+// A Tree used standalone drives the sweep from its own goroutine
 // (Start/Stop below); the shards of a forest are driven by the forest's
 // shared worker pool instead (internal/forest), through the same
-// DrainHints/RunMaintenancePass surface.
+// RunMaintenancePass.
 
 // Start launches the maintenance goroutine. It is idempotent while running
 // and safe for concurrent callers (serialized against Stop).
@@ -74,11 +59,6 @@ func (t *Tree) Start() {
 	t.done = make(chan struct{})
 	t.quit = make(chan struct{})
 	t.running.Store(true)
-	// Hints arriving while the loop idles must wake it (hints.go). The
-	// registration is idempotent and deliberately left in place across
-	// Stop/Start cycles: nudging the 1-slot wake channel of a stopped loop
-	// is harmless.
-	t.SetMaintNotify(t.nudgeWake)
 	go t.maintLoop(t.quit)
 }
 
@@ -101,56 +81,28 @@ func (t *Tree) Stop() {
 	t.running.Store(false)
 }
 
-// nudgeWake wakes the maintenance loop without blocking (the channel keeps
-// at most one pending token).
-func (t *Tree) nudgeWake() {
-	select {
-	case t.wake <- struct{}{}:
-	default:
-	}
-}
-
-// maintLoop is the tree's own maintenance driver: drain hints with targeted
-// repairs, run the fallback sweep when due, and otherwise sleep until a
-// hint arrives or the next sweep deadline — the sweep gap doubling (capped)
-// while the tree stays clean, so an idle tree costs ~0 CPU instead of the
-// fixed-period polling it used to burn. A round that found work is followed
-// by its budget rest (maintRest), so a busy tree costs a bounded share of a
-// core instead of all of it.
+// maintLoop is the tree's own maintenance driver: sweep, then wait — after a
+// sweep that found work, its budget rest (maintRest) but at least
+// SweepGapMin; after an idle sweep, a gap that doubles (capped) while the
+// tree stays clean.
 func (t *Tree) maintLoop(quit <-chan struct{}) {
 	defer close(t.done)
-	sweepGap := SweepGapMin
-	nextSweep := time.Now()
+	gap := SweepGapMin
 	for !t.stop.Load() {
 		t0 := time.Now()
-		hints, work := t.DrainHints(MaintHintBatch)
-		if !t0.Before(nextSweep) {
-			w := t.RunMaintenancePass()
-			work += w
-			if w > 0 {
-				sweepGap = SweepGapMin
-			} else {
-				sweepGap = min(2*sweepGap, SweepGapMax)
-			}
-			nextSweep = time.Now().Add(sweepGap)
-		}
+		work := t.RunMaintenancePass()
 		d := time.Since(t0)
 		t.busyNanos.Add(uint64(d))
-		var wake <-chan struct{}
-		if hints > 0 || work > 0 {
-			d *= maintRest // the budget rest: hints queue up meanwhile
+		if work > 0 {
+			gap = SweepGapMin
+			d = max(maintRest*d, gap)
 		} else {
-			d = time.Until(nextSweep)
-			wake = t.wake // idle: a hint ends the wait
-		}
-		if d <= 0 {
-			continue
+			gap = min(2*gap, SweepGapMax)
+			d = gap
 		}
 		timer := time.NewTimer(d)
 		select {
 		case <-quit:
-			timer.Stop()
-		case <-wake:
 			timer.Stop()
 		case <-timer.C:
 		}
@@ -168,17 +120,17 @@ func (t *Tree) RunMaintenancePass() int {
 	h, work := t.maintain(t.root, true, rootN.L.Plain())
 	rootN.LeftH.Store(h)
 	rootN.LocalH.Store(h + 1)
+	t.heightEst.Store(h)
 	freed := t.collector.TryFree()
 	t.freed.Add(uint64(freed))
 	t.passes.Add(1)
 	return work + freed
 }
 
-// Quiesce drains maintenance work — queued hints and full passes — until a
-// round does no structural work (or maxPasses is hit), leaving the tree
-// balanced, physically clean and with an empty hint queue. A running
-// background maintenance goroutine is paused for the duration and resumed
-// afterwards (drains and passes are single-driver, see RunMaintenancePass).
+// Quiesce runs maintenance passes until one does no structural work (or
+// maxPasses is hit), leaving the tree balanced and physically clean. A
+// running background maintenance goroutine is paused for the duration and
+// resumed afterwards (passes are single-driver, see RunMaintenancePass).
 // Intended for tests and for phase changes in benchmarks; concurrent
 // updates may legitimately prevent quiescence, hence the bound. Quiesce
 // itself must be called from one goroutine at a time.
@@ -195,8 +147,7 @@ func (t *Tree) Quiesce(maxPasses int) bool {
 		}()
 	}
 	for i := 0; i < maxPasses; i++ {
-		_, hintWork := t.DrainHints(1 << 20)
-		if t.RunMaintenancePass()+hintWork == 0 {
+		if t.RunMaintenancePass() == 0 {
 			return true
 		}
 	}
@@ -242,9 +193,7 @@ func (t *Tree) maintain(parentRef arena.Ref, leftChild bool, ref arena.Ref) (int
 	work := lw + rw
 
 	// Rebalance (§3.1): trigger when the estimated child heights differ by
-	// more than one; a double rotation is expressed as two node-local single
-	// rotations, each its own transaction (see repair.go's rebalance — the
-	// same decision drives targeted repairs).
+	// more than one.
 	work += t.rebalance(parentRef, leftChild, ref, lh, rh)
 	// The subtree root may have changed (rotation or removal); report the
 	// estimate of whatever the parent points at now.
@@ -273,4 +222,41 @@ func setHeights(n *arena.Node, lh, rh int32) {
 	if h := 1 + maxi32(lh, rh); n.LocalH.Load() != h {
 		n.LocalH.Store(h)
 	}
+}
+
+// rebalance applies the distributed-rotation decision of §3.1 to ref (the
+// child of parentRef on the side leftChild, whose estimated child heights
+// are lh and rh): when the estimates differ by more than one, rotate — a
+// double rotation expressed as two node-local single rotations, each its
+// own transaction. It returns the number of rotations that committed.
+func (t *Tree) rebalance(parentRef arena.Ref, leftChild bool, ref arena.Ref, lh, rh int32) int {
+	work := 0
+	n := t.node(ref)
+	switch {
+	case lh > rh+1:
+		if l := n.L.Plain(); l != arena.Nil {
+			ln := t.node(l)
+			if ln.RightH.Load() > ln.LeftH.Load() {
+				if t.rotateLeft(ref, true) {
+					work++
+				}
+			}
+			if t.rotateRight(parentRef, leftChild) {
+				work++
+			}
+		}
+	case rh > lh+1:
+		if r := n.R.Plain(); r != arena.Nil {
+			rn := t.node(r)
+			if rn.LeftH.Load() > rn.RightH.Load() {
+				if t.rotateRight(ref, false) {
+					work++
+				}
+			}
+			if t.rotateLeft(parentRef, leftChild) {
+				work++
+			}
+		}
+	}
+	return work
 }

@@ -2,10 +2,10 @@ package sftree
 
 import "repro/internal/obs"
 
-// RegisterObs registers the tree's structural-activity counters with an
-// observability registry under the given rendered label pairs (e.g.
-// `shard="3"`; empty for an unlabeled tree). The counters are per-field
-// atomics, so collection is a handful of loads on the scrape path — the
+// RegisterObs registers the tree's structural-activity counters and its
+// height-estimate gauge with an observability registry under the given
+// rendered label pairs (e.g. `shard="3"`; empty for an unlabeled tree). The
+// values are per-field atomics, so collection is a handful of loads on the scrape path — the
 // tree and its maintenance driver are never paused.
 func (t *Tree) RegisterObs(r *obs.Registry, labels string) {
 	r.RegisterCollector(func(emit func(obs.Sample)) {
@@ -17,12 +17,10 @@ func (t *Tree) RegisterObs(r *obs.Registry, labels string) {
 		counter("sftree_removals_total", "Successful physical removals.", st.Removals)
 		counter("sftree_failed_rotations_total", "Rotation transactions that aborted against application traffic.", st.FailedRot)
 		counter("sftree_failed_removals_total", "Removal transactions that aborted against application traffic.", st.FailedRemove)
-		counter("sftree_maint_passes_total", "Completed fallback maintenance traversals.", st.Passes)
+		counter("sftree_maint_passes_total", "Completed maintenance sweeps.", st.Passes)
 		counter("sftree_freed_total", "Nodes reclaimed by the epoch collector.", st.Freed)
-		counter("sftree_hints_emitted_total", "Maintenance hints published at commit.", st.HintsEmitted)
-		counter("sftree_hints_coalesced_total", "Hints folded into an already-queued one.", st.HintsCoalesced)
-		counter("sftree_hints_dropped_total", "Hints discarded because the queue was full.", st.HintsDropped)
-		counter("sftree_targeted_repairs_total", "Hints consumed by targeted repair transactions.", st.TargetedRepairs)
 		counter("sftree_maint_busy_nanos_total", "Time the maintenance driver spent working, in nanoseconds.", st.BusyNanos)
+		emit(obs.Sample{Name: "sftree_height_estimate", Label: labels, Kind: obs.KindGauge,
+			Help: "Root height estimate as of the last completed maintenance pass.", Value: float64(t.heightEst.Load())})
 	})
 }

@@ -33,7 +33,6 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/arena"
 	"repro/internal/stm"
@@ -73,13 +72,14 @@ type Stats struct {
 	Freed        uint64 // nodes reclaimed by the §3.4 collector
 	FailedRot    uint64 // rotation transactions that returned false
 	FailedRemove uint64 // removal transactions that returned false
+	BusyNanos    uint64 // time the tree's own maintenance loop spent working
 
-	// Hint-driven maintenance (hints.go / repair.go).
-	HintsEmitted    uint64 // hints published into the queue at commit
-	HintsCoalesced  uint64 // hints folded into an already-queued one (dedup bit)
-	HintsDropped    uint64 // hints discarded because the queue was full
-	TargetedRepairs uint64 // hints consumed by targeted repair transactions
-	BusyNanos       uint64 // time the tree's own maintenance loop spent working
+	// Deprecated: always 0 since hints were removed; benchmark/ still reads it.
+	HintsEmitted uint64
+	// Deprecated: always 0 since hints were removed; benchmark/ still reads it.
+	HintsDropped uint64
+	// Deprecated: always 0 since hints were removed; benchmark/ still reads it.
+	TargetedRepairs uint64
 }
 
 // Add accumulates o into s (aggregation across the shards of a forest).
@@ -90,10 +90,6 @@ func (s *Stats) Add(o Stats) {
 	s.Freed += o.Freed
 	s.FailedRot += o.FailedRot
 	s.FailedRemove += o.FailedRemove
-	s.HintsEmitted += o.HintsEmitted
-	s.HintsCoalesced += o.HintsCoalesced
-	s.HintsDropped += o.HintsDropped
-	s.TargetedRepairs += o.TargetedRepairs
 	s.BusyNanos += o.BusyNanos
 }
 
@@ -118,27 +114,17 @@ type Tree struct {
 	freed        atomic.Uint64
 	failedRot    atomic.Uint64
 	failedRemove atomic.Uint64
-
-	// Hint-driven maintenance state (hints.go). hintq is nil when hints are
-	// disabled (WithoutHints — the no-restructuring ablation); notify is the
-	// registered wake callback (SetMaintNotify).
-	hintq          *hintPQ
-	notify         atomic.Pointer[func()]
-	hintsEmitted   atomic.Uint64
-	hintsCoalesced atomic.Uint64
-	hintsDropped   atomic.Uint64
-	targeted       atomic.Uint64
-	busyNanos      atomic.Uint64
+	busyNanos    atomic.Uint64
+	// heightEst is the root's height estimate as of the last completed
+	// maintenance pass (the sftree_height_estimate gauge).
+	heightEst atomic.Int32
 
 	stop atomic.Bool
 	done chan struct{}
 	// quit is closed by Stop: it ends the maintenance loop's sleeps, the
-	// budget rest included, which hint arrivals must not cut short.
+	// budget rest included.
 	quit    chan struct{}
 	running atomic.Bool
-	// wake is nudged (non-blocking) when a hint arrives, to end the
-	// maintenance loop's idle wait.
-	wake chan struct{}
 	// lifeMu serializes Start/Stop against each other, so concurrent
 	// callers cannot double-wait on done or leak a second goroutine.
 	lifeMu sync.Mutex
@@ -164,9 +150,6 @@ type Tree struct {
 	// maintVisits counts nodes visited by maintenance traversals; it is
 	// only touched by the single maintenance driver (see maintYieldStride).
 	maintVisits uint64
-	// repairPath is the reusable descent buffer of targeted repairs; like
-	// maintVisits it is touched only by the single maintenance driver.
-	repairPath []pathEnt
 
 	// frames caches one opFrame per registered thread slot (frame.go), the
 	// allocation-free argument-passing scheme of the abstract operations;
@@ -179,48 +162,17 @@ type Tree struct {
 type Option func(*cfg)
 
 type cfg struct {
-	variant    Variant
-	hints      bool
-	hintCap    int
-	promoteAge time.Duration
+	variant Variant
 }
 
 // WithVariant selects the algorithm variant (default Portable).
 func WithVariant(v Variant) Option { return func(c *cfg) { c.variant = v } }
 
-// WithoutHints disables maintenance-hint emission entirely: abstract
-// operations register no commit hooks and the tree allocates no hint queue.
-// The no-restructuring ablation uses it; ordinary trees should not.
-func WithoutHints() Option { return func(c *cfg) { c.hints = false } }
-
-// WithHintCap sets the hint-queue capacity (rounded up to a power of two;
-// default 1024). A full queue drops hints — the fallback sweep covers them.
-func WithHintCap(n int) Option {
-	return func(c *cfg) {
-		if n > 0 {
-			c.hintCap = n
-		}
-	}
-}
-
-// DefaultHintPromoteAge is the default age at which a waiting rebalance
-// hint outranks fresh removal hints (see WithHintPromoteAge).
-const DefaultHintPromoteAge = 5 * time.Millisecond
-
-// WithHintPromoteAge sets the age-based promotion bound of the two-level
-// hint queue: a rebalance hint that has waited strictly longer than d
-// outranks fresh removal hints, bounding how long a sustained removal
-// stream can starve rebalancing (default DefaultHintPromoteAge; d <= 0
-// disables promotion, restoring strict removal-first priority).
-func WithHintPromoteAge(d time.Duration) Option {
-	return func(c *cfg) { c.promoteAge = d }
-}
-
 // New creates an empty tree attached to the given STM domain, with its own
 // node arena. The maintenance thread is not started; call Start or drive
 // RunMaintenancePass manually.
 func New(s *stm.STM, opts ...Option) *Tree {
-	c := cfg{variant: Portable, hints: true, hintCap: defaultHintCap, promoteAge: DefaultHintPromoteAge}
+	c := cfg{variant: Portable}
 	for _, o := range opts {
 		o(&c)
 	}
@@ -230,10 +182,6 @@ func New(s *stm.STM, opts ...Option) *Tree {
 		ar:      ar,
 		variant: c.variant,
 		root:    ar.Alloc(MaxKey, 0),
-		wake:    make(chan struct{}, 1),
-	}
-	if c.hints {
-		t.hintq = newHintPQ(c.hintCap, c.promoteAge)
 	}
 	t.collector = arena.NewCollector(ar)
 	if t.variant == Optimized {
@@ -242,9 +190,9 @@ func New(s *stm.STM, opts ...Option) *Tree {
 		t.rotateFn, t.removeFn = t.rotatePortableTx, t.removePortableTx
 	}
 	t.maintTh = s.NewThread()
-	// Every transaction this thread runs is structural (rotation, removal,
-	// targeted repair): mark it so the STM's abort taxonomy splits its
-	// commits/aborts from the semantic operations'.
+	// Every transaction this thread runs is structural (rotation, removal):
+	// mark it so the STM's abort taxonomy splits its commits/aborts from the
+	// semantic operations'.
 	t.maintTh.MarkStructural()
 	return t
 }
@@ -261,17 +209,13 @@ func (t *Tree) STM() *stm.STM { return t.stm }
 // Stats returns a snapshot of the structural-activity counters.
 func (t *Tree) Stats() Stats {
 	return Stats{
-		Rotations:       t.rotations.Load(),
-		Removals:        t.removals.Load(),
-		Passes:          t.passes.Load(),
-		Freed:           t.freed.Load(),
-		FailedRot:       t.failedRot.Load(),
-		FailedRemove:    t.failedRemove.Load(),
-		HintsEmitted:    t.hintsEmitted.Load(),
-		HintsCoalesced:  t.hintsCoalesced.Load(),
-		HintsDropped:    t.hintsDropped.Load(),
-		TargetedRepairs: t.targeted.Load(),
-		BusyNanos:       t.busyNanos.Load(),
+		Rotations:    t.rotations.Load(),
+		Removals:     t.removals.Load(),
+		Passes:       t.passes.Load(),
+		Freed:        t.freed.Load(),
+		FailedRot:    t.failedRot.Load(),
+		FailedRemove: t.failedRemove.Load(),
+		BusyNanos:    t.busyNanos.Load(),
 	}
 }
 
@@ -306,25 +250,6 @@ func (t *Tree) atomic(th *stm.Thread, fn func(*stm.Tx)) {
 	th.AtomicMode(mode, fn)
 }
 
-// findHinted is find plus the hint observation of hint-driven maintenance:
-// when the descent crosses a node whose height estimates differ by more
-// than one, a rebalance hint for that node is registered on the transaction
-// and published only if the transaction commits (stm.Tx.OnCommit). Only the
-// update operations observe — they traverse the same paths the reads do,
-// and keeping reads observation-free keeps the dominant operations of the
-// paper's mixes at zero hint overhead.
-func (t *Tree) findHinted(tx *stm.Tx, k uint64) arena.Ref {
-	if t.hintq == nil {
-		return t.find(tx, k, nil)
-	}
-	var obs pathObs
-	curr := t.find(tx, k, &obs)
-	if obs.ok {
-		tx.OnCommit(t, hintRebalance, obs.key, obs.ref)
-	}
-	return curr
-}
-
 // ---------------------------------------------------------------------------
 // Abstract operations (paper Algorithm 1, lines 23–44 and 60–70).
 // ---------------------------------------------------------------------------
@@ -344,7 +269,7 @@ func (t *Tree) Contains(th *stm.Thread, k uint64) bool {
 // transaction (paper §5.4's reusability).
 func (t *Tree) ContainsTx(tx *stm.Tx, k uint64) bool {
 	checkKey(k)
-	curr := t.find(tx, k, nil)
+	curr := t.find(tx, k)
 	n := t.node(curr)
 	if n.Key.Plain() != k {
 		return false
@@ -363,7 +288,7 @@ func (t *Tree) Get(th *stm.Thread, k uint64) (uint64, bool) {
 // GetTx is the composable form of Get.
 func (t *Tree) GetTx(tx *stm.Tx, k uint64) (uint64, bool) {
 	checkKey(k)
-	curr := t.find(tx, k, nil)
+	curr := t.find(tx, k)
 	n := t.node(curr)
 	if n.Key.Plain() != k {
 		return 0, false
@@ -393,7 +318,7 @@ func (t *Tree) Insert(th *stm.Thread, k, v uint64) bool {
 func (t *Tree) InsertTx(tx *stm.Tx, k, v uint64, sc *arena.Scratch) bool {
 	checkKey(k)
 	sc.ResetAttempt()
-	curr := t.findHinted(tx, k)
+	curr := t.find(tx, k)
 	n := t.node(curr)
 	if n.Key.Plain() == k {
 		if tx.Read(&n.Del) != 0 {
@@ -412,12 +337,6 @@ func (t *Tree) InsertTx(tx *stm.Tx, k, v uint64, sc *arena.Scratch) bool {
 		tx.Write(&n.R, ref)
 	}
 	sc.MarkLinked()
-	if t.hintq != nil {
-		// A new leaf stales the height estimates of its whole path; the
-		// hinted targeted repair re-propagates them (and rotates if the
-		// path went out of balance).
-		tx.OnCommit(t, hintRebalance, k, ref)
-	}
 	return true
 }
 
@@ -443,7 +362,7 @@ func (t *Tree) InsertTxA(tx *stm.Tx, k, v uint64) bool {
 // attempts).
 func (t *Tree) SetTx(tx *stm.Tx, k, v uint64) {
 	checkKey(k)
-	curr := t.findHinted(tx, k)
+	curr := t.find(tx, k)
 	n := t.node(curr)
 	if n.Key.Plain() == k {
 		if tx.Read(&n.Del) != 0 {
@@ -461,11 +380,6 @@ func (t *Tree) SetTx(tx *stm.Tx, k, v uint64) {
 		tx.Write(&n.R, ref)
 	}
 	sc.MarkLinked()
-	if t.hintq != nil {
-		// A new leaf stales the height estimates of its whole path (see
-		// InsertTx).
-		tx.OnCommit(t, hintRebalance, k, ref)
-	}
 }
 
 // Delete removes k from the set, returning true when k was present. The
@@ -481,7 +395,7 @@ func (t *Tree) Delete(th *stm.Thread, k uint64) bool {
 // DeleteTx is the composable form of Delete.
 func (t *Tree) DeleteTx(tx *stm.Tx, k uint64) bool {
 	checkKey(k)
-	curr := t.findHinted(tx, k)
+	curr := t.find(tx, k)
 	n := t.node(curr)
 	if n.Key.Plain() != k {
 		return false
@@ -490,11 +404,6 @@ func (t *Tree) DeleteTx(tx *stm.Tx, k uint64) bool {
 		return false
 	}
 	tx.Write(&n.Del, 1)
-	if t.hintq != nil {
-		// Publish (only on commit) a removal hint so a maintenance worker
-		// unlinks the node promptly instead of a sweep finding it later.
-		tx.OnCommit(t, hintRemove, k, curr)
-	}
 	return true
 }
 

@@ -1,12 +1,17 @@
 package sftree
 
 import (
+	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/arena"
+	"repro/internal/obs"
 	"repro/internal/stm"
 )
 
@@ -336,6 +341,46 @@ func TestStartStopMaintenance(t *testing.T) {
 	}
 }
 
+// TestStartStopConcurrent provokes the Stop/Stop double-wait race of the
+// unserialized lifecycle: many goroutines toggling Start/Stop/Quiesce
+// concurrently must neither deadlock nor panic, and the tree must end up
+// stoppable. Run under -race it also checks the lifecycle fields.
+func TestStartStopConcurrent(t *testing.T) {
+	s := stm.New()
+	tr := New(s)
+	th := s.NewThread()
+	for i := uint64(0); i < 512; i++ {
+		tr.Insert(th, i, i)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < 50; i++ {
+				switch rng.Intn(3) {
+				case 0:
+					tr.Start()
+				case 1:
+					tr.Stop()
+				case 2:
+					tr.Stop()
+					tr.Start()
+				}
+			}
+		}(int64(g) * 131)
+	}
+	wg.Wait()
+	tr.Stop()
+	if tr.running.Load() {
+		t.Fatal("tree still running after final Stop")
+	}
+	// The lifecycle must still work after the storm.
+	tr.Start()
+	tr.Stop()
+}
+
 // TestSingleKeyLinearizability hammers one key from many goroutines with
 // inserts and deletes; successful inserts and deletes on a single key must
 // strictly alternate in any linearization, so |inserts - deletes| <= 1 and
@@ -525,6 +570,121 @@ func TestBiasedWorkloadStaysBalanced(t *testing.T) {
 			t.Fatalf("[%v] %v", v, err)
 		}
 	}
+}
+
+// TestSweepOnlyBalanceUnderChurn: with the sweep as the only maintenance
+// path, two writers churning a balanced, half-filled 2¹³-key tree with the
+// biased skew (inserts drawn up, deletes down, by U[0..9]) keep it within
+// maxRatio of log₂ of its physical size while they run; afterwards the
+// quiesced tree is balanced and the height gauge is exact. The writers
+// yield after every operation, as in TestMaintLoopDutyShare: two that never
+// do hold both CPUs of a two-core host, and the sweep, which yields every
+// maintYieldStride nodes, then waits up to a time slice per yield.
+func TestSweepOnlyBalanceUnderChurn(t *testing.T) {
+	const (
+		keyRange = 1 << 13
+		writers  = 2
+		maxRatio = 1.6
+	)
+	for _, v := range variants() {
+		t.Run(v.String(), func(t *testing.T) {
+			tr, th := newTree(t, v)
+			reg := obs.NewRegistry()
+			tr.RegisterObs(reg, "")
+			present := make([]bool, keyRange)
+			for _, k := range rand.New(rand.NewSource(13)).Perm(keyRange)[:keyRange/2] {
+				tr.Insert(th, uint64(k), uint64(k))
+				present[k] = true
+			}
+			tr.Quiesce(1 << 20)
+			tr.Start()
+
+			var stop atomic.Bool
+			var wg sync.WaitGroup
+			for w := 0; w < writers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					th := tr.STM().NewThread()
+					rng := rand.New(rand.NewSource(int64(w) + 1))
+					// skew draws one of this writer's keys (k % writers == w),
+					// moved up or down by U[0..9] slots and clamped.
+					skew := func(up bool) uint64 {
+						i, d := rng.Intn(keyRange/writers), rng.Intn(10)
+						if up {
+							i = min(i+d, keyRange/writers-1)
+						} else {
+							i = max(i-d, 0)
+						}
+						return uint64(i*writers + w)
+					}
+					// Alternating inserts and deletes keep the tree half full.
+					for insert := true; !stop.Load(); insert = !insert {
+						k := skew(insert)
+						for present[k] == insert {
+							k = skew(insert)
+						}
+						if insert {
+							tr.Insert(th, k, k)
+						} else {
+							tr.Delete(th, k)
+						}
+						present[k] = insert
+						runtime.Gosched()
+					}
+				}(w)
+			}
+
+			var sum float64
+			samples := 0
+			for deadline := time.Now().Add(500 * time.Millisecond); time.Now().Before(deadline); {
+				time.Sleep(25 * time.Millisecond)
+				if h, n, ok := liveShape(tr, 4*keyRange); ok {
+					sum += float64(h) / math.Log2(float64(n))
+					samples++
+				}
+			}
+			stop.Store(true)
+			wg.Wait()
+			mean := sum / float64(samples)
+			t.Logf("mean height/log2(n) %.3f over %d samples, %+v", mean, samples, tr.Stats())
+			if samples < 5 {
+				t.Fatalf("only %d usable samples", samples)
+			}
+			if mean > maxRatio {
+				t.Fatalf("mean height/log2(n) %.3f under churn, over %.2f", mean, maxRatio)
+			}
+
+			tr.Stop()
+			tr.Quiesce(1 << 20)
+			if err := tr.CheckBalanced(1); err != nil {
+				t.Fatal(err)
+			}
+			if g, _ := reg.Snapshot().Get("sftree_height_estimate", ""); int(g) != tr.Height() {
+				t.Fatalf("sftree_height_estimate %v, Height %d", g, tr.Height())
+			}
+		})
+	}
+}
+
+// liveShape is Height and PhysicalSize in one walk that is safe beside a
+// running maintenance driver. The links it reads with plain loads can
+// change under it: a rotation or removal landing mid-walk can make it count
+// a subtree twice, or follow a removed node's re-pointed link back up to
+// the parent (§3.3). The walk therefore gives up after budget nodes and
+// reports ok=false.
+func liveShape(tr *Tree, budget int) (height, size int, ok bool) {
+	var walk func(ref arena.Ref) int
+	walk = func(ref arena.Ref) int {
+		if ref == arena.Nil || size >= budget {
+			return 0
+		}
+		size++
+		n := tr.node(ref)
+		return 1 + max(walk(n.L.Plain()), walk(n.R.Plain()))
+	}
+	height = walk(tr.node(tr.root).L.Plain())
+	return height, size, size < budget
 }
 
 func TestStatsSnapshot(t *testing.T) {

@@ -96,7 +96,7 @@ func (th *Thread) finishPreparedOp() {
 }
 
 // Finalize publishes the prepared writes and releases the locks, completing
-// the transaction. Registered commit hooks (Tx.OnCommit) fire now — a
+// the transaction. The OnCommitted callback fires now — a
 // prepared-then-dropped attempt publishes nothing, exactly like an aborted
 // Atomic attempt.
 func (p *Prepared) Finalize() {
@@ -106,7 +106,6 @@ func (p *Prepared) Finalize() {
 	p.done = true
 	tx := &p.th.tx
 	tx.finalizePrepared()
-	tx.runCommitHooks()
 	tx.runOnCommitted()
 	p.th.finishPreparedOp()
 }
@@ -128,7 +127,6 @@ func (p *Prepared) Drop() {
 	p.done = true
 	tx := &p.th.tx
 	tx.releaseLocks()
-	tx.nHooks = 0
 	p.th.noteAbort(AbortCoordinated)
 	p.th.finishPreparedOp()
 }

@@ -146,39 +146,74 @@ func TestPreparedBlocksConcurrentWriters(t *testing.T) {
 	}
 }
 
-// TestPreparedCommitHooks: hooks registered by the prepared attempt fire on
-// Finalize exactly once, and never on Drop.
-func TestPreparedCommitHooks(t *testing.T) {
+// TestOnCommittedFiresOncePerCommit: the OnCommitted callback fires exactly
+// once per committed transaction, with the position its effects belong to —
+// an ordinary commit's write version, a read-only commit's snapshot, a
+// finalized prepared transaction's WriteVersion — and never for an aborted
+// attempt or a dropped prepared transaction.
+func TestOnCommittedFiresOncePerCommit(t *testing.T) {
 	s := New()
 	th := s.NewThread()
 	var w Word
-	h := &countingHook{}
+	var fired int
+	var pos uint64
+	record := func(p uint64) { fired, pos = fired+1, p }
+	expect := func(what string, want uint64) {
+		t.Helper()
+		if fired != 1 || pos != want {
+			t.Fatalf("%s: fired %d times at %d, want once at %d", what, fired, pos, want)
+		}
+		fired, pos = 0, 0
+	}
+
+	th.Atomic(func(tx *Tx) {
+		tx.Write(&w, 1)
+		tx.OnCommitted(record)
+	})
+	expect("ordinary commit", metaVersion(w.meta.Load()))
+
+	var snap uint64
+	th.Atomic(func(tx *Tx) {
+		tx.Read(&w)
+		snap = tx.Snapshot()
+		tx.OnCommitted(record)
+	})
+	expect("read-only commit", snap)
+
+	attempts, lost := 0, 0
+	th.Atomic(func(tx *Tx) {
+		tx.Write(&w, 2)
+		if attempts++; attempts < 3 {
+			tx.OnCommitted(func(uint64) { lost++ })
+			tx.Restart()
+		}
+		tx.OnCommitted(record)
+	})
+	if lost != 0 {
+		t.Fatalf("aborted attempts fired their callback %d times", lost)
+	}
+	expect("commit after two aborted attempts", metaVersion(w.meta.Load()))
 
 	p, _ := th.Prepare(func(tx *Tx) {
-		tx.Write(&w, 1)
-		tx.OnCommit(h, 1, 2, 3)
+		tx.Write(&w, 3)
+		tx.OnCommitted(record)
 	})
-	if h.n != 0 {
-		t.Fatal("hook fired before Finalize")
+	if fired != 0 {
+		t.Fatal("callback fired before Finalize")
 	}
+	wv := p.WriteVersion()
 	p.Finalize()
-	if h.n != 1 {
-		t.Fatalf("hook fired %d times on Finalize, want 1", h.n)
-	}
+	expect("Finalize", wv)
 
 	p2, _ := th.Prepare(func(tx *Tx) {
-		tx.Write(&w, 2)
-		tx.OnCommit(h, 4, 5, 6)
+		tx.Write(&w, 4)
+		tx.OnCommitted(record)
 	})
 	p2.Drop()
-	if h.n != 1 {
-		t.Fatalf("hook fired on Drop (count %d)", h.n)
+	if fired != 0 {
+		t.Fatalf("callback fired %d times on Drop", fired)
 	}
 }
-
-type countingHook struct{ n int }
-
-func (c *countingHook) OnTxCommit(kind, a, b uint64) { c.n++ }
 
 // TestPrepareNested: starting any transaction while one is prepared on the
 // same thread must panic (the descriptor is still in use).

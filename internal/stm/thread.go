@@ -313,7 +313,6 @@ func (th *Thread) runAttempt(tx *Tx, fn func(*Tx)) (ok bool) {
 	if !tx.commit() {
 		return false
 	}
-	tx.runCommitHooks()
 	tx.runOnCommitted()
 	return true
 }

@@ -29,26 +29,6 @@ type writeEntry struct {
 // structures (E-STM's "cut" preserves only the immediately preceding reads).
 const elasticWindow = 2
 
-// CommitHook receives a callback after a transaction commits (see
-// Tx.OnCommit). Implementations must be safe for concurrent use: hooks run
-// on the committing thread, outside the transaction, with no locks held.
-type CommitHook interface {
-	// OnTxCommit is invoked once per registered (kind, a, b) triple after
-	// the registering transaction's writes became visible.
-	OnTxCommit(kind, a, b uint64)
-}
-
-// maxCommitHooks bounds the per-transaction hook buffer. Hooks are advisory
-// (maintenance hints); registrations beyond the bound are silently dropped
-// rather than allocating.
-const maxCommitHooks = 4
-
-// commitHookEntry is one registered post-commit callback.
-type commitHookEntry struct {
-	h          CommitHook
-	kind, a, b uint64
-}
-
 // inlineReads/inlineWrites size the read and write sets embedded in the
 // descriptor itself. They are sized so the operations of the paper's
 // workloads (tree traversals recording a handful of reads, updates writing
@@ -102,11 +82,6 @@ type Tx struct {
 	// (It shares hasWrite's padding: no other field moves.)
 	unlogged bool
 
-	// Post-commit hooks registered by the current attempt (Tx.OnCommit).
-	// Discarded on abort, run exactly once after a successful commit.
-	hooks  [maxCommitHooks]commitHookEntry
-	nHooks int
-
 	// preparedWV is the write version drawn at the lock point of a prepared
 	// transaction (prepare()); finalizePrepared publishes with it. Drawing
 	// the clock position at prepare — locks, then clock, then validation,
@@ -115,11 +90,10 @@ type Tx struct {
 	// position must validate in full and so observes the prepared locks.
 	preparedWV uint64
 
-	// onCommitted is the reliable post-commit callback (OnCommitted): unlike
-	// the advisory OnCommit hint hooks it is a single slot that is never
-	// dropped, and it receives the transaction's commit position. commitPos
-	// is that position: the write version for transactions that published,
-	// the read snapshot for read-only commits.
+	// onCommitted is the post-commit callback (OnCommitted); it receives the
+	// transaction's commit position. commitPos is that position: the write
+	// version for transactions that published, the read snapshot for
+	// read-only commits.
 	onCommitted func(pos uint64)
 	commitPos   uint64
 
@@ -157,7 +131,6 @@ func (tx *Tx) begin(mode Mode) {
 	tx.widxN = 0 // stale index entries are cleared on the next engage
 	tx.windowN = 0
 	tx.hasWrite = false
-	tx.nHooks = 0
 	tx.onCommitted = nil
 	tx.commitPos = 0
 	tx.preparedWV = 0
@@ -165,12 +138,12 @@ func (tx *Tx) begin(mode Mode) {
 
 // OnCommitted registers fn to be called exactly once with the transaction's
 // commit position after this attempt commits: the write version its
-// publication carries, or the read snapshot for a read-only commit. Unlike
-// the advisory OnCommit hint hooks, the registration is reliable — a single
-// slot, never dropped — which makes it the publication point for effects
-// that must track every committed transaction (the durable layer's
-// write-ahead log records). A later registration in the same attempt
-// replaces the earlier one; an attempt that aborts discards it.
+// publication carries, or the read snapshot for a read-only commit. The
+// registration is reliable — a single slot, never dropped — which makes it
+// the publication point for effects that must track every committed
+// transaction (the durable layer's write-ahead log records). A later
+// registration in the same attempt replaces the earlier one; an attempt
+// that aborts discards it.
 func (tx *Tx) OnCommitted(fn func(pos uint64)) { tx.onCommitted = fn }
 
 // runOnCommitted fires the reliable post-commit callback, if registered.
@@ -188,36 +161,6 @@ func (tx *Tx) runOnCommitted() {
 // observed state belongs to — the durable layer's checkpointer records it as
 // the shard's checkpoint position.
 func (tx *Tx) Snapshot() uint64 { return tx.rv }
-
-// OnCommit registers h to be called with (kind, a, b) after this transaction
-// commits; a hook registered by an attempt that aborts is discarded with the
-// attempt, which makes OnCommit the publication point for side effects that
-// must only happen for committed transactions (the speculation-friendly
-// tree's maintenance hints). Duplicate registrations within one attempt are
-// folded, and registrations beyond a small fixed capacity are dropped — the
-// mechanism is for advisory signals, not for reliable delivery.
-func (tx *Tx) OnCommit(h CommitHook, kind, a, b uint64) {
-	for i := 0; i < tx.nHooks; i++ {
-		e := &tx.hooks[i]
-		if e.h == h && e.kind == kind && e.a == a && e.b == b {
-			return
-		}
-	}
-	if tx.nHooks == len(tx.hooks) {
-		return
-	}
-	tx.hooks[tx.nHooks] = commitHookEntry{h: h, kind: kind, a: a, b: b}
-	tx.nHooks++
-}
-
-// runCommitHooks fires the registered hooks after a successful commit.
-func (tx *Tx) runCommitHooks() {
-	for i := 0; i < tx.nHooks; i++ {
-		e := tx.hooks[i]
-		e.h.OnTxCommit(e.kind, e.a, e.b)
-	}
-	tx.nHooks = 0
-}
 
 // Mode reports the mode of the running transaction.
 func (tx *Tx) Mode() Mode { return tx.mode }

@@ -50,47 +50,32 @@ type Map interface {
 	RangeTx(tx *stm.Tx, lo, hi uint64, fn func(k, v uint64) bool) bool
 }
 
-// Maintained is implemented by trees with a background maintenance thread
-// (the speculation-friendly variants). Start/Stop control the rotator
-// goroutine; Quiesce drains pending structural work synchronously.
+// Maintained is implemented by trees with a background maintenance sweep
+// (the speculation-friendly variants). Start/Stop control the tree's own
+// maintenance goroutine; an external scheduler (the forest's shared worker
+// pool) drives RunMaintenancePass instead. RunMaintenancePass and Quiesce
+// are single-driver: at most one goroutine may drive a given tree at any
+// instant.
 type Maintained interface {
 	Start()
 	Stop()
+	// Quiesce runs sweeps until one does no structural work.
 	Quiesce(maxPasses int) bool
-}
-
-// HintMaintained is implemented by trees whose maintenance can be driven by
-// an external scheduler (the forest's shared worker pool) instead of their
-// own goroutine: bounded targeted hint repairs, full fallback sweeps, a
-// backlog probe for scheduling, and a wake callback fired when hints
-// arrive. All four driver methods (DrainHints, RunMaintenancePass, and
-// Maintained's Quiesce) are single-driver: the scheduler must guarantee at
-// most one goroutine drives a given tree at any instant.
-type HintMaintained interface {
-	Maintained
-	// DrainHints consumes up to max queued hints with targeted repairs,
-	// returning the hints consumed and the structural work done.
-	DrainHints(max int) (hints, work int)
-	// RunMaintenancePass executes one full fallback sweep, returning the
-	// structural work done.
+	// RunMaintenancePass executes one sweep, returning the structural work
+	// done.
 	RunMaintenancePass() int
-	// HintBacklog reports the number of queued, unconsumed hints.
-	HintBacklog() int
-	// SetMaintNotify registers a non-blocking callback invoked whenever a
-	// hint is enqueued (nil disables).
-	SetMaintNotify(fn func())
 }
 
-// HintMaintainedOf returns m's hint-maintenance surface when the tree
-// actually performs maintenance. The no-restructuring ablation satisfies
-// HintMaintained with no-ops (it must remain registry-compatible) and is
-// excluded here, so schedulers and statistics never report workers for a
-// tree that by definition does no structural work.
-func HintMaintainedOf(m Map) (HintMaintained, bool) {
+// MaintainedOf returns m's maintenance surface when the tree actually
+// performs maintenance. The no-restructuring ablation satisfies Maintained
+// with no-ops (it must remain registry-compatible) and is excluded here, so
+// schedulers and statistics never report workers for a tree that by
+// definition does no structural work.
+func MaintainedOf(m Map) (Maintained, bool) {
 	if _, ok := m.(*nrtree.Tree); ok {
 		return nil, false
 	}
-	mt, ok := m.(HintMaintained)
+	mt, ok := m.(Maintained)
 	return mt, ok
 }
 

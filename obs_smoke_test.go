@@ -130,11 +130,12 @@ func TestObsEndpointSmoke(t *testing.T) {
 		`stm_abort_cause_total{shard="0",cause="validation"}`,
 		`stm_abort_cause_total{shard="0",cause="unlogged"}`,
 		// Tree maintenance layer.
-		`sftree_hints_emitted_total{shard="0"}`,
+		`sftree_maint_passes_total{shard="0"}`,
 		`sftree_rotations_total{shard="1"}`,
+		`sftree_height_estimate{shard="1"}`,
 		// Maintenance worker pool.
 		"forest_pool_workers",
-		"forest_hint_backlog",
+		"forest_pool_sweeps_total",
 		// Cross-shard coordinator.
 		"ftx_commits_total",
 		// Durable layer.

@@ -160,8 +160,6 @@ type treeCfg struct {
 	maintenance  bool
 	shards       int
 	maintWorkers int
-	maintLo      int // adaptive pool floor (WithMaintWorkerRange)
-	maintHi      int // adaptive pool ceiling
 	cm           stm.ContentionManager
 	dur          *durable.Options
 	batchN       int
@@ -187,28 +185,12 @@ func WithoutMaintenance() Option { return func(c *treeCfg) { c.maintenance = fal
 // coordinator.
 func WithShards(n int) Option { return func(c *treeCfg) { c.shards = n } }
 
-// WithMaintWorkers pins the shared maintenance worker pool of a sharded
-// tree to exactly n workers, disabling the adaptive sizing (the default is
-// adaptive between 1 and min(shards, GOMAXPROCS/2) — see
-// WithMaintWorkerRange). The pool drains commit-time maintenance hints
-// across all shards with targeted repair transactions and runs the
-// low-frequency fallback sweeps, so total maintenance CPU is bounded by the
-// pool size rather than the shard count. Ignored on unsharded trees, whose
-// single maintenance goroutine plays the same role.
+// WithMaintWorkers sizes the shared maintenance worker pool of a sharded
+// tree at n workers (default min(shards, GOMAXPROCS/2), at least 1). The
+// pool runs the maintenance sweeps of all shards, so total maintenance CPU
+// is bounded by the pool size rather than the shard count. Ignored on
+// unsharded trees, whose single maintenance goroutine plays the same role.
 func WithMaintWorkers(n int) Option { return func(c *treeCfg) { c.maintWorkers = n } }
-
-// WithMaintWorkerRange lets the maintenance pool of a sharded tree size
-// itself between lo and hi workers: it grows a worker when the queued-hint
-// backlog outruns the active workers while they are busy, and parks one
-// when the backlog is drained and they sit idle (the decision runs between
-// drain quanta off the pool's own backlog and utilization counters —
-// MaintPoolStats reports the current size and the steps taken). lo must be
-// >= 1 and hi >= lo; ignored on unsharded trees.
-func WithMaintWorkerRange(lo, hi int) Option {
-	return func(c *treeCfg) {
-		c.maintLo, c.maintHi = lo, hi
-	}
-}
 
 // WithBatching routes single-key operations (Insert, Delete, Get, Contains,
 // UpdateShard) through a per-shard op combiner: concurrent submissions
@@ -361,9 +343,6 @@ func Open(dir string, kind Kind, opts ...Option) (*Tree, error) {
 	}
 	if cfg.maintWorkers > 0 {
 		fopts = append(fopts, forest.WithMaintWorkers(cfg.maintWorkers))
-	}
-	if cfg.maintHi > 0 {
-		fopts = append(fopts, forest.WithMaintWorkerRange(cfg.maintLo, cfg.maintHi))
 	}
 	if !cfg.maintenance {
 		fopts = append(fopts, forest.WithoutMaintenance())
@@ -556,9 +535,6 @@ func NewTree(kind Kind, opts ...Option) *Tree {
 		if cfg.maintWorkers > 0 {
 			fopts = append(fopts, forest.WithMaintWorkers(cfg.maintWorkers))
 		}
-		if cfg.maintHi > 0 {
-			fopts = append(fopts, forest.WithMaintWorkerRange(cfg.maintLo, cfg.maintHi))
-		}
 		if !cfg.maintenance {
 			fopts = append(fopts, forest.WithoutMaintenance())
 		}
@@ -580,7 +556,7 @@ func NewTree(kind Kind, opts ...Option) *Tree {
 	if cfg.maintenance {
 		t.stop = trees.Start(m)
 		t.maint = true
-		if _, ok := trees.HintMaintainedOf(m); ok {
+		if _, ok := trees.MaintainedOf(m); ok {
 			t.maintWorkers = 1
 		}
 	}
@@ -673,8 +649,6 @@ func (t *Tree) Stats() stm.Stats {
 
 // MaintenanceStats returns structural-activity counters for
 // speculation-friendly kinds, summed over shards (zero value otherwise).
-// Beyond the paper-era sweep counters it reports the hint-driven fields:
-// hints emitted, coalesced and dropped, and targeted repairs performed.
 func (t *Tree) MaintenanceStats() sftree.Stats {
 	if t.f != nil {
 		return t.f.MaintenanceStats()
@@ -686,7 +660,7 @@ func (t *Tree) MaintenanceStats() sftree.Stats {
 }
 
 // MaintPoolStats reports the maintenance scheduler's activity: worker
-// count, busy time, hint wakeups, fallback sweeps and current hint backlog.
+// count, busy time and sweeps.
 type MaintPoolStats = forest.PoolStats
 
 // MaintPoolStats returns a snapshot of the maintenance scheduler. On a
@@ -701,8 +675,7 @@ func (t *Tree) MaintPoolStats() MaintPoolStats {
 		return t.f.PoolStats()
 	}
 	ps := MaintPoolStats{}
-	mt, maintained := trees.HintMaintainedOf(t.m)
-	if !maintained {
+	if _, maintained := trees.MaintainedOf(t.m); !maintained {
 		return ps
 	}
 	ps.Workers = t.maintWorkers
@@ -711,7 +684,6 @@ func (t *Tree) MaintPoolStats() MaintPoolStats {
 		ps.BusyNanos = st.BusyNanos
 		ps.Sweeps = st.Passes
 	}
-	ps.Backlog = mt.HintBacklog()
 	return ps
 }
 

@@ -6,7 +6,7 @@ import (
 )
 
 // TestMaintWorkersOption: the shared pool honours WithMaintWorkers and
-// reports through MaintPoolStats; hint counters surface in
+// reports its sweeps through MaintPoolStats; their removals surface in
 // MaintenanceStats.
 func TestMaintWorkersOption(t *testing.T) {
 	tr := NewTree(SpeculationFriendlyOptimized, WithShards(8), WithMaintWorkers(2))
@@ -21,20 +21,18 @@ func TestMaintWorkersOption(t *testing.T) {
 	for k := uint64(0); k < 2048; k += 2 {
 		h.Delete(k)
 	}
-	ms := tr.MaintenanceStats()
-	if ms.HintsEmitted == 0 {
-		t.Fatal("no hints emitted by committed updates")
-	}
 	deadline := time.Now().Add(5 * time.Second)
-	for tr.MaintenanceStats().TargetedRepairs == 0 {
+	for tr.MaintenanceStats().Removals == 0 || tr.MaintPoolStats().Sweeps == 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("pool consumed no hints: %+v", tr.MaintenanceStats())
+			t.Fatalf("pool swept nothing: %+v, %+v", tr.MaintenanceStats(), tr.MaintPoolStats())
 		}
 		time.Sleep(time.Millisecond)
 	}
 	tr.Maintain(1 << 20)
-	if bl := tr.MaintPoolStats().Backlog; bl != 0 {
-		t.Fatalf("hint backlog %d after Maintain", bl)
+	for k := uint64(1); k < 2048; k += 2 {
+		if v, ok := h.Get(k); !ok || v != k {
+			t.Fatalf("Get(%d) = (%d, %v) after maintenance, want (%d, true)", k, v, ok, k)
+		}
 	}
 }
 

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race allocs inline fmt vet fuzz ci obs-smoke trace-smoke experiments-smoke profile bench-ab bench-ab-all
+.PHONY: all build test race allocs inline fmt vet cross fuzz ci obs-smoke trace-smoke experiments-smoke profile bench-ab bench-ab-all
 
 all: build
 
@@ -63,6 +63,13 @@ experiments-smoke:
 
 vet:
 	$(GO) vet ./...
+
+# Cross-build gate: the arena's heap-chunk fallback (chunk_heap.go) is what
+# every platform but linux/amd64 and linux/arm64 runs, and no native build
+# here compiles it outside the race detector.
+cross:
+	GOOS=darwin GOARCH=arm64 $(GO) build ./...
+	GOOS=windows GOARCH=amd64 $(GO) build ./...
 
 # Format gate: fails, listing the files, when gofmt would change any.
 fmt:
@@ -145,4 +152,4 @@ bench-ab-all:
 		$(GO) run ./benchmark -compare "$(AB_OUT)/base-$$w.jsonl" "$(AB_OUT)/new-$$w.jsonl" || status=1; \
 	done; exit $$status
 
-ci: build fmt vet inline test race allocs fuzz obs-smoke trace-smoke experiments-smoke
+ci: build fmt vet cross inline test race allocs fuzz obs-smoke trace-smoke experiments-smoke

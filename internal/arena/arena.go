@@ -9,6 +9,17 @@
 // and traversals never keep arbitrary heap objects alive. Chunks are never
 // moved or shrunk, so a Ref resolves to a stable *Node for the lifetime of
 // the arena.
+//
+// A chunk is 16 384 nodes, 2 MiB: one transparent huge page, so a traversal
+// of a tree far larger than the cache pays one TLB entry per 2 MiB of nodes
+// rather than one per 4 KiB. On Linux (amd64, arm64; not under the race
+// detector) chunks are mapped outside the Go heap on a 2 MiB boundary and
+// advised MADV_HUGEPAGE (chunk_mmap.go). That is sound because a Node holds
+// no Go pointers. A dead arena's chunks go to a process-wide pool once the
+// arena is unreachable and are never unmapped; a new arena takes pooled
+// chunks first. Node memory is therefore invisible to GOGC and to
+// runtime.MemStats, and a node pointer must not outlive every reference to
+// its arena. Elsewhere chunks are ordinary heap objects (chunk_heap.go).
 package arena
 
 import (
@@ -26,15 +37,15 @@ type Ref = uint64
 const Nil Ref = 0
 
 const (
-	chunkBits = 13 // 8192 nodes per chunk
+	chunkBits = 14 // 16 384 nodes per chunk: 2 MiB, one huge page
 	chunkSize = 1 << chunkBits
 	chunkMask = chunkSize - 1
 
-	// maxChunks bounds the chunk directory (see Arena.chunkPtr): 8192
-	// chunks × 8192 nodes ≈ 67M nodes ≈ 8 GiB of 128-byte nodes, far
-	// beyond any workload in this repository. The fixed directory is what
-	// lets Get resolve a Ref with a single dependent load.
-	maxChunks = 8192
+	// maxChunks bounds the chunk directory (see Arena.chunkPtr): 4096
+	// chunks of 2 MiB ≈ 67M nodes ≈ 8 GiB of 128-byte nodes, far beyond
+	// any workload in this repository. The fixed directory is what lets Get
+	// resolve a Ref with a single dependent load.
+	maxChunks = 4096
 )
 
 // Node is the universal tree node. The speculation-friendly tree, the
@@ -71,10 +82,12 @@ const (
 // tree's parent link is read on its rebalancing paths only); line two holds
 // what only the found node, an update or the maintenance sweep touches
 // (Del/Val at the candidate, the heights and the free-list link; 12 bytes
-// are padding). Chunks are 64-byte aligned (they are large heap objects)
-// and 128 is a multiple of 64, so every node's lines coincide with hardware
-// lines and a k-node traversal costs k data lines. TestNodeLayout enforces
-// all of this.
+// are padding). Chunks start on a 2 MiB boundary (mapped) or at least a
+// 64-byte one (heap fallback), and 128 divides both, so every node's lines
+// coincide with hardware lines and a k-node traversal costs k data lines; a
+// chunk holds exactly 16 384 nodes, one huge page. Node holds no Go
+// pointers, which is what lets chunks live outside the Go heap
+// (TestNodeHasNoPointers). TestNodeLayout enforces the rest.
 type Node struct {
 	Key stm.Word
 	L   stm.Word
@@ -124,12 +137,15 @@ type chunk [chunkSize]Node
 // one dependent load (the chunk pointer) instead of three (slice-header
 // pointer → slice header → chunk pointer). Get runs once per traversal
 // hop in every tree, and that dependent-load chain sat at the top of the
-// CPU profile. The directory costs 64 KiB per arena — one arena per tree
+// CPU profile. The directory costs 32 KiB per arena — one arena per tree
 // shard — and caps capacity at maxChunks chunks, enforced by the bounds
 // check in Alloc.
 type Arena struct {
 	chunkPtr [maxChunks]atomic.Pointer[chunk]
 	nChunks  atomic.Uint64
+	// chunks lists what the directory holds, in a separate object so that
+	// recycle can hand it to the pool without keeping the arena alive.
+	chunks *[]*chunk
 
 	mu       sync.Mutex
 	freeHead Ref
@@ -143,10 +159,18 @@ type Arena struct {
 // New creates an arena with one chunk pre-allocated. Slot 0 is reserved so
 // that the zero Ref is never a valid node.
 func New() *Arena {
-	a := &Arena{next: 1}
-	a.chunkPtr[0].Store(&chunk{})
-	a.nChunks.Store(1)
+	a := &Arena{next: 1, chunks: new([]*chunk)}
+	a.grow(0)
+	recycle(a)
 	return a
+}
+
+// grow installs chunk ci; the caller holds the mutex or owns the arena.
+func (a *Arena) grow(ci uint64) {
+	c := newChunk()
+	*a.chunks = append(*a.chunks, c)
+	a.chunkPtr[ci].Store(c)
+	a.nChunks.Store(ci + 1)
 }
 
 // Get resolves a Ref to its node. It panics on Nil or out-of-range refs
@@ -190,8 +214,7 @@ func (a *Arena) Alloc(key, val uint64) Ref {
 		}
 		a.next++
 		if a.chunkPtr[ci].Load() == nil {
-			a.chunkPtr[ci].Store(&chunk{})
-			a.nChunks.Store(ci + 1)
+			a.grow(ci)
 		}
 	}
 	a.mu.Unlock()
@@ -275,7 +298,7 @@ func (s *Scratch) Take(a *Arena, key, val uint64) Ref {
 // MarkLinked records that the current attempt published the node.
 func (s *Scratch) MarkLinked() { s.linked = true }
 
-// Ref returns the scratch node's reference (Nil when never taken).
+// Node returns the scratch node's reference (Nil when never taken).
 func (s *Scratch) Node() Ref { return s.ref }
 
 // Release frees the node unless the final attempt linked it, then resets.

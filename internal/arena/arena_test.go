@@ -1,6 +1,7 @@
 package arena
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -32,7 +33,8 @@ func TestAllocInitialState(t *testing.T) {
 
 // TestNodeLayout pins the two-cache-line contract of the Node doc comment:
 // 128 bytes, the traversal words on the first line, the found-node words on
-// the second, and chunks that start on a line boundary so the node lines
+// the second, and 2 MiB chunks that start on chunkAlign (a huge-page boundary
+// where chunks are mapped, a line boundary on the heap) so the node lines
 // coincide with hardware lines.
 func TestNodeLayout(t *testing.T) {
 	var n Node
@@ -59,15 +61,40 @@ func TestNodeLayout(t *testing.T) {
 	if n.Parent() != &n.Rem || n.Balance() != &n.Del {
 		t.Error("Parent/Balance must alias the Rem/Del slots")
 	}
+	if s := unsafe.Sizeof(chunk{}); s != 2<<20 {
+		t.Fatalf("Sizeof(chunk) = %d, want 2 MiB (one huge page)", s)
+	}
 	a := New()
 	for i := 0; i < chunkSize; i++ { // slot 0 is burned: this reaches chunk 1
 		a.Alloc(uint64(i), 0)
 	}
 	for ci := range 2 {
-		if p := uintptr(unsafe.Pointer(&a.chunkPtr[ci].Load()[0])); p%64 != 0 {
-			t.Errorf("chunk %d starts at %#x, not 64-byte aligned", ci, p)
+		if p := uintptr(unsafe.Pointer(&a.chunkPtr[ci].Load()[0])); p%chunkAlign != 0 {
+			t.Errorf("chunk %d starts at %#x, not %d-byte aligned", ci, p, chunkAlign)
 		}
 	}
+}
+
+// TestNodeHasNoPointers walks Node's type and fails on any kind that holds a
+// Go pointer. Chunks may live outside the Go heap, where the collector never
+// looks: a pointer stored there would not keep its target alive.
+func TestNodeHasNoPointers(t *testing.T) {
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map,
+			reflect.Chan, reflect.Func, reflect.Interface, reflect.String:
+			t.Errorf("%s is a %s: the collector cannot see it in a mapped chunk", path, typ.Kind())
+		case reflect.Array:
+			walk(path+"[i]", typ.Elem())
+		case reflect.Struct:
+			for i := range typ.NumField() {
+				f := typ.Field(i)
+				walk(path+"."+f.Name, f.Type)
+			}
+		}
+	}
+	walk("Node", reflect.TypeFor[Node]())
 }
 
 func TestRefZeroIsNil(t *testing.T) {

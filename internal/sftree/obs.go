@@ -1,9 +1,14 @@
 package sftree
 
-import "repro/internal/obs"
+import (
+	"unsafe"
 
-// RegisterObs registers the tree's structural-activity counters and its
-// height-estimate gauge with an observability registry under the given
+	"repro/internal/arena"
+	"repro/internal/obs"
+)
+
+// RegisterObs registers the tree's structural-activity counters, its
+// height-estimate gauge and its node-memory gauge with an observability registry under the given
 // rendered label pairs (e.g. `shard="3"`; empty for an unlabeled tree). The
 // values are per-field atomics, so collection is a handful of loads on the scrape path — the
 // tree and its maintenance driver are never paused.
@@ -22,5 +27,9 @@ func (t *Tree) RegisterObs(r *obs.Registry, labels string) {
 		counter("sftree_maint_busy_nanos_total", "Time the maintenance driver spent working, in nanoseconds.", st.BusyNanos)
 		emit(obs.Sample{Name: "sftree_height_estimate", Label: labels, Kind: obs.KindGauge,
 			Help: "Root height estimate as of the last completed maintenance pass.", Value: float64(t.heightEst.Load())})
+		// Node chunks live outside the Go heap on Linux, so no runtime
+		// memory statistic counts them: this gauge is where they show.
+		emit(obs.Sample{Name: "sftree_node_bytes", Label: labels, Kind: obs.KindGauge,
+			Help: "Bytes of node chunks held by the tree's arena.", Value: float64((t.ar.Cap() + 1) * uint64(unsafe.Sizeof(arena.Node{})))})
 	})
 }

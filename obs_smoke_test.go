@@ -133,6 +133,7 @@ func TestObsEndpointSmoke(t *testing.T) {
 		`sftree_maint_passes_total{shard="0"}`,
 		`sftree_rotations_total{shard="1"}`,
 		`sftree_height_estimate{shard="1"}`,
+		`sftree_node_bytes{shard="0"}`,
 		// Maintenance worker pool.
 		"forest_pool_workers",
 		"forest_pool_sweeps_total",
@@ -153,6 +154,11 @@ func TestObsEndpointSmoke(t *testing.T) {
 	}
 	if t.Failed() {
 		t.Logf("exposition was:\n%s", body)
+	}
+	// Node chunks are outside the Go heap on Linux; the gauge must still
+	// count at least the one 2 MiB chunk every arena holds.
+	if v, ok := tr.Obs().Snapshot().Get("sftree_node_bytes", `shard="0"`); !ok || v < 2<<20 {
+		t.Errorf(`sftree_node_bytes{shard="0"} = %v (ok=%t), want >= 2 MiB`, v, ok)
 	}
 }
 

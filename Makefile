@@ -1,11 +1,19 @@
 GO ?= go
 
-.PHONY: all build test race allocs inline fmt vet cross fuzz ci obs-smoke trace-smoke experiments-smoke profile bench-ab bench-ab-all
+.PHONY: all build test race allocs inline fmt vet cross fuzz ci obs-smoke trace-smoke experiments-smoke profile bench-ab bench-ab-all loc
 
 all: build
 
 build:
 	$(GO) build ./...
+
+# Line counts of the module's Go sources, split into non-test and test
+# files (tracked plus untracked-but-not-ignored, so a change is counted
+# before it is committed).
+loc:
+	@files() { git ls-files --cached --others --exclude-standard -- '*.go' | sort -u; }; \
+	echo "non-test Go: $$(files | grep -v '_test\.go$$' | xargs cat | wc -l)"; \
+	echo "test Go:     $$(files | grep '_test\.go$$' | xargs cat | wc -l)"
 
 test:
 	$(GO) test ./...

@@ -18,7 +18,7 @@ import (
 )
 
 func main() {
-	// A speculation-friendly tree with its maintenance goroutine running.
+	// A speculation-friendly tree with its maintenance worker running.
 	tree := repro.NewTree(repro.SpeculationFriendlyOptimized)
 	defer tree.Close()
 

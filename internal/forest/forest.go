@@ -39,7 +39,9 @@
 //     moving between shards concurrently can be seen at both keys or at
 //     neither.
 //
-// With one shard a Forest is semantically identical to the bare tree.
+// With one shard a Forest is semantically identical to the bare tree: the
+// paper's configuration, one tree in one STM domain. Every repro.Tree is a
+// Forest.
 package forest
 
 import (

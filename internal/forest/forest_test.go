@@ -91,12 +91,12 @@ func TestBasicOpsAcrossShards(t *testing.T) {
 	if h.Len() != n/2 {
 		t.Fatalf("len after deletes = %d", h.Len())
 	}
-	// Per-shard operation accounting must cover every routed op.
-	var routed uint64
-	for _, c := range h.OpsPerShard() {
-		routed += c
+	// The handle's per-shard threads account for every routed op.
+	var commits uint64
+	for _, st := range h.ShardStats() {
+		commits += st.Commits
 	}
-	if routed == 0 {
+	if commits == 0 {
 		t.Fatal("no routed operations recorded")
 	}
 }

@@ -19,7 +19,6 @@ import (
 type Handle struct {
 	f     *Forest
 	ths   []*stm.Thread    // cached per-shard threads, created on first touch
-	ops   []uint64         // operations routed to each shard
 	coord *ftx.Coordinator // cross-shard transaction coordinator, on first Atomic
 
 	// mv is the cross-shard Move in flight and moveFn the transaction body
@@ -88,7 +87,6 @@ func (f *Forest) NewHandle() *Handle {
 	h := &Handle{
 		f:     f,
 		ths:   make([]*stm.Thread, len(f.shards)),
-		ops:   make([]uint64, len(f.shards)),
 		trRng: handleSeq.Add(1)*0x9e3779b97f4a7c15 | 1,
 	}
 	h.logFn, h.insertFn, h.deleteFn = h.logHook, h.insertTx, h.deleteTx
@@ -160,20 +158,10 @@ func (h *Handle) thread(si int) *stm.Thread {
 	return h.ths[si]
 }
 
-// route resolves k to its shard, charging one routed operation to it.
+// route resolves k to its shard and the handle's thread there.
 func (h *Handle) route(k uint64) (*shard, *stm.Thread, int) {
 	si := h.f.ShardOf(k)
-	h.ops[si]++
 	return h.f.shards[si], h.thread(si), si
-}
-
-// OpsPerShard returns how many operations this handle routed to each shard
-// (the per-shard load-balance view). A cross-shard transaction counts once
-// on every shard it touched, per attempt (see ftxDomain).
-func (h *Handle) OpsPerShard() []uint64 {
-	out := make([]uint64, len(h.ops))
-	copy(out, h.ops)
-	return out
 }
 
 // Stats sums the STM statistics of this handle's own per-shard threads —
@@ -393,7 +381,6 @@ func (h *Handle) Move(src, dst uint64) bool {
 		}
 		return ok
 	}
-	h.ops[dsi]++
 	c := h.coordinator()
 	var (
 		tr *obs.Tracer
@@ -453,17 +440,13 @@ func (h *Handle) logMove(tx *stm.Tx, src, dst, v uint64) {
 
 // ftxDomain adapts a Handle to the cross-shard coordinator's Domain
 // interface. The coordinator looks a shard up once per attempt, when the
-// transaction first touches it, and the lookup charges the handle's
-// routed-operation counter: OpsPerShard counts an Atomic as one operation
-// per participating shard per attempt (a cross-shard Move pays that on top
-// of its own routing charges).
+// transaction first touches it.
 type ftxDomain struct{ h *Handle }
 
 func (d ftxDomain) Shards() int          { return len(d.h.f.shards) }
 func (d ftxDomain) ShardOf(k uint64) int { return d.h.f.ShardOf(k) }
 
 func (d ftxDomain) Shard(si int) ftx.Shard {
-	d.h.ops[si]++
 	return ftx.Shard{
 		Map:     d.h.f.shards[si].m,
 		Thread:  d.h.thread(si),
@@ -541,22 +524,20 @@ func (h *Handle) XactStats() ftx.Stats {
 	return h.coord.Stats()
 }
 
-// scanThread prepares shard si for a read-only scan: it charges the routed
-// operation and returns the shard's thread, or nil when the shard was just
-// observed empty and the handle has nothing registered there — an empty
-// shard contributes nothing to a scan, and skipping it avoids registering
-// an STM thread (which the shard's maintenance GC would forever after have
-// to inspect) with a domain the handle never otherwise touches.
+// scanThread prepares shard si for a read-only scan: it returns the shard's
+// thread, or nil when the shard was just observed empty and the handle has
+// nothing registered there — an empty shard contributes nothing to a scan,
+// and skipping it avoids registering an STM thread (which the shard's
+// maintenance GC would forever after have to inspect) with a domain the
+// handle never otherwise touches.
 func (h *Handle) scanThread(si int) *stm.Thread {
 	if h.ths[si] == nil && trees.EmptyHint(h.f.shards[si].m) {
 		return nil
 	}
-	h.ops[si]++
 	return h.thread(si)
 }
 
-// Len counts the elements, one consistent snapshot per shard. Each scanned
-// shard is charged one routed operation (see OpsPerShard).
+// Len counts the elements, one consistent snapshot per shard.
 func (h *Handle) Len() int {
 	n := 0
 	for si, sh := range h.f.shards {
@@ -570,7 +551,7 @@ func (h *Handle) Len() int {
 }
 
 // Keys returns the sorted keys, one consistent snapshot per shard, merged
-// exactly as Range merges (each scanned shard charged one routed op).
+// exactly as Range merges.
 func (h *Handle) Keys() []uint64 {
 	var all []uint64
 	h.Range(0, ^uint64(0), func(k, _ uint64) bool {

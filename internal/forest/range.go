@@ -81,7 +81,7 @@ func (h *Handle) putScan(sc *rangeScan) {
 // internally consistent, the shards not cut at one instant — the same
 // contract as Len and Keys) and then merges the S sorted snapshots lazily,
 // k-way, while feeding fn. Shards observed empty are skipped without
-// opening a transaction; each scanned shard is charged one routed op.
+// opening a transaction.
 //
 // Each shard's snapshot is one read-only CTL transaction whatever the domain
 // default (stm.Thread.AtomicRO: a first attempt that logs no reads, a fully

@@ -153,9 +153,10 @@ func TestRangeEarlyStopAndBounds(t *testing.T) {
 	}
 }
 
-// TestScanOpsAccounting verifies that Len/Keys/Range charge the handle's
-// per-shard operation counters, and that scans over an empty forest neither
-// register STM threads with the shards nor charge any shard.
+// TestScanOpsAccounting verifies that Len/Keys/Range run one transaction on
+// each populated shard through the handle's per-shard threads, and that
+// scans over an empty forest neither register STM threads with the shards
+// nor run any transaction.
 func TestScanOpsAccounting(t *testing.T) {
 	f := New(trees.SFOpt, WithShards(4), WithoutMaintenance())
 	defer f.Close()
@@ -166,9 +167,9 @@ func TestScanOpsAccounting(t *testing.T) {
 		t.Fatal("empty forest scan not empty")
 	}
 	h.Range(0, ^uint64(0), func(_, _ uint64) bool { t.Error("element in empty forest"); return true })
-	for si, c := range h.OpsPerShard() {
-		if c != 0 {
-			t.Fatalf("empty-forest scan charged shard %d (%d ops)", si, c)
+	for si, st := range h.ShardStats() {
+		if st.Commits != 0 {
+			t.Fatalf("empty-forest scan committed on shard %d (%d commits)", si, st.Commits)
 		}
 	}
 	for si, th := range h.ths {
@@ -178,7 +179,7 @@ func TestScanOpsAccounting(t *testing.T) {
 	}
 
 	// Populated forest: every shard holds keys (dense range over 4 shards),
-	// so each scan charges every shard once.
+	// so each scan commits once on every shard.
 	w := f.NewHandle()
 	for k := uint64(0); k < 256; k++ {
 		w.Insert(k, k)
@@ -187,9 +188,9 @@ func TestScanOpsAccounting(t *testing.T) {
 	h2.Len()
 	h2.Keys()
 	h2.Range(0, 255, func(_, _ uint64) bool { return true })
-	for si, c := range h2.OpsPerShard() {
-		if c != 3 {
-			t.Fatalf("shard %d charged %d scan ops, want 3", si, c)
+	for si, st := range h2.ShardStats() {
+		if st.Commits != 3 {
+			t.Fatalf("shard %d committed %d scans, want 3", si, st.Commits)
 		}
 	}
 }

@@ -396,8 +396,8 @@ func (s *single) Shard(int) Shard    { return s.sh }
 
 // Single wraps one (map, thread) pair as a one-shard Domain: every
 // transaction on it commits through the single-shard fast path, which makes
-// the cross-shard API usable — and its cost comparable — on unsharded
-// trees.
+// the cross-shard API usable — and its cost comparable — on a bare tree
+// outside any forest (the benchmark ladder's lowest rung).
 func Single(m trees.Map, th *stm.Thread) Domain {
 	return &single{sh: Shard{Map: m, Thread: th, Intents: &IntentTable{}}}
 }

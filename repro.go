@@ -9,7 +9,7 @@
 // The speculation-friendly tree decouples each update into an abstract
 // transaction (insert, logical delete, contains — tiny read/write sets) and
 // background structural transactions (node-local rotations, physical
-// removals, garbage collection) run by a maintenance goroutine, so abstract
+// removals, garbage collection) run by a maintenance worker, so abstract
 // operations rarely conflict and aborted work stays small.
 //
 // # Quick start
@@ -32,10 +32,12 @@
 //
 // # Scaling beyond one STM domain
 //
-// The paper's design funnels every operation through one STM domain (one
-// global version clock, one maintenance goroutine). For workloads that
-// outgrow it, WithShards hash-partitions the key space across independent
-// domain+tree shards, and WithContention selects the abort→retry policy:
+// Every Tree is a forest of hash-partitioned shards (internal/forest), each
+// one tree in its own STM domain. The default of one shard is the paper's
+// design: every operation goes through one STM domain (one global version
+// clock, one maintenance worker). For workloads that outgrow it, WithShards
+// splits the key space across independent domain+tree shards, and
+// WithContention selects the abort→retry policy:
 //
 //	t := repro.NewTree(repro.SpeculationFriendlyOptimized,
 //		repro.WithShards(8), repro.WithContention(repro.ContentionKarma))
@@ -119,15 +121,13 @@ const (
 )
 
 // Tree is a concurrent ordered map from uint64 keys to uint64 values backed
-// by one of the paper's tree libraries over the package's STM — either one
-// tree in one STM domain (the paper's configuration, the default), or a
-// hash-sharded forest of them (WithShards). Create one with NewTree; every
-// goroutine accessing it must use its own Handle.
+// by one of the paper's tree libraries over the package's STM. It is a
+// hash-sharded forest of such trees, one STM domain each; the default of one
+// shard is the paper's configuration, one tree in one STM domain. Create one
+// with NewTree (or Open, for a durable tree); every goroutine accessing it
+// must use its own Handle.
 type Tree struct {
-	s    *stm.STM       // single-domain path (shards == 1)
-	m    trees.Map      // single-domain path
-	f    *forest.Forest // sharded path (shards > 1, and every durable tree)
-	stop func()
+	f *forest.Forest
 	// dlog is the attached write-ahead log of a durable tree (repro.Open);
 	// nil for volatile trees. recovery is what Open reconstructed.
 	dlog     *durable.Log
@@ -140,16 +140,6 @@ type Tree struct {
 	obsFR  *obs.FlightRecorder
 	obsTr  *obs.Tracer
 	obsSrv *obs.Server
-	// maintWorkers is the configured maintenance-scheduler size of the
-	// single-domain path (1 when a maintenance goroutine was started, 0
-	// otherwise); immutable after NewTree, reported by MaintPoolStats.
-	maintWorkers int
-	// maintMu serializes maintenance toggling: Close may be called
-	// concurrently with Stats, whose pause/resume bracket reads maint —
-	// without the lock that is a data race, and a racing resume could
-	// restart maintenance after Close returned.
-	maintMu sync.Mutex
-	maint   bool // background maintenance currently enabled; guarded by maintMu
 }
 
 // Option configures NewTree.
@@ -172,7 +162,7 @@ type treeCfg struct {
 // WithTMMode selects the TM algorithm (default CommitTimeLocking).
 func WithTMMode(m TMMode) Option { return func(c *treeCfg) { c.mode = m } }
 
-// WithoutMaintenance suppresses the background maintenance goroutine(s);
+// WithoutMaintenance suppresses the background maintenance worker(s);
 // the caller can drive maintenance manually via Maintain.
 func WithoutMaintenance() Option { return func(c *treeCfg) { c.maintenance = false } }
 
@@ -182,14 +172,14 @@ func WithoutMaintenance() Option { return func(c *treeCfg) { c.maintenance = fal
 // transactions are confined to one shard (see Handle.UpdateShard and
 // Tree.SameShard), and arbitrary multi-shard compositions — including Move
 // across shards — run atomically through Handle.Atomic's two-phase-commit
-// coordinator.
+// coordinator. NewTree panics on n < 1; Open returns the error.
 func WithShards(n int) Option { return func(c *treeCfg) { c.shards = n } }
 
-// WithMaintWorkers sizes the shared maintenance worker pool of a sharded
-// tree at n workers (default min(shards, GOMAXPROCS/2), at least 1). The
-// pool runs the maintenance sweeps of all shards, so total maintenance CPU
-// is bounded by the pool size rather than the shard count. Ignored on
-// unsharded trees, whose single maintenance goroutine plays the same role.
+// WithMaintWorkers sizes the shared maintenance worker pool at n workers
+// (default min(shards, GOMAXPROCS/2), at least 1; never more than the shard
+// count, so a one-shard tree runs one worker). The pool runs the maintenance
+// sweeps of all shards, so total maintenance CPU is bounded by the pool size
+// rather than the shard count.
 func WithMaintWorkers(n int) Option { return func(c *treeCfg) { c.maintWorkers = n } }
 
 // WithBatching routes single-key operations (Insert, Delete, Get, Contains,
@@ -207,7 +197,6 @@ func WithMaintWorkers(n int) Option { return func(c *treeCfg) { c.maintWorkers =
 // abort storms with conflict-free serial batches and amortizes the
 // per-transaction overhead; on read-dominated uncontended workloads it
 // serializes reads that would have run in parallel, so leave it off there.
-// A batched tree always runs on the forest path, even unsharded.
 func WithBatching(n int, wait time.Duration) Option {
 	return func(c *treeCfg) {
 		c.batchN = n
@@ -252,8 +241,6 @@ func WithObservability(addr string) Option {
 // /trace endpoint and Tree.Tracer; per-op-kind latency histograms
 // (op_latency_nanos) and a top-K slow-op table ride along in the registry.
 // sampleEvery <= 1 samples every operation (tests and debugging).
-//
-// A traced tree always runs on the forest path, even unsharded.
 func WithTracing(sampleEvery int) Option {
 	return func(c *treeCfg) {
 		c.obs = true
@@ -294,6 +281,56 @@ func WithDurability(o DurabilityOptions) Option {
 	return func(c *treeCfg) { c.dur = &o }
 }
 
+// configure applies opts over the defaults and validates the result.
+func configure(opts []Option) (treeCfg, error) {
+	cfg := treeCfg{mode: stm.CTL, maintenance: true, shards: 1}
+	for _, o := range opts {
+		o(&cfg)
+	}
+	if cfg.shards < 1 {
+		return cfg, fmt.Errorf("repro: shard count %d < 1", cfg.shards)
+	}
+	return cfg, nil
+}
+
+// newForest builds the forest behind a tree of the given kind.
+func (c *treeCfg) newForest(kind Kind) *forest.Forest {
+	fopts := []forest.Option{
+		forest.WithShards(c.shards),
+		forest.WithTMMode(c.mode),
+		forest.WithContentionManager(c.cm),
+		forest.WithMaintWorkers(c.maintWorkers),
+		forest.WithBatching(c.batchN, c.batchWait),
+	}
+	if !c.maintenance {
+		fopts = append(fopts, forest.WithoutMaintenance())
+	}
+	return forest.New(kind, fopts...)
+}
+
+// NewTree creates an empty tree of the given kind. Unless
+// WithoutMaintenance is given, speculation-friendly kinds start their
+// background maintenance worker(s) immediately; Close stops them. NewTree
+// panics on a configuration error (a shard count below one, WithDurability,
+// an observability address that cannot be listened on).
+func NewTree(kind Kind, opts ...Option) *Tree {
+	cfg, err := configure(opts)
+	if err != nil {
+		panic(err)
+	}
+	if cfg.dur != nil {
+		panic("repro: WithDurability requires a directory; use repro.Open(dir, kind, ...)")
+	}
+	t := &Tree{f: cfg.newForest(kind)}
+	if cfg.obs {
+		if err := t.setupObs(cfg.obsAddr, cfg.trace); err != nil {
+			t.Close()
+			panic(err)
+		}
+	}
+	return t
+}
+
 // Open creates — or recovers — a durable tree of the given kind backed by
 // the write-ahead log and checkpoints in dir (created if missing; the same
 // kind and shard count must be used across openings of one directory).
@@ -314,12 +351,9 @@ func WithDurability(o DurabilityOptions) Option {
 // prefix and CRC and cleanly discarded, so a cross-shard transaction is
 // recovered wholly or not at all.
 func Open(dir string, kind Kind, opts ...Option) (*Tree, error) {
-	cfg := treeCfg{mode: stm.CTL, maintenance: true, shards: 1}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	if cfg.shards < 1 {
-		return nil, fmt.Errorf("repro: shard count %d < 1", cfg.shards)
+	cfg, err := configure(opts)
+	if err != nil {
+		return nil, err
 	}
 	var dopts durable.Options
 	if cfg.dur != nil {
@@ -329,28 +363,11 @@ func Open(dir string, kind Kind, opts ...Option) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	// A durable tree always runs on the forest path, whatever the shard
-	// count: with one shard a forest is semantically identical to the bare
-	// tree, and the WAL, checkpoint and cross-shard plumbing then have one
-	// surface. Replay the recovered state before attaching the log (the
-	// replay must not re-log itself), then seal a fresh checkpoint so the
-	// old log generation — whose record positions belong to the previous
-	// process's clocks — is truncated and the cuts rebased.
-	fopts := []forest.Option{
-		forest.WithShards(cfg.shards),
-		forest.WithTMMode(cfg.mode),
-		forest.WithContentionManager(cfg.cm),
-	}
-	if cfg.maintWorkers > 0 {
-		fopts = append(fopts, forest.WithMaintWorkers(cfg.maintWorkers))
-	}
-	if !cfg.maintenance {
-		fopts = append(fopts, forest.WithoutMaintenance())
-	}
-	if cfg.batchN > 1 {
-		fopts = append(fopts, forest.WithBatching(cfg.batchN, cfg.batchWait))
-	}
-	f := forest.New(kind, fopts...)
+	// Replay the recovered state before attaching the log (the replay must
+	// not re-log itself), then seal a fresh checkpoint so the old log
+	// generation — whose record positions belong to the previous process's
+	// clocks — is truncated and the cuts rebased.
+	f := cfg.newForest(kind)
 	reload(f, rec.State)
 	f.AttachWAL(l)
 	if err := l.Checkpoint(f); err != nil {
@@ -359,7 +376,7 @@ func Open(dir string, kind Kind, opts ...Option) (*Tree, error) {
 		return nil, err
 	}
 	l.StartCheckpoints(f)
-	t := &Tree{f: f, stop: f.Close, maint: cfg.maintenance, dlog: l, recovery: *rec}
+	t := &Tree{f: f, dlog: l, recovery: *rec}
 	if cfg.obs {
 		if err := t.setupObs(cfg.obsAddr, cfg.trace); err != nil {
 			t.Close()
@@ -381,22 +398,11 @@ func (t *Tree) setupObs(addr string, trace int) error {
 		tr := obs.NewTracer(trace, 4096)
 		r.SetTracer(tr)
 		tr.RegisterObs(r)
-		if t.f != nil {
-			t.f.SetTracer(tr)
-		}
+		t.f.SetTracer(tr)
 		t.obsTr = tr
 	}
-	if t.f != nil {
-		t.f.RegisterObs(r)
-		t.f.SetFlightRecorder(fr)
-	} else {
-		t.s.RegisterObs(r, "")
-		if sf, ok := t.m.(interface {
-			RegisterObs(*obs.Registry, string)
-		}); ok {
-			sf.RegisterObs(r, "")
-		}
-	}
+	t.f.RegisterObs(r)
+	t.f.SetFlightRecorder(fr)
 	if t.dlog != nil {
 		t.dlog.RegisterObs(r)
 		t.dlog.SetFlightRecorder(fr)
@@ -511,63 +517,6 @@ func (t *Tree) Sync() error {
 	return t.dlog.Sync()
 }
 
-// NewTree creates an empty tree of the given kind. Unless
-// WithoutMaintenance is given, speculation-friendly kinds start their
-// background maintenance goroutine(s) immediately; Close stops them.
-func NewTree(kind Kind, opts ...Option) *Tree {
-	cfg := treeCfg{mode: stm.CTL, maintenance: true, shards: 1}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	if cfg.dur != nil {
-		panic("repro: WithDurability requires a directory; use repro.Open(dir, kind, ...)")
-	}
-	// A batched or traced tree runs on the forest path whatever the shard
-	// count: the combiner and the trace instrumentation live in the forest
-	// layer, and with one shard a forest is semantically identical to the
-	// bare tree.
-	if cfg.shards > 1 || cfg.batchN > 1 || cfg.trace > 0 {
-		fopts := []forest.Option{
-			forest.WithShards(cfg.shards),
-			forest.WithTMMode(cfg.mode),
-			forest.WithContentionManager(cfg.cm),
-		}
-		if cfg.maintWorkers > 0 {
-			fopts = append(fopts, forest.WithMaintWorkers(cfg.maintWorkers))
-		}
-		if !cfg.maintenance {
-			fopts = append(fopts, forest.WithoutMaintenance())
-		}
-		if cfg.batchN > 1 {
-			fopts = append(fopts, forest.WithBatching(cfg.batchN, cfg.batchWait))
-		}
-		f := forest.New(kind, fopts...)
-		t := &Tree{f: f, stop: f.Close, maint: cfg.maintenance}
-		if cfg.obs {
-			if err := t.setupObs(cfg.obsAddr, cfg.trace); err != nil {
-				panic(err)
-			}
-		}
-		return t
-	}
-	s := stm.New(stm.WithMode(cfg.mode), stm.WithContentionManager(cfg.cm))
-	m := trees.New(kind, s)
-	t := &Tree{s: s, m: m, stop: func() {}}
-	if cfg.maintenance {
-		t.stop = trees.Start(m)
-		t.maint = true
-		if _, ok := trees.MaintainedOf(m); ok {
-			t.maintWorkers = 1
-		}
-	}
-	if cfg.obs {
-		if err := t.setupObs(cfg.obsAddr, cfg.trace); err != nil {
-			panic(err)
-		}
-	}
-	return t
-}
-
 // Close stops background maintenance. The tree remains fully usable
 // (readable and writable); only the structural upkeep stops. Closing an
 // already-closed tree is a documented no-op, and Close is safe to call
@@ -584,169 +533,74 @@ func (t *Tree) Close() {
 	if t.dlog != nil {
 		t.dlog.Close()
 	}
-	t.maintMu.Lock()
-	defer t.maintMu.Unlock()
-	t.maint = false
-	t.stop()
+	t.f.Close()
 }
 
 // Maintain runs maintenance passes until the structure is quiescent or
 // maxPasses is reached (no-op for kinds without maintenance).
-func (t *Tree) Maintain(maxPasses int) {
-	if t.f != nil {
-		t.f.Quiesce(maxPasses)
-		return
-	}
-	trees.Quiesce(t.m, maxPasses)
-}
+func (t *Tree) Maintain(maxPasses int) { t.f.Quiesce(maxPasses) }
 
 // Shards reports the number of partitions (1 unless WithShards was given).
-func (t *Tree) Shards() int {
-	if t.f != nil {
-		return t.f.Shards()
-	}
-	return 1
-}
+func (t *Tree) Shards() int { return t.f.Shards() }
 
 // SameShard reports whether k1 and k2 live on the same shard, i.e. whether
 // a composed transaction (UpdateShard, atomic Move) may span both keys.
 // Always true for unsharded trees.
-func (t *Tree) SameShard(k1, k2 uint64) bool {
-	if t.f != nil {
-		return t.f.SameShard(k1, k2)
-	}
-	return true
-}
+func (t *Tree) SameShard(k1, k2 uint64) bool { return t.f.SameShard(k1, k2) }
 
 // NewHandle returns a handle bound to fresh STM thread state. Handles are
 // not safe for concurrent use; create one per goroutine.
-func (t *Tree) NewHandle() *Handle {
-	if t.f != nil {
-		return &Handle{t: t, fh: t.f.NewHandle()}
-	}
-	return &Handle{t: t, th: t.s.NewThread()}
-}
+func (t *Tree) NewHandle() *Handle { return &Handle{t: t, fh: t.f.NewHandle()} }
 
 // Stats returns the sum of all handles' STM statistics (over all shards).
-// A running maintenance goroutine is paused while its counters are read;
+// Running maintenance workers are paused while their counters are read;
 // the caller's handles should be quiescent for exact values. Stats may be
-// called concurrently with Close (the maintenance lock serializes the
-// pause/resume bracket against it).
-func (t *Tree) Stats() stm.Stats {
-	if t.f != nil {
-		return t.f.Stats()
-	}
-	t.maintMu.Lock()
-	defer t.maintMu.Unlock()
-	if t.maint {
-		if mt, ok := t.m.(trees.Maintained); ok {
-			mt.Stop()
-			defer mt.Start()
-		}
-	}
-	return t.s.TotalStats()
-}
+// called concurrently with Close.
+func (t *Tree) Stats() stm.Stats { return t.f.Stats() }
 
 // MaintenanceStats returns structural-activity counters for
 // speculation-friendly kinds, summed over shards (zero value otherwise).
-func (t *Tree) MaintenanceStats() sftree.Stats {
-	if t.f != nil {
-		return t.f.MaintenanceStats()
-	}
-	if sf, ok := t.m.(interface{ Stats() sftree.Stats }); ok {
-		return sf.Stats()
-	}
-	return sftree.Stats{}
-}
+func (t *Tree) MaintenanceStats() sftree.Stats { return t.f.MaintenanceStats() }
 
 // MaintPoolStats reports the maintenance scheduler's activity: worker
 // count, busy time and sweeps.
 type MaintPoolStats = forest.PoolStats
 
-// MaintPoolStats returns a snapshot of the maintenance scheduler. On a
-// sharded tree it describes the shared worker pool; on an unsharded tree it
-// is synthesized from the single maintenance goroutine's counters (one
-// worker, sweeps = passes) so callers can treat both uniformly. Workers is
-// the configured scheduler size (0 when the tree was built without
-// maintenance) and, like the counters, survives Close — Close freezes the
-// numbers, it does not zero them.
-func (t *Tree) MaintPoolStats() MaintPoolStats {
-	if t.f != nil {
-		return t.f.PoolStats()
-	}
-	ps := MaintPoolStats{}
-	if _, maintained := trees.MaintainedOf(t.m); !maintained {
-		return ps
-	}
-	ps.Workers = t.maintWorkers
-	if sf, ok := t.m.(interface{ Stats() sftree.Stats }); ok {
-		st := sf.Stats()
-		ps.BusyNanos = st.BusyNanos
-		ps.Sweeps = st.Passes
-	}
-	return ps
-}
+// MaintPoolStats returns a snapshot of the shared maintenance worker pool
+// (one worker on a one-shard tree). Workers is the configured pool size (0
+// when the tree was built without maintenance or its kind has none) and,
+// like the counters, survives Close — Close freezes the numbers, it does
+// not zero them.
+func (t *Tree) MaintPoolStats() MaintPoolStats { return t.f.PoolStats() }
 
 // Handle is a per-goroutine accessor to a Tree.
 type Handle struct {
-	t     *Tree
-	th    *stm.Thread      // single-domain path
-	fh    *forest.Handle   // sharded path
-	coord *ftx.Coordinator // single-domain Atomic coordinator, on first use
-	mv    trees.Mover      // single-domain Move: the §5.4 composition, bound once
+	t  *Tree
+	fh *forest.Handle
 }
 
 // Insert maps k to v; false when k was already present.
-func (h *Handle) Insert(k, v uint64) bool {
-	if h.fh != nil {
-		return h.fh.Insert(k, v)
-	}
-	return h.t.m.Insert(h.th, k, v)
-}
+func (h *Handle) Insert(k, v uint64) bool { return h.fh.Insert(k, v) }
 
 // Delete removes k; false when absent.
-func (h *Handle) Delete(k uint64) bool {
-	if h.fh != nil {
-		return h.fh.Delete(k)
-	}
-	return h.t.m.Delete(h.th, k)
-}
+func (h *Handle) Delete(k uint64) bool { return h.fh.Delete(k) }
 
 // Get returns the value at k.
-func (h *Handle) Get(k uint64) (uint64, bool) {
-	if h.fh != nil {
-		return h.fh.Get(k)
-	}
-	return h.t.m.Get(h.th, k)
-}
+func (h *Handle) Get(k uint64) (uint64, bool) { return h.fh.Get(k) }
 
 // Contains reports whether k is present.
-func (h *Handle) Contains(k uint64) bool {
-	if h.fh != nil {
-		return h.fh.Contains(k)
-	}
-	return h.t.m.Contains(h.th, k)
-}
+func (h *Handle) Contains(k uint64) bool { return h.fh.Contains(k) }
 
 // Move relocates the value at src to dst (§5.4's composed operation); it
 // succeeds only when src is present and dst absent, and it is atomic on
-// every configuration: one ordinary transaction on an unsharded tree and
-// within a shard, one cross-shard Atomic transaction otherwise.
-func (h *Handle) Move(src, dst uint64) bool {
-	if h.fh != nil {
-		return h.fh.Move(src, dst)
-	}
-	return trees.MoveWith(&h.mv, h.t.m, h.th, src, dst)
-}
+// every configuration: one ordinary transaction when both keys live on one
+// shard (always, on an unsharded tree), one cross-shard Atomic transaction
+// otherwise.
+func (h *Handle) Move(src, dst uint64) bool { return h.fh.Move(src, dst) }
 
 // SameShard reports whether k1 and k2 live on the same shard (always true
 // for unsharded trees) — the routing predicate for UpdateShard.
-func (h *Handle) SameShard(k1, k2 uint64) bool {
-	if h.fh != nil {
-		return h.fh.SameShard(k1, k2)
-	}
-	return true
-}
+func (h *Handle) SameShard(k1, k2 uint64) bool { return h.fh.SameShard(k1, k2) }
 
 // Txn is the buffering cross-shard transaction Handle.Atomic runs:
 // Get/Contains read through to the owning shard with repeatable-read
@@ -773,45 +627,19 @@ type Txn = ftx.Tx
 //
 // Atomic is the general composition; UpdateShard remains cheaper when the
 // keys are known co-located (Tree.SameShard).
-func (h *Handle) Atomic(fn func(t *Txn) error) error {
-	if h.fh != nil {
-		return h.fh.Atomic(fn)
-	}
-	if h.coord == nil {
-		h.coord = ftx.NewCoordinator(ftx.Single(h.t.m, h.th))
-	}
-	return h.coord.Run(fn)
-}
+func (h *Handle) Atomic(fn func(t *Txn) error) error { return h.fh.Atomic(fn) }
 
 // XactStats reports this handle's cross-shard coordinator activity: total
 // commits, the subset that took the single-shard fallback fast path,
 // retried aborts and intent conflicts (zero value before the first Atomic
 // call).
-func (h *Handle) XactStats() ftx.Stats {
-	if h.fh != nil {
-		return h.fh.XactStats()
-	}
-	if h.coord == nil {
-		return ftx.Stats{}
-	}
-	return h.coord.Stats()
-}
+func (h *Handle) XactStats() ftx.Stats { return h.fh.XactStats() }
 
 // Len counts the elements, one consistent snapshot per shard.
-func (h *Handle) Len() int {
-	if h.fh != nil {
-		return h.fh.Len()
-	}
-	return h.t.m.Size(h.th)
-}
+func (h *Handle) Len() int { return h.fh.Len() }
 
 // Keys returns the sorted keys, one consistent snapshot per shard.
-func (h *Handle) Keys() []uint64 {
-	if h.fh != nil {
-		return h.fh.Keys()
-	}
-	return h.t.m.Keys(h.th)
-}
+func (h *Handle) Keys() []uint64 { return h.fh.Keys() }
 
 // Range visits, in ascending key order, every element whose key lies in
 // [lo, hi] (both inclusive), calling fn(k, v) for each; fn returning false
@@ -821,10 +649,7 @@ func (h *Handle) Keys() []uint64 {
 // consistent snapshot merged in key order, but the shards are not cut at
 // one instant (the Keys/Len contract — see the forest package comment).
 func (h *Handle) Range(lo, hi uint64, fn func(k, v uint64) bool) bool {
-	if h.fh != nil {
-		return h.fh.Range(lo, hi, fn)
-	}
-	return h.t.m.Range(h.th, lo, hi, fn)
+	return h.fh.Range(lo, hi, fn)
 }
 
 // Ascend visits every element in ascending key order; fn returning false
@@ -840,67 +665,20 @@ func (h *Handle) Ascend(fn func(k, v uint64) bool) bool {
 //
 // Update panics on a sharded tree, because a composed transaction must be
 // routed to the single shard whose keys it touches: use UpdateShard there.
-// (A one-shard forest — every unsharded durable tree — has exactly one
-// shard for every key, so Update works there unrouted.)
 func (h *Handle) Update(fn func(op *Op)) {
-	if h.fh != nil {
-		if h.t.Shards() > 1 {
-			panic("repro: Update needs a routing key on a sharded tree; use UpdateShard(k, fn)")
-		}
-		h.fh.Update(0, func(fop *forest.Op) { fn(&Op{fop: fop}) })
-		return
+	if h.t.Shards() > 1 {
+		panic("repro: Update needs a routing key on a sharded tree; use UpdateShard(k, fn)")
 	}
-	trees.Atomic(h.t.m, h.th, func(tx *stm.Tx) { fn(&Op{t: h.t, tx: tx}) })
+	h.fh.Update(0, fn)
 }
 
 // UpdateShard runs fn as one atomic transaction on the shard owning the
 // routing key k; every key touched inside fn must live on that shard (the
 // Op methods panic otherwise — check with Tree.SameShard first). On an
 // unsharded tree, UpdateShard is exactly Update.
-func (h *Handle) UpdateShard(k uint64, fn func(op *Op)) {
-	if h.fh != nil {
-		h.fh.Update(k, func(fop *forest.Op) { fn(&Op{fop: fop}) })
-		return
-	}
-	h.Update(fn)
-}
+func (h *Handle) UpdateShard(k uint64, fn func(op *Op)) { h.fh.Update(k, fn) }
 
 // Op exposes the tree operations inside a Handle.Update / UpdateShard
+// transaction: Insert, Delete, Get and Contains, all part of that
 // transaction.
-type Op struct {
-	t   *Tree
-	tx  *stm.Tx
-	fop *forest.Op // sharded path
-}
-
-// Insert maps k to v within the transaction; false when present.
-func (o *Op) Insert(k, v uint64) bool {
-	if o.fop != nil {
-		return o.fop.Insert(k, v)
-	}
-	return o.t.m.InsertTxA(o.tx, k, v)
-}
-
-// Delete removes k within the transaction; false when absent.
-func (o *Op) Delete(k uint64) bool {
-	if o.fop != nil {
-		return o.fop.Delete(k)
-	}
-	return o.t.m.DeleteTx(o.tx, k)
-}
-
-// Get returns the value at k within the transaction.
-func (o *Op) Get(k uint64) (uint64, bool) {
-	if o.fop != nil {
-		return o.fop.Get(k)
-	}
-	return o.t.m.GetTx(o.tx, k)
-}
-
-// Contains reports membership within the transaction.
-func (o *Op) Contains(k uint64) bool {
-	if o.fop != nil {
-		return o.fop.Contains(k)
-	}
-	return o.t.m.ContainsTx(o.tx, k)
-}
+type Op = forest.Op

@@ -36,9 +36,8 @@ func TestMaintWorkersOption(t *testing.T) {
 	}
 }
 
-// TestMaintPoolStatsSingleDomain: the unsharded tree renders its own
-// maintenance goroutine as a one-worker pool, and Workers drops to zero
-// once Close stops it.
+// TestMaintPoolStatsSingleDomain: the unsharded tree's maintenance pool
+// has one worker, and the configured size survives Close.
 func TestMaintPoolStatsSingleDomain(t *testing.T) {
 	tr := NewTree(SpeculationFriendly)
 	h := tr.NewHandle()

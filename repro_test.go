@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -245,6 +246,26 @@ func TestWithContentionUnknownPanics(t *testing.T) {
 	WithContention(ContentionPolicy("polite"))
 }
 
+// TestNewTreeRejectsBadShardCount: a shard count below one is a
+// configuration error, which NewTree panics on with the message Open
+// returns as its error.
+func TestNewTreeRejectsBadShardCount(t *testing.T) {
+	for _, n := range []int{0, -3} {
+		want := fmt.Sprintf("repro: shard count %d < 1", n)
+		if _, err := Open(t.TempDir(), SpeculationFriendly, WithShards(n)); err == nil || err.Error() != want {
+			t.Fatalf("Open with %d shards: err %v, want %q", n, err, want)
+		}
+		func() {
+			defer func() {
+				if r := recover(); r == nil || fmt.Sprint(r) != want {
+					t.Fatalf("NewTree with %d shards: panic %v, want %q", n, r, want)
+				}
+			}()
+			NewTree(SpeculationFriendly, WithShards(n)).Close()
+		}()
+	}
+}
+
 func TestPublicAPIRangeAndAscend(t *testing.T) {
 	for _, kind := range allKinds() {
 		for _, shards := range []int{1, 8} {
@@ -337,10 +358,9 @@ func TestCloseStatsRace(t *testing.T) {
 }
 
 // TestRangeMoveZeroAllocsFacade: Handle.Range and Handle.Move stay off the
-// allocator in steady state on both facade paths — the bare tree (shards=1:
-// the tree's frame-owned scan buffer, the handle's Mover) and the forest
-// (shards=8: the handle's scan state, same-shard Mover or pooled cross-shard
-// transaction) — and a Range callback may use the handle it came from.
+// allocator in steady state at one shard and at eight (the handle's scan
+// state, its same-shard Mover or pooled cross-shard transaction), and a
+// Range callback may use the handle it came from.
 func TestRangeMoveZeroAllocsFacade(t *testing.T) {
 	const n = 1 << 10
 	for _, shards := range []int{1, 8} {

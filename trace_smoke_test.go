@@ -139,7 +139,7 @@ func hasAllTraceLayers(doc traceDoc) bool {
 }
 
 // TestTreeTracingFacade exercises repro.WithTracing end to end: the option
-// forces the forest path, attaches a tracer, and serves it at /trace; every
+// attaches a tracer and serves it at /trace; every
 // sampled op shows up with an op span and the per-op-kind latency
 // histograms feed op_latency_nanos in the registry.
 func TestTreeTracingFacade(t *testing.T) {

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race allocs inline fmt vet cross fuzz ci obs-smoke trace-smoke experiments-smoke profile bench-ab bench-ab-all loc
+.PHONY: all build test race allocs inline fmt vet cross fuzz ci obs-smoke trace-smoke experiments-smoke examples-smoke profile bench-ab bench-ab-all loc
 
 all: build
 
@@ -55,11 +55,10 @@ inline:
 obs-smoke:
 	$(GO) test -run TestObsEndpointSmoke -count=1 -v .
 
-# Span-tracer smoke: drive a short durable batched contended workload
-# through the facade with full sampling and poll /trace while it runs,
-# asserting the accumulated spans cover every instrumented layer — an STM
-# retry, a combiner batch wait, an ftx prepare phase, and a WAL append
-# stretching to its group-commit fsync.
+# Span-tracer smoke: drive a short durable contended workload through the
+# facade with full sampling and poll /trace while it runs, asserting the
+# accumulated spans cover every instrumented layer — an STM retry, an ftx
+# prepare phase, and a WAL append stretching to its group-commit fsync.
 trace-smoke:
 	$(GO) test -run TestTraceEndpointSmoke -count=1 -v .
 
@@ -68,6 +67,17 @@ trace-smoke:
 # nothing at this size.
 experiments-smoke:
 	$(GO) run ./cmd/experiments -duration 20ms -threads 1,2 all
+
+# The runnable programs end to end: the four examples/ and a short checked
+# vacation run. Each checks itself — move and travel panic on a broken
+# invariant, vacation -check exits 1 on an inconsistent database — so the
+# target fails when one of them does.
+examples-smoke:
+	$(GO) run ./examples/quickstart
+	$(GO) run ./examples/move
+	$(GO) run ./examples/biased
+	$(GO) run ./examples/travel
+	$(GO) run ./cmd/vacation -check -t 2000 -clients 2
 
 vet:
 	$(GO) vet ./...
@@ -160,4 +170,4 @@ bench-ab-all:
 		$(GO) run ./benchmark -compare "$(AB_OUT)/base-$$w.jsonl" "$(AB_OUT)/new-$$w.jsonl" || status=1; \
 	done; exit $$status
 
-ci: build fmt vet cross inline test race allocs fuzz obs-smoke trace-smoke experiments-smoke
+ci: build fmt vet cross inline test race allocs fuzz obs-smoke trace-smoke experiments-smoke examples-smoke

@@ -81,11 +81,6 @@ type shard struct {
 	// see maint.go).
 	nextSweep atomic.Int64
 	sweepGap  atomic.Int64
-
-	// comb is the shard's op combiner (nil unless WithBatching): single-key
-	// operations submit into its ring and are applied in coalesced batch
-	// transactions by an elected runner (combine.go).
-	comb *combiner
 }
 
 // Forest is a sharded transactional map from uint64 keys to uint64 values.
@@ -108,22 +103,12 @@ type Forest struct {
 	maintWorkers int
 	pc           poolCounters
 
-	// batchN/batchWait are the combiner dials (WithBatching; batchN <= 1
-	// means batching is off), immutable after New. drainH is the internal
-	// handle Close/Quiesce use to flush the combiner rings, created lazily
-	// under maintMu.
-	batchN    int
-	batchWait time.Duration
-	drainH    *Handle
-
-	// fr, batchH and tracer are the optional observability hooks (obs.go):
-	// the flight recorder receives combiner-batch and maintenance events,
-	// the histogram the combiner's batch sizes, and the tracer the sampled
-	// per-operation span timelines (handle.go's traceStart/traceEnd).
-	// Atomic pointers because they attach while application goroutines are
-	// already running batches.
+	// fr and tracer are the optional observability hooks (obs.go): the
+	// flight recorder receives maintenance-sweep events and the tracer the
+	// sampled per-operation span timelines (handle.go's
+	// traceStart/traceEnd). Atomic pointers because they attach while
+	// application goroutines are already running operations.
 	fr     atomic.Pointer[obs.FlightRecorder]
-	batchH atomic.Pointer[obs.Histogram]
 	tracer atomic.Pointer[obs.Tracer]
 	// coordMu/coords track every cross-shard coordinator handed out by
 	// Handle.Atomic, so the registry's ftx collector can aggregate their
@@ -313,8 +298,6 @@ type cfg struct {
 	maintenance  bool
 	maintWorkers int // pool size (0 = default)
 	yieldEvery   int
-	batchN       int
-	batchWait    time.Duration
 }
 
 // WithShards sets the number of partitions (default 1; must be >= 1).
@@ -354,31 +337,6 @@ func defaultMaintWorkers(shards int) int {
 // (stm.WithYield).
 func WithYield(n int) Option { return func(c *cfg) { c.yieldEvery = n } }
 
-// WithBatching routes the forest's single-key operations (Insert, Delete,
-// Get, Contains, Update) through a per-shard op combiner: concurrent
-// submissions coalesce into batches of up to n operations, each batch
-// applied in ONE transaction by a runner elected among the submitters (see
-// combine.go for the protocol and the linearizability argument). wait
-// selects the coalescing policy: 0 (the usual choice) is drain-only — an
-// uncontended submitter runs its op directly and batches form only from
-// ops that queued while a runner was busy; wait > 0 is linger mode — every
-// op enqueues and a runner keeps collecting while scheduler yields keep
-// producing ops, up to wait, maximizing coalescing at a bounded latency
-// cost.
-//
-// Batching pays off on write-contended shards, where it replaces abort
-// storms with conflict-free serial batches; on read-dominated uncontended
-// workloads it serializes reads that would have run in parallel, so leave
-// it off there. n <= 1 disables batching (the default).
-func WithBatching(n int, wait time.Duration) Option {
-	return func(c *cfg) {
-		c.batchN = n
-		if wait > 0 {
-			c.batchWait = wait
-		}
-	}
-}
-
 // New creates an empty forest of the given tree kind. Unless
 // WithoutMaintenance is given, kinds with maintenance are serviced by a
 // shared pool of maintenance workers started immediately (WithMaintWorkers
@@ -394,16 +352,12 @@ func New(kind trees.Kind, opts ...Option) *Forest {
 	if c.maintWorkers == 0 {
 		c.maintWorkers = defaultMaintWorkers(c.shards)
 	}
-	f := &Forest{kind: kind, shards: make([]*shard, c.shards), maint: c.maintenance,
-		batchN: c.batchN, batchWait: c.batchWait}
+	f := &Forest{kind: kind, shards: make([]*shard, c.shards), maint: c.maintenance}
 	maintained := false
 	now := time.Now().UnixNano()
 	for i := range f.shards {
 		s := stm.New(stm.WithMode(c.mode), stm.WithContentionManager(c.cm), stm.WithYield(c.yieldEvery))
 		sh := &shard{stm: s, m: trees.New(kind, s)}
-		if c.batchN > 1 {
-			sh.comb = newCombiner(c.batchN, c.batchWait)
-		}
 		if mt, ok := trees.MaintainedOf(sh.m); ok {
 			sh.mt = mt
 			sh.sweepGap.Store(int64(sweepGapMin))
@@ -427,10 +381,6 @@ func (f *Forest) Kind() trees.Kind { return f.kind }
 // Shards reports the number of partitions.
 func (f *Forest) Shards() int { return len(f.shards) }
 
-// Batching reports the combiner dials: the max batch size (0 or 1 when
-// batching is off) and the runner's linger.
-func (f *Forest) Batching() (int, time.Duration) { return f.batchN, f.batchWait }
-
 // Close stops the maintenance worker pool. The forest remains fully usable
 // (readable and writable); only the structural upkeep stops. Closing an
 // already-closed forest is a documented no-op, and Close is safe to call
@@ -439,7 +389,6 @@ func (f *Forest) Batching() (int, time.Duration) { return f.batchN, f.batchWait 
 func (f *Forest) Close() {
 	f.maintMu.Lock()
 	defer f.maintMu.Unlock()
-	f.drainCombiners()
 	f.maint = false
 	if f.pool != nil {
 		f.pool.stop()
@@ -473,9 +422,6 @@ func (f *Forest) pauseMaintenance() func() {
 // maxPasses each). The worker pool is paused for the duration (the sweeps
 // are single-driver).
 func (f *Forest) Quiesce(maxPasses int) {
-	f.maintMu.Lock()
-	f.drainCombiners()
-	f.maintMu.Unlock()
 	defer f.pauseMaintenance()()
 	for _, sh := range f.shards {
 		trees.Quiesce(sh.m, maxPasses)

@@ -37,114 +37,104 @@ func TestFtxRandomizedOracle(t *testing.T) {
 	)
 	for _, kind := range trees.Kinds() {
 		for _, shards := range []int{1, 8} {
-			for _, batch := range []int{0, 8} {
-				t.Run(fmt.Sprintf("%s/shards=%d/batch=%d", kind, shards, batch), func(t *testing.T) {
-					opts := []Option{WithShards(shards), WithYield(2)}
-					if batch > 0 {
-						// Batched variant: single-key ops coalesce through the
-						// per-shard combiner while the ftx transfers take their
-						// own cross-shard path; the oracle's conservation and
-						// exact-state checks hold identically.
-						opts = append(opts, WithBatching(batch, 0))
-					}
-					f := New(kind, opts...)
-					defer f.Close()
+			t.Run(fmt.Sprintf("%s/shards=%d", kind, shards), func(t *testing.T) {
+				f := New(kind, WithShards(shards), WithYield(2))
+				defer f.Close()
 
-					seed := f.NewHandle()
-					for a := uint64(0); a < nAccounts; a++ {
-						seed.Insert(a, initBalance)
-					}
+				seed := f.NewHandle()
+				for a := uint64(0); a < nAccounts; a++ {
+					seed.Insert(a, initBalance)
+				}
 
-					// model holds the expected final state of the churn keys.
-					var modelMu sync.Mutex
-					model := make(map[uint64]uint64)
+				// model holds the expected final state of the churn keys.
+				var modelMu sync.Mutex
+				model := make(map[uint64]uint64)
 
-					var wg sync.WaitGroup
-					for w := 0; w < workers; w++ {
-						wg.Add(1)
-						go func(w int) {
-							defer wg.Done()
-							h := f.NewHandle()
-							rng := rand.New(rand.NewSource(int64(w)*7919 + 1))
-							churnBase := uint64(100000 + w*churnSpan)
-							for i := 0; i < iterations; i++ {
-								switch rng.Intn(4) {
-								case 0: // multi-key ftx transfer between two accounts
-									a := uint64(rng.Intn(nAccounts))
-									b := uint64(rng.Intn(nAccounts))
-									if a == b {
-										continue
-									}
-									amt := uint64(rng.Intn(10) + 1)
-									err := h.Atomic(func(tx *ftx.Tx) error {
-										av, okA := tx.Get(a)
-										bv, okB := tx.Get(b)
-										if !okA || !okB {
-											t.Errorf("account %d or %d missing mid-run", a, b)
-											return nil
-										}
-										if av < amt {
-											return nil // insufficient funds: no-op
-										}
-										tx.Put(a, av-amt)
-										tx.Put(b, bv+amt)
+				var wg sync.WaitGroup
+				for w := 0; w < workers; w++ {
+					wg.Add(1)
+					go func(w int) {
+						defer wg.Done()
+						h := f.NewHandle()
+						rng := rand.New(rand.NewSource(int64(w)*7919 + 1))
+						churnBase := uint64(100000 + w*churnSpan)
+						for i := 0; i < iterations; i++ {
+							switch rng.Intn(4) {
+							case 0: // multi-key ftx transfer between two accounts
+								a := uint64(rng.Intn(nAccounts))
+								b := uint64(rng.Intn(nAccounts))
+								if a == b {
+									continue
+								}
+								amt := uint64(rng.Intn(10) + 1)
+								err := h.Atomic(func(tx *ftx.Tx) error {
+									av, okA := tx.Get(a)
+									bv, okB := tx.Get(b)
+									if !okA || !okB {
+										t.Errorf("account %d or %d missing mid-run", a, b)
 										return nil
-									})
-									if err != nil {
-										t.Errorf("Atomic: %v", err)
 									}
-								case 1: // churn insert/update (worker-owned key)
-									k := churnBase + uint64(rng.Intn(churnSpan))
-									v := uint64(rng.Intn(1000))
-									h.Delete(k)
-									h.Insert(k, v)
-									modelMu.Lock()
-									model[k] = v
-									modelMu.Unlock()
-								case 2: // churn delete (worker-owned key)
-									k := churnBase + uint64(rng.Intn(churnSpan))
-									h.Delete(k)
-									modelMu.Lock()
-									delete(model, k)
-									modelMu.Unlock()
-								default: // reads of anything
-									if rng.Intn(2) == 0 {
-										h.Contains(uint64(rng.Intn(nAccounts)))
-									} else {
-										h.Get(churnBase + uint64(rng.Intn(churnSpan)))
+									if av < amt {
+										return nil // insufficient funds: no-op
 									}
+									tx.Put(a, av-amt)
+									tx.Put(b, bv+amt)
+									return nil
+								})
+								if err != nil {
+									t.Errorf("Atomic: %v", err)
+								}
+							case 1: // churn insert/update (worker-owned key)
+								k := churnBase + uint64(rng.Intn(churnSpan))
+								v := uint64(rng.Intn(1000))
+								h.Delete(k)
+								h.Insert(k, v)
+								modelMu.Lock()
+								model[k] = v
+								modelMu.Unlock()
+							case 2: // churn delete (worker-owned key)
+								k := churnBase + uint64(rng.Intn(churnSpan))
+								h.Delete(k)
+								modelMu.Lock()
+								delete(model, k)
+								modelMu.Unlock()
+							default: // reads of anything
+								if rng.Intn(2) == 0 {
+									h.Contains(uint64(rng.Intn(nAccounts)))
+								} else {
+									h.Get(churnBase + uint64(rng.Intn(churnSpan)))
 								}
 							}
-						}(w)
-					}
-					wg.Wait()
+						}
+					}(w)
+				}
+				wg.Wait()
 
-					check := f.NewHandle()
-					// Sum conservation over the accounts.
-					var sum uint64
-					for a := uint64(0); a < nAccounts; a++ {
-						v, ok := check.Get(a)
-						if !ok {
-							t.Fatalf("account %d vanished", a)
+				check := f.NewHandle()
+				// Sum conservation over the accounts.
+				var sum uint64
+				for a := uint64(0); a < nAccounts; a++ {
+					v, ok := check.Get(a)
+					if !ok {
+						t.Fatalf("account %d vanished", a)
+					}
+					sum += v
+				}
+				if want := uint64(nAccounts * initBalance); sum != want {
+					t.Fatalf("account sum %d, want %d: a transfer committed partially", sum, want)
+				}
+				// Churn keys must match the model exactly.
+				for w := 0; w < workers; w++ {
+					churnBase := uint64(100000 + w*churnSpan)
+					for k := churnBase; k < churnBase+churnSpan; k++ {
+						v, ok := check.Get(k)
+						mv, mok := model[k]
+						if ok != mok || (ok && v != mv) {
+							t.Fatalf("churn key %d: tree %d,%t model %d,%t", k, v, ok, mv, mok)
 						}
-						sum += v
 					}
-					if want := uint64(nAccounts * initBalance); sum != want {
-						t.Fatalf("account sum %d, want %d: a transfer committed partially", sum, want)
-					}
-					// Churn keys must match the model exactly.
-					for w := 0; w < workers; w++ {
-						churnBase := uint64(100000 + w*churnSpan)
-						for k := churnBase; k < churnBase+churnSpan; k++ {
-							v, ok := check.Get(k)
-							mv, mok := model[k]
-							if ok != mok || (ok && v != mv) {
-								t.Fatalf("churn key %d: tree %d,%t model %d,%t", k, v, ok, mv, mok)
-							}
-						}
-					}
-				})
-			}
+				}
+			})
 		}
 	}
 }

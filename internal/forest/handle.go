@@ -33,12 +33,11 @@ type Handle struct {
 	// oplog is the reusable per-transaction effect buffer of the durable
 	// path: mutating operations collect their effects here during the
 	// attempt, and a reliable post-commit hook appends them to the WAL only
-	// if the attempt commits. logFn is that hook, acting on the shard and
-	// trace id logCommit stamped into logSi/logTid.
-	oplog  []durable.Op
-	logSi  int
-	logTid uint64
-	logFn  func(pos uint64)
+	// if the attempt commits. logFn is that hook, acting on the shard
+	// logCommit stamped into logSi.
+	oplog []durable.Op
+	logSi int
+	logFn func(pos uint64)
 
 	// cur is the durable single-key Insert or Delete in flight, and
 	// insertFn/deleteFn the transaction bodies that perform it. Like logFn
@@ -62,17 +61,10 @@ type Handle struct {
 	// Range is feeding its callback, which may scan again on this handle.
 	scan *rangeScan
 
-	// op is the handle's reusable combiner future (one in-flight submission
-	// per handle); batch is the reusable drain buffer for when this handle
-	// is elected batch runner. Both nil/empty until batching is enabled
-	// (see combine.go).
-	op    *batchOp
-	batch []*batchOp
-
 	// Trace state (owner-goroutine only): trID is the trace id of the
 	// sampled operation currently in flight on this handle — zero when the
-	// op was not sampled or no tracer is attached — read by logCommit and
-	// the combiner submission path so downstream spans stitch to the op.
+	// op was not sampled or no tracer is attached — read by logHook so the
+	// WAL span stitches to the op.
 	// trRng is the xorshift state behind the per-op sampling draw, seeded
 	// non-zero at construction.
 	trID  uint64
@@ -105,8 +97,8 @@ func (h *Handle) nextRand() uint64 {
 }
 
 // traceStart makes the one sampling decision for a facade operation: on a
-// sampling hit, allocate a trace id, stamp it on the handle (logCommit and
-// the combiner read it there) and attach the shard thread's trace context
+// sampling hit, allocate a trace id, stamp it on the handle (logHook reads
+// it there) and attach the shard thread's trace context
 // so the STM lifecycle records per-attempt spans. An attached-but-unsampled
 // op pays one xorshift draw and a compare. Callers guard the call with an
 // inline h.f.tracer.Load() nil check — the call is too big for the inliner,
@@ -200,23 +192,21 @@ func (h *Handle) logCommit(tx *stm.Tx, si int) {
 	if len(h.oplog) == 0 {
 		return
 	}
-	// logTid stitches the WAL record to the in-flight sampled op (zero when
-	// untraced): captured at registration, since a batch runner's trID can
-	// move on before a group-commit fsync closes the span.
-	h.logSi, h.logTid = si, h.trID
+	h.logSi = si
 	tx.OnCommitted(h.logFn)
 }
 
-// logHook is the post-commit hook logCommit registers (h.logFn).
+// logHook is the post-commit hook logCommit registers (h.logFn). It runs
+// inside the committing operation, so h.trID is still that op's trace id
+// (zero when untraced) and the WAL record's span stitches to it.
 func (h *Handle) logHook(pos uint64) {
-	h.f.wal.LogUpdateT(h.logSi, pos, h.oplog, h.logTid)
+	h.f.wal.LogUpdateT(h.logSi, pos, h.oplog, h.trID)
 }
 
 // Insert maps k to v; false when k was already present. On a durable
 // forest the insert runs as a composable transaction with a logged effect
 // (tree-managed allocation, so an aborted linking attempt may leak one
-// arena node — the InsertTxA discipline). On a batched forest the op is
-// coalesced through the shard's combiner (combine.go).
+// arena node — the InsertTxA discipline).
 func (h *Handle) Insert(k, v uint64) bool {
 	sh, th, si := h.route(k)
 	var (
@@ -228,10 +218,13 @@ func (h *Handle) Insert(k, v uint64) bool {
 		tr, id, t0 = h.traceStart(t, th, obs.OpInsert)
 	}
 	var ok bool
-	if sh.comb != nil {
-		_, ok = h.submit(sh, si, opInsert, k, v, nil)
+	if h.f.wal == nil {
+		ok = sh.m.Insert(th, k, v)
 	} else {
-		ok = h.insertDirect(sh, th, si, k, v)
+		c := &h.cur
+		c.sh, c.si, c.k, c.v = sh, si, k, v
+		trees.Atomic(sh.m, th, h.insertFn)
+		ok = c.ok
 	}
 	if tr != nil {
 		h.traceEnd(tr, th, id, obs.OpInsert, t0, boolA(ok))
@@ -239,19 +232,7 @@ func (h *Handle) Insert(k, v uint64) bool {
 	return ok
 }
 
-// insertDirect is the unbatched (and combiner fast-path) insert: one
-// transaction of its own.
-func (h *Handle) insertDirect(sh *shard, th *stm.Thread, si int, k, v uint64) bool {
-	if h.f.wal == nil {
-		return sh.m.Insert(th, k, v)
-	}
-	c := &h.cur
-	c.sh, c.si, c.k, c.v = sh, si, k, v
-	trees.Atomic(sh.m, th, h.insertFn)
-	return c.ok
-}
-
-// insertTx is the body of a durable insertDirect, acting on h.cur.
+// insertTx is the body of a durable Insert, acting on h.cur.
 func (h *Handle) insertTx(tx *stm.Tx) {
 	c := &h.cur
 	h.oplog = h.oplog[:0]
@@ -262,7 +243,8 @@ func (h *Handle) insertTx(tx *stm.Tx) {
 	}
 }
 
-// Delete removes k; false when absent.
+// Delete removes k; false when absent. On a durable forest the delete runs
+// as a composable transaction with a logged effect, like Insert.
 func (h *Handle) Delete(k uint64) bool {
 	sh, th, si := h.route(k)
 	var (
@@ -274,10 +256,13 @@ func (h *Handle) Delete(k uint64) bool {
 		tr, id, t0 = h.traceStart(t, th, obs.OpDelete)
 	}
 	var ok bool
-	if sh.comb != nil {
-		_, ok = h.submit(sh, si, opDelete, k, 0, nil)
+	if h.f.wal == nil {
+		ok = sh.m.Delete(th, k)
 	} else {
-		ok = h.deleteDirect(sh, th, si, k)
+		c := &h.cur
+		c.sh, c.si, c.k = sh, si, k
+		trees.Atomic(sh.m, th, h.deleteFn)
+		ok = c.ok
 	}
 	if tr != nil {
 		h.traceEnd(tr, th, id, obs.OpDelete, t0, boolA(ok))
@@ -285,18 +270,7 @@ func (h *Handle) Delete(k uint64) bool {
 	return ok
 }
 
-// deleteDirect is the unbatched (and combiner fast-path) delete.
-func (h *Handle) deleteDirect(sh *shard, th *stm.Thread, si int, k uint64) bool {
-	if h.f.wal == nil {
-		return sh.m.Delete(th, k)
-	}
-	c := &h.cur
-	c.sh, c.si, c.k = sh, si, k
-	trees.Atomic(sh.m, th, h.deleteFn)
-	return c.ok
-}
-
-// deleteTx is the body of a durable deleteDirect, acting on h.cur.
+// deleteTx is the body of a durable Delete, acting on h.cur.
 func (h *Handle) deleteTx(tx *stm.Tx) {
 	c := &h.cur
 	h.oplog = h.oplog[:0]
@@ -309,7 +283,7 @@ func (h *Handle) deleteTx(tx *stm.Tx) {
 
 // Get returns the value at k.
 func (h *Handle) Get(k uint64) (uint64, bool) {
-	sh, th, si := h.route(k)
+	sh, th, _ := h.route(k)
 	var (
 		tr *obs.Tracer
 		id uint64
@@ -318,15 +292,7 @@ func (h *Handle) Get(k uint64) (uint64, bool) {
 	if t := h.f.tracer.Load(); t != nil {
 		tr, id, t0 = h.traceStart(t, th, obs.OpGet)
 	}
-	var (
-		v  uint64
-		ok bool
-	)
-	if sh.comb != nil {
-		v, ok = h.submit(sh, si, opGet, k, 0, nil)
-	} else {
-		v, ok = sh.m.Get(th, k)
-	}
+	v, ok := sh.m.Get(th, k)
 	if tr != nil {
 		h.traceEnd(tr, th, id, obs.OpGet, t0, boolA(ok))
 	}
@@ -335,7 +301,7 @@ func (h *Handle) Get(k uint64) (uint64, bool) {
 
 // Contains reports whether k is present.
 func (h *Handle) Contains(k uint64) bool {
-	sh, th, si := h.route(k)
+	sh, th, _ := h.route(k)
 	var (
 		tr *obs.Tracer
 		id uint64
@@ -344,12 +310,7 @@ func (h *Handle) Contains(k uint64) bool {
 	if t := h.f.tracer.Load(); t != nil {
 		tr, id, t0 = h.traceStart(t, th, obs.OpContains)
 	}
-	var ok bool
-	if sh.comb != nil {
-		_, ok = h.submit(sh, si, opContains, k, 0, nil)
-	} else {
-		ok = sh.m.Contains(th, k)
-	}
+	ok := sh.m.Contains(th, k)
 	if tr != nil {
 		h.traceEnd(tr, th, id, obs.OpContains, t0, boolA(ok))
 	}
@@ -565,13 +526,9 @@ func (h *Handle) Keys() []uint64 {
 // key k. Every key touched inside fn must belong to that same shard (check
 // with SameShard); touching a foreign key panics, because silently reading
 // another shard's tree from this shard's transaction would break isolation.
-//
-// On a batched forest fn is coalesced through the shard's combiner like the
-// single-key ops, which means it may execute on another goroutine — the
-// elected batch runner — while this one waits. fn's usual contract (free of
-// side effects beyond the Op and re-assigned captured locals) already makes
-// that transparent: the captures are published back to the caller with the
-// op's completion.
+// fn may be re-executed and must be free of side effects beyond the Op and
+// captured locals it re-assigns. On a durable forest the transaction's
+// effects are logged as one WAL record at its commit position.
 func (h *Handle) Update(k uint64, fn func(op *Op)) {
 	sh, th, si := h.route(k)
 	var (
@@ -582,18 +539,6 @@ func (h *Handle) Update(k uint64, fn func(op *Op)) {
 	if t := h.f.tracer.Load(); t != nil {
 		tr, id, t0 = h.traceStart(t, th, obs.OpUpdate)
 	}
-	if sh.comb != nil {
-		h.submit(sh, si, opUpdate, k, 0, fn)
-	} else {
-		h.updateDirect(sh, th, si, fn)
-	}
-	if tr != nil {
-		h.traceEnd(tr, th, id, obs.OpUpdate, t0, 0)
-	}
-}
-
-// updateDirect is the unbatched (and combiner fast-path) Update body.
-func (h *Handle) updateDirect(sh *shard, th *stm.Thread, si int, fn func(op *Op)) {
 	trees.Atomic(sh.m, th, func(tx *stm.Tx) {
 		op := Op{f: h.f, m: sh.m, tx: tx, si: si}
 		if h.f.wal != nil {
@@ -605,6 +550,9 @@ func (h *Handle) updateDirect(sh *shard, th *stm.Thread, si int, fn func(op *Op)
 			h.logCommit(tx, si)
 		}
 	})
+	if tr != nil {
+		h.traceEnd(tr, th, id, obs.OpUpdate, t0, 0)
+	}
 }
 
 // Op exposes the tree operations inside a Handle.Update transaction; all

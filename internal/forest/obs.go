@@ -7,9 +7,9 @@ import (
 	"repro/internal/obs"
 )
 
-// SetFlightRecorder attaches a flight recorder to the forest: combiner
-// batch executions and productive maintenance-pool sweeps record into
-// it from now on. Safe to attach while the forest is in use; a nil
+// SetFlightRecorder attaches a flight recorder to the forest: productive
+// maintenance-pool sweeps and the cross-shard coordinators' slow prepares
+// and abort storms record into it from now on. Safe to attach while the forest is in use; a nil
 // recorder detaches. The attached WAL (if any) keeps its own recorder —
 // see durable.Log.SetFlightRecorder.
 func (f *Forest) SetFlightRecorder(fr *obs.FlightRecorder) {
@@ -23,7 +23,7 @@ func (f *Forest) SetFlightRecorder(fr *obs.FlightRecorder) {
 
 // SetTracer attaches a span tracer to the forest: from now on every handle
 // samples its operations through it (handle.go), recording facade-op, STM-
-// attempt, combiner-wait, ftx-phase and WAL-append spans. Safe to attach
+// attempt, ftx-phase and WAL-append spans. Safe to attach
 // while the forest is in use; a nil tracer detaches. The attached WAL keeps
 // its own tracer reference — see durable.Log.SetTracer.
 func (f *Forest) SetTracer(t *obs.Tracer) {
@@ -33,8 +33,8 @@ func (f *Forest) SetTracer(t *obs.Tracer) {
 // RegisterObs registers every layer of the forest with an observability
 // registry: per-shard STM commit/abort/cause series (shard="i" labels),
 // per-shard tree maintenance counters for kinds that expose them, the
-// maintenance worker pool's gauges and counters, the combiner's batch-size
-// histogram, and the aggregated cross-shard coordinator series. All
+// maintenance worker pool's gauges and counters, and the aggregated
+// cross-shard coordinator series. All
 // collection paths read atomics or seqlock mirrors — a scrape never pauses
 // application or maintenance threads.
 func (f *Forest) RegisterObs(r *obs.Registry) {
@@ -47,8 +47,6 @@ func (f *Forest) RegisterObs(r *obs.Registry) {
 			sf.RegisterObs(r, label)
 		}
 	}
-	f.batchH.Store(r.Histogram("forest_batch_size",
-		"Operations executed per combiner batch (one shard transaction each)."))
 	r.RegisterCollector(func(emit func(obs.Sample)) {
 		ps := f.PoolStats()
 		counter := func(name, help string, v uint64) {

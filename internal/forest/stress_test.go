@@ -1,11 +1,13 @@
 package forest
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/durable"
 	"repro/internal/trees"
 )
 
@@ -201,5 +203,124 @@ func TestCloseStatsRace(t *testing.T) {
 	time.Sleep(50 * time.Millisecond)
 	if after := f.MaintenanceStats().Passes; after != passes {
 		t.Fatalf("maintenance still running after Close (%d -> %d passes)", passes, after)
+	}
+}
+
+// TestUpdateContendedCounters runs composed Update transactions on a few hot
+// keys: per-key counters incremented from many goroutines must total
+// exactly, so every read-modify-write either committed whole or retried.
+func TestUpdateContendedCounters(t *testing.T) {
+	const (
+		workers = 6
+		keys    = 4
+		incs    = 2000
+	)
+	f := New(trees.SFOpt)
+	defer f.Close()
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			h := f.NewHandle()
+			for i := 0; i < incs; i++ {
+				k := uint64(i % keys)
+				h.Update(k, func(op *Op) {
+					v, _ := op.Get(k)
+					op.Delete(k)
+					op.Insert(k, v+1)
+				})
+			}
+		}()
+	}
+	wg.Wait()
+	h := f.NewHandle()
+	var total uint64
+	for k := uint64(0); k < keys; k++ {
+		v, ok := h.Get(k)
+		if !ok {
+			t.Fatalf("counter %d missing", k)
+		}
+		total += v
+	}
+	if want := uint64(workers * incs); total != want {
+		t.Fatalf("counters total %d, want %d", total, want)
+	}
+}
+
+// TestDurableStormShutdown is the shutdown-safety torture of the durable
+// path: a storm of single-key and Update operations runs against a durable
+// forest while another goroutine quiesces, checkpoints, and finally closes
+// the WAL and the forest mid-storm. The invariant under test is liveness:
+// every storm op must complete (ops on an already-closed forest still run;
+// their WAL appends become no-ops). Run under -race: the Makefile's race
+// target covers this package.
+func TestDurableStormShutdown(t *testing.T) {
+	for _, kind := range trees.Kinds() {
+		for _, shards := range []int{1, 8} {
+			t.Run(fmt.Sprintf("%s/shards=%d", kind, shards), func(t *testing.T) {
+				f := New(kind, WithShards(shards))
+				dl, _, err := durable.Open(t.TempDir(), shards, durable.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				f.AttachWAL(dl)
+
+				const workers = 6
+				const opsEach = 400
+				var done atomic.Int64
+				var wg sync.WaitGroup
+				start := make(chan struct{})
+				for w := 0; w < workers; w++ {
+					wg.Add(1)
+					go func(w int) {
+						defer wg.Done()
+						h := f.NewHandle()
+						base := uint64(w * 1000)
+						<-start
+						for i := 0; i < opsEach; i++ {
+							k := base + uint64(i%97)
+							switch i % 5 {
+							case 0:
+								h.Insert(k, uint64(i))
+							case 1:
+								h.Get(k)
+							case 2:
+								h.Update(k, func(op *Op) {
+									if v, ok := op.Get(k); ok {
+										op.Delete(k)
+										op.Insert(k, v+1)
+									}
+								})
+							case 3:
+								h.Contains(k)
+							default:
+								h.Delete(k)
+							}
+							done.Add(1)
+						}
+					}(w)
+				}
+				wg.Add(1)
+				go func() { // chaos: quiesce + checkpoint racing the storm, then shutdown
+					defer wg.Done()
+					<-start
+					for i := 0; i < 3; i++ {
+						f.Quiesce(2)
+						if err := dl.Checkpoint(f); err != nil {
+							t.Errorf("Checkpoint: %v", err)
+						}
+					}
+					dl.Close()
+					f.Close()
+				}()
+				close(start)
+				wg.Wait()
+				if got := done.Load(); got != workers*opsEach {
+					t.Fatalf("%d/%d storm ops completed: an operation hung in shutdown", got, workers*opsEach)
+				}
+				f.Close()
+			})
+		}
 	}
 }

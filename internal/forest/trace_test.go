@@ -2,7 +2,6 @@ package forest
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/trees"
@@ -35,12 +34,11 @@ func TestHandleTracingAllocFree(t *testing.T) {
 	}
 }
 
-// TestSpanStitchingOracle is the trace-correctness oracle on the direct
-// (uncombined) path: with 1-in-1 sampling, every facade operation must
-// yield a well-formed span set — exactly one op span, at least one STM
-// attempt inside its window, exactly one committing attempt, contiguous
-// attempt indices — and the retries visible in spans must not exceed the
-// aborts the STM layer counted.
+// TestSpanStitchingOracle is the trace-correctness oracle: with 1-in-1
+// sampling, every facade operation must yield a well-formed span set —
+// exactly one op span, at least one STM attempt inside its window, exactly
+// one committing attempt, contiguous attempt indices — and the retries
+// visible in spans must not exceed the aborts the STM layer counted.
 func TestSpanStitchingOracle(t *testing.T) {
 	f := New(trees.SFOpt, WithShards(2), WithoutMaintenance())
 	defer f.Close()
@@ -131,56 +129,5 @@ func TestSpanStitchingOracle(t *testing.T) {
 	}
 	if got := tr.OpHistogram(obs.OpInsert).Snapshot().Count; got != ops/4 {
 		t.Fatalf("insert latency histogram has %d samples, want %d", got, ops/4)
-	}
-}
-
-// TestSpanStitchingBatched checks that an op routed through the combiner
-// carries its trace ID across the runner handoff: the sampled op yields a
-// combiner-wait span whose window sits inside the op span, with the batch
-// size and shard recorded.
-func TestSpanStitchingBatched(t *testing.T) {
-	// Linger policy (wait > 0): every op enqueues, so even a lone submitter
-	// goes through the ring and gets a combiner-wait span.
-	f := New(trees.SFOpt, WithShards(1), WithBatching(8, 50*time.Microsecond), WithoutMaintenance())
-	defer f.Close()
-	tr := obs.NewTracer(1, 4096)
-	f.SetTracer(tr)
-	h := f.NewHandle()
-
-	const ops = 200
-	for i := uint64(0); i < ops; i++ {
-		h.Insert(i, i)
-	}
-	f.drainCombiners()
-
-	waits := 0
-	opByID := map[uint64]obs.Span{}
-	for _, sp := range tr.Spans() {
-		if sp.Kind == obs.SpanOp {
-			opByID[sp.TraceID] = sp
-		}
-	}
-	for _, sp := range tr.Spans() {
-		if sp.Kind != obs.SpanCombinerWait {
-			continue
-		}
-		waits++
-		if sp.A < 1 || sp.A > 8 {
-			t.Fatalf("combiner-wait span batch size %d out of range [1,8]", sp.A)
-		}
-		if sp.B != 0 {
-			t.Fatalf("combiner-wait span shard %d, want 0", sp.B)
-		}
-		op, ok := opByID[sp.TraceID]
-		if !ok {
-			continue // op span may still be unwritten when the ring was read
-		}
-		if sp.Start < op.Start || sp.Start > op.End {
-			t.Fatalf("combiner wait started at %d outside op window [%d,%d]",
-				sp.Start, op.Start, op.End)
-		}
-	}
-	if waits == 0 {
-		t.Fatal("no combiner-wait spans despite batching enabled and every op sampled")
 	}
 }

@@ -29,8 +29,6 @@ const (
 	EvWALDrop
 	// EvWALRotate: the WAL sealed a segment. A=segment bytes.
 	EvWALRotate
-	// EvBatch: the combiner applied a coalesced batch. A=batch size.
-	EvBatch
 	// EvMaintSweep: a maintenance sweep that found work. A=structural
 	// changes plus nodes freed.
 	EvMaintSweep
@@ -47,8 +45,8 @@ const (
 
 var eventKindNames = [numEventKinds]string{
 	"checkpoint.full", "checkpoint.delta", "compaction", "recovery",
-	"wal.stall", "wal.drop", "wal.rotate", "batch", "maint.sweep",
-	"ftx.prepare", "ftx.abort",
+	"wal.stall", "wal.drop", "wal.rotate", "maint.sweep", "ftx.prepare",
+	"ftx.abort",
 }
 
 func (k EventKind) String() string {

@@ -201,7 +201,7 @@ func TestAllocFree(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { g.Set(1) }); n != 0 {
 		t.Errorf("Gauge.Set allocates %v/op, want 0", n)
 	}
-	if n := testing.AllocsPerRun(100, func() { fr.Record(EvBatch, 0, 1, 2) }); n != 0 {
+	if n := testing.AllocsPerRun(100, func() { fr.Record(EvMaintSweep, 0, 1, 2) }); n != 0 {
 		t.Errorf("FlightRecorder.Record allocates %v/op, want 0", n)
 	}
 }
@@ -210,7 +210,7 @@ func TestFlightWraparound(t *testing.T) {
 	fr := NewFlightRecorder(16)
 	const total = 40
 	for i := 0; i < total; i++ {
-		fr.Record(EvBatch, time.Duration(i), int64(i), 0)
+		fr.Record(EvMaintSweep, time.Duration(i), int64(i), 0)
 	}
 	evs := fr.Events()
 	if len(evs) == 0 || len(evs) > 16 {
@@ -238,7 +238,7 @@ func TestFlightConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 5000; i++ {
-				fr.Record(EvBatch, 0, int64(i), int64(w))
+				fr.Record(EvMaintSweep, 0, int64(i), int64(w))
 			}
 		}(w)
 	}
@@ -437,7 +437,7 @@ func TestServerNoFlight(t *testing.T) {
 
 func TestNilSafety(t *testing.T) {
 	var fr *FlightRecorder
-	fr.Record(EvBatch, 0, 1, 2) // must not panic
+	fr.Record(EvMaintSweep, 0, 1, 2) // must not panic
 	if evs := fr.Events(); evs != nil {
 		t.Errorf("nil recorder events = %v", evs)
 	}

@@ -12,10 +12,10 @@ import (
 
 // SpanKind names one phase of a traced operation's timeline. A complete
 // sampled operation yields one SpanOp plus zero or more phase spans sharing
-// its trace ID: one SpanAttempt per STM attempt, a SpanCombinerWait when the
-// op parked on a combiner future, SpanFtxIntent/Prepare/Finalize for the
-// cross-shard two-phase commit, and a SpanWALAppend stretching from the log
-// append to the group-commit fsync that made it durable.
+// its trace ID: one SpanAttempt per STM attempt, SpanFtxIntent/Prepare/
+// Finalize for the cross-shard two-phase commit, and a SpanWALAppend
+// stretching from the log append to the group-commit fsync that made it
+// durable.
 type SpanKind uint8
 
 const (
@@ -25,9 +25,6 @@ const (
 	// SpanAttempt: one STM attempt inside the op. A is -1 for the committing
 	// attempt, otherwise the AbortCause code; B is the attempt index (0 = first).
 	SpanAttempt
-	// SpanCombinerWait: enqueue on a combiner ring until the batch commit
-	// completed the future. A=batch size, B=shard index.
-	SpanCombinerWait
 	// SpanFtxIntent: the intent-acquire phase of a cross-shard commit.
 	// A=participating shards, B=1 if a conflict aborted the phase.
 	SpanFtxIntent
@@ -43,8 +40,8 @@ const (
 )
 
 var spanKindNames = [numSpanKinds]string{
-	"op", "stm.attempt", "combiner.wait", "ftx.intent", "ftx.prepare",
-	"ftx.finalize", "wal.append",
+	"op", "stm.attempt", "ftx.intent", "ftx.prepare", "ftx.finalize",
+	"wal.append",
 }
 
 func (k SpanKind) String() string {

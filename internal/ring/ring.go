@@ -1,8 +1,8 @@
 // Package ring provides a bounded lock-free multi-producer multi-consumer
-// queue (Vyukov's bounded MPMC ring), generic over the element type. It is
-// the submission substrate of the forest's per-shard op combiner (many
-// submitting handles, one CAS-elected batch runner); besides the combiner
-// only the benchmark's layer ladder uses it, to price it.
+// queue (Vyukov's bounded MPMC ring), generic over the element type. Its
+// only user is the benchmark's layer ladder, whose ring.push_pop_ns row
+// prices it; ROADMAP's "Benchmark v2" item deletes the package together
+// with that row.
 //
 // Each slot carries a sequence word. A producer claims a slot by CAS on the
 // enqueue counter and publishes the element by advancing the slot's

@@ -111,15 +111,6 @@ type Stats struct {
 	// high value flags that the spin budget, not the abort rate, is where
 	// wall-clock time goes.
 	SpinExhausted uint64
-	// Batches counts combiner batches committed through this thread: groups
-	// of queued single-key operations applied in one transaction by a
-	// batch runner (forest's per-shard op combiner). BatchedOps is the total
-	// number of operations those batches carried, so BatchedOps/Batches is
-	// the mean coalescing factor. Ops executed on the combiner's uncontended
-	// direct fast path are not counted here — they pay one transaction each,
-	// exactly like the unbatched path.
-	Batches    uint64
-	BatchedOps uint64
 }
 
 // Add accumulates o into s. Max-type counters take the maximum.
@@ -140,8 +131,6 @@ func (s *Stats) Add(o Stats) {
 	s.Prepares += o.Prepares
 	s.BackoffNanos += o.BackoffNanos
 	s.SpinExhausted += o.SpinExhausted
-	s.Batches += o.Batches
-	s.BatchedOps += o.BatchedOps
 	if o.MaxOpReads > s.MaxOpReads {
 		s.MaxOpReads = o.MaxOpReads
 	}

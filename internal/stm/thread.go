@@ -195,15 +195,6 @@ func (th *Thread) ResetStats() {
 	th.live.structAborts.Store(0)
 }
 
-// NoteBatch records one combiner batch of n coalesced operations committed
-// through this thread in a single transaction (Stats.Batches/BatchedOps).
-// Like the rest of the counters it is owner-local: only the thread's own
-// goroutine — the batch runner — may call it.
-func (th *Thread) NoteBatch(n int) {
-	th.stats.Batches++
-	th.stats.BatchedOps += uint64(n)
-}
-
 // SetTraceContext attaches a sampled operation's trace context: while id is
 // non-zero, every subsequent Atomic/AtomicMode attempt on this thread
 // records a SpanAttempt under it (op labels the spans). Pass (nil, 0, 0) to

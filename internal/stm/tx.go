@@ -36,14 +36,6 @@ const elasticWindow = 2
 // overflow transparently onto heap-backed slices, which the descriptor then
 // retains across attempts and operations. The AllocsPerRun gates in
 // hotpath_test.go pin the in-budget case at zero allocations.
-//
-// inlineWrites stays at 8 even though the forest combiner's batch
-// transactions routinely overflow it: a full batch (dozens of coalesced
-// updates) spills to the heap-backed slice either way, and the descriptor
-// retains that capacity, so a steady batch runner allocates once, not per
-// batch. Growing the inline array to chase small batches was measured to
-// cost more on the one-op hot path (a fatter descriptor across every
-// traversal) than it saved the runner.
 const (
 	inlineReads  = 24
 	inlineWrites = 8

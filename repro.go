@@ -61,7 +61,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"time"
 
 	"repro/internal/durable"
 	"repro/internal/forest"
@@ -152,8 +151,6 @@ type treeCfg struct {
 	maintWorkers int
 	cm           stm.ContentionManager
 	dur          *durable.Options
-	batchN       int
-	batchWait    time.Duration
 	obs          bool
 	obsAddr      string
 	trace        int // WithTracing sample-every (0 = tracing off)
@@ -182,37 +179,12 @@ func WithShards(n int) Option { return func(c *treeCfg) { c.shards = n } }
 // rather than the shard count.
 func WithMaintWorkers(n int) Option { return func(c *treeCfg) { c.maintWorkers = n } }
 
-// WithBatching routes single-key operations (Insert, Delete, Get, Contains,
-// UpdateShard) through a per-shard op combiner: concurrent submissions
-// coalesce into batches of up to n operations, each batch applied in one
-// STM transaction by a runner elected among the submitters, with results
-// delivered back through per-op futures. wait selects the coalescing
-// policy: 0 (the usual choice) is drain-only — uncontended operations run
-// directly and batches form only under contention; wait > 0 makes every
-// operation enqueue and runners linger up to wait for fuller batches,
-// maximizing coalescing at a bounded latency cost. n <= 1 disables
-// batching (the default).
-//
-// Batching pays off on write-contended trees, where coalescing replaces
-// abort storms with conflict-free serial batches and amortizes the
-// per-transaction overhead; on read-dominated uncontended workloads it
-// serializes reads that would have run in parallel, so leave it off there.
-func WithBatching(n int, wait time.Duration) Option {
-	return func(c *treeCfg) {
-		c.batchN = n
-		if wait > 0 {
-			c.batchWait = wait
-		}
-	}
-}
-
 // WithObservability turns on the tree's observability layer: a metrics
 // registry that every layer (STM commit/abort taxonomy per shard, tree
-// maintenance, combiner batches, cross-shard coordinator, maintenance
-// pool, WAL/checkpoints, Go runtime) registers its counter, gauge and
-// histogram families into, plus a bounded flight recorder of
-// coarse-grained events (checkpoints, recovery, WAL stalls, maintenance
-// bursts, batch executions). With a non-empty addr the layer also serves
+// maintenance, cross-shard coordinator, maintenance pool, WAL/checkpoints,
+// Go runtime) registers its counter, gauge and histogram families into,
+// plus a bounded flight recorder of coarse-grained events (checkpoints,
+// recovery, WAL stalls, maintenance bursts, slow cross-shard prepares). With a non-empty addr the layer also serves
 // HTTP on it: Prometheus text on /metrics, a JSON snapshot on /snapshot,
 // the flight-recorder ring on /flight, and net/http/pprof under
 // /debug/pprof/ — pass ":0" for an ephemeral port and read it back with
@@ -235,8 +207,8 @@ func WithObservability(addr string) Option {
 // sampled at its start — one xorshift draw per op, no atomics on the
 // unsampled path — and a sampled operation records a span for each phase it
 // crosses: the facade op itself, every STM attempt with its abort cause,
-// the combiner enqueue→batch-commit wait, the cross-shard coordinator's
-// intent/prepare/finalize phases, and the WAL append→fsync completion.
+// the cross-shard coordinator's intent/prepare/finalize phases, and the WAL
+// append→fsync completion.
 // Spans land in a fixed-size lock-free ring (newest wins) served by the
 // /trace endpoint and Tree.Tracer; per-op-kind latency histograms
 // (op_latency_nanos) and a top-K slow-op table ride along in the registry.
@@ -300,7 +272,6 @@ func (c *treeCfg) newForest(kind Kind) *forest.Forest {
 		forest.WithTMMode(c.mode),
 		forest.WithContentionManager(c.cm),
 		forest.WithMaintWorkers(c.maintWorkers),
-		forest.WithBatching(c.batchN, c.batchWait),
 	}
 	if !c.maintenance {
 		fopts = append(fopts, forest.WithoutMaintenance())

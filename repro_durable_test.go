@@ -480,16 +480,17 @@ func TestDurableCheckpointStress(t *testing.T) {
 	}
 }
 
-// TestDurableBatchedRecoveryOracle is the batching-enabled variant of the
-// recovery oracle: concurrent workers churn worker-owned key stripes
-// through the per-shard op combiner (WithBatching) on a durable tree, so
-// committed batches reach the WAL as multi-effect records; after Close and
-// reopen the recovered abstraction must equal the model exactly. Per-stripe
-// single-writership makes the model exact despite the concurrency.
-func TestDurableBatchedRecoveryOracle(t *testing.T) {
+// TestDurableConcurrentRecoveryOracle is the concurrent variant of the
+// recovery oracle: workers churn worker-owned key stripes with single-key
+// ops and composed UpdateShard transactions on a durable tree under the
+// default asynchronous group commit, so many goroutines' records interleave
+// in each shard's WAL; after Close and reopen the recovered abstraction
+// must equal the model exactly. Per-stripe single-writership makes the
+// model exact despite the concurrency.
+func TestDurableConcurrentRecoveryOracle(t *testing.T) {
 	durableKindsAndShards(t, func(t *testing.T, kind Kind, shards int) {
 		dir := t.TempDir()
-		opts := []Option{WithShards(shards), WithBatching(16, 0),
+		opts := []Option{WithShards(shards),
 			WithDurability(DurabilityOptions{CheckpointEvery: -1})}
 		tr, err := Open(dir, kind, opts...)
 		if err != nil {
@@ -557,7 +558,7 @@ func TestDurableBatchedRecoveryOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer tr.Close()
-		assertStateEqual(t, tr.NewHandle(), model, "after batched recovery")
+		assertStateEqual(t, tr.NewHandle(), model, "after concurrent recovery")
 	})
 }
 

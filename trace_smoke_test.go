@@ -29,11 +29,11 @@ type traceDoc struct {
 }
 
 // TestTraceEndpointSmoke is the `make trace-smoke` CI gate: a short durable
-// batched cross-shard workload through the facade with full sampling, /trace
-// polled while it runs. The scrapes must prove spans from every
+// contended cross-shard workload through the facade with full sampling,
+// /trace polled while it runs. The scrapes must prove spans from every
 // instrumented layer stitched together: an STM retry (an attempt span that
-// aborted or a follow-up attempt), a combiner batch wait, an ftx prepare
-// phase, and a WAL append that stretched to its group-commit fsync.
+// aborted or a follow-up attempt), an ftx prepare phase, and a WAL append
+// that stretched to its group-commit fsync.
 func TestTraceEndpointSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live endpoint scrape; skipped in -short")
@@ -43,15 +43,14 @@ func TestTraceEndpointSmoke(t *testing.T) {
 	// are preempted against each other by the OS even on a one-CPU host.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
 	tr, err := Open(t.TempDir(), SpeculationFriendlyOptimized, WithShards(2),
-		WithContention(ContentionSuicide),     // no backoff: aborts stay frequent
-		WithBatching(16, 20*time.Microsecond), // linger: every single-key op rides the combiner
+		WithContention(ContentionSuicide), // no backoff: aborts stay frequent
 		WithTracing(1), WithObservability("127.0.0.1:0"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tr.Close()
-	// 64 keys so that moves, scans and transfers — direct transactions —
-	// really conflict with each other and with the combiner's batches.
+	// 64 keys so that single-key ops, moves, scans and transfers really
+	// conflict with each other.
 	mix := smokeMix{keys: 1 << 6, transfer: 10, scan: 5, move: 50, update: 10}
 	// Poll /trace while the workload runs, accumulating span kinds until
 	// every layer has shown up or the deadline passes. Each poll sees the
@@ -100,7 +99,7 @@ func TestTraceEndpointSmoke(t *testing.T) {
 			walFsync++
 		}
 	}
-	for _, k := range []string{"op", "stm.attempt", "combiner.wait", "ftx.prepare", "wal.append"} {
+	for _, k := range []string{"op", "stm.attempt", "ftx.prepare", "wal.append"} {
 		if kinds[k] == 0 {
 			t.Errorf("mid-run /trace missing %q spans (have %v)", k, kinds)
 		}
@@ -117,7 +116,7 @@ func TestTraceEndpointSmoke(t *testing.T) {
 }
 
 func hasAllTraceLayers(doc traceDoc) bool {
-	var op, attempt, retry, wait, prepare, wal bool
+	var op, attempt, retry, prepare, wal bool
 	for _, sp := range doc.Spans {
 		switch sp.Kind {
 		case "op":
@@ -127,15 +126,13 @@ func hasAllTraceLayers(doc traceDoc) bool {
 			if sp.A >= 0 || sp.B > 0 {
 				retry = true
 			}
-		case "combiner.wait":
-			wait = true
 		case "ftx.prepare":
 			prepare = true
 		case "wal.append":
 			wal = true
 		}
 	}
-	return op && attempt && retry && wait && prepare && wal
+	return op && attempt && retry && prepare && wal
 }
 
 // TestTreeTracingFacade exercises repro.WithTracing end to end: the option

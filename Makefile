@@ -94,16 +94,14 @@ fmt:
 	@out=$$(gofmt -l .); [ -z "$$out" ] || { echo "fmt: gofmt -l lists:"; echo "$$out"; exit 1; }
 
 # Short fuzz smoke over the durable on-disk codecs: the WAL record framing
-# and the incremental-checkpoint delta/manifest formats. Each corpus is
-# seeded with valid encodings plus systematic corruptions; a few seconds per
-# fuzzer is enough to keep the decode/re-encode identity and the
-# never-crash-on-garbage property honest in CI (go test allows one -fuzz
-# pattern per invocation, hence three runs).
+# and the checkpoint file format. Each corpus is seeded with valid
+# encodings; a few seconds per fuzzer is enough to keep the decode/re-encode
+# identity and the never-crash-on-garbage property honest in CI (go test
+# allows one -fuzz pattern per invocation, hence two runs).
 FUZZTIME ?= 5s
 fuzz:
 	$(GO) test ./internal/durable -run '^$$' -fuzz FuzzRecordDecode -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/durable -run '^$$' -fuzz FuzzDeltaDecode -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/durable -run '^$$' -fuzz FuzzManifestDecode -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/durable -run '^$$' -fuzz FuzzCheckpointDecode -fuzztime $(FUZZTIME)
 
 # CPU + allocation profiles of the paper's hot path — the optimized
 # speculation-friendly tree under 20% effective updates (Fig. 5(a)'s

@@ -38,9 +38,10 @@ func checkpointName(dir string, gen uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("checkpoint-%016d.ckpt", gen))
 }
 
-// writeCheckpoint writes and seals one full checkpoint file (tmp + fsync +
-// rename + directory sync), reporting the bytes it wrote.
-func writeCheckpoint(dir string, shards int, gen, baseSeg uint64, cuts []uint64, pairs []kvPair) (int, error) {
+// encodeCheckpoint encodes one full checkpoint file, CRC included. The
+// encoding is canonical: decodeCheckpoint accepts exactly what this returns
+// (FuzzCheckpointDecode).
+func encodeCheckpoint(shards int, gen, baseSeg uint64, cuts []uint64, pairs []kvPair) []byte {
 	b := make([]byte, 0, len(ckptMagic)+4+16+8*len(cuts)+8+16*len(pairs)+4)
 	b = append(b, ckptMagic...)
 	b = binary.LittleEndian.AppendUint32(b, uint32(shards))
@@ -54,28 +55,34 @@ func writeCheckpoint(dir string, shards int, gen, baseSeg uint64, cuts []uint64,
 		b = binary.LittleEndian.AppendUint64(b, p.k)
 		b = binary.LittleEndian.AppendUint64(b, p.v)
 	}
-	b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, crcTable))
-	if err := sealFile(dir, checkpointName(dir, gen), b); err != nil {
-		return 0, err
-	}
-	return len(b), nil
+	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, crcTable))
 }
 
-// readCheckpoint loads and validates one sealed full checkpoint file,
-// returning its header and pairs. It returns an error for any structural
-// damage — recovery then falls back to an older candidate.
+// readCheckpoint loads and validates one sealed checkpoint file, returning
+// its header and pairs. It returns an error for any structural damage —
+// recovery then falls back to an older checkpoint.
 func readCheckpoint(path string, shards int) (checkpointMeta, []kvPair, error) {
-	var meta checkpointMeta
 	b, err := os.ReadFile(path)
 	if err != nil {
-		return meta, nil, err
+		return checkpointMeta{}, nil, err
 	}
+	meta, pairs, err := decodeCheckpoint(b, shards)
+	if err != nil {
+		return meta, nil, fmt.Errorf("durable: %s: %w", path, err)
+	}
+	return meta, pairs, nil
+}
+
+// decodeCheckpoint decodes and validates one whole checkpoint file written
+// for a store of the given shard count, CRC included.
+func decodeCheckpoint(b []byte, shards int) (checkpointMeta, []kvPair, error) {
+	var meta checkpointMeta
 	if len(b) < len(ckptMagic)+4+16+8+4 || string(b[:len(ckptMagic)]) != ckptMagic {
-		return meta, nil, fmt.Errorf("durable: %s: not a checkpoint file", path)
+		return meta, nil, fmt.Errorf("not a checkpoint file")
 	}
 	body, tail := b[:len(b)-4], b[len(b)-4:]
 	if crc32.Checksum(body, crcTable) != binary.LittleEndian.Uint32(tail) {
-		return meta, nil, fmt.Errorf("durable: %s: checkpoint checksum mismatch", path)
+		return meta, nil, fmt.Errorf("checkpoint checksum mismatch")
 	}
 	d := &decoder{b: body, off: len(ckptMagic)}
 	ns, err := d.u32()
@@ -83,7 +90,7 @@ func readCheckpoint(path string, shards int) (checkpointMeta, []kvPair, error) {
 		return meta, nil, err
 	}
 	if int(ns) != shards {
-		return meta, nil, fmt.Errorf("durable: %s: checkpoint has %d shards, log opened with %d", path, ns, shards)
+		return meta, nil, fmt.Errorf("checkpoint has %d shards, log opened with %d", ns, shards)
 	}
 	if meta.gen, err = d.u64(); err != nil {
 		return meta, nil, err
@@ -102,7 +109,7 @@ func readCheckpoint(path string, shards int) (checkpointMeta, []kvPair, error) {
 		return meta, nil, err
 	}
 	if n > uint64(len(body)-d.off)/16 {
-		return meta, nil, fmt.Errorf("durable: %s: pair count %d exceeds file size", path, n)
+		return meta, nil, fmt.Errorf("pair count %d exceeds file size", n)
 	}
 	pairs := make([]kvPair, 0, n)
 	for i := uint64(0); i < n; i++ {
@@ -117,7 +124,7 @@ func readCheckpoint(path string, shards int) (checkpointMeta, []kvPair, error) {
 		pairs = append(pairs, kvPair{k: k, v: v})
 	}
 	if d.off != len(body) {
-		return meta, nil, fmt.Errorf("durable: %s: %d trailing bytes", path, len(body)-d.off)
+		return meta, nil, fmt.Errorf("%d trailing bytes", len(body)-d.off)
 	}
 	return meta, pairs, nil
 }
@@ -139,4 +146,33 @@ func syncDir(dir string) error {
 		return nil
 	}
 	return nil
+}
+
+// sealFile writes b to path via a temporary name, fsyncing the file before
+// the rename and the directory after it — the rename is the seal.
+func sealFile(dir, path string, b []byte) error {
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	if err != nil {
+		return err
+	}
+	if _, err := f.Write(b); err != nil {
+		f.Close()
+		os.Remove(tmp)
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		os.Remove(tmp)
+		return err
+	}
+	if err := f.Close(); err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	return syncDir(dir)
 }

@@ -52,44 +52,18 @@
 // the checkpoint's per-shard cut — stale files left by an interrupted
 // truncation are ignored or re-deleted.
 //
-// # Incremental checkpoints
-//
-// Rewriting the whole store every checkpoint makes checkpoint cost grow
-// with store size even when almost nothing changed. The log therefore
-// tracks, per shard, the set of keys mutated since the last checkpoint —
-// maintained at append time, under the same lock the records take, so the
-// set is exactly the keys of the records in the segments a checkpoint
-// covers. When the dirty set is small relative to the store, the
-// checkpoint writes a delta generation instead of a full base: only the
-// dirty keys, read under a consistent per-shard snapshot (puts for present
-// keys, tombstones for absent ones), plus a manifest chaining the delta
-// back through its ancestors to the last full base. Long chains are folded
-// by compaction — after Options.CompactEvery deltas (or when the dirty
-// fraction exceeds Options.DeltaMaxFrac) the next checkpoint is a fresh
-// full base and the old chain is deleted. Once the dirty set outgrows what
-// the next checkpoint could write as a delta it saturates: appends stop
-// inserting keys, and that checkpoint writes a full base. A checkpoint
-// with an empty dirty set is skipped outright, so an idle store costs no
-// checkpoint I/O at all.
-//
-// Correctness does not depend on append timing: a record can reach the log
-// after the delta that covers its window was cut (its committer was
-// preempted between publication and append). Such a record's key is not in
-// the delta, and recovery's skip rule is per key — a replayed record is
-// skipped only when its position is at or below the cut of the newest
-// chain generation that actually covered its key (the full base covers
-// every key; a delta covers only its own entries) — so the late record is
-// replayed rather than lost.
+// A checkpoint with nothing to cover is skipped: when no record was
+// appended or dropped since the rotation of the last checkpoint that
+// sealed, that checkpoint plus the (empty) live tail already describe the
+// store, so an idle store costs no checkpoint I/O at all.
 package durable
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
-	"slices"
 	"sync"
 	"time"
 
@@ -104,13 +78,6 @@ const (
 	// DefaultCheckpointEvery is the periodic-checkpoint interval when none
 	// is configured.
 	DefaultCheckpointEvery = time.Second
-	// DefaultCompactEvery is the delta-chain length at which the next
-	// checkpoint compacts to a fresh full base.
-	DefaultCompactEvery = 8
-	// DefaultDeltaMaxFrac is the dirty fraction (dirty keys over the last
-	// full base's pairs) above which a checkpoint writes a full base
-	// instead of a delta.
-	DefaultDeltaMaxFrac = 0.25
 	// DefaultMaxUnsynced is the backpressure bound on bytes appended but
 	// not yet fsynced under group commit.
 	DefaultMaxUnsynced = 1 << 20
@@ -139,17 +106,6 @@ type Options struct {
 	// StartCheckpoints. 0 selects DefaultCheckpointEvery; a negative value
 	// disables periodic checkpoints (manual Checkpoint calls still work).
 	CheckpointEvery time.Duration
-	// CompactEvery bounds the delta chain: after this many delta
-	// generations the next checkpoint writes a fresh full base and deletes
-	// the old chain. 0 selects DefaultCompactEvery; a negative value
-	// disables incremental checkpoints entirely (every checkpoint is a
-	// full base, the PR 5 behavior).
-	CompactEvery int
-	// DeltaMaxFrac is the dirty fraction above which a checkpoint writes a
-	// full base rather than a delta: when more than this fraction of the
-	// last full base's pairs mutated, a delta would not pay for itself.
-	// 0 selects DefaultDeltaMaxFrac.
-	DeltaMaxFrac float64
 	// MaxUnsynced bounds the bytes appended but not yet fsynced under
 	// group commit: an append that would exceed it flushes and fsyncs
 	// inline (bounded blocking — backpressure instead of an unbounded
@@ -180,23 +136,6 @@ func (o Options) checkpointEvery() time.Duration {
 		return DefaultCheckpointEvery
 	}
 	return o.CheckpointEvery
-}
-
-// deltas reports whether incremental checkpoints are enabled.
-func (o Options) deltas() bool { return o.CompactEvery >= 0 }
-
-func (o Options) compactEvery() int {
-	if o.CompactEvery == 0 {
-		return DefaultCompactEvery
-	}
-	return o.CompactEvery
-}
-
-func (o Options) deltaMaxFrac() float64 {
-	if o.DeltaMaxFrac <= 0 {
-		return DefaultDeltaMaxFrac
-	}
-	return o.DeltaMaxFrac
 }
 
 func (o Options) maxUnsynced() int {
@@ -266,40 +205,26 @@ type Source interface {
 	SnapshotShard(si int, fn func(k, v uint64)) uint64
 }
 
-// DeltaSource is an optional Source extension for incremental checkpoints:
-// a consistent read of exactly the given keys of one shard, so a delta's
-// read cost is proportional to the churn rather than the store size.
-// Sources without it still get delta checkpoints — the log falls back to a
-// full SnapshotShard scan filtered to the dirty set (delta-sized writes,
-// store-sized reads). forest.Forest implements it.
-type DeltaSource interface {
-	Source
-	// SnapshotShardKeys reads the given keys of shard si consistently — in
-	// one transaction, or in runs with the minimum of their positions as
-	// the cut, by the argument on Source — calling fn(k, v, true) for each
-	// present key and fn(k, 0, false) for each absent one (in the order
-	// given), and returns the shard-clock position the read was cut at.
-	SnapshotShardKeys(si int, keys []uint64, fn func(k, v uint64, ok bool)) uint64
-}
-
 // Stats counts a Log's activity. All fields are monotonically increasing.
 type Stats struct {
-	Records            uint64  // records appended (update + atomic)
-	AtomicRecords      uint64  // the cross-shard subset of Records
-	Bytes              uint64  // framed bytes appended
-	Flushes            uint64  // append-buffer writes to the live segment
-	Syncs              uint64  // fsyncs of the live segment
-	Stalls             uint64  // appends that hit the MaxUnsynced bound and fsynced inline
-	Dropped            uint64  // records not logged: oversize payload, or appended while wedged on an I/O error
-	Checkpoints        uint64  // checkpoints sealed (full bases + deltas)
-	DeltaCheckpoints   uint64  // the incremental subset of Checkpoints
-	SkippedCheckpoints uint64  // checkpoints skipped because nothing was dirty
-	CheckpointPairs    uint64  // pairs written across all checkpoints (delta entries included)
-	CheckpointBytes    uint64  // bytes written across checkpoint, delta, and manifest files
-	CheckpointNanos    uint64  // wall time spent checkpointing
-	DirtyFracSum       float64 // sum over delta checkpoints of dirtyKeys/basePairs (mean = /DeltaCheckpoints)
-	Rotations          uint64  // segment rotations
-	FilesRemoved       uint64  // obsolete segments, checkpoints, and manifests deleted
+	Records            uint64 // records appended (update + atomic)
+	AtomicRecords      uint64 // the cross-shard subset of Records
+	Bytes              uint64 // framed bytes appended
+	Flushes            uint64 // append-buffer writes to the live segment
+	Syncs              uint64 // fsyncs of the live segment
+	Stalls             uint64 // appends that hit the MaxUnsynced bound and fsynced inline
+	Dropped            uint64 // records not logged: oversize payload, or appended while wedged on an I/O error
+	Checkpoints        uint64 // checkpoints sealed
+	SkippedCheckpoints uint64 // checkpoints skipped because nothing was appended or dropped since the last seal
+	CheckpointPairs    uint64 // pairs written across all checkpoints
+	CheckpointBytes    uint64 // bytes written across all checkpoint files
+	CheckpointNanos    uint64 // wall time spent checkpointing
+	Rotations          uint64 // segment rotations
+	FilesRemoved       uint64 // obsolete segments and checkpoints deleted
+
+	// Deprecated: always 0. Every checkpoint is a full one; the field stays
+	// for readers written when checkpoints could be incremental.
+	DeltaCheckpoints uint64
 }
 
 // errClosed is returned by operations on a closed Log.
@@ -323,7 +248,7 @@ type pendSpan struct {
 // recovery.
 //
 // Group commit is double-buffered. Appenders frame their records into an
-// in-memory buffer under mu — encode, checksum, dirty-mark, nothing else —
+// in-memory buffer under mu — encode, checksum, nothing else —
 // and whoever makes records durable (the committer, Sync, a Sync-mode or
 // stalled appender, rotation, Close) takes ioMu, swaps the buffer out under
 // mu, and writes and fsyncs it with mu released. No append ever waits for a
@@ -335,8 +260,8 @@ type Log struct {
 	shards int
 
 	// mu guards everything an append touches: the fill buffer, the segment
-	// and generation counters, the dirty-key sets, the counters and the
-	// error/wedge state. It is never held across file I/O.
+	// and generation counters, the counters and the error/wedge state. It
+	// is never held across file I/O.
 	mu       sync.Mutex
 	buf      []byte // framed records awaiting the next flush (the fill buffer)
 	seg      uint64 // live segment index: where the fill buffer is destined
@@ -379,28 +304,18 @@ type Log struct {
 	pend   [64]pendSpan
 	pendN  int
 
-	// dirtyKeys is the per-shard set of keys mutated since the last
-	// checkpoint capture, maintained at append time under mu — the same
-	// critical section the records take, so a checkpoint's captured set is
-	// exactly the keys of the records in the segments it covers. Nil when
-	// incremental checkpoints are disabled. dirtyN counts its keys across
-	// shards. Once dirtyN exceeds dirtyCap — the most dirty keys the next
-	// checkpoint may still write as a delta (deltaBudget, published by the
-	// checkpointer) — the set is saturated: the next checkpoint must be a
-	// full base, which covers every key, so appends stop inserting until
-	// the next capture.
-	dirtyKeys      []map[uint64]struct{}
-	dirtyN         int
-	dirtyCap       int
-	dirtySaturated bool
-
 	// ckptMu serializes whole checkpoints (the periodic loop and manual
-	// Checkpoint calls). It also guards the chain fields below, which only
-	// the single checkpoint driver touches.
-	ckptMu         sync.Mutex
-	chain          []manifestEntry // current generation chain, full base first
-	chainFullGen   uint64          // generation of the chain's full base
-	chainFullPairs int             // pairs in the chain's full base (store-size estimate)
+	// Checkpoint calls). It also guards the fields below, which only the
+	// single checkpoint driver touches.
+	ckptMu sync.Mutex
+	// sealedMark is Stats.Records+Stats.Dropped as of the rotation of the
+	// last checkpoint that sealed (sealed reports whether one has): a
+	// checkpoint that finds the sum unchanged has nothing to cover. Dropped
+	// records count because the next checkpoint is what re-captures their
+	// values; a failed checkpoint leaves the mark where it was.
+	sealed     bool
+	sealedMark uint64
+	lastPairs  int // pairs in the last sealed checkpoint (store-size estimate)
 
 	committerStop chan struct{}
 	committerDone chan struct{}
@@ -431,10 +346,6 @@ func Open(dir string, shards int, o Options) (*Log, *Recovery, error) {
 	l := &Log{dir: dir, o: o, shards: shards, seg: maxSeg + 1, nextGen: maxGen + 1,
 		buf: make([]byte, 0, logBufSize), spare: make([]byte, 0, logBufSize),
 		fsync: (*os.File).Sync}
-	if o.deltas() {
-		l.dirtyKeys = freshDirty(shards)
-		l.dirtyCap = l.deltaBudget() // no chain yet: the first checkpoint is full
-	}
 	if err := l.openSegment(l.seg); err != nil {
 		return nil, nil, err
 	}
@@ -463,11 +374,9 @@ func (l *Log) Stats() Stats {
 // later errors do not replace it). After an I/O error the log wedges:
 // appends to the poisoned segment are dropped and counted in
 // Stats.Dropped, until the next successful rotation opens a fresh segment.
-// With incremental checkpoints enabled the dropped records' keys stay in
-// the dirty set (or the set is saturated and the next checkpoint is a full
-// base), so the next checkpoint re-captures their current values and the
-// loss window closes there. The in-memory store stays usable throughout;
-// the caller decides whether to fail over.
+// The next checkpoint re-captures the dropped records' current values from
+// the store, so the loss window closes there. The in-memory store stays
+// usable throughout; the caller decides whether to fail over.
 func (l *Log) Err() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -542,7 +451,6 @@ func (l *Log) LogUpdateT(shard int, seq uint64, ops []Op, traceID uint64) {
 		l.mu.Unlock()
 		return
 	}
-	l.markDirtyLocked(shard, ops)
 	buf, start := beginFrame(l.buf)
 	l.buf = encodeUpdate(buf, shard, seq, ops)
 	mode, pre := l.endRecord(start, false, traceID, int64(shard))
@@ -583,81 +491,11 @@ func (l *Log) LogAtomicT(parts []ShardOps, traceID uint64) {
 		}
 	}
 	l.live = live
-	for _, p := range live {
-		l.markDirtyLocked(p.Shard, p.Ops)
-	}
 	buf, start := beginFrame(l.buf)
 	l.buf = encodeAtomic(buf, live)
 	mode, pre := l.endRecord(start, true, traceID, -1)
 	l.mu.Unlock()
 	l.afterAppend(mode, pre)
-}
-
-// markDirtyLocked adds the keys of shard's ops to the dirty set, unless
-// incremental checkpoints are off or the set is saturated. Caller holds mu.
-func (l *Log) markDirtyLocked(shard int, ops []Op) {
-	if l.dirtyKeys == nil || l.dirtySaturated {
-		return
-	}
-	d := l.dirtyKeys[shard]
-	n0 := len(d)
-	for i := range ops {
-		d[ops[i].Key] = struct{}{}
-	}
-	l.dirtyN += len(d) - n0
-	if l.dirtyN > l.dirtyCap {
-		l.dirtySaturated = true
-	}
-}
-
-// deltaBudget returns the most dirty keys the next checkpoint may capture
-// and still write as a delta, or -1 when it must be a full base whatever
-// the count: no chain yet, or a chain due for compaction. Caller holds
-// ckptMu.
-func (l *Log) deltaBudget() int {
-	n := len(l.chain)
-	if n == 0 || n-1 >= l.o.compactEvery() || l.chainFullPairs == 0 {
-		return -1
-	}
-	return int(l.o.deltaMaxFrac() * float64(l.chainFullPairs))
-}
-
-// restoreDirtyLocked merges a captured dirty set back into l.dirtyKeys
-// after a failed checkpoint attempt, so the mutated keys stay covered by
-// the next generation instead of silently falling out of the chain (their
-// records live only in segments a later successful delta would let
-// removeObsolete delete). Union, not assignment: appends since the swap
-// may have dirtied the fresh set. A saturated capture carries its
-// saturation back instead — its set is incomplete, so only a full base
-// covers it. The chain did not change, so its cap is republished (the next
-// append saturates the set if the union is already past it). Caller holds
-// ckptMu and mu.
-func (l *Log) restoreDirtyLocked(captured []map[uint64]struct{}, saturated bool) {
-	if captured == nil || l.dirtyKeys == nil {
-		return
-	}
-	l.dirtyCap = l.deltaBudget()
-	if saturated {
-		l.dirtySaturated = true
-		return
-	}
-	for si, m := range captured {
-		d := l.dirtyKeys[si]
-		n0 := len(d)
-		for k := range m {
-			d[k] = struct{}{}
-		}
-		l.dirtyN += len(d) - n0
-	}
-}
-
-// freshDirty allocates one empty dirty-key set per shard.
-func freshDirty(shards int) []map[uint64]struct{} {
-	d := make([]map[uint64]struct{}, shards)
-	for i := range d {
-		d[i] = make(map[uint64]struct{})
-	}
-	return d
 }
 
 // endRecord seals the record encoded behind the frame header at start
@@ -872,14 +710,14 @@ func (l *Log) committer(d time.Duration) {
 }
 
 // Checkpoint seals one consistent checkpoint of src and truncates the log
-// behind it: rotate to a fresh segment, snapshot (all pairs for a full
-// base, just the dirty keys for a delta), write and seal the checkpoint
-// and its manifest, then delete the now-covered older segments and
-// superseded chain files. Concurrent appends proceed throughout (into the
-// fresh segment during the snapshot). Checkpoint calls serialize with each
-// other and with the periodic loop. When nothing was appended since the
-// previous checkpoint, the call is a no-op (counted in
-// Stats.SkippedCheckpoints) — an idle store costs no checkpoint I/O.
+// behind it: rotate to a fresh segment, snapshot every shard, write and
+// seal the checkpoint, then delete the now-covered older segments and
+// checkpoints. Concurrent appends proceed throughout (into the fresh
+// segment during the snapshot). Checkpoint calls serialize with each other
+// and with the periodic loop. When nothing was appended or dropped since
+// the rotation of the last checkpoint that sealed, the call is a no-op
+// (counted in Stats.SkippedCheckpoints) — an idle store costs no
+// checkpoint I/O.
 func (l *Log) Checkpoint(src Source) error {
 	l.ckptMu.Lock()
 	defer l.ckptMu.Unlock()
@@ -894,19 +732,15 @@ func (l *Log) checkpoint(src Source, truncate bool) error {
 		return fmt.Errorf("durable: source has %d shards, log %d", src.Shards(), l.shards)
 	}
 	start := time.Now()
-	deltas := l.o.deltas()
 
 	// Rotate first: every record already in the old segments belongs to a
 	// transaction that published before the snapshot below draws its clock
-	// positions, so the snapshot covers the old segments entirely. The
-	// dirty capture, the buffer swap and the segment/generation assignment
-	// happen in one mu critical section: a record is either in the swapped
-	// buffer (old segment, key in the captured set) or in the next one (new
-	// segment, key in the fresh set), never in the old segment with its key
-	// only in the fresh set — that record would be deleted with the segment
-	// and lost. The file work that follows needs ioMu alone, so appends
-	// fill the next buffer while the old segment is fsynced and closed and
-	// the new one created.
+	// positions, so the snapshot covers the old segments entirely. The idle
+	// mark, the buffer swap and the segment/generation assignment happen in
+	// one mu critical section, so every record counted in the mark is in the
+	// swapped buffer or an older segment. The file work that follows needs
+	// ioMu alone, so appends fill the next buffer while the old segment is
+	// fsynced and closed and the new one created.
 	l.ioMu.Lock()
 	l.mu.Lock()
 	if l.closed {
@@ -914,25 +748,12 @@ func (l *Log) checkpoint(src Source, truncate bool) error {
 		l.ioMu.Unlock()
 		return errClosed
 	}
-	dirtyCount, saturated := l.dirtyN, l.dirtySaturated
-	if deltas && dirtyCount == 0 && !saturated && len(l.chain) > 0 && truncate {
-		// Nothing appended since the last capture: the chain tip plus the
-		// (empty) live tail already describe the store exactly.
+	mark := l.st.Records + l.st.Dropped
+	if l.sealed && mark == l.sealedMark && truncate {
 		l.st.SkippedCheckpoints++
 		l.mu.Unlock()
 		l.ioMu.Unlock()
 		return nil
-	}
-	chainLen := len(l.chain)
-	wantDelta := deltas && !saturated && dirtyCount <= l.deltaBudget()
-	var captured []map[uint64]struct{}
-	if deltas {
-		captured = l.dirtyKeys
-		l.dirtyKeys = freshDirty(l.shards)
-		l.dirtyN, l.dirtySaturated = 0, false
-		// The fresh set feeds the chain this checkpoint is about to write,
-		// whose budget is not known until it seals: no cap until then.
-		l.dirtyCap = math.MaxInt
 	}
 	out, cover, ok := l.swapLocked(true)
 	gen := l.nextGen
@@ -957,7 +778,6 @@ func (l *Log) checkpoint(src Source, truncate bool) error {
 		// No live file: appends drop until the next rotation tries again.
 		l.setErrLocked(openErr)
 		l.wedged = true
-		l.restoreDirtyLocked(captured, saturated)
 		l.mu.Unlock()
 		l.ioMu.Unlock()
 		return openErr
@@ -968,153 +788,47 @@ func (l *Log) checkpoint(src Source, truncate bool) error {
 	l.mu.Unlock()
 	l.ioMu.Unlock()
 
-	var err error
-	var fileBytes, pairCount int
-	if wantDelta {
-		fileBytes, pairCount, err = l.writeDeltaGeneration(src, gen, base, captured)
-	} else {
-		fileBytes, pairCount, err = l.writeFullGeneration(src, gen, base)
+	cuts := make([]uint64, l.shards)
+	// The previous checkpoint's pair count (plus slack for growth) saves the
+	// doubling copies of a store-sized slice.
+	kvs := make([]kvPair, 0, l.lastPairs+l.lastPairs/8)
+	for si := 0; si < l.shards; si++ {
+		cuts[si] = src.SnapshotShard(si, func(k, v uint64) {
+			kvs = append(kvs, kvPair{k: k, v: v})
+		})
 	}
-	if err != nil {
+	b := encodeCheckpoint(l.shards, gen, base, cuts, kvs)
+	if err := sealFile(l.dir, checkpointName(l.dir, gen), b); err != nil {
 		l.mu.Lock()
 		l.setErrLocked(err)
-		l.restoreDirtyLocked(captured, saturated)
 		l.mu.Unlock()
 		return err
 	}
+	l.sealed, l.sealedMark, l.lastPairs = true, mark, len(kvs)
 	removed := 0
 	if truncate {
-		removed = removeObsolete(l.dir, base, l.chainFullGen, gen)
+		removed = removeObsolete(l.dir, base, gen)
 	}
 
 	l.mu.Lock()
-	if deltas {
-		l.dirtyCap = l.deltaBudget()
-	}
 	l.st.Checkpoints++
-	if wantDelta {
-		l.st.DeltaCheckpoints++
-		l.st.DirtyFracSum += float64(dirtyCount) / float64(l.chainFullPairs)
-	}
-	l.st.CheckpointPairs += uint64(pairCount)
-	l.st.CheckpointBytes += uint64(fileBytes)
+	l.st.CheckpointPairs += uint64(len(kvs))
+	l.st.CheckpointBytes += uint64(len(b))
 	dur := time.Since(start)
 	l.st.CheckpointNanos += uint64(dur.Nanoseconds())
 	l.st.FilesRemoved += uint64(removed)
 	if l.ckptH != nil {
 		l.ckptH.Record(uint64(dur.Nanoseconds()))
 	}
-	if l.fr != nil {
-		kind := obs.EvCheckpointFull
-		if wantDelta {
-			kind = obs.EvCheckpointDelta
-		} else if deltas && chainLen > 1 {
-			// A full base superseding a multi-entry delta chain is the
-			// compaction case: the chain's history collapses into one file.
-			kind = obs.EvCompaction
-		}
-		l.fr.Record(kind, dur, int64(fileBytes), int64(pairCount))
-	}
+	l.fr.Record(obs.EvCheckpointFull, dur, int64(len(b)), int64(len(kvs)))
 	l.mu.Unlock()
 	return nil
 }
 
-// writeFullGeneration snapshots every shard in full and seals a full base
-// plus its one-entry manifest, resetting the chain. Caller holds ckptMu.
-func (l *Log) writeFullGeneration(src Source, gen, base uint64) (bytes, pairs int, err error) {
-	cuts := make([]uint64, l.shards)
-	// The previous base's pair count (plus slack for growth) saves the
-	// doubling copies of a store-sized slice.
-	kvs := make([]kvPair, 0, l.chainFullPairs+l.chainFullPairs/8)
-	for si := 0; si < l.shards; si++ {
-		cuts[si] = src.SnapshotShard(si, func(k, v uint64) {
-			kvs = append(kvs, kvPair{k: k, v: v})
-		})
-	}
-	n, err := writeCheckpoint(l.dir, l.shards, gen, base, cuts, kvs)
-	if err != nil {
-		return 0, 0, err
-	}
-	chain := []manifestEntry{{gen: gen}}
-	mb := encodeManifest(manifest{shards: l.shards, gen: gen, baseSeg: base, chain: chain})
-	if err := sealFile(l.dir, manifestName(l.dir, gen), mb); err != nil {
-		return 0, 0, err
-	}
-	l.chain = chain
-	l.chainFullGen = gen
-	l.chainFullPairs = len(kvs)
-	return n + len(mb), len(kvs), nil
-}
-
-// writeDeltaGeneration snapshots just the captured dirty keys per shard
-// and seals a delta generation plus the manifest extending the chain with
-// it. Caller holds ckptMu; captured is the dirty set swapped out at the
-// rotation. Sources implementing DeltaSource are read per key (cost
-// proportional to churn); plain Sources fall back to a filtered full scan
-// (delta-sized writes, store-sized reads). Dirty keys absent at the
-// snapshot become tombstones.
-func (l *Log) writeDeltaGeneration(src Source, gen, base uint64, captured []map[uint64]struct{}) (bytes, pairs int, err error) {
-	cuts := make([]uint64, l.shards)
-	var groups []deltaGroup
-	total := 0
-	ds, perKey := src.(DeltaSource)
-	for si := 0; si < l.shards; si++ {
-		if len(captured[si]) == 0 {
-			continue // untouched shard: no snapshot, no group, cut stays 0
-		}
-		keys := make([]uint64, 0, len(captured[si]))
-		for k := range captured[si] {
-			keys = append(keys, k)
-		}
-		slices.Sort(keys)
-		entries := make([]deltaEntry, 0, len(keys))
-		if perKey {
-			cuts[si] = ds.SnapshotShardKeys(si, keys, func(k, v uint64, ok bool) {
-				if ok {
-					entries = append(entries, deltaEntry{k: k, v: v})
-				} else {
-					entries = append(entries, deltaEntry{k: k, del: true})
-				}
-			})
-		} else {
-			vals := make(map[uint64]uint64, len(keys))
-			cuts[si] = src.SnapshotShard(si, func(k, v uint64) {
-				if _, dirty := captured[si][k]; dirty {
-					vals[k] = v
-				}
-			})
-			for _, k := range keys {
-				if v, ok := vals[k]; ok {
-					entries = append(entries, deltaEntry{k: k, v: v})
-				} else {
-					entries = append(entries, deltaEntry{k: k, del: true})
-				}
-			}
-		}
-		groups = append(groups, deltaGroup{shard: si, entries: entries})
-		total += len(entries)
-	}
-	parent := l.chain[len(l.chain)-1].gen
-	db := encodeDelta(deltaFile{shards: l.shards, gen: gen, parentGen: parent, baseSeg: base, cuts: cuts, groups: groups})
-	if err := sealFile(l.dir, deltaName(l.dir, gen), db); err != nil {
-		return 0, 0, err
-	}
-	chain := make([]manifestEntry, 0, len(l.chain)+1)
-	chain = append(chain, l.chain...)
-	chain = append(chain, manifestEntry{gen: gen, delta: true})
-	mb := encodeManifest(manifest{shards: l.shards, gen: gen, baseSeg: base, chain: chain})
-	if err := sealFile(l.dir, manifestName(l.dir, gen), mb); err != nil {
-		return 0, 0, err
-	}
-	l.chain = chain
-	return len(db) + len(mb), total, nil
-}
-
-// removeObsolete deletes segments below base, checkpoint and delta files
-// below the current chain's full base keepGen, and manifests below gen,
-// returning how many files went away. Failures are ignored — recovery
+// removeObsolete deletes segments below base and checkpoints below gen,
+// returning how many files went away. Failures are ignored: recovery
 // tolerates stale files, and the next checkpoint retries.
-func removeObsolete(dir string, base, keepGen, gen uint64) int {
+func removeObsolete(dir string, base, gen uint64) int {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return 0
@@ -1123,14 +837,10 @@ func removeObsolete(dir string, base, keepGen, gen uint64) int {
 	for _, e := range ents {
 		name := e.Name()
 		drop := false
-		if i, ok := parseIndexed(name, "wal-", ".log"); ok && i < base {
-			drop = true
-		} else if g, ok := parseIndexed(name, "checkpoint-", ".ckpt"); ok && g < keepGen {
-			drop = true
-		} else if g, ok := parseIndexed(name, "delta-", ".ckpt"); ok && g < keepGen {
-			drop = true
-		} else if g, ok := parseIndexed(name, "manifest-", ".mf"); ok && g < gen {
-			drop = true
+		if i, ok := parseIndexed(name, "wal-", ".log"); ok {
+			drop = i < base
+		} else if g, ok := parseIndexed(name, "checkpoint-", ".ckpt"); ok {
+			drop = g < gen
 		}
 		if drop && os.Remove(filepath.Join(dir, name)) == nil {
 			removed++

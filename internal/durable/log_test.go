@@ -177,12 +177,9 @@ func TestLogSealedButNotTruncated(t *testing.T) {
 		if _, ok := parseIndexed(e.Name(), "checkpoint-", ".ckpt"); ok {
 			gens++
 		}
-		if _, ok := parseIndexed(e.Name(), "delta-", ".ckpt"); ok {
-			gens++
-		}
 	}
 	if gens < 2 {
-		t.Fatalf("%d generations on disk, want the stale one kept (>= 2)", gens)
+		t.Fatalf("%d checkpoints on disk, want the stale one kept (>= 2)", gens)
 	}
 
 	rec, l2 := reopen(t, dir, 2)
@@ -259,165 +256,9 @@ func TestLogTornTailPrefix(t *testing.T) {
 	}
 }
 
-// deltaMapSource upgrades mapSource to a DeltaSource, exercising the
-// per-key snapshot path instead of the filtered-full-scan fallback.
-type deltaMapSource struct{ *mapSource }
-
-func (s deltaMapSource) SnapshotShardKeys(si int, keys []uint64, fn func(k, v uint64, ok bool)) uint64 {
-	for _, k := range keys {
-		v, ok := s.state[k]
-		fn(k, v, ok)
-	}
-	return s.seqs[si]
-}
-
-// TestLogDeltaCheckpointChain: a full base plus delta generations recover
-// to the exact model state, through both the DeltaSource per-key path and
-// the plain-Source fallback.
-func TestLogDeltaCheckpointChain(t *testing.T) {
-	for _, perKey := range []bool{false, true} {
-		name := "fallback"
-		if perKey {
-			name = "deltasource"
-		}
-		t.Run(name, func(t *testing.T) {
-			dir := t.TempDir()
-			l, _, err := Open(dir, 4, Options{Sync: true, CheckpointEvery: -1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			src := newMapSource(4)
-			var cksrc Source = src
-			if perKey {
-				cksrc = deltaMapSource{src}
-			}
-			for i := uint64(0); i < 40; i++ {
-				src.apply(l, Op{Key: i, Val: i + 1})
-			}
-			if err := l.Checkpoint(cksrc); err != nil { // full base
-				t.Fatal(err)
-			}
-			src.apply(l, Op{Key: 3, Val: 333}, Op{Key: 5, Del: true}, Op{Key: 100, Val: 1})
-			if err := l.Checkpoint(cksrc); err != nil { // delta 1
-				t.Fatal(err)
-			}
-			src.apply(l, Op{Key: 100, Del: true}, Op{Key: 7, Val: 777})
-			if err := l.Checkpoint(cksrc); err != nil { // delta 2
-				t.Fatal(err)
-			}
-			src.apply(l, Op{Key: 200, Val: 2}) // live tail past the chain tip
-			st := l.Stats()
-			if st.DeltaCheckpoints != 2 {
-				t.Fatalf("DeltaCheckpoints = %d, want 2", st.DeltaCheckpoints)
-			}
-			l.Close()
-
-			rec, l2 := reopen(t, dir, 4)
-			defer l2.Close()
-			if !reflect.DeepEqual(rec.State, src.state) {
-				t.Fatalf("recovered state mismatch: got %v want %v", rec.State, src.state)
-			}
-			if rec.ChainDeltas != 2 {
-				t.Fatalf("ChainDeltas = %d, want 2", rec.ChainDeltas)
-			}
-			if rec.CheckpointGen != 3 {
-				t.Fatalf("CheckpointGen = %d, want the delta tip 3", rec.CheckpointGen)
-			}
-		})
-	}
-}
-
-// TestLogDeltaBytesProportional is the tentpole's cost claim with real byte
-// counts: after mutating 500 of 20000 keys, the delta generation writes no
-// more than 10% of the bytes the full base did.
-func TestLogDeltaBytesProportional(t *testing.T) {
-	dir := t.TempDir()
-	l, _, err := Open(dir, 8, Options{Sync: true, CheckpointEvery: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	src := newMapSource(8)
-	const total, churn = 20000, 500
-	for i := uint64(0); i < total; i++ {
-		src.apply(l, Op{Key: i, Val: i * 2})
-	}
-	if err := l.Checkpoint(src); err != nil {
-		t.Fatal(err)
-	}
-	fullBytes := l.Stats().CheckpointBytes
-	for i := uint64(0); i < churn; i++ {
-		src.apply(l, Op{Key: i * (total / churn), Val: i})
-	}
-	if err := l.Checkpoint(src); err != nil {
-		t.Fatal(err)
-	}
-	st := l.Stats()
-	if st.DeltaCheckpoints != 1 {
-		t.Fatalf("second checkpoint was not a delta (DeltaCheckpoints = %d)", st.DeltaCheckpoints)
-	}
-	deltaBytes := st.CheckpointBytes - fullBytes
-	if deltaBytes*10 > fullBytes {
-		t.Fatalf("delta wrote %d bytes, full base %d: delta exceeds 10%% of full", deltaBytes, fullBytes)
-	}
-	frac := st.DirtyFracSum / float64(st.DeltaCheckpoints)
-	if frac <= 0 || frac > float64(churn)/float64(total)+0.001 {
-		t.Fatalf("mean dirty fraction %f, want ~%f", frac, float64(churn)/float64(total))
-	}
-}
-
-// TestLogCompaction: CompactEvery bounds the chain — after the allowed
-// delta generations the next checkpoint folds the chain into a fresh full
-// base and truncation drops the superseded chain files.
-func TestLogCompaction(t *testing.T) {
-	dir := t.TempDir()
-	l, _, err := Open(dir, 2, Options{Sync: true, CheckpointEvery: -1, CompactEvery: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := newMapSource(2)
-	for i := uint64(0); i < 30; i++ {
-		src.apply(l, Op{Key: i, Val: i})
-	}
-	mutateAndCheckpoint := func(k uint64) {
-		src.apply(l, Op{Key: k, Val: k * 9})
-		if err := l.Checkpoint(src); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := l.Checkpoint(src); err != nil { // gen 1: full
-		t.Fatal(err)
-	}
-	mutateAndCheckpoint(1) // gen 2: delta
-	mutateAndCheckpoint(2) // gen 3: delta (chain now at CompactEvery)
-	mutateAndCheckpoint(3) // gen 4: compaction → full
-	st := l.Stats()
-	if st.Checkpoints != 4 || st.DeltaCheckpoints != 2 {
-		t.Fatalf("Checkpoints = %d DeltaCheckpoints = %d, want 4 and 2", st.Checkpoints, st.DeltaCheckpoints)
-	}
-	l.Close()
-
-	ents, _ := os.ReadDir(dir)
-	for _, e := range ents {
-		if g, ok := parseIndexed(e.Name(), "checkpoint-", ".ckpt"); ok && g < 4 {
-			t.Fatalf("superseded full base %s survived compaction", e.Name())
-		}
-		if _, ok := parseIndexed(e.Name(), "delta-", ".ckpt"); ok {
-			t.Fatalf("superseded delta %s survived compaction", e.Name())
-		}
-	}
-	rec, l2 := reopen(t, dir, 2)
-	defer l2.Close()
-	if !reflect.DeepEqual(rec.State, src.state) {
-		t.Fatalf("recovered state mismatch after compaction")
-	}
-	if rec.ChainDeltas != 0 || rec.CheckpointGen != 4 {
-		t.Fatalf("recovered chain gen %d with %d deltas, want compacted full gen 4", rec.CheckpointGen, rec.ChainDeltas)
-	}
-}
-
-// TestLogIdleCheckpointNoop: with no appends since the last generation, a
-// checkpoint call writes nothing.
+// TestLogIdleCheckpointNoop: with no appends since the last checkpoint, a
+// checkpoint call writes nothing; a record dropped since then is not idle,
+// because the next checkpoint is what re-captures its value.
 func TestLogIdleCheckpointNoop(t *testing.T) {
 	dir := t.TempDir()
 	l, _, err := Open(dir, 2, Options{Sync: true, CheckpointEvery: -1})
@@ -441,45 +282,18 @@ func TestLogIdleCheckpointNoop(t *testing.T) {
 	if st.Checkpoints != 1 || st.CheckpointBytes != bytesAfterFirst {
 		t.Fatalf("idle checkpoint wrote bytes (%d checkpoints, %d bytes)", st.Checkpoints, st.CheckpointBytes)
 	}
-}
 
-// TestLogDeltaLateAppendCovered is the regression test for the late-append
-// hazard the per-key skip rule exists for: a record can reach the log after
-// the delta generation covering its clock window was cut (its committer
-// published, then was preempted before the append). Its position is at or
-// below the delta's cut, but its key is in no delta — so replay must apply
-// it, falling to the full base's per-shard floor instead of the chain tip's
-// cut. A per-shard-only rule would drop the record silently.
-func TestLogDeltaLateAppendCovered(t *testing.T) {
-	dir := t.TempDir()
-	l, _, err := Open(dir, 1, Options{Sync: true, CheckpointEvery: -1})
-	if err != nil {
+	huge := make([]Op, maxPayload/17+2)
+	for i := range huge {
+		huge[i] = Op{Key: uint64(i), Val: 1}
+	}
+	l.LogUpdate(0, 2, huge)
+	if err := l.Checkpoint(src); err != nil {
 		t.Fatal(err)
 	}
-	src := newMapSource(1)
-	for i := uint64(1); i <= 10; i++ {
-		src.apply(l, Op{Key: i, Val: i})
-	}
-	if err := l.Checkpoint(src); err != nil { // full base, floor = 10
-		t.Fatal(err)
-	}
-	src.apply(l, Op{Key: 5, Val: 55})         // seq 11
-	if err := l.Checkpoint(src); err != nil { // delta covering only key 5, cut 11
-		t.Fatal(err)
-	}
-	// The late append: position 11 (≤ the delta's cut — positions can be
-	// shared by slow-path committers), key 77 untouched by the delta.
-	l.LogUpdate(0, 11, []Op{{Key: 77, Val: 7777}})
-	src.state[77] = 7777
-	l.Close()
-
-	rec, l2 := reopen(t, dir, 1)
-	defer l2.Close()
-	if rec.State[77] != 7777 {
-		t.Fatalf("late-appended record lost: key 77 = %d, want 7777", rec.State[77])
-	}
-	if !reflect.DeepEqual(rec.State, src.state) {
-		t.Fatalf("recovered state mismatch: got %v want %v", rec.State, src.state)
+	if st := l.Stats(); st.Dropped != 1 || st.Checkpoints != 2 || st.SkippedCheckpoints != 1 {
+		t.Fatalf("after a dropped record: %d dropped, %d checkpoints, %d skipped; want 1, 2, 1",
+			st.Dropped, st.Checkpoints, st.SkippedCheckpoints)
 	}
 }
 
@@ -506,20 +320,19 @@ func TestLogBackpressure(t *testing.T) {
 	}
 }
 
-// TestLogCheckpointFailureKeepsDirtyKeys: a checkpoint attempt that fails
-// after swapping out the dirty set must merge the captured keys back, or
-// they vanish from the chain — the next successful delta would omit them
-// while its truncation deletes the segments holding their WAL records, and
-// recovery would silently revert them to the chain tip's stale values.
-// Both post-swap failure points are driven: the generation seal and the
-// segment rotation. The injection squats a directory on the path the
-// checkpoint needs to create, so OpenFile fails like a transient I/O error.
-func TestLogCheckpointFailureKeepsDirtyKeys(t *testing.T) {
+// TestLogCheckpointFailureRecovers: a checkpoint attempt that fails after
+// its rotation has sealed nothing, so it must not make the next attempt
+// look idle — a retry with no append in between must seal, and recovery
+// must then equal the model. Both post-rotation failure points are driven:
+// the checkpoint seal and the segment rotation. The injection squats a
+// directory on the path the checkpoint needs to create, so OpenFile fails
+// like a transient I/O error.
+func TestLogCheckpointFailureRecovers(t *testing.T) {
 	cases := []struct {
 		name  string
 		block func(l *Log) string // path whose creation the next checkpoint needs
 	}{
-		{"sealfail", func(l *Log) string { return deltaName(l.dir, l.nextGen) + ".tmp" }},
+		{"sealfail", func(l *Log) string { return checkpointName(l.dir, l.nextGen) + ".tmp" }},
 		{"rotatefail", func(l *Log) string { return segmentName(l.dir, l.seg+1) }},
 	}
 	for _, tc := range cases {
@@ -533,7 +346,7 @@ func TestLogCheckpointFailureKeepsDirtyKeys(t *testing.T) {
 			for i := uint64(0); i < 40; i++ {
 				src.apply(l, Op{Key: i, Val: i + 1})
 			}
-			if err := l.Checkpoint(src); err != nil { // gen 1: full base
+			if err := l.Checkpoint(src); err != nil {
 				t.Fatal(err)
 			}
 			src.apply(l, Op{Key: 3, Val: 333}, Op{Key: 6, Val: 666})
@@ -549,159 +362,20 @@ func TestLogCheckpointFailureKeepsDirtyKeys(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// The captured keys must be back in the dirty set.
-			l.mu.Lock()
-			for _, k := range []uint64{3, 6} {
-				if _, ok := l.dirtyKeys[int(k%2)][k]; !ok {
-					l.mu.Unlock()
-					t.Fatalf("key %d missing from dirty set after failed checkpoint", k)
-				}
-			}
-			l.mu.Unlock()
-
-			// The recovered keys must ride into the next delta together with
-			// later appends, and survive its truncation plus a recovery.
-			src.apply(l, Op{Key: 9, Val: 999})
 			if err := l.Checkpoint(src); err != nil {
 				t.Fatal(err)
 			}
-			if st := l.Stats(); st.DeltaCheckpoints != 1 {
-				t.Fatalf("DeltaCheckpoints = %d, want 1", st.DeltaCheckpoints)
+			if st := l.Stats(); st.Checkpoints != 2 || st.SkippedCheckpoints != 0 {
+				t.Fatalf("retry after the failure: %d sealed, %d skipped; want 2, 0", st.Checkpoints, st.SkippedCheckpoints)
 			}
 			l.Close() // returns the injected sticky error; on-disk state is sealed
 
 			rec, l2 := reopen(t, dir, 2)
 			defer l2.Close()
-			if rec.State[3] != 333 || rec.State[6] != 666 {
-				t.Fatalf("keys dirtied before the failed checkpoint reverted: 3=%d 6=%d, want 333 666",
-					rec.State[3], rec.State[6])
-			}
 			if !reflect.DeepEqual(rec.State, src.state) {
 				t.Fatalf("recovered state mismatch: got %v want %v", rec.State, src.state)
 			}
 		})
-	}
-}
-
-// dirtyState reads the dirty-set bookkeeping under mu.
-func dirtyState(l *Log) (keys int, saturated bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for _, m := range l.dirtyKeys {
-		keys += len(m)
-	}
-	return keys, l.dirtySaturated
-}
-
-// TestLogDirtySetSaturates: with a 40-pair base and DeltaMaxFrac 0.25 the
-// next checkpoint may be a delta of at most 10 keys. Up to that cap the set
-// tracks every key and the checkpoint is a delta; past it the set stops
-// growing and the next checkpoint is a full base that recovers exactly.
-func TestLogDirtySetSaturates(t *testing.T) {
-	dir := t.TempDir()
-	l, _, err := Open(dir, 1, Options{Sync: true, CheckpointEvery: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := newMapSource(1)
-	for i := uint64(0); i < 40; i++ {
-		src.apply(l, Op{Key: i, Val: i})
-	}
-	if err := l.Checkpoint(src); err != nil { // gen 1: full base, cap 10
-		t.Fatal(err)
-	}
-
-	for i := uint64(0); i < 10; i++ {
-		src.apply(l, Op{Key: i, Val: i + 100})
-	}
-	if n, sat := dirtyState(l); n != 10 || sat {
-		t.Fatalf("at the cap: %d dirty keys, saturated %v; want 10, false", n, sat)
-	}
-	if err := l.Checkpoint(src); err != nil { // gen 2: delta
-		t.Fatal(err)
-	}
-	if st := l.Stats(); st.DeltaCheckpoints != 1 {
-		t.Fatalf("DeltaCheckpoints = %d, want 1 (10 keys is within the cap)", st.DeltaCheckpoints)
-	}
-
-	for i := uint64(0); i < 30; i++ {
-		src.apply(l, Op{Key: i, Val: i + 200})
-	}
-	if n, sat := dirtyState(l); n != 11 || !sat {
-		t.Fatalf("past the cap: %d dirty keys, saturated %v; want 11 (stopped growing), true", n, sat)
-	}
-	if err := l.Checkpoint(src); err != nil { // gen 3: forced full base
-		t.Fatal(err)
-	}
-	if st := l.Stats(); st.Checkpoints != 3 || st.DeltaCheckpoints != 1 {
-		t.Fatalf("Checkpoints = %d DeltaCheckpoints = %d, want 3 and 1", st.Checkpoints, st.DeltaCheckpoints)
-	}
-	if n, sat := dirtyState(l); n != 0 || sat {
-		t.Fatalf("after the capture: %d dirty keys, saturated %v; want 0, false", n, sat)
-	}
-	l.Close()
-
-	rec, l2 := reopen(t, dir, 1)
-	defer l2.Close()
-	if rec.ChainDeltas != 0 || rec.CheckpointGen != 3 {
-		t.Fatalf("recovered gen %d with %d deltas, want full gen 3", rec.CheckpointGen, rec.ChainDeltas)
-	}
-	if !reflect.DeepEqual(rec.State, src.state) {
-		t.Fatalf("recovered state mismatch: got %v want %v", rec.State, src.state)
-	}
-}
-
-// TestLogSaturatedCheckpointFailure: a failed checkpoint whose captured set
-// was saturated must leave the log saturated. The captured set is missing
-// keys, so a delta written next would omit them while its truncation
-// deletes the segments holding their records.
-func TestLogSaturatedCheckpointFailure(t *testing.T) {
-	dir := t.TempDir()
-	l, _, err := Open(dir, 1, Options{Sync: true, CheckpointEvery: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := newMapSource(1)
-	for i := uint64(0); i < 40; i++ {
-		src.apply(l, Op{Key: i, Val: i})
-	}
-	if err := l.Checkpoint(src); err != nil { // gen 1: full base, cap 10
-		t.Fatal(err)
-	}
-	for i := uint64(0); i < 20; i++ {
-		src.apply(l, Op{Key: i, Val: i + 100})
-	}
-	if _, sat := dirtyState(l); !sat {
-		t.Fatal("20 dirty keys past a cap of 10 did not saturate the set")
-	}
-
-	blocked := checkpointName(l.dir, l.nextGen) + ".tmp"
-	if err := os.Mkdir(blocked, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Checkpoint(src); err == nil {
-		t.Fatal("checkpoint succeeded despite the blocked path")
-	}
-	if err := os.Remove(blocked); err != nil {
-		t.Fatal(err)
-	}
-	if _, sat := dirtyState(l); !sat {
-		t.Fatal("failed checkpoint dropped the saturation of its captured set")
-	}
-
-	src.apply(l, Op{Key: 30, Val: 300}) // one key: within the cap on its own
-	if err := l.Checkpoint(src); err != nil {
-		t.Fatal(err)
-	}
-	if st := l.Stats(); st.DeltaCheckpoints != 0 {
-		t.Fatalf("DeltaCheckpoints = %d, want 0: the retry must be a full base", st.DeltaCheckpoints)
-	}
-	l.Close() // returns the injected sticky error; on-disk state is sealed
-
-	rec, l2 := reopen(t, dir, 1)
-	defer l2.Close()
-	if !reflect.DeepEqual(rec.State, src.state) {
-		t.Fatalf("recovered state mismatch: got %v want %v", rec.State, src.state)
 	}
 }
 

@@ -5,7 +5,7 @@ import (
 )
 
 // SetFlightRecorder attaches a flight recorder: from now on the log records
-// checkpoint/compaction phases, WAL stalls, drops and rotations into it.
+// checkpoints, WAL stalls, drops and rotations into it.
 // Attach before the first append (repro.Open does);
 // a nil recorder detaches.
 func (l *Log) SetFlightRecorder(fr *obs.FlightRecorder) {
@@ -51,12 +51,11 @@ func (l *Log) RegisterObs(r *obs.Registry) {
 		counter("durable_wal_stalls_total", "Appends that hit the unsynced-bytes bound and fsynced inline.", st.Stalls)
 		counter("durable_wal_dropped_total", "Records not logged (oversize, or appended while wedged).", st.Dropped)
 		counter("durable_wal_rotations_total", "Segment rotations.", st.Rotations)
-		counter("durable_checkpoints_total", "Checkpoints sealed (full bases + deltas).", st.Checkpoints)
-		counter("durable_delta_checkpoints_total", "The incremental subset of checkpoints.", st.DeltaCheckpoints)
-		counter("durable_skipped_checkpoints_total", "Checkpoints skipped because nothing was dirty.", st.SkippedCheckpoints)
+		counter("durable_checkpoints_total", "Checkpoints sealed.", st.Checkpoints)
+		counter("durable_skipped_checkpoints_total", "Checkpoints skipped because nothing was appended or dropped since the last seal.", st.SkippedCheckpoints)
 		counter("durable_checkpoint_pairs_total", "Pairs written across all checkpoints.", st.CheckpointPairs)
-		counter("durable_checkpoint_bytes_total", "Bytes written across checkpoint, delta and manifest files.", st.CheckpointBytes)
-		counter("durable_files_removed_total", "Obsolete segments, checkpoints and manifests deleted.", st.FilesRemoved)
+		counter("durable_checkpoint_bytes_total", "Bytes written across all checkpoint files.", st.CheckpointBytes)
+		counter("durable_files_removed_total", "Obsolete segments and checkpoints deleted.", st.FilesRemoved)
 	})
 }
 

@@ -55,10 +55,6 @@ const (
 // as corruption rather than an allocation request.
 const maxPayload = 1 << 24
 
-// maxShards bounds a plausible shard count in checkpoint, delta, and
-// manifest headers: a decode-time sanity limit, not an operational one.
-const maxShards = 1 << 16
-
 // frameOverhead is the framing cost per record (length + CRC).
 const frameOverhead = 8
 

@@ -15,27 +15,19 @@ import (
 // Recovery reports what Open reconstructed from the directory.
 type Recovery struct {
 	// State is the recovered key/value map: the newest provably-complete
-	// checkpoint chain (full base plus deltas) with the surviving WAL tail
-	// replayed over it.
+	// checkpoint with the surviving WAL tail replayed over it.
 	State map[uint64]uint64
-	// CheckpointGen is the tip generation of the chain loaded (0 when the
-	// directory held none).
-	CheckpointGen uint64
-	// CheckpointPairs counts the pairs the chain's full base contributed;
-	// DeltaPairs the delta entries (puts and tombstones) applied on top;
-	// ChainDeltas the delta generations in the chain.
+	// CheckpointGen is the generation of the checkpoint loaded (0 when the
+	// directory held none); CheckpointPairs counts the pairs it contributed.
+	CheckpointGen   uint64
 	CheckpointPairs int
-	DeltaPairs      int
-	ChainDeltas     int
 	// Segments counts WAL segments scanned; Records the intact records
 	// replayed from them.
 	Segments int
 	Records  int
 	// OpsApplied and OpsSkipped split the replayed ops into those applied
-	// and those the chain's coverage made redundant (a record op is
-	// skipped only when its position is at or below the cut of the newest
-	// chain generation that covered its key — the full base covers every
-	// key, a delta only its own entries).
+	// and those the checkpoint already covered (a record op is skipped when
+	// its position is at or below its shard's cut).
 	OpsApplied int
 	OpsSkipped int
 	// TailDroppedBytes counts bytes discarded at the first torn or
@@ -77,45 +69,28 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// chainState is one loaded checkpoint chain, partitioned for the appliers.
-type chainState struct {
-	tipGen     uint64
-	baseSeg    uint64
-	floors     []uint64       // full base's per-shard cuts: cover every key
-	base       [][]kvPair     // full base pairs, bucketed by key partition
-	patches    [][]deltaPatch // delta entries in chain order, bucketed by key partition
-	basePairs  int
-	deltaPairs int
-	deltas     int
-}
-
-// deltaPatch is one delta entry flattened for replay: the key's new value
-// (or tombstone) and the position the covering snapshot was cut at.
-type deltaPatch struct {
-	k, v uint64
-	asof uint64
-	del  bool
-}
-
-// candidate is one recovery basis to try: a generation chain, base first.
-type candidate struct {
-	entries []manifestEntry
+// loaded is one checkpoint loaded for replay, its pairs bucketed by key
+// partition for the appliers.
+type loaded struct {
+	checkpointMeta
+	base  [][]kvPair // pairs, bucketed by key partition
+	pairs int
 }
 
 // recoverDir reconstructs the durable state of dir: the newest
-// provably-complete checkpoint chain plus an idempotent, partitioned
-// replay of the surviving WAL tail across `appliers` goroutines. It also
-// reports the highest segment and generation indices seen, so the caller
-// opens fresh ones beyond them, and removes stale temporary files.
+// provably-complete checkpoint plus an idempotent, partitioned replay of the
+// surviving WAL tail across `appliers` goroutines. It also reports the
+// highest segment and generation indices seen, so the caller opens fresh
+// ones beyond them, and removes stale temporary files.
 //
-// Candidate order: manifests newest first; then chains reconstructed from
-// delta parent links (covers a crash between a delta seal and its manifest
-// seal); then bare full checkpoints (directories from before deltas
-// existed, and the deepest damage fallback); then the empty state. A
-// candidate is provably complete when all its files decode and the segment
-// suffix at or above its base has no gaps; when no candidate is, the same
-// order is retried tolerating segment gaps (external damage — recovery
-// degrades gracefully instead of failing).
+// Checkpoints are tried newest first. One is provably complete when it
+// decodes and the segment suffix at or above its base has no gaps; when
+// none is, the same order is retried tolerating segment gaps (external
+// damage — recovery degrades gracefully instead of failing), and with no
+// usable checkpoint at all the state starts empty. A delta-*.ckpt file, as
+// a log writing incremental checkpoints left them, is refused when it is
+// newer than the checkpoint picked — it holds state no file read here
+// has — and ignored otherwise, like any manifest-*.mf.
 func recoverDir(dir string, shards, appliers int) (*Recovery, uint64, uint64, error) {
 	start := time.Now()
 	rec := &Recovery{State: make(map[uint64]uint64)}
@@ -124,7 +99,7 @@ func recoverDir(dir string, shards, appliers int) (*Recovery, uint64, uint64, er
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	var segs, fulls, deltas, manifests []uint64
+	var segs, ckpts, deltas []uint64
 	var maxSeg, maxGen uint64
 	for _, e := range ents {
 		name := e.Name()
@@ -137,94 +112,21 @@ func recoverDir(dir string, shards, appliers int) (*Recovery, uint64, uint64, er
 			maxSeg = max(maxSeg, i)
 		}
 		if g, ok := parseIndexed(name, "checkpoint-", ".ckpt"); ok {
-			fulls = append(fulls, g)
+			ckpts = append(ckpts, g)
 			maxGen = max(maxGen, g)
 		}
 		if g, ok := parseIndexed(name, "delta-", ".ckpt"); ok {
 			deltas = append(deltas, g)
-			maxGen = max(maxGen, g)
-		}
-		if g, ok := parseIndexed(name, "manifest-", ".mf"); ok {
-			manifests = append(manifests, g)
-			maxGen = max(maxGen, g)
 		}
 	}
 	sort.Slice(segs, func(i, j int) bool { return segs[i] < segs[j] })
-	desc := func(s []uint64) { sort.Slice(s, func(i, j int) bool { return s[i] > s[j] }) }
-	desc(fulls)
-	desc(deltas)
-	desc(manifests)
+	sort.Slice(ckpts, func(i, j int) bool { return ckpts[i] > ckpts[j] })
 
 	if appliers < 1 {
 		appliers = 1
 	}
 	W := appliers
 	rec.Appliers = W
-
-	// Assemble the candidate list. Delta files are decoded at most once
-	// and cached — link-walking and chain loading share the reads.
-	dcache := make(map[uint64]*deltaFile)
-	readDelta := func(gen uint64) *deltaFile {
-		if df, ok := dcache[gen]; ok {
-			return df
-		}
-		df, err := readDeltaFile(deltaName(dir, gen))
-		if err != nil {
-			dcache[gen] = nil
-			return nil
-		}
-		dcache[gen] = &df
-		return &df
-	}
-	fullSet := make(map[uint64]bool, len(fulls))
-	for _, g := range fulls {
-		fullSet[g] = true
-	}
-	var cands []candidate
-	seen := make(map[string]bool)
-	add := func(entries []manifestEntry) {
-		sig := fmt.Sprintf("%d/%d", entries[len(entries)-1].gen, len(entries))
-		if !seen[sig] {
-			seen[sig] = true
-			cands = append(cands, candidate{entries: entries})
-		}
-	}
-	for _, g := range manifests {
-		m, err := readManifestFile(manifestName(dir, g))
-		if err != nil || m.shards != shards {
-			continue
-		}
-		add(m.chain)
-	}
-	for _, g := range deltas {
-		// Reconstruct the chain by parent links: a sealed delta whose
-		// manifest never landed (crash in the seal window) is still usable.
-		entries := []manifestEntry{{gen: g, delta: true}}
-		cur := g
-		ok := false
-		for range len(deltas) + 1 {
-			df := readDelta(cur)
-			if df == nil || df.shards != shards || df.parentGen >= cur {
-				break
-			}
-			cur = df.parentGen
-			if fullSet[cur] {
-				entries = append(entries, manifestEntry{gen: cur})
-				ok = true
-				break
-			}
-			entries = append(entries, manifestEntry{gen: cur, delta: true})
-		}
-		if ok {
-			for i, j := 0, len(entries)-1; i < j; i, j = i+1, j-1 {
-				entries[i], entries[j] = entries[j], entries[i]
-			}
-			add(entries)
-		}
-	}
-	for _, g := range fulls {
-		add([]manifestEntry{{gen: g}})
-	}
 
 	// contiguous reports whether the segment suffix at or above base has
 	// no gaps up to the highest segment present.
@@ -242,31 +144,29 @@ func recoverDir(dir string, shards, appliers int) (*Recovery, uint64, uint64, er
 		return true
 	}
 
-	var cs *chainState
-	for pass := 0; pass < 2 && cs == nil; pass++ {
-		for _, c := range cands {
-			loaded, err := loadChain(dir, shards, W, c.entries, readDelta)
-			if err != nil {
+	var cp *loaded
+	for pass := 0; pass < 2 && cp == nil; pass++ {
+		for _, g := range ckpts {
+			c, err := loadCheckpoint(checkpointName(dir, g), shards, W)
+			if err != nil || (pass == 0 && !contiguous(c.baseSeg)) {
 				continue
 			}
-			if pass == 0 && !contiguous(loaded.baseSeg) {
-				continue
-			}
-			cs = loaded
+			cp = c
 			break
 		}
 	}
-	if cs == nil {
-		cs = &chainState{
-			floors:  make([]uint64, shards),
-			base:    make([][]kvPair, W),
-			patches: make([][]deltaPatch, W),
+	if cp == nil {
+		cp = &loaded{checkpointMeta: checkpointMeta{cuts: make([]uint64, shards)},
+			base: make([][]kvPair, W)}
+	}
+	for _, g := range deltas {
+		if g > cp.gen {
+			name := filepath.Join(dir, fmt.Sprintf("delta-%016d.ckpt", g))
+			return nil, 0, 0, fmt.Errorf("durable: incremental checkpoint %s is newer than checkpoint %d and cannot be read", name, cp.gen)
 		}
 	}
-	rec.CheckpointGen = cs.tipGen
-	rec.CheckpointPairs = cs.basePairs
-	rec.DeltaPairs = cs.deltaPairs
-	rec.ChainDeltas = cs.deltas
+	rec.CheckpointGen = cp.gen
+	rec.CheckpointPairs = cp.pairs
 
 	// Decode the surviving segments — in parallel, since each segment's
 	// CRC checks and record parsing are independent — then resolve the
@@ -283,7 +183,7 @@ func recoverDir(dir string, shards, appliers int) (*Recovery, uint64, uint64, er
 	}
 	var replaySegs []uint64
 	for _, si := range segs {
-		if si >= cs.baseSeg {
+		if si >= cp.baseSeg {
 			replaySegs = append(replaySegs, si)
 		}
 	}
@@ -372,13 +272,9 @@ func recoverDir(dir string, shards, appliers int) (*Recovery, uint64, uint64, er
 	})
 
 	// Bucket the ops by key partition (order within a bucket preserves the
-	// global sort), then run one applier per partition: base pairs, delta
-	// patches in chain order, then the record ops — skipping an op only
-	// when its position is at or below the cut of the newest chain
-	// generation that covered its key. The per-key rule (rather than the
-	// per-shard cut alone) closes the late-append window: a record synced
-	// after the delta covering its window was cut is replayed, because no
-	// delta covered its key.
+	// global sort), then run one applier per partition: checkpoint pairs,
+	// then the record ops — skipping an op when its position is at or below
+	// its shard's cut (see Source for why that loses nothing).
 	type replayOp struct {
 		key, val, seq uint64
 		shard         int32
@@ -401,28 +297,12 @@ func recoverDir(dir string, shards, appliers int) (*Recovery, uint64, uint64, er
 	parts := make([]partResult, W)
 	apply := func(w int) {
 		p := &parts[w]
-		p.state = make(map[uint64]uint64, len(cs.base[w])+len(opBuckets[w])/2)
-		for _, kv := range cs.base[w] {
+		p.state = make(map[uint64]uint64, len(cp.base[w])+len(opBuckets[w])/2)
+		for _, kv := range cp.base[w] {
 			p.state[kv.k] = kv.v
 		}
-		var asof map[uint64]uint64
-		if len(cs.patches[w]) > 0 {
-			asof = make(map[uint64]uint64, len(cs.patches[w]))
-		}
-		for _, d := range cs.patches[w] {
-			if d.del {
-				delete(p.state, d.k)
-			} else {
-				p.state[d.k] = d.v
-			}
-			asof[d.k] = d.asof
-		}
 		for _, op := range opBuckets[w] {
-			limit := cs.floors[op.shard]
-			if a, ok := asof[op.key]; ok && a > limit {
-				limit = a
-			}
-			if op.seq <= limit {
+			if op.seq <= cp.cuts[op.shard] {
 				p.skipped++
 				continue
 			}
@@ -465,54 +345,20 @@ func recoverDir(dir string, shards, appliers int) (*Recovery, uint64, uint64, er
 	return rec, maxSeg, maxGen, nil
 }
 
-// loadChain loads one candidate chain — full base first, deltas in order —
-// bucketing pairs and patches by key partition for the appliers. Any
-// decode failure or link inconsistency fails the whole candidate.
-func loadChain(dir string, shards, W int, entries []manifestEntry, readDelta func(uint64) *deltaFile) (*chainState, error) {
-	if len(entries) == 0 || entries[0].delta {
-		return nil, fmt.Errorf("durable: chain does not start at a full base")
-	}
-	cs := &chainState{
-		base:    make([][]kvPair, W),
-		patches: make([][]deltaPatch, W),
-	}
-	meta, pairs, err := readCheckpoint(checkpointName(dir, entries[0].gen), shards)
+// loadCheckpoint loads one checkpoint, bucketing its pairs by key
+// partition for the W appliers.
+func loadCheckpoint(path string, shards, W int) (*loaded, error) {
+	meta, pairs, err := readCheckpoint(path, shards)
 	if err != nil {
 		return nil, err
 	}
-	cs.floors = meta.cuts
-	cs.baseSeg = meta.baseSeg
-	cs.tipGen = meta.gen
-	cs.basePairs = len(pairs)
+	c := &loaded{checkpointMeta: meta, base: make([][]kvPair, W), pairs: len(pairs)}
 	for _, p := range pairs {
 		w := 0
 		if W > 1 {
 			w = int(mix64(p.k) % uint64(W))
 		}
-		cs.base[w] = append(cs.base[w], p)
+		c.base[w] = append(c.base[w], p)
 	}
-	for _, e := range entries[1:] {
-		if !e.delta {
-			return nil, fmt.Errorf("durable: chain has a full base past the first entry")
-		}
-		df := readDelta(e.gen)
-		if df == nil || df.shards != shards || df.gen != e.gen || df.parentGen != cs.tipGen || df.baseSeg < cs.baseSeg {
-			return nil, fmt.Errorf("durable: delta generation %d does not extend the chain", e.gen)
-		}
-		for _, g := range df.groups {
-			cut := df.cuts[g.shard]
-			for _, en := range g.entries {
-				w := 0
-				if W > 1 {
-					w = int(mix64(en.k) % uint64(W))
-				}
-				cs.patches[w] = append(cs.patches[w], deltaPatch{k: en.k, v: en.v, asof: cut, del: en.del})
-				cs.deltaPairs++
-			}
-		}
-		cs.tipGen = df.gen
-		cs.baseSeg = df.baseSeg
-		cs.deltas++
-	}
-	return cs, nil
+	return c, nil
 }

@@ -163,9 +163,8 @@ func (x *atomicFixture) attachQuietWAL(tb testing.TB) func() durable.Stats {
 
 // TestDurableUpdateZeroAllocs: a durable single-key update or same-shard
 // Move — transaction body, post-commit hook, WAL record — allocates nothing
-// once the handle, the log's buffers and the dirty-key set have seen the
-// key. (A fresh key may grow the dirty set or the arena; that is the store
-// growing, not the path.)
+// once the handle and the log's buffers have seen the key. (A fresh key may
+// grow the arena; that is the store growing, not the path.)
 func TestDurableUpdateZeroAllocs(t *testing.T) {
 	for _, shards := range []int{1, 8} {
 		x := newAtomicFixture(t, shards, 1<<10)

@@ -147,7 +147,6 @@ func (f *Forest) AttachWAL(l *durable.Log) {
 // read set at a few thousand entries.
 const (
 	snapChunkPairs = 1024 // pairs per SnapshotShard transaction, at most
-	snapChunkKeys  = 256  // keys per SnapshotShardKeys transaction, at most
 	snapChunkMin   = 16   // what a chunk that keeps losing shrinks to
 )
 
@@ -225,53 +224,6 @@ func (f *Forest) SnapshotShard(si int, fn func(k, v uint64)) uint64 {
 	}
 }
 
-// SnapshotShardKeys implements durable.DeltaSource: the given keys of shard
-// si read in runs of up to snapChunkKeys, each run one consistent
-// transaction — present keys report their value, absent ones report
-// ok=false — returning the minimum of the runs' shard-clock positions. This
-// is what makes a delta checkpoint's cost proportional to churn: the
-// checkpointer reads only the keys the write-ahead log marked dirty, never
-// scanning the shard. Single-caller (the checkpoint driver), like
-// SnapshotShard.
-func (f *Forest) SnapshotShardKeys(si int, keys []uint64, fn func(k, v uint64, ok bool)) uint64 {
-	sh := f.shards[si]
-	th := f.ckptThread(si)
-	cut := ^uint64(0)
-	type kvOK struct {
-		k, v uint64
-		ok   bool
-	}
-	var (
-		pos  uint64
-		size = chunkSize{n: snapChunkKeys, hi: snapChunkKeys}
-		snap = make([]kvOK, 0, min(len(keys), snapChunkKeys))
-	)
-	// A read-only CTL transaction for the same reason as SnapshotShard: a
-	// run's reads must form one consistent cut, and fn is fed only after
-	// its transaction commits (retries reset the buffer).
-	read := func(tx *stm.Tx) {
-		snap = snap[:0]
-		for _, k := range keys[:min(len(keys), size.attempt())] {
-			v, ok := sh.m.GetTx(tx, k)
-			snap = append(snap, kvOK{k, v, ok})
-		}
-		pos = tx.Snapshot()
-	}
-	// An empty key list still runs one (empty) transaction, as the whole-set
-	// read this replaces did: the caller gets a real clock position.
-	for {
-		th.AtomicRO(read)
-		size.committed()
-		cut = min(cut, pos)
-		for _, e := range snap {
-			fn(e.k, e.v, e.ok)
-		}
-		if keys = keys[len(snap):]; len(keys) == 0 {
-			return cut
-		}
-	}
-}
-
 // ckptThread returns shard si's lazily created checkpointer STM thread
 // (touched only by the single checkpoint driver).
 func (f *Forest) ckptThread(si int) *stm.Thread {
@@ -284,9 +236,8 @@ func (f *Forest) ckptThread(si int) *stm.Thread {
 	return f.ckptThs[si]
 }
 
-// The forest is the durable layer's checkpoint source, per-key delta reads
-// included.
-var _ durable.DeltaSource = (*Forest)(nil)
+// The forest is the durable layer's checkpoint source.
+var _ durable.Source = (*Forest)(nil)
 
 // Option configures New.
 type Option func(*cfg)

@@ -342,10 +342,6 @@ func (c *Coordinator) Run(fn func(*Tx) error) error {
 		}
 		if committed {
 			c.publish()
-			if len(parts) > 0 {
-				cm := parts[0].sh.Thread.STM().ContentionManager()
-				cm.OnCommit(parts[0].sh.Thread, retries)
-			}
 			return nil
 		}
 		c.stats.Aborts++

@@ -14,12 +14,8 @@ import (
 type EventKind uint8
 
 const (
-	// EvCheckpointFull: a full checkpoint generation. A=bytes, B=pairs.
+	// EvCheckpointFull: a checkpoint sealed. A=bytes, B=pairs.
 	EvCheckpointFull EventKind = iota
-	// EvCheckpointDelta: a delta checkpoint generation. A=bytes, B=pairs.
-	EvCheckpointDelta
-	// EvCompaction: a delta-chain compaction back to a full base. A=bytes.
-	EvCompaction
 	// EvRecovery: a recovery pass. A=pairs applied, B=WAL records replayed.
 	EvRecovery
 	// EvWALStall: an appender blocked on the unsynced-bytes bound.
@@ -44,9 +40,8 @@ const (
 )
 
 var eventKindNames = [numEventKinds]string{
-	"checkpoint.full", "checkpoint.delta", "compaction", "recovery",
-	"wal.stall", "wal.drop", "wal.rotate", "maint.sweep", "ftx.prepare",
-	"ftx.abort",
+	"checkpoint.full", "recovery", "wal.stall", "wal.drop", "wal.rotate",
+	"maint.sweep", "ftx.prepare", "ftx.abort",
 }
 
 func (k EventKind) String() string {

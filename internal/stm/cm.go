@@ -8,14 +8,13 @@ import (
 
 // A ContentionManager decides what a thread does between an aborted
 // transaction attempt and its retry. The transaction-lifecycle engine
-// (Thread.AtomicMode) consults it after every abort and once at commit, so a
-// policy can both shape the inter-attempt delay and maintain per-operation
-// priority state.
+// (Thread.AtomicMode) consults it after every abort to shape the
+// inter-attempt delay.
 //
 // Policies must be safe for concurrent use by many threads: all mutable
-// per-thread state (random streams, karma priority, statistics) lives on the
-// *Thread passed in, never on the manager value itself, so a single manager
-// instance can be shared by a whole STM domain.
+// per-thread state (random streams, statistics) lives on the *Thread passed
+// in, never on the manager value itself, so a single manager instance can be
+// shared by a whole STM domain.
 type ContentionManager interface {
 	// Name returns the policy's registry name ("suicide", "backoff", ...).
 	Name() string
@@ -23,9 +22,6 @@ type ContentionManager interface {
 	// operation (retries starts at 1). It typically stalls the thread for a
 	// policy-specific delay before the lifecycle engine retries.
 	OnAbort(th *Thread, retries int)
-	// OnCommit runs when the operation finally commits; retries is the
-	// number of aborted attempts the operation survived.
-	OnCommit(th *Thread, retries int)
 }
 
 // Suicide returns the contention manager that aborts the losing transaction
@@ -53,8 +49,6 @@ func (suicideCM) OnAbort(th *Thread, retries int) {
 	runtime.Gosched()
 }
 
-func (suicideCM) OnCommit(*Thread, int) {}
-
 // backoff delay parameters: the first retry waits up to backoffBase, each
 // further retry doubles the window, capped at backoffMax. The cap keeps the
 // worst case well under scheduler-timeslice granularity so a stalled thread
@@ -78,36 +72,6 @@ func (backoffCM) OnAbort(th *Thread, retries int) {
 	th.stall(jitteredWindow(th, retries))
 }
 
-func (backoffCM) OnCommit(*Thread, int) {}
-
-// Karma returns a Karma-style priority contention manager [Scherer &
-// Scott, CSJP 2004, adapted]: a thread's karma is the transactional work
-// (reads) it has invested in the operation currently being retried, and the
-// exponential-backoff delay is divided by that priority. Operations that
-// have already burned many reads across aborted attempts therefore retry
-// almost immediately — they have the most to lose — while cheap operations
-// concede the memory to them. Karma resets when the operation commits.
-//
-// The classical formulation lets a high-karma attacker abort a low-karma
-// lock holder; this STM has no remote-abort primitive (lock holders always
-// win), so priority acts purely on the retry delay.
-func Karma() ContentionManager { return karmaCM{} }
-
-// karmaScale converts invested reads into a delay divisor: every 64 reads of
-// invested work roughly halves the wait.
-const karmaScale = 64
-
-type karmaCM struct{}
-
-func (karmaCM) Name() string { return "karma" }
-
-func (karmaCM) OnAbort(th *Thread, retries int) {
-	th.karma = th.opReads
-	th.stall(jitteredWindow(th, retries) / time.Duration(1+th.karma/karmaScale))
-}
-
-func (karmaCM) OnCommit(th *Thread, retries int) { th.karma = 0 }
-
 // jitteredWindow draws a uniform random delay from the exponential window
 // for the retries-th abort.
 func jitteredWindow(th *Thread, retries int) time.Duration {
@@ -119,7 +83,7 @@ func jitteredWindow(th *Thread, retries int) time.Duration {
 }
 
 // Managers lists the registered contention-manager names.
-func Managers() []string { return []string{"suicide", "backoff", "karma"} }
+func Managers() []string { return []string{"suicide", "backoff"} }
 
 // ManagerByName resolves a registry name to a policy instance.
 func ManagerByName(name string) (ContentionManager, error) {
@@ -128,8 +92,6 @@ func ManagerByName(name string) (ContentionManager, error) {
 		return Suicide(), nil
 	case "backoff", "":
 		return Backoff(), nil
-	case "karma":
-		return Karma(), nil
 	default:
 		return nil, fmt.Errorf("stm: unknown contention manager %q (have %v)", name, Managers())
 	}

@@ -60,26 +60,6 @@ func TestBackoffRecordsStallTime(t *testing.T) {
 	}
 }
 
-func TestKarmaResetsOnCommit(t *testing.T) {
-	s := New(WithContentionManager(Karma()))
-	th := s.NewThread()
-	w := new(Word)
-	attempts := 0
-	th.Atomic(func(tx *Tx) {
-		attempts++
-		tx.Read(w) // invest work so an abort accrues karma
-		if attempts <= 3 {
-			tx.Restart()
-		}
-	})
-	if th.karma != 0 {
-		t.Fatalf("karma = %d after commit, want 0", th.karma)
-	}
-	if th.Stats().Retries != 3 {
-		t.Fatalf("retries = %d", th.Stats().Retries)
-	}
-}
-
 func TestManagerByName(t *testing.T) {
 	for _, name := range Managers() {
 		cm, err := ManagerByName(name)

@@ -38,7 +38,6 @@ func (lc *lifecycle) run() {
 	for {
 		tx.begin(lc.mode)
 		if th.runAttempt(tx, lc.fn) {
-			cm.OnCommit(th, lc.retries)
 			return
 		}
 		lc.retries++
@@ -80,7 +79,6 @@ func (lc *lifecycle) runTraced() {
 		tx.begin(lc.mode)
 		if th.runAttempt(tx, lc.fn) {
 			tr.Record(id, obs.SpanAttempt, op, start, time.Now().UnixNano(), -1, int64(lc.retries))
-			cm.OnCommit(th, lc.retries)
 			return
 		}
 		tr.Record(id, obs.SpanAttempt, op, start, time.Now().UnixNano(), int64(th.lastCause), int64(lc.retries))

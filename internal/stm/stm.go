@@ -153,9 +153,6 @@ func New(opts ...Option) *STM {
 // DefaultMode reports the mode used by Thread.Atomic.
 func (s *STM) DefaultMode() Mode { return s.defaultMode }
 
-// ContentionManager reports the domain's abort→retry policy.
-func (s *STM) ContentionManager() ContentionManager { return s.cm }
-
 // Now returns the current value of the global version clock. It is exported
 // for tests and instrumentation only.
 func (s *STM) Now() uint64 { return s.clock.Load() }

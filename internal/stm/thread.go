@@ -27,7 +27,6 @@ type Thread struct {
 	stats    Stats
 	opReads  uint64 // transactional reads accumulated by the current operation
 	rngState uint64 // xorshift state for backoff jitter
-	karma    uint64 // invested-work priority maintained by the Karma manager
 	inAtomic bool
 	accesses uint64 // transactional accesses, for the yield-injection knob
 	opsDone  uint64 // owner-local mirror of opCount (see completeOp)

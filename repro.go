@@ -40,7 +40,7 @@
 // WithContention selects the abort→retry policy:
 //
 //	t := repro.NewTree(repro.SpeculationFriendlyOptimized,
-//		repro.WithShards(8), repro.WithContention(repro.ContentionKarma))
+//		repro.WithShards(8), repro.WithContention(repro.ContentionBackoff))
 //
 // Cheap composed transactions are confined to one shard (Handle.UpdateShard,
 // Tree.SameShard); transactions that must span shards — transfer/ledger
@@ -114,9 +114,6 @@ const (
 	// ContentionBackoff stalls aborted transactions with randomized
 	// exponential backoff (the default).
 	ContentionBackoff ContentionPolicy = "backoff"
-	// ContentionKarma scales the backoff down by the transactional work the
-	// operation has already invested (Karma-style priority).
-	ContentionKarma ContentionPolicy = "karma"
 )
 
 // Tree is a concurrent ordered map from uint64 keys to uint64 values backed
@@ -236,12 +233,9 @@ func WithContention(p ContentionPolicy) Option {
 
 // DurabilityOptions re-exports the durable layer's dials for WithDurability:
 // Sync (fsync per operation), GroupCommit (background flush+fsync interval),
-// CheckpointEvery (periodic checkpoint interval; negative disables),
-// CompactEvery (delta generations between full checkpoint bases; negative
-// disables incremental checkpoints), DeltaMaxFrac (churn fraction above
-// which a checkpoint writes a full base instead of a delta), MaxUnsynced
-// (backpressure bound on unsynced bytes under group commit), and
-// RecoveryAppliers (parallelism of recovery replay).
+// CheckpointEvery (periodic full-checkpoint interval; negative disables),
+// MaxUnsynced (backpressure bound on unsynced bytes under group commit),
+// and RecoveryAppliers (parallelism of recovery replay).
 type DurabilityOptions = durable.Options
 
 // WithDurability sets the durability dials used by Open (the zero value

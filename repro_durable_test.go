@@ -1,13 +1,18 @@
 package repro
 
 import (
+	"fmt"
+	"maps"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/durable"
 )
 
 // durableKindsAndShards enumerates the durability oracle's configurations:
@@ -563,12 +568,12 @@ func TestDurableConcurrentRecoveryOracle(t *testing.T) {
 }
 
 // TestDurableChunkedCheckpointCrashOracle: writers churn private key stripes
-// while checkpoints run back to back — shards big enough that every full
-// snapshot spans several chunk transactions and every delta several key
-// runs, so generations are sealed with per-shard cuts that are minima over
-// chunks cut at different clock positions. The writers then stop, the log
-// is synced, and the directory is copied as it stands (a crash: no Close,
-// no final checkpoint, a chain of whatever generations happened to seal).
+// while checkpoints run back to back — shards big enough that every
+// snapshot spans several chunk transactions, so checkpoints are sealed with
+// per-shard cuts that are minima over chunks cut at different clock
+// positions. The writers then stop, the log is synced, and the directory is
+// copied as it stands (a crash: no Close, no final checkpoint, whatever
+// checkpoints happened to seal).
 // Every operation returned before that sync, so recovery of the copy must
 // equal the model exactly: replaying the records above a minimum cut over
 // chunks that already hold them has to be idempotent.
@@ -617,9 +622,8 @@ func TestDurableChunkedCheckpointCrashOracle(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				// Bursts of back-to-back checkpoints (tiny deltas, skips,
-				// rotations chasing each other) separated by pauses long
-				// enough for a delta to outgrow one key run per shard.
+				// Bursts of back-to-back checkpoints (rotations chasing each
+				// other) separated by pauses that let the writers move on.
 				for i := 1; !stop.Load(); i++ {
 					if err := tr.Checkpoint(); err != nil {
 						t.Error(err)
@@ -650,7 +654,7 @@ func TestDurableChunkedCheckpointCrashOracle(t *testing.T) {
 				}
 			}
 			st := tr.Durable().Stats()
-			t.Logf("%d checkpoints (%d deltas, %d pairs) against %d records", st.Checkpoints, st.DeltaCheckpoints, st.CheckpointPairs, st.Records)
+			t.Logf("%d checkpoints (%d pairs) against %d records", st.Checkpoints, st.CheckpointPairs, st.Records)
 			tr2, err := Open(crashed, SpeculationFriendlyOptimized, opts...)
 			if err != nil {
 				t.Fatal(err)
@@ -659,4 +663,235 @@ func TestDurableChunkedCheckpointCrashOracle(t *testing.T) {
 			assertStateEqual(t, tr2.NewHandle(), model, "recovery of the crash copy")
 		})
 	}
+}
+
+// TestDurableRecoveryFallbacks drives recovery's fallbacks on damaged or
+// foreign directories, at shards {1, 8} × recovery appliers {1, 4}: a
+// corrupted newest checkpoint, a deleted middle WAL segment, and delta
+// files left by a log that wrote incremental checkpoints. Each history
+// phase writes its own key range, so a degraded recovery's expected state
+// is computable.
+func TestDurableRecoveryFallbacks(t *testing.T) {
+	for _, shards := range []int{1, 8} {
+		for _, appliers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("shards=%d/appliers=%d", shards, appliers), func(t *testing.T) {
+				opts := []Option{WithShards(shards), WithoutMaintenance(),
+					WithDurability(DurabilityOptions{Sync: true, CheckpointEvery: -1,
+						RecoveryAppliers: appliers})}
+				t.Run("corrupt-newest-checkpoint", func(t *testing.T) { fallbackCorruptNewest(t, opts) })
+				t.Run("missing-middle-segment", func(t *testing.T) { fallbackMissingSegment(t, opts) })
+				t.Run("delta-files", func(t *testing.T) { fallbackDeltaFiles(t, opts) })
+			})
+		}
+	}
+}
+
+// writePhase inserts keys [lo, lo+20) into the tree and the model.
+func writePhase(h *Handle, model map[uint64]uint64, lo uint64) {
+	for k := lo; k < lo+20; k++ {
+		h.Insert(k, k*7+1)
+		model[k] = k*7 + 1
+	}
+}
+
+// checkpointGens lists the generations of the checkpoint files in dir,
+// ascending.
+func checkpointGens(t *testing.T, dir string) []uint64 {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var gens []uint64
+	for _, e := range ents {
+		var g uint64
+		if _, err := fmt.Sscanf(e.Name(), "checkpoint-%d.ckpt", &g); err == nil && strings.HasSuffix(e.Name(), ".ckpt") {
+			gens = append(gens, g)
+		}
+	}
+	return gens
+}
+
+// reopenExpect opens dir, asserts the recovered state equals want, and
+// returns the recovery report.
+func reopenExpect(t *testing.T, dir string, opts []Option, want map[uint64]uint64, ctx string) durable.Recovery {
+	t.Helper()
+	tr, err := Open(dir, SpeculationFriendlyOptimized, opts...)
+	if err != nil {
+		t.Fatalf("%s: %v", ctx, err)
+	}
+	defer tr.Close()
+	assertStateEqual(t, tr.NewHandle(), want, ctx)
+	return tr.Recovery()
+}
+
+// fallbackCorruptNewest: a crash between a checkpoint's seal and its
+// truncation leaves the older checkpoint and its segments beside the new
+// one. Recovery must pick the newest seal; when that one is damaged, it
+// must fall back to the older one and replay its segments — losing
+// nothing, since they hold every record the damaged checkpoint covered.
+func fallbackCorruptNewest(t *testing.T, opts []Option) {
+	dir := t.TempDir()
+	tr, err := Open(dir, SpeculationFriendlyOptimized, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := tr.NewHandle()
+	model := map[uint64]uint64{}
+	writePhase(h, model, 0)
+	if err := tr.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	older := checkpointGens(t, dir)
+	writePhase(h, model, 100)
+	saved := t.TempDir()
+	copyDir(t, dir, saved)
+	if err := tr.Checkpoint(); err != nil { // truncates the older checkpoint and segment
+		t.Fatal(err)
+	}
+	newest := checkpointGens(t, dir)
+	writePhase(h, model, 200)
+	tr.Close()
+	if len(older) != 1 || len(newest) != 1 || newest[0] <= older[0] {
+		t.Fatalf("checkpoints %v then %v, want one each, the second newer", older, newest)
+	}
+
+	// The sealed-but-not-truncated image: recovered intact first, then with
+	// the newest seal damaged.
+	ents, err := os.ReadDir(saved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		if _, err := os.Stat(filepath.Join(dir, e.Name())); os.IsNotExist(err) {
+			b, err := os.ReadFile(filepath.Join(saved, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, e.Name()), b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	intact := t.TempDir()
+	copyDir(t, dir, intact)
+	if rec := reopenExpect(t, intact, opts, model, "recovery in the sealed-but-not-truncated window"); rec.CheckpointGen != newest[0] {
+		t.Fatalf("undamaged: recovered from checkpoint %d, want the newest seal %d", rec.CheckpointGen, newest[0])
+	}
+	p := filepath.Join(dir, fmt.Sprintf("checkpoint-%016d.ckpt", newest[0]))
+	b, err := os.ReadFile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[len(b)/2] ^= 0xff
+	if err := os.WriteFile(p, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	rec := reopenExpect(t, dir, opts, model, "recovery past a corrupted newest checkpoint")
+	if rec.CheckpointGen != older[0] {
+		t.Fatalf("recovered from checkpoint %d, want the older seal %d", rec.CheckpointGen, older[0])
+	}
+}
+
+// fallbackMissingSegment: two checkpoints that fail after their rotation
+// leave the last sealed checkpoint followed by three segments; deleting the
+// middle one (external damage — sealed files should not vanish) must
+// degrade, not fail: the checkpoint plus the records of the surviving
+// segments. A second reopen must reproduce that state exactly.
+func fallbackMissingSegment(t *testing.T, opts []Option) {
+	dir := t.TempDir()
+	tr, err := Open(dir, SpeculationFriendlyOptimized, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := tr.NewHandle()
+	model := map[uint64]uint64{}
+	writePhase(h, model, 0)
+	if err := tr.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	gen := checkpointGens(t, dir)[0]
+	writePhase(h, model, 100)
+	want := maps.Clone(model)
+	// Squatting a directory on a checkpoint's temporary name fails its
+	// seal after the rotation, so each failed attempt starts a new segment.
+	failCheckpoint := func(g uint64) string {
+		blocked := filepath.Join(dir, fmt.Sprintf("checkpoint-%016d.ckpt.tmp", g))
+		if err := os.Mkdir(blocked, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.Checkpoint(); err == nil {
+			t.Fatal("checkpoint sealed despite the blocked path")
+		}
+		if err := os.Remove(blocked); err != nil {
+			t.Fatal(err)
+		}
+		return tr.Durable().LiveSegment()
+	}
+	middle := failCheckpoint(gen + 1)
+	writePhase(h, model, 200) // lost with the middle segment
+	failCheckpoint(gen + 2)
+	writePhase(h, model, 300)
+	writePhase(h, want, 300)
+	tr.Close()
+	if got := checkpointGens(t, dir); len(got) != 1 || got[0] != gen {
+		t.Fatalf("checkpoints %v on disk, want only %d", got, gen)
+	}
+	if err := os.Remove(middle); err != nil {
+		t.Fatal(err)
+	}
+
+	rec := reopenExpect(t, dir, opts, want, "recovery with a missing middle segment")
+	if rec.CheckpointGen != gen {
+		t.Fatalf("recovered from checkpoint %d, want %d", rec.CheckpointGen, gen)
+	}
+	reopenExpect(t, dir, opts, want, "second recovery after the missing segment")
+}
+
+// fallbackDeltaFiles: a delta-*.ckpt newer than the newest checkpoint holds
+// state no checkpoint has, so Open must refuse the directory and name the
+// file; an older delta and a stray manifest-*.mf are ignored.
+func fallbackDeltaFiles(t *testing.T, opts []Option) {
+	dir := t.TempDir()
+	tr, err := Open(dir, SpeculationFriendlyOptimized, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := map[uint64]uint64{}
+	writePhase(tr.NewHandle(), model, 0)
+	if err := tr.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	tr.Close()
+	gens := checkpointGens(t, dir)
+	if len(gens) != 1 || gens[0] < 2 {
+		t.Fatalf("checkpoints %v on disk, want one of generation >= 2", gens)
+	}
+	gen := gens[0]
+	junk := []byte("SFDELT01 from a log that wrote incremental checkpoints")
+
+	newer := fmt.Sprintf("delta-%016d.ckpt", gen+1)
+	if err := os.WriteFile(filepath.Join(dir, newer), junk, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if tr, err := Open(dir, SpeculationFriendlyOptimized, opts...); err == nil {
+		tr.Close()
+		t.Fatalf("Open succeeded beside %s, newer than checkpoint %d", newer, gen)
+	} else if !strings.Contains(err.Error(), newer) {
+		t.Fatalf("Open's error does not name %s: %v", newer, err)
+	}
+	if err := os.Remove(filepath.Join(dir, newer)); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, name := range []string{
+		fmt.Sprintf("delta-%016d.ckpt", gen-1),
+		fmt.Sprintf("manifest-%016d.mf", gen),
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), junk, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reopenExpect(t, dir, opts, model, "recovery beside an older delta and a stray manifest")
 }

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race allocs inline fmt vet cross fuzz ci obs-smoke trace-smoke experiments-smoke examples-smoke profile bench-ab bench-ab-all loc
+.PHONY: all build test test32 race allocs inline fmt vet cross fuzz ci obs-smoke trace-smoke experiments-smoke examples-smoke profile bench-ab bench-ab-all loc
 
 all: build
 
@@ -19,10 +19,13 @@ test:
 	$(GO) test ./...
 
 # Race-detector pass over the concurrency-critical packages (the STM with
-# its prepared-transaction tests, the speculation-friendly tree, the tree
-# registry with the elastic-move regression, the sharded forest with the
-# cross-shard transaction oracle and Move tortures, the ftx coordinator,
-# the observability registry/flight recorder, and the public facade). The
+# its prepared-transaction tests, the speculation-friendly tree with its
+# maintenance driver, the tree registry with the elastic-move regression,
+# the sharded forest with the cross-shard transaction oracle and Move
+# tortures, the ftx coordinator, the observability registry/flight
+# recorder, the public facade, and the vacation, paper-figure runner and
+# no-restructuring packages, which start maintenance through trees.Start
+# beside concurrent clients). The
 # timeout guards against a stress test livelocking under the detector's
 # serialization. The AllocsPerRun == 0 gates run here too and hold today (the
 # detector's shadow memory is not counted as Go allocations), but what they
@@ -30,7 +33,14 @@ test:
 # toolchain change make them fail here only, skip them under a `race` build
 # tag rather than loosen them.
 race:
-	$(GO) test -race -timeout 10m ./internal/stm ./internal/sftree ./internal/trees ./internal/ring ./internal/forest ./internal/ftx ./internal/durable ./internal/obs .
+	$(GO) test -race -timeout 10m ./internal/stm ./internal/sftree ./internal/trees ./internal/ring ./internal/forest ./internal/ftx ./internal/durable ./internal/obs ./internal/vacation ./internal/experiments ./internal/nrtree .
+
+# The internal packages' tests on a 32-bit build: the only run where int is
+# 32 bits wide (a uint64 counter converted to int goes negative after 2³¹),
+# and, with no race detector, the only test run of the arena's heap-chunk
+# fallback (chunk_heap.go).
+test32:
+	GOARCH=386 $(GO) test ./internal/...
 
 # Every steady-state allocation gate of the module — the tests asserting
 # testing.AllocsPerRun == 0, named ...ZeroAllocs, ...AllocFree,
@@ -168,4 +178,4 @@ bench-ab-all:
 		$(GO) run ./benchmark -compare "$(AB_OUT)/base-$$w.jsonl" "$(AB_OUT)/new-$$w.jsonl" || status=1; \
 	done; exit $$status
 
-ci: build fmt vet cross inline test race allocs fuzz obs-smoke trace-smoke experiments-smoke examples-smoke
+ci: build fmt vet cross inline test race test32 allocs fuzz obs-smoke trace-smoke experiments-smoke examples-smoke

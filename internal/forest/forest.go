@@ -4,9 +4,9 @@
 //
 // Each shard owns a private stm.STM (its own global version clock), a
 // private tree of any trees.Kind, and — for the speculation-friendly
-// variants — its own maintenance sweep, run by a worker pool the shards
-// share (maint.go). Keys are routed to shards by a fixed avalanche hash of
-// the key, so the hot single points of the one-domain design
+// variants — its own maintenance sweep, run by one sftree.Driver whose
+// worker pool the shards share. Keys are routed to shards by a fixed
+// avalanche hash of the key, so the hot single points of the one-domain design
 // (version-clock increments, commit-time lock contention) all split S ways
 // while every intra-shard property of the paper's algorithm is preserved
 // unchanged.
@@ -49,7 +49,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/durable"
 	"repro/internal/ftx"
@@ -59,28 +58,21 @@ import (
 	"repro/internal/trees"
 )
 
-// shard is one partition: a private STM domain and a tree living in it,
-// plus the per-shard scheduling state of the shared maintenance pool
-// (maint.go). mt is nil for kinds without maintenance.
+// shard is one partition: a private STM domain and a tree living in it.
+// It fills two cache lines (on 64-bit builds): every routed operation
+// reads stm and m, every cross-shard prepare locks intents, and packed
+// densely one shard's intents lock shares a line with another shard's
+// routing fields.
 type shard struct {
 	stm *stm.STM
 	m   trees.Map
-	mt  trees.Maintained
+	_   [40]byte
 
 	// intents is the shard's cross-shard-commit intent table: every
 	// coordinator (Handle.Atomic) of the forest claims its touched keys
 	// here for the prepare→finalize window (see internal/ftx).
 	intents ftx.IntentTable
-
-	// claim serializes maintenance drivers: a pool worker sweeps the shard
-	// only while holding the claim, which preserves the tree's single-driver
-	// contract under a shared pool.
-	claim atomic.Bool
-	// nextSweep is the unix-nano deadline of the shard's next sweep;
-	// sweepGap is the current adaptive gap (capped exponential idle backoff,
-	// see maint.go).
-	nextSweep atomic.Int64
-	sweepGap  atomic.Int64
+	_       [48]byte
 }
 
 // Forest is a sharded transactional map from uint64 keys to uint64 values.
@@ -88,23 +80,13 @@ type shard struct {
 type Forest struct {
 	kind   trees.Kind
 	shards []*shard
-	// maintMu serializes every toggle of the maintenance worker pool
-	// (Close, and the pause/resume bracket of the statistics accessors and
-	// Quiesce): Close may be called concurrently with Stats/ShardStats, and
-	// without the lock a racing resume could restart maintenance after
-	// Close returned (besides the plain-field data race on maint itself).
-	maintMu sync.Mutex
-	maint   bool // background maintenance currently enabled; guarded by maintMu
-	// pool is the shared maintenance worker pool (nil when maintenance is
-	// disabled, stopped, or the kind has none) and maintWorkers its size,
-	// both guarded by maintMu; pc accumulates pool counters across
-	// pause/resume generations.
-	pool         *maintPool
-	maintWorkers int
-	pc           poolCounters
+	// drv sweeps the speculation-friendly shards. It has no workers when
+	// the forest runs no maintenance, and its Pause still brackets Quiesce
+	// and the statistics accessors.
+	drv *sftree.Driver
 
 	// fr and tracer are the optional observability hooks (obs.go): the
-	// flight recorder receives maintenance-sweep events and the tracer the
+	// flight recorder receives the coordinators' events and the tracer the
 	// sampled per-operation span timelines (handle.go's
 	// traceStart/traceEnd). Atomic pointers because they attach while
 	// application goroutines are already running operations.
@@ -243,12 +225,11 @@ var _ durable.Source = (*Forest)(nil)
 type Option func(*cfg)
 
 type cfg struct {
-	shards       int
-	mode         stm.Mode
-	cm           stm.ContentionManager
-	maintenance  bool
-	maintWorkers int // pool size (0 = default)
-	yieldEvery   int
+	shards      int
+	mode        stm.Mode
+	cm          stm.ContentionManager
+	maintenance bool
+	yieldEvery  int
 }
 
 // WithShards sets the number of partitions (default 1; must be >= 1).
@@ -263,35 +244,18 @@ func WithContentionManager(cm stm.ContentionManager) Option {
 	return func(c *cfg) { c.cm = cm }
 }
 
-// WithoutMaintenance suppresses the maintenance worker pool; the caller
+// WithoutMaintenance suppresses the maintenance workers; the caller
 // drives maintenance manually via Quiesce.
 func WithoutMaintenance() Option { return func(c *cfg) { c.maintenance = false } }
-
-// WithMaintWorkers sizes the shared maintenance worker pool at n workers
-// (default min(shards, GOMAXPROCS/2), at least 1). The pool runs the sweeps
-// of all shards, so its size bounds the forest's total maintenance CPU
-// regardless of the shard count.
-func WithMaintWorkers(n int) Option {
-	return func(c *cfg) {
-		if n > 0 {
-			c.maintWorkers = n
-		}
-	}
-}
-
-// defaultMaintWorkers sizes the pool when WithMaintWorkers is not given.
-func defaultMaintWorkers(shards int) int {
-	return max(1, min(shards, runtime.GOMAXPROCS(0)/2))
-}
 
 // WithYield enables the STM interleaving simulation on every shard
 // (stm.WithYield).
 func WithYield(n int) Option { return func(c *cfg) { c.yieldEvery = n } }
 
 // New creates an empty forest of the given tree kind. Unless
-// WithoutMaintenance is given, kinds with maintenance are serviced by a
-// shared pool of maintenance workers started immediately (WithMaintWorkers
-// sizes it); Close stops the pool.
+// WithoutMaintenance is given, the speculation-friendly kinds are swept by
+// a shared pool of min(shards, GOMAXPROCS/2) maintenance workers, at least
+// one, started immediately; Close stops it.
 func New(kind trees.Kind, opts ...Option) *Forest {
 	c := cfg{shards: 1, mode: stm.CTL, maintenance: true}
 	for _, o := range opts {
@@ -300,29 +264,23 @@ func New(kind trees.Kind, opts ...Option) *Forest {
 	if c.shards < 1 {
 		panic(fmt.Sprintf("forest: shard count %d < 1", c.shards))
 	}
-	if c.maintWorkers == 0 {
-		c.maintWorkers = defaultMaintWorkers(c.shards)
-	}
-	f := &Forest{kind: kind, shards: make([]*shard, c.shards), maint: c.maintenance}
-	maintained := false
-	now := time.Now().UnixNano()
+	f := &Forest{kind: kind, shards: make([]*shard, c.shards)}
+	var swept []*sftree.Tree
 	for i := range f.shards {
 		s := stm.New(stm.WithMode(c.mode), stm.WithContentionManager(c.cm), stm.WithYield(c.yieldEvery))
 		sh := &shard{stm: s, m: trees.New(kind, s)}
-		if mt, ok := trees.MaintainedOf(sh.m); ok {
-			sh.mt = mt
-			sh.sweepGap.Store(int64(sweepGapMin))
-			sh.nextSweep.Store(now)
-			maintained = true
+		// The no-restructuring tree wraps an sftree.Tree but is its own
+		// type, so it is not swept.
+		if t, ok := sh.m.(*sftree.Tree); ok {
+			swept = append(swept, t)
 		}
 		f.shards[i] = sh
 	}
-	if c.maintenance && maintained {
-		f.maintWorkers = min(c.maintWorkers, c.shards)
-		f.startPool()
-	} else {
-		f.maint = false
+	workers := 0
+	if c.maintenance && len(swept) > 0 {
+		workers = max(1, min(len(swept), runtime.GOMAXPROCS(0)/2))
 	}
+	f.drv = sftree.NewDriver(workers, swept...)
 	return f
 }
 
@@ -332,48 +290,35 @@ func (f *Forest) Kind() trees.Kind { return f.kind }
 // Shards reports the number of partitions.
 func (f *Forest) Shards() int { return len(f.shards) }
 
-// Close stops the maintenance worker pool. The forest remains fully usable
+// Close stops the maintenance workers. The forest remains fully usable
 // (readable and writable); only the structural upkeep stops. Closing an
 // already-closed forest is a documented no-op, and Close is safe to call
 // concurrently with Stats/ShardStats/MaintenanceStats — maintenance is
 // guaranteed stopped once Close and any overlapping accessors return.
-func (f *Forest) Close() {
-	f.maintMu.Lock()
-	defer f.maintMu.Unlock()
-	f.maint = false
-	if f.pool != nil {
-		f.pool.stop()
-		f.pool = nil
-	}
+func (f *Forest) Close() { f.drv.Close() }
+
+// PoolStats is a snapshot of the maintenance workers' activity; Workers is
+// 0 when the forest runs no maintenance.
+type PoolStats struct {
+	sftree.DriverStats
+
+	// Deprecated: always 0 since hints were removed; benchmark/ still reads it.
+	Wakeups uint64
+	// Deprecated: always 0 since hints were removed; benchmark/ still reads it.
+	Backlog int
 }
 
-// pauseMaintenance stops the maintenance worker pool and returns the
-// function that restarts it. Per-thread STM counters are plain fields
-// readable only while their owning goroutine is quiet, and the trees'
-// maintenance surface is single-driver, so both the statistics accessors
-// and Quiesce bracket themselves with this. The maintenance lock is held
-// until the returned resume function runs, so a concurrent Close cannot
-// interleave with the pause/resume bracket (and the resume can never undo
-// a Close).
-func (f *Forest) pauseMaintenance() func() {
-	f.maintMu.Lock()
-	if !f.maint || f.pool == nil {
-		f.maintMu.Unlock()
-		return func() {}
-	}
-	f.pool.stop()
-	f.pool = nil
-	return func() {
-		defer f.maintMu.Unlock()
-		f.startPool()
-	}
-}
+// PoolStats returns a snapshot of the pool's activity counters. Counters
+// and the Workers size accumulate across Stats-induced pause/resume
+// cycles and survive Close — Close freezes the numbers, it does not zero
+// them.
+func (f *Forest) PoolStats() PoolStats { return PoolStats{DriverStats: f.drv.Stats()} }
 
 // Quiesce runs maintenance sweeps on every shard until clean (up to
-// maxPasses each). The worker pool is paused for the duration (the sweeps
+// maxPasses each). The workers are paused for the duration (the sweeps
 // are single-driver).
 func (f *Forest) Quiesce(maxPasses int) {
-	defer f.pauseMaintenance()()
+	defer f.drv.Pause()()
 	for _, sh := range f.shards {
 		trees.Quiesce(sh.m, maxPasses)
 	}
@@ -401,11 +346,12 @@ func (f *Forest) ShardOf(k uint64) int {
 // composite transaction (Update, atomic Move) may span both keys.
 func (f *Forest) SameShard(k1, k2 uint64) bool { return f.ShardOf(k1) == f.ShardOf(k2) }
 
-// Stats returns the STM statistics summed over all shards. Running
-// maintenance goroutines are paused while their counters are read; caller
-// handles must be quiescent (as for stm.Thread.Stats).
+// Stats returns the STM statistics summed over all shards. The
+// maintenance workers are paused while their threads' counters are read
+// (those are plain fields readable only while their owner is quiet);
+// caller handles must be quiescent (as for stm.Thread.Stats).
 func (f *Forest) Stats() stm.Stats {
-	defer f.pauseMaintenance()()
+	defer f.drv.Pause()()
 	var t stm.Stats
 	for _, sh := range f.shards {
 		t.Add(sh.stm.TotalStats())
@@ -416,7 +362,7 @@ func (f *Forest) Stats() stm.Stats {
 // ShardStats returns each shard's own STM statistics, indexed by shard,
 // under the same quiescence contract as Stats.
 func (f *Forest) ShardStats() []stm.Stats {
-	defer f.pauseMaintenance()()
+	defer f.drv.Pause()()
 	out := make([]stm.Stats, len(f.shards))
 	for i, sh := range f.shards {
 		out[i] = sh.stm.TotalStats()

@@ -5,10 +5,24 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/stm"
 	"repro/internal/trees"
 )
+
+// TestShardLayout pins the shard to two cache lines on 64-bit builds, the
+// routing fields on the first and the intent table on the second (see
+// shard).
+func TestShardLayout(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the padding is sized for 64-bit pointers")
+	}
+	var sh shard
+	if size, off := unsafe.Sizeof(sh), unsafe.Offsetof(sh.intents); size != 128 || off != 64 {
+		t.Fatalf("shard is %d B with intents at %d, want 128 B with intents at 64", size, off)
+	}
+}
 
 func TestShardRouting(t *testing.T) {
 	f := New(trees.SFOpt, WithShards(8), WithoutMaintenance())

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -33,10 +32,11 @@ func sfTreeOf(m trees.Map) (*sftree.Tree, bool) {
 //     empty.
 func TestMaintenanceOracle(t *testing.T) {
 	const keyRange = 1 << 10
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4)) // two workers at 8 shards
 	for _, kind := range trees.Kinds() {
 		for _, shards := range []int{1, 8} {
 			t.Run(string(kind)+"/shards="+string(rune('0'+shards)), func(t *testing.T) {
-				f := New(kind, WithShards(shards), WithMaintWorkers(2))
+				f := New(kind, WithShards(shards))
 				defer f.Close()
 				h := f.NewHandle()
 				model := make(map[uint64]uint64)
@@ -151,7 +151,8 @@ func checkShardInvariants(t *testing.T, f *Forest, empty bool) {
 // running, committed deletes are physically removed by its sweeps alone,
 // and the pool reports its activity.
 func TestMaintPoolSweepRemoves(t *testing.T) {
-	f := New(trees.SFOpt, WithShards(4), WithMaintWorkers(2))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4)) // two workers
+	f := New(trees.SFOpt, WithShards(4))
 	defer f.Close()
 	h := f.NewHandle()
 	for k := uint64(0); k < 4096; k++ {
@@ -178,7 +179,7 @@ func TestMaintPoolSweepRemoves(t *testing.T) {
 	// Every node is eventually unlinked: a deleted node with two children
 	// stays until sweeps have removed enough below it.
 	for deadline = time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-		resume := f.pauseMaintenance()
+		resume := f.drv.Pause()
 		left := 0
 		for _, sh := range f.shards {
 			st, _ := sfTreeOf(sh.m)
@@ -198,20 +199,21 @@ func TestMaintPoolSweepRemoves(t *testing.T) {
 // freeze even under further updates (the regression guard the per-shard
 // goroutine design had, retargeted at the pool).
 func TestMaintPoolStopsOnClose(t *testing.T) {
-	f := New(trees.SF, WithShards(4), WithMaintWorkers(2))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4)) // two workers
+	f := New(trees.SF, WithShards(4))
 	h := f.NewHandle()
 	for k := uint64(0); k < 1024; k++ {
 		h.Insert(k, k)
 	}
 	f.Close()
-	before := f.MaintenanceStats()
+	before, pBefore := f.MaintenanceStats(), f.PoolStats()
 	for k := uint64(0); k < 1024; k += 2 {
 		h.Delete(k)
 	}
 	time.Sleep(20 * time.Millisecond)
-	after := f.MaintenanceStats()
-	if after.Passes != before.Passes || after.BusyNanos != before.BusyNanos {
-		t.Fatalf("maintenance advanced after Close: %+v -> %+v", before, after)
+	after, pAfter := f.MaintenanceStats(), f.PoolStats()
+	if after.Passes != before.Passes || pAfter != pBefore {
+		t.Fatalf("maintenance advanced after Close: %+v -> %+v, pool %+v -> %+v", before, after, pBefore, pAfter)
 	}
 }
 
@@ -222,7 +224,8 @@ func TestMaintPoolStopsOnClose(t *testing.T) {
 // per-operation tests.
 func TestMaintPoolStress(t *testing.T) {
 	const keyRange = 1 << 9
-	f := New(trees.SFOpt, WithShards(8), WithMaintWorkers(2), WithYield(64))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4)) // two workers
+	f := New(trees.SFOpt, WithShards(8), WithYield(64))
 	defer f.Close()
 
 	stop := make(chan struct{})
@@ -267,83 +270,4 @@ func TestMaintPoolStress(t *testing.T) {
 	wg.Wait()
 	f.Quiesce(1 << 20)
 	checkShardInvariants(t, f, false)
-}
-
-// TestMaintPoolDutyShare: under sustained churn on every shard a pool
-// worker works at most its duty share of the wall clock (maintDuty = ¼;
-// the gate leaves room for timer slack), where a productive sweep used to
-// re-arm after sweepGapMin and keep one worker sweeping continuously.
-func TestMaintPoolDutyShare(t *testing.T) {
-	const keyRange = 1 << 12
-	const workers = 1
-	f := New(trees.SFOpt, WithShards(4), WithMaintWorkers(workers))
-	defer f.Close()
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		h := f.NewHandle()
-		rng := rand.New(rand.NewSource(1))
-		for !stop.Load() {
-			if k := uint64(rng.Intn(keyRange)); rng.Intn(2) == 0 {
-				h.Insert(k, k)
-			} else {
-				h.Delete(k)
-			}
-			// One writer that yields: the share is of the wall clock, and
-			// a worker starved of the CPU would make one sweep (it yields
-			// as it walks) outlast the test.
-			runtime.Gosched()
-		}
-	}()
-	time.Sleep(20 * time.Millisecond) // let the churn build a backlog first
-	before, mBefore := f.PoolStats(), f.MaintenanceStats()
-	t0 := time.Now()
-	time.Sleep(400 * time.Millisecond)
-	after, mAfter := f.PoolStats(), f.MaintenanceStats()
-	wall := time.Since(t0)
-	stop.Store(true)
-	wg.Wait()
-
-	busy := time.Duration(after.BusyNanos - before.BusyNanos)
-	work := mAfter.Rotations + mAfter.Removals - mBefore.Rotations - mBefore.Removals
-	share := float64(busy) / (float64(wall) * workers)
-	t.Logf("busy %v over %d workers × %v (%.2f per worker), %d rotations+removals, %d sweeps",
-		busy, workers, wall, share, work, after.Sweeps-before.Sweeps)
-	if work == 0 {
-		t.Fatal("the pool did no structural work under churn: the budget starved it")
-	}
-	if share > 0.4 {
-		t.Fatalf("pool busy %.2f of the wall clock per worker, over 0.4", share)
-	}
-}
-
-// TestCloseCutsBudgetRest: Close must not wait out a worker's budget rest.
-// The pool's first sweep of a 2¹⁶-key shard nobody has balanced yet is long
-// (d) and its rest 3d; a Close issued as that sweep ends has to return well
-// inside it.
-func TestCloseCutsBudgetRest(t *testing.T) {
-	const n = 1 << 16
-	f := New(trees.SFOpt, WithoutMaintenance())
-	h := f.NewHandle()
-	for i := uint64(0); i < n; i++ {
-		k := i * 40503 & (n - 1) // odd multiplier: a permutation of [0, n)
-		h.Insert(k, k)
-	}
-	f.maintMu.Lock()
-	f.maint, f.maintWorkers = true, 1
-	f.startPool()
-	f.maintMu.Unlock()
-	for f.PoolStats().BusyNanos == 0 { // set as the first sweep ends
-		time.Sleep(100 * time.Microsecond)
-	}
-	d := time.Duration(f.PoolStats().BusyNanos)
-	t0 := time.Now()
-	f.Close()
-	took := time.Since(t0)
-	t.Logf("first sweep %v (rest %v); Close returned in %v", d, maintRest*d, took)
-	if took > d {
-		t.Fatalf("Close took %v with the worker in a %v budget rest: the rest was not cut short", took, maintRest*d)
-	}
 }

@@ -8,12 +8,13 @@ import (
 )
 
 // SetFlightRecorder attaches a flight recorder to the forest: productive
-// maintenance-pool sweeps and the cross-shard coordinators' slow prepares
+// maintenance sweeps and the cross-shard coordinators' slow prepares
 // and abort storms record into it from now on. Safe to attach while the forest is in use; a nil
 // recorder detaches. The attached WAL (if any) keeps its own recorder —
 // see durable.Log.SetFlightRecorder.
 func (f *Forest) SetFlightRecorder(fr *obs.FlightRecorder) {
 	f.fr.Store(fr)
+	f.drv.SetFlightRecorder(fr)
 	f.coordMu.Lock()
 	for _, c := range f.coords {
 		c.SetFlightRecorder(fr)

@@ -26,13 +26,6 @@ func New(s *stm.STM) *Tree {
 	return &Tree{Tree: sftree.New(s, sftree.WithVariant(sftree.Portable))}
 }
 
-// Start is a no-op: the defining property of the NRtree is the absence of
-// the maintenance thread.
-func (t *Tree) Start() {}
-
-// Stop is a no-op, matching Start.
-func (t *Tree) Stop() {}
-
 // RunMaintenancePass is a no-op returning 0: no restructuring ever happens.
 func (t *Tree) RunMaintenancePass() int { return 0 }
 

@@ -18,8 +18,6 @@ func TestNoRestructuring(t *testing.T) {
 	if h := tr.Height(); h != n {
 		t.Fatalf("height = %d, want %d (no rotations may ever run)", h, n)
 	}
-	tr.Start() // must be inert
-	tr.Stop()
 	if got := tr.RunMaintenancePass(); got != 0 {
 		t.Fatalf("maintenance pass did work: %d", got)
 	}

@@ -2,7 +2,6 @@ package sftree
 
 import (
 	"runtime"
-	"time"
 
 	"repro/internal/arena"
 )
@@ -14,27 +13,6 @@ import (
 // starve — the pass itself is cheap, but it must stay interleaved.
 const maintYieldStride = 64
 
-// Scheduling parameters of the maintenance sweep. A sweep that found work
-// is followed by another SweepGapMin later (after the budget rest); every
-// idle sweep doubles the gap up to SweepGapMax, so an idle tree costs
-// asymptotically no CPU while eventual propagation and GC-epoch progress
-// stay guaranteed. They are exported so the forest's shared worker pool
-// (internal/forest) runs the very same schedule — one source of truth for
-// both drivers.
-const (
-	SweepGapMin = time.Millisecond
-	SweepGapMax = 256 * time.Millisecond
-	// maintRest is the maintenance duty share: a driver that has just spent
-	// d on a sweep that found work stays off the CPU for maintRest·d before
-	// it looks again, so maintenance takes at most 1/(1+maintRest) of a core
-	// however much work there is — without the rest one driver sweeps
-	// continuously beside the clients it is meant to serve. Only Stop cuts
-	// the rest short; Quiesce and manual passes are exempt. The forest's
-	// pool applies the same share per worker (its own maintRest: the two
-	// must agree).
-	maintRest = 3
-)
-
 // This file implements the maintenance ("rotator") side of the paper
 // (§3): one depth-first sweep of the whole tree that propagates height
 // estimates (§3.1), physically removes logically deleted nodes with at most
@@ -42,78 +20,15 @@ const (
 // structural change its own small transaction, then collects unlinked nodes
 // with the §3.4 epoch scheme.
 //
-// A Tree used standalone drives the sweep from its own goroutine
-// (Start/Stop below); the shards of a forest are driven by the forest's
-// shared worker pool instead (internal/forest), through the same
-// RunMaintenancePass.
-
-// Start launches the maintenance goroutine. It is idempotent while running
-// and safe for concurrent callers (serialized against Stop).
-func (t *Tree) Start() {
-	t.lifeMu.Lock()
-	defer t.lifeMu.Unlock()
-	if t.running.Load() {
-		return
-	}
-	t.stop.Store(false)
-	t.done = make(chan struct{})
-	t.quit = make(chan struct{})
-	t.running.Store(true)
-	go t.maintLoop(t.quit)
-}
-
-// Stop halts the maintenance goroutine and waits for it to finish its
-// current work. It is a no-op when maintenance is not running and safe for
-// concurrent callers: racing Stops serialize on the lifecycle lock, the
-// loser observing the goroutine already stopped instead of double-waiting
-// on done.
-func (t *Tree) Stop() {
-	t.stopEpoch.Add(1)
-	t.lifeMu.Lock()
-	defer t.lifeMu.Unlock()
-	if !t.running.Load() {
-		return
-	}
-	t.stop.Store(true)
-	close(t.quit) // break the loop out of its idle wait or budget rest
-	<-t.done
-	t.stop.Store(false) // leave manual RunMaintenancePass/Quiesce usable
-	t.running.Store(false)
-}
-
-// maintLoop is the tree's own maintenance driver: sweep, then wait — after a
-// sweep that found work, its budget rest (maintRest) but at least
-// SweepGapMin; after an idle sweep, a gap that doubles (capped) while the
-// tree stays clean.
-func (t *Tree) maintLoop(quit <-chan struct{}) {
-	defer close(t.done)
-	gap := SweepGapMin
-	for !t.stop.Load() {
-		t0 := time.Now()
-		work := t.RunMaintenancePass()
-		d := time.Since(t0)
-		t.busyNanos.Add(uint64(d))
-		if work > 0 {
-			gap = SweepGapMin
-			d = max(maintRest*d, gap)
-		} else {
-			gap = min(2*gap, SweepGapMax)
-			d = gap
-		}
-		timer := time.NewTimer(d)
-		select {
-		case <-quit:
-			timer.Stop()
-		case <-timer.C:
-		}
-	}
-}
+// A Driver (driver.go) runs the sweep: one worker for a standalone tree,
+// a shared pool for the shards of a forest.
 
 // RunMaintenancePass executes one full maintenance traversal synchronously:
 // one garbage-collection epoch around one depth-first propagate/remove/
 // rotate sweep. It returns the amount of structural work done (rotations +
 // removals + nodes freed); a return of 0 means the tree was balanced, fully
-// unlinked and garbage-free. It must not be called concurrently with Start.
+// unlinked and garbage-free. It must not run beside a Driver over the tree
+// (Pause it first) or another pass.
 func (t *Tree) RunMaintenancePass() int {
 	t.collector.BeginEpoch(t.stm.Threads())
 	rootN := t.node(t.root)
@@ -128,24 +43,12 @@ func (t *Tree) RunMaintenancePass() int {
 }
 
 // Quiesce runs maintenance passes until one does no structural work (or
-// maxPasses is hit), leaving the tree balanced and physically clean. A
-// running background maintenance goroutine is paused for the duration and
-// resumed afterwards (passes are single-driver, see RunMaintenancePass).
-// Intended for tests and for phase changes in benchmarks; concurrent
-// updates may legitimately prevent quiescence, hence the bound. Quiesce
-// itself must be called from one goroutine at a time.
+// maxPasses is hit), leaving the tree balanced and physically clean. It is
+// a driver like any other: a Driver over the tree must be paused for the
+// duration (passes are single-driver, see RunMaintenancePass). Intended
+// for tests and for phase changes in benchmarks; concurrent updates may
+// legitimately prevent quiescence, hence the bound.
 func (t *Tree) Quiesce(maxPasses int) bool {
-	if t.running.Load() {
-		t.Stop()
-		epoch := t.stopEpoch.Load()
-		defer func() {
-			// Resume only if nobody else asked for a stop while we were
-			// draining — a concurrent Close/Stop must win, not be undone.
-			if t.stopEpoch.Load() == epoch {
-				t.Start()
-			}
-		}()
-	}
 	for i := 0; i < maxPasses; i++ {
 		if t.RunMaintenancePass() == 0 {
 			return true
@@ -164,9 +67,6 @@ func (t *Tree) Quiesce(maxPasses int) bool {
 func (t *Tree) maintain(parentRef arena.Ref, leftChild bool, ref arena.Ref) (int32, int) {
 	if ref == arena.Nil {
 		return 0, 0
-	}
-	if t.stop.Load() {
-		return t.heightOf(ref), 0
 	}
 	t.maintVisits++
 	if t.maintVisits%maintYieldStride == 0 {

@@ -24,7 +24,6 @@ func (t *Tree) RegisterObs(r *obs.Registry, labels string) {
 		counter("sftree_failed_removals_total", "Removal transactions that aborted against application traffic.", st.FailedRemove)
 		counter("sftree_maint_passes_total", "Completed maintenance sweeps.", st.Passes)
 		counter("sftree_freed_total", "Nodes reclaimed by the epoch collector.", st.Freed)
-		counter("sftree_maint_busy_nanos_total", "Time the maintenance driver spent working, in nanoseconds.", st.BusyNanos)
 		emit(obs.Sample{Name: "sftree_height_estimate", Label: labels, Kind: obs.KindGauge,
 			Help: "Root height estimate as of the last completed maintenance pass.", Value: float64(t.heightEst.Load())})
 		// Node chunks live outside the Go heap on Linux, so no runtime

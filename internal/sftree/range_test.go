@@ -17,7 +17,7 @@ func TestRangeSkipsDeletedAndSurvivesMaintenance(t *testing.T) {
 	for _, variant := range []Variant{Portable, Optimized} {
 		s := stm.New()
 		tr := New(s, WithVariant(variant))
-		tr.Start()
+		drv := NewDriver(1, tr)
 		th := s.NewThread()
 
 		var stop atomic.Bool
@@ -54,7 +54,7 @@ func TestRangeSkipsDeletedAndSurvivesMaintenance(t *testing.T) {
 		}
 		stop.Store(true)
 		wg.Wait()
-		tr.Stop()
+		drv.Close()
 
 		// Quiescent: Range over everything must equal Keys.
 		keys := tr.Keys(th)

@@ -170,7 +170,7 @@ func TestRangeReentrant(t *testing.T) {
 
 // TestRangeSumUnderMoves is the snapshot property the unlogged scan has to
 // keep: writers Move values between the keys of a fixed interval, beside a
-// running maintenance loop, so the interval's keys change constantly while
+// running maintenance driver, so the interval's keys change constantly while
 // the sum of its values never does — and every Range result must add up to
 // exactly that sum. A scan mixing two tree states sees a moved value twice
 // or not at all.
@@ -184,7 +184,7 @@ func TestRangeSumUnderMoves(t *testing.T) {
 		tr, th := churnTree(t, v)
 		var want uint64
 		tr.Range(th, lo, hi, func(_, val uint64) bool { want += val; return true })
-		tr.Start()
+		drv := NewDriver(1, tr)
 
 		var stop atomic.Bool
 		var wg sync.WaitGroup
@@ -218,7 +218,7 @@ func TestRangeSumUnderMoves(t *testing.T) {
 		}
 		stop.Store(true)
 		wg.Wait()
-		tr.Stop()
+		drv.Close()
 		st := tr.STM().TotalStats()
 		t.Logf("%v: %d scans, %d lost their unlogged attempt, %d validation aborts in all",
 			v, scans, st.AbortCauses[stm.AbortUnlogged], st.AbortCauses[stm.AbortValidation])

@@ -19,7 +19,7 @@ func TestYieldInjectionStress(t *testing.T) {
 		t.Run(v.String(), func(t *testing.T) {
 			s := stm.New(stm.WithYield(1))
 			tr := New(s, WithVariant(v))
-			tr.Start()
+			drv := NewDriver(1, tr)
 			const goroutines = 8
 			const ops = 400
 			const keyRange = 256
@@ -46,7 +46,7 @@ func TestYieldInjectionStress(t *testing.T) {
 				}(g)
 			}
 			wg.Wait()
-			tr.Stop()
+			drv.Close()
 			tr.Quiesce(100000)
 			if err := tr.CheckInvariants(); err != nil {
 				t.Fatal(err)
@@ -66,7 +66,7 @@ func TestYieldInjectionSingleKey(t *testing.T) {
 		t.Run(v.String(), func(t *testing.T) {
 			s := stm.New(stm.WithYield(1))
 			tr := New(s, WithVariant(v))
-			tr.Start()
+			drv := NewDriver(1, tr)
 			const k = uint64(5)
 			const goroutines = 6
 			results := make([][2]uint64, goroutines)
@@ -91,7 +91,7 @@ func TestYieldInjectionSingleKey(t *testing.T) {
 				}(g)
 			}
 			wg.Wait()
-			tr.Stop()
+			drv.Close()
 			var ins, del uint64
 			for _, r := range results {
 				ins += r[0]
@@ -118,7 +118,7 @@ func TestElasticConcurrentStress(t *testing.T) {
 		t.Run(v.String(), func(t *testing.T) {
 			s := stm.New(stm.WithMode(stm.Elastic), stm.WithYield(1))
 			tr := New(s, WithVariant(v))
-			tr.Start()
+			drv := NewDriver(1, tr)
 			const goroutines = 6
 			const rangeSize = 48
 			oracles := make([]map[uint64]uint64, goroutines)
@@ -144,7 +144,7 @@ func TestElasticConcurrentStress(t *testing.T) {
 				}(g)
 			}
 			wg.Wait()
-			tr.Stop()
+			drv.Close()
 			tr.Quiesce(100000)
 			if err := tr.CheckInvariants(); err != nil {
 				t.Fatal(err)

@@ -72,7 +72,10 @@ type Stats struct {
 	Freed        uint64 // nodes reclaimed by the §3.4 collector
 	FailedRot    uint64 // rotation transactions that returned false
 	FailedRemove uint64 // removal transactions that returned false
-	BusyNanos    uint64 // time the tree's own maintenance loop spent working
+
+	// Deprecated: always 0; sweep time is DriverStats.BusyNanos.
+	// benchmark/ still reads it.
+	BusyNanos uint64
 
 	// Deprecated: always 0 since hints were removed; benchmark/ still reads it.
 	HintsEmitted uint64
@@ -90,14 +93,13 @@ func (s *Stats) Add(o Stats) {
 	s.Freed += o.Freed
 	s.FailedRot += o.FailedRot
 	s.FailedRemove += o.FailedRemove
-	s.BusyNanos += o.BusyNanos
 }
 
 // Tree is a speculation-friendly binary search tree. All abstract operations
 // are safe for concurrent use by any number of threads (each goroutine
 // passing its own *stm.Thread); the structural operations are driven by at
-// most one maintenance goroutine (Start/Stop, or RunMaintenancePass for
-// deterministic tests).
+// most one maintenance driver at a time (a Driver, or RunMaintenancePass
+// and Quiesce for deterministic tests).
 type Tree struct {
 	stm     *stm.STM
 	ar      *arena.Arena
@@ -114,23 +116,9 @@ type Tree struct {
 	freed        atomic.Uint64
 	failedRot    atomic.Uint64
 	failedRemove atomic.Uint64
-	busyNanos    atomic.Uint64
 	// heightEst is the root's height estimate as of the last completed
 	// maintenance pass (the sftree_height_estimate gauge).
 	heightEst atomic.Int32
-
-	stop atomic.Bool
-	done chan struct{}
-	// quit is closed by Stop: it ends the maintenance loop's sleeps, the
-	// budget rest included.
-	quit    chan struct{}
-	running atomic.Bool
-	// lifeMu serializes Start/Stop against each other, so concurrent
-	// callers cannot double-wait on done or leak a second goroutine.
-	lifeMu sync.Mutex
-	// stopEpoch counts Stop calls; Quiesce uses it to avoid resurrecting a
-	// maintenance goroutine that a concurrent Stop/Close meant to end.
-	stopEpoch atomic.Uint64
 
 	// sop is the structural transaction in flight — a rotation or a
 	// physical removal (rotate.go); the single maintenance driver runs them
@@ -169,8 +157,8 @@ type cfg struct {
 func WithVariant(v Variant) Option { return func(c *cfg) { c.variant = v } }
 
 // New creates an empty tree attached to the given STM domain, with its own
-// node arena. The maintenance thread is not started; call Start or drive
-// RunMaintenancePass manually.
+// node arena. Nothing maintains it until a Driver runs over it or
+// RunMaintenancePass is driven manually.
 func New(s *stm.STM, opts ...Option) *Tree {
 	c := cfg{variant: Portable}
 	for _, o := range opts {
@@ -215,7 +203,6 @@ func (t *Tree) Stats() Stats {
 		Freed:        t.freed.Load(),
 		FailedRot:    t.failedRot.Load(),
 		FailedRemove: t.failedRemove.Load(),
-		BusyNanos:    t.busyNanos.Load(),
 	}
 }
 

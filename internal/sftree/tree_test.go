@@ -318,69 +318,6 @@ func TestComposedOpsInOneTransaction(t *testing.T) {
 	}
 }
 
-func TestStartStopMaintenance(t *testing.T) {
-	for _, v := range variants() {
-		tr, th := newTree(t, v)
-		tr.Start()
-		tr.Start() // idempotent
-		for k := uint64(0); k < 512; k++ {
-			tr.Insert(th, k, k)
-		}
-		for k := uint64(0); k < 512; k += 3 {
-			tr.Delete(th, k)
-		}
-		tr.Stop()
-		tr.Stop() // idempotent
-		tr.Quiesce(2000)
-		if err := tr.CheckInvariants(); err != nil {
-			t.Fatalf("[%v] %v", v, err)
-		}
-		if tr.Stats().Passes == 0 {
-			t.Fatalf("[%v] maintenance never ran", v)
-		}
-	}
-}
-
-// TestStartStopConcurrent provokes the Stop/Stop double-wait race of the
-// unserialized lifecycle: many goroutines toggling Start/Stop/Quiesce
-// concurrently must neither deadlock nor panic, and the tree must end up
-// stoppable. Run under -race it also checks the lifecycle fields.
-func TestStartStopConcurrent(t *testing.T) {
-	s := stm.New()
-	tr := New(s)
-	th := s.NewThread()
-	for i := uint64(0); i < 512; i++ {
-		tr.Insert(th, i, i)
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			for i := 0; i < 50; i++ {
-				switch rng.Intn(3) {
-				case 0:
-					tr.Start()
-				case 1:
-					tr.Stop()
-				case 2:
-					tr.Stop()
-					tr.Start()
-				}
-			}
-		}(int64(g) * 131)
-	}
-	wg.Wait()
-	tr.Stop()
-	if tr.running.Load() {
-		t.Fatal("tree still running after final Stop")
-	}
-	// The lifecycle must still work after the storm.
-	tr.Start()
-	tr.Stop()
-}
-
 // TestSingleKeyLinearizability hammers one key from many goroutines with
 // inserts and deletes; successful inserts and deletes on a single key must
 // strictly alternate in any linearization, so |inserts - deletes| <= 1 and
@@ -390,7 +327,7 @@ func TestSingleKeyLinearizability(t *testing.T) {
 		t.Run(v.String(), func(t *testing.T) {
 			s := stm.New()
 			tr := New(s, WithVariant(v))
-			tr.Start()
+			drv := NewDriver(1, tr)
 			const k = uint64(99)
 			const goroutines = 6
 			const opsPer = 300
@@ -419,7 +356,7 @@ func TestSingleKeyLinearizability(t *testing.T) {
 				}(g)
 			}
 			wg.Wait()
-			tr.Stop()
+			drv.Close()
 			var ins, del uint64
 			for g := 0; g < goroutines; g++ {
 				i, _ := insOK.Load(g)
@@ -451,7 +388,7 @@ func TestConcurrentDisjointRanges(t *testing.T) {
 		t.Run(v.String(), func(t *testing.T) {
 			s := stm.New()
 			tr := New(s, WithVariant(v))
-			tr.Start()
+			drv := NewDriver(1, tr)
 			const goroutines = 5
 			const rangeSize = 64
 			const ops = 800
@@ -482,7 +419,7 @@ func TestConcurrentDisjointRanges(t *testing.T) {
 				}(g)
 			}
 			wg.Wait()
-			tr.Stop()
+			drv.Close()
 			tr.Quiesce(5000)
 			if err := tr.CheckInvariants(); err != nil {
 				t.Fatal(err)
@@ -510,7 +447,7 @@ func TestConcurrentMixedWithMoves(t *testing.T) {
 		t.Run(v.String(), func(t *testing.T) {
 			s := stm.New()
 			tr := New(s, WithVariant(v))
-			tr.Start()
+			drv := NewDriver(1, tr)
 			const goroutines = 4
 			var wg sync.WaitGroup
 			for g := 0; g < goroutines; g++ {
@@ -535,7 +472,7 @@ func TestConcurrentMixedWithMoves(t *testing.T) {
 				}(g)
 			}
 			wg.Wait()
-			tr.Stop()
+			drv.Close()
 			tr.Quiesce(5000)
 			if err := tr.CheckInvariants(); err != nil {
 				t.Fatal(err)
@@ -553,7 +490,7 @@ func TestBiasedWorkloadStaysBalanced(t *testing.T) {
 	// quiescing, the tree must be AVL-balanced regardless.
 	for _, v := range variants() {
 		tr, th := newTree(t, v)
-		tr.Start()
+		drv := NewDriver(1, tr)
 		rng := rand.New(rand.NewSource(5))
 		for i := 0; i < 3000; i++ {
 			hi := uint64(8192 + rng.Intn(8192))
@@ -561,7 +498,7 @@ func TestBiasedWorkloadStaysBalanced(t *testing.T) {
 			tr.Insert(th, hi, hi)
 			tr.Delete(th, lo)
 		}
-		tr.Stop()
+		drv.Close()
 		tr.Quiesce(20000)
 		if err := tr.CheckInvariants(); err != nil {
 			t.Fatalf("[%v] %v", v, err)
@@ -597,7 +534,7 @@ func TestSweepOnlyBalanceUnderChurn(t *testing.T) {
 				present[k] = true
 			}
 			tr.Quiesce(1 << 20)
-			tr.Start()
+			drv := NewDriver(1, tr)
 
 			var stop atomic.Bool
 			var wg sync.WaitGroup
@@ -655,7 +592,7 @@ func TestSweepOnlyBalanceUnderChurn(t *testing.T) {
 				t.Fatalf("mean height/log2(n) %.3f under churn, over %.2f", mean, maxRatio)
 			}
 
-			tr.Stop()
+			drv.Close()
 			tr.Quiesce(1 << 20)
 			if err := tr.CheckBalanced(1); err != nil {
 				t.Fatal(err)
@@ -710,7 +647,7 @@ func TestSizeAndKeysUnderConcurrentReads(t *testing.T) {
 	// consistent snapshot even while writers run.
 	s := stm.New()
 	tr := New(s, WithVariant(Optimized))
-	tr.Start()
+	drv := NewDriver(1, tr)
 	th := s.NewThread()
 	for k := uint64(0); k < 200; k += 2 {
 		tr.Insert(th, k, k)
@@ -766,5 +703,5 @@ func TestSizeAndKeysUnderConcurrentReads(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	tr.Stop()
+	drv.Close()
 }

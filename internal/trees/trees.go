@@ -50,33 +50,13 @@ type Map interface {
 	RangeTx(tx *stm.Tx, lo, hi uint64, fn func(k, v uint64) bool) bool
 }
 
-// Maintained is implemented by trees with a background maintenance sweep
-// (the speculation-friendly variants). Start/Stop control the tree's own
-// maintenance goroutine; an external scheduler (the forest's shared worker
-// pool) drives RunMaintenancePass instead. RunMaintenancePass and Quiesce
-// are single-driver: at most one goroutine may drive a given tree at any
-// instant.
+// Maintained is implemented by trees with a maintenance sweep (the
+// speculation-friendly variants, and the no-restructuring ablation with
+// no-ops). Quiesce is single-driver: nothing else may drive the tree's
+// maintenance meanwhile.
 type Maintained interface {
-	Start()
-	Stop()
 	// Quiesce runs sweeps until one does no structural work.
 	Quiesce(maxPasses int) bool
-	// RunMaintenancePass executes one sweep, returning the structural work
-	// done.
-	RunMaintenancePass() int
-}
-
-// MaintainedOf returns m's maintenance surface when the tree actually
-// performs maintenance. The no-restructuring ablation satisfies Maintained
-// with no-ops (it must remain registry-compatible) and is excluded here, so
-// schedulers and statistics never report workers for a tree that by
-// definition does no structural work.
-func MaintainedOf(m Map) (Maintained, bool) {
-	if _, ok := m.(*nrtree.Tree); ok {
-		return nil, false
-	}
-	mt, ok := m.(Maintained)
-	return mt, ok
 }
 
 // Kind names a tree library with the labels of the paper's figures.
@@ -135,17 +115,19 @@ func New(kind Kind, s *stm.STM) Map {
 	}
 }
 
-// Start begins background maintenance when the tree has any (no-op
-// otherwise), returning a stop function.
+// Start begins background maintenance when the tree has any — a
+// one-worker sftree.Driver over a speculation-friendly tree; a no-op for
+// the RB, AVL and no-restructuring trees — returning the function that
+// stops it.
 func Start(m Map) (stop func()) {
-	if mt, ok := m.(Maintained); ok {
-		mt.Start()
-		return mt.Stop
+	if t, ok := m.(*sftree.Tree); ok {
+		return sftree.NewDriver(1, t).Close
 	}
 	return func() {}
 }
 
-// Quiesce drains maintenance work when the tree has any.
+// Quiesce drains maintenance work when the tree has any. It drives the
+// tree itself, so maintenance begun by Start must be stopped first.
 func Quiesce(m Map, maxPasses int) {
 	if mt, ok := m.(Maintained); ok {
 		mt.Quiesce(maxPasses)

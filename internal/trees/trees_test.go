@@ -70,6 +70,7 @@ func TestAllKindsConformance(t *testing.T) {
 			if m.Contains(th, 1000) {
 				t.Fatal("net-noop transaction left residue")
 			}
+			stop() // Quiesce drives the tree itself
 			Quiesce(m, 1000)
 		})
 	}

@@ -136,6 +136,7 @@ func TestObsEndpointSmoke(t *testing.T) {
 		`sftree_node_bytes{shard="0"}`,
 		// Maintenance worker pool.
 		"forest_pool_workers",
+		"forest_pool_busy_nanos_total",
 		"forest_pool_sweeps_total",
 		// Cross-shard coordinator.
 		"ftx_commits_total",

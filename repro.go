@@ -142,15 +142,14 @@ type Tree struct {
 type Option func(*treeCfg)
 
 type treeCfg struct {
-	mode         stm.Mode
-	maintenance  bool
-	shards       int
-	maintWorkers int
-	cm           stm.ContentionManager
-	dur          *durable.Options
-	obs          bool
-	obsAddr      string
-	trace        int // WithTracing sample-every (0 = tracing off)
+	mode        stm.Mode
+	maintenance bool
+	shards      int
+	cm          stm.ContentionManager
+	dur         *durable.Options
+	obs         bool
+	obsAddr     string
+	trace       int // WithTracing sample-every (0 = tracing off)
 }
 
 // WithTMMode selects the TM algorithm (default CommitTimeLocking).
@@ -168,13 +167,6 @@ func WithoutMaintenance() Option { return func(c *treeCfg) { c.maintenance = fal
 // across shards — run atomically through Handle.Atomic's two-phase-commit
 // coordinator. NewTree panics on n < 1; Open returns the error.
 func WithShards(n int) Option { return func(c *treeCfg) { c.shards = n } }
-
-// WithMaintWorkers sizes the shared maintenance worker pool at n workers
-// (default min(shards, GOMAXPROCS/2), at least 1; never more than the shard
-// count, so a one-shard tree runs one worker). The pool runs the maintenance
-// sweeps of all shards, so total maintenance CPU is bounded by the pool size
-// rather than the shard count.
-func WithMaintWorkers(n int) Option { return func(c *treeCfg) { c.maintWorkers = n } }
 
 // WithObservability turns on the tree's observability layer: a metrics
 // registry that every layer (STM commit/abort taxonomy per shard, tree
@@ -265,7 +257,6 @@ func (c *treeCfg) newForest(kind Kind) *forest.Forest {
 		forest.WithShards(c.shards),
 		forest.WithTMMode(c.mode),
 		forest.WithContentionManager(c.cm),
-		forest.WithMaintWorkers(c.maintWorkers),
 	}
 	if !c.maintenance {
 		fopts = append(fopts, forest.WithoutMaintenance())
@@ -532,7 +523,7 @@ func (t *Tree) MaintenanceStats() sftree.Stats { return t.f.MaintenanceStats() }
 type MaintPoolStats = forest.PoolStats
 
 // MaintPoolStats returns a snapshot of the shared maintenance worker pool
-// (one worker on a one-shard tree). Workers is the configured pool size (0
+// (one worker on a one-shard tree). Workers is the pool size (0
 // when the tree was built without maintenance or its kind has none) and,
 // like the counters, survives Close — Close freezes the numbers, it does
 // not zero them.

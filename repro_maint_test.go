@@ -1,15 +1,17 @@
 package repro
 
 import (
+	"runtime"
 	"testing"
 	"time"
 )
 
-// TestMaintWorkersOption: the shared pool honours WithMaintWorkers and
-// reports its sweeps through MaintPoolStats; their removals surface in
-// MaintenanceStats.
+// TestMaintWorkersOption: the shared pool sizes itself at
+// min(shards, GOMAXPROCS/2) workers and reports its sweeps through
+// MaintPoolStats; their removals surface in MaintenanceStats.
 func TestMaintWorkersOption(t *testing.T) {
-	tr := NewTree(SpeculationFriendlyOptimized, WithShards(8), WithMaintWorkers(2))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	tr := NewTree(SpeculationFriendlyOptimized, WithShards(8))
 	defer tr.Close()
 	if got := tr.MaintPoolStats().Workers; got != 2 {
 		t.Fatalf("Workers = %d, want 2", got)

@@ -21,11 +21,14 @@ test:
 # Race-detector pass over the concurrency-critical packages (the STM with
 # its prepared-transaction tests, the speculation-friendly tree with its
 # maintenance driver, the tree registry with the elastic-move regression,
-# the sharded forest with the cross-shard transaction oracle and Move
+# the sharded forest with the Atomic transaction oracle and Move
 # tortures, the ftx coordinator, the observability registry/flight
 # recorder, the public facade, and the vacation, paper-figure runner and
 # no-restructuring packages, which start maintenance through trees.Start
-# beside concurrent clients). The
+# beside concurrent clients). The forest and ftx packages run a second time
+# at -cpu 2,8: every shard of a forest commits on one version clock, and 8
+# Ps on a machine with fewer cores interleave its clock and lock traffic in
+# ways the default P count does not. The
 # timeout guards against a stress test livelocking under the detector's
 # serialization. The AllocsPerRun == 0 gates run here too and hold today (the
 # detector's shadow memory is not counted as Go allocations), but what they
@@ -33,7 +36,8 @@ test:
 # toolchain change make them fail here only, skip them under a `race` build
 # tag rather than loosen them.
 race:
-	$(GO) test -race -timeout 10m ./internal/stm ./internal/sftree ./internal/trees ./internal/ring ./internal/forest ./internal/ftx ./internal/durable ./internal/obs ./internal/vacation ./internal/experiments ./internal/nrtree .
+	$(GO) test -race -timeout 10m ./internal/stm ./internal/sftree ./internal/trees ./internal/ring ./internal/durable ./internal/obs ./internal/vacation ./internal/experiments ./internal/nrtree .
+	$(GO) test -race -timeout 10m -cpu 2,8 ./internal/forest ./internal/ftx
 
 # The internal packages' tests on a 32-bit build: the only run where int is
 # 32 bits wide (a uint64 counter converted to int goes negative after 2³¹),
@@ -67,8 +71,9 @@ obs-smoke:
 
 # Span-tracer smoke: drive a short durable contended workload through the
 # facade with full sampling and poll /trace while it runs, asserting the
-# accumulated spans cover every instrumented layer — an STM retry, an ftx
-# prepare phase, and a WAL append stretching to its group-commit fsync.
+# accumulated spans cover every instrumented layer — an STM retry, an
+# Atomic op with the attempt spans of its commit transaction, and a WAL
+# append stretching to its group-commit fsync.
 trace-smoke:
 	$(GO) test -run TestTraceEndpointSmoke -count=1 -v .
 

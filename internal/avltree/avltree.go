@@ -32,6 +32,9 @@ type Tree struct {
 	retired atomic.Uint64
 }
 
+// STM returns the domain the tree lives in.
+func (t *Tree) STM() *stm.STM { return t.s }
+
 // New creates an empty AVL tree on the given STM domain.
 func New(s *stm.STM) *Tree {
 	return &Tree{s: s, ar: arena.New()}
@@ -427,10 +430,6 @@ func (t *Tree) rangeWalk(tx *stm.Tx, ref arena.Ref, lo, hi uint64, fn func(k, v 
 	}
 	return true
 }
-
-// EmptyHint reports, from one plain read, whether the tree was just observed
-// empty; read-only scans may use it to skip the tree without a transaction.
-func (t *Tree) EmptyHint() bool { return t.root.Plain() == arena.Nil }
 
 // CheckInvariants verifies (with plain reads; quiescent use only) that the
 // tree is a valid BST, that every stored height is exact, and that every

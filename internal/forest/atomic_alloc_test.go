@@ -75,7 +75,7 @@ func (x *atomicFixture) colocate(tb testing.TB) {
 		if k > 1<<12 {
 			tb.Fatal("no four co-located keys")
 		}
-		if x.f.SameShard(0, k) {
+		if x.f.ShardOf(0) == x.f.ShardOf(k) {
 			x.ks[n] = k
 			n++
 		}
@@ -84,13 +84,13 @@ func (x *atomicFixture) colocate(tb testing.TB) {
 
 // The pooled-context contract of internal/ftx: once a handle's coordinator
 // has grown to a transaction's size, running it again allocates nothing —
-// on any of the three commit paths, and for the cross-shard Move built on
-// them. AllocsPerRun counts process-wide mallocs, so nothing runs in the
+// whichever shards it touches, with or without writes, and for the
+// cross-shard Move. AllocsPerRun counts process-wide mallocs, so nothing runs in the
 // background.
 func TestAtomicZeroAllocs(t *testing.T) {
 	gate := func(t *testing.T, what string, op func()) {
 		t.Helper()
-		op() // warm up: shard threads, coordinator, log growth
+		op() // warm up: coordinator, log growth
 		if avg := testing.AllocsPerRun(200, op); avg != 0 {
 			t.Fatalf("%s allocates %.2f times per run, want 0", what, avg)
 		}
@@ -101,7 +101,7 @@ func TestAtomicZeroAllocs(t *testing.T) {
 		before := x.h.XactStats()
 		gate(t, "4-read/2-write cross-shard transfer", func() { x.h.Atomic(x.transfer) })
 		if st := x.h.XactStats(); st.Fallbacks != before.Fallbacks || st.ReadOnly != before.ReadOnly {
-			t.Fatalf("stats %+v: the transfers did not take the two-phase path", st)
+			t.Fatalf("stats %+v: the transfers were not counted as writing cross-shard commits", st)
 		}
 	})
 	t.Run("audit/read-only", func(t *testing.T) {
@@ -109,7 +109,13 @@ func TestAtomicZeroAllocs(t *testing.T) {
 		x.spread(t)
 		gate(t, "4-read cross-shard audit", func() { x.h.Atomic(x.audit) })
 		if st := x.h.XactStats(); st.ReadOnly != st.Commits {
-			t.Fatalf("stats %+v: the audits did not take the read-only path", st)
+			t.Fatalf("stats %+v: the audits were not counted as read-only cross-shard commits", st)
+		}
+		// One commit transaction per audit on the handle's one thread.
+		c0 := x.h.Stats().Commits
+		x.h.Atomic(x.audit)
+		if c := x.h.Stats().Commits - c0; c != 1 {
+			t.Fatalf("an 8-shard audit committed %d STM transactions, want 1", c)
 		}
 	})
 	t.Run("transfer/single-shard", func(t *testing.T) {
@@ -117,14 +123,14 @@ func TestAtomicZeroAllocs(t *testing.T) {
 		x.colocate(t)
 		gate(t, "single-shard fallback transfer", func() { x.h.Atomic(x.transfer) })
 		if st := x.h.XactStats(); st.Fallbacks != st.Commits {
-			t.Fatalf("stats %+v: the transfers did not take the fallback path", st)
+			t.Fatalf("stats %+v: the transfers were not counted as single-shard commits", st)
 		}
 	})
 	t.Run("move/cross-shard", func(t *testing.T) {
 		x := newAtomicFixture(t, 8, 1<<10)
 		x.spread(t)
 		src, dst := x.ks[0], uint64(1<<20)
-		for x.f.SameShard(src, dst) {
+		for x.f.ShardOf(src) == x.f.ShardOf(dst) {
 			dst++
 		}
 		gate(t, "cross-shard Move", func() {
@@ -187,7 +193,7 @@ func TestDurableUpdateZeroAllocs(t *testing.T) {
 		// The same-shard Move, its WAL hook included: there and back between
 		// two private keys of one shard.
 		k2 := uint64(k + 1)
-		for !x.f.SameShard(k, k2) {
+		for x.f.ShardOf(k) != x.f.ShardOf(k2) {
 			k2++
 		}
 		x.h.Insert(k, 7)
@@ -316,7 +322,7 @@ func TestAtomicLargeTransaction(t *testing.T) {
 		}
 	}
 	if st := x.h.XactStats(); st.Commits != 6 || st.Fallbacks+st.ReadOnly != 0 {
-		t.Fatalf("stats %+v, want 6 two-phase commits", st)
+		t.Fatalf("stats %+v, want 6 writing cross-shard commits", st)
 	}
 	// Logged, not asserted: a wall-clock ratio is a flake on a shared host.
 	// That lookups leave the linear scan past a handful of entries is pinned

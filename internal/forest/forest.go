@@ -1,43 +1,33 @@
-// Package forest shards the uint64 key space across S independent
-// STM-domain + tree pairs, turning the paper's single-domain
-// speculation-friendly tree into a horizontally scalable structure.
+// Package forest shards the uint64 key space across S trees of one STM
+// domain, turning the paper's single-tree design into a partitioned
+// structure whose transactions still span the whole key space.
 //
-// Each shard owns a private stm.STM (its own global version clock), a
-// private tree of any trees.Kind, and — for the speculation-friendly
-// variants — its own maintenance sweep, run by one sftree.Driver whose
+// Every shard is a tree of any trees.Kind in the forest's one stm.STM, and
+// — for the speculation-friendly variants — swept by one sftree.Driver whose
 // worker pool the shards share. Keys are routed to shards by a fixed
-// avalanche hash of the key, so the hot single points of the one-domain design
-// (version-clock increments, commit-time lock contention) all split S ways
-// while every intra-shard property of the paper's algorithm is preserved
-// unchanged.
+// avalanche hash of the key. Sharding still buys what partitioning trees
+// buys: S shallower trees, maintenance sweeps that split S ways across the
+// pool, and per-shard WAL records, checkpoint files and recovery appliers.
+// What it no longer splits is the version clock: every commit of the forest
+// advances one clock, as in the paper's one TM domain. A single global clock
+// is TL2's known scaling limit at many cores; the 2-vCPU host this was
+// measured on cannot probe it.
 //
 // # Atomicity semantics
 //
+// One STM makes every composition an ordinary transaction, whichever
+// shards it touches:
+//
 //   - Single-key operations (Insert, Delete, Get, Contains) are exactly as
-//     atomic as on the underlying tree: one transaction on one shard.
-//   - Composite single-shard transactions (Handle.Update) are routed to the
-//     shard owning the routing key and are fully atomic there. Keys from
-//     other shards must not be touched inside the transaction (the Op
-//     methods panic if they are); use SameShard to check co-location first.
-//   - Composite cross-shard transactions (Handle.Atomic) may read and write
-//     any keys and commit atomically — all effects or none — through the
-//     internal/ftx coordinator's shard-ordered two-phase commit over the
-//     per-shard STM domains. When every touched key lands on one shard the
-//     coordinator falls back to a single ordinary transaction, so Atomic
-//     costs the 2PC machinery only when a transaction actually spans
-//     shards; SameShard-routed Update remains the cheapest composition.
-//   - Move(src, dst) is atomic always: one single-shard transaction when
-//     SameShard(src, dst), one cross-shard ftx transaction otherwise. (The
-//     pre-ftx best-effort insert-first/compensate protocol and its move
-//     claims are gone.)
-//   - Size and Keys compose per-shard snapshots; each shard's contribution
-//     is internally consistent but the shards are not cut at one instant.
-//   - Range visits [lo, hi] in ascending key order by k-way-merging one
-//     ordered snapshot per shard, under exactly the Size/Keys consistency
-//     contract: every shard's contribution is one consistent snapshot of
-//     the interval, but the shards are not cut at one instant, so a value
-//     moving between shards concurrently can be seen at both keys or at
-//     neither.
+//     atomic as on the underlying tree: one transaction on one tree.
+//   - Handle.Update runs fn as one transaction; each Op routes its key to
+//     the owning shard's tree.
+//   - Handle.Atomic runs fn against the buffering ftx.Tx and commits every
+//     read and write in one transaction (internal/ftx).
+//   - Move(src, dst) is one transaction over the source and destination
+//     keys' trees, on one shard or two.
+//   - Range, Keys and Len read every shard in one read-only transaction:
+//     one snapshot of the whole forest.
 //
 // With one shard a Forest is semantically identical to the bare tree: the
 // paper's configuration, one tree in one STM domain. Every repro.Tree is a
@@ -58,28 +48,12 @@ import (
 	"repro/internal/trees"
 )
 
-// shard is one partition: a private STM domain and a tree living in it.
-// It fills two cache lines (on 64-bit builds): every routed operation
-// reads stm and m, every cross-shard prepare locks intents, and packed
-// densely one shard's intents lock shares a line with another shard's
-// routing fields.
-type shard struct {
-	stm *stm.STM
-	m   trees.Map
-	_   [40]byte
-
-	// intents is the shard's cross-shard-commit intent table: every
-	// coordinator (Handle.Atomic) of the forest claims its touched keys
-	// here for the prepare→finalize window (see internal/ftx).
-	intents ftx.IntentTable
-	_       [48]byte
-}
-
 // Forest is a sharded transactional map from uint64 keys to uint64 values.
 // Create one with New; every goroutine accessing it must use its own Handle.
 type Forest struct {
-	kind   trees.Kind
-	shards []*shard
+	kind trees.Kind
+	stm  *stm.STM
+	maps []trees.Map // the shards' trees, indexed by shard
 	// drv sweeps the speculation-friendly shards. It has no workers when
 	// the forest runs no maintenance, and its Pause still brackets Quiesce
 	// and the statistics accessors.
@@ -92,7 +66,7 @@ type Forest struct {
 	// application goroutines are already running operations.
 	fr     atomic.Pointer[obs.FlightRecorder]
 	tracer atomic.Pointer[obs.Tracer]
-	// coordMu/coords track every cross-shard coordinator handed out by
+	// coordMu/coords track every transaction coordinator handed out by
 	// Handle.Atomic, so the registry's ftx collector can aggregate their
 	// per-coordinator snapshots into forest-wide series.
 	coordMu sync.Mutex
@@ -103,15 +77,16 @@ type Forest struct {
 	// registered as a reliable post-commit hook so aborted attempts log
 	// nothing. Set once by AttachWAL before concurrent use.
 	wal *durable.Log
-	// ckptThs are the checkpointer's per-shard STM threads (SnapshotShard),
-	// lazily created and touched only by the single checkpoint driver.
-	ckptThs []*stm.Thread
+	// ckptTh is the checkpointer's STM thread (SnapshotShard), lazily
+	// created and touched only by the single checkpoint driver.
+	ckptTh *stm.Thread
 }
 
 // AttachWAL connects the forest to a write-ahead log: from now on every
 // committed mutating transaction — single-key updates, composed Update
-// transactions, moves, and the per-shard effects of cross-shard Atomic
-// commits — appends one durable record carrying its commit-clock position.
+// transactions, moves and Atomic commits — appends one durable record
+// carrying its commit-clock position (one multi-shard record when its
+// effects span shards).
 // Attach before the forest is shared between goroutines (repro.Open does it
 // between recovery replay and returning); reads and the maintenance
 // subsystem are unaffected, since structural transactions never change the
@@ -168,8 +143,11 @@ func (c *chunkSize) committed() {
 // shard-clock positions (see durable.Source for why the minimum is the
 // safe cut). Single-caller (the checkpoint driver).
 func (f *Forest) SnapshotShard(si int, fn func(k, v uint64)) uint64 {
-	sh := f.shards[si]
-	th := f.ckptThread(si)
+	m := f.maps[si]
+	if f.ckptTh == nil {
+		f.ckptTh = f.stm.NewThread()
+	}
+	th := f.ckptTh
 	cut := ^uint64(0)
 	var (
 		lo, pos uint64
@@ -189,7 +167,7 @@ func (f *Forest) SnapshotShard(si int, fn func(k, v uint64)) uint64 {
 	scan := func(tx *stm.Tx) {
 		limit = size.attempt()
 		chunk = chunk[:0]
-		sh.m.RangeTx(tx, lo, ^uint64(0), collect)
+		m.RangeTx(tx, lo, ^uint64(0), collect)
 		pos = tx.Snapshot()
 	}
 	for {
@@ -204,18 +182,6 @@ func (f *Forest) SnapshotShard(si int, fn func(k, v uint64)) uint64 {
 		}
 		lo = chunk[len(chunk)-1].k + 1
 	}
-}
-
-// ckptThread returns shard si's lazily created checkpointer STM thread
-// (touched only by the single checkpoint driver).
-func (f *Forest) ckptThread(si int) *stm.Thread {
-	if f.ckptThs == nil {
-		f.ckptThs = make([]*stm.Thread, len(f.shards))
-	}
-	if f.ckptThs[si] == nil {
-		f.ckptThs[si] = f.shards[si].stm.NewThread()
-	}
-	return f.ckptThs[si]
 }
 
 // The forest is the durable layer's checkpoint source.
@@ -235,10 +201,10 @@ type cfg struct {
 // WithShards sets the number of partitions (default 1; must be >= 1).
 func WithShards(n int) Option { return func(c *cfg) { c.shards = n } }
 
-// WithTMMode selects the TM algorithm of every shard's STM domain.
+// WithTMMode selects the TM algorithm of the forest's STM domain.
 func WithTMMode(m stm.Mode) Option { return func(c *cfg) { c.mode = m } }
 
-// WithContentionManager selects the abort→retry policy of every shard's STM
+// WithContentionManager selects the abort→retry policy of the forest's STM
 // domain (default stm.Backoff; nil is ignored).
 func WithContentionManager(cm stm.ContentionManager) Option {
 	return func(c *cfg) { c.cm = cm }
@@ -248,8 +214,7 @@ func WithContentionManager(cm stm.ContentionManager) Option {
 // drives maintenance manually via Quiesce.
 func WithoutMaintenance() Option { return func(c *cfg) { c.maintenance = false } }
 
-// WithYield enables the STM interleaving simulation on every shard
-// (stm.WithYield).
+// WithYield enables the STM interleaving simulation (stm.WithYield).
 func WithYield(n int) Option { return func(c *cfg) { c.yieldEvery = n } }
 
 // New creates an empty forest of the given tree kind. Unless
@@ -264,17 +229,16 @@ func New(kind trees.Kind, opts ...Option) *Forest {
 	if c.shards < 1 {
 		panic(fmt.Sprintf("forest: shard count %d < 1", c.shards))
 	}
-	f := &Forest{kind: kind, shards: make([]*shard, c.shards)}
+	s := stm.New(stm.WithMode(c.mode), stm.WithContentionManager(c.cm), stm.WithYield(c.yieldEvery))
+	f := &Forest{kind: kind, stm: s, maps: make([]trees.Map, c.shards)}
 	var swept []*sftree.Tree
-	for i := range f.shards {
-		s := stm.New(stm.WithMode(c.mode), stm.WithContentionManager(c.cm), stm.WithYield(c.yieldEvery))
-		sh := &shard{stm: s, m: trees.New(kind, s)}
+	for i := range f.maps {
+		f.maps[i] = trees.New(kind, s)
 		// The no-restructuring tree wraps an sftree.Tree but is its own
 		// type, so it is not swept.
-		if t, ok := sh.m.(*sftree.Tree); ok {
+		if t, ok := f.maps[i].(*sftree.Tree); ok {
 			swept = append(swept, t)
 		}
-		f.shards[i] = sh
 	}
 	workers := 0
 	if c.maintenance && len(swept) > 0 {
@@ -288,12 +252,12 @@ func New(kind trees.Kind, opts ...Option) *Forest {
 func (f *Forest) Kind() trees.Kind { return f.kind }
 
 // Shards reports the number of partitions.
-func (f *Forest) Shards() int { return len(f.shards) }
+func (f *Forest) Shards() int { return len(f.maps) }
 
 // Close stops the maintenance workers. The forest remains fully usable
 // (readable and writable); only the structural upkeep stops. Closing an
 // already-closed forest is a documented no-op, and Close is safe to call
-// concurrently with Stats/ShardStats/MaintenanceStats — maintenance is
+// concurrently with Stats/MaintenanceStats — maintenance is
 // guaranteed stopped once Close and any overlapping accessors return.
 func (f *Forest) Close() { f.drv.Close() }
 
@@ -319,8 +283,8 @@ func (f *Forest) PoolStats() PoolStats { return PoolStats{DriverStats: f.drv.Sta
 // are single-driver).
 func (f *Forest) Quiesce(maxPasses int) {
 	defer f.drv.Pause()()
-	for _, sh := range f.shards {
-		trees.Quiesce(sh.m, maxPasses)
+	for _, m := range f.maps {
+		trees.Quiesce(m, maxPasses)
 	}
 }
 
@@ -336,46 +300,28 @@ func mix(k uint64) uint64 {
 
 // ShardOf returns the index of the shard owning key k.
 func (f *Forest) ShardOf(k uint64) int {
-	if len(f.shards) == 1 {
+	if len(f.maps) == 1 {
 		return 0
 	}
-	return int(mix(k) % uint64(len(f.shards)))
+	return int(mix(k) % uint64(len(f.maps)))
 }
 
-// SameShard reports whether k1 and k2 are co-located, i.e. whether a
-// composite transaction (Update, atomic Move) may span both keys.
-func (f *Forest) SameShard(k1, k2 uint64) bool { return f.ShardOf(k1) == f.ShardOf(k2) }
-
-// Stats returns the STM statistics summed over all shards. The
+// Stats returns the STM statistics summed over every thread of the
+// forest's domain. The
 // maintenance workers are paused while their threads' counters are read
 // (those are plain fields readable only while their owner is quiet);
 // caller handles must be quiescent (as for stm.Thread.Stats).
 func (f *Forest) Stats() stm.Stats {
 	defer f.drv.Pause()()
-	var t stm.Stats
-	for _, sh := range f.shards {
-		t.Add(sh.stm.TotalStats())
-	}
-	return t
-}
-
-// ShardStats returns each shard's own STM statistics, indexed by shard,
-// under the same quiescence contract as Stats.
-func (f *Forest) ShardStats() []stm.Stats {
-	defer f.drv.Pause()()
-	out := make([]stm.Stats, len(f.shards))
-	for i, sh := range f.shards {
-		out[i] = sh.stm.TotalStats()
-	}
-	return out
+	return f.stm.TotalStats()
 }
 
 // MaintenanceStats sums structural-activity counters over all shards
 // (zero value for kinds without maintenance).
 func (f *Forest) MaintenanceStats() sftree.Stats {
 	var t sftree.Stats
-	for _, sh := range f.shards {
-		if sf, ok := sh.m.(interface{ Stats() sftree.Stats }); ok {
+	for _, m := range f.maps {
+		if sf, ok := m.(interface{ Stats() sftree.Stats }); ok {
 			t.Add(sf.Stats())
 		}
 	}
@@ -386,8 +332,8 @@ func (f *Forest) MaintenanceStats() sftree.Stats {
 func (f *Forest) Rotations() (uint64, bool) {
 	var total uint64
 	any := false
-	for _, sh := range f.shards {
-		if r, ok := trees.Rotations(sh.m); ok {
+	for _, m := range f.maps {
+		if r, ok := trees.Rotations(m); ok {
 			total += r
 			any = true
 		}

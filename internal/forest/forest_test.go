@@ -5,24 +5,11 @@ import (
 	"reflect"
 	"sync"
 	"testing"
-	"unsafe"
 
+	"repro/internal/ftx"
 	"repro/internal/stm"
 	"repro/internal/trees"
 )
-
-// TestShardLayout pins the shard to two cache lines on 64-bit builds, the
-// routing fields on the first and the intent table on the second (see
-// shard).
-func TestShardLayout(t *testing.T) {
-	if unsafe.Sizeof(uintptr(0)) != 8 {
-		t.Skip("the padding is sized for 64-bit pointers")
-	}
-	var sh shard
-	if size, off := unsafe.Sizeof(sh), unsafe.Offsetof(sh.intents); size != 128 || off != 64 {
-		t.Fatalf("shard is %d B with intents at %d, want 128 B with intents at 64", size, off)
-	}
-}
 
 func TestShardRouting(t *testing.T) {
 	f := New(trees.SFOpt, WithShards(8), WithoutMaintenance())
@@ -35,12 +22,6 @@ func TestShardRouting(t *testing.T) {
 		}
 		if f.ShardOf(k) != si {
 			t.Fatal("ShardOf is not stable")
-		}
-		if f.SameShard(k, k) != true {
-			t.Fatal("SameShard(k,k) = false")
-		}
-		if f.SameShard(k, k+1) != (si == f.ShardOf(k+1)) {
-			t.Fatal("SameShard disagrees with ShardOf")
 		}
 		counts[si]++
 	}
@@ -60,9 +41,6 @@ func TestSingleShardIsPassthrough(t *testing.T) {
 	for k := uint64(0); k < 100; k++ {
 		if f.ShardOf(k) != 0 {
 			t.Fatalf("ShardOf(%d) = %d with one shard", k, f.ShardOf(k))
-		}
-		if !f.SameShard(k, k*7919) {
-			t.Fatal("SameShard false with one shard")
 		}
 	}
 }
@@ -105,13 +83,10 @@ func TestBasicOpsAcrossShards(t *testing.T) {
 	if h.Len() != n/2 {
 		t.Fatalf("len after deletes = %d", h.Len())
 	}
-	// The handle's per-shard threads account for every routed op.
-	var commits uint64
-	for _, st := range h.ShardStats() {
-		commits += st.Commits
-	}
-	if commits == 0 {
-		t.Fatal("no routed operations recorded")
+	// The handle's one thread accounts for every routed op: n inserts, n/2
+	// deletes (the n failed duplicate inserts commit read-only).
+	if c := h.Stats().Commits; c < n+n/2 {
+		t.Fatalf("handle thread recorded %d commits, want at least %d", c, n+n/2)
 	}
 }
 
@@ -123,10 +98,10 @@ func TestMoveSemantics(t *testing.T) {
 	// Find a same-shard pair and a cross-shard pair.
 	same, cross := uint64(0), uint64(0)
 	for k := uint64(1); k < 1000; k++ {
-		if f.SameShard(100, k) && k != 100 && same == 0 {
+		if f.ShardOf(100) == f.ShardOf(k) && k != 100 && same == 0 {
 			same = k
 		}
-		if !f.SameShard(100, k) && cross == 0 {
+		if f.ShardOf(100) != f.ShardOf(k) && cross == 0 {
 			cross = k
 		}
 	}
@@ -164,47 +139,62 @@ func TestMoveSemantics(t *testing.T) {
 	}
 }
 
+// TestUpdateRoutedAndGuarded: Update routes every Op key to its own
+// shard's tree inside one transaction — composed moves to a same-shard and
+// to a foreign-shard key both apply, and one Update over keys on every
+// shard is one commit — and a nested Update on the same handle panics
+// instead of composing two transactions.
 func TestUpdateRoutedAndGuarded(t *testing.T) {
 	f := New(trees.SFOpt, WithShards(4), WithoutMaintenance())
 	defer f.Close()
 	h := f.NewHandle()
 
-	// A composed same-shard move through Update.
-	var k2 uint64
-	for k := uint64(1); ; k++ {
-		if f.SameShard(5, k) && k != 5 {
-			k2 = k
-			break
+	var same, foreign uint64
+	for k := uint64(6); same == 0 || foreign == 0; k++ {
+		if f.ShardOf(5) == f.ShardOf(k) && same == 0 {
+			same = k
 		}
+		if f.ShardOf(5) != f.ShardOf(k) && foreign == 0 {
+			foreign = k
+		}
+	}
+	move := func(src, dst uint64) {
+		h.Update(func(op *Op) {
+			if v, ok := op.Get(src); ok && !op.Contains(dst) {
+				op.Delete(src)
+				op.Insert(dst, v)
+			}
+		})
 	}
 	h.Insert(5, 55)
-	h.Update(5, func(op *Op) {
-		if v, ok := op.Get(5); ok && !op.Contains(k2) {
-			op.Delete(5)
-			op.Insert(k2, v)
-		}
-	})
-	if h.Contains(5) {
+	move(5, same)
+	move(same, foreign)
+	if h.Contains(5) || h.Contains(same) {
 		t.Fatal("composed delete not applied")
 	}
-	if v, ok := h.Get(k2); !ok || v != 55 {
-		t.Fatal("composed insert not applied")
+	if v, ok := h.Get(foreign); !ok || v != 55 {
+		t.Fatal("composed cross-shard insert not applied")
 	}
 
-	// Touching a foreign-shard key inside the transaction must panic.
-	var foreign uint64
-	for k := uint64(0); ; k++ {
-		if !f.SameShard(5, k) {
-			foreign = k
-			break
+	before := h.Stats().Commits
+	h.Update(func(op *Op) {
+		for k := uint64(1000); k < 1064; k++ {
+			op.Insert(k, k)
 		}
+	})
+	if c := h.Stats().Commits - before; c != 1 {
+		t.Fatalf("an Update over every shard took %d commits, want 1", c)
 	}
+	if h.Len() != 65 {
+		t.Fatalf("len = %d, want 65", h.Len())
+	}
+
 	defer func() {
 		if recover() == nil {
-			t.Fatal("foreign-shard access inside Update did not panic")
+			t.Fatal("nested Update did not panic")
 		}
 	}()
-	h.Update(5, func(op *Op) { op.Contains(foreign) })
+	h.Update(func(op *Op) { h.Update(func(op *Op) {}) })
 }
 
 // TestSingleShardMatchesBareTree drives an identical deterministic operation
@@ -314,5 +304,58 @@ func TestConcurrentStress(t *testing.T) {
 	}
 	if f.MaintenanceStats().Passes == 0 {
 		t.Fatal("maintenance never ran on any shard")
+	}
+}
+
+// TestHandleRegistersOneThread: a handle that touches all 8 shards — single
+// keys, a cross-shard Move, Atomic, Update and the scans — registers exactly
+// one STM thread with the forest's domain, and so does the checkpointer
+// snapshotting every shard. Every tree's epoch collector scans every
+// registered thread on each maintenance pass, so a thread per shard would
+// multiply that cost by the shard count.
+func TestHandleRegistersOneThread(t *testing.T) {
+	f := New(trees.SFOpt, WithShards(8), WithoutMaintenance())
+	defer f.Close()
+	threads := func() int { return len(f.stm.Threads()) }
+	before := threads()
+
+	h := f.NewHandle()
+	hit := map[int]bool{}
+	for k := uint64(0); len(hit) < f.Shards(); k++ {
+		hit[f.ShardOf(k)] = true
+		h.Insert(k, k)
+		h.Get(k)
+	}
+	dst := uint64(1 << 40)
+	for f.ShardOf(dst) == f.ShardOf(0) {
+		dst++
+	}
+	if !h.Move(0, dst) {
+		t.Fatal("cross-shard Move failed")
+	}
+	h.Atomic(func(tx *ftx.Tx) error {
+		for k := uint64(1); k < 64; k++ {
+			v, _ := tx.Get(k)
+			tx.Put(k, v+1)
+		}
+		return nil
+	})
+	h.Update(func(op *Op) {
+		for k := uint64(1); k < 64; k++ {
+			op.Delete(k)
+		}
+	})
+	h.Range(0, ^uint64(0), func(_, _ uint64) bool { return true })
+	h.Len()
+	h.Keys()
+	if n := threads() - before; n != 1 {
+		t.Fatalf("a handle touching every shard registered %d STM threads, want 1", n)
+	}
+
+	for si := range f.Shards() {
+		f.SnapshotShard(si, func(_, _ uint64) {})
+	}
+	if n := threads() - before; n != 2 {
+		t.Fatalf("the checkpointer over every shard registered %d STM threads, want 1", n-1)
 	}
 }

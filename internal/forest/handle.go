@@ -1,7 +1,6 @@
 package forest
 
 import (
-	"fmt"
 	"sync/atomic"
 	"time"
 
@@ -12,50 +11,41 @@ import (
 	"repro/internal/trees"
 )
 
-// Handle is a per-goroutine accessor to a Forest. It lazily creates and
-// caches one STM thread per shard, so a caller that only ever touches a few
-// partitions never registers with the others. Handles are not safe for
-// concurrent use; create one per goroutine.
+// Handle is a per-goroutine accessor to a Forest. It registers one STM
+// thread with the forest's domain, whichever shards it touches: every
+// registered thread is scanned by every tree's epoch collector
+// (sftree.Tree.RunMaintenancePass), so a thread per shard would cost each
+// sweep S times as much. Handles are not safe for concurrent use; create
+// one per goroutine.
 type Handle struct {
 	f     *Forest
-	ths   []*stm.Thread    // cached per-shard threads, created on first touch
-	coord *ftx.Coordinator // cross-shard transaction coordinator, on first Atomic
+	th    *stm.Thread
+	coord *ftx.Coordinator // Atomic's transaction coordinator, on first use
 
-	// mv is the cross-shard Move in flight and moveFn the transaction body
-	// that performs it, built once with the coordinator (a literal per call
-	// would be an allocation per Move).
-	mv struct {
-		src, dst uint64
-		ok       bool
-	}
-	moveFn func(*ftx.Tx) error
-
-	// oplog is the reusable per-transaction effect buffer of the durable
+	// effects is the reusable per-transaction effect buffer of the durable
 	// path: mutating operations collect their effects here during the
-	// attempt, and a reliable post-commit hook appends them to the WAL only
-	// if the attempt commits. logFn is that hook, acting on the shard
-	// logCommit stamped into logSi.
-	oplog []durable.Op
-	logSi int
-	logFn func(pos uint64)
+	// attempt, and a reliable post-commit hook, logFn, appends them to the
+	// WAL only if the attempt commits.
+	effects ftx.Effects
+	logFn   func(pos uint64)
 
 	// cur is the durable single-key Insert or Delete in flight, and
 	// insertFn/deleteFn the transaction bodies that perform it. Like logFn
-	// and moveFn they are built once per handle: a literal per call would
-	// be an allocation per durable update.
+	// they are built once per handle: a literal per call would be an
+	// allocation per durable update.
 	cur struct {
-		sh   *shard
+		m    trees.Map
 		si   int
 		k, v uint64
 		ok   bool
 	}
 	insertFn, deleteFn func(*stm.Tx)
 
-	// smv performs the same-shard moves (the §5.4 composition, written once
-	// in sftree.Mover); its OnMoved hook, logMove, registers a durable
-	// forest's WAL record of the move for shard smvSi.
-	smv   trees.Mover
-	smvSi int
+	// mv performs moves (the §5.4 composition, written once in
+	// sftree.Mover) from shard mvSi's tree to shard mvDi's; its OnMoved
+	// hook, logMove, registers a durable forest's WAL record of the move.
+	mv         trees.Mover
+	mvSi, mvDi int
 
 	// scan is the handle's reusable Range state (range.go): nil while a
 	// Range is feeding its callback, which may scan again on this handle.
@@ -74,15 +64,15 @@ type Handle struct {
 // handleSeq distinguishes handles' sampling streams (see Handle.trRng).
 var handleSeq atomic.Uint64
 
-// NewHandle returns a handle with no shard threads allocated yet.
+// NewHandle returns a handle with its STM thread registered.
 func (f *Forest) NewHandle() *Handle {
 	h := &Handle{
 		f:     f,
-		ths:   make([]*stm.Thread, len(f.shards)),
+		th:    f.stm.NewThread(),
 		trRng: handleSeq.Add(1)*0x9e3779b97f4a7c15 | 1,
 	}
 	h.logFn, h.insertFn, h.deleteFn = h.logHook, h.insertTx, h.deleteTx
-	h.smv.OnMoved = h.logMove
+	h.mv.OnMoved = h.logMove
 	return h
 }
 
@@ -98,23 +88,19 @@ func (h *Handle) nextRand() uint64 {
 
 // traceStart makes the one sampling decision for a facade operation: on a
 // sampling hit, allocate a trace id, stamp it on the handle (logHook reads
-// it there) and attach the shard thread's trace context
-// so the STM lifecycle records per-attempt spans. An attached-but-unsampled
-// op pays one xorshift draw and a compare. Callers guard the call with an
-// inline h.f.tracer.Load() nil check — the call is too big for the inliner,
-// and the guard keeps the tracing-off path at one atomic load and a branch
-// with no call overhead. Returns a nil tracer when the op records nothing.
-// th may be nil for ops that span threads (Range, cross-shard Atomic) —
-// they attach per-thread contexts themselves.
-func (h *Handle) traceStart(tr *obs.Tracer, th *stm.Thread, op obs.OpKind) (*obs.Tracer, uint64, int64) {
+// it there) and attach the thread's trace context so the STM lifecycle
+// records per-attempt spans. An attached-but-unsampled op pays one xorshift
+// draw and a compare. Callers guard the call with an inline
+// h.f.tracer.Load() nil check — the call is too big for the inliner, and
+// the guard keeps the tracing-off path at one atomic load and a branch with
+// no call overhead. Returns a nil tracer when the op records nothing.
+func (h *Handle) traceStart(tr *obs.Tracer, op obs.OpKind) (*obs.Tracer, uint64, int64) {
 	if !tr.Sample(h.nextRand()) {
 		return nil, 0, 0
 	}
 	id := tr.NextID()
 	h.trID = id
-	if th != nil {
-		th.SetTraceContext(tr, id, op)
-	}
+	h.th.SetTraceContext(tr, id, op)
 	return tr, id, time.Now().UnixNano()
 }
 
@@ -122,10 +108,8 @@ func (h *Handle) traceStart(tr *obs.Tracer, th *stm.Thread, op obs.OpKind) (*obs
 // contexts, then record the facade-op span (EndOp also feeds the op-kind
 // latency histogram and the slow-op table). a is the op's result code —
 // 1/0 for boolean results, 0/1 for Atomic's nil/error.
-func (h *Handle) traceEnd(tr *obs.Tracer, th *stm.Thread, id uint64, op obs.OpKind, start, a int64) {
-	if th != nil {
-		th.SetTraceContext(nil, 0, 0)
-	}
+func (h *Handle) traceEnd(tr *obs.Tracer, id uint64, op obs.OpKind, start, a int64) {
+	h.th.SetTraceContext(nil, 0, 0)
 	h.trID = 0
 	tr.EndOp(id, op, start, time.Now().UnixNano(), a)
 }
@@ -141,58 +125,26 @@ func boolA(ok bool) int64 {
 // Forest returns the forest this handle accesses.
 func (h *Handle) Forest() *Forest { return h.f }
 
-// thread returns the handle's cached STM thread for shard si, registering
-// one with that shard's domain on first use.
-func (h *Handle) thread(si int) *stm.Thread {
-	if h.ths[si] == nil {
-		h.ths[si] = h.f.shards[si].stm.NewThread()
-	}
-	return h.ths[si]
-}
-
-// route resolves k to its shard and the handle's thread there.
-func (h *Handle) route(k uint64) (*shard, *stm.Thread, int) {
+// route resolves k to its shard's tree and index.
+func (h *Handle) route(k uint64) (trees.Map, int) {
 	si := h.f.ShardOf(k)
-	return h.f.shards[si], h.thread(si), si
+	return h.f.maps[si], si
 }
 
-// Stats sums the STM statistics of this handle's own per-shard threads —
-// the handle's contribution to the forest, excluding other handles and the
-// maintenance goroutines. Call only while the handle is quiescent.
-func (h *Handle) Stats() stm.Stats {
-	var t stm.Stats
-	for _, st := range h.ShardStats() {
-		t.Add(st)
-	}
-	return t
-}
-
-// ShardStats returns this handle's STM statistics split by shard (zero for
-// shards the handle never touched), under the same quiescence contract as
-// Stats.
-func (h *Handle) ShardStats() []stm.Stats {
-	out := make([]stm.Stats, len(h.ths))
-	for si, th := range h.ths {
-		if th != nil {
-			out[si] = th.Stats()
-		}
-	}
-	return out
-}
-
-// SameShard reports whether k1 and k2 are co-located (see Forest.SameShard).
-func (h *Handle) SameShard(k1, k2 uint64) bool { return h.f.SameShard(k1, k2) }
+// Stats reports the STM statistics of this handle's thread — the handle's
+// contribution to the forest, excluding other handles and the maintenance
+// goroutines. Call only while the handle is quiescent.
+func (h *Handle) Stats() stm.Stats { return h.th.Stats() }
 
 // logCommit registers the reliable post-commit hook that appends the
 // handle's collected effects to the forest's WAL with the transaction's
 // commit-clock position. Call at the end of a successful attempt, after
-// h.oplog holds the attempt's effects; an aborted attempt discards the
+// h.effects holds the attempt's effects; an aborted attempt discards the
 // registration with the attempt.
-func (h *Handle) logCommit(tx *stm.Tx, si int) {
-	if len(h.oplog) == 0 {
+func (h *Handle) logCommit(tx *stm.Tx) {
+	if h.effects.Len() == 0 {
 		return
 	}
-	h.logSi = si
 	tx.OnCommitted(h.logFn)
 }
 
@@ -200,7 +152,7 @@ func (h *Handle) logCommit(tx *stm.Tx, si int) {
 // inside the committing operation, so h.trID is still that op's trace id
 // (zero when untraced) and the WAL record's span stitches to it.
 func (h *Handle) logHook(pos uint64) {
-	h.f.wal.LogUpdateT(h.logSi, pos, h.oplog, h.trID)
+	h.effects.Log(h.f.wal, pos, h.trID)
 }
 
 // Insert maps k to v; false when k was already present. On a durable
@@ -208,26 +160,26 @@ func (h *Handle) logHook(pos uint64) {
 // (tree-managed allocation, so an aborted linking attempt may leak one
 // arena node — the InsertTxA discipline).
 func (h *Handle) Insert(k, v uint64) bool {
-	sh, th, si := h.route(k)
+	m, si := h.route(k)
 	var (
 		tr *obs.Tracer
 		id uint64
 		t0 int64
 	)
 	if t := h.f.tracer.Load(); t != nil {
-		tr, id, t0 = h.traceStart(t, th, obs.OpInsert)
+		tr, id, t0 = h.traceStart(t, obs.OpInsert)
 	}
 	var ok bool
 	if h.f.wal == nil {
-		ok = sh.m.Insert(th, k, v)
+		ok = m.Insert(h.th, k, v)
 	} else {
 		c := &h.cur
-		c.sh, c.si, c.k, c.v = sh, si, k, v
-		trees.Atomic(sh.m, th, h.insertFn)
+		c.m, c.si, c.k, c.v = m, si, k, v
+		trees.Atomic(m, h.th, h.insertFn)
 		ok = c.ok
 	}
 	if tr != nil {
-		h.traceEnd(tr, th, id, obs.OpInsert, t0, boolA(ok))
+		h.traceEnd(tr, id, obs.OpInsert, t0, boolA(ok))
 	}
 	return ok
 }
@@ -235,37 +187,37 @@ func (h *Handle) Insert(k, v uint64) bool {
 // insertTx is the body of a durable Insert, acting on h.cur.
 func (h *Handle) insertTx(tx *stm.Tx) {
 	c := &h.cur
-	h.oplog = h.oplog[:0]
-	c.ok = c.sh.m.InsertTxA(tx, c.k, c.v)
+	h.effects.Reset()
+	c.ok = c.m.InsertTxA(tx, c.k, c.v)
 	if c.ok {
-		h.oplog = append(h.oplog, durable.Op{Key: c.k, Val: c.v})
-		h.logCommit(tx, c.si)
+		h.effects.Add(c.si, durable.Op{Key: c.k, Val: c.v})
+		h.logCommit(tx)
 	}
 }
 
 // Delete removes k; false when absent. On a durable forest the delete runs
 // as a composable transaction with a logged effect, like Insert.
 func (h *Handle) Delete(k uint64) bool {
-	sh, th, si := h.route(k)
+	m, si := h.route(k)
 	var (
 		tr *obs.Tracer
 		id uint64
 		t0 int64
 	)
 	if t := h.f.tracer.Load(); t != nil {
-		tr, id, t0 = h.traceStart(t, th, obs.OpDelete)
+		tr, id, t0 = h.traceStart(t, obs.OpDelete)
 	}
 	var ok bool
 	if h.f.wal == nil {
-		ok = sh.m.Delete(th, k)
+		ok = m.Delete(h.th, k)
 	} else {
 		c := &h.cur
-		c.sh, c.si, c.k = sh, si, k
-		trees.Atomic(sh.m, th, h.deleteFn)
+		c.m, c.si, c.k = m, si, k
+		trees.Atomic(m, h.th, h.deleteFn)
 		ok = c.ok
 	}
 	if tr != nil {
-		h.traceEnd(tr, th, id, obs.OpDelete, t0, boolA(ok))
+		h.traceEnd(tr, id, obs.OpDelete, t0, boolA(ok))
 	}
 	return ok
 }
@@ -273,170 +225,105 @@ func (h *Handle) Delete(k uint64) bool {
 // deleteTx is the body of a durable Delete, acting on h.cur.
 func (h *Handle) deleteTx(tx *stm.Tx) {
 	c := &h.cur
-	h.oplog = h.oplog[:0]
-	c.ok = c.sh.m.DeleteTx(tx, c.k)
+	h.effects.Reset()
+	c.ok = c.m.DeleteTx(tx, c.k)
 	if c.ok {
-		h.oplog = append(h.oplog, durable.Op{Key: c.k, Del: true})
-		h.logCommit(tx, c.si)
+		h.effects.Add(c.si, durable.Op{Key: c.k, Del: true})
+		h.logCommit(tx)
 	}
 }
 
 // Get returns the value at k.
 func (h *Handle) Get(k uint64) (uint64, bool) {
-	sh, th, _ := h.route(k)
+	m, _ := h.route(k)
 	var (
 		tr *obs.Tracer
 		id uint64
 		t0 int64
 	)
 	if t := h.f.tracer.Load(); t != nil {
-		tr, id, t0 = h.traceStart(t, th, obs.OpGet)
+		tr, id, t0 = h.traceStart(t, obs.OpGet)
 	}
-	v, ok := sh.m.Get(th, k)
+	v, ok := m.Get(h.th, k)
 	if tr != nil {
-		h.traceEnd(tr, th, id, obs.OpGet, t0, boolA(ok))
+		h.traceEnd(tr, id, obs.OpGet, t0, boolA(ok))
 	}
 	return v, ok
 }
 
 // Contains reports whether k is present.
 func (h *Handle) Contains(k uint64) bool {
-	sh, th, _ := h.route(k)
+	m, _ := h.route(k)
 	var (
 		tr *obs.Tracer
 		id uint64
 		t0 int64
 	)
 	if t := h.f.tracer.Load(); t != nil {
-		tr, id, t0 = h.traceStart(t, th, obs.OpContains)
+		tr, id, t0 = h.traceStart(t, obs.OpContains)
 	}
-	ok := sh.m.Contains(th, k)
+	ok := m.Contains(h.th, k)
 	if tr != nil {
-		h.traceEnd(tr, th, id, obs.OpContains, t0, boolA(ok))
+		h.traceEnd(tr, id, obs.OpContains, t0, boolA(ok))
 	}
 	return ok
 }
 
 // Move relocates the value at src to dst; it succeeds only when src is
-// present and dst absent, and it is atomic regardless of where the keys
-// live. When SameShard(src, dst) the move is one ordinary transaction
-// (paper §5.4); across shards it runs as one cross-shard ftx transaction
-// (see Atomic), so a concurrent observer never sees the value at both keys
-// or at neither — the pre-ftx insert-first/compensate protocol and its
-// claim table are gone.
+// present and dst absent. It is one transaction — the composition of paper
+// §5.4 over src's tree and dst's tree, which are the same tree when the
+// keys share a shard — so a concurrent observer never sees the value at
+// both keys or at neither.
 func (h *Handle) Move(src, dst uint64) bool {
-	ssh, sth, ssi := h.route(src)
-	dsi := h.f.ShardOf(dst)
-	if ssi == dsi {
-		var (
-			tr *obs.Tracer
-			id uint64
-			t0 int64
-		)
-		if t := h.f.tracer.Load(); t != nil {
-			tr, id, t0 = h.traceStart(t, sth, obs.OpMove)
-		}
-		ok := h.moveSameShard(ssh, sth, ssi, src, dst)
-		if tr != nil {
-			h.traceEnd(tr, sth, id, obs.OpMove, t0, boolA(ok))
-		}
-		return ok
-	}
-	c := h.coordinator()
 	var (
 		tr *obs.Tracer
 		id uint64
 		t0 int64
 	)
 	if t := h.f.tracer.Load(); t != nil {
-		tr, id, t0 = h.traceStart(t, nil, obs.OpMove)
+		tr, id, t0 = h.traceStart(t, obs.OpMove)
 	}
+	sm, si := h.route(src)
+	dm, di := h.route(dst)
+	h.mvSi, h.mvDi = si, di
+	trees.Atomic(sm, h.th, h.mv.Bind(sm, dm, src, dst))
+	ok := h.mv.Moved()
 	if tr != nil {
-		c.SetTraceContext(tr, id)
-	}
-	h.mv.src, h.mv.dst = src, dst
-	// The error return is unused: moveFn always returns nil, and a
-	// nil-returning Run cannot fail (it retries until commit).
-	_ = c.Run(h.moveFn)
-	ok := h.mv.ok
-	if tr != nil {
-		c.SetTraceContext(nil, 0)
-		h.traceEnd(tr, nil, id, obs.OpMove, t0, boolA(ok))
+		h.traceEnd(tr, id, obs.OpMove, t0, boolA(ok))
 	}
 	return ok
 }
 
-// moveTx is the body of a cross-shard Move, acting on h.mv.
-func (h *Handle) moveTx(t *ftx.Tx) error {
-	m := &h.mv
-	m.ok = false
-	v, present := t.Get(m.src)
-	if !present || t.Contains(m.dst) {
-		return nil
-	}
-	t.Delete(m.src)
-	t.Put(m.dst, v)
-	m.ok = true
-	return nil
-}
-
-// moveSameShard is the intra-shard move: the composition of paper §5.4 as
-// one atomic transaction.
-func (h *Handle) moveSameShard(sh *shard, th *stm.Thread, si int, src, dst uint64) bool {
-	h.smvSi = si
-	return trees.MoveWith(&h.smv, sh.m, th, src, dst)
-}
-
-// logMove is smv's OnMoved hook: the attempt moved v from src to dst, so on
+// logMove is mv's OnMoved hook: the attempt moved v from src to dst, so on
 // a durable forest its commit must log both effects.
 func (h *Handle) logMove(tx *stm.Tx, src, dst, v uint64) {
 	if h.f.wal == nil {
 		return
 	}
-	h.oplog = append(h.oplog[:0],
-		durable.Op{Key: src, Del: true},
-		durable.Op{Key: dst, Val: v})
-	h.logCommit(tx, h.smvSi)
+	h.effects.Reset()
+	h.effects.Add(h.mvSi, durable.Op{Key: src, Del: true})
+	h.effects.Add(h.mvDi, durable.Op{Key: dst, Val: v})
+	h.logCommit(tx)
 }
 
-// ftxDomain adapts a Handle to the cross-shard coordinator's Domain
-// interface. The coordinator looks a shard up once per attempt, when the
-// transaction first touches it.
-type ftxDomain struct{ h *Handle }
-
-func (d ftxDomain) Shards() int          { return len(d.h.f.shards) }
-func (d ftxDomain) ShardOf(k uint64) int { return d.h.f.ShardOf(k) }
-
-func (d ftxDomain) Shard(si int) ftx.Shard {
-	return ftx.Shard{
-		Map:     d.h.f.shards[si].m,
-		Thread:  d.h.thread(si),
-		Intents: &d.h.f.shards[si].intents,
-	}
-}
-
-// Atomic runs fn as one atomic cross-shard transaction: fn may read and
-// write keys on any shard through the buffering ftx.Tx, and every effect
-// commits atomically — all or none — via the internal/ftx coordinator's
-// shard-ordered two-phase commit. A non-nil error from fn aborts the
-// transaction with nothing applied and is returned verbatim; otherwise
-// Atomic retries on conflict (through the shards' contention managers)
-// until it commits and returns nil. Like Update's fn, Atomic's fn may be
-// re-executed and must be free of side effects beyond the Tx and locals it
-// re-assigns.
+// Atomic runs fn as one atomic transaction: fn may read and write keys on
+// any shard through the buffering ftx.Tx, and every effect commits
+// atomically — all or none — in one STM transaction that replays fn's
+// reads and applies its writes (internal/ftx). A non-nil error from fn
+// aborts the transaction with nothing applied and is returned verbatim;
+// otherwise Atomic retries on conflict (through the domain's contention
+// manager) until it commits and returns nil. Like Update's fn, Atomic's fn
+// may be re-executed and must be free of side effects beyond the Tx and
+// locals it re-assigns.
 //
 // The handle has one transaction context, reset for every attempt, so an
 // Atomic allocates nothing in steady state. In exchange the Tx is valid only
 // inside the fn invocation it was passed to (its methods panic afterwards),
-// and Atomic must not be called on this handle — nor Move across shards —
-// from inside fn: that panics instead of clobbering the outer transaction.
-// Compose inside one fn.
+// and Atomic must not be called on this handle from inside fn: that panics
+// instead of clobbering the outer transaction. Compose inside one fn.
 //
-// When every key fn touches lands on one shard, the transaction commits as
-// one ordinary single-shard transaction (no intents, no prepare); for
-// hot-path compositions whose keys are known co-located, SameShard-routed
-// Update remains cheaper still because it skips the coordinator's read
-// buffering too.
+// Update is cheaper when fn needs no buffering: it runs the composition
+// inside the STM transaction directly, with no replay.
 func (h *Handle) Atomic(fn func(t *ftx.Tx) error) error {
 	c := h.coordinator()
 	var (
@@ -445,29 +332,28 @@ func (h *Handle) Atomic(fn func(t *ftx.Tx) error) error {
 		t0 int64
 	)
 	if t := h.f.tracer.Load(); t != nil {
-		tr, id, t0 = h.traceStart(t, nil, obs.OpAtomic)
+		tr, id, t0 = h.traceStart(t, obs.OpAtomic)
 	}
 	if tr != nil {
-		c.SetTraceContext(tr, id)
+		c.SetTraceID(id)
 	}
 	err := c.Run(fn)
 	if tr != nil {
-		c.SetTraceContext(nil, 0)
+		c.SetTraceID(0)
 		a := int64(0)
 		if err != nil {
 			a = 1
 		}
-		h.traceEnd(tr, nil, id, obs.OpAtomic, t0, a)
+		h.traceEnd(tr, id, obs.OpAtomic, t0, a)
 	}
 	return err
 }
 
-// coordinator lazily creates and registers the handle's cross-shard
-// transaction coordinator.
+// coordinator lazily creates and registers the handle's transaction
+// coordinator.
 func (h *Handle) coordinator() *ftx.Coordinator {
 	if h.coord == nil {
-		h.coord = ftx.NewCoordinator(ftxDomain{h: h})
-		h.moveFn = h.moveTx
+		h.coord = ftx.NewCoordinator(ftx.Domain{Thread: h.th, Maps: h.f.maps, ShardOf: h.f.ShardOf})
 		if h.f.wal != nil {
 			h.coord.SetWAL(h.f.wal)
 		}
@@ -476,8 +362,8 @@ func (h *Handle) coordinator() *ftx.Coordinator {
 	return h.coord
 }
 
-// XactStats reports this handle's cross-shard coordinator activity
-// (zero value before the first Atomic call).
+// XactStats reports this handle's Atomic activity (zero value before the
+// first Atomic call).
 func (h *Handle) XactStats() ftx.Stats {
 	if h.coord == nil {
 		return ftx.Stats{}
@@ -485,34 +371,8 @@ func (h *Handle) XactStats() ftx.Stats {
 	return h.coord.Stats()
 }
 
-// scanThread prepares shard si for a read-only scan: it returns the shard's
-// thread, or nil when the shard was just observed empty and the handle has
-// nothing registered there — an empty shard contributes nothing to a scan,
-// and skipping it avoids registering an STM thread (which the shard's
-// maintenance GC would forever after have to inspect) with a domain the
-// handle never otherwise touches.
-func (h *Handle) scanThread(si int) *stm.Thread {
-	if h.ths[si] == nil && trees.EmptyHint(h.f.shards[si].m) {
-		return nil
-	}
-	return h.thread(si)
-}
-
-// Len counts the elements, one consistent snapshot per shard.
-func (h *Handle) Len() int {
-	n := 0
-	for si, sh := range h.f.shards {
-		th := h.scanThread(si)
-		if th == nil {
-			continue
-		}
-		n += sh.m.Size(th)
-	}
-	return n
-}
-
-// Keys returns the sorted keys, one consistent snapshot per shard, merged
-// exactly as Range merges.
+// Keys returns the sorted keys, one consistent snapshot of the forest,
+// merged exactly as Range merges.
 func (h *Handle) Keys() []uint64 {
 	var all []uint64
 	h.Range(0, ^uint64(0), func(k, _ uint64) bool {
@@ -522,80 +382,69 @@ func (h *Handle) Keys() []uint64 {
 	return all
 }
 
-// Update runs fn as one atomic transaction on the shard owning the routing
-// key k. Every key touched inside fn must belong to that same shard (check
-// with SameShard); touching a foreign key panics, because silently reading
-// another shard's tree from this shard's transaction would break isolation.
-// fn may be re-executed and must be free of side effects beyond the Op and
-// captured locals it re-assigns. On a durable forest the transaction's
-// effects are logged as one WAL record at its commit position.
-func (h *Handle) Update(k uint64, fn func(op *Op)) {
-	sh, th, si := h.route(k)
+// Update runs fn as one atomic transaction over the whole forest: each Op
+// routes its key to the owning shard's tree, and every operation belongs to
+// the one transaction whichever shards it touches. fn may be re-executed
+// and must be free of side effects beyond the Op and captured locals it
+// re-assigns. On a durable forest the transaction's effects are logged as
+// one WAL record at its commit position.
+func (h *Handle) Update(fn func(op *Op)) {
 	var (
 		tr *obs.Tracer
 		id uint64
 		t0 int64
 	)
 	if t := h.f.tracer.Load(); t != nil {
-		tr, id, t0 = h.traceStart(t, th, obs.OpUpdate)
+		tr, id, t0 = h.traceStart(t, obs.OpUpdate)
 	}
-	trees.Atomic(sh.m, th, func(tx *stm.Tx) {
-		op := Op{f: h.f, m: sh.m, tx: tx, si: si}
+	trees.Atomic(h.f.maps[0], h.th, func(tx *stm.Tx) {
+		op := Op{f: h.f, tx: tx}
 		if h.f.wal != nil {
-			h.oplog = h.oplog[:0]
-			op.log = &h.oplog
+			h.effects.Reset()
+			op.log = &h.effects
 		}
 		fn(&op)
 		if op.log != nil {
-			h.logCommit(tx, si)
+			h.logCommit(tx)
 		}
 	})
 	if tr != nil {
-		h.traceEnd(tr, th, id, obs.OpUpdate, t0, 0)
+		h.traceEnd(tr, id, obs.OpUpdate, t0, 0)
 	}
 }
 
-// Op exposes the tree operations inside a Handle.Update transaction; all
-// keys must live on the shard the transaction was routed to.
+// Op exposes the tree operations inside a Handle.Update transaction, each
+// routed to the tree of the shard owning its key.
 type Op struct {
 	f  *Forest
-	m  trees.Map
 	tx *stm.Tx
-	si int
 	// log, when non-nil, collects the transaction's effects for the durable
 	// WAL record (reset by Update at the start of every attempt).
-	log *[]durable.Op
-}
-
-// check panics when k is owned by a different shard than the transaction's.
-func (o *Op) check(k uint64) {
-	if si := o.f.ShardOf(k); si != o.si {
-		panic(fmt.Sprintf("forest: key %d lives on shard %d but the transaction is bound to shard %d; route with SameShard first", k, si, o.si))
-	}
+	log *ftx.Effects
 }
 
 // Insert maps k to v within the transaction; false when present.
 func (o *Op) Insert(k, v uint64) bool {
-	o.check(k)
-	ok := o.m.InsertTxA(o.tx, k, v)
+	si := o.f.ShardOf(k)
+	ok := o.f.maps[si].InsertTxA(o.tx, k, v)
 	if ok && o.log != nil {
-		*o.log = append(*o.log, durable.Op{Key: k, Val: v})
+		o.log.Add(si, durable.Op{Key: k, Val: v})
 	}
 	return ok
 }
 
 // Delete removes k within the transaction; false when absent.
 func (o *Op) Delete(k uint64) bool {
-	o.check(k)
-	ok := o.m.DeleteTx(o.tx, k)
+	si := o.f.ShardOf(k)
+	ok := o.f.maps[si].DeleteTx(o.tx, k)
 	if ok && o.log != nil {
-		*o.log = append(*o.log, durable.Op{Key: k, Del: true})
+		o.log.Add(si, durable.Op{Key: k, Del: true})
 	}
 	return ok
 }
 
 // Get returns the value at k within the transaction.
-func (o *Op) Get(k uint64) (uint64, bool) { o.check(k); return o.m.GetTx(o.tx, k) }
+func (o *Op) Get(k uint64) (uint64, bool) { return o.f.maps[o.f.ShardOf(k)].GetTx(o.tx, k) }
 
 // Contains reports membership within the transaction.
-func (o *Op) Contains(k uint64) bool { o.check(k); return o.m.ContainsTx(o.tx, k) }
+func (o *Op) Contains(k uint64) bool { return o.f.maps[o.f.ShardOf(k)].ContainsTx(o.tx, k) }

@@ -69,7 +69,7 @@ func TestMaintenanceOracle(t *testing.T) {
 						}
 					default:
 						dst := uint64(rng.Intn(keyRange))
-						if f.SameShard(k, dst) {
+						if f.ShardOf(k) == f.ShardOf(dst) {
 							ok := h.Move(k, dst)
 							want := k == dst && has(model, k) ||
 								k != dst && has(model, k) && !has(model, dst)
@@ -122,8 +122,8 @@ func has(m map[uint64]uint64, k uint64) bool { _, ok := m[k]; return ok }
 // hold zero logically deleted (and, in fact, zero) reachable nodes.
 func checkShardInvariants(t *testing.T, f *Forest, empty bool) {
 	t.Helper()
-	for si, sh := range f.shards {
-		st, ok := sfTreeOf(sh.m)
+	for si, m := range f.maps {
+		st, ok := sfTreeOf(m)
 		if !ok {
 			continue
 		}
@@ -181,8 +181,8 @@ func TestMaintPoolSweepRemoves(t *testing.T) {
 	for deadline = time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
 		resume := f.drv.Pause()
 		left := 0
-		for _, sh := range f.shards {
-			st, _ := sfTreeOf(sh.m)
+		for _, m := range f.maps {
+			st, _ := sfTreeOf(m)
 			left += st.PhysicalSize()
 		}
 		resume()
@@ -253,7 +253,7 @@ func TestMaintPoolStress(t *testing.T) {
 				case 6:
 					h.Range(k, k+64, func(_, _ uint64) bool { return true })
 				default:
-					h.Update(k, func(op *Op) {
+					h.Update(func(op *Op) {
 						if v, ok := op.Get(k); ok {
 							op.Delete(k)
 							op.Insert(k, v+1)

@@ -8,8 +8,8 @@ import (
 )
 
 // SetFlightRecorder attaches a flight recorder to the forest: productive
-// maintenance sweeps and the cross-shard coordinators' slow prepares
-// and abort storms record into it from now on. Safe to attach while the forest is in use; a nil
+// maintenance sweeps and the Atomic coordinators' abort storms record into
+// it from now on. Safe to attach while the forest is in use; a nil
 // recorder detaches. The attached WAL (if any) keeps its own recorder —
 // see durable.Log.SetFlightRecorder.
 func (f *Forest) SetFlightRecorder(fr *obs.FlightRecorder) {
@@ -23,8 +23,8 @@ func (f *Forest) SetFlightRecorder(fr *obs.FlightRecorder) {
 }
 
 // SetTracer attaches a span tracer to the forest: from now on every handle
-// samples its operations through it (handle.go), recording facade-op, STM-
-// attempt, ftx-phase and WAL-append spans. Safe to attach
+// samples its operations through it (handle.go), recording facade-op,
+// STM-attempt and WAL-append spans. Safe to attach
 // while the forest is in use; a nil tracer detaches. The attached WAL keeps
 // its own tracer reference — see durable.Log.SetTracer.
 func (f *Forest) SetTracer(t *obs.Tracer) {
@@ -32,17 +32,17 @@ func (f *Forest) SetTracer(t *obs.Tracer) {
 }
 
 // RegisterObs registers every layer of the forest with an observability
-// registry: per-shard STM commit/abort/cause series (shard="i" labels),
-// per-shard tree maintenance counters for kinds that expose them, the
+// registry: the domain's STM commit/abort/cause series, per-shard tree
+// maintenance counters (shard="i" labels) for kinds that expose them, the
 // maintenance worker pool's gauges and counters, and the aggregated
-// cross-shard coordinator series. All
+// Atomic coordinator series. All
 // collection paths read atomics or seqlock mirrors — a scrape never pauses
 // application or maintenance threads.
 func (f *Forest) RegisterObs(r *obs.Registry) {
-	for i, sh := range f.shards {
+	f.stm.RegisterObs(r, "")
+	for i, m := range f.maps {
 		label := `shard="` + strconv.Itoa(i) + `"`
-		sh.stm.RegisterObs(r, label)
-		if sf, ok := sh.m.(interface {
+		if sf, ok := m.(interface {
 			RegisterObs(*obs.Registry, string)
 		}); ok {
 			sf.RegisterObs(r, label)
@@ -69,18 +69,17 @@ func (f *Forest) RegisterObs(r *obs.Registry) {
 		counter := func(name, help string, v uint64) {
 			emit(obs.Sample{Name: name, Kind: obs.KindCounter, Help: help, Value: float64(v)})
 		}
-		counter("ftx_commits_total", "Committed cross-shard transactions (all protocol paths).", st.Commits)
-		counter("ftx_single_shard_commits_total", "The subset of commits that fell back to one ordinary single-shard transaction.", st.Fallbacks)
-		counter("ftx_readonly_commits_total", "The subset of commits that took the read-only double-clock-read path.", st.ReadOnly)
-		counter("ftx_aborts_total", "Failed cross-shard commit attempts that were retried.", st.Aborts)
-		counter("ftx_intent_conflicts_total", "The subset of aborts caused by another coordinator's intent.", st.IntentConflicts)
+		counter("ftx_commits_total", "Committed Atomic transactions.", st.Commits)
+		counter("ftx_single_shard_commits_total", "The subset of commits whose keys all lived on one shard.", st.Fallbacks)
+		counter("ftx_readonly_commits_total", "The subset of commits that spanned shards and wrote nothing.", st.ReadOnly)
+		counter("ftx_aborts_total", "Commit attempts that failed read revalidation and were retried.", st.Aborts)
 		counter("ftx_user_aborts_total", "Transactions abandoned because fn returned an error.", st.UserAborts)
 	})
 }
 
-// registerCoord adds a freshly created cross-shard coordinator to the
+// registerCoord adds a freshly created transaction coordinator to the
 // forest's aggregation list (Handle.Atomic calls it once per handle) and
-// hands it the forest's flight recorder for prepare/abort-storm events.
+// hands it the forest's flight recorder for abort-storm events.
 func (f *Forest) registerCoord(c *ftx.Coordinator) {
 	c.SetFlightRecorder(f.fr.Load())
 	f.coordMu.Lock()

@@ -9,36 +9,56 @@ import (
 // kv is one element of a per-shard range snapshot.
 type kv struct{ k, v uint64 }
 
-// rangeScan is the state of one Handle.Range: the shard being snapshotted
-// and the transaction body that does it, a snapshot buffer per shard, and
-// the cursors of the merge. A handle keeps one between calls, so a scan in
-// steady state allocates nothing.
+// rangeScan is the state of one Handle.Range or Len: the transaction bodies
+// that read every shard, a snapshot buffer per shard, and the cursors of
+// the merge. A handle keeps one between calls, so a scan in steady state
+// allocates nothing.
 type rangeScan struct {
-	m      trees.Map // the shard being scanned
+	maps   []trees.Map
 	lo, hi uint64
-	buf    []kv // its snapshot; the body resets it on every attempt
+	buf    []kv // the shard being collected; the body resets it per attempt
+	n      int  // Len's count
 
 	bufs  [][]kv // snapshot storage, indexed by shard
 	snaps [][]kv // this Range's non-empty snapshots: the merge's input
 	idx   []int  // merge cursors, parallel to snaps
 
-	scanFn    func(*stm.Tx)
-	collectFn func(k, v uint64) bool
+	scanFn, countFn func(*stm.Tx)
+	collectFn       func(k, v uint64) bool
+	tallyFn         func(k, v uint64) bool
 }
 
-func newRangeScan(shards int) *rangeScan {
-	sc := &rangeScan{bufs: make([][]kv, shards)}
-	sc.scanFn, sc.collectFn = sc.scan, sc.collect
+func newRangeScan(maps []trees.Map) *rangeScan {
+	sc := &rangeScan{maps: maps, bufs: make([][]kv, len(maps))}
+	sc.scanFn, sc.countFn = sc.scan, sc.count
+	sc.collectFn, sc.tallyFn = sc.collect, sc.tally
 	return sc
 }
 
+// scan collects [lo, hi] of every shard into bufs, in one transaction.
 func (sc *rangeScan) scan(tx *stm.Tx) {
-	sc.buf = sc.buf[:0]
-	sc.m.RangeTx(tx, sc.lo, sc.hi, sc.collectFn)
+	for si, m := range sc.maps {
+		sc.buf = sc.bufs[si][:0]
+		m.RangeTx(tx, sc.lo, sc.hi, sc.collectFn)
+		sc.bufs[si] = sc.buf
+	}
 }
 
 func (sc *rangeScan) collect(k, v uint64) bool {
 	sc.buf = append(sc.buf, kv{k, v})
+	return true
+}
+
+// count counts every shard's elements into n, in one transaction.
+func (sc *rangeScan) count(tx *stm.Tx) {
+	sc.n = 0
+	for _, m := range sc.maps {
+		m.RangeTx(tx, 0, ^uint64(0), sc.tallyFn)
+	}
+}
+
+func (sc *rangeScan) tally(_, _ uint64) bool {
+	sc.n++
 	return true
 }
 
@@ -57,7 +77,7 @@ func (h *Handle) takeScan() *rangeScan {
 	sc := h.scan
 	h.scan = nil
 	if sc == nil {
-		sc = newRangeScan(len(h.f.shards))
+		sc = newRangeScan(h.f.maps)
 	}
 	return sc
 }
@@ -69,7 +89,7 @@ func (h *Handle) putScan(sc *rangeScan) {
 		}
 	}
 	clear(sc.snaps)
-	sc.m, sc.buf = nil, nil
+	sc.buf = nil
 	h.scan = sc
 }
 
@@ -77,20 +97,20 @@ func (h *Handle) putScan(sc *rangeScan) {
 // [lo, hi] (both inclusive), calling fn(k, v) for each; fn returning false
 // stops the scan. It reports whether the scan ran to the end of the
 // interval. Keys are shard-routed by hash, so every shard intersects every
-// interval: Range takes one ordered snapshot of [lo, hi] per shard (each
-// internally consistent, the shards not cut at one instant — the same
-// contract as Len and Keys) and then merges the S sorted snapshots lazily,
-// k-way, while feeding fn. Shards observed empty are skipped without
-// opening a transaction.
+// interval: Range collects [lo, hi] of every shard in one read-only
+// transaction — one consistent snapshot of the whole forest — and then
+// merges the S sorted buffers lazily, k-way, while feeding fn.
 //
-// Each shard's snapshot is one read-only CTL transaction whatever the domain
-// default (stm.Thread.AtomicRO: a first attempt that logs no reads, a fully
-// logged retry), collected inside the transaction; fn runs after the last
-// one has committed, so it may use the handle freely.
+// The snapshot is one read-only CTL transaction whatever the domain default
+// (stm.Thread.AtomicRO: a first attempt that logs no reads, a fully logged
+// retry); fn runs after it has committed, so it may use the handle freely.
+// Under concurrent writers a wide scan is one large read-only transaction
+// that any commit into its read set restarts: bound the interval when
+// writers are busy.
 //
-// An early fn stop saves the remaining merge work but not the per-shard
-// snapshot collection, which is bounded by the interval width; callers
-// wanting "first n elements" scans should bound [lo, hi] accordingly.
+// An early fn stop saves the remaining merge work but not the snapshot
+// collection, which is bounded by the interval width; callers wanting
+// "first n elements" scans should bound [lo, hi] accordingly.
 func (h *Handle) Range(lo, hi uint64, fn func(k, v uint64) bool) bool {
 	if lo > hi {
 		return true
@@ -101,35 +121,33 @@ func (h *Handle) Range(lo, hi uint64, fn func(k, v uint64) bool) bool {
 		t0 int64
 	)
 	if t := h.f.tracer.Load(); t != nil {
-		tr, id, t0 = h.traceStart(t, nil, obs.OpRange)
+		tr, id, t0 = h.traceStart(t, obs.OpRange)
 	}
 	sc := h.takeScan()
 	sc.lo, sc.hi = lo, hi
+	h.th.AtomicRO(sc.scanFn)
 	sc.snaps = sc.snaps[:0]
-	for si, sh := range h.f.shards {
-		th := h.scanThread(si)
-		if th == nil {
-			continue
-		}
-		if tr != nil {
-			th.SetTraceContext(tr, id, obs.OpRange)
-		}
-		sc.m, sc.buf = sh.m, sc.bufs[si]
-		th.AtomicRO(sc.scanFn)
-		sc.bufs[si] = sc.buf
-		if tr != nil {
-			th.SetTraceContext(nil, 0, 0)
-		}
-		if len(sc.buf) > 0 {
-			sc.snaps = append(sc.snaps, sc.buf)
+	for _, b := range sc.bufs {
+		if len(b) > 0 {
+			sc.snaps = append(sc.snaps, b)
 		}
 	}
 	done := sc.merge(fn)
 	h.putScan(sc)
 	if tr != nil {
-		h.traceEnd(tr, nil, id, obs.OpRange, t0, boolA(done))
+		h.traceEnd(tr, id, obs.OpRange, t0, boolA(done))
 	}
 	return done
+}
+
+// Len counts the elements, one consistent snapshot of the forest (the
+// Range transaction, counting instead of collecting).
+func (h *Handle) Len() int {
+	sc := h.takeScan()
+	h.th.AtomicRO(sc.countFn)
+	n := sc.n
+	h.putScan(sc)
+	return n
 }
 
 // merge merges the sorted per-shard snapshots, feeding fn in globally

@@ -153,33 +153,24 @@ func TestRangeEarlyStopAndBounds(t *testing.T) {
 	}
 }
 
-// TestScanOpsAccounting verifies that Len/Keys/Range run one transaction on
-// each populated shard through the handle's per-shard threads, and that
-// scans over an empty forest neither register STM threads with the shards
-// nor run any transaction.
+// TestScanOpsAccounting verifies that Len, Keys and Range each run exactly
+// one transaction on the handle's one STM thread, over an empty forest and
+// over one whose every shard is populated.
 func TestScanOpsAccounting(t *testing.T) {
 	f := New(trees.SFOpt, WithShards(4), WithoutMaintenance())
 	defer f.Close()
 
-	// Empty forest: scans see nothing, touch nothing, register nothing.
 	h := f.NewHandle()
 	if h.Len() != 0 || len(h.Keys()) != 0 {
 		t.Fatal("empty forest scan not empty")
 	}
 	h.Range(0, ^uint64(0), func(_, _ uint64) bool { t.Error("element in empty forest"); return true })
-	for si, st := range h.ShardStats() {
-		if st.Commits != 0 {
-			t.Fatalf("empty-forest scan committed on shard %d (%d commits)", si, st.Commits)
-		}
-	}
-	for si, th := range h.ths {
-		if th != nil {
-			t.Fatalf("empty-forest scan registered a thread with shard %d", si)
-		}
+	if st := h.Stats(); st.Commits != 3 {
+		t.Fatalf("three empty-forest scans committed %d transactions, want 3", st.Commits)
 	}
 
 	// Populated forest: every shard holds keys (dense range over 4 shards),
-	// so each scan commits once on every shard.
+	// and each scan is still one transaction.
 	w := f.NewHandle()
 	for k := uint64(0); k < 256; k++ {
 		w.Insert(k, k)
@@ -188,16 +179,14 @@ func TestScanOpsAccounting(t *testing.T) {
 	h2.Len()
 	h2.Keys()
 	h2.Range(0, 255, func(_, _ uint64) bool { return true })
-	for si, st := range h2.ShardStats() {
-		if st.Commits != 3 {
-			t.Fatalf("shard %d committed %d scans, want 3", si, st.Commits)
-		}
+	if st := h2.Stats(); st.Commits != 3 {
+		t.Fatalf("three scans of 4 populated shards committed %d transactions, want 3", st.Commits)
 	}
 }
 
-// TestRangeConcurrentWithMoves overlaps merged scans with cross-shard moves
-// to exercise the documented weak spot — a moving value seen at both keys
-// or neither — while still requiring sortedness and untorn values.
+// TestRangeConcurrentWithMoves overlaps merged scans with cross-shard
+// moves: every scan is one snapshot, so it is sorted, untorn and holds
+// every moving value exactly once.
 func TestRangeConcurrentWithMoves(t *testing.T) {
 	f := New(trees.SF, WithShards(8))
 	defer f.Close()
@@ -223,8 +212,9 @@ func TestRangeConcurrentWithMoves(t *testing.T) {
 	}()
 	rh := f.NewHandle()
 	for i := 0; i < 200; i++ {
-		prev, first := uint64(0), true
+		prev, first, seen := uint64(0), true, 0
 		rh.Range(0, 2*n, func(k, v uint64) bool {
+			seen++
 			if !first && k <= prev {
 				t.Errorf("unsorted under moves: %d after %d", k, prev)
 			}
@@ -234,7 +224,106 @@ func TestRangeConcurrentWithMoves(t *testing.T) {
 			prev, first = k, false
 			return true
 		})
+		if seen != n {
+			t.Fatalf("scan %d saw %d values, want %d", i, seen, n)
+		}
 	}
 	stop.Store(true)
 	wg.Wait()
+}
+
+// TestRangeNeverSeesHalfMove: on 8 shards, movers shuttle N distinct values
+// between key pairs whose keys live on different shards while scanners run
+// Range, Keys and Len. A multi-shard scan is one snapshot, so every scan
+// holds exactly N values, none twice: a scan that cut the shards at
+// different instants would see a value that crossed shards mid-scan at both
+// keys or at neither.
+func TestRangeNeverSeesHalfMove(t *testing.T) {
+	const pairs = 64
+	f := New(trees.SFOpt, WithShards(8))
+	defer f.Close()
+	var a, b [pairs]uint64
+	home := map[uint64]int{} // key → its pair
+	for i := range pairs {
+		a[i] = uint64(i)
+		b[i] = 1<<32 | uint64(i)<<8
+		for f.ShardOf(b[i]) == f.ShardOf(a[i]) {
+			b[i]++
+		}
+		home[a[i]], home[b[i]] = i, i
+	}
+	h := f.NewHandle()
+	for i := range pairs {
+		h.Insert(a[i], uint64(i))
+	}
+
+	var stop atomic.Bool
+	var movers sync.WaitGroup
+	for m := range 2 {
+		movers.Add(1)
+		go func() {
+			defer movers.Done()
+			mh := f.NewHandle()
+			rng := rand.New(rand.NewSource(int64(m)))
+			for !stop.Load() {
+				i := rng.Intn(pairs/2)*2 + m // each mover owns half the pairs
+				if !mh.Move(a[i], b[i]) {
+					mh.Move(b[i], a[i])
+				}
+			}
+		}()
+	}
+
+	var scanners sync.WaitGroup
+	fail := func(format string, args ...any) {
+		t.Errorf(format, args...)
+		stop.Store(true)
+	}
+	scan := func(body func(sh *Handle)) {
+		scanners.Add(1)
+		go func() {
+			defer scanners.Done()
+			sh := f.NewHandle()
+			for i := 0; i < 300 && !stop.Load(); i++ {
+				body(sh)
+			}
+		}()
+	}
+	scan(func(sh *Handle) {
+		var seen [pairs]bool
+		n := 0
+		sh.Range(0, ^uint64(0), func(k, v uint64) bool {
+			if v >= pairs || seen[v] || home[k] != int(v) {
+				fail("Range saw value %d at key %d twice or out of place", v, k)
+			} else {
+				seen[v] = true
+			}
+			n++
+			return true
+		})
+		if n != pairs {
+			fail("Range saw %d values, want %d: a cross-shard move half done", n, pairs)
+		}
+	})
+	scan(func(sh *Handle) {
+		var seen [pairs]bool
+		ks := sh.Keys()
+		for _, k := range ks {
+			if seen[home[k]] {
+				fail("Keys holds pair %d at both keys", home[k])
+			}
+			seen[home[k]] = true
+		}
+		if len(ks) != pairs {
+			fail("Keys returned %d keys, want %d: a cross-shard move half done", len(ks), pairs)
+		}
+	})
+	scan(func(sh *Handle) {
+		if n := sh.Len(); n != pairs {
+			fail("Len = %d, want %d: a cross-shard move half done", n, pairs)
+		}
+	})
+	scanners.Wait()
+	stop.Store(true)
+	movers.Wait()
 }

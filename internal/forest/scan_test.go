@@ -77,8 +77,8 @@ func BenchmarkRange100(b *testing.B) {
 	b.Run("s8", func(b *testing.B) { benchRange100(b, 8) })
 }
 
-// BenchmarkMove is the same-shard move (one shard); the cross-shard one is a
-// 2PC transaction, see BenchmarkAtomicTransferS8.
+// BenchmarkMove is the move on a one-shard forest; a cross-shard one is the
+// same transaction over two trees.
 func BenchmarkMove(b *testing.B) {
 	p := &pairMover{h: churnForest(b, 1), rng: 1}
 	b.ReportAllocs()

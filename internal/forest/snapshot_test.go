@@ -36,9 +36,9 @@ func TestSnapshotShardChunkedUnderWriters(t *testing.T) {
 	}
 	f.Quiesce(64)
 
-	th := f.ckptThread(0)
 	pairs := 0
 	f.SnapshotShard(0, func(k, v uint64) { pairs++ })
+	th := f.ckptTh
 	if pairs != n {
 		t.Fatalf("quiescent snapshot streamed %d pairs, want %d", pairs, n)
 	}
@@ -47,7 +47,7 @@ func TestSnapshotShardChunkedUnderWriters(t *testing.T) {
 	// Writers own the keys of their parity, so each key's history is one
 	// writer's, in commit order. They go below the facade to register their
 	// own post-commit hook: it hands them the commit position.
-	sh := f.shards[0]
+	m := f.maps[0]
 	var stop atomic.Bool
 	var wg sync.WaitGroup
 	hist := make([][]commitRec, 2)
@@ -55,7 +55,7 @@ func TestSnapshotShardChunkedUnderWriters(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			wth := sh.stm.NewThread()
+			wth := f.stm.NewThread()
 			rng := uint64(w)*0x9e3779b97f4a7c15 + 1
 			for i := uint64(1); !stop.Load(); i++ {
 				rng ^= rng << 13
@@ -63,10 +63,10 @@ func TestSnapshotShardChunkedUnderWriters(t *testing.T) {
 				rng ^= rng << 17
 				k := rng%(n/2)*2 + uint64(w)
 				rec := commitRec{k: k, v: i<<1 | uint64(w)}
-				trees.Atomic(sh.m, wth, func(tx *stm.Tx) {
+				trees.Atomic(m, wth, func(tx *stm.Tx) {
 					// Toggle: delete a present key, insert an absent one.
-					rec.present = !sh.m.DeleteTx(tx, k)
-					if rec.present && !sh.m.InsertTxA(tx, k, rec.v) {
+					rec.present = !m.DeleteTx(tx, k)
+					if rec.present && !m.InsertTxA(tx, k, rec.v) {
 						tx.Restart()
 					}
 					tx.OnCommitted(func(pos uint64) { rec.pos = pos })

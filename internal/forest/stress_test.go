@@ -17,7 +17,7 @@ func crossShardPair(t *testing.T, f *Forest) (a, b uint64) {
 	t.Helper()
 	a = 100
 	for k := uint64(101); k < 100000; k++ {
-		if !f.SameShard(a, k) {
+		if f.ShardOf(a) != f.ShardOf(k) {
 			return a, k
 		}
 	}
@@ -183,7 +183,6 @@ func TestCloseStatsRace(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 30; i++ {
 				f.Stats()
-				f.ShardStats()
 				f.MaintenanceStats()
 			}
 		}()
@@ -225,7 +224,7 @@ func TestUpdateContendedCounters(t *testing.T) {
 			h := f.NewHandle()
 			for i := 0; i < incs; i++ {
 				k := uint64(i % keys)
-				h.Update(k, func(op *Op) {
+				h.Update(func(op *Op) {
 					v, _ := op.Get(k)
 					op.Delete(k)
 					op.Insert(k, v+1)
@@ -286,7 +285,7 @@ func TestDurableStormShutdown(t *testing.T) {
 							case 1:
 								h.Get(k)
 							case 2:
-								h.Update(k, func(op *Op) {
+								h.Update(func(op *Op) {
 									if v, ok := op.Get(k); ok {
 										op.Delete(k)
 										op.Insert(k, v+1)

@@ -3,6 +3,7 @@ package forest
 import (
 	"testing"
 
+	"repro/internal/ftx"
 	"repro/internal/obs"
 	"repro/internal/trees"
 )
@@ -38,7 +39,10 @@ func TestHandleTracingAllocFree(t *testing.T) {
 // sampling, every facade operation must yield a well-formed span set —
 // exactly one op span, at least one STM attempt inside its window, exactly
 // one committing attempt, contiguous attempt indices — and the retries
-// visible in spans must not exceed the aborts the STM layer counted.
+// visible in spans must equal the aborts the handle's one STM thread
+// counted. The mix crosses shards: Move, Atomic and Update each touch two
+// shards, Range all of them, and each is still one transaction on one
+// thread.
 func TestSpanStitchingOracle(t *testing.T) {
 	f := New(trees.SFOpt, WithShards(2), WithoutMaintenance())
 	defer f.Close()
@@ -46,17 +50,42 @@ func TestSpanStitchingOracle(t *testing.T) {
 	f.SetTracer(tr)
 	h := f.NewHandle()
 
+	// other returns a key on the shard k does not live on, distinct per k.
+	other := func(k uint64) uint64 {
+		d := k | 1<<20
+		for f.ShardOf(d) == f.ShardOf(k) {
+			d += 1 << 10
+		}
+		return d
+	}
 	const ops = 400
 	for i := uint64(0); i < ops; i++ {
-		switch i % 4 {
+		k := i / 8
+		switch i % 8 {
 		case 0:
-			h.Insert(i, i)
+			h.Insert(k, k)
 		case 1:
-			h.Get(i - 1)
+			h.Get(k)
 		case 2:
-			h.Contains(i)
+			h.Contains(k)
 		case 3:
-			h.Delete(i - 3)
+			h.Move(k, other(k))
+		case 4:
+			h.Range(0, ^uint64(0), func(_, _ uint64) bool { return true })
+		case 5:
+			h.Atomic(func(tx *ftx.Tx) error {
+				v, _ := tx.Get(other(k))
+				tx.Put(other(k), v+1)
+				tx.Put(k, v)
+				return nil
+			})
+		case 6:
+			h.Update(func(op *Op) {
+				op.Delete(k)
+				op.Delete(other(k))
+			})
+		case 7:
+			h.Delete(k)
 		}
 	}
 
@@ -117,17 +146,20 @@ func TestSpanStitchingOracle(t *testing.T) {
 		retriesInSpans += uint64(len(tc.attempts) - 1)
 	}
 	// Exact reconciliation against the thread layer: maintenance is off and
-	// this handle is the only actor, so its threads' commits are the ops and
-	// their aborts are exactly the retries the attempt spans show.
+	// this handle is the only actor, so its thread's commits are the ops and
+	// its aborts are exactly the retries the attempt spans show.
 	st := h.Stats()
 	if st.Commits != ops {
-		t.Fatalf("handle threads committed %d, want %d (one commit per op)", st.Commits, ops)
+		t.Fatalf("handle thread committed %d, want %d (one commit per op)", st.Commits, ops)
 	}
 	if retriesInSpans != st.Aborts {
 		t.Fatalf("attempt spans show %d retries, thread stats count %d aborts",
 			retriesInSpans, st.Aborts)
 	}
-	if got := tr.OpHistogram(obs.OpInsert).Snapshot().Count; got != ops/4 {
-		t.Fatalf("insert latency histogram has %d samples, want %d", got, ops/4)
+	if got := tr.OpHistogram(obs.OpInsert).Snapshot().Count; got != ops/8 {
+		t.Fatalf("insert latency histogram has %d samples, want %d", got, ops/8)
+	}
+	if h.Len() != 0 {
+		t.Fatalf("%d keys left, want 0", h.Len())
 	}
 }

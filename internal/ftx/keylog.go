@@ -1,22 +1,19 @@
 package ftx
 
-import (
-	"cmp"
-	"slices"
-)
-
 // keyState is one key's state as a transaction knows it: in a read log,
 // the committed (value, presence) fn observed — at commit every logged read
-// is re-read inside the owning shard's sub-transaction, and any difference
-// aborts the attempt and re-executes fn; in a write buffer, the key's
-// buffered final state — a put of val, or a deletion when present is false.
+// is re-read inside the commit transaction, and any difference aborts the
+// attempt and re-executes fn; in a write buffer, the key's buffered final
+// state — a put of val, or a deletion when present is false. shard is the
+// shard owning key.
 type keyState struct {
 	key     uint64
 	val     uint64
 	present bool
+	shard   int32
 }
 
-// A keyLog is one shard's read log or write buffer: at most one keyState
+// A keyLog is a transaction's read log or write buffer: at most one keyState
 // per key, found by key. Lookups scan the log while it holds at most
 // logScanMax entries — a transfer-sized transaction never gets further —
 // and go through a map from key to position above that, so a transaction of
@@ -75,14 +72,5 @@ func (l *keyLog) add(s keyState) {
 			l.pos[l.recs[i].key] = int32(i)
 		}
 		l.indexed = true
-	}
-}
-
-// sortByKey puts the log in ascending key order — the deterministic intent
-// and replay order — and drops the index, whose positions it invalidates.
-func (l *keyLog) sortByKey() {
-	l.dropIndex()
-	if len(l.recs) > 1 {
-		slices.SortFunc(l.recs, func(a, b keyState) int { return cmp.Compare(a.key, b.key) })
 	}
 }

@@ -1,10 +1,8 @@
 package ftx
 
 import (
-	"cmp"
 	"errors"
 	"math/rand"
-	"slices"
 	"strings"
 	"testing"
 
@@ -13,37 +11,40 @@ import (
 	"repro/internal/trees"
 )
 
-// modDomain is a test Domain of n independent (STM domain, tree) shards
-// routed by k mod n, so a test picks a key's shard by arithmetic. lookups
-// counts Shard calls per shard.
-type modDomain struct {
-	shards  []Shard
-	lookups []int
-}
+// modDomain is a test Domain of n trees of one STM routed by k mod n, so a
+// test picks a key's shard by arithmetic.
+type modDomain struct{ Domain }
 
 func newModDomain(n int) *modDomain {
-	d := &modDomain{lookups: make([]int, n)}
+	s := stm.New()
+	d := &modDomain{Domain{Thread: s.NewThread()}}
 	for i := 0; i < n; i++ {
-		s := stm.New()
-		d.shards = append(d.shards, Shard{Map: trees.New(trees.SFOpt, s), Thread: s.NewThread(), Intents: &IntentTable{}})
+		d.Maps = append(d.Maps, trees.New(trees.SFOpt, s))
 	}
+	d.ShardOf = func(k uint64) int { return int(k % uint64(n)) }
 	return d
 }
 
-func (d *modDomain) Shards() int          { return len(d.shards) }
-func (d *modDomain) ShardOf(k uint64) int { return int(k % uint64(len(d.shards))) }
-func (d *modDomain) Shard(si int) Shard   { d.lookups[si]++; return d.shards[si] }
-
 // get reads k outside any ftx transaction.
 func (d *modDomain) get(k uint64) (uint64, bool) {
-	sh := d.shards[d.ShardOf(k)]
-	return sh.Map.Get(sh.Thread, k)
+	return d.Maps[d.ShardOf(k)].Get(d.Thread, k)
+}
+
+// TestNewCoordinatorRejectsForeignSTM: a domain whose maps live in another
+// STM than its thread cannot commit atomically — its commit would validate
+// against the wrong clock — so construction must refuse it.
+func TestNewCoordinatorRejectsForeignSTM(t *testing.T) {
+	d := newModDomain(2)
+	d.Maps[1] = trees.New(trees.SFOpt, stm.New())
+	if msg := mustPanic(t, "NewCoordinator", func() { NewCoordinator(d.Domain) }); !strings.HasPrefix(msg, "ftx: ") {
+		t.Fatalf("panicked with %q, want an ftx: message", msg)
+	}
 }
 
 // TestKeyLogScanToIndex grows a log from scanned to indexed, checking
 // lookups at every size, that the index is what answers them above
 // logScanMax (the guard against a large transaction going quadratic), and
-// that reset and sort leave it usable.
+// that reset leaves it usable.
 func TestKeyLogScanToIndex(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	var l keyLog
@@ -83,15 +84,8 @@ func TestKeyLogScanToIndex(t *testing.T) {
 			}
 		}
 		l.find(1).val = 7 // entries are updated in place
-		l.sortByKey()
-		if !slices.IsSortedFunc(l.recs, func(a, b keyState) int { return cmp.Compare(a.key, b.key) }) {
-			t.Fatalf("round %d: not sorted by key", round)
-		}
-		if l.indexed || len(l.pos) != 0 {
-			t.Fatalf("round %d: sort kept %d stale positions", round, len(l.pos))
-		}
 		if s := l.find(1); s == nil || s.val != 7 {
-			t.Fatalf("round %d: find after sort = %v", round, s)
+			t.Fatalf("round %d: find after update = %v", round, s)
 		}
 		l.reset()
 		if l.find(1) != nil {
@@ -101,81 +95,61 @@ func TestKeyLogScanToIndex(t *testing.T) {
 }
 
 // TestParticipantsOrder drives random interleavings of reads, writes and
-// deletes through the Tx and checks the builder's whole contract: shards
-// ascending; each shard's reads, writes and touched ascending; reads and
-// writes exactly the keys read through and written; touched their
-// duplicate-free union; one Shard lookup per participating shard.
+// deletes through the Tx and checks the footprint the commit transaction
+// replays: the read log holds exactly the keys read through (not served by
+// the write buffer), the write buffer exactly the keys written, each in
+// first-touch order and tagged with its owning shard, and multi tells one
+// shard from several.
 func TestParticipantsOrder(t *testing.T) {
 	const shards = 5
 	d := newModDomain(shards)
-	c := NewCoordinator(d)
+	c := NewCoordinator(d.Domain)
 	tx := &c.tx
 	rng := rand.New(rand.NewSource(2))
 	for round := 0; round < 200; round++ {
-		clear(d.lookups)
 		tx.begin()
-		read, written := map[uint64]bool{}, map[uint64]bool{}
+		var reads, writes []uint64
+		read, written, touched := map[uint64]bool{}, map[uint64]bool{}, map[int]bool{}
 		span := uint64(1 + rng.Intn(60)) // small spans force read+written and rewritten keys
 		for i, n := 0, rng.Intn(80); i < n; i++ {
 			k := uint64(rng.Intn(int(span)))
-			switch rng.Intn(4) {
-			case 0:
-				tx.Get(k)
-				read[k] = read[k] || !written[k]
-			case 1, 2:
+			touched[d.ShardOf(k)] = true
+			op := rng.Intn(4)
+			if op == 1 || op == 2 {
 				tx.Put(k, uint64(i))
-				written[k] = true
-			default:
+				if !written[k] {
+					written[k] = true
+					writes = append(writes, k)
+				}
+				continue
+			}
+			if op == 0 {
+				tx.Get(k)
+			} else {
 				// Absent everywhere: Delete logs the read and buffers nothing,
 				// unless a buffered put is there to delete.
 				tx.Delete(k)
-				read[k] = read[k] || !written[k]
+			}
+			if !written[k] && !read[k] {
+				read[k] = true
+				reads = append(reads, k)
 			}
 		}
-		parts := tx.participants()
-
-		keysOf := func(recs []keyState) []uint64 {
-			var ks []uint64
-			for _, r := range recs {
-				ks = append(ks, r.key)
+		check := func(what string, recs []keyState, want []uint64) {
+			if len(recs) != len(want) {
+				t.Fatalf("round %d: %d %s, want %d", round, len(recs), what, len(want))
 			}
-			return ks
-		}
-		want := func(set map[uint64]bool, si int) []uint64 {
-			var ks []uint64
-			for k, in := range set {
-				if in && d.ShardOf(k) == si {
-					ks = append(ks, k)
+			for i, r := range recs {
+				if r.key != want[i] || int(r.shard) != d.ShardOf(r.key) {
+					t.Fatalf("round %d: %s[%d] = key %d shard %d, want key %d shard %d",
+						round, what, i, r.key, r.shard, want[i], d.ShardOf(want[i]))
 				}
 			}
-			slices.Sort(ks)
-			return ks
 		}
-		prev := -1
-		for _, p := range parts {
-			if p.si <= prev {
-				t.Fatalf("round %d: shard %d after shard %d", round, p.si, prev)
-			}
-			prev = p.si
-			r, w := want(read, p.si), want(written, p.si)
-			if got := keysOf(p.reads.recs); !slices.Equal(got, r) {
-				t.Fatalf("round %d shard %d: reads %v, want %v", round, p.si, got, r)
-			}
-			if got := keysOf(p.writes.recs); !slices.Equal(got, w) {
-				t.Fatalf("round %d shard %d: writes %v, want %v", round, p.si, got, w)
-			}
-			union := slices.Compact(slices.Sorted(slices.Values(append(r, w...))))
-			if !slices.Equal(p.touched, union) {
-				t.Fatalf("round %d shard %d: touched %v, want %v", round, p.si, p.touched, union)
-			}
-			if d.lookups[p.si] != 1 {
-				t.Fatalf("round %d shard %d: %d Shard lookups in one attempt", round, p.si, d.lookups[p.si])
-			}
-		}
-		for si := 0; si < shards; si++ {
-			if enlisted := d.lookups[si] > 0; enlisted != (len(want(read, si))+len(want(written, si)) > 0) {
-				t.Fatalf("round %d: shard %d enlisted = %t", round, si, enlisted)
-			}
+		check("reads", tx.reads.recs, reads)
+		check("writes", tx.writes.recs, writes)
+		if tx.multi != (len(touched) > 1) {
+			t.Fatalf("round %d: multi = %t with %d shards touched", round, tx.multi, len(touched))
 		}
 		tx.end()
 	}
@@ -223,7 +197,7 @@ func transfer(t *testing.T, d *modDomain, c *Coordinator, a, b uint64) {
 // the coordinator usable.
 func TestRunNestedPanics(t *testing.T) {
 	d := newModDomain(4)
-	c := NewCoordinator(d)
+	c := NewCoordinator(d.Domain)
 	c.Run(func(tx *Tx) error { tx.Put(0, 100); tx.Put(1, 100); tx.Put(2, 100); return nil })
 	for _, inner := range []uint64{0, 2} { // the outer transaction's shard, and another
 		msg := mustPanic(t, "nested Run", func() {
@@ -248,7 +222,7 @@ func TestRunNestedPanics(t *testing.T) {
 // so every method must refuse it — after a commit and after a user abort.
 func TestTxDeadAfterFn(t *testing.T) {
 	d := newModDomain(2)
-	c := NewCoordinator(d)
+	c := NewCoordinator(d.Domain)
 	var kept *Tx
 	c.Run(func(tx *Tx) error { kept = tx; tx.Put(1, 1); return nil })
 	methods := map[string]func(){
@@ -271,20 +245,17 @@ func TestTxDeadAfterFn(t *testing.T) {
 }
 
 // TestRunSurvivesForeignPanics: a panic that is not the STM's — out of fn
-// with snapshot sessions open, or out of a later shard's prepare with
-// intents held and an earlier shard at its lock point — must leave nothing
-// behind: the same coordinator, and another one sharing the shards, commit
+// with the snapshot session open, or out of the commit transaction with
+// earlier writes applied and locked — must leave nothing behind: the same
+// coordinator (after the first), and another one sharing the trees, commit
 // over the same keys straight afterwards.
 func TestRunSurvivesForeignPanics(t *testing.T) {
 	d := newModDomain(4)
-	c := NewCoordinator(d)
-	// other is a second client of the same shards: threads of its own, the
-	// shards' trees and intent tables.
-	od := &modDomain{lookups: make([]int, 4)}
-	for _, sh := range d.shards {
-		od.shards = append(od.shards, Shard{Map: sh.Map, Thread: sh.Thread.STM().NewThread(), Intents: sh.Intents})
-	}
-	other := NewCoordinator(od)
+	c := NewCoordinator(d.Domain)
+	// other is a second client of the same trees, with a thread of its own.
+	od := &modDomain{d.Domain}
+	od.Thread = d.Thread.STM().NewThread()
+	other := NewCoordinator(od.Domain)
 	c.Run(func(tx *Tx) error { tx.Put(0, 100); tx.Put(1, 100); return nil })
 
 	mustPanic(t, "fn", func() {
@@ -298,11 +269,11 @@ func TestRunSurvivesForeignPanics(t *testing.T) {
 	transfer(t, d, c, 0, 1)
 	transfer(t, od, other, 1, 0)
 
-	// sftree.MaxKey lives on the last shard (2⁶⁴-1 ≡ 3 mod 4) and panics
-	// inside applyWrites, after shards 0 and 1 have prepared. The follow-ups
-	// keep off shard 3: what the STM promises after a foreign panic is that
-	// no lock stays behind, not that the panicking thread is usable.
-	msg := mustPanic(t, "prepare of a tree-reserved key", func() {
+	// sftree.MaxKey panics inside applyWrites, after the writes to keys 0
+	// and 1 were applied. The follow-ups run on the other coordinator: what
+	// the STM promises after a foreign panic is that no lock stays behind,
+	// not that the panicking thread is usable.
+	msg := mustPanic(t, "commit of a tree-reserved key", func() {
 		c.Run(func(tx *Tx) error {
 			x, _ := tx.Get(0)
 			tx.Put(0, x+1)
@@ -314,13 +285,13 @@ func TestRunSurvivesForeignPanics(t *testing.T) {
 	if !strings.HasPrefix(msg, "sftree: ") {
 		t.Fatalf("panicked with %q, want the tree's own panic", msg)
 	}
-	if v, _ := d.get(0); v != 100 {
-		t.Fatalf("key 0 = %d, want 100: a dropped shard published", v)
+	if v, _ := od.get(0); v != 100 {
+		t.Fatalf("key 0 = %d, want 100: the panicking commit published", v)
 	}
-	transfer(t, od, other, 0, 1) // would spin on a leaked intent or word lock
-	transfer(t, d, c, 1, 0)
-	if st := c.Stats(); st.Commits != 3 {
-		t.Fatalf("stats %+v, want 3 commits", st)
+	transfer(t, od, other, 0, 1) // would spin on a leaked word lock
+	transfer(t, od, other, 1, 0)
+	if st := c.Stats(); st.Commits != 2 {
+		t.Fatalf("stats %+v, want 2 commits", st)
 	}
 }
 

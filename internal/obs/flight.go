@@ -28,20 +28,16 @@ const (
 	// EvMaintSweep: a maintenance sweep that found work. A=structural
 	// changes plus nodes freed.
 	EvMaintSweep
-	// EvFtxPrepare: a slow cross-shard prepare phase (recorded only above a
-	// duration threshold so the ring isn't flooded). A=participating shards,
-	// B=1 if the phase failed and unwound; Dur is the phase duration.
-	EvFtxPrepare
-	// EvFtxAbort: a cross-shard transaction aborting after repeated retries
-	// (recorded only above a retry threshold). A=participating shards,
-	// B=abort cause (0 intent conflict, 1 prepare failure); Dur is unused.
+	// EvFtxAbort: an Atomic transaction failing its commit-time read
+	// revalidation after repeated retries (recorded only above a retry
+	// threshold). A=retries so far; B and Dur are unused.
 	EvFtxAbort
 	numEventKinds
 )
 
 var eventKindNames = [numEventKinds]string{
 	"checkpoint.full", "recovery", "wal.stall", "wal.drop", "wal.rotate",
-	"maint.sweep", "ftx.prepare", "ftx.abort",
+	"maint.sweep", "ftx.abort",
 }
 
 func (k EventKind) String() string {

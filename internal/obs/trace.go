@@ -12,8 +12,7 @@ import (
 
 // SpanKind names one phase of a traced operation's timeline. A complete
 // sampled operation yields one SpanOp plus zero or more phase spans sharing
-// its trace ID: one SpanAttempt per STM attempt, SpanFtxIntent/Prepare/
-// Finalize for the cross-shard two-phase commit, and a SpanWALAppend
+// its trace ID: one SpanAttempt per STM attempt and a SpanWALAppend
 // stretching from the log append to the group-commit fsync that made it
 // durable.
 type SpanKind uint8
@@ -25,14 +24,6 @@ const (
 	// SpanAttempt: one STM attempt inside the op. A is -1 for the committing
 	// attempt, otherwise the AbortCause code; B is the attempt index (0 = first).
 	SpanAttempt
-	// SpanFtxIntent: the intent-acquire phase of a cross-shard commit.
-	// A=participating shards, B=1 if a conflict aborted the phase.
-	SpanFtxIntent
-	// SpanFtxPrepare: the shard-ordered prepare phase. A=participating
-	// shards, B=1 if a prepare failed and the commit unwound.
-	SpanFtxPrepare
-	// SpanFtxFinalize: finalize-all plus the atomic WAL record. A=shards.
-	SpanFtxFinalize
 	// SpanWALAppend: WAL append until fsync completion. A=shard index (-1
 	// for a multi-shard atomic record), B=bytes appended.
 	SpanWALAppend
@@ -40,8 +31,7 @@ const (
 )
 
 var spanKindNames = [numSpanKinds]string{
-	"op", "stm.attempt", "ftx.intent", "ftx.prepare", "ftx.finalize",
-	"wal.append",
+	"op", "stm.attempt", "wal.append",
 }
 
 func (k SpanKind) String() string {

@@ -38,6 +38,9 @@ type Tree struct {
 	rotations atomic.Uint64
 }
 
+// STM returns the domain the tree lives in.
+func (t *Tree) STM() *stm.STM { return t.s }
+
 // New creates an empty red-black tree on the given STM domain.
 func New(s *stm.STM) *Tree {
 	return &Tree{s: s, ar: arena.New()}
@@ -581,10 +584,6 @@ func (t *Tree) rangeWalk(tx *stm.Tx, ref arena.Ref, lo, hi uint64, fn func(k, v 
 	}
 	return true
 }
-
-// EmptyHint reports, from one plain read, whether the tree was just observed
-// empty; read-only scans may use it to skip the tree without a transaction.
-func (t *Tree) EmptyHint() bool { return t.root.Plain() == arena.Nil }
 
 // CheckInvariants verifies (plain reads, quiescent use) the BST property,
 // parent-pointer consistency, and the red-black invariants: the root is

@@ -80,23 +80,29 @@ func TestMPMC(t *testing.T) {
 		cwg.Add(1)
 		go func() {
 			defer cwg.Done()
+			record := func(v uint64) {
+				mu.Lock()
+				if seen[v] {
+					t.Errorf("duplicate element %d", v)
+				}
+				seen[v] = true
+				popped++
+				mu.Unlock()
+			}
 			for {
 				v, ok := q.Pop()
 				if ok {
-					mu.Lock()
-					if seen[v] {
-						t.Errorf("duplicate element %d", v)
-					}
-					seen[v] = true
-					popped++
-					mu.Unlock()
+					record(v)
 					continue
 				}
 				select {
 				case <-doneProducing:
-					if _, ok := q.Pop(); !ok {
+					// An element this Pop finds is counted like any other.
+					v, ok := q.Pop()
+					if !ok {
 						return
 					}
+					record(v)
 				default:
 				}
 			}

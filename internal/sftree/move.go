@@ -17,19 +17,23 @@ type TxMap interface {
 // write it, for every map and every caller: the tree's own Move, trees.Move
 // on any library, the facade and the forest's same-shard move.
 //
+// The source and destination may be two maps of one STM — a forest's
+// cross-shard move is the same composition over the source key's shard and
+// the destination key's shard, one plain transaction.
+//
 // It is a holder rather than a function so that a caller who keeps one (per
 // thread or per handle) moves without allocating: the transaction body is
 // bound once and acts on the move stored by Bind, where a closure literal
 // per call costs the closure and every variable it captures. The caller runs
-// the body in whatever transaction suits the map:
+// the body in whatever transaction suits the maps:
 //
-//	trees.Atomic(m, th, mv.Bind(m, src, dst))
+//	trees.Atomic(m, th, mv.Bind(m, m, src, dst))
 //	ok := mv.Moved()
 //
 // The zero Mover is ready for use. It must not be copied after the first
 // Bind, nor shared between goroutines.
 type Mover struct {
-	m        TxMap
+	sm, dm   TxMap // the maps holding src and dst
 	src, dst uint64
 	ok       bool
 	body     func(*stm.Tx)
@@ -41,13 +45,14 @@ type Mover struct {
 	OnMoved func(tx *stm.Tx, src, dst, v uint64)
 }
 
-// Bind stores the move to perform and returns the transaction body that
-// performs it. The body may run any number of times (retries).
-func (mv *Mover) Bind(m TxMap, src, dst uint64) func(*stm.Tx) {
+// Bind stores the move to perform — src out of sm, dst into dm — and
+// returns the transaction body that performs it. The body may run any
+// number of times (retries).
+func (mv *Mover) Bind(sm, dm TxMap, src, dst uint64) func(*stm.Tx) {
 	if mv.body == nil {
 		mv.body = mv.run
 	}
-	mv.m, mv.src, mv.dst = m, src, dst
+	mv.sm, mv.dm, mv.src, mv.dst = sm, dm, src, dst
 	return mv.body
 }
 
@@ -55,20 +60,20 @@ func (mv *Mover) Bind(m TxMap, src, dst uint64) func(*stm.Tx) {
 func (mv *Mover) Moved() bool { return mv.ok }
 
 func (mv *Mover) run(tx *stm.Tx) {
-	m, src, dst := mv.m, mv.src, mv.dst
+	sm, dm, src, dst := mv.sm, mv.dm, mv.src, mv.dst
 	mv.ok = false
 	if src == dst {
-		mv.ok = m.ContainsTx(tx, src)
+		mv.ok = sm.ContainsTx(tx, src)
 		return
 	}
-	v, present := m.GetTx(tx, src)
-	if !present || m.ContainsTx(tx, dst) {
+	v, present := sm.GetTx(tx, src)
+	if !present || dm.ContainsTx(tx, dst) {
 		return
 	}
-	if !m.DeleteTx(tx, src) {
+	if !sm.DeleteTx(tx, src) {
 		return
 	}
-	if !m.InsertTxA(tx, dst, v) {
+	if !dm.InsertTxA(tx, dst, v) {
 		// dst was checked absent in this very transaction: only a doomed
 		// (zombie) attempt or an elastic cut of that check can see it
 		// occupied now. Committing would make the half-move (the buffered

@@ -167,13 +167,3 @@ func (f *opFrame) feed(fn func(k, v uint64) bool) bool {
 	f.putBuf(buf)
 	return done
 }
-
-// EmptyHint reports, from one plain read, whether the tree was just observed
-// to hold no nodes at all (every user node hangs off the sentinel's left
-// child). A true result is a legitimate instantaneous snapshot — "empty at
-// the moment of the load" — that read-only scans may use to skip the tree
-// without opening a transaction; false means nothing (nodes present, or a
-// concurrent insert in flight).
-func (t *Tree) EmptyHint() bool {
-	return t.node(t.root).L.Plain() == arena.Nil
-}

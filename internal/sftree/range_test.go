@@ -113,26 +113,3 @@ func TestRangeElastic(t *testing.T) {
 		t.Fatalf("optimized elastic scan visited %d", n)
 	}
 }
-
-func TestEmptyHint(t *testing.T) {
-	s := stm.New()
-	tr := New(s)
-	if !tr.EmptyHint() {
-		t.Fatal("fresh tree not hinted empty")
-	}
-	th := s.NewThread()
-	tr.Insert(th, 1, 1)
-	if tr.EmptyHint() {
-		t.Fatal("non-empty tree hinted empty")
-	}
-	// A logically deleted tree is not hinted empty (the node is still
-	// linked); only physical removal can empty the structure again.
-	tr.Delete(th, 1)
-	if tr.EmptyHint() {
-		t.Fatal("logically-deleted tree hinted empty before maintenance")
-	}
-	tr.Quiesce(1 << 10)
-	if !tr.EmptyHint() {
-		t.Fatal("tree not hinted empty after maintenance removed the node")
-	}
-}

@@ -403,7 +403,7 @@ func (t *Tree) Move(th *stm.Thread, src, dst uint64) bool {
 	checkKey(src)
 	checkKey(dst)
 	mv := &t.frame(th).mv
-	t.atomic(th, mv.Bind(t, src, dst))
+	t.atomic(th, mv.Bind(t, t, src, dst))
 	return mv.Moved()
 }
 

@@ -36,17 +36,40 @@ func (lc *lifecycle) run() {
 	tx := &th.tx
 	cm := th.stm.cm
 	for {
+		if !tx.readOnly && th.stm.gate.Load() != 0 {
+			th.waitGate()
+		}
 		tx.begin(lc.mode)
 		if th.runAttempt(tx, lc.fn) {
 			return
 		}
 		lc.retries++
 		th.noteRetry()
-		if tx.lostUnlogged() {
+		if tx.lostUnlogged() || lc.starving() {
 			continue
 		}
 		cm.OnAbort(th, lc.retries)
 	}
+}
+
+// gateRetries is the number of lost attempts after which a read-only
+// operation takes the domain's writer gate (see STM.gate).
+const gateRetries = 8
+
+// starving is called after an aborted attempt. A read-only operation that
+// has lost gateRetries attempts takes the writer gate; one that holds it
+// retries at once, since every new writer now waits for it — the
+// contention manager's stall would only hold them longer.
+func (lc *lifecycle) starving() bool {
+	th := lc.th
+	if !th.tx.readOnly {
+		return false
+	}
+	if lc.retries == gateRetries {
+		th.gated = true
+		th.stm.gate.Add(1)
+	}
+	return th.gated
 }
 
 // lostUnlogged is called after an aborted attempt. It ends the unlogged
@@ -75,6 +98,9 @@ func (lc *lifecycle) runTraced() {
 	cm := th.stm.cm
 	tr, id, op := th.tr, th.traceID, th.traceOp
 	for {
+		if !tx.readOnly && th.stm.gate.Load() != 0 {
+			th.waitGate()
+		}
 		start := time.Now().UnixNano()
 		tx.begin(lc.mode)
 		if th.runAttempt(tx, lc.fn) {
@@ -84,7 +110,7 @@ func (lc *lifecycle) runTraced() {
 		tr.Record(id, obs.SpanAttempt, op, start, time.Now().UnixNano(), int64(th.lastCause), int64(lc.retries))
 		lc.retries++
 		th.noteRetry()
-		if tx.lostUnlogged() {
+		if tx.lostUnlogged() || lc.starving() {
 			continue
 		}
 		cm.OnAbort(th, lc.retries)

@@ -1,7 +1,9 @@
 package stm
 
 import (
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 )
@@ -150,5 +152,55 @@ func TestAtomicROZeroAllocs(t *testing.T) {
 	}
 	if cap(th.tx.reads) != inlineReads {
 		t.Errorf("read set grew to %d entries under unlogged scans", cap(th.tx.reads))
+	}
+}
+
+// TestAtomicROTakesWriterGate: a read-only operation that keeps losing to a
+// writer takes the domain's writer gate after gateRetries lost attempts; a
+// writing attempt that starts while the gate is held waits until the scan
+// commits, and the gate is released with the commit.
+func TestAtomicROTakesWriterGate(t *testing.T) {
+	s := New()
+	th, writer := s.NewThread(), s.NewThread()
+	var a, b, c Word
+	attempt := 0
+	var waiting sync.WaitGroup
+	th.AtomicRO(func(tx *Tx) {
+		attempt++
+		tx.Read(&a)
+		if attempt <= gateRetries {
+			// Invalidate a and make b newer than the snapshot: reading b
+			// must extend, and the extension fails on a.
+			writer.Atomic(func(wtx *Tx) {
+				wtx.Write(&a, wtx.Read(&a)+1)
+				wtx.Write(&b, wtx.Read(&b)+1)
+			})
+			tx.Read(&b)
+			t.Fatalf("attempt %d survived a conflicting commit", attempt)
+		}
+		if g := s.gate.Load(); g != 1 || !th.gated {
+			t.Fatalf("attempt %d: gate = %d, gated = %t; want the gate held", attempt, g, th.gated)
+		}
+		if attempt > gateRetries+1 {
+			return // a retry of the gated attempt: the writer is already waiting
+		}
+		waiting.Add(1)
+		before := writer.liveStats().Commits
+		go func() {
+			defer waiting.Done()
+			writer.Atomic(func(wtx *Tx) { wtx.Write(&c, 1) })
+		}()
+		time.Sleep(20 * time.Millisecond)
+		if writer.liveStats().Commits != before {
+			t.Error("a writer committed while the gate was held")
+		}
+		tx.Read(&b)
+	})
+	waiting.Wait()
+	if g := s.gate.Load(); g != 0 || th.gated {
+		t.Fatalf("after commit: gate = %d, gated = %t; want it released", g, th.gated)
+	}
+	if c.Plain() != 1 {
+		t.Fatal("the held-back writer never committed")
 	}
 }

@@ -3,11 +3,11 @@ package stm
 // A Snapshot is a long-lived read-only transaction session: a sequence of
 // Read calls served from one consistent read snapshot of the domain, open
 // across ordinary operation boundaries. It exists for batched execution-
-// phase reads — the cross-shard transaction coordinator (internal/ftx) used
-// to pay one committed read-only transaction per distinct key it read, and
-// a Snapshot replaces that with one snapshot per participating shard:
-// every cache-miss read of the shard joins the same open transaction, whose
-// invisible reads validate (with timestamp extension) against one rv.
+// phase reads — the buffering transaction of internal/ftx used to pay one
+// committed read-only transaction per distinct key it read, and a Snapshot
+// replaces that with one snapshot per transaction: every cache-miss read
+// joins the same open transaction, whose invisible reads validate (with
+// timestamp extension) against one rv.
 //
 // A Snapshot never writes (the descriptor is marked read-only and Write
 // panics), so it holds no locks and needs no commit: each successful Read
@@ -22,7 +22,7 @@ package stm
 //
 // The session uses its own transaction descriptor, distinct from the
 // thread's ordinary one, so the owning thread can run Atomic/Prepare
-// between (not within) Read calls — the ftx commit protocol does exactly
+// between (not within) Read calls — ftx's commit transaction does exactly
 // that. At most one Snapshot may be open per thread; Close releases the
 // slot. Like everything on a Thread, a Snapshot is single-goroutine.
 //

@@ -114,6 +114,16 @@ type STM struct {
 	// Cached on the Thread at registration like maxSpin.
 	yieldEvery int
 
+	// gate counts the read-only operations (AtomicRO) that lost gateRetries
+	// attempts in a row and now hold new writing attempts back: a writing
+	// attempt that finds gate non-zero waits before it begins
+	// (Thread.waitGate). Writers already running finish, so a starving scan
+	// meets a finite set of conflicts and then none — without the gate a
+	// scan wider than the gap between two commits never completes. It
+	// changes only when a scan starves, so it sits with the read-mostly
+	// configuration every attempt's begin already loads.
+	gate atomic.Int32
+
 	// Registration state: touched only by NewThread/Threads, cold.
 	mu      sync.Mutex
 	threads []*Thread
@@ -209,6 +219,7 @@ type LiveStats struct {
 	AbortCauses       [NumAbortCauses]uint64
 	StructuralCommits uint64
 	StructuralAborts  uint64
+	SpinExhausted     uint64
 }
 
 // Add accumulates o into s.
@@ -221,6 +232,7 @@ func (s *LiveStats) Add(o LiveStats) {
 	}
 	s.StructuralCommits += o.StructuralCommits
 	s.StructuralAborts += o.StructuralAborts
+	s.SpinExhausted += o.SpinExhausted
 }
 
 // LiveStats sums the live-published counters of every registered thread.

@@ -236,11 +236,11 @@ func (tx *Tx) Read(w *Word) uint64 {
 func (tx *Tx) sampleContended(w *Word) (uint64, uint64) {
 	v, meta, ok := w.sampleUnlocked(tx.th.maxSpin)
 	if !ok {
-		tx.th.stats.SpinExhausted++
+		tx.th.noteSpinExhausted()
 		runtime.Gosched()
 		v, meta, ok = w.sampleUnlocked(tx.th.maxSpin)
 		if !ok {
-			tx.th.stats.SpinExhausted++
+			tx.th.noteSpinExhausted()
 			tx.abort(AbortSpinExhausted)
 		}
 	}
@@ -282,7 +282,7 @@ func (tx *Tx) uReadContended(w *Word) uint64 {
 		if ok {
 			return v
 		}
-		tx.th.stats.SpinExhausted++
+		tx.th.noteSpinExhausted()
 		runtime.Gosched()
 	}
 }
@@ -334,7 +334,7 @@ func (tx *Tx) writeETL(w *Word, v uint64) {
 		}
 		if spins++; spins >= tx.th.maxSpin {
 			spins = 0
-			tx.th.stats.SpinExhausted++
+			tx.th.noteSpinExhausted()
 			runtime.Gosched()
 		}
 	}

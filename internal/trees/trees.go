@@ -48,6 +48,10 @@ type Map interface {
 	// enclosing transaction retries, so it must reset any accumulator at
 	// the point the transaction function restarts.
 	RangeTx(tx *stm.Tx, lo, hi uint64, fn func(k, v uint64) bool) bool
+
+	// STM returns the domain the tree lives in: composable forms of two
+	// maps may share a transaction only when they share it.
+	STM() *stm.STM
 }
 
 // Maintained is implemented by trees with a maintenance sweep (the
@@ -134,25 +138,6 @@ func Quiesce(m Map, maxPasses int) {
 	}
 }
 
-// EmptyHinter is implemented by trees that can report, from one plain read,
-// that they were just observed to hold no elements. The hint is
-// instantaneous — an "empty at the moment of the load" snapshot — so
-// read-only scans may use it to skip a tree entirely without opening a
-// transaction (or registering an STM thread with its domain). A false
-// result carries no information.
-type EmptyHinter interface {
-	EmptyHint() bool
-}
-
-// EmptyHint reports whether m was just observed empty; false when m cannot
-// tell cheaply.
-func EmptyHint(m Map) bool {
-	if eh, ok := m.(EmptyHinter); ok {
-		return eh.EmptyHint()
-	}
-	return false
-}
-
 // ElasticAware is implemented by trees that declare whether they tolerate
 // elastic (cut) read tracking. Trees without the method are treated as
 // elastic-safe (the speculation-friendly trees are, by design: immutable
@@ -191,7 +176,7 @@ type Mover = sftree.Mover
 // the caller's Mover: it succeeds — deleting src and inserting dst — only
 // when src is present and dst absent.
 func MoveWith(mv *Mover, m Map, th *stm.Thread, src, dst uint64) bool {
-	Atomic(m, th, mv.Bind(m, src, dst))
+	Atomic(m, th, mv.Bind(m, m, src, dst))
 	return mv.Moved()
 }
 

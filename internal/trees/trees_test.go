@@ -303,7 +303,7 @@ func TestMoveOnAllKinds(t *testing.T) {
 
 // TestSetTxOnAllKinds: every registry tree provides a native SetTx upsert
 // (sftree directly, rb/avl natively, nr via embedding) — the write-replay
-// entry point of the cross-shard coordinator. Upserting must overwrite a
+// entry point of ftx's commit transaction. Upserting must overwrite a
 // present key in place, insert an absent one, and resurrect a logically
 // deleted one, all composably inside an enclosing transaction.
 func TestSetTxOnAllKinds(t *testing.T) {

@@ -67,7 +67,7 @@ func hammer(tr *Tree, workers int, mix smokeMix, probe func()) (ops uint64) {
 				switch p := rng.Intn(100); {
 				case p < mix.transfer:
 					a, b := key(), key()
-					for tr.SameShard(a, b) {
+					for tr.f.ShardOf(a) == tr.f.ShardOf(b) {
 						b = key()
 					}
 					h.Atomic(func(tx *Txn) error {
@@ -100,8 +100,8 @@ func hammer(tr *Tree, workers int, mix smokeMix, probe func()) (ops uint64) {
 
 // TestObsEndpointSmoke runs a short durable sharded workload through the
 // facade with the observability endpoint live and scrapes /metrics in the
-// middle of it: every layer's families — STM taxonomy per shard, tree
-// maintenance, maintenance pool, cross-shard coordinator, WAL/checkpoint,
+// middle of it: every layer's families — STM taxonomy, tree maintenance
+// per shard, maintenance pool, Atomic coordinator, WAL/checkpoint,
 // Go runtime — must be present in one exposition, served while the
 // workload is running. This is the `make obs-smoke` CI gate.
 func TestObsEndpointSmoke(t *testing.T) {
@@ -124,11 +124,10 @@ func TestObsEndpointSmoke(t *testing.T) {
 	}
 
 	families := []string{
-		// STM layer, per shard, with the abort-cause taxonomy.
-		`stm_commits_total{shard="0"}`,
-		`stm_commits_total{shard="1"}`,
-		`stm_abort_cause_total{shard="0",cause="validation"}`,
-		`stm_abort_cause_total{shard="0",cause="unlogged"}`,
+		// STM layer (one domain), with the abort-cause taxonomy.
+		"stm_commits_total ",
+		`stm_abort_cause_total{cause="validation"}`,
+		`stm_abort_cause_total{cause="unlogged"}`,
 		// Tree maintenance layer.
 		`sftree_maint_passes_total{shard="0"}`,
 		`sftree_rotations_total{shard="1"}`,
@@ -138,7 +137,7 @@ func TestObsEndpointSmoke(t *testing.T) {
 		"forest_pool_workers",
 		"forest_pool_busy_nanos_total",
 		"forest_pool_sweeps_total",
-		// Cross-shard coordinator.
+		// Atomic coordinator.
 		"ftx_commits_total",
 		// Durable layer.
 		"durable_wal_records_total",
@@ -182,7 +181,7 @@ func TestTreeObservabilityFacade(t *testing.T) {
 		h.Insert(i, i)
 	}
 	body := scrape(t, addr, "/metrics")
-	for _, f := range []string{`stm_commits_total{shard="0"}`, "go_goroutines"} {
+	for _, f := range []string{"stm_commits_total ", "go_goroutines"} {
 		if !strings.Contains(body, f) {
 			t.Errorf("/metrics missing %q", f)
 		}

@@ -32,21 +32,24 @@
 //
 // # Scaling beyond one STM domain
 //
-// Every Tree is a forest of hash-partitioned shards (internal/forest), each
-// one tree in its own STM domain. The default of one shard is the paper's
-// design: every operation goes through one STM domain (one global version
-// clock, one maintenance worker). For workloads that outgrow it, WithShards
-// splits the key space across independent domain+tree shards, and
+// Every Tree is a forest of hash-partitioned shards (internal/forest): S
+// trees in one STM domain. The default of one shard is the paper's design,
+// one tree in one domain. WithShards splits the key space across S trees,
+// which buys what partitioning trees buys — shallower trees, maintenance
+// sweeps split across a worker pool, per-shard WAL records, checkpoint
+// files and recovery appliers — while every transaction still spans the
+// whole key space, because the shards share the domain's one version
+// clock. That single global clock is TL2's known scaling limit at many
+// cores; the 2-vCPU host this was measured on cannot probe it.
 // WithContention selects the abort→retry policy:
 //
 //	t := repro.NewTree(repro.SpeculationFriendlyOptimized,
 //		repro.WithShards(8), repro.WithContention(repro.ContentionBackoff))
 //
-// Cheap composed transactions are confined to one shard (Handle.UpdateShard,
-// Tree.SameShard); transactions that must span shards — transfer/ledger
-// workloads, cross-shard Move — run through Handle.Atomic, a cross-shard
-// transaction coordinator that buffers reads and writes per shard and
-// commits them with a shard-ordered two-phase commit (internal/ftx):
+// Update composes tree operations inside one STM transaction on any shards;
+// Handle.Atomic buffers reads and writes and commits them in one replaying
+// transaction (internal/ftx), which lets fn abort with an error and nothing
+// applied:
 //
 //	h.Atomic(func(t *repro.Txn) error {
 //		a, _ := t.Get(accA)
@@ -118,8 +121,8 @@ const (
 
 // Tree is a concurrent ordered map from uint64 keys to uint64 values backed
 // by one of the paper's tree libraries over the package's STM. It is a
-// hash-sharded forest of such trees, one STM domain each; the default of one
-// shard is the paper's configuration, one tree in one STM domain. Create one
+// hash-sharded forest of such trees in one STM domain; the default of one
+// shard is the paper's configuration, one tree. Create one
 // with NewTree (or Open, for a durable tree); every goroutine accessing it
 // must use its own Handle.
 type Tree struct {
@@ -159,21 +162,23 @@ func WithTMMode(m TMMode) Option { return func(c *treeCfg) { c.mode = m } }
 // the caller can drive maintenance manually via Maintain.
 func WithoutMaintenance() Option { return func(c *treeCfg) { c.maintenance = false } }
 
-// WithShards hash-partitions the key space across n independent
-// STM-domain+tree shards (default 1, the paper's single-domain tree). With
-// n > 1, single-key operations keep their atomicity, cheap composed
-// transactions are confined to one shard (see Handle.UpdateShard and
-// Tree.SameShard), and arbitrary multi-shard compositions — including Move
-// across shards — run atomically through Handle.Atomic's two-phase-commit
-// coordinator. NewTree panics on n < 1; Open returns the error.
+// WithShards hash-partitions the key space across n trees of the tree's one
+// STM domain (default 1, the paper's single tree). Every operation keeps
+// its atomicity whichever shards it touches — Update, Atomic, Move and
+// Range are one transaction each. What sharding buys is partitioned trees:
+// shallower trees, maintenance split across a worker pool, and per-shard
+// WAL records, checkpoint files and recovery appliers. What it does not
+// split is the version clock, which every commit advances. NewTree panics
+// on n < 1; Open returns the error.
 func WithShards(n int) Option { return func(c *treeCfg) { c.shards = n } }
 
 // WithObservability turns on the tree's observability layer: a metrics
-// registry that every layer (STM commit/abort taxonomy per shard, tree
-// maintenance, cross-shard coordinator, maintenance pool, WAL/checkpoints,
-// Go runtime) registers its counter, gauge and histogram families into,
-// plus a bounded flight recorder of coarse-grained events (checkpoints,
-// recovery, WAL stalls, maintenance bursts, slow cross-shard prepares). With a non-empty addr the layer also serves
+// registry that every layer (STM commit/abort taxonomy, tree maintenance
+// per shard, Atomic coordinator, maintenance pool, WAL/checkpoints, Go
+// runtime) registers its counter, gauge and histogram families into, plus
+// a bounded flight recorder of coarse-grained events (checkpoints,
+// recovery, WAL stalls, maintenance bursts, Atomic abort storms). With a
+// non-empty addr the layer also serves
 // HTTP on it: Prometheus text on /metrics, a JSON snapshot on /snapshot,
 // the flight-recorder ring on /flight, and net/http/pprof under
 // /debug/pprof/ — pass ":0" for an ephemeral port and read it back with
@@ -196,8 +201,7 @@ func WithObservability(addr string) Option {
 // sampled at its start — one xorshift draw per op, no atomics on the
 // unsampled path — and a sampled operation records a span for each phase it
 // crosses: the facade op itself, every STM attempt with its abort cause,
-// the cross-shard coordinator's intent/prepare/finalize phases, and the WAL
-// append→fsync completion.
+// and the WAL append→fsync completion.
 // Spans land in a fixed-size lock-free ring (newest wins) served by the
 // /trace endpoint and Tree.Tracer; per-op-kind latency histograms
 // (op_latency_nanos) and a top-K slow-op table ride along in the registry.
@@ -291,8 +295,8 @@ func NewTree(kind Kind, opts ...Option) *Tree {
 // the write-ahead log and checkpoints in dir (created if missing; the same
 // kind and shard count must be used across openings of one directory).
 // Every committed update is appended to the log as one checksummed record
-// (cross-shard Atomic transactions as one multi-shard record, logged at
-// finalize), group-committed per the WithDurability dials; checkpoints
+// (a transaction whose effects span shards as one multi-shard record),
+// group-committed per the WithDurability dials; checkpoints
 // rotate and truncate the log. Open first replays dir's newest sealed
 // checkpoint plus the surviving log tail into a fresh tree, seals a new
 // checkpoint (rebasing the history onto this process's clocks), and then
@@ -304,7 +308,7 @@ func NewTree(kind Kind, opts ...Option) *Tree {
 // at most the final unsynced window, within which in-flight operations
 // are retained or lost independently (see the durable package comment for
 // the precise contract). A torn tail record is detected by its length
-// prefix and CRC and cleanly discarded, so a cross-shard transaction is
+// prefix and CRC and cleanly discarded, so a multi-shard transaction is
 // recovered wholly or not at all.
 func Open(dir string, kind Kind, opts ...Option) (*Tree, error) {
 	cfg, err := configure(opts)
@@ -499,16 +503,11 @@ func (t *Tree) Maintain(maxPasses int) { t.f.Quiesce(maxPasses) }
 // Shards reports the number of partitions (1 unless WithShards was given).
 func (t *Tree) Shards() int { return t.f.Shards() }
 
-// SameShard reports whether k1 and k2 live on the same shard, i.e. whether
-// a composed transaction (UpdateShard, atomic Move) may span both keys.
-// Always true for unsharded trees.
-func (t *Tree) SameShard(k1, k2 uint64) bool { return t.f.SameShard(k1, k2) }
-
 // NewHandle returns a handle bound to fresh STM thread state. Handles are
 // not safe for concurrent use; create one per goroutine.
 func (t *Tree) NewHandle() *Handle { return &Handle{t: t, fh: t.f.NewHandle()} }
 
-// Stats returns the sum of all handles' STM statistics (over all shards).
+// Stats returns the sum of all handles' STM statistics.
 // Running maintenance workers are paused while their counters are read;
 // the caller's handles should be quiescent for exact values. Stats may be
 // called concurrently with Close.
@@ -548,17 +547,11 @@ func (h *Handle) Get(k uint64) (uint64, bool) { return h.fh.Get(k) }
 func (h *Handle) Contains(k uint64) bool { return h.fh.Contains(k) }
 
 // Move relocates the value at src to dst (§5.4's composed operation); it
-// succeeds only when src is present and dst absent, and it is atomic on
-// every configuration: one ordinary transaction when both keys live on one
-// shard (always, on an unsharded tree), one cross-shard Atomic transaction
-// otherwise.
+// succeeds only when src is present and dst absent, and it is one
+// transaction on every configuration, whichever shards the keys live on.
 func (h *Handle) Move(src, dst uint64) bool { return h.fh.Move(src, dst) }
 
-// SameShard reports whether k1 and k2 live on the same shard (always true
-// for unsharded trees) — the routing predicate for UpdateShard.
-func (h *Handle) SameShard(k1, k2 uint64) bool { return h.fh.SameShard(k1, k2) }
-
-// Txn is the buffering cross-shard transaction Handle.Atomic runs:
+// Txn is the buffering transaction Handle.Atomic runs:
 // Get/Contains read through to the owning shard with repeatable-read
 // caching, Put/Insert/Delete buffer their effect, and everything commits
 // atomically — all or none — when the function returns nil.
@@ -566,10 +559,9 @@ type Txn = ftx.Tx
 
 // Atomic runs fn as one atomic transaction over the whole key space,
 // regardless of sharding: reads and writes may touch any keys, and the
-// commit is all-or-nothing via a shard-ordered two-phase commit over the
-// participating shards (single-shard transactions — including everything
-// on an unsharded tree — fall back to one ordinary transaction). A non-nil
-// error from fn aborts with nothing applied and is returned verbatim;
+// commit is all-or-nothing — one STM transaction replays fn's reads and
+// applies its buffered writes. A non-nil error from fn aborts with nothing
+// applied and is returned verbatim;
 // otherwise Atomic retries on conflict until it commits. fn may be
 // re-executed and must be free of side effects beyond the Txn and locals
 // it re-assigns.
@@ -577,33 +569,30 @@ type Txn = ftx.Tx
 // A handle has one transaction context, reset for every attempt, so Atomic
 // allocates nothing in steady state. The Txn is therefore valid only inside
 // the fn invocation it was passed to — its methods panic afterwards — and
-// Atomic must not be called on the same handle from inside fn (nor, on a
-// sharded tree, a cross-shard Move): that panics rather than corrupt the
-// outer transaction. Compose inside one fn.
+// Atomic must not be called on the same handle from inside fn: that panics
+// rather than corrupt the outer transaction. Compose inside one fn.
 //
-// Atomic is the general composition; UpdateShard remains cheaper when the
-// keys are known co-located (Tree.SameShard).
+// Update is cheaper when fn needs no buffering or error abort: it runs the
+// composition inside the STM transaction directly, with no replay.
 func (h *Handle) Atomic(fn func(t *Txn) error) error { return h.fh.Atomic(fn) }
 
-// XactStats reports this handle's cross-shard coordinator activity: total
-// commits, the subset that took the single-shard fallback fast path,
-// retried aborts and intent conflicts (zero value before the first Atomic
-// call).
+// XactStats reports this handle's Atomic activity: total commits, the
+// subsets whose keys lay on one shard and that spanned shards read-only,
+// retried aborts and user aborts (zero value before the first Atomic call).
 func (h *Handle) XactStats() ftx.Stats { return h.fh.XactStats() }
 
-// Len counts the elements, one consistent snapshot per shard.
+// Len counts the elements, one consistent snapshot.
 func (h *Handle) Len() int { return h.fh.Len() }
 
-// Keys returns the sorted keys, one consistent snapshot per shard.
+// Keys returns the sorted keys, one consistent snapshot.
 func (h *Handle) Keys() []uint64 { return h.fh.Keys() }
 
 // Range visits, in ascending key order, every element whose key lies in
 // [lo, hi] (both inclusive), calling fn(k, v) for each; fn returning false
 // stops the scan early. Range reports whether the scan ran to the end of
-// the interval. On an unsharded tree the visited elements are one
-// consistent snapshot; on a sharded tree each shard's contribution is one
-// consistent snapshot merged in key order, but the shards are not cut at
-// one instant (the Keys/Len contract — see the forest package comment).
+// the interval. The visited elements are one consistent snapshot, on a
+// sharded tree too: one read-only transaction collects every shard, whose
+// snapshots are then merged in key order.
 func (h *Handle) Range(lo, hi uint64, fn func(k, v uint64) bool) bool {
 	return h.fh.Range(lo, hi, fn)
 }
@@ -615,26 +604,12 @@ func (h *Handle) Ascend(fn func(k, v uint64) bool) bool {
 }
 
 // Update runs fn as one atomic transaction; every operation on the Op
-// belongs to that transaction, so arbitrary compositions execute atomically
-// and deadlock-free. fn may re-run on conflict: it must not have side
-// effects beyond the Op and locals it re-assigns.
-//
-// Update panics on a sharded tree, because a composed transaction must be
-// routed to the single shard whose keys it touches: use UpdateShard there.
-func (h *Handle) Update(fn func(op *Op)) {
-	if h.t.Shards() > 1 {
-		panic("repro: Update needs a routing key on a sharded tree; use UpdateShard(k, fn)")
-	}
-	h.fh.Update(0, fn)
-}
+// belongs to that transaction, whichever shards its keys live on, so
+// arbitrary compositions execute atomically and deadlock-free. fn may
+// re-run on conflict: it must not have side effects beyond the Op and
+// locals it re-assigns.
+func (h *Handle) Update(fn func(op *Op)) { h.fh.Update(fn) }
 
-// UpdateShard runs fn as one atomic transaction on the shard owning the
-// routing key k; every key touched inside fn must live on that shard (the
-// Op methods panic otherwise — check with Tree.SameShard first). On an
-// unsharded tree, UpdateShard is exactly Update.
-func (h *Handle) UpdateShard(k uint64, fn func(op *Op)) { h.fh.Update(k, fn) }
-
-// Op exposes the tree operations inside a Handle.Update / UpdateShard
-// transaction: Insert, Delete, Get and Contains, all part of that
-// transaction.
+// Op exposes the tree operations inside a Handle.Update transaction:
+// Insert, Delete, Get and Contains, all part of that transaction.
 type Op = forest.Op

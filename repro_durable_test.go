@@ -69,7 +69,7 @@ func copyDir(t *testing.T, src, dst string) {
 }
 
 // TestDurableRecoveryOracle drives a randomized workload (single-key
-// updates, composed UpdateShard transactions, moves, cross-shard Atomic
+// updates, composed Update transactions, moves, cross-shard Atomic
 // transfers) against a durable tree while maintaining a model map, then
 // closes and reopens the directory twice — once mid-history with an
 // explicit checkpoint in between — asserting the recovered abstraction
@@ -107,7 +107,7 @@ func TestDurableRecoveryOracle(t *testing.T) {
 						delete(model, k)
 					}
 				case 7:
-					h.UpdateShard(k, func(op *Op) {
+					h.Update(func(op *Op) {
 						if v, ok := op.Get(k); ok {
 							op.Delete(k)
 							op.Insert(k, v+1)
@@ -221,12 +221,12 @@ func TestDurableTruncationOracle(t *testing.T) {
 		step(func() { h.Delete(7); delete(model, 7) })
 		step(func() { h.Move(2, 200); model[200] = model[2]; delete(model, 2) })
 		step(func() {
-			h.UpdateShard(5, func(op *Op) { op.Delete(5); op.Insert(5, 555) })
+			h.Update(func(op *Op) { op.Delete(5); op.Insert(5, 555) })
 			model[5] = 555
 		})
-		// Tail record: one Atomic transfer A→B, free keys (on 8 shards
-		// almost surely a genuine cross-shard two-phase commit and a
-		// multi-shard record; on 1 shard the fallback path's record).
+		// Tail record: one Atomic transfer A→B, free keys (a multi-shard
+		// record when the accounts live on different shards, an update
+		// record otherwise).
 		step(func() {
 			h.Atomic(func(x *Txn) error {
 				a, _ := x.Get(accA)
@@ -412,7 +412,7 @@ func TestDurableCheckpointStress(t *testing.T) {
 					h.Move(base+uint64(rng.Intn(200)), base+uint64(rng.Intn(200)))
 				case 3:
 					k := base + uint64(rng.Intn(200))
-					h.UpdateShard(k, func(op *Op) {
+					h.Update(func(op *Op) {
 						if v, ok := op.Get(k); ok {
 							op.Delete(k)
 							op.Insert(k, v+1)
@@ -487,7 +487,7 @@ func TestDurableCheckpointStress(t *testing.T) {
 
 // TestDurableConcurrentRecoveryOracle is the concurrent variant of the
 // recovery oracle: workers churn worker-owned key stripes with single-key
-// ops and composed UpdateShard transactions on a durable tree under the
+// ops and composed Update transactions on a durable tree under the
 // default asynchronous group commit, so many goroutines' records interleave
 // in each shard's WAL; after Close and reopen the recovered abstraction
 // must equal the model exactly. Per-stripe single-writership makes the
@@ -534,7 +534,7 @@ func TestDurableConcurrentRecoveryOracle(t *testing.T) {
 							modelMu.Unlock()
 						}
 					case 3:
-						h.UpdateShard(k, func(op *Op) {
+						h.Update(func(op *Op) {
 							if v, ok := op.Get(k); ok {
 								op.Delete(k)
 								op.Insert(k, v+1)

@@ -190,20 +190,21 @@ func TestShardedTreeBasics(t *testing.T) {
 	tr.Maintain(100000)
 }
 
-func TestShardedUpdateShard(t *testing.T) {
+// TestShardedUpdate: on a sharded tree Update composes keys of any shards
+// in one transaction — a composed move to a key on another shard applies.
+func TestShardedUpdate(t *testing.T) {
 	tr := NewTree(SpeculationFriendly, WithShards(4))
 	defer tr.Close()
 	h := tr.NewHandle()
-	// Find a co-located pair for a composed same-shard move.
 	var k2 uint64
-	for k := uint64(1); ; k++ {
-		if tr.SameShard(7, k) && k != 7 {
+	for k := uint64(8); ; k++ {
+		if tr.f.ShardOf(k) != tr.f.ShardOf(7) {
 			k2 = k
 			break
 		}
 	}
 	h.Insert(7, 77)
-	h.UpdateShard(7, func(op *Op) {
+	h.Update(func(op *Op) {
 		if v, ok := op.Get(7); ok && !op.Contains(k2) {
 			op.Delete(7)
 			op.Insert(k2, v)
@@ -213,27 +214,17 @@ func TestShardedUpdateShard(t *testing.T) {
 		t.Fatal("composed delete not applied")
 	}
 	if v, ok := h.Get(k2); !ok || v != 77 {
-		t.Fatal("composed insert not applied")
+		t.Fatal("composed cross-shard insert not applied")
 	}
-	// Plain Update must refuse to run without a routing key.
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Update on a sharded tree did not panic")
-		}
-	}()
-	h.Update(func(op *Op) {})
 }
 
-func TestUpdateShardOnUnshardedTree(t *testing.T) {
+func TestUpdateOnUnshardedTree(t *testing.T) {
 	tr := NewTree(RedBlack, WithContention(ContentionSuicide))
 	defer tr.Close()
-	if !tr.SameShard(1, 1<<40) {
-		t.Fatal("unsharded tree reported different shards")
-	}
 	h := tr.NewHandle()
-	h.UpdateShard(5, func(op *Op) { op.Insert(5, 50) })
+	h.Update(func(op *Op) { op.Insert(5, 50) })
 	if v, ok := h.Get(5); !ok || v != 50 {
-		t.Fatal("UpdateShard did not behave as Update")
+		t.Fatal("Update not applied")
 	}
 }
 
@@ -394,7 +385,7 @@ func TestRangeMoveZeroAllocsFacade(t *testing.T) {
 		}
 		for name, op := range map[string]func(){"Range": scan, "Move": move} {
 			for w := 0; w < 8; w++ {
-				op() // warm up: scan buffers, the coordinator's per-shard logs
+				op() // warm up: scan buffers, the mover's state
 			}
 			if avg := testing.AllocsPerRun(100, op); avg != 0 {
 				t.Errorf("shards=%d: %s allocates %.2f times per run, want 0", shards, name, avg)

@@ -32,8 +32,9 @@ type traceDoc struct {
 // contended cross-shard workload through the facade with full sampling,
 // /trace polled while it runs. The scrapes must prove spans from every
 // instrumented layer stitched together: an STM retry (an attempt span that
-// aborted or a follow-up attempt), an ftx prepare phase, and a WAL append
-// that stretched to its group-commit fsync.
+// aborted or a follow-up attempt), an Atomic transaction's op span with the
+// stm.attempt spans of its commit transaction under the same trace id, and
+// a WAL append that stretched to its group-commit fsync.
 func TestTraceEndpointSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live endpoint scrape; skipped in -short")
@@ -99,10 +100,13 @@ func TestTraceEndpointSmoke(t *testing.T) {
 			walFsync++
 		}
 	}
-	for _, k := range []string{"op", "stm.attempt", "ftx.prepare", "wal.append"} {
+	for _, k := range []string{"op", "stm.attempt", "wal.append"} {
 		if kinds[k] == 0 {
 			t.Errorf("mid-run /trace missing %q spans (have %v)", k, kinds)
 		}
+	}
+	if !hasStitchedAtomic(doc) {
+		t.Error("no atomic op span with stm.attempt spans under its trace id")
 	}
 	if retries == 0 {
 		t.Error("no STM retry visible in attempt spans despite a contended workload")
@@ -116,7 +120,7 @@ func TestTraceEndpointSmoke(t *testing.T) {
 }
 
 func hasAllTraceLayers(doc traceDoc) bool {
-	var op, attempt, retry, prepare, wal bool
+	var op, attempt, retry, wal bool
 	for _, sp := range doc.Spans {
 		switch sp.Kind {
 		case "op":
@@ -126,13 +130,35 @@ func hasAllTraceLayers(doc traceDoc) bool {
 			if sp.A >= 0 || sp.B > 0 {
 				retry = true
 			}
-		case "ftx.prepare":
-			prepare = true
 		case "wal.append":
 			wal = true
 		}
 	}
-	return op && attempt && retry && prepare && wal
+	return op && attempt && retry && wal && hasStitchedAtomic(doc)
+}
+
+// hasStitchedAtomic reports whether doc holds an op span of kind atomic
+// together with an stm.attempt span of the same trace: Atomic's commit
+// transaction recorded under the operation that ran it.
+func hasStitchedAtomic(doc traceDoc) bool {
+	atomicOps, attempts := map[uint64]bool{}, map[uint64]bool{}
+	for _, sp := range doc.Spans {
+		if sp.Op != "atomic" {
+			continue
+		}
+		switch sp.Kind {
+		case "op":
+			atomicOps[sp.TraceID] = true
+		case "stm.attempt":
+			attempts[sp.TraceID] = true
+		}
+	}
+	for id := range atomicOps {
+		if attempts[id] {
+			return true
+		}
+	}
+	return false
 }
 
 // TestTreeTracingFacade exercises repro.WithTracing end to end: the option

@@ -204,9 +204,9 @@ func (t *Tree) InsertTxA(tx *stm.Tx, k, v uint64) bool {
 
 // SetTx maps k to v within the enclosing transaction regardless of whether
 // k is present (an upsert): a present node's value is overwritten in
-// place, an absent key inserts. It is the native write-replay entry point
-// of the cross-shard transaction coordinator (internal/ftx) — without it a
-// buffered put replayed as delete+insert, paying a rebalancing deletion
+// place, an absent key inserts. It is how the transaction coordinator
+// (internal/ftx) applies a buffered put natively — without it the put
+// applied as delete+insert, paying a rebalancing deletion
 // just to overwrite a value.
 func (t *Tree) SetTx(tx *stm.Tx, k, v uint64) {
 	ref := tx.Read(&t.root)

@@ -22,8 +22,8 @@
 //     atomic as on the underlying tree: one transaction on one tree.
 //   - Handle.Update runs fn as one transaction; each Op routes its key to
 //     the owning shard's tree.
-//   - Handle.Atomic runs fn against the buffering ftx.Tx and commits every
-//     read and write in one transaction (internal/ftx).
+//   - Handle.Atomic runs fn inside one transaction against the ftx.Tx,
+//     which buffers its writes until fn returns nil (internal/ftx).
 //   - Move(src, dst) is one transaction over the source and destination
 //     keys' trees, on one shard or two.
 //   - Range, Keys and Len read every shard in one read-only transaction:

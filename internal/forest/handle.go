@@ -306,10 +306,10 @@ func (h *Handle) logMove(tx *stm.Tx, src, dst, v uint64) {
 	h.logCommit(tx)
 }
 
-// Atomic runs fn as one atomic transaction: fn may read and write keys on
-// any shard through the buffering ftx.Tx, and every effect commits
-// atomically — all or none — in one STM transaction that replays fn's
-// reads and applies its writes (internal/ftx). A non-nil error from fn
+// Atomic runs fn as one atomic transaction: fn runs inside one STM
+// transaction, may read and write keys on any shard through the ftx.Tx,
+// and every effect commits atomically — all or none — when the transaction
+// applies fn's buffered writes (internal/ftx). A non-nil error from fn
 // aborts the transaction with nothing applied and is returned verbatim;
 // otherwise Atomic retries on conflict (through the domain's contention
 // manager) until it commits and returns nil. Like Update's fn, Atomic's fn
@@ -320,10 +320,12 @@ func (h *Handle) logMove(tx *stm.Tx, src, dst, v uint64) {
 // Atomic allocates nothing in steady state. In exchange the Tx is valid only
 // inside the fn invocation it was passed to (its methods panic afterwards),
 // and Atomic must not be called on this handle from inside fn: that panics
-// instead of clobbering the outer transaction. Compose inside one fn.
+// instead of clobbering the outer transaction. Compose inside one fn. Any
+// other operation of this handle from inside fn panics too, as a nested
+// transaction of the handle's thread, as it does from inside Update.
 //
-// Update is cheaper when fn needs no buffering: it runs the composition
-// inside the STM transaction directly, with no replay.
+// Update is cheaper when fn needs no buffering: its operations write the
+// trees directly.
 func (h *Handle) Atomic(fn func(t *ftx.Tx) error) error {
 	c := h.coordinator()
 	var (

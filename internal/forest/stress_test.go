@@ -33,7 +33,7 @@ func crossShardPair(t *testing.T, f *Forest) (a, b uint64) {
 // make the hazard structurally impossible — the mover never deletes dst at
 // all, and a Move whose keys were raced away commits nothing — but the
 // torture stays as a regression net: a buggy coordinator that published a
-// partial write set or replayed a stale read would surface here.
+// partial write set or committed a stale read would surface here.
 //
 // The interferer cycles Delete(dst); Insert(dst, V); Get(dst)×m. Once its
 // insert succeeds it is the only legitimate deleter of dst until its own

@@ -5,7 +5,7 @@
 //
 // # Programming model
 //
-//	err := ftx.Run(domain, func(t *ftx.Tx) error {
+//	err := c.Run(func(t *ftx.Tx) error {
 //		v, ok := t.Get(src)
 //		if !ok || t.Contains(dst) {
 //			return errSkip // any non-nil error: nothing is applied
@@ -15,26 +15,23 @@
 //		return nil
 //	})
 //
-// The function body executes against a buffering Tx: Get/Contains read
-// through to the owning shard's tree (one open stm.Snapshot session for the
-// whole transaction, each key cached for repeatable reads), Put/Delete/
-// Insert buffer their effect locally. Nothing touches shared state until fn
-// returns nil; returning an error aborts the transaction with nothing
-// applied. Like stm.Thread.Atomic, fn may be re-executed when the commit
-// loses a conflict, so it must be free of side effects beyond the Tx and
-// locals it re-assigns.
-//
-// # Commit
-//
-// Every shard of a domain lives in one STM (the construction checks it), so
-// a commit is one ordinary transaction whatever the shards touched:
-// stm.Thread.AtomicMode(CTL, …) replays every logged read — any difference
-// from what fn observed re-executes fn — and applies every buffered write.
-// The STM's own validation makes the read set and the write set atomic at
-// the transaction's commit position; there is no cross-domain protocol.
-// The replay stays (rather than running fn inside the STM transaction)
-// because fn must see a consistent, repeatable view while it buffers, and
-// a user abort must leave no locks or allocations behind.
+// fn runs inside one STM transaction, stm.Thread.AtomicMode(CTL, …),
+// whatever the shards it touches: every shard of a domain lives in one STM
+// (the construction checks it). Get/Contains/Delete read through to the
+// owning shard's tree inside that transaction, so everything fn reads
+// belongs to one snapshot; a repeated Get of a key traverses again.
+// Put/Delete/Insert buffer the key's final state in a write buffer, which
+// later reads of the key see (read-your-writes). When fn returns nil the
+// transaction applies the buffered writes and commits: the STM's own
+// validation makes the reads and the writes atomic at its commit position.
+// When fn returns an error the transaction writes nothing and commits
+// read-only, so the error was decided on one consistent snapshot and no
+// lock or tree node was taken — the reason writes are buffered rather than
+// performed. A conflict re-executes fn through the STM's lifecycle engine
+// and contention manager, so fn must be free of side effects beyond the Tx
+// and locals it re-assigns. The transaction tracks every read (CTL)
+// whatever the domain default: an elastic cut would drop exactly the
+// validation atomicity depends on.
 //
 // Sharding still partitions the trees: every key lives in one shard's
 // tree, which is what splits maintenance, WAL partitions and recovery
@@ -45,17 +42,18 @@
 //
 // # One context per coordinator
 //
-// Everything a transaction needs between its first read and its commit —
-// the Tx with its read log and write buffer, the WAL record buffers, and
-// the closures handed to the STM — belongs to the Coordinator and is reset,
-// not rebuilt, for every attempt; the STM's snapshot session is a value
-// inside stm.Thread. A transaction therefore allocates nothing once the
-// coordinator has grown to its size (gated by AllocsPerRun tests in forest,
-// ftx and the facade). Two rules follow. The Tx is valid only inside the fn
-// invocation it was passed to: its methods panic afterwards, because a Tx
-// kept longer would alias the next transaction. And a coordinator runs one
-// transaction at a time: Run panics when called from inside its own fn
-// instead of clobbering the outer transaction — compose inside one fn.
+// Everything a transaction needs — the Tx with its write buffer, the WAL
+// record buffers, and the closures handed to the STM — belongs to the
+// Coordinator and is reset, not rebuilt, for every attempt. A transaction
+// therefore allocates nothing once the coordinator has grown to its size
+// (gated by AllocsPerRun tests in forest, ftx and the facade). Three rules
+// follow. The Tx is valid only inside the fn invocation it was passed to:
+// its methods panic afterwards, because a Tx kept longer would alias the
+// next transaction. A coordinator runs one transaction at a time: Run
+// panics when called from inside its own fn instead of clobbering the
+// outer transaction — compose inside one fn. And fn runs inside a
+// transaction of the coordinator's thread, so any other transaction on
+// that thread from inside fn panics as a nested one.
 package ftx
 
 import (
@@ -69,8 +67,8 @@ import (
 )
 
 // ftxAbortStormRetry is the retry count from which a transaction that keeps
-// losing records an EvFtxAbort flight event per retry (recording every
-// abort would flood the ring on a contended transfer workload).
+// losing records an EvFtxAbort flight event per retried attempt (recording
+// every abort would flood the ring on a contended transfer workload).
 const ftxAbortStormRetry = 3
 
 // Domain is the sharded substrate a coordinator drives: the calling
@@ -79,7 +77,7 @@ const ftxAbortStormRetry = 3
 // thread) pair as the degenerate one-shard domain.
 type Domain struct {
 	// Thread is the calling goroutine's STM thread; it runs the
-	// execution-phase reads and the commit transaction.
+	// transactions.
 	Thread *stm.Thread
 	// Maps are the shards' trees, indexed by shard.
 	Maps []trees.Map
@@ -98,8 +96,7 @@ type Stats struct {
 	// ReadOnly counts the subset of Commits that spanned shards and wrote
 	// nothing.
 	ReadOnly uint64
-	// Aborts counts failed commit attempts that were retried: read
-	// revalidation mismatches.
+	// Aborts counts retried attempts: STM conflicts that re-executed fn.
 	Aborts uint64
 	// Deprecated: always 0 since the intent tables were removed;
 	// benchmark/ still reads it.
@@ -133,18 +130,17 @@ const (
 // Coordinator runs transactions against one Domain. Like the handle it is
 // built from, a Coordinator belongs to one goroutine.
 type Coordinator struct {
-	th   *stm.Thread
-	maps []trees.Map
+	th *stm.Thread
 	// tx is the one transaction context, handed to every fn and reset per
 	// attempt (see Tx); running guards it against a nested Run.
 	tx      Tx
 	running bool
 	stats   Stats
 	// live is the seqlock-published mirror of stats: the owning goroutine
-	// republishes the whole struct once per Run iteration, and Stats()
-	// reads it under the seqlock, so a concurrent reader gets one
-	// consistent multi-field snapshot rather than the torn field-by-field
-	// view plain loads would give.
+	// republishes the whole struct once per Run, and Stats() reads it
+	// under the seqlock, so a concurrent reader gets one consistent
+	// multi-field snapshot rather than the torn field-by-field view plain
+	// loads would give.
 	live *obs.Group
 
 	// wal, when set, receives one durable record per committed writing
@@ -153,11 +149,14 @@ type Coordinator struct {
 	wal     *durable.Log
 	effects Effects
 
-	// The closures handed to the STM are built once; replayed is
-	// commitFn's verdict.
-	replayed bool
-	commitFn func(*stm.Tx)    // the commit transaction's body
+	// The closures handed to the STM are built once. fn is the running
+	// Run's function, attempts the attempts its transaction has started
+	// and err fn's verdict in the last one.
+	bodyFn   func(*stm.Tx)    // the transaction's body
 	logFn    func(pos uint64) // its OnCommitted hook on a durable domain
+	fn       func(*Tx) error
+	attempts int
+	err      error
 
 	// fr is the optional flight recorder (abort storms). An atomic pointer
 	// because the forest attaches it while the owning goroutine may be
@@ -179,9 +178,9 @@ func NewCoordinator(d Domain) *Coordinator {
 			panic(fmt.Sprintf("ftx: shard %d's map lives in another STM than the domain's thread", si))
 		}
 	}
-	c := &Coordinator{th: d.Thread, maps: d.Maps, live: obs.NewGroup(liveFields)}
-	c.tx.init(c, d.ShardOf)
-	c.commitFn = c.commitTx
+	c := &Coordinator{th: d.Thread, live: obs.NewGroup(liveFields)}
+	c.tx.maps, c.tx.shardOf = d.Maps, d.ShardOf
+	c.bodyFn = c.body
 	c.logFn = c.logCommit
 	return c
 }
@@ -200,7 +199,7 @@ func (c *Coordinator) SetFlightRecorder(fr *obs.FlightRecorder) { c.fr.Store(fr)
 func (c *Coordinator) SetTraceID(id uint64) { c.traceID = id }
 
 // publish republishes the owner-side counters into the live mirror; called
-// by the owning goroutine once per Run iteration.
+// by the owning goroutine once per Run.
 func (c *Coordinator) publish() {
 	c.live.Begin()
 	c.live.Set(liveCommits, c.stats.Commits)
@@ -236,50 +235,55 @@ func (c *Coordinator) Run(fn func(*Tx) error) error {
 	if c.running {
 		panic("ftx: Run inside a running transaction's fn; a coordinator runs one transaction at a time — compose inside one fn")
 	}
-	c.running = true
-	defer func() { c.running = false }()
-	retries := 0
-	for {
-		err, committed := c.attempt(fn)
-		if err != nil {
-			c.stats.UserAborts++
-			c.publish()
-			return err
-		}
-		if committed {
-			c.publish()
-			return nil
-		}
-		c.stats.Aborts++
-		c.publish()
-		retries++
-		if retries >= ftxAbortStormRetry {
-			// An abort storm: the same transaction keeps losing. Record one
-			// flight event per retry past the threshold (not per abort, so a
-			// contended-but-progressing workload doesn't flood the ring).
-			c.fr.Load().Record(obs.EvFtxAbort, 0, int64(retries), 0)
-		}
-		c.th.CoordinatedAbort(retries)
-	}
-}
-
-// attempt runs one execution+commit cycle of fn on the emptied Tx, ending
-// the Tx — dead to its holders, snapshot session closed — on every exit
-// path (a foreign panic out of fn must leak neither).
-func (c *Coordinator) attempt(fn func(*Tx) error) (userErr error, committed bool) {
+	c.running, c.fn, c.attempts = true, fn, 0
+	defer c.finish()
+	c.th.AtomicMode(stm.CTL, c.bodyFn)
 	t := &c.tx
-	defer t.end()
-	t.begin()
-	if err := fn(t); err != nil {
-		return err, false
+	c.stats.Aborts += uint64(c.attempts - 1)
+	if c.err != nil {
+		c.stats.UserAborts++
+	} else {
+		c.stats.Commits++
+		switch {
+		case !t.multi:
+			c.stats.Fallbacks++
+		case len(t.writes.recs) == 0:
+			c.stats.ReadOnly++
+		}
 	}
-	return nil, c.commit()
+	c.publish()
+	return c.err
 }
 
-// Run executes fn as one atomic transaction on a throwaway coordinator;
-// callers who want Stats keep a Coordinator instead.
-func Run(d Domain, fn func(*Tx) error) error {
-	return NewCoordinator(d).Run(fn)
+// finish ends Run on every exit path, a foreign panic out of fn included:
+// the Tx is dead to its holders and the coordinator free for the next Run.
+func (c *Coordinator) finish() {
+	c.tx.stx = nil
+	c.running, c.fn, c.err = false, nil, nil
+}
+
+// body is one attempt of the transaction: run fn on the emptied Tx and, if
+// it returns nil, apply the buffered writes and register the durable
+// record. An error leaves the attempt read-only.
+func (c *Coordinator) body(stx *stm.Tx) {
+	c.attempts++
+	if retries := c.attempts - 1; retries >= ftxAbortStormRetry {
+		// An abort storm: the same transaction keeps losing. Record one
+		// flight event per attempt from the threshold on (not from the
+		// first abort, so a contended-but-progressing workload doesn't
+		// flood the ring).
+		c.fr.Load().Record(obs.EvFtxAbort, 0, int64(retries), 0)
+	}
+	t := &c.tx
+	t.begin(stx)
+	c.err = c.fn(t)
+	if c.err != nil {
+		return
+	}
+	applyWrites(t.maps, stx, t.writes.recs)
+	if c.wal != nil && len(t.writes.recs) > 0 {
+		stx.OnCommitted(c.logFn)
+	}
 }
 
 // Single wraps one (map, thread) pair as a one-shard Domain, which makes
@@ -287,48 +291,6 @@ func Run(d Domain, fn func(*Tx) error) error {
 // outside any forest (the benchmark ladder's lowest rung).
 func Single(m trees.Map, th *stm.Thread) Domain {
 	return Domain{Thread: th, Maps: []trees.Map{m}, ShardOf: func(uint64) int { return 0 }}
-}
-
-// commit runs the attempt's commit transaction, reporting whether it
-// committed the writes (false: a logged read changed and fn must re-run).
-func (c *Coordinator) commit() bool {
-	t := &c.tx
-	if len(t.reads.recs) == 0 && len(t.writes.recs) == 0 {
-		// fn touched nothing: an empty transaction commits trivially.
-		c.stats.Commits++
-		c.stats.Fallbacks++
-		return true
-	}
-	// Full read tracking (CTL) regardless of the domain default: every
-	// replayed read must be validated at commit, and an elastic cut would
-	// drop exactly the validation atomicity depends on.
-	c.th.AtomicMode(stm.CTL, c.commitFn)
-	if !c.replayed {
-		return false
-	}
-	c.stats.Commits++
-	switch {
-	case !t.multi:
-		c.stats.Fallbacks++
-	case len(t.writes.recs) == 0:
-		c.stats.ReadOnly++
-	}
-	return true
-}
-
-// commitTx is the commit transaction's body: replay the reads and, while
-// they still match, apply the writes and register the durable record. A
-// mismatch commits the transaction read-only and leaves replayed false.
-func (c *Coordinator) commitTx(tx *stm.Tx) {
-	t := &c.tx
-	c.replayed = replayReads(c.maps, tx, t.reads.recs)
-	if !c.replayed {
-		return
-	}
-	applyWrites(c.maps, tx, t.writes.recs)
-	if c.wal != nil && len(t.writes.recs) > 0 {
-		tx.OnCommitted(c.logFn)
-	}
 }
 
 // logCommit is the commit's OnCommitted hook on a durable domain: the
@@ -343,28 +305,14 @@ func (c *Coordinator) logCommit(pos uint64) {
 	e.Log(c.wal, pos, c.traceID)
 }
 
-// replayReads re-performs every logged read inside tx, reporting whether
-// the world still matches what fn observed. The reads join tx's read set,
-// so a "still matches" answer is validated at the transaction's commit.
-func replayReads(maps []trees.Map, tx *stm.Tx, reads []keyState) bool {
-	for i := range reads {
-		r := &reads[i]
-		v, present := maps[r.shard].GetTx(tx, r.key)
-		if present != r.present || (present && v != r.val) {
-			return false
-		}
-	}
-	return true
-}
-
 // setterTx is the optional upsert entry point a tree may provide (every
 // registry tree now does: sftree natively, rbtree/avltree natively, nrtree
-// via embedding); without it a buffered put replays as delete+insert.
+// via embedding); without it a buffered put applies as delete+insert.
 type setterTx interface {
 	SetTx(tx *stm.Tx, k, v uint64)
 }
 
-// applyWrites replays the buffered writes inside tx.
+// applyWrites applies the buffered writes inside tx.
 func applyWrites(maps []trees.Map, tx *stm.Tx, writes []keyState) {
 	for i := range writes {
 		w := &writes[i]

@@ -214,7 +214,7 @@ func TestRunEmptyTransaction(t *testing.T) {
 }
 
 // TestRunReadOnlyFastPath: a cross-shard transaction that writes nothing
-// commits as one read-only replay, counted as ReadOnly, with a consistent
+// commits read-only, counted as ReadOnly, with a consistent
 // view; a writing one over the same keys is not counted so.
 func TestRunReadOnlyFastPath(t *testing.T) {
 	f := forest.New(trees.SFOpt, forest.WithShards(4), forest.WithoutMaintenance())
@@ -267,8 +267,8 @@ func TestRunRevalidationRetry(t *testing.T) {
 		execs++
 		v, _ := tx.Get(a)
 		if execs == 1 {
-			// Invalidate the read after it was logged: another handle bumps
-			// a. The commit's replay must catch the mismatch and re-run fn.
+			// Invalidate the read after fn made it: another handle bumps a.
+			// The commit's validation must catch it and re-run fn.
 			h2.Delete(a)
 			h2.Insert(a, 2)
 		}

@@ -1,11 +1,8 @@
 package ftx
 
-// keyState is one key's state as a transaction knows it: in a read log,
-// the committed (value, presence) fn observed — at commit every logged read
-// is re-read inside the commit transaction, and any difference aborts the
-// attempt and re-executes fn; in a write buffer, the key's buffered final
-// state — a put of val, or a deletion when present is false. shard is the
-// shard owning key.
+// keyState is one buffered write: the key's final state in the
+// transaction — a put of val, or a deletion when present is false. shard is
+// the shard owning key.
 type keyState struct {
 	key     uint64
 	val     uint64
@@ -13,10 +10,10 @@ type keyState struct {
 	shard   int32
 }
 
-// A keyLog is a transaction's read log or write buffer: at most one keyState
-// per key, found by key. Lookups scan the log while it holds at most
-// logScanMax entries — a transfer-sized transaction never gets further —
-// and go through a map from key to position above that, so a transaction of
+// A keyLog is a transaction's write buffer: at most one keyState per key,
+// found by key. Lookups scan the log while it holds at most logScanMax
+// entries — a transfer-sized transaction never gets further — and go
+// through a map from key to position above that, so a transaction of
 // thousands of keys stays linear in its size. The slice and the map are kept
 // across transactions: a warmed-up log allocates nothing.
 type keyLog struct {

@@ -5,79 +5,42 @@ import (
 	"repro/internal/trees"
 )
 
-// Tx is the buffering transaction handed to Run's fn. Reads go through to
-// the owning shard's tree, served from one open read-only snapshot session
-// (stm.Snapshot) for the whole transaction: every cache-miss read joins the
-// same snapshot transaction instead of paying one committed read-only
-// transaction per distinct key. Reads are cached so repeated reads are
-// repeatable and free; writes buffer their per-key final state locally. The
-// Tx provides read-your-writes: a read of a key the transaction has written
-// sees the buffered effect, not the tree.
-//
-// The reads are consistent within their snapshot era (a session that
-// cannot be extended over a concurrent commit resets and continues); they
-// are made consistent as a whole at commit, where every logged read is
-// replayed and validated inside the commit transaction.
+// Tx is the transaction handed to Run's fn. Reads go through to the owning
+// shard's tree inside the attempt's STM transaction, so every read of an
+// attempt belongs to one snapshot, and a repeated read traverses again.
+// Writes buffer their per-key final state locally and are applied when fn
+// returns nil. The Tx provides read-your-writes: a read of a key the
+// transaction has written sees the buffered effect, not the tree.
 //
 // There is one Tx per Coordinator, reset for every attempt: a transaction
-// allocates nothing once the coordinator's logs have grown to its size. fn
-// may run several times, each time on the same, emptied Tx, so it must not
-// have side effects beyond the Tx and locals it re-assigns — and the Tx is
-// only valid inside the fn invocation it was passed to: every method panics
-// once fn has returned, because a Tx kept longer is the next transaction's.
+// allocates nothing once the coordinator's write buffer has grown to its
+// size. fn may run several times, each time on the same, emptied Tx, so it
+// must not have side effects beyond the Tx and locals it re-assigns — and
+// the Tx is only valid inside the fn invocation it was passed to: every
+// method panics once fn has returned, because a Tx kept longer is the next
+// transaction's.
 type Tx struct {
-	c       *Coordinator
+	maps    []trees.Map
 	shardOf func(k uint64) int
-	live    bool // fn is running
-
-	snap   *stm.Snapshot // the execution reads' session, opened at first read
-	reads  keyLog
-	writes keyLog
+	stx     *stm.Tx // the running attempt's transaction; nil outside fn
+	writes  keyLog
 
 	// first is the shard of the attempt's first touched key (-1 before
 	// one) and multi whether a later key lived elsewhere.
 	first int
 	multi bool
-
-	// reading is the slot the stored read closure acts on (a closure built
-	// per read would be an allocation per read).
-	reading struct {
-		m trees.Map
-		keyState
-	}
-	readFn func(*stm.Tx)
 }
 
-func (t *Tx) init(c *Coordinator, shardOf func(uint64) int) {
-	t.c, t.shardOf = c, shardOf
-	t.readFn = func(tx *stm.Tx) {
-		r := &t.reading
-		r.val, r.present = r.m.GetTx(tx, r.key)
-	}
-}
-
-// begin empties the Tx for one execution of fn.
-func (t *Tx) begin() {
-	t.reads.reset()
+// begin empties the Tx for one execution of fn inside stx.
+func (t *Tx) begin(stx *stm.Tx) {
 	t.writes.reset()
 	t.first, t.multi = -1, false
-	t.live = true
-}
-
-// end closes the attempt: the Tx is dead until the next begin, and the
-// snapshot session is closed (the thread's session slot is a singleton, so
-// the next attempt can open its own).
-func (t *Tx) end() {
-	t.live = false
-	if t.snap != nil {
-		t.snap.Close()
-		t.snap = nil
-	}
+	t.stx = stx
 }
 
 // shard returns the shard owning k, noting it in the attempt's footprint.
 func (t *Tx) shard(k uint64) int32 {
-	if !t.live {
+	if t.stx == nil {
 		panic("ftx: Tx used outside the fn invocation it was passed to")
 	}
 	si := t.shardOf(k)
@@ -89,35 +52,13 @@ func (t *Tx) shard(k uint64) int32 {
 	return int32(si)
 }
 
-// read returns the logged read of k on shard si, reading through to the
-// snapshot session on first touch.
-func (t *Tx) read(si int32, k uint64) keyState {
-	if r := t.reads.find(k); r != nil {
-		return *r
-	}
-	if t.snap == nil {
-		t.snap = t.c.th.NewSnapshot()
-	}
-	r := &t.reading
-	r.m, r.keyState = t.c.maps[si], keyState{key: k, shard: si}
-	// A false Read means the session's snapshot could not be extended over
-	// a concurrent commit and has reset; the retried call starts fresh.
-	// Earlier cached reads stay logged as observed — commit revalidates
-	// every one of them inside the commit transaction.
-	for !t.snap.Read(t.readFn) {
-	}
-	t.reads.add(r.keyState)
-	return r.keyState
-}
-
 // Get returns the value at k as observed by this transaction.
 func (t *Tx) Get(k uint64) (uint64, bool) {
 	si := t.shard(k)
 	if w := t.writes.find(k); w != nil {
 		return w.val, w.present
 	}
-	r := t.read(si, k)
-	return r.val, r.present
+	return t.maps[si].GetTx(t.stx, k)
 }
 
 // Contains reports whether k is present as observed by this transaction.
@@ -159,9 +100,10 @@ func (t *Tx) Delete(k uint64) bool {
 		*w = keyState{key: k, shard: si}
 		return true
 	}
-	if !t.read(si, k).present {
-		// Logged as absent: the commit validates it stayed absent, so the
-		// no-op outcome linearizes correctly with no buffered write.
+	if _, ok := t.maps[si].GetTx(t.stx, k); !ok {
+		// The read joins the transaction's read set: the commit validates
+		// that k stayed absent, so the no-op outcome linearizes correctly
+		// with no buffered write.
 		return false
 	}
 	t.writes.add(keyState{key: k, shard: si})

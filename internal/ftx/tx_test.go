@@ -95,63 +95,77 @@ func TestKeyLogScanToIndex(t *testing.T) {
 }
 
 // TestParticipantsOrder drives random interleavings of reads, writes and
-// deletes through the Tx and checks the footprint the commit transaction
-// replays: the read log holds exactly the keys read through (not served by
-// the write buffer), the write buffer exactly the keys written, each in
-// first-touch order and tagged with its owning shard, and multi tells one
-// shard from several.
+// deletes through the Tx and checks the footprint the commit applies: the
+// write buffer holds exactly the keys written, in first-write order, each
+// tagged with its owning shard and carrying its final state (a Delete of a
+// buffered put buffers a deletion; a Delete of an absent key buffers
+// nothing), and multi tells one shard from several. Every transaction
+// returns an error, so the trees stay empty and the buffer is left for the
+// check.
 func TestParticipantsOrder(t *testing.T) {
 	const shards = 5
 	d := newModDomain(shards)
 	c := NewCoordinator(d.Domain)
-	tx := &c.tx
+	skip := errors.New("skip")
 	rng := rand.New(rand.NewSource(2))
+	type op struct {
+		kind int // 0 Get, 1–2 Put, 3 Delete
+		k    uint64
+	}
 	for round := 0; round < 200; round++ {
-		tx.begin()
-		var reads, writes []uint64
-		read, written, touched := map[uint64]bool{}, map[uint64]bool{}, map[int]bool{}
-		span := uint64(1 + rng.Intn(60)) // small spans force read+written and rewritten keys
+		var ops []op
+		span := uint64(1 + rng.Intn(60)) // small spans force rewritten and re-deleted keys
 		for i, n := 0, rng.Intn(80); i < n; i++ {
-			k := uint64(rng.Intn(int(span)))
-			touched[d.ShardOf(k)] = true
-			op := rng.Intn(4)
-			if op == 1 || op == 2 {
-				tx.Put(k, uint64(i))
-				if !written[k] {
-					written[k] = true
-					writes = append(writes, k)
+			ops = append(ops, op{rng.Intn(4), uint64(rng.Intn(int(span)))})
+		}
+		var writes []uint64
+		final := map[uint64]keyState{}
+		touched := map[int]bool{}
+		for i, o := range ops {
+			si := int32(d.ShardOf(o.k))
+			touched[int(si)] = true
+			_, written := final[o.k]
+			switch {
+			case o.kind == 1 || o.kind == 2:
+				if !written {
+					writes = append(writes, o.k)
 				}
-				continue
-			}
-			if op == 0 {
-				tx.Get(k)
-			} else {
-				// Absent everywhere: Delete logs the read and buffers nothing,
-				// unless a buffered put is there to delete.
-				tx.Delete(k)
-			}
-			if !written[k] && !read[k] {
-				read[k] = true
-				reads = append(reads, k)
+				final[o.k] = keyState{key: o.k, val: uint64(i), present: true, shard: si}
+			case o.kind == 3 && written:
+				final[o.k] = keyState{key: o.k, shard: si}
 			}
 		}
-		check := func(what string, recs []keyState, want []uint64) {
-			if len(recs) != len(want) {
-				t.Fatalf("round %d: %d %s, want %d", round, len(recs), what, len(want))
-			}
-			for i, r := range recs {
-				if r.key != want[i] || int(r.shard) != d.ShardOf(r.key) {
-					t.Fatalf("round %d: %s[%d] = key %d shard %d, want key %d shard %d",
-						round, what, i, r.key, r.shard, want[i], d.ShardOf(want[i]))
+		err := c.Run(func(tx *Tx) error {
+			for i, o := range ops {
+				switch o.kind {
+				case 0:
+					tx.Get(o.k)
+				case 1, 2:
+					tx.Put(o.k, uint64(i))
+				case 3:
+					tx.Delete(o.k)
 				}
 			}
+			return skip
+		})
+		if err != skip {
+			t.Fatalf("round %d: Run = %v, want the fn error", round, err)
 		}
-		check("reads", tx.reads.recs, reads)
-		check("writes", tx.writes.recs, writes)
-		if tx.multi != (len(touched) > 1) {
-			t.Fatalf("round %d: multi = %t with %d shards touched", round, tx.multi, len(touched))
+		recs := c.tx.writes.recs
+		if len(recs) != len(writes) {
+			t.Fatalf("round %d: %d writes, want %d", round, len(recs), len(writes))
 		}
-		tx.end()
+		for i, r := range recs {
+			if want := final[writes[i]]; r != want {
+				t.Fatalf("round %d: writes[%d] = %+v, want %+v", round, i, r, want)
+			}
+		}
+		if c.tx.multi != (len(touched) > 1) {
+			t.Fatalf("round %d: multi = %t with %d shards touched", round, c.tx.multi, len(touched))
+		}
+	}
+	if st := c.Stats(); st.Commits != 0 || st.UserAborts != 200 || st.Aborts != 0 {
+		t.Fatalf("stats %+v, want 200 user aborts and nothing else", st)
 	}
 }
 
@@ -245,10 +259,9 @@ func TestTxDeadAfterFn(t *testing.T) {
 }
 
 // TestRunSurvivesForeignPanics: a panic that is not the STM's — out of fn
-// with the snapshot session open, or out of the commit transaction with
-// earlier writes applied and locked — must leave nothing behind: the same
-// coordinator (after the first), and another one sharing the trees, commit
-// over the same keys straight afterwards.
+// mid-transaction, or out of applying the writes with earlier ones applied
+// and locked — must leave nothing behind: the same coordinator, and another
+// one sharing the trees, commit over the same keys straight afterwards.
 func TestRunSurvivesForeignPanics(t *testing.T) {
 	d := newModDomain(4)
 	c := NewCoordinator(d.Domain)
@@ -261,7 +274,7 @@ func TestRunSurvivesForeignPanics(t *testing.T) {
 	mustPanic(t, "fn", func() {
 		c.Run(func(tx *Tx) error {
 			tx.Get(0)
-			tx.Get(1) // two sessions open
+			tx.Get(1)
 			tx.Put(0, 1)
 			panic("boom")
 		})
@@ -270,9 +283,7 @@ func TestRunSurvivesForeignPanics(t *testing.T) {
 	transfer(t, od, other, 1, 0)
 
 	// sftree.MaxKey panics inside applyWrites, after the writes to keys 0
-	// and 1 were applied. The follow-ups run on the other coordinator: what
-	// the STM promises after a foreign panic is that no lock stays behind,
-	// not that the panicking thread is usable.
+	// and 1 were applied.
 	msg := mustPanic(t, "commit of a tree-reserved key", func() {
 		c.Run(func(tx *Tx) error {
 			x, _ := tx.Get(0)
@@ -290,8 +301,12 @@ func TestRunSurvivesForeignPanics(t *testing.T) {
 	}
 	transfer(t, od, other, 0, 1) // would spin on a leaked word lock
 	transfer(t, od, other, 1, 0)
-	if st := c.Stats(); st.Commits != 2 {
-		t.Fatalf("stats %+v, want 2 commits", st)
+	transfer(t, d, c, 0, 1) // the panicking coordinator commits again
+	if st := c.Stats(); st.Commits != 3 {
+		t.Fatalf("stats %+v, want 3 commits", st)
+	}
+	if d.Thread.Pending() {
+		t.Fatal("the panicking thread still reports an operation in flight")
 	}
 }
 

@@ -28,8 +28,8 @@ const (
 	// EvMaintSweep: a maintenance sweep that found work. A=structural
 	// changes plus nodes freed.
 	EvMaintSweep
-	// EvFtxAbort: an Atomic transaction failing its commit-time read
-	// revalidation after repeated retries (recorded only above a retry
+	// EvFtxAbort: an Atomic transaction starting another attempt after
+	// repeated conflicts (recorded once per attempt above a retry
 	// threshold). A=retries so far; B and Dur are unused.
 	EvFtxAbort
 	numEventKinds

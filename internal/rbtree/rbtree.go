@@ -292,9 +292,9 @@ func (t *Tree) InsertTxA(tx *stm.Tx, k, v uint64) bool {
 
 // SetTx maps k to v within the enclosing transaction regardless of whether
 // k is present (an upsert): a present node's value is overwritten in
-// place, an absent key inserts. It is the native write-replay entry point
-// of the cross-shard transaction coordinator (internal/ftx) — without it a
-// buffered put replayed as delete+insert, paying a full rebalancing
+// place, an absent key inserts. It is how the transaction coordinator
+// (internal/ftx) applies a buffered put natively — without it the put
+// applied as delete+insert, paying a full rebalancing
 // deletion just to overwrite a value. A present key costs one lookup and
 // one value write; an absent key pays the lookup plus InsertTxA's descent
 // (the paths overlap, so the reads dedup against the transaction's log).

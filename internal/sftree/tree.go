@@ -341,10 +341,10 @@ func (t *Tree) InsertTxA(tx *stm.Tx, k, v uint64) bool {
 // SetTx maps k to v within the enclosing transaction regardless of whether
 // k is present (an upsert): a live node's value is overwritten in place, a
 // logically deleted node is resurrected, and an absent key gains a new
-// leaf. It is the write-replay entry point of the cross-shard transaction
-// coordinator (internal/ftx), which buffers each written key's final state
-// and needs to apply it without knowing presence; trees without SetTx pay
-// a delete+insert pair instead. Allocation follows InsertTxA's discipline
+// leaf. It is how the transaction coordinator (internal/ftx) applies its
+// write buffer, which holds each written key's final state and applies it
+// without knowing presence; trees without SetTx pay a delete+insert pair
+// instead. Allocation follows InsertTxA's discipline
 // (tree-managed scratch, the same bounded leak profile on aborted linking
 // attempts).
 func (t *Tree) SetTx(tx *stm.Tx, k, v uint64) {

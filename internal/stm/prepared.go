@@ -39,7 +39,7 @@ type Prepared struct {
 // the attempt aborts — a validation failure, a lost lock race, or an
 // explicit Tx.Restart — leaving no locks behind; Prepare itself never
 // retries and never consults the contention manager (the caller owns the
-// retry policy — see Thread.CoordinatedAbort).
+// retry policy).
 //
 // fn runs under the same contract as AtomicMode's fn: transactional
 // accesses only, no side effects beyond locals, impossible observations
@@ -129,18 +129,6 @@ func (p *Prepared) Drop() {
 	tx.releaseLocks()
 	p.th.noteAbort(AbortCoordinated)
 	p.th.finishPreparedOp()
-}
-
-// CoordinatedAbort charges one abort→retry transition to the thread and
-// consults the domain's contention manager, exactly as the transaction-
-// lifecycle engine does between attempts of an Atomic operation. External
-// transaction coordinators (the cross-shard ftx layer) call it when a
-// multi-domain attempt fails, so coordinator retries obey the same
-// pluggable policy — and surface in the same Stats counters — as
-// single-domain retries.
-func (th *Thread) CoordinatedAbort(retries int) {
-	th.noteRetry()
-	th.stm.cm.OnAbort(th, retries)
 }
 
 // prepare drives the attempt to its lock point: acquire the write locks

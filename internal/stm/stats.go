@@ -94,8 +94,7 @@ type Stats struct {
 	// ElasticCuts counts reads dropped from elastic read sets.
 	ElasticCuts uint64
 	// Retries counts abort→retry transitions of the transaction-lifecycle
-	// engine (every aborted attempt of an Atomic operation charges one) and
-	// of external coordinators (Thread.CoordinatedAbort).
+	// engine (every aborted attempt of an Atomic operation charges one).
 	Retries uint64
 	// Prepares counts transaction attempts successfully driven to the
 	// prepared state (Thread.Prepare) by a two-phase-commit coordinator;

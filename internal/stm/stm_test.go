@@ -184,6 +184,20 @@ func TestForeignPanicPropagatesAndUnlocks(t *testing.T) {
 	if w.Plain() != 2 {
 		t.Fatalf("got %d, want 2", w.Plain())
 	}
+	// And so is the panicking thread: the operation is closed (pending
+	// lowered for the §3.4 collector, one operation counted), also after a
+	// panic out of a read-only one, which must not leave it read-only.
+	if th.Pending() || th.OpCount() != 1 {
+		t.Fatalf("after the panic: pending %t, %d ops completed, want false, 1", th.Pending(), th.OpCount())
+	}
+	func() {
+		defer func() { recover() }()
+		th.AtomicRO(func(tx *Tx) { tx.Read(&w); panic("boom") })
+	}()
+	th.Atomic(func(tx *Tx) { tx.Write(&w, 3) })
+	if w.Plain() != 3 || th.Pending() || th.OpCount() != 3 {
+		t.Fatalf("got %d, pending %t, %d ops completed; want 3, false, 3", w.Plain(), th.Pending(), th.OpCount())
+	}
 }
 
 func TestIsolationTwoThreadsSequential(t *testing.T) {

@@ -48,12 +48,10 @@ type Thread struct {
 	traceOp   obs.OpKind
 	lastCause AbortCause
 
-	// snapTx is the descriptor of the thread's read-only Snapshot session
-	// (snapshot.go), distinct from tx so a session can stay open across
-	// ordinary Atomic/Prepare calls; snapLive guards the per-thread
-	// singleton.
-	snapTx   *Tx
-	snapLive bool
+	// prep is the prepared-attempt handle Prepare hands out: at most one
+	// exists per thread, so it lives here instead of on the heap. It is
+	// cold, but its 16 B are what start tx on a cache line (see tx).
+	prep Prepared
 
 	// Pending and OpCount implement the epoch scheme of §3.4: "each
 	// application thread maintains a boolean indicating a pending operation
@@ -84,21 +82,15 @@ type Thread struct {
 
 	// tx is the reusable transaction descriptor. It is by far the largest
 	// field (it embeds the inline read/write sets), so it sits after the
-	// fields above have settled into the leading lines.
+	// fields above have settled into the leading lines. It starts on a
+	// cache line (offset 576, pinned by TestThreadLayout): 8 B off it,
+	// paper-u20 lost ≈ 5 % on a 2-vCPU host. A field added before it must
+	// keep that; prep's size is the slack to trade.
 	tx Tx
-
-	// snap and prep are the session and prepared-attempt handles NewSnapshot
-	// and Prepare hand out: at most one of each exists per thread, so they
-	// live here instead of on the heap — behind tx, where they move none of
-	// the offsets above.
-	snap Snapshot
-	prep Prepared
 
 	// spinExhausted is the live mirror of stats.SpinExhausted. It belongs
 	// with live, but it is charged on a cold path only, and kept behind tx it
-	// moves none of the offsets above: tx starts on a cache line (one more
-	// word in live put it 8 B off, and paper-u20 lost ≈ 5 % on a 2-vCPU
-	// host).
+	// moves none of the offsets above.
 	spinExhausted atomic.Uint64
 }
 
@@ -274,7 +266,7 @@ func (th *Thread) AtomicMode(mode Mode, fn func(*Tx)) {
 // the way out — whose first attempt is unlogged: Tx.Read samples each word
 // as always (unlocked, with a stable meta) and accepts it iff its version is
 // within the snapshot rv, but appends nothing to the read set. Write panics
-// inside fn, as in a Snapshot session.
+// inside fn.
 //
 // Why logging nothing is safe. Every value an unlogged attempt returns was
 // observed unlocked under an unchanged meta whose version is ≤ rv, and a
@@ -332,9 +324,18 @@ func (th *Thread) runAttempt(tx *Tx, fn func(*Tx)) (ok bool) {
 				return
 			}
 			// A foreign panic (bug in user code) must not leave write
-			// locks behind, nor the writer gate held.
+			// locks behind, nor the writer gate held. Nor may it leave the
+			// operation open: AtomicMode closes it without a defer (this
+			// cold branch does it instead), and a pending flag left raised
+			// would stop the §3.4 collector of every tree in the domain,
+			// while inAtomic would make every later call on the thread a
+			// "nested" one.
 			tx.releaseLocks()
 			th.releaseGate()
+			tx.readOnly, tx.unlogged = false, false
+			th.completeOp()
+			th.pending.Store(false)
+			th.inAtomic = false
 			panic(r)
 		}
 	}()

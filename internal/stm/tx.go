@@ -89,10 +89,8 @@ type Tx struct {
 	onCommitted func(pos uint64)
 	commitPos   uint64
 
-	// readOnly marks a descriptor that must not write: a Snapshot session's
-	// (snapshot.go), where a long-lived read session could never release the
-	// locks it has no commit path for, and the thread's own for the duration
-	// of an AtomicRO call. Write panics.
+	// readOnly marks the thread's descriptor for the duration of an
+	// AtomicRO call: Write panics.
 	readOnly bool
 
 	// Inline storage for the read and write sets; reads/writes alias these
@@ -292,7 +290,7 @@ func (tx *Tx) uReadContended(w *Word) uint64 {
 // immediately and a conflicting lock holder forces an abort.
 func (tx *Tx) Write(w *Word, v uint64) {
 	if tx.readOnly {
-		panic("stm: Write inside a read-only transaction (a Snapshot session or an AtomicRO call)")
+		panic("stm: Write inside a read-only transaction (an AtomicRO call)")
 	}
 	tx.th.maybeYield()
 	tx.th.stats.Writes++

@@ -302,8 +302,8 @@ func TestMoveOnAllKinds(t *testing.T) {
 }
 
 // TestSetTxOnAllKinds: every registry tree provides a native SetTx upsert
-// (sftree directly, rb/avl natively, nr via embedding) — the write-replay
-// entry point of ftx's commit transaction. Upserting must overwrite a
+// (sftree directly, rb/avl natively, nr via embedding) — how ftx applies
+// its write buffer. Upserting must overwrite a
 // present key in place, insert an absent one, and resurrect a logically
 // deleted one, all composably inside an enclosing transaction.
 func TestSetTxOnAllKinds(t *testing.T) {

@@ -47,9 +47,9 @@
 //		repro.WithShards(8), repro.WithContention(repro.ContentionBackoff))
 //
 // Update composes tree operations inside one STM transaction on any shards;
-// Handle.Atomic buffers reads and writes and commits them in one replaying
-// transaction (internal/ftx), which lets fn abort with an error and nothing
-// applied:
+// Handle.Atomic runs fn inside one STM transaction too, but buffers its
+// writes until fn returns (internal/ftx), which lets fn abort with an error
+// and nothing applied:
 //
 //	h.Atomic(func(t *repro.Txn) error {
 //		a, _ := t.Get(accA)
@@ -551,29 +551,32 @@ func (h *Handle) Contains(k uint64) bool { return h.fh.Contains(k) }
 // transaction on every configuration, whichever shards the keys live on.
 func (h *Handle) Move(src, dst uint64) bool { return h.fh.Move(src, dst) }
 
-// Txn is the buffering transaction Handle.Atomic runs:
-// Get/Contains read through to the owning shard with repeatable-read
-// caching, Put/Insert/Delete buffer their effect, and everything commits
-// atomically — all or none — when the function returns nil.
+// Txn is the transaction Handle.Atomic runs: Get/Contains read through to
+// the owning shard inside the one STM transaction (one snapshot; a repeated
+// read traverses again), Put/Insert/Delete buffer their effect, and
+// everything commits atomically — all or none — when the function returns
+// nil.
 type Txn = ftx.Tx
 
 // Atomic runs fn as one atomic transaction over the whole key space,
-// regardless of sharding: reads and writes may touch any keys, and the
-// commit is all-or-nothing — one STM transaction replays fn's reads and
-// applies its buffered writes. A non-nil error from fn aborts with nothing
-// applied and is returned verbatim;
-// otherwise Atomic retries on conflict until it commits. fn may be
-// re-executed and must be free of side effects beyond the Txn and locals
-// it re-assigns.
+// regardless of sharding: fn runs inside one STM transaction, its reads and
+// writes may touch any keys, and the commit is all-or-nothing — the
+// transaction applies fn's buffered writes when fn returns nil. A non-nil
+// error from fn aborts with nothing applied and is returned verbatim; it
+// was decided on one consistent snapshot. Otherwise Atomic retries on
+// conflict until it commits. fn may be re-executed and must be free of side
+// effects beyond the Txn and locals it re-assigns.
 //
 // A handle has one transaction context, reset for every attempt, so Atomic
 // allocates nothing in steady state. The Txn is therefore valid only inside
 // the fn invocation it was passed to — its methods panic afterwards — and
 // Atomic must not be called on the same handle from inside fn: that panics
-// rather than corrupt the outer transaction. Compose inside one fn.
+// rather than corrupt the outer transaction. Compose inside one fn. Any
+// other operation on the same handle from inside fn panics too, as a
+// nested transaction, as it does from inside Update.
 //
-// Update is cheaper when fn needs no buffering or error abort: it runs the
-// composition inside the STM transaction directly, with no replay.
+// Update is cheaper when fn needs no buffering or error abort: its
+// operations write the trees directly.
 func (h *Handle) Atomic(fn func(t *Txn) error) error { return h.fh.Atomic(fn) }
 
 // XactStats reports this handle's Atomic activity: total commits, the

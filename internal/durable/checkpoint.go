@@ -1,6 +1,7 @@
 package durable
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -8,29 +9,29 @@ import (
 	"path/filepath"
 )
 
-// A checkpoint file is one consistent-per-shard snapshot of the whole
-// store, written beside the WAL so recovery replays only the log tail:
+// A checkpoint file is one consistent snapshot of the whole store, written
+// beside the WAL so recovery replays only the log tail:
 //
-//	magic "SFCKPT01"
-//	u32 shards | u64 gen | u64 baseSeg
-//	shards × u64 cut        (per-shard commit-clock snapshot positions)
+//	magic "SFCKPT02"
+//	u64 gen | u64 baseSeg | u64 cut
 //	u64 npairs | npairs × (u64 key, u64 val)
 //	u32 CRC-32C of everything before it
 //
 // gen orders checkpoints; baseSeg is the first WAL segment whose records
 // may postdate the snapshot (the segment the log rotated to at the start of
 // the checkpoint), so recovery replays segments >= baseSeg and ignores any
-// older ones a crash left behind. The file is written to a temporary name,
-// synced, and renamed into place — the rename is the seal: recovery only
-// ever reads *.ckpt files, so a torn checkpoint write is invisible.
+// older ones a crash left behind; cut is the commit-clock position the
+// snapshot was taken at (see Source). The file is written to a temporary
+// name, synced, and renamed into place — the rename is the seal: recovery
+// only ever reads *.ckpt files, so a torn checkpoint write is invisible.
 
-const ckptMagic = "SFCKPT01"
+const ckptMagic = "SFCKPT02"
 
 // checkpointMeta is a loaded checkpoint's header.
 type checkpointMeta struct {
 	gen     uint64
 	baseSeg uint64
-	cuts    []uint64
+	cut     uint64
 }
 
 // checkpointName returns the sealed name of generation gen.
@@ -41,15 +42,12 @@ func checkpointName(dir string, gen uint64) string {
 // encodeCheckpoint encodes one full checkpoint file, CRC included. The
 // encoding is canonical: decodeCheckpoint accepts exactly what this returns
 // (FuzzCheckpointDecode).
-func encodeCheckpoint(shards int, gen, baseSeg uint64, cuts []uint64, pairs []kvPair) []byte {
-	b := make([]byte, 0, len(ckptMagic)+4+16+8*len(cuts)+8+16*len(pairs)+4)
+func encodeCheckpoint(gen, baseSeg, cut uint64, pairs []kvPair) []byte {
+	b := make([]byte, 0, len(ckptMagic)+24+8+16*len(pairs)+4)
 	b = append(b, ckptMagic...)
-	b = binary.LittleEndian.AppendUint32(b, uint32(shards))
 	b = binary.LittleEndian.AppendUint64(b, gen)
 	b = binary.LittleEndian.AppendUint64(b, baseSeg)
-	for _, c := range cuts {
-		b = binary.LittleEndian.AppendUint64(b, c)
-	}
+	b = binary.LittleEndian.AppendUint64(b, cut)
 	b = binary.LittleEndian.AppendUint64(b, uint64(len(pairs)))
 	for _, p := range pairs {
 		b = binary.LittleEndian.AppendUint64(b, p.k)
@@ -60,24 +58,28 @@ func encodeCheckpoint(shards int, gen, baseSeg uint64, cuts []uint64, pairs []kv
 
 // readCheckpoint loads and validates one sealed checkpoint file, returning
 // its header and pairs. It returns an error for any structural damage —
-// recovery then falls back to an older checkpoint.
-func readCheckpoint(path string, shards int) (checkpointMeta, []kvPair, error) {
+// recovery then falls back to an older checkpoint — and one wrapping
+// errOldFormat for a file of the old format, which recovery refuses.
+func readCheckpoint(path string) (checkpointMeta, []kvPair, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return checkpointMeta{}, nil, err
 	}
-	meta, pairs, err := decodeCheckpoint(b, shards)
+	meta, pairs, err := decodeCheckpoint(b)
 	if err != nil {
 		return meta, nil, fmt.Errorf("durable: %s: %w", path, err)
 	}
 	return meta, pairs, nil
 }
 
-// decodeCheckpoint decodes and validates one whole checkpoint file written
-// for a store of the given shard count, CRC included.
-func decodeCheckpoint(b []byte, shards int) (checkpointMeta, []kvPair, error) {
+// decodeCheckpoint decodes and validates one whole checkpoint file, CRC
+// included.
+func decodeCheckpoint(b []byte) (checkpointMeta, []kvPair, error) {
 	var meta checkpointMeta
-	if len(b) < len(ckptMagic)+4+16+8+4 || string(b[:len(ckptMagic)]) != ckptMagic {
+	if bytes.HasPrefix(b, []byte(ckptMagicV1)) {
+		return meta, nil, errOldFormat
+	}
+	if len(b) < len(ckptMagic)+24+8+4 || string(b[:len(ckptMagic)]) != ckptMagic {
 		return meta, nil, fmt.Errorf("not a checkpoint file")
 	}
 	body, tail := b[:len(b)-4], b[len(b)-4:]
@@ -85,24 +87,15 @@ func decodeCheckpoint(b []byte, shards int) (checkpointMeta, []kvPair, error) {
 		return meta, nil, fmt.Errorf("checkpoint checksum mismatch")
 	}
 	d := &decoder{b: body, off: len(ckptMagic)}
-	ns, err := d.u32()
-	if err != nil {
-		return meta, nil, err
-	}
-	if int(ns) != shards {
-		return meta, nil, fmt.Errorf("checkpoint has %d shards, log opened with %d", ns, shards)
-	}
+	var err error
 	if meta.gen, err = d.u64(); err != nil {
 		return meta, nil, err
 	}
 	if meta.baseSeg, err = d.u64(); err != nil {
 		return meta, nil, err
 	}
-	meta.cuts = make([]uint64, shards)
-	for i := range meta.cuts {
-		if meta.cuts[i], err = d.u64(); err != nil {
-			return meta, nil, err
-		}
+	if meta.cut, err = d.u64(); err != nil {
+		return meta, nil, err
 	}
 	n, err := d.u64()
 	if err != nil {

@@ -11,21 +11,24 @@ import (
 // the WAL record codec: decoding arbitrary bytes never panics, and anything
 // that decodes re-encodes byte-identically (the format is canonical, so a
 // checkpoint file that decodes is exactly the one its contents would
-// write). Each input is also decoded resealed — its trailing CRC
-// recomputed — so mutations reach the parser behind the checksum.
+// write). A file of the old format never decodes. Each input is also
+// decoded resealed — its trailing CRC recomputed — so mutations reach the
+// parser behind the checksum.
 func FuzzCheckpointDecode(f *testing.F) {
-	const shards = 4
-	f.Add(encodeCheckpoint(shards, 7, 12, []uint64{9, 0, 14, 3},
-		[]kvPair{{k: 1, v: 10}, {k: 4, v: 0}, {k: 8, v: 80}}))
-	f.Add(encodeCheckpoint(shards, 1, 1, make([]uint64, shards), nil))
-	f.Add(encodeCheckpoint(1, 2, 3, []uint64{5}, []kvPair{{k: 6, v: 7}}))
+	f.Add(encodeCheckpoint(7, 12, 9, []kvPair{{k: 1, v: 10}, {k: 4, v: 0}, {k: 8, v: 80}}))
+	f.Add(encodeCheckpoint(1, 1, 0, nil))
+	f.Add(unhex(f, goldenCheckpoint))
 	f.Add([]byte(ckptMagic))
+	f.Add(unhex(f, v1Checkpoint))
 	roundTrip := func(t *testing.T, b []byte) {
-		meta, pairs, err := decodeCheckpoint(b, shards)
+		meta, pairs, err := decodeCheckpoint(b)
 		if err != nil {
 			return
 		}
-		if re := encodeCheckpoint(shards, meta.gen, meta.baseSeg, meta.cuts, pairs); !bytes.Equal(re, b) {
+		if bytes.HasPrefix(b, []byte(ckptMagicV1)) {
+			t.Fatalf("old-format checkpoint decoded as %+v", meta)
+		}
+		if re := encodeCheckpoint(meta.gen, meta.baseSeg, meta.cut, pairs); !bytes.Equal(re, b) {
 			t.Fatalf("re-encode mismatch:\n got %x\nwant %x", re, b)
 		}
 	}

@@ -1,20 +1,20 @@
 // Package durable adds crash durability to the in-memory tree forest: a
 // group-committed, checksummed write-ahead log fed by the STM's reliable
-// post-commit hooks and by the cross-shard transaction coordinator, plus
-// periodic consistent checkpoints built from per-shard snapshot scans, with
-// log rotation and truncation once a checkpoint seals. Recovery loads the
-// newest sealed checkpoint and replays the surviving WAL tail idempotently.
+// post-commit hooks, plus periodic consistent checkpoints built from
+// snapshot scans of the store, with log rotation and truncation once a
+// checkpoint seals. Recovery loads the newest sealed checkpoint and replays
+// the surviving WAL tail idempotently.
 //
 // # What is logged, and when
 //
-// The log is a redo log written after commit: a committed single-shard
-// transaction appends one update record (its shard, its commit-clock
-// position, and its absolute effects — puts and deletes), and a committed
-// cross-shard transaction appends one atomic record carrying every
-// participating shard's share, logged at finalize so the transaction's
-// atomicity carries onto disk (a record is wholly present or wholly torn,
-// never split). Records are framed with a length prefix and a CRC-32C, so a
-// truncated or corrupted tail is detected and cleanly discarded.
+// The log is a redo log written after commit: every committed transaction
+// appends one record — its commit-clock position and its absolute effects
+// (puts and deletes) — whichever shards its keys live on, so the
+// transaction's atomicity carries onto disk (a record is wholly present or
+// wholly torn, never split). Records are framed with a length prefix and a
+// CRC-32C, so a truncated or corrupted tail is detected and cleanly
+// discarded. Nothing on disk names a shard: a directory reopens under any
+// shard count.
 //
 // # Durability contract
 //
@@ -23,34 +23,34 @@
 // otherwise appends only fill an in-memory buffer and a background
 // committer writes and fsyncs it every GroupCommit interval — off the
 // append lock, see Log — so a crash loses at most the operations of the
-// last unsynced window. Because records are appended after publication, commit order and
-// append order can differ under concurrency; recovery restores per-shard,
-// per-key ordering among the surviving records by sorting them on their
-// shard-clock positions. The contract is therefore: every operation whose
-// record was synced (equivalently, every operation that returned, plus
-// under group commit the synced part of the final window) is recovered
-// exactly; operations still in flight at the crash — published in memory,
-// record not yet on disk — are retained or lost independently of one
-// another, so no cross-transaction ordering is promised within that final
-// window (a later record can survive a tear that loses an earlier
+// last unsynced window. Because records are appended after publication,
+// commit order and append order can differ under concurrency; recovery
+// restores per-key ordering among the surviving records by sorting them on
+// their commit-clock positions. The contract is therefore: every operation
+// whose record was synced (equivalently, every operation that returned,
+// plus under group commit the synced part of the final window) is
+// recovered exactly; operations still in flight at the crash — published
+// in memory, record not yet on disk — are retained or lost independently
+// of one another, so no cross-transaction ordering is promised within that
+// final window (a later record can survive a tear that loses an earlier
 // concurrent one; logging at the lock point instead would buy strict
 // prefixes and is a ROADMAP item). Single-writer histories, and any
-// history under Sync, recover as exact per-shard prefixes.
+// history under Sync, recover as exact prefixes.
 //
 // # Checkpoints and recovery
 //
-// A checkpoint first rotates the log to a fresh segment, then scans every
-// shard with a consistent read-only snapshot (recording the shard's
-// commit-clock cut; the source may take it in chunks and report their
-// minimum, see Source), writes the pairs to a temporary file and seals it
-// by rename. Rotating first guarantees every record in the older segments
-// is covered by the snapshot (its transaction published before the rotation,
-// hence before any of the snapshot's clock draws), so the older segments and
+// A checkpoint first rotates the log to a fresh segment, then scans the
+// store with consistent read-only snapshots (recording the commit-clock
+// cut; the source may take it in chunks and report their minimum, see
+// Source), writes the pairs to a temporary file and seals it by rename.
+// Rotating first guarantees every record in the older segments is covered
+// by the snapshot (its transaction published before the rotation, hence
+// before any of the snapshot's clock draws), so the older segments and
 // checkpoints are deleted once the seal lands. A crash anywhere in that
 // window is safe: recovery picks the newest sealed checkpoint, replays only
 // segments at or above its base, and skips any record position at or below
-// the checkpoint's per-shard cut — stale files left by an interrupted
-// truncation are ignored or re-deleted.
+// the checkpoint's cut — stale files left by an interrupted truncation are
+// ignored or re-deleted.
 //
 // A checkpoint with nothing to cover is skipped: when no record was
 // appended or dropped since the rotation of the last checkpoint that
@@ -59,7 +59,6 @@
 package durable
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -86,11 +85,20 @@ const (
 	defaultRecoveryAppliers = 8
 )
 
-// segMagic heads every WAL segment, followed by the shard count.
-const segMagic = "SFWAL001"
+// segMagic is a WAL segment's whole header.
+const segMagic = "SFWAL002"
 
-// segHeaderLen is the segment header size (magic + u32 shard count).
-const segHeaderLen = len(segMagic) + 4
+// The old format's magics. Its segments and checkpoints carried a shard
+// index per record and a cut per shard; recovery refuses them (and any
+// delta-*.ckpt of that format's incremental checkpoints) rather than
+// misread them or fall back past them.
+const (
+	segMagicV1  = "SFWAL001"
+	ckptMagicV1 = "SFCKPT01"
+)
+
+// errOldFormat marks a file written in the old on-disk format.
+var errOldFormat = errors.New("written in the old per-shard on-disk format, which this version does not read")
 
 // Options are the durability dials.
 type Options struct {
@@ -114,7 +122,8 @@ type Options struct {
 	MaxUnsynced int
 	// RecoveryAppliers is the number of parallel applier goroutines
 	// recovery partitions its replay across. 0 selects min(shards,
-	// defaultRecoveryAppliers); 1 forces the serial path.
+	// defaultRecoveryAppliers), shards being Open's argument; 1 forces the
+	// serial path.
 	RecoveryAppliers int
 }
 
@@ -156,22 +165,24 @@ func (o Options) recoveryAppliers(shards int) int {
 	return max(1, n)
 }
 
-// Source is the in-memory store a Log checkpoints: per-shard snapshots cut
-// at a commit-clock position. forest.Forest implements it. SnapshotShard is
-// called by one checkpointer at a time (never concurrently with itself).
+// Source is the in-memory store a Log checkpoints: a snapshot cut at a
+// commit-clock position. forest.Forest implements it. Snapshot is called by
+// one checkpointer at a time (never concurrently with itself).
 //
-// A snapshot need not be one transaction. A source may stream a shard as a
-// sequence of chunks — disjoint key ranges that together cover the key
+// A snapshot need not be one transaction. A source may stream the store as
+// a sequence of chunks — disjoint key ranges that together cover the key
 // space, each read consistently at its own position c_j, every one begun
-// after the call — and return cut = min c_j (forest.Forest does, because a
-// whole-shard transaction under write load restarts without end). That is
-// safe for the three things a cut is used for:
+// after the call — and return cut = min c_j (forest.Forest does, over every
+// shard's chunks, because a whole-store transaction under write load
+// restarts without end). That is safe because every position — of every
+// chunk and every record, whichever shard — comes from one clock, and for
+// the three things a cut is used for:
 //
-//   - Truncation. The log rotates before it calls SnapshotShard, and a
-//     record is appended after its transaction published, so every record
-//     in the segments below the rotation has a position at or below every
-//     chunk's c_j: each chunk already holds its effect, and those segments
-//     can go once the checkpoint seals — whatever the cut.
+//   - Truncation. The log rotates before it calls Snapshot, and a record is
+//     appended after its transaction published, so every record in the
+//     segments below the rotation has a position at or below every chunk's
+//     c_j: each chunk already holds its effect, and those segments can go
+//     once the checkpoint seals — whatever the cut.
 //   - Replay. Recovery loads the snapshot, then applies the surviving
 //     records with position > cut in position order. A chunk read at
 //     c_j >= cut holds each of its keys as of c_j, so records in (cut, c_j]
@@ -195,20 +206,17 @@ func (o Options) recoveryAppliers(shards int) int {
 // exactly; operations in flight at the crash are retained or lost
 // independently of one another.
 type Source interface {
-	// Shards reports the number of partitions.
-	Shards() int
-	// SnapshotShard streams a snapshot of shard si through fn — one
-	// consistent read, or consistent chunks as described above — and returns
-	// the shard-clock position it was cut at: every transaction that
-	// published at or below it is included; a later one may or may not be,
-	// and is replayed from the log either way.
-	SnapshotShard(si int, fn func(k, v uint64)) uint64
+	// Snapshot streams a snapshot of the store through fn — one consistent
+	// read, or consistent chunks as described above — and returns the
+	// commit-clock position it was cut at: every transaction that published
+	// at or below it is included; a later one may or may not be, and is
+	// replayed from the log either way.
+	Snapshot(fn func(k, v uint64)) uint64
 }
 
 // Stats counts a Log's activity. All fields are monotonically increasing.
 type Stats struct {
-	Records            uint64 // records appended (update + atomic)
-	AtomicRecords      uint64 // the cross-shard subset of Records
+	Records            uint64 // records appended, one per committed transaction
 	Bytes              uint64 // framed bytes appended
 	Flushes            uint64 // append-buffer writes to the live segment
 	Syncs              uint64 // fsyncs of the live segment
@@ -231,13 +239,12 @@ type Stats struct {
 var errClosed = errors.New("durable: log is closed")
 
 // pendSpan is one traced append awaiting its fsync (see Log.pend): the
-// sampled operation's trace id, the append instant, and the record's framed
-// size and shard (A/B of the eventual SpanWALAppend; shard is -1 for a
-// cross-shard atomic record).
+// sampled operation's trace id, the append instant, and the record's op
+// count and framed size (A/B of the eventual SpanWALAppend).
 type pendSpan struct {
 	id    uint64
 	at    int64
-	shard int64
+	nops  int64
 	bytes int64
 }
 
@@ -255,9 +262,8 @@ type pendSpan struct {
 // disk unless the durability dial says it must (Sync, or the MaxUnsynced
 // bound). Lock order: ioMu before mu.
 type Log struct {
-	dir    string
-	o      Options
-	shards int
+	dir string
+	o   Options
 
 	// mu guards everything an append touches: the fill buffer, the segment
 	// and generation counters, the counters and the error/wedge state. It
@@ -267,10 +273,9 @@ type Log struct {
 	seg      uint64 // live segment index: where the fill buffer is destined
 	nextGen  uint64 // next checkpoint generation
 	closed   bool
-	err      error      // first write error, sticky (surfaced by Err)
-	wedged   bool       // an I/O error poisoned the live segment; appends drop until the next rotation
-	unsynced int        // framed bytes appended but not yet fsynced, in-flight flushes included (backpressure)
-	live     []ShardOps // LogAtomicT's non-empty-parts scratch
+	err      error // first write error, sticky (surfaced by Err)
+	wedged   bool  // an I/O error poisoned the live segment; appends drop until the next rotation
+	unsynced int   // framed bytes appended but not yet fsynced, in-flight flushes included (backpressure)
 	st       Stats
 
 	// ioMu serializes all file I/O on the live segment — flushes, fsyncs,
@@ -327,23 +332,22 @@ type Log struct {
 const logBufSize = 1 << 16
 
 // Open recovers the directory's durable state and opens a fresh log
-// generation for appends. shards must match the store the log feeds (and
-// the value any prior state in dir was written with). The returned Recovery
-// holds the recovered key/value state; the caller loads it into the store,
-// attaches the log, and should then seal a fresh checkpoint (repro.Open
-// does) so the replayed history is rebased onto the new process's clocks.
+// generation for appends. shards is the shard count of the store the log
+// feeds; it only sizes the default recovery applier count (see
+// Options.RecoveryAppliers) — nothing on disk depends on it, so a directory
+// reopens under any count. The returned Recovery holds the recovered
+// key/value state; the caller loads it into the store, attaches the log,
+// and should then seal a fresh checkpoint (repro.Open does) so the
+// replayed history is rebased onto the new process's clock.
 func Open(dir string, shards int, o Options) (*Log, *Recovery, error) {
-	if shards < 1 {
-		return nil, nil, fmt.Errorf("durable: shard count %d < 1", shards)
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, err
 	}
-	rec, maxSeg, maxGen, err := recoverDir(dir, shards, o.recoveryAppliers(shards))
+	rec, maxSeg, maxGen, err := recoverDir(dir, o.recoveryAppliers(shards))
 	if err != nil {
 		return nil, nil, err
 	}
-	l := &Log{dir: dir, o: o, shards: shards, seg: maxSeg + 1, nextGen: maxGen + 1,
+	l := &Log{dir: dir, o: o, seg: maxSeg + 1, nextGen: maxGen + 1,
 		buf: make([]byte, 0, logBufSize), spare: make([]byte, 0, logBufSize),
 		fsync: (*os.File).Sync}
 	if err := l.openSegment(l.seg); err != nil {
@@ -359,9 +363,6 @@ func Open(dir string, shards int, o Options) (*Log, *Recovery, error) {
 
 // Dir returns the log's directory.
 func (l *Log) Dir() string { return l.dir }
-
-// Shards reports the shard count the log was opened with.
-func (l *Log) Shards() int { return l.shards }
 
 // Stats returns a snapshot of the log's counters.
 func (l *Log) Stats() Stats {
@@ -404,10 +405,7 @@ func (l *Log) openSegment(i uint64) error {
 	if err != nil {
 		return err
 	}
-	hdr := make([]byte, 0, segHeaderLen)
-	hdr = append(hdr, segMagic...)
-	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(l.shards))
-	if _, err := f.Write(hdr); err != nil {
+	if _, err := f.WriteString(segMagic); err != nil {
 		f.Close()
 		return err
 	}
@@ -430,19 +428,14 @@ const (
 	flushStall                  // crossed MaxUnsynced: fsync inline, counted
 )
 
-// LogUpdate appends one committed single-shard transaction: its shard, the
-// commit-clock position its publication carried, and its effects. The ops
-// slice is encoded before LogUpdate returns and may be reused by the
-// caller. Empty transactions append nothing.
-func (l *Log) LogUpdate(shard int, seq uint64, ops []Op) {
-	l.LogUpdateT(shard, seq, ops, 0)
-}
-
-// LogUpdateT is LogUpdate carrying a sampled operation's trace id: when
-// non-zero (and a tracer is attached), the record's eventual fsync closes a
-// SpanWALAppend under that id, covering append→durability. Zero means
-// untraced and is exactly LogUpdate.
-func (l *Log) LogUpdateT(shard int, seq uint64, ops []Op, traceID uint64) {
+// Append appends one committed transaction as one record: the
+// commit-clock position its publication carried and its effects, in the
+// order it made them. The ops slice is encoded before Append returns and
+// may be reused by the caller; empty transactions append nothing. traceID,
+// when non-zero (and a tracer is attached), is a sampled operation's trace
+// id: the record's eventual fsync closes a SpanWALAppend under it, covering
+// append→durability.
+func (l *Log) Append(pos uint64, ops []Op, traceID uint64) {
 	if len(ops) == 0 {
 		return
 	}
@@ -452,58 +445,24 @@ func (l *Log) LogUpdateT(shard int, seq uint64, ops []Op, traceID uint64) {
 		return
 	}
 	buf, start := beginFrame(l.buf)
-	l.buf = encodeUpdate(buf, shard, seq, ops)
-	mode, pre := l.endRecord(start, false, traceID, int64(shard))
+	l.buf = encodeRecord(buf, pos, ops)
+	mode, pre := l.endRecord(start, traceID, int64(len(ops)))
 	l.mu.Unlock()
 	l.afterAppend(mode, pre)
 }
 
-// LogAtomic appends one committed cross-shard transaction as a single
-// record: each participating shard's effects with that shard's lock-point
-// clock position, atomically present or absent on disk. Parts with no ops
-// are skipped; an all-empty record appends nothing.
-func (l *Log) LogAtomic(parts []ShardOps) {
-	l.LogAtomicT(parts, 0)
-}
-
-// LogAtomicT is LogAtomic carrying a sampled transaction's trace id (see
-// LogUpdateT). The span's shard field is -1: the record spans shards.
-func (l *Log) LogAtomicT(parts []ShardOps, traceID uint64) {
-	empty := true
-	for i := range parts {
-		if len(parts[i].Ops) > 0 {
-			empty = false
-			break
-		}
-	}
-	if empty {
-		return
-	}
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return
-	}
-	live := l.live[:0]
-	for i := range parts {
-		if len(parts[i].Ops) > 0 {
-			live = append(live, parts[i])
-		}
-	}
-	l.live = live
-	buf, start := beginFrame(l.buf)
-	l.buf = encodeAtomic(buf, live)
-	mode, pre := l.endRecord(start, true, traceID, -1)
-	l.mu.Unlock()
-	l.afterAppend(mode, pre)
-}
+// LogUpdate is Append(seq, ops, 0).
+//
+// Deprecated: records carry no shard, so shard is ignored; use Append.
+func (l *Log) LogUpdate(shard int, seq uint64, ops []Op) { l.Append(seq, ops, 0) }
 
 // endRecord seals the record encoded behind the frame header at start
-// (beginFrame) or takes it back out of the buffer when it cannot be logged, and reports what the append owes the disk (pre is the unsynced
+// (beginFrame) or takes it back out of the buffer when it cannot be
+// logged, and reports what the append owes the disk (pre is the unsynced
 // byte count behind a flushStall). A non-zero traceID enqueues a pending
-// SpanWALAppend closed by the record's fsync (shard is the span's A field).
+// SpanWALAppend closed by the record's fsync (nops is the span's A field).
 // Caller holds mu.
-func (l *Log) endRecord(start int, atomic bool, traceID uint64, shard int64) (mode flushMode, pre int) {
+func (l *Log) endRecord(start int, traceID uint64, nops int64) (mode flushMode, pre int) {
 	payload := l.buf[start+frameOverhead:]
 	if l.wedged {
 		// An earlier I/O error poisoned this segment; writing more into it
@@ -530,14 +489,11 @@ func (l *Log) endRecord(start int, atomic bool, traceID uint64, shard int64) (mo
 	endFrame(l.buf, start)
 	framed := len(l.buf) - start
 	l.st.Records++
-	if atomic {
-		l.st.AtomicRecords++
-	}
 	l.st.Bytes += uint64(framed)
 	l.unsynced += framed
 	if traceID != 0 && l.tracer != nil && l.pendN < len(l.pend) {
 		l.pend[l.pendN] = pendSpan{id: traceID, at: time.Now().UnixNano(),
-			shard: shard, bytes: int64(framed)}
+			nops: nops, bytes: int64(framed)}
 		l.pendN++
 	}
 	switch {
@@ -673,7 +629,7 @@ func (l *Log) writeOut(out []byte, cover int, sync bool) {
 		now := time.Now().UnixNano()
 		for i := range l.ioPend {
 			p := &l.ioPend[i]
-			tracer.Record(p.id, obs.SpanWALAppend, obs.OpNone, p.at, now, p.shard, p.bytes)
+			tracer.Record(p.id, obs.SpanWALAppend, obs.OpNone, p.at, now, p.nops, p.bytes)
 		}
 		l.ioPend = l.ioPend[:0]
 	}
@@ -710,7 +666,7 @@ func (l *Log) committer(d time.Duration) {
 }
 
 // Checkpoint seals one consistent checkpoint of src and truncates the log
-// behind it: rotate to a fresh segment, snapshot every shard, write and
+// behind it: rotate to a fresh segment, snapshot the store, write and
 // seal the checkpoint, then delete the now-covered older segments and
 // checkpoints. Concurrent appends proceed throughout (into the fresh
 // segment during the snapshot). Checkpoint calls serialize with each other
@@ -728,9 +684,6 @@ func (l *Log) Checkpoint(src Source) error {
 // tests can reproduce the "sealed but not yet truncated" window. Caller
 // holds ckptMu.
 func (l *Log) checkpoint(src Source, truncate bool) error {
-	if src.Shards() != l.shards {
-		return fmt.Errorf("durable: source has %d shards, log %d", src.Shards(), l.shards)
-	}
 	start := time.Now()
 
 	// Rotate first: every record already in the old segments belongs to a
@@ -788,16 +741,13 @@ func (l *Log) checkpoint(src Source, truncate bool) error {
 	l.mu.Unlock()
 	l.ioMu.Unlock()
 
-	cuts := make([]uint64, l.shards)
 	// The previous checkpoint's pair count (plus slack for growth) saves the
 	// doubling copies of a store-sized slice.
 	kvs := make([]kvPair, 0, l.lastPairs+l.lastPairs/8)
-	for si := 0; si < l.shards; si++ {
-		cuts[si] = src.SnapshotShard(si, func(k, v uint64) {
-			kvs = append(kvs, kvPair{k: k, v: v})
-		})
-	}
-	b := encodeCheckpoint(l.shards, gen, base, cuts, kvs)
+	cut := src.Snapshot(func(k, v uint64) {
+		kvs = append(kvs, kvPair{k: k, v: v})
+	})
+	b := encodeCheckpoint(gen, base, cut, kvs)
 	if err := sealFile(l.dir, checkpointName(l.dir, gen), b); err != nil {
 		l.mu.Lock()
 		l.setErrLocked(err)

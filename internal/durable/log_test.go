@@ -7,51 +7,36 @@ import (
 	"time"
 )
 
-// mapSource is a fake Source: a flat model map plus per-shard cut positions
+// mapSource is a fake Source: a flat model map plus the clock position
 // the test advances as it "commits" transactions.
 type mapSource struct {
-	shards int
-	state  map[uint64]uint64
-	seqs   []uint64
-	of     func(k uint64) int
+	state map[uint64]uint64
+	pos   uint64
 }
 
-func newMapSource(shards int) *mapSource {
-	return &mapSource{
-		shards: shards,
-		state:  make(map[uint64]uint64),
-		seqs:   make([]uint64, shards),
-		of:     func(k uint64) int { return int(k % uint64(shards)) },
-	}
+func newMapSource() *mapSource {
+	return &mapSource{state: make(map[uint64]uint64)}
 }
 
-func (s *mapSource) Shards() int { return s.shards }
-
-func (s *mapSource) SnapshotShard(si int, fn func(k, v uint64)) uint64 {
+func (s *mapSource) Snapshot(fn func(k, v uint64)) uint64 {
 	for k, v := range s.state {
-		if s.of(k) == si {
-			fn(k, v)
-		}
+		fn(k, v)
 	}
-	return s.seqs[si]
+	return s.pos
 }
 
-// apply commits ops to the model and the log, advancing the shard's clock.
+// apply commits ops as one transaction to the model and the log, advancing
+// the clock.
 func (s *mapSource) apply(l *Log, ops ...Op) {
-	bySh := map[int][]Op{}
 	for _, op := range ops {
-		si := s.of(op.Key)
-		bySh[si] = append(bySh[si], op)
 		if op.Del {
 			delete(s.state, op.Key)
 		} else {
 			s.state[op.Key] = op.Val
 		}
 	}
-	for si, sops := range bySh {
-		s.seqs[si]++
-		l.LogUpdate(si, s.seqs[si], sops)
-	}
+	s.pos++
+	l.Append(s.pos, ops, 0)
 }
 
 // reopen recovers dir and returns the state.
@@ -73,7 +58,7 @@ func TestLogRecoverRoundTrip(t *testing.T) {
 	if len(rec.State) != 0 {
 		t.Fatalf("fresh dir recovered %d keys", len(rec.State))
 	}
-	src := newMapSource(4)
+	src := newMapSource()
 	for i := uint64(0); i < 50; i++ {
 		src.apply(l, Op{Key: i, Val: i * 3})
 	}
@@ -101,7 +86,7 @@ func TestLogCheckpointTruncates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := newMapSource(2)
+	src := newMapSource()
 	for i := uint64(0); i < 20; i++ {
 		src.apply(l, Op{Key: i, Val: i})
 	}
@@ -150,7 +135,7 @@ func TestLogSealedButNotTruncated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := newMapSource(2)
+	src := newMapSource()
 	for i := uint64(0); i < 10; i++ {
 		src.apply(l, Op{Key: i, Val: i + 1})
 	}
@@ -206,7 +191,7 @@ func TestLogTornTailPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := newMapSource(2)
+	src := newMapSource()
 	type snap struct {
 		size  int64
 		state map[uint64]uint64
@@ -246,7 +231,7 @@ func TestLogTornTailPrefix(t *testing.T) {
 		if err := os.WriteFile(cdir+"/"+"wal-0000000000000001.log", blob[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		rec, _, _, err := recoverDir(cdir, 2, 2)
+		rec, _, _, err := recoverDir(cdir, 2)
 		if err != nil {
 			t.Fatalf("cut %d: %v", cut, err)
 		}
@@ -266,7 +251,7 @@ func TestLogIdleCheckpointNoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	src := newMapSource(2)
+	src := newMapSource()
 	src.apply(l, Op{Key: 1, Val: 1})
 	if err := l.Checkpoint(src); err != nil {
 		t.Fatal(err)
@@ -287,7 +272,7 @@ func TestLogIdleCheckpointNoop(t *testing.T) {
 	for i := range huge {
 		huge[i] = Op{Key: uint64(i), Val: 1}
 	}
-	l.LogUpdate(0, 2, huge)
+	l.Append(2, huge, 0)
 	if err := l.Checkpoint(src); err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +291,7 @@ func TestLogBackpressure(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := uint64(0); i < 20; i++ {
-		l.LogUpdate(0, i+1, []Op{{Key: i, Val: i}})
+		l.Append(i+1, []Op{{Key: i, Val: i}}, 0)
 	}
 	st := l.Stats()
 	if st.Stalls == 0 {
@@ -342,7 +327,7 @@ func TestLogCheckpointFailureRecovers(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			src := newMapSource(2)
+			src := newMapSource()
 			for i := uint64(0); i < 40; i++ {
 				src.apply(l, Op{Key: i, Val: i + 1})
 			}
@@ -391,34 +376,19 @@ func TestLogDroppedOversize(t *testing.T) {
 	for i := range huge {
 		huge[i] = Op{Key: uint64(i), Val: 1}
 	}
-	l.LogUpdate(0, 1, huge)
+	l.Append(1, huge, 0)
 	if l.Err() == nil {
 		t.Fatal("oversize record left Err nil")
 	}
 	if l.Stats().Dropped != 1 {
 		t.Fatalf("Dropped = %d, want 1", l.Stats().Dropped)
 	}
-	l.LogUpdate(0, 2, []Op{{Key: 9, Val: 9}})
+	l.Append(2, []Op{{Key: 9, Val: 9}}, 0)
 	l.Close()
 	rec, l2 := reopen(t, dir, 1)
 	defer l2.Close()
 	if rec.State[9] != 9 || len(rec.State) != 1 {
 		t.Fatalf("post-drop record lost: %v", rec.State)
-	}
-}
-
-// TestLogShardCountMismatch: opening a directory with a different shard
-// count must fail loudly, not silently misroute replay.
-func TestLogShardCountMismatch(t *testing.T) {
-	dir := t.TempDir()
-	l, _, err := Open(dir, 4, Options{Sync: true, CheckpointEvery: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.LogUpdate(1, 1, []Op{{Key: 1, Val: 1}})
-	l.Close()
-	if _, _, err := Open(dir, 8, Options{Sync: true, CheckpointEvery: -1}); err == nil {
-		t.Fatal("reopening a 4-shard log with 8 shards succeeded")
 	}
 }
 
@@ -431,7 +401,7 @@ func TestLogGroupCommitFlushesOnClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := uint64(0); i < 100; i++ {
-		l.LogUpdate(0, i+1, []Op{{Key: i, Val: i}})
+		l.Append(i+1, []Op{{Key: i, Val: i}}, 0)
 	}
 	l.Close()
 	rec, l2 := reopen(t, dir, 1)
@@ -480,18 +450,18 @@ func TestLogAppendsDoNotWaitForFsync(t *testing.T) {
 		t.Fatal(err)
 	}
 	entered, release := holdFsync(l)
-	l.LogUpdate(0, 1, []Op{{Key: 0, Val: 1}})
+	l.Append(1, []Op{{Key: 0, Val: 1}}, 0)
 	syncDone := make(chan struct{}, 1)
 	go func() { l.Sync(); syncDone <- struct{}{} }()
 	<-entered // the fsync holds ioMu from here until release
 
-	const perWriter = 20 // 2×20 records of 33 framed bytes stay far below the bound
+	const perWriter = 20 // 2×20 records of 37 framed bytes stay far below the bound
 	done := make(chan struct{}, 2)
 	for w := uint64(0); w < 2; w++ {
 		go func() {
 			for i := uint64(0); i < perWriter; i++ {
 				k := 1 + w*perWriter + i
-				l.LogUpdate(0, 1+k, []Op{{Key: k, Val: k}})
+				l.Append(1+k, []Op{{Key: k, Val: k}}, 0)
 			}
 			done <- struct{}{}
 		}()
@@ -508,7 +478,7 @@ func TestLogAppendsDoNotWaitForFsync(t *testing.T) {
 	next := uint64(1 + 2*perWriter)
 	go func() {
 		for l.Stats().Stalls == 0 {
-			l.LogUpdate(0, 1+next, []Op{{Key: next, Val: next}})
+			l.Append(1+next, []Op{{Key: next, Val: next}}, 0)
 			next++
 		}
 		done <- struct{}{}
@@ -547,7 +517,7 @@ func TestLogSyncAppendWaitsForItsFsync(t *testing.T) {
 	entered, release := holdFsync(l)
 	done := make(chan struct{}, 3)
 	appendOne := func(k uint64) {
-		l.LogUpdate(0, k, []Op{{Key: k, Val: k}})
+		l.Append(k, []Op{{Key: k, Val: k}}, 0)
 		done <- struct{}{}
 	}
 	go appendOne(1)

@@ -15,7 +15,7 @@ func (l *Log) SetFlightRecorder(fr *obs.FlightRecorder) {
 }
 
 // SetTracer attaches a span tracer: records appended under a sampled
-// operation's trace id (LogUpdateT/LogAtomicT) record one SpanWALAppend
+// operation's trace id (Append's traceID) record one SpanWALAppend
 // each, stretching from the append to the fsync that made the record
 // durable. A nil tracer detaches; spans already pending are dropped by the
 // nil-safe recorder.
@@ -43,8 +43,7 @@ func (l *Log) RegisterObs(r *obs.Registry) {
 		counter := func(name, help string, v uint64) {
 			emit(obs.Sample{Name: name, Kind: obs.KindCounter, Help: help, Value: float64(v)})
 		}
-		counter("durable_wal_records_total", "Records appended (update + atomic).", st.Records)
-		counter("durable_wal_atomic_records_total", "The cross-shard subset of records.", st.AtomicRecords)
+		counter("durable_wal_records_total", "Records appended, one per committed transaction.", st.Records)
 		counter("durable_wal_bytes_total", "Framed bytes appended.", st.Bytes)
 		counter("durable_wal_flushes_total", "Append-buffer writes to the live segment.", st.Flushes)
 		counter("durable_wal_syncs_total", "fsyncs of the live segment.", st.Syncs)

@@ -14,21 +14,18 @@ import (
 // record and detect a torn or truncated tail — a short header, a short
 // payload, an implausible length, or a checksum mismatch — and cleanly
 // discard it: a record is either wholly present or wholly absent, which is
-// what carries a cross-shard transaction's atomicity onto disk.
+// what carries a transaction's atomicity onto disk, whichever shards its
+// keys live on.
 //
-// Payloads come in two shapes:
+// A payload is one committed transaction:
 //
-//	update: u8 recUpdate | u32 shard | u64 seq | u32 nops | nops × op
-//	atomic: u8 recAtomic | u32 nparts | nparts × (u32 shard | u64 seq | u32 nops | nops × op)
-//	op:     u8 kind (0 put, 1 delete) | u64 key | u64 val (0 for deletes)
+//	u64 pos | u32 nops | nops × op
+//	op: u8 kind (0 put, 1 delete) | u64 key | u64 val (0 for deletes)
 //
-// An update record is one committed single-shard transaction: its shard
-// index and the commit-clock position its publication carried. An atomic
-// record is one cross-shard commit, carrying each participating shard's
-// share of the write set with that shard's lock-point clock position.
-// Replay is idempotent and order-insensitive across shards: positions are
-// unique per shard, recovery sorts each shard's surviving groups by
-// position and skips those at or below the checkpoint's cut.
+// pos is the commit-clock position the transaction's publication carried.
+// Every commit of a forest draws its position from the one STM version
+// clock, so recovery sorts the surviving records by position alone and
+// skips those at or below the checkpoint's cut; replay is idempotent.
 
 // Op is one logged effect: an absolute put of Val at Key, or a deletion.
 type Op struct {
@@ -37,19 +34,12 @@ type Op struct {
 	Del bool
 }
 
-// ShardOps is one shard's share of a logged commit: the ops the transaction
-// applied to the shard and the shard-clock position they published at.
-type ShardOps struct {
-	Shard int
-	Seq   uint64
-	Ops   []Op
+// record is one decoded WAL record: a transaction's commit position and
+// its effects in the order it made them.
+type record struct {
+	pos uint64
+	ops []Op
 }
-
-// Record type tags (first payload byte).
-const (
-	recUpdate byte = 1
-	recAtomic byte = 2
-)
 
 // maxPayload bounds a record payload; a framed length beyond it is treated
 // as corruption rather than an allocation request.
@@ -75,29 +65,12 @@ func appendOp(b []byte, op Op) []byte {
 	return b
 }
 
-// appendGroup encodes one shard group (shard, seq, ops).
-func appendGroup(b []byte, g ShardOps) []byte {
-	b = binary.LittleEndian.AppendUint32(b, uint32(g.Shard))
-	b = binary.LittleEndian.AppendUint64(b, g.Seq)
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(g.Ops)))
-	for _, op := range g.Ops {
+// encodeRecord appends a record payload to b.
+func encodeRecord(b []byte, pos uint64, ops []Op) []byte {
+	b = binary.LittleEndian.AppendUint64(b, pos)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(ops)))
+	for _, op := range ops {
 		b = appendOp(b, op)
-	}
-	return b
-}
-
-// encodeUpdate appends an update-record payload to b.
-func encodeUpdate(b []byte, shard int, seq uint64, ops []Op) []byte {
-	b = append(b, recUpdate)
-	return appendGroup(b, ShardOps{Shard: shard, Seq: seq, Ops: ops})
-}
-
-// encodeAtomic appends an atomic-record payload to b.
-func encodeAtomic(b []byte, parts []ShardOps) []byte {
-	b = append(b, recAtomic)
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(parts)))
-	for _, p := range parts {
-		b = appendGroup(b, p)
 	}
 	return b
 }
@@ -158,118 +131,74 @@ func (d *decoder) u64() (uint64, error) {
 	return v, nil
 }
 
-// group decodes one shard group, validating the shard index against shards.
-func (d *decoder) group(shards int) (ShardOps, error) {
-	var g ShardOps
-	sh, err := d.u32()
-	if err != nil {
-		return g, err
-	}
-	if int(sh) >= shards {
-		return g, fmt.Errorf("durable: record shard %d out of range (log has %d shards)", sh, shards)
-	}
-	g.Shard = int(sh)
-	if g.Seq, err = d.u64(); err != nil {
-		return g, err
+// decodePayload decodes one record payload; a trailing excess of bytes is
+// corruption.
+func decodePayload(payload []byte) (record, error) {
+	d := &decoder{b: payload}
+	var r record
+	var err error
+	if r.pos, err = d.u64(); err != nil {
+		return r, err
 	}
 	nops, err := d.u32()
 	if err != nil {
-		return g, err
+		return r, err
 	}
 	if int(nops) > (len(d.b)-d.off)/17 {
-		return g, fmt.Errorf("durable: op count %d exceeds remaining payload", nops)
+		return r, fmt.Errorf("durable: op count %d exceeds remaining payload", nops)
 	}
-	g.Ops = make([]Op, nops)
-	for i := range g.Ops {
+	r.ops = make([]Op, nops)
+	for i := range r.ops {
 		kind, err := d.u8()
 		if err != nil {
-			return g, err
+			return r, err
 		}
 		if kind > 1 {
-			return g, fmt.Errorf("durable: unknown op kind %d", kind)
+			return r, fmt.Errorf("durable: unknown op kind %d", kind)
 		}
-		g.Ops[i].Del = kind == 1
-		if g.Ops[i].Key, err = d.u64(); err != nil {
-			return g, err
+		r.ops[i].Del = kind == 1
+		if r.ops[i].Key, err = d.u64(); err != nil {
+			return r, err
 		}
-		if g.Ops[i].Val, err = d.u64(); err != nil {
-			return g, err
+		if r.ops[i].Val, err = d.u64(); err != nil {
+			return r, err
 		}
-		if g.Ops[i].Del && g.Ops[i].Val != 0 {
+		if r.ops[i].Del && r.ops[i].Val != 0 {
 			// The encoder always writes 0 for deletions; anything else is
 			// corruption (and keeping the codec canonical lets the fuzz
 			// round-trip assert byte-identical re-encoding).
-			return g, fmt.Errorf("durable: delete op with nonzero value")
+			return r, fmt.Errorf("durable: delete op with nonzero value")
 		}
-	}
-	return g, nil
-}
-
-// decodePayload decodes one record payload into its shard groups (an update
-// record yields one group). shards bounds the shard indices; a trailing
-// excess of bytes is corruption.
-func decodePayload(payload []byte, shards int) ([]ShardOps, error) {
-	d := &decoder{b: payload}
-	tag, err := d.u8()
-	if err != nil {
-		return nil, err
-	}
-	var parts []ShardOps
-	switch tag {
-	case recUpdate:
-		g, err := d.group(shards)
-		if err != nil {
-			return nil, err
-		}
-		parts = []ShardOps{g}
-	case recAtomic:
-		n, err := d.u32()
-		if err != nil {
-			return nil, err
-		}
-		if int(n) > shards {
-			return nil, fmt.Errorf("durable: atomic record with %d parts on a %d-shard log", n, shards)
-		}
-		parts = make([]ShardOps, 0, n)
-		for i := 0; i < int(n); i++ {
-			g, err := d.group(shards)
-			if err != nil {
-				return nil, err
-			}
-			parts = append(parts, g)
-		}
-	default:
-		return nil, fmt.Errorf("durable: unknown record type %d", tag)
 	}
 	if d.off != len(payload) {
-		return nil, fmt.Errorf("durable: %d trailing bytes after record", len(payload)-d.off)
+		return r, fmt.Errorf("durable: %d trailing bytes after record", len(payload)-d.off)
 	}
-	return parts, nil
+	return r, nil
 }
 
-// readRecord parses one framed record from b, returning the shard groups
-// and the total bytes consumed. A short header, short payload, implausible
-// length or CRC mismatch returns an error — the caller treats it as the
-// torn tail and discards everything from b onward.
-func readRecord(b []byte, shards int) ([]ShardOps, int, error) {
+// readRecord parses one framed record from b, returning it and the total
+// bytes consumed. A short header, short payload, implausible length or CRC
+// mismatch returns an error — the caller treats it as the torn tail and
+// discards everything from b onward.
+func readRecord(b []byte) (record, int, error) {
 	if len(b) < frameOverhead {
-		return nil, 0, fmt.Errorf("durable: short record header (%d bytes)", len(b))
+		return record{}, 0, fmt.Errorf("durable: short record header (%d bytes)", len(b))
 	}
 	n := binary.LittleEndian.Uint32(b)
 	sum := binary.LittleEndian.Uint32(b[4:])
 	if n > maxPayload {
-		return nil, 0, fmt.Errorf("durable: implausible record length %d", n)
+		return record{}, 0, fmt.Errorf("durable: implausible record length %d", n)
 	}
 	if len(b) < frameOverhead+int(n) {
-		return nil, 0, fmt.Errorf("durable: truncated record payload (%d of %d bytes)", len(b)-frameOverhead, n)
+		return record{}, 0, fmt.Errorf("durable: truncated record payload (%d of %d bytes)", len(b)-frameOverhead, n)
 	}
 	payload := b[frameOverhead : frameOverhead+int(n)]
 	if crc32.Checksum(payload, crcTable) != sum {
-		return nil, 0, fmt.Errorf("durable: record checksum mismatch")
+		return record{}, 0, fmt.Errorf("durable: record checksum mismatch")
 	}
-	parts, err := decodePayload(payload, shards)
+	r, err := decodePayload(payload)
 	if err != nil {
-		return nil, 0, err
+		return record{}, 0, err
 	}
-	return parts, frameOverhead + int(n), nil
+	return r, frameOverhead + int(n), nil
 }

@@ -1,7 +1,8 @@
 package durable
 
 import (
-	"encoding/binary"
+	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -26,8 +27,8 @@ type Recovery struct {
 	Segments int
 	Records  int
 	// OpsApplied and OpsSkipped split the replayed ops into those applied
-	// and those the checkpoint already covered (a record op is skipped when
-	// its position is at or below its shard's cut).
+	// and those the checkpoint already covered (a record's ops are skipped
+	// when its position is at or below the checkpoint's cut).
 	OpsApplied int
 	OpsSkipped int
 	// TailDroppedBytes counts bytes discarded at the first torn or
@@ -56,10 +57,9 @@ func parseIndexed(name, prefix, suffix string) (uint64, bool) {
 
 // mix64 is the splitmix64 finalizer: a full-avalanche bijection used to
 // spread keys over the recovery applier partitions. Partitioning is by key
-// (not by the store's shard routing, which recovery does not know), which
-// is sound because replay ordering only matters per key: all records for a
-// key carry one shard, and each partition applies its records in global
-// (shard, seq) order.
+// (recovery knows nothing of the store's shard routing), which is sound
+// because replay ordering only matters per key: each partition applies its
+// ops in global position order.
 func mix64(x uint64) uint64 {
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e9b9
@@ -87,11 +87,12 @@ type loaded struct {
 // decodes and the segment suffix at or above its base has no gaps; when
 // none is, the same order is retried tolerating segment gaps (external
 // damage — recovery degrades gracefully instead of failing), and with no
-// usable checkpoint at all the state starts empty. A delta-*.ckpt file, as
-// a log writing incremental checkpoints left them, is refused when it is
-// newer than the checkpoint picked — it holds state no file read here
-// has — and ignored otherwise, like any manifest-*.mf.
-func recoverDir(dir string, shards, appliers int) (*Recovery, uint64, uint64, error) {
+// usable checkpoint at all the state starts empty. Files of the old
+// on-disk format are refused, naming the file, rather than read as damage:
+// a segment or checkpoint recovery reads with an old magic, and any
+// delta-*.ckpt (that format's incremental checkpoints). A stray
+// manifest-*.mf is ignored.
+func recoverDir(dir string, appliers int) (*Recovery, uint64, uint64, error) {
 	start := time.Now()
 	rec := &Recovery{State: make(map[uint64]uint64)}
 
@@ -99,7 +100,7 @@ func recoverDir(dir string, shards, appliers int) (*Recovery, uint64, uint64, er
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	var segs, ckpts, deltas []uint64
+	var segs, ckpts []uint64
 	var maxSeg, maxGen uint64
 	for _, e := range ents {
 		name := e.Name()
@@ -115,8 +116,8 @@ func recoverDir(dir string, shards, appliers int) (*Recovery, uint64, uint64, er
 			ckpts = append(ckpts, g)
 			maxGen = max(maxGen, g)
 		}
-		if g, ok := parseIndexed(name, "delta-", ".ckpt"); ok {
-			deltas = append(deltas, g)
+		if _, ok := parseIndexed(name, "delta-", ".ckpt"); ok {
+			return nil, 0, 0, fmt.Errorf("durable: %s: %w", filepath.Join(dir, name), errOldFormat)
 		}
 	}
 	sort.Slice(segs, func(i, j int) bool { return segs[i] < segs[j] })
@@ -147,7 +148,10 @@ func recoverDir(dir string, shards, appliers int) (*Recovery, uint64, uint64, er
 	var cp *loaded
 	for pass := 0; pass < 2 && cp == nil; pass++ {
 		for _, g := range ckpts {
-			c, err := loadCheckpoint(checkpointName(dir, g), shards, W)
+			c, err := loadCheckpoint(checkpointName(dir, g), W)
+			if errors.Is(err, errOldFormat) {
+				return nil, 0, 0, err
+			}
 			if err != nil || (pass == 0 && !contiguous(c.baseSeg)) {
 				continue
 			}
@@ -156,14 +160,7 @@ func recoverDir(dir string, shards, appliers int) (*Recovery, uint64, uint64, er
 		}
 	}
 	if cp == nil {
-		cp = &loaded{checkpointMeta: checkpointMeta{cuts: make([]uint64, shards)},
-			base: make([][]kvPair, W)}
-	}
-	for _, g := range deltas {
-		if g > cp.gen {
-			name := filepath.Join(dir, fmt.Sprintf("delta-%016d.ckpt", g))
-			return nil, 0, 0, fmt.Errorf("durable: incremental checkpoint %s is newer than checkpoint %d and cannot be read", name, cp.gen)
-		}
+		cp = &loaded{base: make([][]kvPair, W)}
 	}
 	rec.CheckpointGen = cp.gen
 	rec.CheckpointPairs = cp.pairs
@@ -174,7 +171,7 @@ func recoverDir(dir string, shards, appliers int) (*Recovery, uint64, uint64, er
 	// torn record is trusted, and segments past a torn one contribute
 	// nothing (they are not even counted, matching the serial semantics).
 	type segResult struct {
-		groups  []ShardOps
+		recs    []record
 		records int
 		bytes   int
 		dropped int
@@ -190,33 +187,34 @@ func recoverDir(dir string, shards, appliers int) (*Recovery, uint64, uint64, er
 	results := make([]segResult, len(replaySegs))
 	decodeSeg := func(i int) {
 		r := &results[i]
-		b, err := os.ReadFile(segmentName(dir, replaySegs[i]))
+		name := segmentName(dir, replaySegs[i])
+		b, err := os.ReadFile(name)
 		if err != nil {
 			r.err = err
 			return
 		}
 		r.bytes = len(b)
-		if len(b) < segHeaderLen || string(b[:len(segMagic)]) != segMagic {
+		if bytes.HasPrefix(b, []byte(segMagicV1)) {
+			r.err = fmt.Errorf("durable: %s: %w", name, errOldFormat)
+			return
+		}
+		if !bytes.HasPrefix(b, []byte(segMagic)) {
 			// Segment created but its header never reached disk: an empty
 			// tail, nothing to replay.
 			r.dropped = len(b)
 			r.torn = true
 			return
 		}
-		if ns := binary.LittleEndian.Uint32(b[len(segMagic):]); int(ns) != shards {
-			r.err = fmt.Errorf("durable: segment %d written with %d shards, log opened with %d", replaySegs[i], ns, shards)
-			return
-		}
-		off := segHeaderLen
+		off := len(segMagic)
 		for off < len(b) {
-			parts, n, err := readRecord(b[off:], shards)
+			rc, n, err := readRecord(b[off:])
 			if err != nil {
 				r.dropped = len(b) - off
 				r.torn = true
 				break
 			}
 			r.records++
-			r.groups = append(r.groups, parts...)
+			r.recs = append(r.recs, rc)
 			off += n
 		}
 	}
@@ -242,7 +240,7 @@ func recoverDir(dir string, shards, appliers int) (*Recovery, uint64, uint64, er
 			decodeSeg(i)
 		}
 	}
-	var groups []ShardOps
+	var recs []record
 	for i := range results {
 		r := &results[i]
 		if r.err != nil {
@@ -252,42 +250,36 @@ func recoverDir(dir string, shards, appliers int) (*Recovery, uint64, uint64, er
 		rec.Bytes += int64(r.bytes)
 		rec.Records += r.records
 		rec.TailDroppedBytes += r.dropped
-		groups = append(groups, r.groups...)
+		recs = append(recs, r.recs...)
 		if r.torn {
 			break
 		}
 	}
 
-	// Restore per-shard commit order (append order can differ from commit
-	// order under concurrency). Shard-clock positions may be shared by
-	// concurrent commits (the STM's slow-path committers adopt a position
-	// without a clock RMW of their own), but position-sharing commits held
-	// all their write locks simultaneously, so their key sets are disjoint
-	// and the stable sort's arbitrary tie order is irrelevant.
-	sort.SliceStable(groups, func(i, j int) bool {
-		if groups[i].Shard != groups[j].Shard {
-			return groups[i].Shard < groups[j].Shard
-		}
-		return groups[i].Seq < groups[j].Seq
-	})
+	// Restore commit order (append order can differ from commit order
+	// under concurrency). Clock positions may be shared by concurrent
+	// commits (the STM's slow-path committers adopt a position without a
+	// clock RMW of their own), but position-sharing commits held all their
+	// write locks simultaneously, so their key sets are disjoint and the
+	// stable sort's arbitrary tie order is irrelevant.
+	sort.SliceStable(recs, func(i, j int) bool { return recs[i].pos < recs[j].pos })
 
 	// Bucket the ops by key partition (order within a bucket preserves the
 	// global sort), then run one applier per partition: checkpoint pairs,
-	// then the record ops — skipping an op when its position is at or below
-	// its shard's cut (see Source for why that loses nothing).
+	// then the record ops — skipping an op when its record's position is at
+	// or below the checkpoint's cut (see Source for why that loses nothing).
 	type replayOp struct {
-		key, val, seq uint64
-		shard         int32
+		key, val, pos uint64
 		del           bool
 	}
 	opBuckets := make([][]replayOp, W)
-	for _, g := range groups {
-		for _, op := range g.Ops {
+	for _, rc := range recs {
+		for _, op := range rc.ops {
 			w := 0
 			if W > 1 {
 				w = int(mix64(op.Key) % uint64(W))
 			}
-			opBuckets[w] = append(opBuckets[w], replayOp{key: op.Key, val: op.Val, seq: g.Seq, shard: int32(g.Shard), del: op.Del})
+			opBuckets[w] = append(opBuckets[w], replayOp{key: op.Key, val: op.Val, pos: rc.pos, del: op.Del})
 		}
 	}
 	type partResult struct {
@@ -302,7 +294,7 @@ func recoverDir(dir string, shards, appliers int) (*Recovery, uint64, uint64, er
 			p.state[kv.k] = kv.v
 		}
 		for _, op := range opBuckets[w] {
-			if op.seq <= cp.cuts[op.shard] {
+			if op.pos <= cp.cut {
 				p.skipped++
 				continue
 			}
@@ -323,9 +315,9 @@ func recoverDir(dir string, shards, appliers int) (*Recovery, uint64, uint64, er
 				apply(w)
 			}(w)
 		}
-		wg.Wait() // merge barrier: every partition (and any multi-shard
-		// ftx record's per-shard shares, spread across partitions by key)
-		// is fully applied before the states merge
+		wg.Wait() // merge barrier: every partition (and so every record,
+		// its ops spread across partitions by key) is fully applied
+		// before the states merge
 	} else {
 		apply(0)
 	}
@@ -347,8 +339,8 @@ func recoverDir(dir string, shards, appliers int) (*Recovery, uint64, uint64, er
 
 // loadCheckpoint loads one checkpoint, bucketing its pairs by key
 // partition for the W appliers.
-func loadCheckpoint(path string, shards, W int) (*loaded, error) {
-	meta, pairs, err := readCheckpoint(path, shards)
+func loadCheckpoint(path string, W int) (*loaded, error) {
+	meta, pairs, err := readCheckpoint(path)
 	if err != nil {
 		return nil, err
 	}

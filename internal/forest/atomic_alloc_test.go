@@ -143,11 +143,11 @@ func TestAtomicZeroAllocs(t *testing.T) {
 		x := newAtomicFixture(t, 8, 1<<10)
 		x.spread(t)
 		st := x.attachQuietWAL(t)
-		before := st().AtomicRecords
+		before := st().Records
 		// x.h has no coordinator yet, so its first Atomic wires the WAL in.
 		gate(t, "WAL-attached cross-shard transfer", func() { x.h.Atomic(x.transfer) })
-		if n := st().AtomicRecords - before; n < 200 {
-			t.Fatalf("%d atomic records logged, want one per transfer", n)
+		if n := st().Records - before; n < 200 {
+			t.Fatalf("%d records logged, want one per transfer", n)
 		}
 	})
 }

@@ -6,12 +6,13 @@
 // — for the speculation-friendly variants — swept by one sftree.Driver whose
 // worker pool the shards share. Keys are routed to shards by a fixed
 // avalanche hash of the key. Sharding still buys what partitioning trees
-// buys: S shallower trees, maintenance sweeps that split S ways across the
-// pool, and per-shard WAL records, checkpoint files and recovery appliers.
-// What it no longer splits is the version clock: every commit of the forest
-// advances one clock, as in the paper's one TM domain. A single global clock
-// is TL2's known scaling limit at many cores; the 2-vCPU host this was
-// measured on cannot probe it.
+// buys: S shallower trees and maintenance sweeps that split S ways across
+// the pool. What it does not split is the version clock: every commit of
+// the forest advances one clock, as in the paper's one TM domain, so a
+// durable forest logs one WAL record per commit and checkpoints at one cut
+// whatever the shard count. A single global clock is TL2's known scaling
+// limit at many cores; the 2-vCPU host this was measured on cannot probe
+// it.
 //
 // # Atomicity semantics
 //
@@ -77,7 +78,7 @@ type Forest struct {
 	// registered as a reliable post-commit hook so aborted attempts log
 	// nothing. Set once by AttachWAL before concurrent use.
 	wal *durable.Log
-	// ckptTh is the checkpointer's STM thread (SnapshotShard), lazily
+	// ckptTh is the checkpointer's STM thread (Snapshot), lazily
 	// created and touched only by the single checkpoint driver.
 	ckptTh *stm.Thread
 }
@@ -85,8 +86,7 @@ type Forest struct {
 // AttachWAL connects the forest to a write-ahead log: from now on every
 // committed mutating transaction — single-key updates, composed Update
 // transactions, moves and Atomic commits — appends one durable record
-// carrying its commit-clock position (one multi-shard record when its
-// effects span shards).
+// carrying its commit-clock position, whichever shards it touched.
 // Attach before the forest is shared between goroutines (repro.Open does it
 // between recovery replay and returning); reads and the maintenance
 // subsystem are unaffected, since structural transactions never change the
@@ -103,7 +103,7 @@ func (f *Forest) AttachWAL(l *durable.Log) {
 // to park both writers. Chunks keep a conflict's cost at one chunk and the
 // read set at a few thousand entries.
 const (
-	snapChunkPairs = 1024 // pairs per SnapshotShard transaction, at most
+	snapChunkPairs = 1024 // pairs per Snapshot transaction, at most
 	snapChunkMin   = 16   // what a chunk that keeps losing shrinks to
 )
 
@@ -136,20 +136,21 @@ func (c *chunkSize) committed() {
 	c.tries = 0
 }
 
-// SnapshotShard implements durable.Source: shard si streamed through fn in
-// ascending key order as a sequence of small consistent read-only
-// transactions — each scans the next chunk of up to snapChunkPairs pairs
-// from where the last one stopped — returning the minimum of the chunks'
-// shard-clock positions (see durable.Source for why the minimum is the
-// safe cut). Single-caller (the checkpoint driver).
-func (f *Forest) SnapshotShard(si int, fn func(k, v uint64)) uint64 {
-	m := f.maps[si]
+// Snapshot implements durable.Source: every shard streamed through fn, each
+// in ascending key order, as a sequence of small consistent read-only
+// transactions — each scans the next chunk of up to snapChunkPairs pairs of
+// a shard from where the last one stopped — returning the minimum of the
+// chunks' clock positions (see durable.Source for why the minimum is the
+// safe cut: every shard's chunks draw their positions from the forest's one
+// clock). Single-caller (the checkpoint driver).
+func (f *Forest) Snapshot(fn func(k, v uint64)) uint64 {
 	if f.ckptTh == nil {
 		f.ckptTh = f.stm.NewThread()
 	}
 	th := f.ckptTh
 	cut := ^uint64(0)
 	var (
+		m       trees.Map
 		lo, pos uint64
 		limit   int
 		size    = chunkSize{n: snapChunkPairs, hi: snapChunkPairs}
@@ -170,18 +171,20 @@ func (f *Forest) SnapshotShard(si int, fn func(k, v uint64)) uint64 {
 		m.RangeTx(tx, lo, ^uint64(0), collect)
 		pos = tx.Snapshot()
 	}
-	for {
-		th.AtomicRO(scan)
-		size.committed()
-		cut = min(cut, pos)
-		for _, e := range chunk {
-			fn(e.k, e.v)
+	for _, m = range f.maps {
+		for lo = 0; ; lo = chunk[len(chunk)-1].k + 1 {
+			th.AtomicRO(scan)
+			size.committed()
+			cut = min(cut, pos)
+			for _, e := range chunk {
+				fn(e.k, e.v)
+			}
+			if len(chunk) < limit || chunk[len(chunk)-1].k == ^uint64(0) {
+				break
+			}
 		}
-		if len(chunk) < limit || chunk[len(chunk)-1].k == ^uint64(0) {
-			return cut
-		}
-		lo = chunk[len(chunk)-1].k + 1
 	}
+	return cut
 }
 
 // The forest is the durable layer's checkpoint source.

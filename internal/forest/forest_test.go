@@ -352,9 +352,7 @@ func TestHandleRegistersOneThread(t *testing.T) {
 		t.Fatalf("a handle touching every shard registered %d STM threads, want 1", n)
 	}
 
-	for si := range f.Shards() {
-		f.SnapshotShard(si, func(_, _ uint64) {})
-	}
+	f.Snapshot(func(_, _ uint64) {})
 	if n := threads() - before; n != 2 {
 		t.Fatalf("the checkpointer over every shard registered %d STM threads, want 1", n-1)
 	}

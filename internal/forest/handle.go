@@ -25,8 +25,8 @@ type Handle struct {
 	// effects is the reusable per-transaction effect buffer of the durable
 	// path: mutating operations collect their effects here during the
 	// attempt, and a reliable post-commit hook, logFn, appends them to the
-	// WAL only if the attempt commits.
-	effects ftx.Effects
+	// WAL as one record only if the attempt commits.
+	effects []durable.Op
 	logFn   func(pos uint64)
 
 	// cur is the durable single-key Insert or Delete in flight, and
@@ -35,17 +35,16 @@ type Handle struct {
 	// allocation per durable update.
 	cur struct {
 		m    trees.Map
-		si   int
 		k, v uint64
 		ok   bool
 	}
 	insertFn, deleteFn func(*stm.Tx)
 
 	// mv performs moves (the §5.4 composition, written once in
-	// sftree.Mover) from shard mvSi's tree to shard mvDi's; its OnMoved
-	// hook, logMove, registers a durable forest's WAL record of the move.
-	mv         trees.Mover
-	mvSi, mvDi int
+	// sftree.Mover) between the source and destination keys' trees; its
+	// OnMoved hook, logMove, registers a durable forest's WAL record of the
+	// move.
+	mv trees.Mover
 
 	// scan is the handle's reusable Range state (range.go): nil while a
 	// Range is feeding its callback, which may scan again on this handle.
@@ -125,11 +124,8 @@ func boolA(ok bool) int64 {
 // Forest returns the forest this handle accesses.
 func (h *Handle) Forest() *Forest { return h.f }
 
-// route resolves k to its shard's tree and index.
-func (h *Handle) route(k uint64) (trees.Map, int) {
-	si := h.f.ShardOf(k)
-	return h.f.maps[si], si
-}
+// route resolves k to its shard's tree.
+func (h *Handle) route(k uint64) trees.Map { return h.f.maps[h.f.ShardOf(k)] }
 
 // Stats reports the STM statistics of this handle's thread — the handle's
 // contribution to the forest, excluding other handles and the maintenance
@@ -142,7 +138,7 @@ func (h *Handle) Stats() stm.Stats { return h.th.Stats() }
 // h.effects holds the attempt's effects; an aborted attempt discards the
 // registration with the attempt.
 func (h *Handle) logCommit(tx *stm.Tx) {
-	if h.effects.Len() == 0 {
+	if len(h.effects) == 0 {
 		return
 	}
 	tx.OnCommitted(h.logFn)
@@ -152,7 +148,7 @@ func (h *Handle) logCommit(tx *stm.Tx) {
 // inside the committing operation, so h.trID is still that op's trace id
 // (zero when untraced) and the WAL record's span stitches to it.
 func (h *Handle) logHook(pos uint64) {
-	h.effects.Log(h.f.wal, pos, h.trID)
+	h.f.wal.Append(pos, h.effects, h.trID)
 }
 
 // Insert maps k to v; false when k was already present. On a durable
@@ -160,7 +156,7 @@ func (h *Handle) logHook(pos uint64) {
 // (tree-managed allocation, so an aborted linking attempt may leak one
 // arena node — the InsertTxA discipline).
 func (h *Handle) Insert(k, v uint64) bool {
-	m, si := h.route(k)
+	m := h.route(k)
 	var (
 		tr *obs.Tracer
 		id uint64
@@ -174,7 +170,7 @@ func (h *Handle) Insert(k, v uint64) bool {
 		ok = m.Insert(h.th, k, v)
 	} else {
 		c := &h.cur
-		c.m, c.si, c.k, c.v = m, si, k, v
+		c.m, c.k, c.v = m, k, v
 		trees.Atomic(m, h.th, h.insertFn)
 		ok = c.ok
 	}
@@ -187,10 +183,10 @@ func (h *Handle) Insert(k, v uint64) bool {
 // insertTx is the body of a durable Insert, acting on h.cur.
 func (h *Handle) insertTx(tx *stm.Tx) {
 	c := &h.cur
-	h.effects.Reset()
+	h.effects = h.effects[:0]
 	c.ok = c.m.InsertTxA(tx, c.k, c.v)
 	if c.ok {
-		h.effects.Add(c.si, durable.Op{Key: c.k, Val: c.v})
+		h.effects = append(h.effects, durable.Op{Key: c.k, Val: c.v})
 		h.logCommit(tx)
 	}
 }
@@ -198,7 +194,7 @@ func (h *Handle) insertTx(tx *stm.Tx) {
 // Delete removes k; false when absent. On a durable forest the delete runs
 // as a composable transaction with a logged effect, like Insert.
 func (h *Handle) Delete(k uint64) bool {
-	m, si := h.route(k)
+	m := h.route(k)
 	var (
 		tr *obs.Tracer
 		id uint64
@@ -212,7 +208,7 @@ func (h *Handle) Delete(k uint64) bool {
 		ok = m.Delete(h.th, k)
 	} else {
 		c := &h.cur
-		c.m, c.si, c.k = m, si, k
+		c.m, c.k = m, k
 		trees.Atomic(m, h.th, h.deleteFn)
 		ok = c.ok
 	}
@@ -225,17 +221,17 @@ func (h *Handle) Delete(k uint64) bool {
 // deleteTx is the body of a durable Delete, acting on h.cur.
 func (h *Handle) deleteTx(tx *stm.Tx) {
 	c := &h.cur
-	h.effects.Reset()
+	h.effects = h.effects[:0]
 	c.ok = c.m.DeleteTx(tx, c.k)
 	if c.ok {
-		h.effects.Add(c.si, durable.Op{Key: c.k, Del: true})
+		h.effects = append(h.effects, durable.Op{Key: c.k, Del: true})
 		h.logCommit(tx)
 	}
 }
 
 // Get returns the value at k.
 func (h *Handle) Get(k uint64) (uint64, bool) {
-	m, _ := h.route(k)
+	m := h.route(k)
 	var (
 		tr *obs.Tracer
 		id uint64
@@ -253,7 +249,7 @@ func (h *Handle) Get(k uint64) (uint64, bool) {
 
 // Contains reports whether k is present.
 func (h *Handle) Contains(k uint64) bool {
-	m, _ := h.route(k)
+	m := h.route(k)
 	var (
 		tr *obs.Tracer
 		id uint64
@@ -283,9 +279,7 @@ func (h *Handle) Move(src, dst uint64) bool {
 	if t := h.f.tracer.Load(); t != nil {
 		tr, id, t0 = h.traceStart(t, obs.OpMove)
 	}
-	sm, si := h.route(src)
-	dm, di := h.route(dst)
-	h.mvSi, h.mvDi = si, di
+	sm, dm := h.route(src), h.route(dst)
 	trees.Atomic(sm, h.th, h.mv.Bind(sm, dm, src, dst))
 	ok := h.mv.Moved()
 	if tr != nil {
@@ -300,9 +294,7 @@ func (h *Handle) logMove(tx *stm.Tx, src, dst, v uint64) {
 	if h.f.wal == nil {
 		return
 	}
-	h.effects.Reset()
-	h.effects.Add(h.mvSi, durable.Op{Key: src, Del: true})
-	h.effects.Add(h.mvDi, durable.Op{Key: dst, Val: v})
+	h.effects = append(h.effects[:0], durable.Op{Key: src, Del: true}, durable.Op{Key: dst, Val: v})
 	h.logCommit(tx)
 }
 
@@ -402,7 +394,7 @@ func (h *Handle) Update(fn func(op *Op)) {
 	trees.Atomic(h.f.maps[0], h.th, func(tx *stm.Tx) {
 		op := Op{f: h.f, tx: tx}
 		if h.f.wal != nil {
-			h.effects.Reset()
+			h.effects = h.effects[:0]
 			op.log = &h.effects
 		}
 		fn(&op)
@@ -422,25 +414,23 @@ type Op struct {
 	tx *stm.Tx
 	// log, when non-nil, collects the transaction's effects for the durable
 	// WAL record (reset by Update at the start of every attempt).
-	log *ftx.Effects
+	log *[]durable.Op
 }
 
 // Insert maps k to v within the transaction; false when present.
 func (o *Op) Insert(k, v uint64) bool {
-	si := o.f.ShardOf(k)
-	ok := o.f.maps[si].InsertTxA(o.tx, k, v)
+	ok := o.f.maps[o.f.ShardOf(k)].InsertTxA(o.tx, k, v)
 	if ok && o.log != nil {
-		o.log.Add(si, durable.Op{Key: k, Val: v})
+		*o.log = append(*o.log, durable.Op{Key: k, Val: v})
 	}
 	return ok
 }
 
 // Delete removes k within the transaction; false when absent.
 func (o *Op) Delete(k uint64) bool {
-	si := o.f.ShardOf(k)
-	ok := o.f.maps[si].DeleteTx(o.tx, k)
+	ok := o.f.maps[o.f.ShardOf(k)].DeleteTx(o.tx, k)
 	if ok && o.log != nil {
-		o.log.Add(si, durable.Op{Key: k, Del: true})
+		*o.log = append(*o.log, durable.Op{Key: k, Del: true})
 	}
 	return ok
 }

@@ -9,7 +9,7 @@ import (
 	"repro/internal/trees"
 )
 
-// commitRec is one committed write as its writer saw it: the shard-clock
+// commitRec is one committed write as its writer saw it: the clock
 // position the commit published at and the key's state from then on.
 type commitRec struct {
 	pos     uint64
@@ -17,8 +17,8 @@ type commitRec struct {
 	present bool
 }
 
-// TestSnapshotShardChunkedUnderWriters: two writers hammer one 2¹⁵-key
-// shard while SnapshotShard runs. The chunked snapshot must (1) cost the
+// TestSnapshotShardChunkedUnderWriters: two writers hammer a one-shard
+// forest of 2¹⁵ keys while Snapshot runs. The chunked snapshot must (1) cost the
 // checkpoint thread about what a quiescent one costs — a conflict redoes
 // one chunk, where the whole-shard transaction it replaces redid the shard
 // (hundreds of times over under this load) — and (2) return a cut at or
@@ -37,7 +37,7 @@ func TestSnapshotShardChunkedUnderWriters(t *testing.T) {
 	f.Quiesce(64)
 
 	pairs := 0
-	f.SnapshotShard(0, func(k, v uint64) { pairs++ })
+	f.Snapshot(func(k, v uint64) { pairs++ })
 	th := f.ckptTh
 	if pairs != n {
 		t.Fatalf("quiescent snapshot streamed %d pairs, want %d", pairs, n)
@@ -81,7 +81,7 @@ func TestSnapshotShardChunkedUnderWriters(t *testing.T) {
 		present bool
 	}
 	snap := make(map[uint64]uint64, n)
-	cut := f.SnapshotShard(0, func(k, v uint64) {
+	cut := f.Snapshot(func(k, v uint64) {
 		if _, dup := snap[k]; dup {
 			t.Errorf("key %d streamed twice", k)
 		}

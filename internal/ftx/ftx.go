@@ -34,16 +34,16 @@
 // validation atomicity depends on.
 //
 // Sharding still partitions the trees: every key lives in one shard's
-// tree, which is what splits maintenance, WAL partitions and recovery
-// appliers. What shards no longer split is the version clock: every
-// commit of the forest advances one clock. A single global clock is TL2's
-// known scaling limit at many cores; the 2-vCPU host this was measured on
-// cannot probe it.
+// tree, which is what splits maintenance. What shards no longer split is
+// the version clock: every commit of the forest advances one clock, and a
+// durable domain logs each commit as one WAL record at its position. A
+// single global clock is TL2's known scaling limit at many cores; the
+// 2-vCPU host this was measured on cannot probe it.
 //
 // # One context per coordinator
 //
 // Everything a transaction needs — the Tx with its write buffer, the WAL
-// record buffers, and the closures handed to the STM — belongs to the
+// record buffer, and the closures handed to the STM — belongs to the
 // Coordinator and is reset, not rebuilt, for every attempt. A transaction
 // therefore allocates nothing once the coordinator has grown to its size
 // (gated by AllocsPerRun tests in forest, ftx and the facade). Three rules
@@ -144,10 +144,10 @@ type Coordinator struct {
 	live *obs.Group
 
 	// wal, when set, receives one durable record per committed writing
-	// transaction at its commit position (see Effects.Log). effects is the
-	// record's reusable buffer.
-	wal     *durable.Log
-	effects Effects
+	// transaction at its commit position (logCommit). ops is the record's
+	// reusable buffer.
+	wal *durable.Log
+	ops []durable.Op
 
 	// The closures handed to the STM are built once. fn is the running
 	// Run's function, attempts the attempts its transaction has started
@@ -294,15 +294,16 @@ func Single(m trees.Map, th *stm.Thread) Domain {
 }
 
 // logCommit is the commit's OnCommitted hook on a durable domain: the
-// write set, grouped by shard, at the commit position.
+// write set as one record at the commit position, whichever shards it
+// touched.
 func (c *Coordinator) logCommit(pos uint64) {
-	e := &c.effects
-	e.Reset()
+	ops := c.ops[:0]
 	for i := range c.tx.writes.recs {
 		w := &c.tx.writes.recs[i]
-		e.Add(int(w.shard), durable.Op{Key: w.key, Val: w.val, Del: !w.present})
+		ops = append(ops, durable.Op{Key: w.key, Val: w.val, Del: !w.present})
 	}
-	e.Log(c.wal, pos, c.traceID)
+	c.ops = ops
+	c.wal.Append(pos, ops, c.traceID)
 }
 
 // setterTx is the optional upsert entry point a tree may provide (every

@@ -24,8 +24,8 @@ const (
 	// SpanAttempt: one STM attempt inside the op. A is -1 for the committing
 	// attempt, otherwise the AbortCause code; B is the attempt index (0 = first).
 	SpanAttempt
-	// SpanWALAppend: WAL append until fsync completion. A=shard index (-1
-	// for a multi-shard atomic record), B=bytes appended.
+	// SpanWALAppend: WAL append until fsync completion. A=the record's op
+	// count, B=bytes appended.
 	SpanWALAppend
 	numSpanKinds
 )

@@ -36,10 +36,10 @@
 // trees in one STM domain. The default of one shard is the paper's design,
 // one tree in one domain. WithShards splits the key space across S trees,
 // which buys what partitioning trees buys — shallower trees, maintenance
-// sweeps split across a worker pool, per-shard WAL records, checkpoint
-// files and recovery appliers — while every transaction still spans the
-// whole key space, because the shards share the domain's one version
-// clock. That single global clock is TL2's known scaling limit at many
+// sweeps split across a worker pool — while every transaction still spans
+// the whole key space, because the shards share the domain's one version
+// clock (a durable tree logs one WAL record per transaction and checkpoints
+// at one cut, whatever the shard count). That single global clock is TL2's known scaling limit at many
 // cores; the 2-vCPU host this was measured on cannot probe it.
 // WithContention selects the abort→retry policy:
 //
@@ -166,10 +166,10 @@ func WithoutMaintenance() Option { return func(c *treeCfg) { c.maintenance = fal
 // STM domain (default 1, the paper's single tree). Every operation keeps
 // its atomicity whichever shards it touches — Update, Atomic, Move and
 // Range are one transaction each. What sharding buys is partitioned trees:
-// shallower trees, maintenance split across a worker pool, and per-shard
-// WAL records, checkpoint files and recovery appliers. What it does not
-// split is the version clock, which every commit advances. NewTree panics
-// on n < 1; Open returns the error.
+// shallower trees and maintenance split across a worker pool. What it does
+// not split is the version clock, which every commit advances; nothing on
+// disk depends on n (Open sizes its default recovery applier count by it).
+// NewTree panics on n < 1; Open returns the error.
 func WithShards(n int) Option { return func(c *treeCfg) { c.shards = n } }
 
 // WithObservability turns on the tree's observability layer: a metrics
@@ -292,11 +292,13 @@ func NewTree(kind Kind, opts ...Option) *Tree {
 }
 
 // Open creates — or recovers — a durable tree of the given kind backed by
-// the write-ahead log and checkpoints in dir (created if missing; the same
-// kind and shard count must be used across openings of one directory).
-// Every committed update is appended to the log as one checksummed record
-// (a transaction whose effects span shards as one multi-shard record),
-// group-committed per the WithDurability dials; checkpoints
+// the write-ahead log and checkpoints in dir (created if missing). The
+// files hold keys and values only, so a directory reopens under any kind
+// and shard count; a directory of the old, per-shard on-disk format is
+// refused with an error naming the file.
+// Every committed transaction is appended to the log as one checksummed
+// record, whichever shards it touched, group-committed per the
+// WithDurability dials; checkpoints
 // rotate and truncate the log. Open first replays dir's newest sealed
 // checkpoint plus the surviving log tail into a fresh tree, seals a new
 // checkpoint (rebasing the history onto this process's clocks), and then
@@ -308,8 +310,8 @@ func NewTree(kind Kind, opts ...Option) *Tree {
 // at most the final unsynced window, within which in-flight operations
 // are retained or lost independently (see the durable package comment for
 // the precise contract). A torn tail record is detected by its length
-// prefix and CRC and cleanly discarded, so a multi-shard transaction is
-// recovered wholly or not at all.
+// prefix and CRC and cleanly discarded, so a transaction is recovered
+// wholly or not at all.
 func Open(dir string, kind Kind, opts ...Option) (*Tree, error) {
 	cfg, err := configure(opts)
 	if err != nil {
@@ -326,7 +328,7 @@ func Open(dir string, kind Kind, opts ...Option) (*Tree, error) {
 	// Replay the recovered state before attaching the log (the replay must
 	// not re-log itself), then seal a fresh checkpoint so the old log
 	// generation — whose record positions belong to the previous process's
-	// clocks — is truncated and the cuts rebased.
+	// clock — is truncated and the cut rebased.
 	f := cfg.newForest(kind)
 	reload(f, rec.State)
 	f.AttachWAL(l)
@@ -412,7 +414,7 @@ func (t *Tree) ObsAddr() string {
 // per-key transactions make concurrent inserts safe). This is the second
 // half of segment-parallel recovery: the durable layer replays the WAL
 // across partitioned appliers, and the reload spreads the resulting map
-// across the forest's shard domains the same way.
+// across inserter goroutines the same way.
 func reload(f *forest.Forest, state map[uint64]uint64) {
 	const parallelMin = 1 << 12
 	workers := min(f.Shards(), runtime.GOMAXPROCS(0))

@@ -178,7 +178,7 @@ func TestDurableRecoveryOracle(t *testing.T) {
 // record boundary plus every byte inside the tail record — the directory
 // is copied, the live segment truncated at that offset, and repro.Open
 // must recover exactly the model at the newest wholly-contained record,
-// with the transfer's sum conservation preserved (the atomic record is
+// with the transfer's sum conservation preserved (its one record is
 // recovered wholly or not at all).
 func TestDurableTruncationOracle(t *testing.T) {
 	durableKindsAndShards(t, func(t *testing.T, kind Kind, shards int) {
@@ -224,9 +224,8 @@ func TestDurableTruncationOracle(t *testing.T) {
 			h.Update(func(op *Op) { op.Delete(5); op.Insert(5, 555) })
 			model[5] = 555
 		})
-		// Tail record: one Atomic transfer A→B, free keys (a multi-shard
-		// record when the accounts live on different shards, an update
-		// record otherwise).
+		// Tail record: one Atomic transfer A→B, free keys (one record,
+		// whether or not the accounts live on one shard).
 		step(func() {
 			h.Atomic(func(x *Txn) error {
 				a, _ := x.Get(accA)
@@ -288,11 +287,11 @@ func TestDurableTruncationOracle(t *testing.T) {
 			}
 			// Inside the tail (transfer) record both accounts long exist:
 			// whether or not the record survives the tear, their sum must be
-			// conserved — a split atomic record would break it.
+			// conserved — a split record would break it.
 			if cut >= tailStart {
 				if s := sumAB(got); s != sumAB(want) {
 					tr2.Close()
-					t.Fatalf("cut %d: transfer sum %d, want %d (atomic record split by the tear?)", cut, s, sumAB(want))
+					t.Fatalf("cut %d: transfer sum %d, want %d (record split by the tear?)", cut, s, sumAB(want))
 				}
 			}
 			// The recovered tree must be live: a fresh committed update
@@ -570,13 +569,15 @@ func TestDurableConcurrentRecoveryOracle(t *testing.T) {
 // TestDurableChunkedCheckpointCrashOracle: writers churn private key stripes
 // while checkpoints run back to back — shards big enough that every
 // snapshot spans several chunk transactions, so checkpoints are sealed with
-// per-shard cuts that are minima over chunks cut at different clock
-// positions. The writers then stop, the log is synced, and the directory is
-// copied as it stands (a crash: no Close, no final checkpoint, whatever
-// checkpoints happened to seal).
+// a cut that is the minimum over chunks cut at different clock positions.
+// The writers then stop, the log is synced, and the directory is copied as
+// it stands (a crash: no Close, no final checkpoint, whatever checkpoints
+// happened to seal).
 // Every operation returned before that sync, so recovery of the copy must
 // equal the model exactly: replaying the records above a minimum cut over
-// chunks that already hold them has to be idempotent.
+// chunks that already hold them has to be idempotent. Nothing on disk
+// names a shard, so a second copy reopened at the other shard count of
+// {1, 8} must recover the same state.
 func TestDurableChunkedCheckpointCrashOracle(t *testing.T) {
 	for _, shards := range []int{1, 8} {
 		t.Run("shards="+string(rune('0'+shards)), func(t *testing.T) {
@@ -644,8 +645,9 @@ func TestDurableChunkedCheckpointCrashOracle(t *testing.T) {
 			if err := tr.Sync(); err != nil {
 				t.Fatal(err)
 			}
-			crashed := t.TempDir()
+			crashed, other := t.TempDir(), t.TempDir()
 			copyDir(t, dir, crashed)
+			copyDir(t, dir, other)
 
 			model := map[uint64]uint64{}
 			for _, m := range models {
@@ -661,14 +663,21 @@ func TestDurableChunkedCheckpointCrashOracle(t *testing.T) {
 			}
 			defer tr2.Close()
 			assertStateEqual(t, tr2.NewHandle(), model, "recovery of the crash copy")
+
+			tr3, err := Open(other, SpeculationFriendlyOptimized, append(opts, WithShards(9-shards))...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer tr3.Close()
+			assertStateEqual(t, tr3.NewHandle(), model, fmt.Sprintf("recovery of the crash copy at %d shards", 9-shards))
 		})
 	}
 }
 
 // TestDurableRecoveryFallbacks drives recovery's fallbacks on damaged or
 // foreign directories, at shards {1, 8} × recovery appliers {1, 4}: a
-// corrupted newest checkpoint, a deleted middle WAL segment, and delta
-// files left by a log that wrote incremental checkpoints. Each history
+// corrupted newest checkpoint, a deleted middle WAL segment, and files of
+// the old on-disk format. Each history
 // phase writes its own key range, so a degraded recovery's expected state
 // is computable.
 func TestDurableRecoveryFallbacks(t *testing.T) {
@@ -680,7 +689,7 @@ func TestDurableRecoveryFallbacks(t *testing.T) {
 						RecoveryAppliers: appliers})}
 				t.Run("corrupt-newest-checkpoint", func(t *testing.T) { fallbackCorruptNewest(t, opts) })
 				t.Run("missing-middle-segment", func(t *testing.T) { fallbackMissingSegment(t, opts) })
-				t.Run("delta-files", func(t *testing.T) { fallbackDeltaFiles(t, opts) })
+				t.Run("old-format-files", func(t *testing.T) { fallbackOldFormatFiles(t, opts) })
 			})
 		}
 	}
@@ -849,10 +858,13 @@ func fallbackMissingSegment(t *testing.T, opts []Option) {
 	reopenExpect(t, dir, opts, want, "second recovery after the missing segment")
 }
 
-// fallbackDeltaFiles: a delta-*.ckpt newer than the newest checkpoint holds
-// state no checkpoint has, so Open must refuse the directory and name the
-// file; an older delta and a stray manifest-*.mf are ignored.
-func fallbackDeltaFiles(t *testing.T, opts []Option) {
+// fallbackOldFormatFiles: a WAL segment or checkpoint of the old,
+// per-shard on-disk format, and any delta-*.ckpt (that format's
+// incremental checkpoints), hold state this version cannot read, so Open
+// must refuse the directory and name the file instead of treating it as
+// damage and recovering an empty or older state; a stray manifest-*.mf is
+// ignored.
+func fallbackOldFormatFiles(t *testing.T, opts []Option) {
 	dir := t.TempDir()
 	tr, err := Open(dir, SpeculationFriendlyOptimized, opts...)
 	if err != nil {
@@ -863,35 +875,42 @@ func fallbackDeltaFiles(t *testing.T, opts []Option) {
 	if err := tr.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
+	var seg uint64
+	if _, err := fmt.Sscanf(filepath.Base(tr.Durable().LiveSegment()), "wal-%d.log", &seg); err != nil {
+		t.Fatal(err)
+	}
 	tr.Close()
 	gens := checkpointGens(t, dir)
 	if len(gens) != 1 || gens[0] < 2 {
 		t.Fatalf("checkpoints %v on disk, want one of generation >= 2", gens)
 	}
 	gen := gens[0]
-	junk := []byte("SFDELT01 from a log that wrote incremental checkpoints")
 
-	newer := fmt.Sprintf("delta-%016d.ckpt", gen+1)
-	if err := os.WriteFile(filepath.Join(dir, newer), junk, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if tr, err := Open(dir, SpeculationFriendlyOptimized, opts...); err == nil {
-		tr.Close()
-		t.Fatalf("Open succeeded beside %s, newer than checkpoint %d", newer, gen)
-	} else if !strings.Contains(err.Error(), newer) {
-		t.Fatalf("Open's error does not name %s: %v", newer, err)
-	}
-	if err := os.Remove(filepath.Join(dir, newer)); err != nil {
-		t.Fatal(err)
-	}
-
-	for _, name := range []string{
-		fmt.Sprintf("delta-%016d.ckpt", gen-1),
-		fmt.Sprintf("manifest-%016d.mf", gen),
+	// Each artifact is placed where recovery reads it: the newest
+	// checkpoint, the next segment, and any delta at all.
+	for _, f := range []struct{ name, body string }{
+		{fmt.Sprintf("checkpoint-%016d.ckpt", gen+1), "SFCKPT01 with a shard count and a cut per shard"},
+		{fmt.Sprintf("wal-%016d.log", seg+1), "SFWAL001 with a shard count and shard-tagged records"},
+		{fmt.Sprintf("delta-%016d.ckpt", gen-1), "SFDELT01 from a log that wrote incremental checkpoints"},
 	} {
-		if err := os.WriteFile(filepath.Join(dir, name), junk, 0o644); err != nil {
+		p := filepath.Join(dir, f.name)
+		if err := os.WriteFile(p, []byte(f.body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if tr, err := Open(dir, SpeculationFriendlyOptimized, opts...); err == nil {
+			tr.Close()
+			t.Fatalf("Open succeeded beside the old-format %s", f.name)
+		} else if !strings.Contains(err.Error(), f.name) {
+			t.Fatalf("Open's error does not name %s: %v", f.name, err)
+		}
+		if err := os.Remove(p); err != nil {
 			t.Fatal(err)
 		}
 	}
-	reopenExpect(t, dir, opts, model, "recovery beside an older delta and a stray manifest")
+
+	junk := []byte("SFMANI01 from a log that wrote incremental checkpoints")
+	if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("manifest-%016d.mf", gen)), junk, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	reopenExpect(t, dir, opts, model, "recovery beside a stray manifest")
 }

@@ -1,6 +1,6 @@
 // Package durable adds crash durability to the in-memory tree forest: a
-// group-committed, checksummed write-ahead log fed by the STM's reliable
-// post-commit hooks, plus periodic consistent checkpoints built from
+// group-committed, checksummed write-ahead log fed by every writer once its
+// transaction has returned, plus periodic consistent checkpoints built from
 // snapshot scans of the store, with log rotation and truncation once a
 // checkpoint seals. Recovery loads the newest sealed checkpoint and replays
 // the surviving WAL tail idempotently.

@@ -62,8 +62,7 @@ type Forest struct {
 
 	// fr and tracer are the optional observability hooks (obs.go): the
 	// flight recorder receives the coordinators' events and the tracer the
-	// sampled per-operation span timelines (handle.go's
-	// traceStart/traceEnd). Atomic pointers because they attach while
+	// sampled per-operation span timelines (handle.go's begin/end). Atomic pointers because they attach while
 	// application goroutines are already running operations.
 	fr     atomic.Pointer[obs.FlightRecorder]
 	tracer atomic.Pointer[obs.Tracer]
@@ -75,8 +74,9 @@ type Forest struct {
 
 	// wal is the attached write-ahead log (nil for a volatile forest):
 	// every committed mutating transaction appends one record through it,
-	// registered as a reliable post-commit hook so aborted attempts log
-	// nothing. Set once by AttachWAL before concurrent use.
+	// once the transaction has returned, at the thread's LastCommit
+	// position, so aborted attempts log nothing. Set once by AttachWAL
+	// before concurrent use.
 	wal *durable.Log
 	// ckptTh is the checkpointer's STM thread (Snapshot), lazily
 	// created and touched only by the single checkpoint driver.

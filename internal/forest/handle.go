@@ -17,46 +17,29 @@ import (
 // (sftree.Tree.RunMaintenancePass), so a thread per shard would cost each
 // sweep S times as much. Handles are not safe for concurrent use; create
 // one per goroutine.
+//
+// Every operation runs one way whether or not the forest is durable or
+// traced: its transaction first, then — on a durable forest, when it
+// changed something — one WAL record at the thread's LastCommit position.
 type Handle struct {
 	f     *Forest
 	th    *stm.Thread
 	coord *ftx.Coordinator // Atomic's transaction coordinator, on first use
 
-	// effects is the reusable per-transaction effect buffer of the durable
-	// path: mutating operations collect their effects here during the
-	// attempt, and a reliable post-commit hook, logFn, appends them to the
-	// WAL as one record only if the attempt commits.
+	// effects is the reusable buffer of the WAL record a mutating operation
+	// appends on a durable forest (logEffects).
 	effects []durable.Op
-	logFn   func(pos uint64)
-
-	// cur is the durable single-key Insert or Delete in flight, and
-	// insertFn/deleteFn the transaction bodies that perform it. Like logFn
-	// they are built once per handle: a literal per call would be an
-	// allocation per durable update.
-	cur struct {
-		m    trees.Map
-		k, v uint64
-		ok   bool
-	}
-	insertFn, deleteFn func(*stm.Tx)
 
 	// mv performs moves (the §5.4 composition, written once in
-	// sftree.Mover) between the source and destination keys' trees; its
-	// OnMoved hook, logMove, registers a durable forest's WAL record of the
-	// move.
+	// sftree.Mover) between the source and destination keys' trees.
 	mv trees.Mover
 
 	// scan is the handle's reusable Range state (range.go): nil while a
 	// Range is feeding its callback, which may scan again on this handle.
 	scan *rangeScan
 
-	// Trace state (owner-goroutine only): trID is the trace id of the
-	// sampled operation currently in flight on this handle — zero when the
-	// op was not sampled or no tracer is attached — read by logHook so the
-	// WAL span stitches to the op.
 	// trRng is the xorshift state behind the per-op sampling draw, seeded
-	// non-zero at construction.
-	trID  uint64
+	// non-zero at construction. Owner-goroutine only.
 	trRng uint64
 }
 
@@ -65,14 +48,11 @@ var handleSeq atomic.Uint64
 
 // NewHandle returns a handle with its STM thread registered.
 func (f *Forest) NewHandle() *Handle {
-	h := &Handle{
+	return &Handle{
 		f:     f,
 		th:    f.stm.NewThread(),
 		trRng: handleSeq.Add(1)*0x9e3779b97f4a7c15 | 1,
 	}
-	h.logFn, h.insertFn, h.deleteFn = h.logHook, h.insertTx, h.deleteTx
-	h.mv.OnMoved = h.logMove
-	return h
 }
 
 // nextRand advances the handle's xorshift64 sampling stream.
@@ -85,32 +65,53 @@ func (h *Handle) nextRand() uint64 {
 	return x
 }
 
-// traceStart makes the one sampling decision for a facade operation: on a
-// sampling hit, allocate a trace id, stamp it on the handle (logHook reads
-// it there) and attach the thread's trace context so the STM lifecycle
-// records per-attempt spans. An attached-but-unsampled op pays one xorshift
-// draw and a compare. Callers guard the call with an inline
-// h.f.tracer.Load() nil check — the call is too big for the inliner, and
-// the guard keeps the tracing-off path at one atomic load and a branch with
-// no call overhead. Returns a nil tracer when the op records nothing.
-func (h *Handle) traceStart(tr *obs.Tracer, op obs.OpKind) (*obs.Tracer, uint64, int64) {
-	if !tr.Sample(h.nextRand()) {
-		return nil, 0, 0
-	}
-	id := tr.NextID()
-	h.trID = id
-	h.th.SetTraceContext(tr, id, op)
-	return tr, id, time.Now().UnixNano()
+// span is one facade operation's trace state: the zero span (tr nil) when
+// no tracer is attached or the op was not sampled, which records nothing.
+type span struct {
+	tr *obs.Tracer
+	id uint64 // the trace id; the op's WAL record carries it too
+	t0 int64
+	op obs.OpKind
 }
 
-// traceEnd closes a sampled operation: clear the thread and handle trace
-// contexts, then record the facade-op span (EndOp also feeds the op-kind
-// latency histogram and the slow-op table). a is the op's result code —
-// 1/0 for boolean results, 0/1 for Atomic's nil/error.
-func (h *Handle) traceEnd(tr *obs.Tracer, id uint64, op obs.OpKind, start, a int64) {
+// begin opens op's span. It inlines, so with tracing off an operation pays
+// one atomic load and a branch (make inline checks it).
+func (h *Handle) begin(op obs.OpKind) span {
+	if h.f.tracer.Load() != nil {
+		return h.traceStart(op)
+	}
+	return span{}
+}
+
+// end closes sp with the op's result code a — 1/0 for boolean results,
+// 0/1 for Atomic's nil/error. It inlines, like begin.
+func (h *Handle) end(sp span, a int64) {
+	if sp.tr != nil {
+		h.traceEnd(sp, a)
+	}
+}
+
+// traceStart makes the one sampling decision for an operation: on a hit,
+// allocate a trace id and attach the thread's trace context so the STM
+// lifecycle records per-attempt spans. An attached-but-unsampled op pays
+// one xorshift draw and a compare. It loads the tracer itself — passing it
+// from begin would cost begin its inlining — so a tracer detached since
+// begin's check samples nothing.
+func (h *Handle) traceStart(op obs.OpKind) span {
+	tr := h.f.tracer.Load()
+	if !tr.Sample(h.nextRand()) {
+		return span{}
+	}
+	id := tr.NextID()
+	h.th.SetTraceContext(tr, id, op)
+	return span{tr: tr, id: id, t0: time.Now().UnixNano(), op: op}
+}
+
+// traceEnd clears the thread's trace context and records the facade-op span
+// (EndOp also feeds the op-kind latency histogram and the slow-op table).
+func (h *Handle) traceEnd(sp span, a int64) {
 	h.th.SetTraceContext(nil, 0, 0)
-	h.trID = 0
-	tr.EndOp(id, op, start, time.Now().UnixNano(), a)
+	sp.tr.EndOp(sp.id, sp.op, sp.t0, time.Now().UnixNano(), a)
 }
 
 // boolA encodes a boolean op result into a span's A field.
@@ -132,136 +133,51 @@ func (h *Handle) route(k uint64) trees.Map { return h.f.maps[h.f.ShardOf(k)] }
 // goroutines. Call only while the handle is quiescent.
 func (h *Handle) Stats() stm.Stats { return h.th.Stats() }
 
-// logCommit registers the reliable post-commit hook that appends the
-// handle's collected effects to the forest's WAL with the transaction's
-// commit-clock position. Call at the end of a successful attempt, after
-// h.effects holds the attempt's effects; an aborted attempt discards the
-// registration with the attempt.
-func (h *Handle) logCommit(tx *stm.Tx) {
-	if len(h.effects) == 0 {
-		return
-	}
-	tx.OnCommitted(h.logFn)
+// logEffects appends h.effects to a durable forest's WAL as the record of
+// the transaction the handle's thread committed last, at its commit
+// position. It runs after the transaction returned: the log sorts records
+// by position, so the delay since publication is harmless (durable.Source).
+func (h *Handle) logEffects(sp span) {
+	h.f.wal.Append(h.th.LastCommit(), h.effects, sp.id)
 }
 
-// logHook is the post-commit hook logCommit registers (h.logFn). It runs
-// inside the committing operation, so h.trID is still that op's trace id
-// (zero when untraced) and the WAL record's span stitches to it.
-func (h *Handle) logHook(pos uint64) {
-	h.f.wal.Append(pos, h.effects, h.trID)
-}
-
-// Insert maps k to v; false when k was already present. On a durable
-// forest the insert runs as a composable transaction with a logged effect
-// (tree-managed allocation, so an aborted linking attempt may leak one
-// arena node — the InsertTxA discipline).
+// Insert maps k to v; false when k was already present.
 func (h *Handle) Insert(k, v uint64) bool {
-	m := h.route(k)
-	var (
-		tr *obs.Tracer
-		id uint64
-		t0 int64
-	)
-	if t := h.f.tracer.Load(); t != nil {
-		tr, id, t0 = h.traceStart(t, obs.OpInsert)
+	sp := h.begin(obs.OpInsert)
+	ok := h.route(k).Insert(h.th, k, v)
+	if ok && h.f.wal != nil {
+		h.effects = append(h.effects[:0], durable.Op{Key: k, Val: v})
+		h.logEffects(sp)
 	}
-	var ok bool
-	if h.f.wal == nil {
-		ok = m.Insert(h.th, k, v)
-	} else {
-		c := &h.cur
-		c.m, c.k, c.v = m, k, v
-		trees.Atomic(m, h.th, h.insertFn)
-		ok = c.ok
-	}
-	if tr != nil {
-		h.traceEnd(tr, id, obs.OpInsert, t0, boolA(ok))
-	}
+	h.end(sp, boolA(ok))
 	return ok
 }
 
-// insertTx is the body of a durable Insert, acting on h.cur.
-func (h *Handle) insertTx(tx *stm.Tx) {
-	c := &h.cur
-	h.effects = h.effects[:0]
-	c.ok = c.m.InsertTxA(tx, c.k, c.v)
-	if c.ok {
-		h.effects = append(h.effects, durable.Op{Key: c.k, Val: c.v})
-		h.logCommit(tx)
-	}
-}
-
-// Delete removes k; false when absent. On a durable forest the delete runs
-// as a composable transaction with a logged effect, like Insert.
+// Delete removes k; false when absent.
 func (h *Handle) Delete(k uint64) bool {
-	m := h.route(k)
-	var (
-		tr *obs.Tracer
-		id uint64
-		t0 int64
-	)
-	if t := h.f.tracer.Load(); t != nil {
-		tr, id, t0 = h.traceStart(t, obs.OpDelete)
+	sp := h.begin(obs.OpDelete)
+	ok := h.route(k).Delete(h.th, k)
+	if ok && h.f.wal != nil {
+		h.effects = append(h.effects[:0], durable.Op{Key: k, Del: true})
+		h.logEffects(sp)
 	}
-	var ok bool
-	if h.f.wal == nil {
-		ok = m.Delete(h.th, k)
-	} else {
-		c := &h.cur
-		c.m, c.k = m, k
-		trees.Atomic(m, h.th, h.deleteFn)
-		ok = c.ok
-	}
-	if tr != nil {
-		h.traceEnd(tr, id, obs.OpDelete, t0, boolA(ok))
-	}
+	h.end(sp, boolA(ok))
 	return ok
-}
-
-// deleteTx is the body of a durable Delete, acting on h.cur.
-func (h *Handle) deleteTx(tx *stm.Tx) {
-	c := &h.cur
-	h.effects = h.effects[:0]
-	c.ok = c.m.DeleteTx(tx, c.k)
-	if c.ok {
-		h.effects = append(h.effects, durable.Op{Key: c.k, Del: true})
-		h.logCommit(tx)
-	}
 }
 
 // Get returns the value at k.
 func (h *Handle) Get(k uint64) (uint64, bool) {
-	m := h.route(k)
-	var (
-		tr *obs.Tracer
-		id uint64
-		t0 int64
-	)
-	if t := h.f.tracer.Load(); t != nil {
-		tr, id, t0 = h.traceStart(t, obs.OpGet)
-	}
-	v, ok := m.Get(h.th, k)
-	if tr != nil {
-		h.traceEnd(tr, id, obs.OpGet, t0, boolA(ok))
-	}
+	sp := h.begin(obs.OpGet)
+	v, ok := h.route(k).Get(h.th, k)
+	h.end(sp, boolA(ok))
 	return v, ok
 }
 
 // Contains reports whether k is present.
 func (h *Handle) Contains(k uint64) bool {
-	m := h.route(k)
-	var (
-		tr *obs.Tracer
-		id uint64
-		t0 int64
-	)
-	if t := h.f.tracer.Load(); t != nil {
-		tr, id, t0 = h.traceStart(t, obs.OpContains)
-	}
-	ok := m.Contains(h.th, k)
-	if tr != nil {
-		h.traceEnd(tr, id, obs.OpContains, t0, boolA(ok))
-	}
+	sp := h.begin(obs.OpContains)
+	ok := h.route(k).Contains(h.th, k)
+	h.end(sp, boolA(ok))
 	return ok
 }
 
@@ -271,31 +187,16 @@ func (h *Handle) Contains(k uint64) bool {
 // keys share a shard — so a concurrent observer never sees the value at
 // both keys or at neither.
 func (h *Handle) Move(src, dst uint64) bool {
-	var (
-		tr *obs.Tracer
-		id uint64
-		t0 int64
-	)
-	if t := h.f.tracer.Load(); t != nil {
-		tr, id, t0 = h.traceStart(t, obs.OpMove)
-	}
+	sp := h.begin(obs.OpMove)
 	sm, dm := h.route(src), h.route(dst)
 	trees.Atomic(sm, h.th, h.mv.Bind(sm, dm, src, dst))
 	ok := h.mv.Moved()
-	if tr != nil {
-		h.traceEnd(tr, id, obs.OpMove, t0, boolA(ok))
+	if ok && src != dst && h.f.wal != nil {
+		h.effects = append(h.effects[:0], durable.Op{Key: src, Del: true}, durable.Op{Key: dst, Val: h.mv.Value()})
+		h.logEffects(sp)
 	}
+	h.end(sp, boolA(ok))
 	return ok
-}
-
-// logMove is mv's OnMoved hook: the attempt moved v from src to dst, so on
-// a durable forest its commit must log both effects.
-func (h *Handle) logMove(tx *stm.Tx, src, dst, v uint64) {
-	if h.f.wal == nil {
-		return
-	}
-	h.effects = append(h.effects[:0], durable.Op{Key: src, Del: true}, durable.Op{Key: dst, Val: v})
-	h.logCommit(tx)
 }
 
 // Atomic runs fn as one atomic transaction: fn runs inside one STM
@@ -320,26 +221,14 @@ func (h *Handle) logMove(tx *stm.Tx, src, dst, v uint64) {
 // trees directly.
 func (h *Handle) Atomic(fn func(t *ftx.Tx) error) error {
 	c := h.coordinator()
-	var (
-		tr *obs.Tracer
-		id uint64
-		t0 int64
-	)
-	if t := h.f.tracer.Load(); t != nil {
-		tr, id, t0 = h.traceStart(t, obs.OpAtomic)
-	}
-	if tr != nil {
-		c.SetTraceID(id)
-	}
+	sp := h.begin(obs.OpAtomic)
+	c.SetTraceID(sp.id)
 	err := c.Run(fn)
-	if tr != nil {
-		c.SetTraceID(0)
-		a := int64(0)
-		if err != nil {
-			a = 1
-		}
-		h.traceEnd(tr, id, obs.OpAtomic, t0, a)
+	a := int64(0)
+	if err != nil {
+		a = 1
 	}
+	h.end(sp, a)
 	return err
 }
 
@@ -383,14 +272,7 @@ func (h *Handle) Keys() []uint64 {
 // re-assigns. On a durable forest the transaction's effects are logged as
 // one WAL record at its commit position.
 func (h *Handle) Update(fn func(op *Op)) {
-	var (
-		tr *obs.Tracer
-		id uint64
-		t0 int64
-	)
-	if t := h.f.tracer.Load(); t != nil {
-		tr, id, t0 = h.traceStart(t, obs.OpUpdate)
-	}
+	sp := h.begin(obs.OpUpdate)
 	trees.Atomic(h.f.maps[0], h.th, func(tx *stm.Tx) {
 		op := Op{f: h.f, tx: tx}
 		if h.f.wal != nil {
@@ -398,13 +280,11 @@ func (h *Handle) Update(fn func(op *Op)) {
 			op.log = &h.effects
 		}
 		fn(&op)
-		if op.log != nil {
-			h.logCommit(tx)
-		}
 	})
-	if tr != nil {
-		h.traceEnd(tr, id, obs.OpUpdate, t0, 0)
+	if h.f.wal != nil {
+		h.logEffects(sp)
 	}
+	h.end(sp, 0)
 }
 
 // Op exposes the tree operations inside a Handle.Update transaction, each
@@ -412,8 +292,9 @@ func (h *Handle) Update(fn func(op *Op)) {
 type Op struct {
 	f  *Forest
 	tx *stm.Tx
-	// log, when non-nil, collects the transaction's effects for the durable
-	// WAL record (reset by Update at the start of every attempt).
+	// log, when non-nil, collects the attempt's effects for the durable WAL
+	// record Update appends once the transaction has returned (reset at the
+	// start of every attempt).
 	log *[]durable.Op
 }
 

@@ -72,7 +72,7 @@ func (f *Forest) RegisterObs(r *obs.Registry) {
 		counter("ftx_commits_total", "Committed Atomic transactions.", st.Commits)
 		counter("ftx_single_shard_commits_total", "The subset of commits whose keys all lived on one shard.", st.Fallbacks)
 		counter("ftx_readonly_commits_total", "The subset of commits that spanned shards and wrote nothing.", st.ReadOnly)
-		counter("ftx_aborts_total", "Commit attempts that failed read revalidation and were retried.", st.Aborts)
+		counter("ftx_aborts_total", "Retried attempts of Atomic transactions, whatever aborted them.", st.Aborts)
 		counter("ftx_user_aborts_total", "Transactions abandoned because fn returned an error.", st.UserAborts)
 	})
 }

@@ -115,14 +115,7 @@ func (h *Handle) Range(lo, hi uint64, fn func(k, v uint64) bool) bool {
 	if lo > hi {
 		return true
 	}
-	var (
-		tr *obs.Tracer
-		id uint64
-		t0 int64
-	)
-	if t := h.f.tracer.Load(); t != nil {
-		tr, id, t0 = h.traceStart(t, obs.OpRange)
-	}
+	sp := h.begin(obs.OpRange)
 	sc := h.takeScan()
 	sc.lo, sc.hi = lo, hi
 	h.th.AtomicRO(sc.scanFn)
@@ -134,9 +127,7 @@ func (h *Handle) Range(lo, hi uint64, fn func(k, v uint64) bool) bool {
 	}
 	done := sc.merge(fn)
 	h.putScan(sc)
-	if tr != nil {
-		h.traceEnd(tr, id, obs.OpRange, t0, boolA(done))
-	}
+	h.end(sp, boolA(done))
 	return done
 }
 

@@ -45,8 +45,8 @@ func TestSnapshotShardChunkedUnderWriters(t *testing.T) {
 	quiet := th.Stats().Reads
 
 	// Writers own the keys of their parity, so each key's history is one
-	// writer's, in commit order. They go below the facade to register their
-	// own post-commit hook: it hands them the commit position.
+	// writer's, in commit order. They go below the facade to run their own
+	// thread, whose LastCommit hands them the commit position.
 	m := f.maps[0]
 	var stop atomic.Bool
 	var wg sync.WaitGroup
@@ -69,8 +69,8 @@ func TestSnapshotShardChunkedUnderWriters(t *testing.T) {
 					if rec.present && !m.InsertTxA(tx, k, rec.v) {
 						tx.Restart()
 					}
-					tx.OnCommitted(func(pos uint64) { rec.pos = pos })
 				})
+				rec.pos = wth.LastCommit()
 				hist[w] = append(hist[w], rec)
 			}
 		}()

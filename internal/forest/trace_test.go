@@ -1,8 +1,11 @@
 package forest
 
 import (
+	"slices"
 	"testing"
+	"time"
 
+	"repro/internal/durable"
 	"repro/internal/ftx"
 	"repro/internal/obs"
 	"repro/internal/trees"
@@ -43,11 +46,31 @@ func TestHandleTracingAllocFree(t *testing.T) {
 // counted. The mix crosses shards: Move, Atomic and Update each touch two
 // shards, Range all of them, and each is still one transaction on one
 // thread.
-func TestSpanStitchingOracle(t *testing.T) {
+func TestSpanStitchingOracle(t *testing.T) { spanStitchingOracle(t, false) }
+
+// TestSpanStitchingOracleDurable runs the same mix with a WAL attached and
+// then syncs it: on top of the volatile checks, every WAL-append span must
+// carry the trace id of an op span, and each op that logged a record — an
+// ok Insert, Delete or Move, an Atomic with writes, an Update with effects
+// — must have exactly one, the others none.
+func TestSpanStitchingOracleDurable(t *testing.T) { spanStitchingOracle(t, true) }
+
+func spanStitchingOracle(t *testing.T, withWAL bool) {
 	f := New(trees.SFOpt, WithShards(2), WithoutMaintenance())
 	defer f.Close()
 	tr := obs.NewTracer(1, 4096)
 	f.SetTracer(tr)
+	var l *durable.Log
+	if withWAL {
+		var err error
+		l, _, err = durable.Open(t.TempDir(), 2, durable.Options{GroupCommit: time.Hour, CheckpointEvery: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close()
+		l.SetTracer(tr)
+		f.AttachWAL(l)
+	}
 	h := f.NewHandle()
 
 	// other returns a key on the shard k does not live on, distinct per k.
@@ -59,39 +82,57 @@ func TestSpanStitchingOracle(t *testing.T) {
 		return d
 	}
 	const ops = 400
+	// logged[i] is whether the i-th op changed the forest, so that a
+	// durable forest must have logged one record for it.
+	logged := make([]bool, ops)
 	for i := uint64(0); i < ops; i++ {
 		k := i / 8
 		switch i % 8 {
 		case 0:
-			h.Insert(k, k)
+			logged[i] = h.Insert(k, k)
 		case 1:
 			h.Get(k)
 		case 2:
 			h.Contains(k)
 		case 3:
-			h.Move(k, other(k))
+			logged[i] = h.Move(k, other(k))
 		case 4:
 			h.Range(0, ^uint64(0), func(_, _ uint64) bool { return true })
 		case 5:
-			h.Atomic(func(tx *ftx.Tx) error {
+			logged[i] = h.Atomic(func(tx *ftx.Tx) error {
 				v, _ := tx.Get(other(k))
 				tx.Put(other(k), v+1)
 				tx.Put(k, v)
 				return nil
-			})
+			}) == nil
 		case 6:
+			var effects bool
 			h.Update(func(op *Op) {
-				op.Delete(k)
-				op.Delete(other(k))
+				a, b := op.Delete(k), op.Delete(other(k))
+				effects = a || b
 			})
+			logged[i] = effects
 		case 7:
-			h.Delete(k)
+			logged[i] = h.Delete(k)
+			if l != nil {
+				// The log holds 64 traced appends between fsyncs; one
+				// round of the mix appends at most five.
+				if err := l.Sync(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	if l != nil {
+		if err := l.Sync(); err != nil {
+			t.Fatal(err)
 		}
 	}
 
 	type trace struct {
 		op       *obs.Span
 		attempts []obs.Span
+		wal      int // SpanWALAppend count
 	}
 	byID := map[uint64]*trace{}
 	for _, sp := range tr.Spans() {
@@ -109,6 +150,8 @@ func TestSpanStitchingOracle(t *testing.T) {
 			tc.op = &sp
 		case obs.SpanAttempt:
 			tc.attempts = append(tc.attempts, sp)
+		case obs.SpanWALAppend:
+			tc.wal++
 		}
 	}
 	if len(byID) != ops {
@@ -161,5 +204,31 @@ func TestSpanStitchingOracle(t *testing.T) {
 	}
 	if h.Len() != 0 {
 		t.Fatalf("%d keys left, want 0", h.Len())
+	}
+
+	// The i-th op drew the i-th trace id: one handle, sampling every op.
+	ids := make([]uint64, 0, ops)
+	for id := range byID {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	records := 0
+	for i, id := range ids {
+		want := 0
+		if withWAL && logged[i] {
+			want = 1
+			records++
+		}
+		if got := byID[id].wal; got != want {
+			t.Fatalf("op %d (%s, trace %d) has %d WAL-append spans, want %d", i, byID[id].op.Op, id, got, want)
+		}
+	}
+	if withWAL {
+		if n := l.Stats().Records; n != uint64(records) {
+			t.Fatalf("%d records logged, %d ops logged one", n, records)
+		}
+		if records == 0 {
+			t.Fatal("no op of the mix logged a record")
+		}
 	}
 }

@@ -43,7 +43,7 @@
 // # One context per coordinator
 //
 // Everything a transaction needs — the Tx with its write buffer, the WAL
-// record buffer, and the closures handed to the STM — belongs to the
+// record buffer, and the closure handed to the STM — belongs to the
 // Coordinator and is reset, not rebuilt, for every attempt. A transaction
 // therefore allocates nothing once the coordinator has grown to its size
 // (gated by AllocsPerRun tests in forest, ftx and the facade). Three rules
@@ -144,16 +144,15 @@ type Coordinator struct {
 	live *obs.Group
 
 	// wal, when set, receives one durable record per committed writing
-	// transaction at its commit position (logCommit). ops is the record's
+	// transaction at its commit position (log). ops is the record's
 	// reusable buffer.
 	wal *durable.Log
 	ops []durable.Op
 
-	// The closures handed to the STM are built once. fn is the running
+	// The closure handed to the STM is built once. fn is the running
 	// Run's function, attempts the attempts its transaction has started
 	// and err fn's verdict in the last one.
-	bodyFn   func(*stm.Tx)    // the transaction's body
-	logFn    func(pos uint64) // its OnCommitted hook on a durable domain
+	bodyFn   func(*stm.Tx) // the transaction's body
 	fn       func(*Tx) error
 	attempts int
 	err      error
@@ -181,7 +180,6 @@ func NewCoordinator(d Domain) *Coordinator {
 	c := &Coordinator{th: d.Thread, live: obs.NewGroup(liveFields)}
 	c.tx.maps, c.tx.shardOf = d.Maps, d.ShardOf
 	c.bodyFn = c.body
-	c.logFn = c.logCommit
 	return c
 }
 
@@ -243,6 +241,9 @@ func (c *Coordinator) Run(fn func(*Tx) error) error {
 	if c.err != nil {
 		c.stats.UserAborts++
 	} else {
+		if c.wal != nil && len(t.writes.recs) > 0 {
+			c.log(c.th.LastCommit())
+		}
 		c.stats.Commits++
 		switch {
 		case !t.multi:
@@ -263,8 +264,8 @@ func (c *Coordinator) finish() {
 }
 
 // body is one attempt of the transaction: run fn on the emptied Tx and, if
-// it returns nil, apply the buffered writes and register the durable
-// record. An error leaves the attempt read-only.
+// it returns nil, apply the buffered writes. An error leaves the attempt
+// read-only.
 func (c *Coordinator) body(stx *stm.Tx) {
 	c.attempts++
 	if retries := c.attempts - 1; retries >= ftxAbortStormRetry {
@@ -281,9 +282,6 @@ func (c *Coordinator) body(stx *stm.Tx) {
 		return
 	}
 	applyWrites(t.maps, stx, t.writes.recs)
-	if c.wal != nil && len(t.writes.recs) > 0 {
-		stx.OnCommitted(c.logFn)
-	}
 }
 
 // Single wraps one (map, thread) pair as a one-shard Domain, which makes
@@ -293,10 +291,9 @@ func Single(m trees.Map, th *stm.Thread) Domain {
 	return Domain{Thread: th, Maps: []trees.Map{m}, ShardOf: func(uint64) int { return 0 }}
 }
 
-// logCommit is the commit's OnCommitted hook on a durable domain: the
-// write set as one record at the commit position, whichever shards it
-// touched.
-func (c *Coordinator) logCommit(pos uint64) {
+// log appends a committed transaction's write set to the durable domain's
+// WAL as one record at its commit position, whichever shards it touched.
+func (c *Coordinator) log(pos uint64) {
 	ops := c.ops[:0]
 	for i := range c.tx.writes.recs {
 		w := &c.tx.writes.recs[i]

@@ -1,14 +1,19 @@
 package sftree
 
-import "repro/internal/stm"
+import (
+	"repro/internal/arena"
+	"repro/internal/stm"
+)
 
 // TxMap is what the move composition needs of a map: the composable forms
-// every tree library of this repository exports (trees.Map has them all).
+// every tree library of this repository exports, and the arena its inserts
+// allocate from (trees.Map has them all).
 type TxMap interface {
 	GetTx(tx *stm.Tx, k uint64) (uint64, bool)
 	ContainsTx(tx *stm.Tx, k uint64) bool
 	DeleteTx(tx *stm.Tx, k uint64) bool
-	InsertTxA(tx *stm.Tx, k, v uint64) bool
+	InsertTx(tx *stm.Tx, k, v uint64, sc *arena.Scratch) bool
+	Arena() *arena.Arena
 }
 
 // Mover is the composed move of paper §5.4 — relocate the value at src to
@@ -25,24 +30,24 @@ type TxMap interface {
 // thread or per handle) moves without allocating: the transaction body is
 // bound once and acts on the move stored by Bind, where a closure literal
 // per call costs the closure and every variable it captures. The caller runs
-// the body in whatever transaction suits the maps:
+// the body in whatever transaction suits the maps, then calls Moved:
 //
 //	trees.Atomic(m, th, mv.Bind(m, m, src, dst))
 //	ok := mv.Moved()
+//
+// The destination node comes from the Mover's own arena.Scratch, one slot
+// reused by every attempt, so a retried move allocates at most one node and
+// Moved frees it unless the committed attempt linked it.
 //
 // The zero Mover is ready for use. It must not be copied after the first
 // Bind, nor shared between goroutines.
 type Mover struct {
 	sm, dm   TxMap // the maps holding src and dst
 	src, dst uint64
+	v        uint64 // the value the last attempt moved
 	ok       bool
 	body     func(*stm.Tx)
-
-	// OnMoved, when set, is called inside the transaction at the end of every
-	// attempt that performed the move, with the value moved: the forest
-	// registers the move's write-ahead-log record there. An attempt that
-	// aborts afterwards takes whatever the hook registered on tx with it.
-	OnMoved func(tx *stm.Tx, src, dst, v uint64)
+	sc       arena.Scratch // dst's node, from dm's arena
 }
 
 // Bind stores the move to perform — src out of sm, dst into dm — and
@@ -52,16 +57,32 @@ func (mv *Mover) Bind(sm, dm TxMap, src, dst uint64) func(*stm.Tx) {
 	if mv.body == nil {
 		mv.body = mv.run
 	}
+	if mv.dm != nil {
+		// A move whose caller never reached Moved (a panic out of the
+		// transaction) left its scratch behind: reinitialising it for this
+		// move could rewrite a node that move published.
+		mv.sc.Release(mv.dm.Arena())
+	}
 	mv.sm, mv.dm, mv.src, mv.dst = sm, dm, src, dst
 	return mv.body
 }
 
-// Moved reports the outcome of the committed attempt of the last body run.
-func (mv *Mover) Moved() bool { return mv.ok }
+// Moved reports the outcome of the committed attempt of the last body run,
+// and frees the scratch node unless that attempt linked it. Call it once
+// the transaction has returned.
+func (mv *Mover) Moved() bool {
+	mv.sc.Release(mv.dm.Arena())
+	return mv.ok
+}
+
+// Value returns the value the last move relocated (meaningful when Moved
+// reported true and src differed from dst).
+func (mv *Mover) Value() uint64 { return mv.v }
 
 func (mv *Mover) run(tx *stm.Tx) {
 	sm, dm, src, dst := mv.sm, mv.dm, mv.src, mv.dst
 	mv.ok = false
+	mv.sc.ResetAttempt()
 	if src == dst {
 		mv.ok = sm.ContainsTx(tx, src)
 		return
@@ -73,7 +94,7 @@ func (mv *Mover) run(tx *stm.Tx) {
 	if !sm.DeleteTx(tx, src) {
 		return
 	}
-	if !dm.InsertTxA(tx, dst, v) {
+	if !dm.InsertTx(tx, dst, v, &mv.sc) {
 		// dst was checked absent in this very transaction: only a doomed
 		// (zombie) attempt or an elastic cut of that check can see it
 		// occupied now. Committing would make the half-move (the buffered
@@ -83,8 +104,5 @@ func (mv *Mover) run(tx *stm.Tx) {
 		// retry from scratch instead.
 		tx.Restart()
 	}
-	mv.ok = true
-	if mv.OnMoved != nil {
-		mv.OnMoved(tx, src, dst, v)
-	}
+	mv.ok, mv.v = true, v
 }

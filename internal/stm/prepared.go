@@ -96,9 +96,9 @@ func (th *Thread) finishPreparedOp() {
 }
 
 // Finalize publishes the prepared writes and releases the locks, completing
-// the transaction. The OnCommitted callback fires now — a
-// prepared-then-dropped attempt publishes nothing, exactly like an aborted
-// Atomic attempt.
+// the transaction; Thread.LastCommit reports its position from now on — a
+// prepared-then-dropped attempt publishes nothing and reports 0, exactly
+// like an aborted Atomic attempt.
 func (p *Prepared) Finalize() {
 	if p.done {
 		panic("stm: Finalize on a completed Prepared transaction")
@@ -106,7 +106,6 @@ func (p *Prepared) Finalize() {
 	p.done = true
 	tx := &p.th.tx
 	tx.finalizePrepared()
-	tx.runOnCommitted()
 	p.th.finishPreparedOp()
 }
 

@@ -146,72 +146,57 @@ func TestPreparedBlocksConcurrentWriters(t *testing.T) {
 	}
 }
 
-// TestOnCommittedFiresOncePerCommit: the OnCommitted callback fires exactly
-// once per committed transaction, with the position its effects belong to —
-// an ordinary commit's write version, a read-only commit's snapshot, a
-// finalized prepared transaction's WriteVersion — and never for an aborted
-// attempt or a dropped prepared transaction.
-func TestOnCommittedFiresOncePerCommit(t *testing.T) {
+// TestLastCommitReportsCommittedPosition: after a transaction returns,
+// LastCommit is the position its effects belong to — an ordinary commit's
+// write version, a read-only commit's snapshot, a finalized prepared
+// transaction's WriteVersion — and only the committed attempt's: an
+// aborted attempt leaves no position behind, and a dropped prepared
+// transaction reports none.
+func TestLastCommitReportsCommittedPosition(t *testing.T) {
 	s := New()
 	th := s.NewThread()
 	var w Word
-	var fired int
-	var pos uint64
-	record := func(p uint64) { fired, pos = fired+1, p }
 	expect := func(what string, want uint64) {
 		t.Helper()
-		if fired != 1 || pos != want {
-			t.Fatalf("%s: fired %d times at %d, want once at %d", what, fired, pos, want)
+		if got := th.LastCommit(); got != want || want == 0 {
+			t.Fatalf("%s: LastCommit %d, want %d (non-zero)", what, got, want)
 		}
-		fired, pos = 0, 0
 	}
 
-	th.Atomic(func(tx *Tx) {
-		tx.Write(&w, 1)
-		tx.OnCommitted(record)
-	})
+	th.Atomic(func(tx *Tx) { tx.Write(&w, 1) })
 	expect("ordinary commit", metaVersion(w.meta.Load()))
 
 	var snap uint64
 	th.Atomic(func(tx *Tx) {
 		tx.Read(&w)
 		snap = tx.Snapshot()
-		tx.OnCommitted(record)
 	})
 	expect("read-only commit", snap)
 
-	attempts, lost := 0, 0
+	attempts := 0
 	th.Atomic(func(tx *Tx) {
+		if th.LastCommit() != 0 {
+			t.Errorf("attempt %d sees position %d inside the transaction, want 0", attempts+1, th.LastCommit())
+		}
 		tx.Write(&w, 2)
 		if attempts++; attempts < 3 {
-			tx.OnCommitted(func(uint64) { lost++ })
 			tx.Restart()
 		}
-		tx.OnCommitted(record)
 	})
-	if lost != 0 {
-		t.Fatalf("aborted attempts fired their callback %d times", lost)
-	}
 	expect("commit after two aborted attempts", metaVersion(w.meta.Load()))
 
-	p, _ := th.Prepare(func(tx *Tx) {
-		tx.Write(&w, 3)
-		tx.OnCommitted(record)
-	})
-	if fired != 0 {
-		t.Fatal("callback fired before Finalize")
+	p, _ := th.Prepare(func(tx *Tx) { tx.Write(&w, 3) })
+	if th.LastCommit() != 0 {
+		t.Fatalf("prepared transaction reports position %d before Finalize", th.LastCommit())
 	}
 	wv := p.WriteVersion()
 	p.Finalize()
 	expect("Finalize", wv)
 
-	p2, _ := th.Prepare(func(tx *Tx) {
-		tx.Write(&w, 4)
-		tx.OnCommitted(record)
-	})
+	p2, _ := th.Prepare(func(tx *Tx) { tx.Write(&w, 4) })
 	p2.Drop()
-	if fired != 0 {
-		t.Fatalf("callback fired %d times on Drop", fired)
+	if th.LastCommit() != 0 {
+		t.Fatalf("dropped prepared transaction reports position %d", th.LastCommit())
 	}
 }
 

@@ -212,6 +212,15 @@ func (th *Thread) SetTraceContext(tr *obs.Tracer, id uint64, op obs.OpKind) {
 	th.traceOp = op
 }
 
+// LastCommit returns the commit position of the thread's last committed
+// transaction, read after Atomic (or a prepared transaction's Finalize)
+// returns: the write version its publication carries, or the read snapshot
+// for a read-only commit. Only the committed attempt's position surfaces —
+// every attempt starts from 0 — so it is where a write-ahead log record of
+// the transaction's effects belongs, appended at any time afterwards (the
+// durable layer sorts records by position). Owner-goroutine only.
+func (th *Thread) LastCommit() uint64 { return th.tx.commitPos }
+
 // Pending reports whether the thread is currently inside an operation.
 func (th *Thread) Pending() bool { return th.pending.Load() }
 
@@ -340,11 +349,7 @@ func (th *Thread) runAttempt(tx *Tx, fn func(*Tx)) (ok bool) {
 		}
 	}()
 	fn(tx)
-	if !tx.commit() {
-		return false
-	}
-	tx.runOnCommitted()
-	return true
+	return tx.commit()
 }
 
 // stall delays the thread for roughly d, yielding the processor instead of

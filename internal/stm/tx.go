@@ -82,12 +82,10 @@ type Tx struct {
 	// position must validate in full and so observes the prepared locks.
 	preparedWV uint64
 
-	// onCommitted is the post-commit callback (OnCommitted); it receives the
-	// transaction's commit position. commitPos is that position: the write
-	// version for transactions that published, the read snapshot for
-	// read-only commits.
-	onCommitted func(pos uint64)
-	commitPos   uint64
+	// commitPos is the committed attempt's position (Thread.LastCommit): the
+	// write version for transactions that published, the read snapshot for
+	// read-only commits. begin clears it, so an attempt that aborts leaves 0.
+	commitPos uint64
 
 	// readOnly marks the thread's descriptor for the duration of an
 	// AtomicRO call: Write panics.
@@ -121,28 +119,8 @@ func (tx *Tx) begin(mode Mode) {
 	tx.widxN = 0 // stale index entries are cleared on the next engage
 	tx.windowN = 0
 	tx.hasWrite = false
-	tx.onCommitted = nil
 	tx.commitPos = 0
 	tx.preparedWV = 0
-}
-
-// OnCommitted registers fn to be called exactly once with the transaction's
-// commit position after this attempt commits: the write version its
-// publication carries, or the read snapshot for a read-only commit. The
-// registration is reliable — a single slot, never dropped — which makes it
-// the publication point for effects that must track every committed
-// transaction (the durable layer's write-ahead log records). A later
-// registration in the same attempt replaces the earlier one; an attempt
-// that aborts discards it.
-func (tx *Tx) OnCommitted(fn func(pos uint64)) { tx.onCommitted = fn }
-
-// runOnCommitted fires the reliable post-commit callback, if registered.
-func (tx *Tx) runOnCommitted() {
-	if tx.onCommitted != nil {
-		fn := tx.onCommitted
-		tx.onCommitted = nil
-		fn(tx.commitPos)
-	}
 }
 
 // Snapshot returns the transaction's current read snapshot position: every

@@ -9,6 +9,7 @@ package trees
 import (
 	"fmt"
 
+	"repro/internal/arena"
 	"repro/internal/avltree"
 	"repro/internal/nrtree"
 	"repro/internal/rbtree"
@@ -40,6 +41,12 @@ type Map interface {
 	// Composable forms.
 	GetTx(tx *stm.Tx, k uint64) (uint64, bool)
 	ContainsTx(tx *stm.Tx, k uint64) bool
+	// InsertTx takes the new node, when one is needed, from sc: one slot
+	// reused across the enclosing transaction's retries, which the caller
+	// releases to Arena() once the transaction has returned.
+	InsertTx(tx *stm.Tx, k, v uint64, sc *arena.Scratch) bool
+	// InsertTxA is InsertTx with tree-managed allocation: an attempt that
+	// links a node and then aborts leaks it.
 	InsertTxA(tx *stm.Tx, k, v uint64) bool
 	DeleteTx(tx *stm.Tx, k uint64) bool
 	// RangeTx is the composable form of Range, for use inside an enclosing
@@ -52,6 +59,8 @@ type Map interface {
 	// STM returns the domain the tree lives in: composable forms of two
 	// maps may share a transaction only when they share it.
 	STM() *stm.STM
+	// Arena returns the node arena the tree allocates from.
+	Arena() *arena.Arena
 }
 
 // Maintained is implemented by trees with a maintenance sweep (the
@@ -156,8 +165,8 @@ func ElasticSafe(m Map) bool {
 
 // Atomic runs fn as one transaction in the thread's default mode, demoted
 // from Elastic to CTL when the map does not tolerate cut reads. All
-// compositions over a Map (Move, the vacation transactions, the public
-// facade's Update) must go through this helper rather than calling
+// compositions over a Map (Move, the vacation transactions, the forest's
+// Move and Update) must go through this helper rather than calling
 // Thread.Atomic directly.
 func Atomic(m Map, th *stm.Thread, fn func(*stm.Tx)) {
 	mode := th.STM().DefaultMode()

@@ -25,7 +25,10 @@ test:
 # tortures, the ftx coordinator, the observability registry/flight
 # recorder, the public facade, and the vacation, paper-figure runner and
 # no-restructuring packages, which start maintenance through trees.Start
-# beside concurrent clients). The forest and ftx packages run a second time
+# beside concurrent clients; the arena and the red-black and AVL trees,
+# whose aborted attempts give their nodes back to the arena's free list
+# while other threads allocate from it; and the transactional list under
+# vacation's reservations). The forest and ftx packages run a second time
 # at -cpu 2,8: every shard of a forest commits on one version clock, and 8
 # Ps on a machine with fewer cores interleave its clock and lock traffic in
 # ways the default P count does not. The
@@ -36,7 +39,7 @@ test:
 # toolchain change make them fail here only, skip them under a `race` build
 # tag rather than loosen them.
 race:
-	$(GO) test -race -timeout 10m ./internal/stm ./internal/sftree ./internal/trees ./internal/ring ./internal/durable ./internal/obs ./internal/vacation ./internal/experiments ./internal/nrtree .
+	$(GO) test -race -timeout 10m ./internal/stm ./internal/sftree ./internal/trees ./internal/ring ./internal/durable ./internal/obs ./internal/vacation ./internal/experiments ./internal/nrtree ./internal/arena ./internal/rbtree ./internal/avltree ./internal/tlist .
 	$(GO) test -race -timeout 10m -cpu 2,8 ./internal/forest ./internal/ftx
 
 # The internal packages' tests on a 32-bit build: the only run where int is

@@ -193,7 +193,9 @@ func (a *Arena) Get(r Ref) *Node {
 // Alloc returns a fresh (or recycled) node initialized with the given key
 // and value, no children, Del=false, Rem=false, and the paper's initial
 // height estimates (left-h = right-h = 0, local-h = 1). The node is private
-// to the caller until it publishes the Ref with a transactional write.
+// to the caller until it publishes the Ref with a transactional write. A
+// transaction takes its nodes through stm.Tx.Alloc, which gives them back
+// when the attempt does not commit.
 func (a *Arena) Alloc(key, val uint64) Ref {
 	a.mu.Lock()
 	var r Ref
@@ -219,15 +221,13 @@ func (a *Arena) Alloc(key, val uint64) Ref {
 	}
 	a.mu.Unlock()
 	a.allocs.Add(1)
-	a.Reinit(r, key, val)
+	a.reinit(r, key, val)
 	return r
 }
 
-// Reinit resets a node the caller privately owns (allocated but never
-// published) to the same state Alloc produces for (key, val). It lets
-// operations preallocate one scratch node and retarget it across retries of
-// an enclosing transaction.
-func (a *Arena) Reinit(r Ref, key, val uint64) {
+// reinit resets a node the caller privately owns to the state Alloc
+// produces for (key, val): a recycled slot carries its last use's words.
+func (a *Arena) reinit(r Ref, key, val uint64) {
 	n := a.Get(r)
 	n.Key.SetPlain(key)
 	n.Val.SetPlain(val)
@@ -247,8 +247,9 @@ func (a *Arena) get(r Ref) *Node {
 
 // Free returns a node to the free list. The caller must guarantee that no
 // other thread can still reach the node — either because the node was never
-// published (an insert that lost its transaction) or because an epoch of the
-// Collector has passed since it was unlinked.
+// published (stm.Tx.Alloc frees the nodes of an attempt that did not
+// commit) or because an epoch of the Collector has passed since it was
+// unlinked.
 func (a *Arena) Free(r Ref) {
 	if r == Nil {
 		panic("arena: Free(Nil)")
@@ -259,57 +260,6 @@ func (a *Arena) Free(r Ref) {
 	a.freeHead = r
 	a.mu.Unlock()
 	a.frees.Add(1)
-}
-
-// Scratch manages the one-node preallocation pattern used by insert-style
-// operations: a transaction attempt may need a fresh node, attempts can be
-// re-executed arbitrarily often, and only the final (committed) attempt
-// decides whether the node was actually linked into a structure. Scratch
-// reuses a single arena slot across attempts and releases it afterwards if
-// the committed attempt did not link it.
-//
-// Usage inside the retried transaction function:
-//
-//	sc.ResetAttempt()            // first thing in every attempt
-//	ref := sc.Take(ar, key, val) // when a node is needed
-//	tx.Write(&parent.L, ref)     // publish
-//	sc.MarkLinked()
-//
-// and after the Atomic call returns: sc.Release(ar).
-type Scratch struct {
-	ref    Ref
-	linked bool
-}
-
-// ResetAttempt clears the linked mark; call at the start of every attempt.
-func (s *Scratch) ResetAttempt() { s.linked = false }
-
-// Take returns the scratch node initialized for (key, val), allocating it on
-// first use and re-initializing it on retries.
-func (s *Scratch) Take(a *Arena, key, val uint64) Ref {
-	if s.ref == Nil {
-		s.ref = a.Alloc(key, val)
-	} else {
-		a.Reinit(s.ref, key, val)
-	}
-	return s.ref
-}
-
-// MarkLinked records that the current attempt published the node.
-func (s *Scratch) MarkLinked() { s.linked = true }
-
-// Node returns the scratch node's reference (Nil when never taken).
-func (s *Scratch) Node() Ref { return s.ref }
-
-// Release frees the node unless the final attempt linked it, then resets.
-// Erring on the side of not freeing is deliberate: leaking one node is
-// benign, freeing a published one is not.
-func (s *Scratch) Release(a *Arena) {
-	if s.ref != Nil && !s.linked {
-		a.Free(s.ref)
-	}
-	s.ref = Nil
-	s.linked = false
 }
 
 // Live returns the number of nodes currently allocated and not freed.

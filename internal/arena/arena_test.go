@@ -334,57 +334,6 @@ func TestCollectorEmptyEpoch(t *testing.T) {
 	}
 }
 
-func TestScratchLifecycle(t *testing.T) {
-	a := New()
-	var sc Scratch
-	if sc.Node() != Nil {
-		t.Fatal("fresh scratch has a node")
-	}
-	// Attempt 1: take and link.
-	sc.ResetAttempt()
-	r1 := sc.Take(a, 5, 50)
-	if r1 == Nil || a.Get(r1).Key.Plain() != 5 {
-		t.Fatal("Take did not initialize")
-	}
-	sc.MarkLinked()
-	// Retry (attempt 2): reuse the same slot with new payload, no link.
-	sc.ResetAttempt()
-	r2 := sc.Take(a, 6, 60)
-	if r2 != r1 {
-		t.Fatalf("retry allocated a second slot: %d vs %d", r2, r1)
-	}
-	if a.Get(r2).Key.Plain() != 6 {
-		t.Fatal("Take on retry did not reinitialize")
-	}
-	// Final attempt did not link: Release must free.
-	frees := a.Frees()
-	sc.Release(a)
-	if a.Frees() != frees+1 {
-		t.Fatal("Release did not free an unlinked scratch")
-	}
-	if sc.Node() != Nil {
-		t.Fatal("Release did not reset the scratch")
-	}
-}
-
-func TestScratchLinkedNotFreed(t *testing.T) {
-	a := New()
-	var sc Scratch
-	sc.ResetAttempt()
-	sc.Take(a, 1, 1)
-	sc.MarkLinked()
-	frees := a.Frees()
-	sc.Release(a)
-	if a.Frees() != frees {
-		t.Fatal("Release freed a linked node")
-	}
-	// Releasing an empty scratch is a no-op.
-	sc.Release(a)
-	if a.Frees() != frees {
-		t.Fatal("double Release freed something")
-	}
-}
-
 func TestReinitResetsEverything(t *testing.T) {
 	a := New()
 	r := a.Alloc(1, 1)
@@ -394,7 +343,7 @@ func TestReinitResetsEverything(t *testing.T) {
 	n.Del.SetPlain(1)
 	n.Rem.SetPlain(RemTrue)
 	n.LeftH.Store(4)
-	a.Reinit(r, 2, 20)
+	a.reinit(r, 2, 20)
 	if n.Key.Plain() != 2 || n.Val.Plain() != 20 {
 		t.Fatal("payload not reset")
 	}
@@ -411,7 +360,7 @@ func TestReinitResetsEverything(t *testing.T) {
 	// or color/height behind.
 	n.Parent().SetPlain(9)
 	n.Balance().SetPlain(3)
-	a.Reinit(r, 2, 20)
+	a.reinit(r, 2, 20)
 	if n.Parent().Plain() != Nil || n.Balance().Plain() != 0 {
 		t.Fatal("parent/balance not reset")
 	}

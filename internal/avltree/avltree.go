@@ -177,37 +177,26 @@ func (t *Tree) GetTx(tx *stm.Tx, k uint64) (uint64, bool) {
 
 // Insert maps k to v if absent, rebalancing within the same transaction.
 func (t *Tree) Insert(th *stm.Thread, k, v uint64) bool {
-	var sc arena.Scratch
 	var ok bool
-	t.atomic(th, func(tx *stm.Tx) { ok = t.InsertTx(tx, k, v, &sc) })
-	sc.Release(t.ar)
+	t.atomic(th, func(tx *stm.Tx) { ok = t.InsertTx(tx, k, v) })
 	return ok
 }
 
-// InsertTx is the composable form of Insert.
-func (t *Tree) InsertTx(tx *stm.Tx, k, v uint64, sc *arena.Scratch) bool {
-	sc.ResetAttempt()
+// InsertTx is the composable form of Insert. The new node comes from
+// tx.Alloc, so an attempt that does not commit gives it back.
+func (t *Tree) InsertTx(tx *stm.Tx, k, v uint64) bool {
 	rootRef := tx.Read(&t.root)
-	newRoot, added := t.insertRec(tx, rootRef, k, v, sc)
+	newRoot, added := t.insertRec(tx, rootRef, k, v)
 	if added && newRoot != rootRef {
 		tx.Write(&t.root, newRoot)
 	}
 	return added
 }
 
-// InsertTxA is InsertTx with tree-managed allocation for deep composition;
-// aborted linking attempts may leak one arena node each (see sftree).
-func (t *Tree) InsertTxA(tx *stm.Tx, k, v uint64) bool {
-	var sc arena.Scratch
-	return t.InsertTx(tx, k, v, &sc)
-}
-
 // SetTx maps k to v within the enclosing transaction regardless of whether
 // k is present (an upsert): a present node's value is overwritten in
 // place, an absent key inserts. It is how the transaction coordinator
-// (internal/ftx) applies a buffered put natively — without it the put
-// applied as delete+insert, paying a rebalancing deletion
-// just to overwrite a value.
+// (internal/ftx) applies a buffered put.
 func (t *Tree) SetTx(tx *stm.Tx, k, v uint64) {
 	ref := tx.Read(&t.root)
 	for ref != arena.Nil {
@@ -223,14 +212,13 @@ func (t *Tree) SetTx(tx *stm.Tx, k, v uint64) {
 			ref = tx.Read(&n.R)
 		}
 	}
-	t.InsertTxA(tx, k, v)
+	t.InsertTx(tx, k, v)
 }
 
-func (t *Tree) insertRec(tx *stm.Tx, ref arena.Ref, k, v uint64, sc *arena.Scratch) (arena.Ref, bool) {
+func (t *Tree) insertRec(tx *stm.Tx, ref arena.Ref, k, v uint64) (arena.Ref, bool) {
 	if ref == arena.Nil {
-		r := sc.Take(t.ar, k, v)
+		r := tx.Alloc(t.ar, k, v)
 		t.node(r).Balance().SetPlain(1) // height of a fresh leaf
-		sc.MarkLinked()
 		return r, true
 	}
 	n := t.node(ref)
@@ -240,7 +228,7 @@ func (t *Tree) insertRec(tx *stm.Tx, ref arena.Ref, k, v uint64, sc *arena.Scrat
 		return ref, false
 	case k < key:
 		lRef := tx.Read(&n.L)
-		nl, added := t.insertRec(tx, lRef, k, v, sc)
+		nl, added := t.insertRec(tx, lRef, k, v)
 		if !added {
 			return ref, false
 		}
@@ -250,7 +238,7 @@ func (t *Tree) insertRec(tx *stm.Tx, ref arena.Ref, k, v uint64, sc *arena.Scrat
 		return t.rebalance(tx, ref), true
 	default:
 		rRef := tx.Read(&n.R)
-		nr, added := t.insertRec(tx, rRef, k, v, sc)
+		nr, added := t.insertRec(tx, rRef, k, v)
 		if !added {
 			return ref, false
 		}

@@ -301,13 +301,13 @@ type Log struct {
 	ckptH *obs.Histogram
 
 	// tracer receives one SpanWALAppend per traced record, stretching from
-	// the append to the fsync that made it durable. pend is the bounded
-	// buffer of traced appends awaiting that fsync, taken by the flush whose
-	// fsync covers them; overflow or a wedged segment drops the span, never
-	// the record. Set under mu (SetTracer), read under mu.
+	// the append to the fsync that made it durable. pend holds the traced
+	// appends awaiting that fsync; the flush whose fsync covers them swaps
+	// it with ioPend, so both keep their capacity. MaxUnsynced bounds its
+	// length; a wedged segment drops the spans, never a record. Set under
+	// mu (SetTracer), read under mu.
 	tracer *obs.Tracer
-	pend   [64]pendSpan
-	pendN  int
+	pend   []pendSpan
 
 	// ckptMu serializes whole checkpoints (the periodic loop and manual
 	// Checkpoint calls). It also guards the fields below, which only the
@@ -491,10 +491,9 @@ func (l *Log) endRecord(start int, traceID uint64, nops int64) (mode flushMode, 
 	l.st.Records++
 	l.st.Bytes += uint64(framed)
 	l.unsynced += framed
-	if traceID != 0 && l.tracer != nil && l.pendN < len(l.pend) {
-		l.pend[l.pendN] = pendSpan{id: traceID, at: time.Now().UnixNano(),
-			nops: nops, bytes: int64(framed)}
-		l.pendN++
+	if traceID != 0 && l.tracer != nil {
+		l.pend = append(l.pend, pendSpan{id: traceID, at: time.Now().UnixNano(),
+			nops: nops, bytes: int64(framed)})
 	}
 	switch {
 	case l.o.Sync:
@@ -564,14 +563,13 @@ func (l *Log) swapLocked(sync bool) (out []byte, cover int, ok bool) {
 	if l.f == nil || l.wedged {
 		l.buf = l.buf[:0]
 		l.unsynced = 0
-		l.pendN = 0
+		l.pend = l.pend[:0]
 		return nil, 0, false
 	}
 	out = l.buf
 	l.buf = l.spare[:0]
 	if sync {
-		l.ioPend = append(l.ioPend[:0], l.pend[:l.pendN]...)
-		l.pendN = 0
+		l.ioPend, l.pend = l.pend, l.ioPend[:0]
 	}
 	return out, l.unsynced, true
 }
@@ -602,7 +600,7 @@ func (l *Log) writeOut(out []byte, cover int, sync bool) {
 	if err != nil {
 		l.setErrLocked(err)
 		l.wedged = true
-		l.pendN = 0 // durability unknown: drop the pending spans
+		l.pend = l.pend[:0] // durability unknown: drop the pending spans
 		l.mu.Unlock()
 		l.ioPend = l.ioPend[:0]
 		return

@@ -168,7 +168,7 @@ func (x *atomicFixture) attachQuietWAL(tb testing.TB) func() durable.Stats {
 }
 
 // TestDurableUpdateZeroAllocs: a durable single-key update or same-shard
-// Move — transaction body, post-commit hook, WAL record — allocates nothing
+// Move — transaction body, then WAL record — allocates nothing
 // once the handle and the log's buffers have seen the key. (A fresh key may
 // grow the arena; that is the store growing, not the path.)
 func TestDurableUpdateZeroAllocs(t *testing.T) {
@@ -190,8 +190,8 @@ func TestDurableUpdateZeroAllocs(t *testing.T) {
 			t.Fatalf("shards=%d: %d records logged, want two per run", shards, n)
 		}
 
-		// The same-shard Move, its WAL hook included: there and back between
-		// two private keys of one shard.
+		// The same-shard Move and its WAL record: there and back between two
+		// private keys of one shard.
 		k2 := uint64(k + 1)
 		for x.f.ShardOf(k) != x.f.ShardOf(k2) {
 			k2++

@@ -300,7 +300,7 @@ type Op struct {
 
 // Insert maps k to v within the transaction; false when present.
 func (o *Op) Insert(k, v uint64) bool {
-	ok := o.f.maps[o.f.ShardOf(k)].InsertTxA(o.tx, k, v)
+	ok := o.f.maps[o.f.ShardOf(k)].InsertTx(o.tx, k, v)
 	if ok && o.log != nil {
 		*o.log = append(*o.log, durable.Op{Key: k, Val: v})
 	}

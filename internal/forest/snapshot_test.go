@@ -66,7 +66,7 @@ func TestSnapshotShardChunkedUnderWriters(t *testing.T) {
 				trees.Atomic(m, wth, func(tx *stm.Tx) {
 					// Toggle: delete a present key, insert an absent one.
 					rec.present = !m.DeleteTx(tx, k)
-					if rec.present && !m.InsertTxA(tx, k, rec.v) {
+					if rec.present && !m.InsertTx(tx, k, rec.v) {
 						tx.Restart()
 					}
 				})

@@ -46,16 +46,21 @@ func TestHandleTracingAllocFree(t *testing.T) {
 // counted. The mix crosses shards: Move, Atomic and Update each touch two
 // shards, Range all of them, and each is still one transaction on one
 // thread.
-func TestSpanStitchingOracle(t *testing.T) { spanStitchingOracle(t, false) }
+func TestSpanStitchingOracle(t *testing.T) { spanStitchingOracle(t, false, false) }
 
 // TestSpanStitchingOracleDurable runs the same mix with a WAL attached and
 // then syncs it: on top of the volatile checks, every WAL-append span must
 // carry the trace id of an op span, and each op that logged a record — an
 // ok Insert, Delete or Move, an Atomic with writes, an Update with effects
-// — must have exactly one, the others none.
-func TestSpanStitchingOracleDurable(t *testing.T) { spanStitchingOracle(t, true) }
+// — must have exactly one, the others none. The log is synced after every
+// round of the mix, or only once at the end, when 200 traced appends await
+// the one fsync.
+func TestSpanStitchingOracleDurable(t *testing.T) {
+	t.Run("sync-every-round", func(t *testing.T) { spanStitchingOracle(t, true, true) })
+	t.Run("one-sync", func(t *testing.T) { spanStitchingOracle(t, true, false) })
+}
 
-func spanStitchingOracle(t *testing.T, withWAL bool) {
+func spanStitchingOracle(t *testing.T, withWAL, syncEveryRound bool) {
 	f := New(trees.SFOpt, WithShards(2), WithoutMaintenance())
 	defer f.Close()
 	tr := obs.NewTracer(1, 4096)
@@ -114,9 +119,7 @@ func spanStitchingOracle(t *testing.T, withWAL bool) {
 			logged[i] = effects
 		case 7:
 			logged[i] = h.Delete(k)
-			if l != nil {
-				// The log holds 64 traced appends between fsyncs; one
-				// round of the mix appends at most five.
+			if syncEveryRound {
 				if err := l.Sync(); err != nil {
 					t.Fatal(err)
 				}

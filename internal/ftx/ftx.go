@@ -303,33 +303,14 @@ func (c *Coordinator) log(pos uint64) {
 	c.wal.Append(pos, ops, c.traceID)
 }
 
-// setterTx is the optional upsert entry point a tree may provide (every
-// registry tree now does: sftree natively, rbtree/avltree natively, nrtree
-// via embedding); without it a buffered put applies as delete+insert.
-type setterTx interface {
-	SetTx(tx *stm.Tx, k, v uint64)
-}
-
 // applyWrites applies the buffered writes inside tx.
 func applyWrites(maps []trees.Map, tx *stm.Tx, writes []keyState) {
 	for i := range writes {
 		w := &writes[i]
-		m := maps[w.shard]
-		if !w.present {
-			m.DeleteTx(tx, w.key)
-			continue
-		}
-		if st, ok := m.(setterTx); ok {
-			st.SetTx(tx, w.key, w.val)
-			continue
-		}
-		m.DeleteTx(tx, w.key)
-		if !m.InsertTxA(tx, w.key, w.val) {
-			// The key was deleted (or read absent) in this very
-			// transaction: only a doomed (zombie) attempt can see it
-			// occupied now. Never publish the half-applied write set —
-			// retry from scratch.
-			tx.Restart()
+		if w.present {
+			maps[w.shard].SetTx(tx, w.key, w.val)
+		} else {
+			maps[w.shard].DeleteTx(tx, w.key)
 		}
 	}
 }

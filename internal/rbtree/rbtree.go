@@ -234,21 +234,18 @@ func (t *Tree) lookup(tx *stm.Tx, k uint64) arena.Ref {
 
 // Insert maps k to v if absent, rebalancing inside the same transaction.
 func (t *Tree) Insert(th *stm.Thread, k, v uint64) bool {
-	var sc arena.Scratch
 	var ok bool
-	t.atomic(th, func(tx *stm.Tx) { ok = t.InsertTx(tx, k, v, &sc) })
-	sc.Release(t.ar)
+	t.atomic(th, func(tx *stm.Tx) { ok = t.InsertTx(tx, k, v) })
 	return ok
 }
 
-// InsertTx is the composable form of Insert.
-func (t *Tree) InsertTx(tx *stm.Tx, k, v uint64, sc *arena.Scratch) bool {
-	sc.ResetAttempt()
+// InsertTx is the composable form of Insert. The new node comes from
+// tx.Alloc, so an attempt that does not commit gives it back.
+func (t *Tree) InsertTx(tx *stm.Tx, k, v uint64) bool {
 	ref := tx.Read(&t.root)
 	if ref == arena.Nil {
-		r := sc.Take(t.ar, k, v)
+		r := tx.Alloc(t.ar, k, v)
 		t.node(r).Balance().SetPlain(black)
-		sc.MarkLinked()
 		tx.Write(&t.root, r)
 		return true
 	}
@@ -268,11 +265,10 @@ func (t *Tree) InsertTx(tx *stm.Tx, k, v uint64, sc *arena.Scratch) bool {
 			ref = tx.Read(&n.R)
 		}
 	}
-	x := sc.Take(t.ar, k, v)
+	x := tx.Alloc(t.ar, k, v)
 	xn := t.node(x)
 	xn.Balance().SetPlain(red)
 	xn.Parent().SetPlain(arena.Nil)
-	sc.MarkLinked()
 	tx.Write(xn.Parent(), parent)
 	if goLeft {
 		tx.Write(&t.node(parent).L, x)
@@ -283,27 +279,18 @@ func (t *Tree) InsertTx(tx *stm.Tx, k, v uint64, sc *arena.Scratch) bool {
 	return true
 }
 
-// InsertTxA is InsertTx with tree-managed allocation for deep composition;
-// aborted linking attempts may leak one arena node each (see sftree).
-func (t *Tree) InsertTxA(tx *stm.Tx, k, v uint64) bool {
-	var sc arena.Scratch
-	return t.InsertTx(tx, k, v, &sc)
-}
-
 // SetTx maps k to v within the enclosing transaction regardless of whether
 // k is present (an upsert): a present node's value is overwritten in
 // place, an absent key inserts. It is how the transaction coordinator
-// (internal/ftx) applies a buffered put natively — without it the put
-// applied as delete+insert, paying a full rebalancing
-// deletion just to overwrite a value. A present key costs one lookup and
-// one value write; an absent key pays the lookup plus InsertTxA's descent
+// (internal/ftx) applies a buffered put. A present key costs one lookup and
+// one value write; an absent key pays the lookup plus InsertTx's descent
 // (the paths overlap, so the reads dedup against the transaction's log).
 func (t *Tree) SetTx(tx *stm.Tx, k, v uint64) {
 	if ref := t.lookup(tx, k); ref != arena.Nil {
 		tx.Write(&t.node(ref).Val, v)
 		return
 	}
-	t.InsertTxA(tx, k, v)
+	t.InsertTx(tx, k, v)
 }
 
 func (t *Tree) fixAfterInsertion(tx *stm.Tx, x arena.Ref) {

@@ -12,10 +12,9 @@ package sftree
 // for each operation. Binding `f.runInsert` once at frame construction
 // allocates the bound-method closure once; afterwards an operation is
 // "store args into the frame, run the pre-bound function, read results
-// back", with zero allocator traffic. The frame also owns the insert
-// path's arena.Scratch, whose Release resets it for reuse, the buffer the
-// scans (Range, RangeElastic, Size, Keys) snapshot their interval into, and the
-// thread's Mover (move.go).
+// back", with zero allocator traffic. The frame also owns the buffer the
+// scans (Range, RangeElastic, Size, Keys) snapshot their interval into, and
+// the thread's Mover (move.go).
 //
 // Frames are keyed by stm.Thread.Slot(), which is dense and unique per
 // registered thread, so the cache is a slice indexed by slot. Growth is
@@ -23,10 +22,7 @@ package sftree
 // atomically published slice, so a concurrent first-call from a new
 // thread never races an established reader.
 
-import (
-	"repro/internal/arena"
-	"repro/internal/stm"
-)
+import "repro/internal/stm"
 
 type opFrame struct {
 	t *Tree
@@ -34,7 +30,6 @@ type opFrame struct {
 	k, v   uint64
 	okOut  bool
 	valOut uint64
-	sc     arena.Scratch
 
 	containsFn func(*stm.Tx)
 	getFn      func(*stm.Tx)
@@ -65,7 +60,7 @@ func newOpFrame(t *Tree) *opFrame {
 
 func (f *opFrame) runContains(tx *stm.Tx) { f.okOut = f.t.ContainsTx(tx, f.k) }
 func (f *opFrame) runGet(tx *stm.Tx)      { f.valOut, f.okOut = f.t.GetTx(tx, f.k) }
-func (f *opFrame) runInsert(tx *stm.Tx)   { f.okOut = f.t.InsertTx(tx, f.k, f.v, &f.sc) }
+func (f *opFrame) runInsert(tx *stm.Tx)   { f.okOut = f.t.InsertTx(tx, f.k, f.v) }
 func (f *opFrame) runDelete(tx *stm.Tx)   { f.okOut = f.t.DeleteTx(tx, f.k) }
 
 // frame returns the calling thread's operation frame, creating it (and

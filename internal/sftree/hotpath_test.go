@@ -39,7 +39,7 @@ func TestTreeOpsZeroAllocs(t *testing.T) {
 				{"ContainsMissing", func() { tr.Contains(th, 1<<40) }},
 			}
 			for _, c := range checks {
-				c.op() // warm up (frame construction, scratch node)
+				c.op() // warm up (frame construction)
 				if avg := testing.AllocsPerRun(100, c.op); avg != 0 {
 					t.Errorf("%s/%s allocates %.2f times per run, want 0", variant, c.name, avg)
 				}

@@ -1,19 +1,14 @@
 package sftree
 
-import (
-	"repro/internal/arena"
-	"repro/internal/stm"
-)
+import "repro/internal/stm"
 
 // TxMap is what the move composition needs of a map: the composable forms
-// every tree library of this repository exports, and the arena its inserts
-// allocate from (trees.Map has them all).
+// every tree library of this repository exports (trees.Map has them all).
 type TxMap interface {
 	GetTx(tx *stm.Tx, k uint64) (uint64, bool)
 	ContainsTx(tx *stm.Tx, k uint64) bool
 	DeleteTx(tx *stm.Tx, k uint64) bool
-	InsertTx(tx *stm.Tx, k, v uint64, sc *arena.Scratch) bool
-	Arena() *arena.Arena
+	InsertTx(tx *stm.Tx, k, v uint64) bool
 }
 
 // Mover is the composed move of paper §5.4 — relocate the value at src to
@@ -35,9 +30,8 @@ type TxMap interface {
 //	trees.Atomic(m, th, mv.Bind(m, m, src, dst))
 //	ok := mv.Moved()
 //
-// The destination node comes from the Mover's own arena.Scratch, one slot
-// reused by every attempt, so a retried move allocates at most one node and
-// Moved frees it unless the committed attempt linked it.
+// The destination node comes from dm's InsertTx, which takes it with
+// tx.Alloc: a retried move keeps only the committed attempt's node.
 //
 // The zero Mover is ready for use. It must not be copied after the first
 // Bind, nor shared between goroutines.
@@ -47,7 +41,6 @@ type Mover struct {
 	v        uint64 // the value the last attempt moved
 	ok       bool
 	body     func(*stm.Tx)
-	sc       arena.Scratch // dst's node, from dm's arena
 }
 
 // Bind stores the move to perform — src out of sm, dst into dm — and
@@ -57,23 +50,13 @@ func (mv *Mover) Bind(sm, dm TxMap, src, dst uint64) func(*stm.Tx) {
 	if mv.body == nil {
 		mv.body = mv.run
 	}
-	if mv.dm != nil {
-		// A move whose caller never reached Moved (a panic out of the
-		// transaction) left its scratch behind: reinitialising it for this
-		// move could rewrite a node that move published.
-		mv.sc.Release(mv.dm.Arena())
-	}
 	mv.sm, mv.dm, mv.src, mv.dst = sm, dm, src, dst
 	return mv.body
 }
 
-// Moved reports the outcome of the committed attempt of the last body run,
-// and frees the scratch node unless that attempt linked it. Call it once
-// the transaction has returned.
-func (mv *Mover) Moved() bool {
-	mv.sc.Release(mv.dm.Arena())
-	return mv.ok
-}
+// Moved reports the outcome of the committed attempt of the last body run.
+// Call it once the transaction has returned.
+func (mv *Mover) Moved() bool { return mv.ok }
 
 // Value returns the value the last move relocated (meaningful when Moved
 // reported true and src differed from dst).
@@ -82,7 +65,6 @@ func (mv *Mover) Value() uint64 { return mv.v }
 func (mv *Mover) run(tx *stm.Tx) {
 	sm, dm, src, dst := mv.sm, mv.dm, mv.src, mv.dst
 	mv.ok = false
-	mv.sc.ResetAttempt()
 	if src == dst {
 		mv.ok = sm.ContainsTx(tx, src)
 		return
@@ -94,7 +76,7 @@ func (mv *Mover) run(tx *stm.Tx) {
 	if !sm.DeleteTx(tx, src) {
 		return
 	}
-	if !dm.InsertTx(tx, dst, v, &mv.sc) {
+	if !dm.InsertTx(tx, dst, v) {
 		// dst was checked absent in this very transaction: only a doomed
 		// (zombie) attempt or an elastic cut of that check can see it
 		// occupied now. Committing would make the half-move (the buffered

@@ -152,21 +152,19 @@ func (t *Tree) rotatePortableTx(tx *stm.Tx) {
 func (t *Tree) rotateOpt(parentRef arena.Ref, leftChild, mirror bool) bool {
 	o := &t.sop
 	o.parent, o.left, o.mirror = parentRef, leftChild, mirror
-	o.scratch = t.ar.Alloc(0, 0)
 	t.maintTh.AtomicMode(stm.CTL, t.rotateFn)
-	if o.used {
+	if o.ok {
 		t.collector.Defer(o.removed)
-	} else {
-		t.ar.Free(o.scratch)
 	}
 	return o.ok
 }
 
-// rotateOptTx is the body of rotateOpt, acting on t.sop.
+// rotateOptTx is the body of rotateOpt, acting on t.sop. The copy n' comes
+// from tx.Alloc, so an attempt that does not commit gives it back.
 func (t *Tree) rotateOptTx(tx *stm.Tx) {
 	o := &t.sop
-	parentRef, leftChild, scratch := o.parent, o.left, o.scratch
-	o.used, o.ok = false, false
+	parentRef, leftChild := o.parent, o.left
+	o.ok = false
 	o.removed = arena.Nil
 	p := t.node(parentRef)
 	if tx.Read(&p.Rem) != arena.RemFalse {
@@ -182,7 +180,6 @@ func (t *Tree) rotateOptTx(tx *stm.Tx) {
 		return
 	}
 	n := t.node(nRef)
-	sn := t.node(scratch)
 	if !o.mirror {
 		// Right rotation: l rises; n' = copy of n with children (l.R, n.R)
 		// becomes l's right child.
@@ -193,14 +190,15 @@ func (t *Tree) rotateOptTx(tx *stm.Tx) {
 		l := t.node(lRef)
 		lrRef := tx.Read(&l.R)
 		rRef := tx.Read(&n.R)
-		t.ar.Reinit(scratch, n.Key.Plain(), tx.Read(&n.Val))
+		copyRef := tx.Alloc(t.ar, n.Key.Plain(), tx.Read(&n.Val))
+		sn := t.node(copyRef)
 		sn.Del.SetPlain(tx.Read(&n.Del))
 		sn.L.SetPlain(lrRef)
 		sn.R.SetPlain(rRef)
 		sn.LeftH.Store(t.heightOf(lrRef))
 		sn.RightH.Store(t.heightOf(rRef))
 		sn.LocalH.Store(1 + maxi32(sn.LeftH.Load(), sn.RightH.Load()))
-		tx.Write(&l.R, scratch)
+		tx.Write(&l.R, copyRef)
 		tx.Write(&n.Rem, arena.RemTrue)
 		if leftChild {
 			tx.Write(&p.L, lRef)
@@ -221,14 +219,15 @@ func (t *Tree) rotateOptTx(tx *stm.Tx) {
 		r := t.node(rRef)
 		rlRef := tx.Read(&r.L)
 		lRef := tx.Read(&n.L)
-		t.ar.Reinit(scratch, n.Key.Plain(), tx.Read(&n.Val))
+		copyRef := tx.Alloc(t.ar, n.Key.Plain(), tx.Read(&n.Val))
+		sn := t.node(copyRef)
 		sn.Del.SetPlain(tx.Read(&n.Del))
 		sn.L.SetPlain(lRef)
 		sn.R.SetPlain(rlRef)
 		sn.LeftH.Store(t.heightOf(lRef))
 		sn.RightH.Store(t.heightOf(rlRef))
 		sn.LocalH.Store(1 + maxi32(sn.LeftH.Load(), sn.RightH.Load()))
-		tx.Write(&r.L, scratch)
+		tx.Write(&r.L, copyRef)
 		tx.Write(&n.Rem, arena.RemTrueByLeftRot)
 		if leftChild {
 			tx.Write(&p.L, rRef)
@@ -240,7 +239,7 @@ func (t *Tree) rotateOptTx(tx *stm.Tx) {
 		setChildHeight(p, leftChild, r.LocalH.Load())
 	}
 	o.removed = nRef
-	o.used, o.ok = true, true
+	o.ok = true
 }
 
 // removeChild physically removes parent's designated child if it is

@@ -128,10 +128,9 @@ type Tree struct {
 	sop struct {
 		parent       arena.Ref
 		left, mirror bool
-		scratch      arena.Ref // rotateOpt's pre-allocated copy node
 		repl         arena.Ref // removal: the subtree that took the node's place
 		removed      arena.Ref
-		used, ok     bool
+		ok           bool
 	}
 	rotateFn, removeFn func(*stm.Tx)
 
@@ -287,26 +286,21 @@ func (t *Tree) GetTx(tx *stm.Tx, k uint64) (uint64, bool) {
 }
 
 // Insert maps k to v if k is absent, returning true on success (false when
-// k was already present). It runs as one transaction. The new node, when
-// needed, comes from an arena.Scratch so aborted attempts never leak slots.
+// k was already present). It runs as one transaction.
 func (t *Tree) Insert(th *stm.Thread, k, v uint64) bool {
 	checkKey(k)
 	f := t.frame(th)
 	f.k, f.v = k, v
 	t.atomic(th, f.insertFn)
-	f.sc.Release(t.ar) // resets the frame's scratch for the next insert
 	return f.okOut
 }
 
 // InsertTx is the composable form of Insert for use inside an enclosing
-// transaction. sc manages the potential node allocation across retries of
-// the enclosing Atomic; the caller must invoke sc.Release(tree.Arena())
-// after the Atomic call returns.
-func (t *Tree) InsertTx(tx *stm.Tx, k, v uint64, sc *arena.Scratch) bool {
+// transaction. The new node, when one is needed, comes from tx.Alloc, so an
+// attempt that does not commit gives it back.
+func (t *Tree) InsertTx(tx *stm.Tx, k, v uint64) bool {
 	checkKey(k)
-	sc.ResetAttempt()
-	curr := t.find(tx, k)
-	n := t.node(curr)
+	n := t.node(t.find(tx, k))
 	if n.Key.Plain() == k {
 		if tx.Read(&n.Del) != 0 {
 			// Logical resurrection (paper line 36): flip the deleted flag
@@ -317,25 +311,8 @@ func (t *Tree) InsertTx(tx *stm.Tx, k, v uint64, sc *arena.Scratch) bool {
 		}
 		return false
 	}
-	ref := sc.Take(t.ar, k, v)
-	if k < n.Key.Plain() {
-		tx.Write(&n.L, ref)
-	} else {
-		tx.Write(&n.R, ref)
-	}
-	sc.MarkLinked()
+	t.link(tx, n, k, v)
 	return true
-}
-
-// InsertTxA is InsertTx with tree-managed allocation, for deep composition
-// (e.g. the vacation application's multi-table transactions) where threading
-// a Scratch through every layer is impractical. If the enclosing transaction
-// aborts on the very attempt that linked the node and then commits via a
-// different path, the orphaned node is leaked inside the arena; this is
-// bounded by the abort count and documented as acceptable for benchmarks.
-func (t *Tree) InsertTxA(tx *stm.Tx, k, v uint64) bool {
-	var sc arena.Scratch
-	return t.InsertTx(tx, k, v, &sc)
 }
 
 // SetTx maps k to v within the enclosing transaction regardless of whether
@@ -343,14 +320,10 @@ func (t *Tree) InsertTxA(tx *stm.Tx, k, v uint64) bool {
 // logically deleted node is resurrected, and an absent key gains a new
 // leaf. It is how the transaction coordinator (internal/ftx) applies its
 // write buffer, which holds each written key's final state and applies it
-// without knowing presence; trees without SetTx pay a delete+insert pair
-// instead. Allocation follows InsertTxA's discipline
-// (tree-managed scratch, the same bounded leak profile on aborted linking
-// attempts).
+// without knowing presence.
 func (t *Tree) SetTx(tx *stm.Tx, k, v uint64) {
 	checkKey(k)
-	curr := t.find(tx, k)
-	n := t.node(curr)
+	n := t.node(t.find(tx, k))
 	if n.Key.Plain() == k {
 		if tx.Read(&n.Del) != 0 {
 			// Logical resurrection, exactly as InsertTx's same-key path.
@@ -359,14 +332,17 @@ func (t *Tree) SetTx(tx *stm.Tx, k, v uint64) {
 		tx.Write(&n.Val, v)
 		return
 	}
-	var sc arena.Scratch
-	ref := sc.Take(t.ar, k, v)
+	t.link(tx, n, k, v)
+}
+
+// link hangs a new leaf for (k, v) under n, the leaf find stopped at.
+func (t *Tree) link(tx *stm.Tx, n *arena.Node, k, v uint64) {
+	ref := tx.Alloc(t.ar, k, v)
 	if k < n.Key.Plain() {
 		tx.Write(&n.L, ref)
 	} else {
 		tx.Write(&n.R, ref)
 	}
-	sc.MarkLinked()
 }
 
 // Delete removes k from the set, returning true when k was present. The

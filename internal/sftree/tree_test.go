@@ -302,16 +302,13 @@ func TestComposedOpsInOneTransaction(t *testing.T) {
 	// transaction behave atomically.
 	for _, v := range variants() {
 		tr, th := newTree(t, v)
-		var scA, scB arena.Scratch
 		th.Atomic(func(tx *stm.Tx) {
-			tr.InsertTx(tx, 100, 1, &scA)
-			tr.InsertTx(tx, 200, 2, &scB)
+			tr.InsertTx(tx, 100, 1)
+			tr.InsertTx(tx, 200, 2)
 			if !tr.ContainsTx(tx, 100) {
 				t.Errorf("[%v] composed tx does not see own insert", v)
 			}
 		})
-		scA.Release(tr.Arena())
-		scB.Release(tr.Arena())
 		if !tr.Contains(th, 100) || !tr.Contains(th, 200) {
 			t.Fatalf("[%v] composed inserts not visible after commit", v)
 		}
@@ -675,15 +672,13 @@ func TestSizeAndKeysUnderConcurrentReads(t *testing.T) {
 			// pinned read set — the STM will refuse to commit it, so the
 			// correct reaction to the impossible observation is Restart,
 			// never trusting it.
-			var sc arena.Scratch
 			writer.Atomic(func(tx *stm.Tx) {
 				if tr.DeleteTx(tx, k) {
-					if !tr.InsertTx(tx, k, 1, &sc) {
+					if !tr.InsertTx(tx, k, 1) {
 						tx.Restart()
 					}
 				}
 			})
-			sc.Release(tr.Arena())
 		}
 	}()
 	reader := s.NewThread()

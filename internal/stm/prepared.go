@@ -76,8 +76,10 @@ func (th *Thread) runPrepareAttempt(tx *Tx, fn func(*Tx)) (ok bool) {
 				return
 			}
 			// A foreign panic (bug in user code) must not leave write
-			// locks behind.
-			tx.releaseLocks()
+			// locks or the attempt's nodes behind, nor the operation open
+			// (see runAttempt).
+			tx.undo()
+			th.finishPreparedOp()
 			panic(r)
 		}
 	}()
@@ -117,15 +119,14 @@ func (p *Prepared) Finalize() {
 func (p *Prepared) WriteVersion() uint64 { return p.th.tx.preparedWV }
 
 // Drop aborts the prepared transaction: locks are released with their
-// pre-lock metadata restored, the buffered writes are discarded, and the
-// attempt is counted as an abort.
+// pre-lock metadata restored, the buffered writes are discarded, the nodes
+// the attempt allocated are freed, and the attempt is counted as an abort.
 func (p *Prepared) Drop() {
 	if p.done {
 		panic("stm: Drop on a completed Prepared transaction")
 	}
 	p.done = true
-	tx := &p.th.tx
-	tx.releaseLocks()
+	p.th.tx.undo()
 	p.th.noteAbort(AbortCoordinated)
 	p.th.finishPreparedOp()
 }

@@ -333,13 +333,13 @@ func (th *Thread) runAttempt(tx *Tx, fn func(*Tx)) (ok bool) {
 				return
 			}
 			// A foreign panic (bug in user code) must not leave write
-			// locks behind, nor the writer gate held. Nor may it leave the
-			// operation open: AtomicMode closes it without a defer (this
-			// cold branch does it instead), and a pending flag left raised
-			// would stop the §3.4 collector of every tree in the domain,
-			// while inAtomic would make every later call on the thread a
-			// "nested" one.
-			tx.releaseLocks()
+			// locks or the attempt's nodes behind, nor the writer gate
+			// held. Nor may it leave the operation open: AtomicMode closes
+			// it without a defer (this cold branch does it instead), and a
+			// pending flag left raised would stop the §3.4 collector of
+			// every tree in the domain, while inAtomic would make every
+			// later call on the thread a "nested" one.
+			tx.undo()
 			th.releaseGate()
 			tx.readOnly, tx.unlogged = false, false
 			th.completeOp()

@@ -29,17 +29,32 @@ type writeEntry struct {
 // structures (E-STM's "cut" preserves only the immediately preceding reads).
 const elasticWindow = 2
 
-// inlineReads/inlineWrites size the read and write sets embedded in the
-// descriptor itself. They are sized so the operations of the paper's
-// workloads (tree traversals recording a handful of reads, updates writing
-// a few words) fit without ever calling the allocator; larger transactions
+// inlineReads/inlineWrites/inlineAllocs size the read and write sets and
+// the allocation log embedded in the descriptor itself. They are sized so
+// the operations of the paper's workloads (tree traversals recording a
+// handful of reads, updates writing a few words and linking at most one
+// node) fit without ever calling the Go allocator; larger transactions
 // overflow transparently onto heap-backed slices, which the descriptor then
 // retains across attempts and operations. The AllocsPerRun gates in
 // hotpath_test.go pin the in-budget case at zero allocations.
 const (
 	inlineReads  = 24
 	inlineWrites = 8
+	inlineAllocs = 4
 )
+
+// Allocator is a node store a transaction can allocate from (Tx.Alloc):
+// *arena.Arena is one. Free must accept any reference Alloc returned.
+type Allocator interface {
+	Alloc(k, v uint64) uint64
+	Free(ref uint64)
+}
+
+// allocEntry logs one node an attempt took with Tx.Alloc.
+type allocEntry struct {
+	a   Allocator
+	ref uint64
+}
 
 // Tx is a transaction descriptor. It is owned by a Thread and reused across
 // attempts and operations; user code receives it from Atomic/AtomicMode and
@@ -97,16 +112,23 @@ type Tx struct {
 	// lines.
 	readsInline  [inlineReads]readEntry
 	writesInline [inlineWrites]writeEntry
+
+	// allocs logs the nodes the attempt took with Alloc (see there). It
+	// and its inline storage sit behind the read and write sets, so no
+	// offset of the fields above moved when it was added.
+	allocs       []allocEntry
+	allocsInline [inlineAllocs]allocEntry
 }
 
 // init points the descriptor's read and write sets at their inline storage.
-// It runs once per descriptor — thread registration and snapshot-session
-// creation — not per attempt: begin truncates the slices in place, so a set
-// that overflowed onto the heap keeps its capacity for later operations.
+// It runs once per descriptor, at thread registration, not per attempt:
+// begin truncates the slices in place, so a set that overflowed onto the
+// heap keeps its capacity for later operations.
 func (tx *Tx) init(th *Thread) {
 	tx.th = th
 	tx.reads = tx.readsInline[:0]
 	tx.writes = tx.writesInline[:0]
+	tx.allocs = tx.allocsInline[:0]
 }
 
 // begin resets the descriptor for a fresh attempt.
@@ -121,6 +143,13 @@ func (tx *Tx) begin(mode Mode) {
 	tx.hasWrite = false
 	tx.commitPos = 0
 	tx.preparedWV = 0
+	if len(tx.allocs) != 0 {
+		// The last attempt committed and its nodes are published: forget
+		// them, allocator references included, so the log keeps no arena
+		// alive.
+		clear(tx.allocs)
+		tx.allocs = tx.allocs[:0]
+	}
 }
 
 // Snapshot returns the transaction's current read snapshot position: every
@@ -138,17 +167,31 @@ func (tx *Tx) Mode() Mode { return tx.mode }
 // cause taxonomy.
 func (tx *Tx) Restart() { tx.abort(AbortExplicit) }
 
-// abort rolls back eagerly acquired locks, counts the abort under its
-// cause and unwinds.
+// Alloc takes a fresh node for (k, v) from a and logs it with the attempt.
+// If the attempt commits, the node stays: the attempt's writes linked it.
+// If it does not — an abort, a failed commit, a foreign panic, a dropped
+// prepared transaction — the node goes back to a. That is safe because
+// writes are buffered until commit, so no other thread can have reached a
+// node of an attempt that did not commit; for the same reason the caller
+// may initialise the node with plain stores. An attempt must link every
+// node it allocates, or its commit leaks the node.
+func (tx *Tx) Alloc(a Allocator, k, v uint64) uint64 {
+	ref := a.Alloc(k, v)
+	tx.allocs = append(tx.allocs, allocEntry{a: a, ref: ref})
+	return ref
+}
+
+// abort undoes the attempt, counts the abort under its cause and unwinds.
 func (tx *Tx) abort(cause AbortCause) {
-	tx.releaseLocks()
+	tx.undo()
 	tx.th.noteAbort(cause)
 	panic(abortSignal)
 }
 
-// releaseLocks restores the pre-lock meta of every write entry that holds a
-// lock. Safe to call when no locks are held.
-func (tx *Tx) releaseLocks() {
+// undo rolls back an attempt that will not commit: it restores the
+// pre-lock meta of every write entry that holds a lock and frees every node
+// the attempt allocated. Safe to call when it holds neither.
+func (tx *Tx) undo() {
 	for i := len(tx.writes) - 1; i >= 0; i-- {
 		e := &tx.writes[i]
 		if e.locked {
@@ -156,6 +199,12 @@ func (tx *Tx) releaseLocks() {
 			e.locked = false
 		}
 	}
+	for i := range tx.allocs {
+		e := &tx.allocs[i]
+		e.a.Free(e.ref)
+	}
+	clear(tx.allocs)
+	tx.allocs = tx.allocs[:0]
 }
 
 // Read performs a transactional read of w and returns its value. The read
@@ -460,9 +509,9 @@ func (tx *Tx) commit() bool {
 	return true
 }
 
-// rollback releases locks and counts the failed attempt (commit-time abort)
-// under its cause.
+// rollback undoes the attempt and counts it (a commit-time abort) under its
+// cause.
 func (tx *Tx) rollback(cause AbortCause) {
-	tx.releaseLocks()
+	tx.undo()
 	tx.th.noteAbort(cause)
 }

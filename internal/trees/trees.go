@@ -9,7 +9,6 @@ package trees
 import (
 	"fmt"
 
-	"repro/internal/arena"
 	"repro/internal/avltree"
 	"repro/internal/nrtree"
 	"repro/internal/rbtree"
@@ -41,13 +40,12 @@ type Map interface {
 	// Composable forms.
 	GetTx(tx *stm.Tx, k uint64) (uint64, bool)
 	ContainsTx(tx *stm.Tx, k uint64) bool
-	// InsertTx takes the new node, when one is needed, from sc: one slot
-	// reused across the enclosing transaction's retries, which the caller
-	// releases to Arena() once the transaction has returned.
-	InsertTx(tx *stm.Tx, k, v uint64, sc *arena.Scratch) bool
-	// InsertTxA is InsertTx with tree-managed allocation: an attempt that
-	// links a node and then aborts leaks it.
-	InsertTxA(tx *stm.Tx, k, v uint64) bool
+	// InsertTx maps k to v if k is absent (false when present). Its new
+	// node comes from tx.Alloc, which gives it back to the tree's arena if
+	// the attempt does not commit: the caller never sees it.
+	InsertTx(tx *stm.Tx, k, v uint64) bool
+	// SetTx maps k to v whether or not k is present (an upsert).
+	SetTx(tx *stm.Tx, k, v uint64)
 	DeleteTx(tx *stm.Tx, k uint64) bool
 	// RangeTx is the composable form of Range, for use inside an enclosing
 	// transaction (paper §5.4's reusability). Unlike Range's callback, fn
@@ -59,8 +57,6 @@ type Map interface {
 	// STM returns the domain the tree lives in: composable forms of two
 	// maps may share a transaction only when they share it.
 	STM() *stm.STM
-	// Arena returns the node arena the tree allocates from.
-	Arena() *arena.Arena
 }
 
 // Maintained is implemented by trees with a maintenance sweep (the

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/arena"
 	"repro/internal/stm"
 )
 
@@ -54,8 +55,8 @@ func TestAllKindsConformance(t *testing.T) {
 
 			// Composable forms inside one transaction.
 			th.Atomic(func(tx *stm.Tx) {
-				if !m.InsertTxA(tx, 1000, 1) {
-					t.Error("InsertTxA failed")
+				if !m.InsertTx(tx, 1000, 1) {
+					t.Error("InsertTx failed")
 				}
 				if !m.ContainsTx(tx, 1000) {
 					t.Error("own insert invisible")
@@ -140,7 +141,7 @@ func TestRangeConformance(t *testing.T) {
 			// RangeTx composes: read a window and update inside one
 			// transaction; the scan must see the transaction's own writes.
 			Atomic(m, th, func(tx *stm.Tx) {
-				m.InsertTxA(tx, 500, 1)
+				m.InsertTx(tx, 500, 1)
 				var got []uint64
 				m.RangeTx(tx, 490, 510, func(k, _ uint64) bool {
 					got = append(got, k)
@@ -307,24 +308,17 @@ func TestMoveOnAllKinds(t *testing.T) {
 // present key in place, insert an absent one, and resurrect a logically
 // deleted one, all composably inside an enclosing transaction.
 func TestSetTxOnAllKinds(t *testing.T) {
-	type setter interface {
-		SetTx(tx *stm.Tx, k, v uint64)
-	}
 	for _, kind := range Kinds() {
 		s := stm.New()
 		m := New(kind, s)
 		th := s.NewThread()
-		st, ok := m.(setter)
-		if !ok {
-			t.Fatalf("%s: no native SetTx", kind)
-		}
 		m.Insert(th, 1, 11)
 		m.Insert(th, 2, 22)
 		m.Delete(th, 2) // logical on the sf family, physical on rb/avl
 		Atomic(m, th, func(tx *stm.Tx) {
-			st.SetTx(tx, 1, 100) // overwrite in place
-			st.SetTx(tx, 2, 200) // resurrect / reinsert
-			st.SetTx(tx, 3, 300) // fresh insert
+			m.SetTx(tx, 1, 100) // overwrite in place
+			m.SetTx(tx, 2, 200) // resurrect / reinsert
+			m.SetTx(tx, 3, 300) // fresh insert
 		})
 		for k, want := range map[uint64]uint64{1: 100, 2: 200, 3: 300} {
 			if v, ok := m.Get(th, k); !ok || v != want {
@@ -334,5 +328,52 @@ func TestSetTxOnAllKinds(t *testing.T) {
 		if n := m.Size(th); n != 3 {
 			t.Fatalf("%s: size %d after upserts, want 3", kind, n)
 		}
+	}
+}
+
+// TestAbortedAttemptFreesItsNode: on every kind, an attempt that links a
+// fresh node and then aborts gives the node back to the tree's arena, so
+// the committed retry leaves exactly one node more — through InsertTx and
+// through SetTx alike.
+func TestAbortedAttemptFreesItsNode(t *testing.T) {
+	paths := []struct {
+		name string
+		put  func(m Map, tx *stm.Tx, k, v uint64) bool
+	}{
+		{"InsertTx", Map.InsertTx},
+		{"SetTx", func(m Map, tx *stm.Tx, k, v uint64) bool { m.SetTx(tx, k, v); return true }},
+	}
+	for _, kind := range Kinds() {
+		t.Run(string(kind), func(t *testing.T) {
+			for _, p := range paths {
+				t.Run(p.name, func(t *testing.T) {
+					s := stm.New()
+					m := New(kind, s)
+					th := s.NewThread()
+					m.Insert(th, 1, 1)
+					ar := m.(interface{ Arena() *arena.Arena }).Arena()
+					before := ar.Live()
+					attempts := 0
+					Atomic(m, th, func(tx *stm.Tx) {
+						attempts++
+						if !p.put(m, tx, 2, 2) {
+							t.Errorf("%s of a fresh key failed", p.name)
+						}
+						if attempts == 1 {
+							tx.Restart()
+						}
+					})
+					if attempts != 2 {
+						t.Fatalf("%d attempts, want 2", attempts)
+					}
+					if got := ar.Live(); got != before+1 {
+						t.Fatalf("arena live %d after one committed insert, want %d", got, before+1)
+					}
+					if v, ok := m.Get(th, 2); !ok || v != 2 {
+						t.Fatalf("key 2 = (%d,%v), want 2", v, ok)
+					}
+				})
+			}
+		})
 	}
 }

@@ -90,7 +90,7 @@ func (m *Manager) AddReservation(tx *stm.Tx, t ResType, id uint64, num int64, pr
 		r.numFree.SetPlain(uint64(num))
 		r.numTotal.SetPlain(uint64(num))
 		r.price.SetPlain(uint64(price))
-		return m.tables[t].InsertTxA(tx, id, m.resRecords.add(r))
+		return m.tables[t].InsertTx(tx, id, m.resRecords.add(r))
 	}
 	r := m.reservation(h)
 	if !r.AddToTotal(tx, num) {
@@ -135,7 +135,7 @@ func (m *Manager) AddCustomer(tx *stm.Tx, id uint64) bool {
 		return false
 	}
 	c := &Customer{id: id, reservations: tlist.New()}
-	return m.cust.InsertTxA(tx, id, m.custRecords.add(c))
+	return m.cust.InsertTx(tx, id, m.custRecords.add(c))
 }
 
 // QueryCustomerBill sums the prices of the customer's reservations, or -1

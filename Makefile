@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test32 race allocs inline fmt vet cross fuzz ci obs-smoke trace-smoke experiments-smoke examples-smoke profile bench-ab bench-ab-all loc
+.PHONY: all build test test32 race allocs inline fmt vet cross fuzz ci obs-smoke trace-smoke experiments-smoke examples-smoke bench-smoke profile bench-ab bench-ab-all loc
 
 all: build
 
@@ -101,6 +101,29 @@ examples-smoke:
 	$(GO) run ./examples/travel
 	$(GO) run ./cmd/vacation -check -t 2000 -clients 2
 
+# The repo benchmark end to end at smoke size: ./benchmark is built once,
+# then every workload BENCHMARK.json declares runs at -quick, untraced
+# (-trace 0) and traced (-trace 1), each in a fresh temporary directory
+# (durable-large writes where it runs) under a timeout. A run fails on a
+# non-zero exit, on the timeout, when its last line is not a correct result
+# line, or when a process of the binary is still alive after it returned.
+BENCH_SMOKE_TIMEOUT ?= 300
+bench-smoke:
+	@set -eu; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	bin="$$tmp/bench-smoke"; $(GO) build -o "$$bin" ./benchmark; \
+	for w in $(AB_WORKLOADS); do for tr in 0 1; do \
+		run="$$w -trace $$tr"; dir=$$(mktemp -d "$$tmp/run.XXXXXX"); \
+		if ! (cd "$$dir" && timeout -k 10 $(BENCH_SMOKE_TIMEOUT) "$$bin" -workload $$w -quick -trace $$tr >out.txt 2>err.txt); then \
+			echo "bench-smoke: $$run: non-zero exit or timeout"; tail -5 "$$dir/out.txt" "$$dir/err.txt"; exit 1; \
+		fi; \
+		last=$$(tail -n 1 "$$dir/out.txt"); \
+		case "$$last" in '{"correct":true,'*) ;; *) echo "bench-smoke: $$run: last line is not a correct result: $$last"; exit 1;; esac; \
+		if pgrep -f "$$bin" >/dev/null; then \
+			echo "bench-smoke: $$run: a process of the binary outlived the run"; pkill -9 -f "$$bin"; exit 1; \
+		fi; \
+		echo "bench-smoke: $$run ok"; rm -rf "$$dir"; \
+	done; done
+
 vet:
 	$(GO) vet ./...
 
@@ -190,4 +213,4 @@ bench-ab-all:
 		$(GO) run ./benchmark -compare "$(AB_OUT)/base-$$w.jsonl" "$(AB_OUT)/new-$$w.jsonl" || status=1; \
 	done; exit $$status
 
-ci: build fmt vet cross inline test race test32 allocs fuzz obs-smoke trace-smoke experiments-smoke examples-smoke
+ci: build fmt vet cross inline test race test32 allocs fuzz obs-smoke trace-smoke experiments-smoke examples-smoke bench-smoke

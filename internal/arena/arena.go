@@ -1,8 +1,10 @@
 // Package arena provides the node storage substrate shared by every
-// transactional tree in this repository: a chunked, index-addressed arena of
-// tree nodes with a free list, plus the epoch-based garbage collector of
-// paper §3.4 that lets the maintenance thread recycle physically removed
-// nodes only once no application thread can still hold a reference.
+// transactional tree and list in this repository: a chunked,
+// index-addressed arena of nodes with a free list. Nodes enter and leave
+// structures through transactions: stm.Tx.Alloc takes one, and
+// stm.Tx.Retire hands an unlinked one to the thread's limbo, which frees
+// it with the epoch scheme of paper §3.4 once no operation can still hold
+// a reference (stm.Thread.Reclaim).
 //
 // Nodes are addressed by Ref (a dense uint64 index; 0 is the nil sentinel ⊥)
 // rather than by Go pointers so that child links fit in a single stm.Word
@@ -248,8 +250,8 @@ func (a *Arena) get(r Ref) *Node {
 // Free returns a node to the free list. The caller must guarantee that no
 // other thread can still reach the node — either because the node was never
 // published (stm.Tx.Alloc frees the nodes of an attempt that did not
-// commit) or because an epoch of the Collector has passed since it was
-// unlinked.
+// commit) or because every operation that was running when it was unlinked
+// has completed (a thread's limbo frees the nodes stm.Tx.Retire logged).
 func (a *Arena) Free(r Ref) {
 	if r == Nil {
 		panic("arena: Free(Nil)")

@@ -258,82 +258,6 @@ func TestRemovedHelper(t *testing.T) {
 	}
 }
 
-func TestCollectorEpochProtocol(t *testing.T) {
-	a := New()
-	s := stm.New()
-	th := s.NewThread()
-	c := NewCollector(a)
-
-	r1 := a.Alloc(1, 1)
-	r2 := a.Alloc(2, 2)
-	c.Defer(r1)
-	c.Defer(r2)
-	if c.PendingCount() != 2 {
-		t.Fatalf("PendingCount=%d, want 2", c.PendingCount())
-	}
-
-	// Epoch with the thread idle: free immediately.
-	c.BeginEpoch(s.Threads())
-	if n := c.TryFree(); n != 2 {
-		t.Fatalf("idle thread: freed %d, want 2", n)
-	}
-	if a.Frees() != 2 {
-		t.Fatalf("arena Frees=%d, want 2", a.Frees())
-	}
-
-	// Epoch with a thread stuck in an operation: must not free.
-	r3 := a.Alloc(3, 3)
-	c.Defer(r3)
-	blocked := make(chan struct{})
-	release := make(chan struct{})
-	go func() {
-		th.Atomic(func(tx *stm.Tx) {
-			close(blocked)
-			<-release
-		})
-	}()
-	<-blocked
-	c.BeginEpoch(s.Threads())
-	if n := c.TryFree(); n != 0 {
-		t.Fatalf("pending thread: freed %d, want 0", n)
-	}
-	close(release)
-	// Wait for the operation to complete (OpCount advances).
-	for th.OpCount() == 0 {
-	}
-	if n := c.TryFree(); n != 1 {
-		t.Fatalf("after op completion: freed %d, want 1", n)
-	}
-}
-
-func TestCollectorOnlyFreesUpToMark(t *testing.T) {
-	a := New()
-	s := stm.New()
-	c := NewCollector(a)
-	r1 := a.Alloc(1, 1)
-	c.Defer(r1)
-	c.BeginEpoch(s.Threads())
-	// Deferred after the epoch began: must survive this TryFree.
-	r2 := a.Alloc(2, 2)
-	c.Defer(r2)
-	if n := c.TryFree(); n != 1 {
-		t.Fatalf("freed %d, want 1 (only pre-mark garbage)", n)
-	}
-	if c.PendingCount() != 1 {
-		t.Fatalf("PendingCount=%d, want 1", c.PendingCount())
-	}
-}
-
-func TestCollectorEmptyEpoch(t *testing.T) {
-	a := New()
-	s := stm.New()
-	c := NewCollector(a)
-	c.BeginEpoch(s.Threads())
-	if n := c.TryFree(); n != 0 {
-		t.Fatalf("freed %d from empty list", n)
-	}
-}
-
 func TestReinitResetsEverything(t *testing.T) {
 	a := New()
 	r := a.Alloc(1, 1)

@@ -14,7 +14,6 @@ package avltree
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/arena"
 	"repro/internal/stm"
@@ -28,8 +27,6 @@ type Tree struct {
 	ar *arena.Arena
 
 	root stm.Word // arena.Ref of the root node
-
-	retired atomic.Uint64
 }
 
 // STM returns the domain the tree lives in.
@@ -42,13 +39,6 @@ func New(s *stm.STM) *Tree {
 
 // Arena exposes the node arena for instrumentation.
 func (t *Tree) Arena() *arena.Arena { return t.ar }
-
-// Retired returns the number of physically deleted nodes. The baseline
-// trees retire nodes without recycling them (safe reclamation would need
-// the epoch machinery the speculation-friendly tree gets from its
-// maintenance thread); this mirrors the benchmarked C baselines and bounds
-// memory by the number of effective deletes in a run.
-func (t *Tree) Retired() uint64 { return t.retired.Load() }
 
 func (t *Tree) node(r arena.Ref) *arena.Node { return t.ar.Get(r) }
 
@@ -299,7 +289,10 @@ func (t *Tree) deleteRec(tx *stm.Tx, ref arena.Ref, k uint64) (arena.Ref, bool) 
 	lRef := tx.Read(&n.L)
 	rRef := tx.Read(&n.R)
 	if lRef == arena.Nil || rRef == arena.Nil {
-		t.retired.Add(1)
+		// The caller links child in n's place: n is unlinked, and the
+		// thread's limbo frees it once no operation that could still hold
+		// it is running (stm.Tx.Retire).
+		tx.Retire(t.ar, ref)
 		child := lRef
 		if child == arena.Nil {
 			child = rRef

@@ -36,8 +36,15 @@ func TestBasicOps(t *testing.T) {
 	if !tr.Delete(th, 5) || tr.Delete(th, 5) {
 		t.Fatal("delete semantics")
 	}
-	if tr.Retired() != 1 {
-		t.Fatalf("retired = %d, want 1", tr.Retired())
+	// The delete retired the one node: the limbo holds it until a step
+	// seals it and the next frees it.
+	ar := tr.Arena()
+	if ar.Live() != 1 || ar.Frees() != 0 {
+		t.Fatalf("after the delete: live %d, frees %d, want 1, 0", ar.Live(), ar.Frees())
+	}
+	th.Reclaim()
+	if n := th.Reclaim(); n != 1 || ar.Live() != 0 {
+		t.Fatalf("limbo freed %d (live %d), want 1 (live 0)", n, ar.Live())
 	}
 }
 

@@ -111,8 +111,8 @@ func TestAtomicUserAbortOnOneSnapshot(t *testing.T) {
 // TestHandleSurvivesPanic: a panic out of a transaction body — an Update's
 // fn, or an Atomic's fn running another operation of its own handle — must
 // close the operation it opened. The handle then runs further operations,
-// and the §3.4 collector, which waits on every thread of the forest's one
-// STM, frees removed nodes again.
+// and the §3.4 limbo, which waits on every thread of the forest's one STM,
+// frees removed nodes again.
 func TestHandleSurvivesPanic(t *testing.T) {
 	f := New(trees.SFOpt, WithShards(2), WithoutMaintenance())
 	defer f.Close()

@@ -310,9 +310,9 @@ func TestConcurrentStress(t *testing.T) {
 // TestHandleRegistersOneThread: a handle that touches all 8 shards — single
 // keys, a cross-shard Move, Atomic, Update and the scans — registers exactly
 // one STM thread with the forest's domain, and so does the checkpointer
-// snapshotting every shard. Every tree's epoch collector scans every
-// registered thread on each maintenance pass, so a thread per shard would
-// multiply that cost by the shard count.
+// snapshotting every shard. Every thread's §3.4 limbo snapshots every
+// registered thread each time it seals a generation, so a thread per shard
+// would multiply that cost by the shard count.
 func TestHandleRegistersOneThread(t *testing.T) {
 	f := New(trees.SFOpt, WithShards(8), WithoutMaintenance())
 	defer f.Close()

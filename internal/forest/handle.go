@@ -13,10 +13,10 @@ import (
 
 // Handle is a per-goroutine accessor to a Forest. It registers one STM
 // thread with the forest's domain, whichever shards it touches: every
-// registered thread is scanned by every tree's epoch collector
-// (sftree.Tree.RunMaintenancePass), so a thread per shard would cost each
-// sweep S times as much. Handles are not safe for concurrent use; create
-// one per goroutine.
+// registered thread is snapshotted by every thread's §3.4 limbo
+// (stm.Thread.Reclaim, stepped by each shard's sweep), so a thread per
+// shard would cost each step S times as much. Handles are not safe for
+// concurrent use; create one per goroutine.
 //
 // Every operation runs one way whether or not the forest is durable or
 // traced: its transaction first, then — on a durable forest, when it

@@ -19,7 +19,7 @@ import (
 // their transactions, so many an attempt loses the race for the leaf after
 // linking one. Once maintenance has quiesced, the arena must hold exactly
 // the reachable nodes (the root sentinel included): a Quiesce that
-// converged with every handle idle has emptied the collector, so any
+// converged with every handle idle has emptied the maintenance limbos, so any
 // surplus is a node an aborted attempt took and nobody freed. Every
 // operation must also have logged one record. The insert runs through each
 // forest operation that can link a node: Insert, Update's Op.Insert and

@@ -34,7 +34,6 @@ type Tree struct {
 
 	root stm.Word // arena.Ref of the root
 
-	retired   atomic.Uint64
 	rotations atomic.Uint64
 }
 
@@ -48,10 +47,6 @@ func New(s *stm.STM) *Tree {
 
 // Arena exposes the node arena for instrumentation.
 func (t *Tree) Arena() *arena.Arena { return t.ar }
-
-// Retired returns the number of physically deleted (never recycled) nodes;
-// see the avltree package for why baselines retire rather than free.
-func (t *Tree) Retired() uint64 { return t.retired.Load() }
 
 // Rotations returns the number of rotations executed, including those of
 // transaction attempts that later aborted (the counter the §5.5 comparison
@@ -352,10 +347,13 @@ func (t *Tree) DeleteTx(tx *stm.Tx, k uint64) bool {
 		return false
 	}
 	t.deleteEntry(tx, p)
-	t.retired.Add(1)
 	return true
 }
 
+// deleteEntry unlinks the entry at p (or, when p has two children, moves
+// its successor's payload into p and unlinks the successor), rebalances,
+// and retires the unlinked node: the thread's limbo frees it once no
+// operation that could still hold it is running (stm.Tx.Retire).
 func (t *Tree) deleteEntry(tx *stm.Tx, p arena.Ref) {
 	pn := t.node(p)
 	if tx.Read(&pn.L) != arena.Nil && tx.Read(&pn.R) != arena.Nil {
@@ -407,6 +405,7 @@ func (t *Tree) deleteEntry(tx *stm.Tx, p arena.Ref) {
 			tx.Write(pn.Parent(), arena.Nil)
 		}
 	}
+	tx.Retire(t.ar, p)
 }
 
 // successor returns the in-order successor of a node that has a right child.

@@ -22,19 +22,17 @@ import (
 // only node-locally.
 
 // RunMaintenancePassCoupled executes one maintenance sweep as a single
-// transaction. It returns the number of structural changes performed. Like
-// RunMaintenancePass it must only be driven by one goroutine at a time and
-// it honours the §3.4 collector for removed nodes.
+// transaction. It returns the number of structural changes performed plus
+// the nodes freed. Like RunMaintenancePass it must only be driven by one
+// goroutine at a time, and the nodes it unlinks go through the maintenance
+// thread's §3.4 limbo.
 func (t *Tree) RunMaintenancePassCoupled() int {
-	t.collector.BeginEpoch(t.stm.Threads())
-	var work int
-	var removedNodes []arena.Ref
+	var work, removed int
 	t.maintTh.AtomicMode(stm.CTL, func(tx *stm.Tx) {
-		work = 0
-		removedNodes = removedNodes[:0]
+		removed = 0
 		rootN := t.node(t.root)
 		l := tx.Read(&rootN.L)
-		nl, h, w := t.coupledRec(tx, l, &removedNodes)
+		nl, h, w := t.coupledRec(tx, l, &removed)
 		if nl != l {
 			tx.Write(&rootN.L, nl)
 		}
@@ -42,21 +40,14 @@ func (t *Tree) RunMaintenancePassCoupled() int {
 		rootN.LocalH.Store(h + 1)
 		work = w
 	})
-	// Only after the transaction committed are the unlinked nodes real
-	// garbage; hand them to the epoch collector.
-	for _, r := range removedNodes {
-		t.collector.Defer(r)
-		t.removals.Add(1)
-	}
-	freed := t.collector.TryFree()
-	t.freed.Add(uint64(freed))
-	t.passes.Add(1)
-	return work + freed
+	t.removals.Add(uint64(removed))
+	return work + t.reclaim()
 }
 
 // coupledRec rebalances the subtree in-transaction, returning the new
-// subtree root, its exact height, and the structural work done.
-func (t *Tree) coupledRec(tx *stm.Tx, ref arena.Ref, removed *[]arena.Ref) (arena.Ref, int32, int) {
+// subtree root, its exact height, and the structural work done; removed
+// counts the nodes it unlinks and retires.
+func (t *Tree) coupledRec(tx *stm.Tx, ref arena.Ref, removed *int) (arena.Ref, int32, int) {
 	if ref == arena.Nil {
 		return arena.Nil, 0, 0
 	}
@@ -70,7 +61,8 @@ func (t *Tree) coupledRec(tx *stm.Tx, ref arena.Ref, removed *[]arena.Ref) (aren
 		if child == arena.Nil {
 			child = r
 		}
-		*removed = append(*removed, ref)
+		tx.Retire(t.ar, ref)
+		*removed++
 		nc, h, w := t.coupledRec(tx, child, removed)
 		return nc, h, w + 1
 	}

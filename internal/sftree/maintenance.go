@@ -17,29 +17,36 @@ const maintYieldStride = 64
 // (§3): one depth-first sweep of the whole tree that propagates height
 // estimates (§3.1), physically removes logically deleted nodes with at most
 // one child (§3.2) and performs node-local rotations (§3.1), each
-// structural change its own small transaction, then collects unlinked nodes
-// with the §3.4 epoch scheme.
+// structural change its own small transaction, then steps the maintenance
+// thread's limbo, which frees unlinked nodes with the §3.4 epoch scheme.
 //
 // A Driver (driver.go) runs the sweep: one worker for a standalone tree,
 // a shared pool for the shards of a forest.
 
 // RunMaintenancePass executes one full maintenance traversal synchronously:
-// one garbage-collection epoch around one depth-first propagate/remove/
-// rotate sweep. It returns the amount of structural work done (rotations +
-// removals + nodes freed); a return of 0 means the tree was balanced, fully
-// unlinked and garbage-free. It must not run beside a Driver over the tree
-// (Pause it first) or another pass.
+// one depth-first propagate/remove/rotate sweep, then one step of the
+// maintenance thread's limbo (stm.Thread.Reclaim), which frees what the
+// sweeps retired once no operation running at its unlink remains. It
+// returns the amount of structural work done (rotations + removals + nodes
+// freed); a return of 0 means the tree was balanced, fully unlinked and
+// garbage-free. It must not run beside a Driver over the tree (Pause it
+// first) or another pass.
 func (t *Tree) RunMaintenancePass() int {
-	t.collector.BeginEpoch(t.stm.Threads())
 	rootN := t.node(t.root)
 	h, work := t.maintain(t.root, true, rootN.L.Plain())
 	rootN.LeftH.Store(h)
 	rootN.LocalH.Store(h + 1)
 	t.heightEst.Store(h)
-	freed := t.collector.TryFree()
+	return work + t.reclaim()
+}
+
+// reclaim ends a pass: it steps the maintenance thread's limbo and counts
+// the pass and the nodes freed.
+func (t *Tree) reclaim() int {
+	freed := t.maintTh.Reclaim()
 	t.freed.Add(uint64(freed))
 	t.passes.Add(1)
-	return work + freed
+	return freed
 }
 
 // Quiesce runs maintenance passes until one does no structural work (or

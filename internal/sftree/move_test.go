@@ -14,7 +14,7 @@ import (
 // moves link a fresh destination node and many attempts abort after
 // linking it. Once the sweep has quiesced, the arena must hold exactly the
 // reachable nodes (the root sentinel included): a Quiesce that converged
-// with every thread idle has emptied the collector, so any surplus is a
+// with every thread idle has emptied the maintenance limbo, so any surplus is a
 // node an aborted attempt took and nobody freed.
 func TestMoveLeaksNoNodes(t *testing.T) {
 	if prev := runtime.GOMAXPROCS(0); prev < 2 {

@@ -23,7 +23,7 @@ func (t *Tree) RegisterObs(r *obs.Registry, labels string) {
 		counter("sftree_failed_rotations_total", "Rotation transactions that aborted against application traffic.", st.FailedRot)
 		counter("sftree_failed_removals_total", "Removal transactions that aborted against application traffic.", st.FailedRemove)
 		counter("sftree_maint_passes_total", "Completed maintenance sweeps.", st.Passes)
-		counter("sftree_freed_total", "Nodes reclaimed by the epoch collector.", st.Freed)
+		counter("sftree_freed_total", "Unlinked nodes the maintenance thread's limbo gave back to the arena.", st.Freed)
 		emit(obs.Sample{Name: "sftree_height_estimate", Label: labels, Kind: obs.KindGauge,
 			Help: "Root height estimate as of the last completed maintenance pass.", Value: float64(t.heightEst.Load())})
 		// Node chunks live outside the Go heap on Linux, so no runtime

@@ -148,24 +148,21 @@ func (t *Tree) rotatePortableTx(tx *stm.Tx) {
 // pointers so a traversal preempted on n still has a path to every key it
 // could reach before (Lemmas 13–14). n's removed flag is set to true — or
 // true-by-left-rotate for the mirror — so the optimized find knows to
-// reroute, and n is handed to the epoch collector.
+// reroute, and n is retired.
 func (t *Tree) rotateOpt(parentRef arena.Ref, leftChild, mirror bool) bool {
 	o := &t.sop
 	o.parent, o.left, o.mirror = parentRef, leftChild, mirror
 	t.maintTh.AtomicMode(stm.CTL, t.rotateFn)
-	if o.ok {
-		t.collector.Defer(o.removed)
-	}
 	return o.ok
 }
 
 // rotateOptTx is the body of rotateOpt, acting on t.sop. The copy n' comes
-// from tx.Alloc, so an attempt that does not commit gives it back.
+// from tx.Alloc and n goes to tx.Retire, so an attempt that does not commit
+// gives the copy back and keeps n.
 func (t *Tree) rotateOptTx(tx *stm.Tx) {
 	o := &t.sop
 	parentRef, leftChild := o.parent, o.left
 	o.ok = false
-	o.removed = arena.Nil
 	p := t.node(parentRef)
 	if tx.Read(&p.Rem) != arena.RemFalse {
 		return
@@ -238,7 +235,7 @@ func (t *Tree) rotateOptTx(tx *stm.Tx) {
 		r.LocalH.Store(1 + maxi32(r.LeftH.Load(), r.RightH.Load()))
 		setChildHeight(p, leftChild, r.LocalH.Load())
 	}
-	o.removed = nRef
+	tx.Retire(t.ar, nRef)
 	o.ok = true
 }
 
@@ -255,7 +252,6 @@ func (t *Tree) removeChild(parentRef arena.Ref, leftChild bool) (arena.Ref, aren
 	}
 	if ok {
 		t.removals.Add(1)
-		t.collector.Defer(removed)
 	} else {
 		t.failedRemove.Add(1)
 	}
@@ -306,6 +302,7 @@ func (t *Tree) removePortableTx(tx *stm.Tx) {
 		tx.Write(&p.R, child)
 	}
 	setChildHeight(p, leftChild, t.heightOf(child))
+	tx.Retire(t.ar, nRef)
 	o.repl, o.removed, o.ok = child, nRef, true
 }
 
@@ -359,5 +356,6 @@ func (t *Tree) removeOptTx(tx *stm.Tx) {
 	tx.Write(&n.R, parentRef)
 	tx.Write(&n.Rem, arena.RemTrue)
 	setChildHeight(p, leftChild, t.heightOf(child))
+	tx.Retire(t.ar, nRef)
 	o.repl, o.removed, o.ok = child, nRef, true
 }

@@ -24,8 +24,10 @@
 //     preempted traversals) and removals re-point the removed node's child
 //     links at its former parent, giving O(1) read/write sets per operation.
 //
-// Physically removed nodes are reclaimed by the maintenance thread through
-// the epoch scheme of §3.4 (arena.Collector).
+// A structural transaction that unlinks a node retires it (stm.Tx.Retire);
+// the maintenance thread's limbo frees it with the epoch scheme of §3.4
+// once no operation that could still hold it is running
+// (stm.Thread.Reclaim, stepped once per maintenance pass).
 package sftree
 
 import (
@@ -69,7 +71,7 @@ type Stats struct {
 	Rotations    uint64 // successful single rotations (left or right)
 	Removals     uint64 // successful physical removals
 	Passes       uint64 // completed depth-first maintenance traversals
-	Freed        uint64 // nodes reclaimed by the §3.4 collector
+	Freed        uint64 // retired nodes freed by the maintenance thread's §3.4 limbo
 	FailedRot    uint64 // rotation transactions that returned false
 	FailedRemove uint64 // removal transactions that returned false
 
@@ -107,8 +109,7 @@ type Tree struct {
 
 	root arena.Ref // sentinel, key = MaxKey, never rotated nor removed
 
-	collector *arena.Collector
-	maintTh   *stm.Thread // maintenance thread's STM context
+	maintTh *stm.Thread // maintenance thread's STM context
 
 	rotations    atomic.Uint64
 	removals     atomic.Uint64
@@ -170,7 +171,6 @@ func New(s *stm.STM, opts ...Option) *Tree {
 		variant: c.variant,
 		root:    ar.Alloc(MaxKey, 0),
 	}
-	t.collector = arena.NewCollector(ar)
 	if t.variant == Optimized {
 		t.rotateFn, t.removeFn = t.rotateOptTx, t.removeOptTx
 	} else {

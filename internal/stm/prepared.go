@@ -45,9 +45,9 @@ type Prepared struct {
 // accesses only, no side effects beyond locals, impossible observations
 // answered with Tx.Restart. The operation accounting (pending flag,
 // completed-operation counter, MaxOpReads) opened by Prepare is closed by
-// Finalize or Drop, so the §3.4 garbage collector treats the whole
-// prepared window as one in-flight operation and frees nothing the
-// prepared transaction may still reference.
+// Finalize or Drop, so every thread's §3.4 limbo treats the whole prepared
+// window as one in-flight operation and frees nothing the prepared
+// transaction may still reference.
 func (th *Thread) Prepare(fn func(*Tx)) (*Prepared, bool) {
 	if th.inAtomic {
 		panic("stm: Prepare inside a running transaction; compose by passing *Tx instead")
@@ -58,7 +58,7 @@ func (th *Thread) Prepare(fn func(*Tx)) (*Prepared, bool) {
 	tx := &th.tx
 	tx.begin(CTL)
 	if !th.runPrepareAttempt(tx, fn) {
-		th.finishPreparedOp()
+		th.endOp()
 		return nil, false
 	}
 	th.prep = Prepared{th: th}
@@ -79,7 +79,7 @@ func (th *Thread) runPrepareAttempt(tx *Tx, fn func(*Tx)) (ok bool) {
 			// locks or the attempt's nodes behind, nor the operation open
 			// (see runAttempt).
 			tx.undo()
-			th.finishPreparedOp()
+			th.endOp()
 			panic(r)
 		}
 	}()
@@ -87,18 +87,9 @@ func (th *Thread) runPrepareAttempt(tx *Tx, fn func(*Tx)) (ok bool) {
 	return tx.prepare()
 }
 
-// finishPreparedOp closes the operation accounting opened by Prepare.
-func (th *Thread) finishPreparedOp() {
-	if th.opReads > th.stats.MaxOpReads {
-		th.stats.MaxOpReads = th.opReads
-	}
-	th.completeOp()
-	th.pending.Store(false)
-	th.inAtomic = false
-}
-
 // Finalize publishes the prepared writes and releases the locks, completing
-// the transaction; Thread.LastCommit reports its position from now on — a
+// the transaction: the nodes it retired join the thread's limbo, and
+// Thread.LastCommit reports its position from now on — a
 // prepared-then-dropped attempt publishes nothing and reports 0, exactly
 // like an aborted Atomic attempt.
 func (p *Prepared) Finalize() {
@@ -108,7 +99,7 @@ func (p *Prepared) Finalize() {
 	p.done = true
 	tx := &p.th.tx
 	tx.finalizePrepared()
-	p.th.finishPreparedOp()
+	p.th.endOp()
 }
 
 // WriteVersion returns the clock position the prepared transaction's writes
@@ -120,7 +111,8 @@ func (p *Prepared) WriteVersion() uint64 { return p.th.tx.preparedWV }
 
 // Drop aborts the prepared transaction: locks are released with their
 // pre-lock metadata restored, the buffered writes are discarded, the nodes
-// the attempt allocated are freed, and the attempt is counted as an abort.
+// the attempt allocated are freed, its retires are forgotten, and the
+// attempt is counted as an abort.
 func (p *Prepared) Drop() {
 	if p.done {
 		panic("stm: Drop on a completed Prepared transaction")
@@ -128,7 +120,7 @@ func (p *Prepared) Drop() {
 	p.done = true
 	p.th.tx.undo()
 	p.th.noteAbort(AbortCoordinated)
-	p.th.finishPreparedOp()
+	p.th.endOp()
 }
 
 // prepare drives the attempt to its lock point: acquire the write locks

@@ -187,15 +187,25 @@ func (s *STM) NewThread() *Thread {
 	return th
 }
 
-// Threads returns a snapshot of all registered threads. The maintenance
-// thread uses it to implement the paper's §3.4 garbage-collection epoch
-// scheme (per-thread pending flag and completed-operation counter).
+// Threads returns a snapshot of all registered threads.
 func (s *STM) Threads() []*Thread {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make([]*Thread, len(s.threads))
 	copy(out, s.threads)
 	return out
+}
+
+// snapshotThreads appends every registered thread's pending flag and
+// completed-operation count to buf: the snapshot a limbo generation is
+// sealed under (Thread.Reclaim). It allocates only when buf must grow.
+func (s *STM) snapshotThreads(buf []threadSnap) []threadSnap {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, th := range s.threads {
+		buf = append(buf, threadSnap{th: th, pending: th.Pending(), count: th.OpCount()})
+	}
+	return buf
 }
 
 // TotalStats sums the statistics of every registered thread.

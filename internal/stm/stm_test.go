@@ -185,7 +185,7 @@ func TestForeignPanicPropagatesAndUnlocks(t *testing.T) {
 		t.Fatalf("got %d, want 2", w.Plain())
 	}
 	// And so is the panicking thread: the operation is closed (pending
-	// lowered for the §3.4 collector, one operation counted), also after a
+	// lowered for the §3.4 limbos, one operation counted), also after a
 	// panic out of a read-only one, which must not leave it read-only.
 	if th.Pending() || th.OpCount() != 1 {
 		t.Fatalf("after the panic: pending %t, %d ops completed, want false, 1", th.Pending(), th.OpCount())

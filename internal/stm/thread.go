@@ -10,8 +10,8 @@ import (
 
 // A Thread is the per-goroutine execution context for transactions: it owns
 // a reusable transaction descriptor, statistics, a pseudo-random state for
-// contention-management backoff, and the pending/completed counters that the
-// maintenance thread's garbage collector inspects (paper §3.4).
+// contention-management backoff, the pending/completed counters that every
+// thread's limbo inspects, and its own limbo of retired nodes (paper §3.4).
 //
 // A Thread must not be shared between goroutines.
 type Thread struct {
@@ -55,16 +55,16 @@ type Thread struct {
 
 	// Pending and OpCount implement the epoch scheme of §3.4: "each
 	// application thread maintains a boolean indicating a pending operation
-	// and a counter indicating the number of completed operations". The
-	// maintenance thread snapshots them before a traversal and frees
-	// garbage only once every thread has either completed an operation or
-	// is observed idle.
+	// and a counter indicating the number of completed operations". A
+	// thread's limbo snapshots them when it seals a generation and frees the
+	// generation only once every thread has either completed an operation
+	// or was observed idle (Reclaim).
 	//
 	// They are the only Thread fields read by other goroutines while the
 	// owner is running, so they get a cache line of their own: without the
-	// pads, every collector poll would steal the line holding the owner's
-	// hot counters, and every owner update would invalidate the collector's
-	// copy of whatever shared the line.
+	// pads, every limbo poll would steal the line holding the owner's hot
+	// counters, and every owner update would invalidate the poller's copy
+	// of whatever shared the line.
 	_       cacheLinePad
 	pending atomic.Bool
 	opCount atomic.Uint64
@@ -92,9 +92,110 @@ type Thread struct {
 	// with live, but it is charged on a cold path only, and kept behind tx it
 	// moves none of the offsets above.
 	spinExhausted atomic.Uint64
+
+	// limbo holds what this thread's committed transactions retired until
+	// it is safe to free (Reclaim). Owner-goroutine only; behind tx, so
+	// it moves no offset above.
+	limbo limbo
 }
 
-// completeOp counts one completed operation for the §3.4 collector. The
+// ReclaimBatch is the number of nodes a thread's newest limbo generation
+// collects before the end of an operation steps the limbo (Reclaim). A
+// thread therefore holds at most about twice as many retired nodes as this,
+// unless some other thread stays inside one operation.
+const ReclaimBatch = 64
+
+// limbo is a thread's two-generation list of retired nodes (paper §3.4):
+// nodes[:mark] is the sealed generation, retired before snap was taken, and
+// nodes[mark:] the newest, retired since.
+type limbo struct {
+	nodes []nodeEntry // unlink order, oldest first; refs without retiredBit
+	mark  int
+	snap  []threadSnap
+}
+
+// threadSnap is one thread's pending flag and completed-operation count as
+// a limbo generation was sealed.
+type threadSnap struct {
+	th      *Thread
+	pending bool
+	count   uint64
+}
+
+// Reclaim steps the thread's limbo, never waiting: it frees the sealed
+// generation if every thread that was inside an operation when it was
+// sealed has since completed one, then seals every node retired so far as
+// the next generation under a fresh snapshot of the domain's threads. It
+// returns the number of nodes freed. The end of an operation calls it once
+// the newest generation holds ReclaimBatch nodes, except on a maintenance
+// thread (MarkStructural), whose driver calls it once per pass. Owner
+// goroutine only, outside any transaction.
+//
+// A node is retired only after the transaction that unlinked it committed,
+// so an operation that starts after the snapshot cannot reach it, and one
+// that was running at the snapshot has finished with it once its thread's
+// counter moved: the paper's rule, "if for every thread its counter has
+// increased or if its boolean is false then the nodes up to the previously
+// stored end pointer can be safely freed".
+func (th *Thread) Reclaim() int {
+	l := &th.limbo
+	freed := 0
+	if l.mark > 0 && l.expired() {
+		freed = l.mark
+		for _, e := range l.nodes[:freed] {
+			e.a.Free(e.ref)
+		}
+		n := copy(l.nodes, l.nodes[freed:])
+		clear(l.nodes[n:])
+		l.nodes = l.nodes[:n]
+	}
+	l.mark, l.snap = len(l.nodes), th.stm.snapshotThreads(l.snap[:0])
+	return freed
+}
+
+// expired reports whether no thread is still inside an operation it was
+// running when the sealed generation was snapshotted.
+func (l *limbo) expired() bool {
+	for _, s := range l.snap {
+		if s.pending && s.th.OpCount() == s.count {
+			return false
+		}
+	}
+	return true
+}
+
+// endOp closes the operation Atomic or Prepare opened and hands what its
+// committed transaction retired to the limbo.
+func (th *Thread) endOp() {
+	if th.opReads > th.stats.MaxOpReads {
+		th.stats.MaxOpReads = th.opReads
+	}
+	th.completeOp()
+	th.pending.Store(false)
+	th.inAtomic = false
+	if len(th.tx.nodes) != 0 {
+		th.settle()
+	}
+}
+
+// settle empties the node log of a committed transaction: its allocated
+// nodes are linked and stay, its retired ones join the newest limbo
+// generation. A client thread then steps the limbo once that generation is
+// full.
+func (th *Thread) settle() {
+	tx, l := &th.tx, &th.limbo
+	for _, e := range tx.nodes {
+		if e.ref&retiredBit != 0 {
+			l.nodes = append(l.nodes, nodeEntry{a: e.a, ref: e.ref &^ retiredBit})
+		}
+	}
+	tx.clearNodes()
+	if !th.structural && len(l.nodes)-l.mark >= ReclaimBatch {
+		th.Reclaim()
+	}
+}
+
+// completeOp counts one completed operation for the §3.4 limbos. The
 // published counter is only ever written by the owning goroutine, so a plain
 // atomic store of an owner-local mirror replaces the read-modify-write an
 // atomic increment would cost on the hot path.
@@ -153,8 +254,10 @@ func (th *Thread) noteSpinExhausted() {
 
 // MarkStructural marks this thread as a maintenance (structural) driver:
 // from now on its commits and aborts are additionally counted in
-// Stats.StructuralCommits/StructuralAborts. Call it once right after
-// NewThread, before the thread runs transactions; it is not synchronized.
+// Stats.StructuralCommits/StructuralAborts, and its limbo is stepped only
+// by its driver's Reclaim calls, never at the end of an operation. Call it
+// once right after NewThread, before the thread runs transactions; it is
+// not synchronized.
 func (th *Thread) MarkStructural() { th.structural = true }
 
 // Structural reports whether MarkStructural was called.
@@ -247,9 +350,10 @@ func (th *Thread) Atomic(fn func(*Tx)) {
 // calling Tx.Restart, never by panicking or looping on them.
 //
 // Atomic calls delimit "operations" for the purposes of Stats.MaxOpReads and
-// of the §3.4 garbage-collection counters: the pending flag is raised for
-// the duration of the call and the completed-operation counter is
-// incremented on the way out. Nested calls panic: compose transactions by
+// of the §3.4 reclamation counters: the pending flag is raised for the
+// duration of the call and the completed-operation counter is incremented
+// on the way out, where the nodes the committed transaction retired join
+// the thread's limbo (Tx.Retire). Nested calls panic: compose transactions by
 // passing the *Tx value instead (that is precisely the reusability argument
 // of paper §5.4).
 func (th *Thread) AtomicMode(mode Mode, fn func(*Tx)) {
@@ -261,16 +365,11 @@ func (th *Thread) AtomicMode(mode Mode, fn func(*Tx)) {
 	th.opReads = 0
 	lc := lifecycle{th: th, mode: mode, fn: fn}
 	lc.run()
-	if th.opReads > th.stats.MaxOpReads {
-		th.stats.MaxOpReads = th.opReads
-	}
-	th.completeOp()
-	th.pending.Store(false)
-	th.inAtomic = false
+	th.endOp()
 }
 
 // AtomicRO runs fn as a read-only CTL transaction — an operation exactly as
-// AtomicMode delimits one: pending raised for the §3.4 collector, reads
+// AtomicMode delimits one: pending raised for the §3.4 limbos, reads
 // counted towards Stats.Reads and MaxOpReads, one completed operation on
 // the way out — whose first attempt is unlogged: Tx.Read samples each word
 // as always (unlocked, with a stable meta) and accepts it iff its version is
@@ -336,15 +435,13 @@ func (th *Thread) runAttempt(tx *Tx, fn func(*Tx)) (ok bool) {
 			// locks or the attempt's nodes behind, nor the writer gate
 			// held. Nor may it leave the operation open: AtomicMode closes
 			// it without a defer (this cold branch does it instead), and a
-			// pending flag left raised would stop the §3.4 collector of
-			// every tree in the domain, while inAtomic would make every
-			// later call on the thread a "nested" one.
+			// pending flag left raised would stop the §3.4 limbo of every
+			// thread in the domain, while inAtomic would make every later
+			// call on the thread a "nested" one.
 			tx.undo()
 			th.releaseGate()
 			tx.readOnly, tx.unlogged = false, false
-			th.completeOp()
-			th.pending.Store(false)
-			th.inAtomic = false
+			th.endOp()
 			panic(r)
 		}
 	}()

@@ -29,10 +29,10 @@ type writeEntry struct {
 // structures (E-STM's "cut" preserves only the immediately preceding reads).
 const elasticWindow = 2
 
-// inlineReads/inlineWrites/inlineAllocs size the read and write sets and
-// the allocation log embedded in the descriptor itself. They are sized so
-// the operations of the paper's workloads (tree traversals recording a
-// handful of reads, updates writing a few words and linking at most one
+// inlineReads/inlineWrites/inlineNodes size the read and write sets and
+// the node log embedded in the descriptor itself. They are sized so the
+// operations of the paper's workloads (tree traversals recording a handful
+// of reads, updates writing a few words and linking or unlinking at most one
 // node) fit without ever calling the Go allocator; larger transactions
 // overflow transparently onto heap-backed slices, which the descriptor then
 // retains across attempts and operations. The AllocsPerRun gates in
@@ -40,18 +40,25 @@ const elasticWindow = 2
 const (
 	inlineReads  = 24
 	inlineWrites = 8
-	inlineAllocs = 4
+	inlineNodes  = 4
 )
 
-// Allocator is a node store a transaction can allocate from (Tx.Alloc):
-// *arena.Arena is one. Free must accept any reference Alloc returned.
+// Allocator is a node store a transaction can allocate from (Tx.Alloc) and
+// retire to (Tx.Retire): *arena.Arena is one. Free must accept any
+// reference Alloc returned, and Alloc must return references below
+// retiredBit.
 type Allocator interface {
 	Alloc(k, v uint64) uint64
 	Free(ref uint64)
 }
 
-// allocEntry logs one node an attempt took with Tx.Alloc.
-type allocEntry struct {
+// retiredBit marks a node-log entry made by Tx.Retire; an entry without it
+// was made by Tx.Alloc.
+const retiredBit = 1 << 63
+
+// nodeEntry logs one node an attempt took with Tx.Alloc or unlinked and
+// handed to Tx.Retire (ref | retiredBit).
+type nodeEntry struct {
 	a   Allocator
 	ref uint64
 }
@@ -113,11 +120,12 @@ type Tx struct {
 	readsInline  [inlineReads]readEntry
 	writesInline [inlineWrites]writeEntry
 
-	// allocs logs the nodes the attempt took with Alloc (see there). It
-	// and its inline storage sit behind the read and write sets, so no
-	// offset of the fields above moved when it was added.
-	allocs       []allocEntry
-	allocsInline [inlineAllocs]allocEntry
+	// nodes logs the nodes the attempt took with Alloc and those it
+	// retired with Retire (see there). It and its inline storage sit behind
+	// the read and write sets, so no offset of the fields above moved when
+	// it was added.
+	nodes       []nodeEntry
+	nodesInline [inlineNodes]nodeEntry
 }
 
 // init points the descriptor's read and write sets at their inline storage.
@@ -128,7 +136,7 @@ func (tx *Tx) init(th *Thread) {
 	tx.th = th
 	tx.reads = tx.readsInline[:0]
 	tx.writes = tx.writesInline[:0]
-	tx.allocs = tx.allocsInline[:0]
+	tx.nodes = tx.nodesInline[:0]
 }
 
 // begin resets the descriptor for a fresh attempt.
@@ -143,13 +151,6 @@ func (tx *Tx) begin(mode Mode) {
 	tx.hasWrite = false
 	tx.commitPos = 0
 	tx.preparedWV = 0
-	if len(tx.allocs) != 0 {
-		// The last attempt committed and its nodes are published: forget
-		// them, allocator references included, so the log keeps no arena
-		// alive.
-		clear(tx.allocs)
-		tx.allocs = tx.allocs[:0]
-	}
 }
 
 // Snapshot returns the transaction's current read snapshot position: every
@@ -177,8 +178,18 @@ func (tx *Tx) Restart() { tx.abort(AbortExplicit) }
 // node it allocates, or its commit leaks the node.
 func (tx *Tx) Alloc(a Allocator, k, v uint64) uint64 {
 	ref := a.Alloc(k, v)
-	tx.allocs = append(tx.allocs, allocEntry{a: a, ref: ref})
+	tx.nodes = append(tx.nodes, nodeEntry{a: a, ref: ref})
 	return ref
+}
+
+// Retire logs ref, a node of a that the attempt unlinks. If the attempt
+// commits, the node goes to the thread's limbo, and from there back to a
+// once no operation that was running when it was unlinked can still hold
+// it (paper §3.4; see Thread.Reclaim). If the attempt does not commit, the
+// retire is forgotten: the node stays linked. A committed attempt must have
+// unlinked every node it retires, and retire each once.
+func (tx *Tx) Retire(a Allocator, ref uint64) {
+	tx.nodes = append(tx.nodes, nodeEntry{a: a, ref: ref | retiredBit})
 }
 
 // abort undoes the attempt, counts the abort under its cause and unwinds.
@@ -189,8 +200,9 @@ func (tx *Tx) abort(cause AbortCause) {
 }
 
 // undo rolls back an attempt that will not commit: it restores the
-// pre-lock meta of every write entry that holds a lock and frees every node
-// the attempt allocated. Safe to call when it holds neither.
+// pre-lock meta of every write entry that holds a lock, frees every node
+// the attempt allocated and forgets the ones it retired. Safe to call when
+// it holds none.
 func (tx *Tx) undo() {
 	for i := len(tx.writes) - 1; i >= 0; i-- {
 		e := &tx.writes[i]
@@ -199,12 +211,19 @@ func (tx *Tx) undo() {
 			e.locked = false
 		}
 	}
-	for i := range tx.allocs {
-		e := &tx.allocs[i]
-		e.a.Free(e.ref)
+	for i := range tx.nodes {
+		if e := &tx.nodes[i]; e.ref&retiredBit == 0 {
+			e.a.Free(e.ref)
+		}
 	}
-	clear(tx.allocs)
-	tx.allocs = tx.allocs[:0]
+	tx.clearNodes()
+}
+
+// clearNodes empties the node log, allocator references included, so the
+// log keeps no arena alive.
+func (tx *Tx) clearNodes() {
+	clear(tx.nodes)
+	tx.nodes = tx.nodes[:0]
 }
 
 // Read performs a transactional read of w and returns its value. The read

@@ -1,132 +1,109 @@
 // Package tlist implements a transactional sorted singly linked list, the
 // substrate the vacation application uses for each customer's reservation
 // list (STAMP's list_t). Entries map a uint64 key to a uint64 value and are
-// kept in ascending key order behind a fixed sentinel head, so all accesses
-// compose with any enclosing transaction.
+// kept in ascending key order, so all accesses compose with any enclosing
+// transaction.
+//
+// An entry is an arena.Node of a caller-supplied arena, which many lists
+// may share: an insert takes its node with stm.Tx.Alloc and a removal
+// retires it with stm.Tx.Retire, so an attempt that does not commit gives
+// its node back, and a removed entry is recycled once no operation that
+// could still hold it is running (paper §3.4).
 package tlist
 
 import (
-	"sync"
-
+	"repro/internal/arena"
 	"repro/internal/stm"
 )
 
-// entry is one list cell. Cells are heap-allocated Go objects (kept alive
-// by the nodes slice so a stale traversal can never observe recycled
-// memory) with transactional next links and values.
-type entry struct {
-	key  uint64
-	val  stm.Word
-	next stm.Word // index+1 of the next entry, 0 = end of list
-}
+// An entry uses three words of its node: Key holds the key (immutable while
+// the entry is linked, read with Plain), Val the value and L the Ref of the
+// next entry (arena.Nil ends the list).
 
 // List is a transactional sorted linked list. The zero value is not usable;
 // call New.
 type List struct {
-	mu    sync.Mutex
-	cells []*entry // index 0 is the sentinel head
+	ar   *arena.Arena
+	head stm.Word // Ref of the first entry, arena.Nil when empty
 }
 
-// New creates an empty list.
-func New() *List {
-	l := &List{}
-	l.cells = append(l.cells, &entry{}) // sentinel; key unused
-	return l
-}
+// New creates an empty list whose entries live in ar. It allocates no
+// node, so a transaction attempt may create a list and abort.
+func New(ar *arena.Arena) *List { return &List{ar: ar} }
 
-// cell resolves the 1-based handle stored in next links (h-1 indexes cells).
-func (l *List) cell(h uint64) *entry { return l.cellsSnapshot()[h-1] }
-
-func (l *List) cellsSnapshot() []*entry {
-	l.mu.Lock()
-	c := l.cells
-	l.mu.Unlock()
-	return c
-}
-
-// alloc appends a fresh cell and returns its handle.
-func (l *List) alloc(key, val uint64) uint64 {
-	e := &entry{key: key}
-	e.val.SetPlain(val)
-	l.mu.Lock()
-	l.cells = append(l.cells, e)
-	h := uint64(len(l.cells))
-	l.mu.Unlock()
-	return h
-}
-
-// head returns the sentinel.
-func (l *List) head() *entry { return l.cellsSnapshot()[0] }
-
-// locate returns the predecessor entry of key k (the last entry with
-// key < k, possibly the sentinel) and the handle of the entry at or after k.
-func (l *List) locate(tx *stm.Tx, k uint64) (*entry, uint64) {
-	prev := l.head()
-	cur := tx.Read(&prev.next)
-	for cur != 0 {
-		c := l.cell(cur)
-		if c.key >= k {
+// locate returns the link to the first entry with key >= k (the head word
+// or the predecessor's next link) and that entry's Ref, Nil at the end.
+func (l *List) locate(tx *stm.Tx, k uint64) (*stm.Word, arena.Ref) {
+	link := &l.head
+	cur := tx.Read(link)
+	for cur != arena.Nil {
+		n := l.ar.Get(cur)
+		if n.Key.Plain() >= k {
 			break
 		}
-		prev = c
-		cur = tx.Read(&c.next)
+		link = &n.L
+		cur = tx.Read(link)
 	}
-	return prev, cur
+	return link, cur
+}
+
+// find returns the node holding k, or nil, and the link that leads to the
+// first entry with key >= k.
+func (l *List) find(tx *stm.Tx, k uint64) (*stm.Word, arena.Ref, *arena.Node) {
+	link, cur := l.locate(tx, k)
+	if cur == arena.Nil {
+		return link, cur, nil
+	}
+	if n := l.ar.Get(cur); n.Key.Plain() == k {
+		return link, cur, n
+	}
+	return link, cur, nil
+}
+
+// insert links a new entry (k, v) at link, in front of next.
+func (l *List) insert(tx *stm.Tx, link *stm.Word, next arena.Ref, k, v uint64) {
+	r := tx.Alloc(l.ar, k, v)
+	l.ar.Get(r).L.SetPlain(next)
+	tx.Write(link, r)
 }
 
 // InsertTx inserts (k, v) if k is absent; returns false when present.
 func (l *List) InsertTx(tx *stm.Tx, k, v uint64) bool {
-	prev, cur := l.locate(tx, k)
-	if cur != 0 && l.cell(cur).key == k {
+	link, cur, n := l.find(tx, k)
+	if n != nil {
 		return false
 	}
-	h := l.alloc(k, v)
-	e := l.cell(h)
-	e.next.SetPlain(cur)
-	tx.Write(&prev.next, h)
+	l.insert(tx, link, cur, k, v)
 	return true
 }
 
 // SetTx inserts (k, v) or overwrites the value when k is present.
 func (l *List) SetTx(tx *stm.Tx, k, v uint64) {
-	prev, cur := l.locate(tx, k)
-	if cur != 0 {
-		if c := l.cell(cur); c.key == k {
-			tx.Write(&c.val, v)
-			return
-		}
+	link, cur, n := l.find(tx, k)
+	if n != nil {
+		tx.Write(&n.Val, v)
+		return
 	}
-	h := l.alloc(k, v)
-	e := l.cell(h)
-	e.next.SetPlain(cur)
-	tx.Write(&prev.next, h)
+	l.insert(tx, link, cur, k, v)
 }
 
 // RemoveTx removes k; returns false when absent.
 func (l *List) RemoveTx(tx *stm.Tx, k uint64) bool {
-	prev, cur := l.locate(tx, k)
-	if cur == 0 {
+	link, cur, n := l.find(tx, k)
+	if n == nil {
 		return false
 	}
-	c := l.cell(cur)
-	if c.key != k {
-		return false
-	}
-	tx.Write(&prev.next, tx.Read(&c.next))
+	tx.Write(link, tx.Read(&n.L))
+	tx.Retire(l.ar, cur)
 	return true
 }
 
 // GetTx returns the value at k.
 func (l *List) GetTx(tx *stm.Tx, k uint64) (uint64, bool) {
-	_, cur := l.locate(tx, k)
-	if cur == 0 {
-		return 0, false
+	if _, _, n := l.find(tx, k); n != nil {
+		return tx.Read(&n.Val), true
 	}
-	c := l.cell(cur)
-	if c.key != k {
-		return 0, false
-	}
-	return tx.Read(&c.val), true
+	return 0, false
 }
 
 // ContainsTx reports whether k is present.
@@ -138,33 +115,28 @@ func (l *List) ContainsTx(tx *stm.Tx, k uint64) bool {
 // LenTx counts the entries.
 func (l *List) LenTx(tx *stm.Tx) int {
 	n := 0
-	cur := tx.Read(&l.head().next)
-	for cur != 0 {
-		n++
-		cur = tx.Read(&l.cell(cur).next)
-	}
+	l.walk(tx, func(*arena.Node) { n++ })
 	return n
 }
 
 // KeysTx returns the keys in ascending order.
 func (l *List) KeysTx(tx *stm.Tx) []uint64 {
 	var out []uint64
-	cur := tx.Read(&l.head().next)
-	for cur != 0 {
-		c := l.cell(cur)
-		out = append(out, c.key)
-		cur = tx.Read(&c.next)
-	}
+	l.walk(tx, func(n *arena.Node) { out = append(out, n.Key.Plain()) })
 	return out
 }
 
 // EachTx visits every (key, value) pair in ascending key order.
 func (l *List) EachTx(tx *stm.Tx, f func(k, v uint64)) {
-	cur := tx.Read(&l.head().next)
-	for cur != 0 {
-		c := l.cell(cur)
-		f(c.key, tx.Read(&c.val))
-		cur = tx.Read(&c.next)
+	l.walk(tx, func(n *arena.Node) { f(n.Key.Plain(), tx.Read(&n.Val)) })
+}
+
+// walk visits every entry's node in key order, reading only the links.
+func (l *List) walk(tx *stm.Tx, visit func(*arena.Node)) {
+	for cur := tx.Read(&l.head); cur != arena.Nil; {
+		n := l.ar.Get(cur)
+		visit(n)
+		cur = tx.Read(&n.L)
 	}
 }
 
@@ -179,15 +151,15 @@ func (l *List) RangeTx(tx *stm.Tx, lo, hi uint64, fn func(k, v uint64) bool) boo
 		return true
 	}
 	_, cur := l.locate(tx, lo)
-	for cur != 0 {
-		c := l.cell(cur)
-		if c.key > hi {
+	for cur != arena.Nil {
+		n := l.ar.Get(cur)
+		if n.Key.Plain() > hi {
 			return true
 		}
-		if !fn(c.key, tx.Read(&c.val)) {
+		if !fn(n.Key.Plain(), tx.Read(&n.Val)) {
 			return false
 		}
-		cur = tx.Read(&c.next)
+		cur = tx.Read(&n.L)
 	}
 	return true
 }

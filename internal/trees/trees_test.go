@@ -334,7 +334,9 @@ func TestSetTxOnAllKinds(t *testing.T) {
 // TestAbortedAttemptFreesItsNode: on every kind, an attempt that links a
 // fresh node and then aborts gives the node back to the tree's arena, so
 // the committed retry leaves exactly one node more — through InsertTx and
-// through SetTx alike.
+// through SetTx alike. An attempt that deletes the key (retiring its node
+// on the kinds that unlink at once) and then aborts frees nothing, even
+// once the thread's limbo is stepped.
 func TestAbortedAttemptFreesItsNode(t *testing.T) {
 	paths := []struct {
 		name string
@@ -371,6 +373,24 @@ func TestAbortedAttemptFreesItsNode(t *testing.T) {
 					}
 					if v, ok := m.Get(th, 2); !ok || v != 2 {
 						t.Fatalf("key 2 = (%d,%v), want 2", v, ok)
+					}
+
+					attempts = 0
+					Atomic(m, th, func(tx *stm.Tx) {
+						if attempts++; attempts == 1 {
+							if !m.DeleteTx(tx, 2) {
+								t.Error("delete of a present key failed")
+							}
+							tx.Restart()
+						}
+					})
+					th.Reclaim()
+					th.Reclaim()
+					if got := ar.Live(); got != before+1 {
+						t.Fatalf("arena live %d after an aborted delete, want %d", got, before+1)
+					}
+					if v, ok := m.Get(th, 2); !ok || v != 2 {
+						t.Fatalf("key 2 = (%d,%v) after an aborted delete, want 2", v, ok)
 					}
 				})
 			}

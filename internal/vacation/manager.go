@@ -3,6 +3,7 @@ package vacation
 import (
 	"fmt"
 
+	"repro/internal/arena"
 	"repro/internal/stm"
 	"repro/internal/tlist"
 	"repro/internal/trees"
@@ -28,6 +29,9 @@ type Manager struct {
 	tables [numResTypes]trees.Map // car/flight/room directories
 	cust   trees.Map              // customer directory
 
+	// lists holds the entries of every customer's reservation list.
+	lists *arena.Arena
+
 	resRecords  registry[Reservation]
 	custRecords registry[Customer]
 }
@@ -35,7 +39,7 @@ type Manager struct {
 // NewManager creates an empty database whose four directories are trees of
 // the given kind.
 func NewManager(s *stm.STM, kind trees.Kind) *Manager {
-	m := &Manager{s: s}
+	m := &Manager{s: s, lists: arena.New()}
 	for i := range m.tables {
 		m.tables[i] = trees.New(kind, s)
 	}
@@ -134,7 +138,7 @@ func (m *Manager) AddCustomer(tx *stm.Tx, id uint64) bool {
 	if m.cust.ContainsTx(tx, id) {
 		return false
 	}
-	c := &Customer{id: id, reservations: tlist.New()}
+	c := &Customer{id: id, reservations: tlist.New(m.lists)}
 	return m.cust.InsertTx(tx, id, m.custRecords.add(c))
 }
 

@@ -207,10 +207,12 @@ func TestTreeTracingFacade(t *testing.T) {
 
 // TestSnapshotSinceWindow checks /snapshot?since=<seq> windowed diffing:
 // the second scrape hands back the first's seq and must come back windowed,
-// with counter samples showing only the delta between the scrapes.
+// with counter samples showing only the delta between the scrapes. The
+// tree runs without maintenance, so the test's own inserts are the only
+// commits between the scrapes and the delta is exact.
 func TestSnapshotSinceWindow(t *testing.T) {
 	tr := NewTree(SpeculationFriendlyOptimized,
-		WithShards(2), WithObservability("127.0.0.1:0"))
+		WithShards(2), WithObservability("127.0.0.1:0"), WithoutMaintenance())
 	defer tr.Close()
 	h := tr.NewHandle()
 	for i := uint64(0); i < 100; i++ {
@@ -263,8 +265,8 @@ func TestSnapshotSinceWindow(t *testing.T) {
 	}
 	// The window holds the delta only: the commits between the scrapes, not
 	// the lifetime total.
-	if d := commits(diff); d < extra || d >= base+extra {
-		t.Errorf("windowed commits = %.0f, want a delta in [%d, %.0f)", d, extra, base+extra)
+	if d := commits(diff); d != extra {
+		t.Errorf("windowed commits = %.0f, want the delta %d (lifetime total %.0f)", d, extra, base+extra)
 	}
 
 	// An aged-out or unknown seq falls back to a full snapshot.

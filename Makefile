@@ -91,15 +91,17 @@ experiments-smoke:
 	$(GO) run ./cmd/experiments -duration 20ms -threads 1,2 all
 
 # The runnable programs end to end: the four examples/ and a short checked
-# vacation run. Each checks itself — move and travel panic on a broken
-# invariant, vacation -check exits 1 on an inconsistent database — so the
-# target fails when one of them does.
+# vacation run on every tree kind. Each checks itself — move and travel
+# panic on a broken invariant, vacation exits 1 on an inconsistent
+# database — so the target fails when one of them does.
 examples-smoke:
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/move
 	$(GO) run ./examples/biased
 	$(GO) run ./examples/travel
-	$(GO) run ./cmd/vacation -check -t 2000 -clients 2
+	for tree in sf sf-opt rb avl nr; do \
+		$(GO) run ./cmd/vacation -check -tree $$tree -t 2000 -clients 4 || exit 1; \
+	done
 
 # The repo benchmark end to end at smoke size: ./benchmark is built once,
 # then every workload BENCHMARK.json declares runs at -quick, untraced

@@ -179,9 +179,8 @@ func BenchmarkFig5b(b *testing.B) {
 
 // BenchmarkFig6 regenerates Fig. 6's macro-benchmark: b.N vacation client
 // transactions against each tree library under both contention presets
-// (speedups over sequential are computed by cmd/experiments; here the
-// sub-benchmark time ratios carry the same information, including the
-// Sequential baseline itself).
+// (cmd/experiments reports speedups over the red-black tree at one thread;
+// here the sub-benchmark time ratios carry the same information).
 func BenchmarkFig6(b *testing.B) {
 	presets := []struct {
 		name string
@@ -193,13 +192,6 @@ func BenchmarkFig6(b *testing.B) {
 	const relations = 1024
 	for _, preset := range presets {
 		cfg := preset.mk(relations, 0)
-		b.Run(fmt.Sprintf("%s/Sequential", preset.name), func(b *testing.B) {
-			m := vacation.NewSeqManager()
-			vacation.PopulateSeq(m, cfg, 5)
-			cl := vacation.NewSeqClient(m, cfg, 6)
-			b.ResetTimer()
-			cl.Run(b.N)
-		})
 		for _, kind := range []trees.Kind{trees.RB, trees.SFOpt, trees.NR} {
 			b.Run(fmt.Sprintf("%s/%s", preset.name, kind), func(b *testing.B) {
 				s := stm.New(stm.WithYield(yieldEvery), stm.WithContentionManager(stm.Suicide()))
@@ -218,13 +210,7 @@ func BenchmarkFig6(b *testing.B) {
 					}
 				})
 				b.StopTimer()
-				var rot uint64
-				for t := vacation.Car; t <= vacation.Room; t++ {
-					if r, ok := trees.Rotations(m.Table(t)); ok {
-						rot += r
-					}
-				}
-				b.ReportMetric(float64(rot), "rotations")
+				b.ReportMetric(float64(m.Rotations()), "rotations")
 			})
 		}
 	}

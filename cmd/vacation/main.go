@@ -1,6 +1,7 @@
 // Command vacation runs the STAMP travel-reservation macro-benchmark
-// (paper §5.5) on a chosen tree library and prints duration, throughput and
-// speedup over the bare sequential implementation. Example:
+// (paper §5.5) on a chosen tree library and prints duration, throughput,
+// STM commits and aborts, and rotations. Every run checks the database's
+// consistency afterwards and exits 1 when it fails. Example:
 //
 //	vacation -tree sf-opt -clients 8 -contention high -t 32768 -r 4096
 //	vacation -tree rb -contention low -check
@@ -13,10 +14,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sync"
-	"time"
 
-	"repro/internal/stm"
 	"repro/internal/trees"
 	"repro/internal/vacation"
 )
@@ -31,7 +29,7 @@ func main() {
 	qPct := flag.Int("q", 0, "override query percentage (-q)")
 	uPct := flag.Int("u", 0, "override user-transaction percentage (-u)")
 	seed := flag.Int64("seed", 42, "workload seed")
-	check := flag.Bool("check", false, "verify database consistency afterwards")
+	check := flag.Bool("check", false, "print the consistency verdict (the check always runs)")
 	yieldEvery := flag.Int("yield", 0, "STM interleaving simulation: yield every N accesses (0 off)")
 	flag.Parse()
 
@@ -55,72 +53,20 @@ func main() {
 		cfg.UserPercent = *uPct
 	}
 
-	// Sequential baseline.
-	sm := vacation.NewSeqManager()
-	vacation.PopulateSeq(sm, cfg, *seed)
-	seqClient := vacation.NewSeqClient(sm, cfg, *seed+1)
-	seqStart := time.Now()
-	seqClient.Run(cfg.NumTransactions)
-	seqDur := time.Since(seqStart)
-
-	// Concurrent run.
-	s := stm.New(stm.WithYield(*yieldEvery), stm.WithContentionManager(stm.Suicide()))
-	m := vacation.NewManager(s, trees.Kind(*tree))
-	setup := s.NewThread()
-	vacation.Populate(m, setup, cfg, *seed)
-	stopMaint := m.StartMaintenance()
-	per := cfg.NumTransactions / *clients
-	if per == 0 {
-		per = 1
-	}
-	cls := make([]*vacation.Client, *clients)
-	for i := range cls {
-		cls[i] = vacation.NewClient(m, s.NewThread(), cfg, *seed+int64(i)+1)
-	}
-	var wg sync.WaitGroup
-	start := time.Now()
-	for _, cl := range cls {
-		wg.Add(1)
-		go func(cl *vacation.Client) {
-			defer wg.Done()
-			cl.Run(per)
-		}(cl)
-	}
-	wg.Wait()
-	dur := time.Since(start)
-	stopMaint()
-
-	var total vacation.ActionCounts
-	for _, cl := range cls {
-		total.MakeReservation += cl.Counts.MakeReservation
-		total.DeleteCustomer += cl.Counts.DeleteCustomer
-		total.UpdateTables += cl.Counts.UpdateTables
-	}
-	st := s.TotalStats()
+	res, err := vacation.Run(trees.Kind(*tree), cfg, *clients, *seed, *yieldEvery)
 	fmt.Printf("tree=%s clients=%d contention=%s relations=%d transactions=%d\n",
-		*tree, *clients, *contention, cfg.NumRelations, int(total.Total()))
+		*tree, *clients, *contention, cfg.NumRelations, int(res.Counts.Total()))
 	fmt.Printf("mix: make-reservation=%d delete-customer=%d update-tables=%d\n",
-		total.MakeReservation, total.DeleteCustomer, total.UpdateTables)
-	fmt.Printf("duration=%.3fs  throughput=%.0f tx/s  sequential=%.3fs  speedup=%.2f\n",
-		dur.Seconds(), float64(total.Total())/dur.Seconds(), seqDur.Seconds(),
-		seqDur.Seconds()/dur.Seconds())
-	fmt.Printf("stm: commits=%d aborts=%d abort-rate=%.4f\n", st.Commits, st.Aborts, st.AbortRate())
-	var rot uint64
-	for t := vacation.Car; t <= vacation.Room; t++ {
-		if r, ok := trees.Rotations(m.Table(t)); ok {
-			rot += r
-		}
+		res.Counts.MakeReservation, res.Counts.DeleteCustomer, res.Counts.UpdateTables)
+	fmt.Printf("duration=%.3fs  throughput=%.0f tx/s\n",
+		res.Duration.Seconds(), float64(res.Counts.Total())/res.Duration.Seconds())
+	fmt.Printf("stm: commits=%d aborts=%d abort-rate=%.4f\n", res.Stats.Commits, res.Stats.Aborts, res.Stats.AbortRate())
+	fmt.Printf("rotations=%d\n", res.Rotations)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "vacation: CONSISTENCY FAILURE: %v\n", err)
+		os.Exit(1)
 	}
-	if r, ok := trees.Rotations(m.Customers()); ok {
-		rot += r
-	}
-	fmt.Printf("rotations=%d\n", rot)
-
 	if *check {
-		if err := m.CheckConsistency(setup); err != nil {
-			fmt.Fprintf(os.Stderr, "vacation: CONSISTENCY FAILURE: %v\n", err)
-			os.Exit(1)
-		}
 		fmt.Println("consistency: OK")
 	}
 }

@@ -18,7 +18,7 @@ import (
 func TestChurnRecyclesCells(t *testing.T) {
 	th := stm.New().NewThread()
 	ar := arena.New()
-	l := New(ar)
+	l := New(ar, new(stm.Word))
 	const cycles = 10000
 	for i := uint64(0); i < cycles; i++ {
 		ok := true
@@ -36,6 +36,40 @@ func TestChurnRecyclesCells(t *testing.T) {
 	}
 }
 
+// TestDrainRetiresEveryCell: DrainTx visits the entries in key order,
+// leaves the list empty, and once the limbo has stepped twice every cell
+// is back in the arena.
+func TestDrainRetiresEveryCell(t *testing.T) {
+	th := stm.New().NewThread()
+	ar := arena.New()
+	l := New(ar, new(stm.Word))
+	run(th, func(tx *stm.Tx) {
+		for _, k := range []uint64{7, 3, 5} {
+			l.InsertTx(tx, k, 10*k)
+		}
+	})
+	var seen []uint64
+	run(th, func(tx *stm.Tx) {
+		seen = seen[:0]
+		l.DrainTx(tx, func(k, v uint64) {
+			if v != 10*k {
+				t.Errorf("key %d: value %d", k, v)
+			}
+			seen = append(seen, k)
+		})
+	})
+	if fmt.Sprint(seen) != "[3 5 7]" {
+		t.Fatalf("drain visited %v, want [3 5 7]", seen)
+	}
+	var size int
+	run(th, func(tx *stm.Tx) { size = l.LenTx(tx) })
+	th.Reclaim()
+	th.Reclaim()
+	if live := ar.Live(); size != 0 || live != 0 {
+		t.Fatalf("after drain: %d entries, %d cells live; want 0 and 0", size, live)
+	}
+}
+
 // TestRecycledCellsNeverMisread: readers walk two lists sharing one arena
 // while removers retire cells and inserters take the freed ones back. A
 // key of list i only ever holds val(i, key) and a walk must see its keys in
@@ -50,7 +84,7 @@ func TestChurnRecyclesCells(t *testing.T) {
 func TestRecycledCellsNeverMisread(t *testing.T) {
 	s := stm.New()
 	ar := arena.New()
-	lists := [2]*List{New(ar), New(ar)}
+	lists := [2]List{New(ar, new(stm.Word)), New(ar, new(stm.Word))}
 	const keys, writes = 32, 20000
 	val := func(i int, k uint64) uint64 { return k<<32 | uint64(i) }
 	var writers, readers sync.WaitGroup

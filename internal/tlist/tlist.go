@@ -20,21 +20,23 @@ import (
 // the entry is linked, read with Plain), Val the value and L the Ref of the
 // next entry (arena.Nil ends the list).
 
-// List is a transactional sorted linked list. The zero value is not usable;
-// call New.
+// List is a transactional sorted linked list: an arena and the word that
+// holds the Ref of its first entry (arena.Nil when empty), which may be a
+// word of another arena node. A List is a value that allocates nothing, so
+// any transaction attempt may make one for a head it can reach.
 type List struct {
 	ar   *arena.Arena
-	head stm.Word // Ref of the first entry, arena.Nil when empty
+	head *stm.Word
 }
 
-// New creates an empty list whose entries live in ar. It allocates no
-// node, so a transaction attempt may create a list and abort.
-func New(ar *arena.Arena) *List { return &List{ar: ar} }
+// New returns the list whose entries live in ar and whose first entry's
+// Ref is held by head. A zeroed head is an empty list.
+func New(ar *arena.Arena, head *stm.Word) List { return List{ar: ar, head: head} }
 
 // locate returns the link to the first entry with key >= k (the head word
 // or the predecessor's next link) and that entry's Ref, Nil at the end.
-func (l *List) locate(tx *stm.Tx, k uint64) (*stm.Word, arena.Ref) {
-	link := &l.head
+func (l List) locate(tx *stm.Tx, k uint64) (*stm.Word, arena.Ref) {
+	link := l.head
 	cur := tx.Read(link)
 	for cur != arena.Nil {
 		n := l.ar.Get(cur)
@@ -49,7 +51,7 @@ func (l *List) locate(tx *stm.Tx, k uint64) (*stm.Word, arena.Ref) {
 
 // find returns the node holding k, or nil, and the link that leads to the
 // first entry with key >= k.
-func (l *List) find(tx *stm.Tx, k uint64) (*stm.Word, arena.Ref, *arena.Node) {
+func (l List) find(tx *stm.Tx, k uint64) (*stm.Word, arena.Ref, *arena.Node) {
 	link, cur := l.locate(tx, k)
 	if cur == arena.Nil {
 		return link, cur, nil
@@ -61,14 +63,14 @@ func (l *List) find(tx *stm.Tx, k uint64) (*stm.Word, arena.Ref, *arena.Node) {
 }
 
 // insert links a new entry (k, v) at link, in front of next.
-func (l *List) insert(tx *stm.Tx, link *stm.Word, next arena.Ref, k, v uint64) {
+func (l List) insert(tx *stm.Tx, link *stm.Word, next arena.Ref, k, v uint64) {
 	r := tx.Alloc(l.ar, k, v)
 	l.ar.Get(r).L.SetPlain(next)
 	tx.Write(link, r)
 }
 
 // InsertTx inserts (k, v) if k is absent; returns false when present.
-func (l *List) InsertTx(tx *stm.Tx, k, v uint64) bool {
+func (l List) InsertTx(tx *stm.Tx, k, v uint64) bool {
 	link, cur, n := l.find(tx, k)
 	if n != nil {
 		return false
@@ -78,7 +80,7 @@ func (l *List) InsertTx(tx *stm.Tx, k, v uint64) bool {
 }
 
 // SetTx inserts (k, v) or overwrites the value when k is present.
-func (l *List) SetTx(tx *stm.Tx, k, v uint64) {
+func (l List) SetTx(tx *stm.Tx, k, v uint64) {
 	link, cur, n := l.find(tx, k)
 	if n != nil {
 		tx.Write(&n.Val, v)
@@ -88,7 +90,7 @@ func (l *List) SetTx(tx *stm.Tx, k, v uint64) {
 }
 
 // RemoveTx removes k; returns false when absent.
-func (l *List) RemoveTx(tx *stm.Tx, k uint64) bool {
+func (l List) RemoveTx(tx *stm.Tx, k uint64) bool {
 	link, cur, n := l.find(tx, k)
 	if n == nil {
 		return false
@@ -99,7 +101,7 @@ func (l *List) RemoveTx(tx *stm.Tx, k uint64) bool {
 }
 
 // GetTx returns the value at k.
-func (l *List) GetTx(tx *stm.Tx, k uint64) (uint64, bool) {
+func (l List) GetTx(tx *stm.Tx, k uint64) (uint64, bool) {
 	if _, _, n := l.find(tx, k); n != nil {
 		return tx.Read(&n.Val), true
 	}
@@ -107,35 +109,45 @@ func (l *List) GetTx(tx *stm.Tx, k uint64) (uint64, bool) {
 }
 
 // ContainsTx reports whether k is present.
-func (l *List) ContainsTx(tx *stm.Tx, k uint64) bool {
+func (l List) ContainsTx(tx *stm.Tx, k uint64) bool {
 	_, ok := l.GetTx(tx, k)
 	return ok
 }
 
 // LenTx counts the entries.
-func (l *List) LenTx(tx *stm.Tx) int {
+func (l List) LenTx(tx *stm.Tx) int {
 	n := 0
-	l.walk(tx, func(*arena.Node) { n++ })
+	l.walk(tx, func(arena.Ref, *arena.Node) { n++ })
 	return n
 }
 
 // KeysTx returns the keys in ascending order.
-func (l *List) KeysTx(tx *stm.Tx) []uint64 {
+func (l List) KeysTx(tx *stm.Tx) []uint64 {
 	var out []uint64
-	l.walk(tx, func(n *arena.Node) { out = append(out, n.Key.Plain()) })
+	l.walk(tx, func(_ arena.Ref, n *arena.Node) { out = append(out, n.Key.Plain()) })
 	return out
 }
 
 // EachTx visits every (key, value) pair in ascending key order.
-func (l *List) EachTx(tx *stm.Tx, f func(k, v uint64)) {
-	l.walk(tx, func(n *arena.Node) { f(n.Key.Plain(), tx.Read(&n.Val)) })
+func (l List) EachTx(tx *stm.Tx, f func(k, v uint64)) {
+	l.walk(tx, func(_ arena.Ref, n *arena.Node) { f(n.Key.Plain(), tx.Read(&n.Val)) })
 }
 
-// walk visits every entry's node in key order, reading only the links.
-func (l *List) walk(tx *stm.Tx, visit func(*arena.Node)) {
-	for cur := tx.Read(&l.head); cur != arena.Nil; {
+// DrainTx empties the list: it visits every (key, value) pair in ascending
+// key order, unlinks every entry and retires its node.
+func (l List) DrainTx(tx *stm.Tx, f func(k, v uint64)) {
+	l.walk(tx, func(r arena.Ref, n *arena.Node) {
+		f(n.Key.Plain(), tx.Read(&n.Val))
+		tx.Retire(l.ar, r)
+	})
+	tx.Write(l.head, arena.Nil)
+}
+
+// walk visits every entry in key order, reading only the links.
+func (l List) walk(tx *stm.Tx, visit func(arena.Ref, *arena.Node)) {
+	for cur := tx.Read(l.head); cur != arena.Nil; {
 		n := l.ar.Get(cur)
-		visit(n)
+		visit(cur, n)
 		cur = tx.Read(&n.L)
 	}
 }
@@ -146,7 +158,7 @@ func (l *List) walk(tx *stm.Tx, visit func(*arena.Node)) {
 // at or after lo (locate) and end at the first key above hi, so the read
 // set covers only the prefix up to the end of the interval. RangeTx reports
 // whether the scan ran to the end of the interval.
-func (l *List) RangeTx(tx *stm.Tx, lo, hi uint64, fn func(k, v uint64) bool) bool {
+func (l List) RangeTx(tx *stm.Tx, lo, hi uint64, fn func(k, v uint64) bool) bool {
 	if lo > hi {
 		return true
 	}

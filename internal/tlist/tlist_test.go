@@ -16,7 +16,7 @@ func run(th *stm.Thread, f func(tx *stm.Tx)) { th.Atomic(f) }
 func TestBasicOps(t *testing.T) {
 	s := stm.New()
 	th := s.NewThread()
-	l := New(arena.New())
+	l := New(arena.New(), new(stm.Word))
 	run(th, func(tx *stm.Tx) {
 		if !l.InsertTx(tx, 5, 50) {
 			t.Error("insert 5 failed")
@@ -56,7 +56,7 @@ func TestBasicOps(t *testing.T) {
 func TestSetOverwrites(t *testing.T) {
 	s := stm.New()
 	th := s.NewThread()
-	l := New(arena.New())
+	l := New(arena.New(), new(stm.Word))
 	run(th, func(tx *stm.Tx) {
 		l.SetTx(tx, 1, 10)
 		l.SetTx(tx, 1, 11)
@@ -75,7 +75,7 @@ func TestSetOverwrites(t *testing.T) {
 func TestEachVisitsInOrder(t *testing.T) {
 	s := stm.New()
 	th := s.NewThread()
-	l := New(arena.New())
+	l := New(arena.New(), new(stm.Word))
 	run(th, func(tx *stm.Tx) {
 		for _, k := range []uint64{9, 1, 5, 3, 7} {
 			l.InsertTx(tx, k, k*2)
@@ -99,7 +99,7 @@ func TestEachVisitsInOrder(t *testing.T) {
 func TestRangeTx(t *testing.T) {
 	s := stm.New()
 	th := s.NewThread()
-	l := New(arena.New())
+	l := New(arena.New(), new(stm.Word))
 	run(th, func(tx *stm.Tx) {
 		for _, k := range []uint64{2, 4, 6, 8, 10, 12} {
 			l.InsertTx(tx, k, k*10)
@@ -151,7 +151,7 @@ func TestOracleProperty(t *testing.T) {
 	s := stm.New()
 	th := s.NewThread()
 	f := func(ops []uint16) bool {
-		l := New(arena.New())
+		l := New(arena.New(), new(stm.Word))
 		oracle := map[uint64]uint64{}
 		for i, o := range ops {
 			k := uint64(o % 32)
@@ -192,7 +192,7 @@ func TestOracleProperty(t *testing.T) {
 
 func TestConcurrentInsertDisjoint(t *testing.T) {
 	s := stm.New()
-	l := New(arena.New())
+	l := New(arena.New(), new(stm.Word))
 	const goroutines = 4
 	const per = 100
 	var wg sync.WaitGroup
@@ -223,7 +223,7 @@ func TestConcurrentInsertDisjoint(t *testing.T) {
 
 func TestConcurrentMixedStress(t *testing.T) {
 	s := stm.New()
-	l := New(arena.New())
+	l := New(arena.New(), new(stm.Word))
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		th := s.NewThread()

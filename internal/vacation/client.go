@@ -88,12 +88,34 @@ type Client struct {
 	rng *rand.Rand
 	cfg Config
 
+	// The current action's plan, drawn before its transaction so that
+	// every attempt replays the same queries (the STAMP client draws
+	// outside TM_BEGIN too), and the three action bodies, bound once in
+	// NewClient: a warmed-up client allocates nothing per transaction.
+	customerID uint64
+	plan       []query
+	makeBody   func(*stm.Tx)
+	deleteBody func(*stm.Tx)
+	updateBody func(*stm.Tx)
+
 	Counts ActionCounts
+}
+
+// query is one planned table access: make-reservation reads t/id,
+// update-tables adds (add) or removes 100 units of t/id at price.
+type query struct {
+	t     ResType
+	id    uint64
+	add   bool
+	price int64
 }
 
 // NewClient creates a client with its own deterministic random stream.
 func NewClient(m *Manager, th *stm.Thread, cfg Config, seed int64) *Client {
-	return &Client{m: m, th: th, rng: rand.New(rand.NewSource(seed)), cfg: cfg}
+	c := &Client{m: m, th: th, rng: rand.New(rand.NewSource(seed)), cfg: cfg,
+		plan: make([]query, 0, cfg.NumQueryPerTx)}
+	c.makeBody, c.deleteBody, c.updateBody = c.makeReservationTx, c.deleteCustomerTx, c.updateTablesTx
+	return c
 }
 
 // Run executes n client transactions, choosing actions with STAMP's
@@ -119,60 +141,51 @@ func (c *Client) Run(n int) {
 func (c *Client) makeReservation() {
 	c.Counts.MakeReservation++
 	qr := c.cfg.QueryRange()
-	numQuery := c.rng.Intn(c.cfg.NumQueryPerTx) + 1
-	customerID := uint64(c.rng.Intn(qr) + 1)
-	// Pre-draw the random plan so every transaction attempt replays the
-	// same queries (the STAMP client draws outside TM_BEGIN too).
-	types := make([]ResType, numQuery)
-	ids := make([]uint64, numQuery)
-	for n := 0; n < numQuery; n++ {
-		types[n] = ResType(c.rng.Intn(int(numResTypes)))
-		ids[n] = uint64(c.rng.Intn(qr) + 1)
+	c.plan = c.plan[:c.rng.Intn(c.cfg.NumQueryPerTx)+1]
+	c.customerID = uint64(c.rng.Intn(qr) + 1)
+	for i := range c.plan {
+		c.plan[i].t = ResType(c.rng.Intn(int(numResTypes)))
+		c.plan[i].id = uint64(c.rng.Intn(qr) + 1)
 	}
-	c.m.Atomic(c.th, func(tx *stm.Tx) {
-		var maxPrice [numResTypes]int64
-		var maxID [numResTypes]uint64
-		for t := range maxPrice {
-			maxPrice[t] = -1
-		}
-		for n := 0; n < numQuery; n++ {
-			t, id := types[n], ids[n]
-			if c.m.QueryNumFree(tx, t, id) > 0 {
-				if price := c.m.QueryPrice(tx, t, id); price > maxPrice[t] {
-					maxPrice[t] = price
-					maxID[t] = id
-				}
+	c.m.Atomic(c.th, c.makeBody)
+}
+
+func (c *Client) makeReservationTx(tx *stm.Tx) {
+	maxPrice := [numResTypes]int64{-1, -1, -1}
+	var maxID [numResTypes]uint64
+	for _, q := range c.plan {
+		if c.m.QueryNumFree(tx, q.t, q.id) > 0 {
+			if price := c.m.QueryPrice(tx, q.t, q.id); price > maxPrice[q.t] {
+				maxPrice[q.t] = price
+				maxID[q.t] = q.id
 			}
 		}
-		found := false
-		for t := Car; t < numResTypes; t++ {
-			if maxPrice[t] >= 0 {
-				found = true
-				break
-			}
+	}
+	added := false
+	for t := Car; t < numResTypes; t++ {
+		if maxPrice[t] < 0 {
+			continue
 		}
-		if !found {
-			return
+		if !added { // idempotent when already present
+			added = true
+			c.m.AddCustomer(tx, c.customerID)
 		}
-		c.m.AddCustomer(tx, customerID) // idempotent when already present
-		for t := Car; t < numResTypes; t++ {
-			if maxPrice[t] >= 0 {
-				c.m.Reserve(tx, customerID, t, maxID[t])
-			}
-		}
-	})
+		c.m.Reserve(tx, c.customerID, t, maxID[t])
+	}
 }
 
 // deleteCustomer computes the customer's bill and, if the customer exists,
 // cancels everything and removes the row (STAMP ACTION_DELETE_CUSTOMER).
 func (c *Client) deleteCustomer() {
 	c.Counts.DeleteCustomer++
-	customerID := uint64(c.rng.Intn(c.cfg.QueryRange()) + 1)
-	c.m.Atomic(c.th, func(tx *stm.Tx) {
-		if bill := c.m.QueryCustomerBill(tx, customerID); bill >= 0 {
-			c.m.DeleteCustomer(tx, customerID)
-		}
-	})
+	c.customerID = uint64(c.rng.Intn(c.cfg.QueryRange()) + 1)
+	c.m.Atomic(c.th, c.deleteBody)
+}
+
+func (c *Client) deleteCustomerTx(tx *stm.Tx) {
+	if bill := c.m.QueryCustomerBill(tx, c.customerID); bill >= 0 {
+		c.m.DeleteCustomer(tx, c.customerID)
+	}
 }
 
 // updateTables adds or removes units of random resources (STAMP
@@ -180,24 +193,24 @@ func (c *Client) deleteCustomer() {
 func (c *Client) updateTables() {
 	c.Counts.UpdateTables++
 	qr := c.cfg.QueryRange()
-	numUpdate := c.rng.Intn(c.cfg.NumQueryPerTx) + 1
-	types := make([]ResType, numUpdate)
-	ids := make([]uint64, numUpdate)
-	adds := make([]bool, numUpdate)
-	prices := make([]int64, numUpdate)
-	for n := 0; n < numUpdate; n++ {
-		types[n] = ResType(c.rng.Intn(int(numResTypes)))
-		ids[n] = uint64(c.rng.Intn(qr) + 1)
-		adds[n] = c.rng.Intn(2) == 0
-		prices[n] = int64(c.rng.Intn(5)*10 + 50)
-	}
-	c.m.Atomic(c.th, func(tx *stm.Tx) {
-		for n := 0; n < numUpdate; n++ {
-			if adds[n] {
-				c.m.AddReservation(tx, types[n], ids[n], 100, prices[n])
-			} else {
-				c.m.DeleteReservation(tx, types[n], ids[n], 100)
-			}
+	c.plan = c.plan[:c.rng.Intn(c.cfg.NumQueryPerTx)+1]
+	for i := range c.plan {
+		c.plan[i] = query{
+			t:     ResType(c.rng.Intn(int(numResTypes))),
+			id:    uint64(c.rng.Intn(qr) + 1),
+			add:   c.rng.Intn(2) == 0,
+			price: int64(c.rng.Intn(5)*10 + 50),
 		}
-	})
+	}
+	c.m.Atomic(c.th, c.updateBody)
+}
+
+func (c *Client) updateTablesTx(tx *stm.Tx) {
+	for _, q := range c.plan {
+		if q.add {
+			c.m.AddReservation(tx, q.t, q.id, 100, q.price)
+		} else {
+			c.m.DeleteReservation(tx, q.t, q.id, 100)
+		}
+	}
 }

@@ -9,37 +9,32 @@ import (
 	"repro/internal/trees"
 )
 
-// Customer is one row of the customer table: an id plus the sorted list of
-// reservation records the customer holds. The list key packs (type, id) and
-// the value records the price paid, so the bill is reconstructible.
-type Customer struct {
-	id           uint64
-	reservations *tlist.List
-}
-
-// infoKey packs a reservation type and resource id into a list key.
+// infoKey packs a reservation type and resource id into the key of a
+// customer's reservation list; the value records the price paid, so the
+// bill is reconstructible.
 func infoKey(t ResType, id uint64) uint64 { return uint64(t)<<48 | id }
 
-// Manager is the transactional travel database: four tree directories plus
-// the record registries. All methods taking a *stm.Tx compose into the
-// caller's transaction; the paper's point is precisely that such composition
-// is safe and efficient on a speculation-friendly tree.
+// splitInfoKey undoes infoKey.
+func splitInfoKey(key uint64) (ResType, uint64) { return ResType(key >> 48), key & (1<<48 - 1) }
+
+// Manager is the transactional travel database: four tree directories
+// whose values are the Refs of rows in one arena. All methods taking a
+// *stm.Tx compose into the caller's transaction; the paper's point is
+// precisely that such composition is safe and efficient on a
+// speculation-friendly tree.
 type Manager struct {
-	s      *stm.STM
 	tables [numResTypes]trees.Map // car/flight/room directories
 	cust   trees.Map              // customer directory
 
-	// lists holds the entries of every customer's reservation list.
-	lists *arena.Arena
-
-	resRecords  registry[Reservation]
-	custRecords registry[Customer]
+	// rows holds every row and every cell of the customers' reservation
+	// lists (see the word layout in reservation.go).
+	rows *arena.Arena
 }
 
 // NewManager creates an empty database whose four directories are trees of
 // the given kind.
 func NewManager(s *stm.STM, kind trees.Kind) *Manager {
-	m := &Manager{s: s, lists: arena.New()}
+	m := &Manager{rows: arena.New()}
 	for i := range m.tables {
 		m.tables[i] = trees.New(kind, s)
 	}
@@ -75,8 +70,30 @@ func (m *Manager) Table(t ResType) trees.Map { return m.tables[t] }
 // Customers exposes the customer directory (for instrumentation).
 func (m *Manager) Customers() trees.Map { return m.cust }
 
-func (m *Manager) reservation(h uint64) *Reservation { return m.resRecords.get(h) }
-func (m *Manager) customer(h uint64) *Customer       { return m.custRecords.get(h) }
+// Rotations sums the rotations of the four directories (trees.Rotations;
+// a kind that does not count them adds 0).
+func (m *Manager) Rotations() uint64 {
+	rot, _ := trees.Rotations(m.cust)
+	for _, tbl := range m.tables {
+		r, _ := trees.Rotations(tbl)
+		rot += r
+	}
+	return rot
+}
+
+func (m *Manager) reservation(h uint64) *reservation { return (*reservation)(m.rows.Get(h)) }
+
+// reservations is the reservation list of the customer row h.
+func (m *Manager) reservations(h uint64) tlist.List { return tlist.New(m.rows, &m.rows.Get(h).L) }
+
+// drop unlinks id's row h from directory tbl and retires it.
+func (m *Manager) drop(tx *stm.Tx, tbl trees.Map, id, h uint64) bool {
+	if !tbl.DeleteTx(tx, id) {
+		return false
+	}
+	tx.Retire(m.rows, h)
+	return true
+}
 
 // AddReservation adds num units at the given price to resource id of table
 // t, creating the row if needed; with negative num it releases free units,
@@ -90,18 +107,18 @@ func (m *Manager) AddReservation(tx *stm.Tx, t ResType, id uint64, num int64, pr
 		if num < 1 || price < 0 {
 			return false
 		}
-		r := &Reservation{id: id}
-		r.numFree.SetPlain(uint64(num))
-		r.numTotal.SetPlain(uint64(num))
-		r.price.SetPlain(uint64(price))
-		return m.tables[t].InsertTx(tx, id, m.resRecords.add(r))
+		h = tx.Alloc(m.rows, id, uint64(price))
+		r := m.reservation(h)
+		r.free().SetPlain(uint64(num))
+		r.total().SetPlain(uint64(num))
+		return tbl.InsertTx(tx, id, h)
 	}
 	r := m.reservation(h)
 	if !r.AddToTotal(tx, num) {
 		return false
 	}
-	if tx.Read(&r.numTotal) == 0 {
-		return tbl.DeleteTx(tx, id)
+	if tx.Read(r.total()) == 0 {
+		return m.drop(tx, tbl, id, h)
 	}
 	if price >= 0 {
 		r.UpdatePrice(tx, uint64(price))
@@ -121,7 +138,7 @@ func (m *Manager) QueryNumFree(tx *stm.Tx, t ResType, id uint64) int64 {
 	if !ok {
 		return -1
 	}
-	return int64(tx.Read(&m.reservation(h).numFree))
+	return int64(tx.Read(m.reservation(h).free()))
 }
 
 // QueryPrice returns the current price of resource id, or -1 when absent.
@@ -130,7 +147,7 @@ func (m *Manager) QueryPrice(tx *stm.Tx, t ResType, id uint64) int64 {
 	if !ok {
 		return -1
 	}
-	return int64(tx.Read(&m.reservation(h).price))
+	return int64(tx.Read(m.reservation(h).price()))
 }
 
 // AddCustomer registers customer id; false when already present.
@@ -138,8 +155,7 @@ func (m *Manager) AddCustomer(tx *stm.Tx, id uint64) bool {
 	if m.cust.ContainsTx(tx, id) {
 		return false
 	}
-	c := &Customer{id: id, reservations: tlist.New(m.lists)}
-	return m.cust.InsertTx(tx, id, m.custRecords.add(c))
+	return m.cust.InsertTx(tx, id, tx.Alloc(m.rows, id, 0))
 }
 
 // QueryCustomerBill sums the prices of the customer's reservations, or -1
@@ -150,7 +166,7 @@ func (m *Manager) QueryCustomerBill(tx *stm.Tx, id uint64) int64 {
 		return -1
 	}
 	var bill int64
-	m.customer(h).reservations.EachTx(tx, func(_, price uint64) {
+	m.reservations(h).EachTx(tx, func(_, price uint64) {
 		bill += int64(price)
 	})
 	return bill
@@ -173,8 +189,7 @@ func (m *Manager) Reserve(tx *stm.Tx, customerID uint64, t ResType, id uint64) b
 	if !r.Make(tx) {
 		return false
 	}
-	c := m.customer(ch)
-	if !c.reservations.InsertTx(tx, infoKey(t, id), tx.Read(&r.price)) {
+	if !m.reservations(ch).InsertTx(tx, infoKey(t, id), tx.Read(r.price())) {
 		// Already holds this resource: roll the unit back.
 		if !r.Cancel(tx) {
 			panic("vacation: cancel after failed info insert cannot fail")
@@ -194,29 +209,27 @@ func (m *Manager) CancelReservation(tx *stm.Tx, customerID uint64, t ResType, id
 	if !ok {
 		return false
 	}
-	c := m.customer(ch)
-	if !c.reservations.RemoveTx(tx, infoKey(t, id)) {
+	if !m.reservations(ch).RemoveTx(tx, infoKey(t, id)) {
 		return false
 	}
 	return m.reservation(rh).Cancel(tx)
 }
 
 // DeleteCustomer cancels all of the customer's reservations and removes the
-// customer row (STAMP's manager_deleteCustomer).
+// customer row (STAMP's manager_deleteCustomer), retiring the row and every
+// cell of its list.
 func (m *Manager) DeleteCustomer(tx *stm.Tx, id uint64) bool {
 	ch, ok := m.cust.GetTx(tx, id)
 	if !ok {
 		return false
 	}
-	c := m.customer(ch)
-	c.reservations.EachTx(tx, func(key, _ uint64) {
-		t := ResType(key >> 48)
-		resID := key & (1<<48 - 1)
+	m.reservations(ch).DrainTx(tx, func(key, _ uint64) {
+		t, resID := splitInfoKey(key)
 		if rh, ok := m.tables[t].GetTx(tx, resID); ok {
 			m.reservation(rh).Cancel(tx)
 		}
 	})
-	return m.cust.DeleteTx(tx, id)
+	return m.drop(tx, m.cust, id, ch)
 }
 
 // CheckConsistency verifies, quiescently, the cross-table accounting
@@ -233,7 +246,7 @@ func (m *Manager) CheckConsistency(th *stm.Thread) error {
 				err = fmt.Errorf("customer %d vanished during check", cid)
 				return
 			}
-			m.customer(h).reservations.EachTx(tx, func(key, _ uint64) {
+			m.reservations(h).EachTx(tx, func(key, _ uint64) {
 				held[key]++
 			})
 		})
@@ -250,9 +263,9 @@ func (m *Manager) CheckConsistency(th *stm.Thread) error {
 					return
 				}
 				r := m.reservation(h)
-				used = tx.Read(&r.numUsed)
-				free = tx.Read(&r.numFree)
-				total = tx.Read(&r.numTotal)
+				used = tx.Read(r.used())
+				free = tx.Read(r.free())
+				total = tx.Read(r.total())
 			})
 			if used+free != total {
 				return fmt.Errorf("%v %d: used %d + free %d != total %d", t, id, used, free, total)
@@ -265,8 +278,8 @@ func (m *Manager) CheckConsistency(th *stm.Thread) error {
 	}
 	for key, n := range held {
 		if n > 0 {
-			return fmt.Errorf("%v %d held by %d customers but row missing",
-				ResType(key>>48), key&(1<<48-1), n)
+			t, id := splitInfoKey(key)
+			return fmt.Errorf("%v %d held by %d customers but row missing", t, id, n)
 		}
 	}
 	return nil

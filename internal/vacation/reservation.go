@@ -8,13 +8,16 @@
 // The port follows STAMP's manager.c/client.c structure: three client
 // actions (make-reservation, delete-customer, update-tables), reservations
 // with used/free/total/price counters, and customers owning a list of
-// reservation records. A plain sequential implementation (Sequential) gives
-// the single-threaded baseline against which Fig. 6 reports speedups.
+// reservation records. Rows are arena nodes that a transaction allocates
+// and retires like any tree node: a reservation whose total reaches zero
+// and a deleted customer, with every cell of its list, go back to the
+// arena through the committing thread's limbo (paper §3.4). Run is the one
+// concurrent runner (Fig. 6, cmd/vacation); SeqManager, a plain sequential
+// implementation, is the reference the tests compare the database against.
 package vacation
 
 import (
-	"sync"
-
+	"repro/internal/arena"
 	"repro/internal/stm"
 )
 
@@ -43,83 +46,67 @@ func (t ResType) String() string {
 	}
 }
 
-// Reservation is one row of a car/flight/room table: a resource id with
-// counters tracking how many units exist, are in use and are free, plus the
-// current price. All fields are transactional; records are registered in
-// the Manager and referenced from the trees by dense handles.
-type Reservation struct {
-	id       uint64
-	numUsed  stm.Word
-	numFree  stm.Word
-	numTotal stm.Word
-	price    stm.Word
-}
+// Every row of the database is an arena.Node of the Manager's one arena,
+// as are the cells of the customers' reservation lists; a directory maps an
+// id to the Ref of its row. A row is allocated with stm.Tx.Alloc and, once
+// unlinked, retired with stm.Tx.Retire. Its words:
+//
+//	word  reservation row   customer row
+//	Key   id                id
+//	Val   price             -
+//	L     used units        head of the reservation list (tlist)
+//	R     free units        -
+//	Del   total units       -
+//
+// Key never changes while the row is linked (read with Plain).
 
-// ID returns the resource id.
-func (r *Reservation) ID() uint64 { return r.id }
+// reservation is one row of a car/flight/room table, seen through its
+// node's words.
+type reservation arena.Node
+
+func (r *reservation) used() *stm.Word  { return &r.L }
+func (r *reservation) free() *stm.Word  { return &r.R }
+func (r *reservation) total() *stm.Word { return &r.Del }
+func (r *reservation) price() *stm.Word { return &r.Val }
 
 // AddToTotal grows (or, negative delta, shrinks) the free pool; it fails
 // when the shrink would exceed the currently free units (STAMP's
 // reservation_addToTotal).
-func (r *Reservation) AddToTotal(tx *stm.Tx, delta int64) bool {
-	free := int64(tx.Read(&r.numFree))
+func (r *reservation) AddToTotal(tx *stm.Tx, delta int64) bool {
+	free := int64(tx.Read(r.free()))
 	if free+delta < 0 {
 		return false
 	}
-	tx.Write(&r.numFree, uint64(free+delta))
-	tx.Write(&r.numTotal, uint64(int64(tx.Read(&r.numTotal))+delta))
+	tx.Write(r.free(), uint64(free+delta))
+	tx.Write(r.total(), uint64(int64(tx.Read(r.total()))+delta))
 	return true
 }
 
 // Make consumes one free unit (STAMP's reservation_make).
-func (r *Reservation) Make(tx *stm.Tx) bool {
-	free := tx.Read(&r.numFree)
+func (r *reservation) Make(tx *stm.Tx) bool {
+	free := tx.Read(r.free())
 	if free < 1 {
 		return false
 	}
-	tx.Write(&r.numFree, free-1)
-	tx.Write(&r.numUsed, tx.Read(&r.numUsed)+1)
+	tx.Write(r.free(), free-1)
+	tx.Write(r.used(), tx.Read(r.used())+1)
 	return true
 }
 
 // Cancel releases one used unit (STAMP's reservation_cancel).
-func (r *Reservation) Cancel(tx *stm.Tx) bool {
-	used := tx.Read(&r.numUsed)
+func (r *reservation) Cancel(tx *stm.Tx) bool {
+	used := tx.Read(r.used())
 	if used < 1 {
 		return false
 	}
-	tx.Write(&r.numUsed, used-1)
-	tx.Write(&r.numFree, tx.Read(&r.numFree)+1)
+	tx.Write(r.used(), used-1)
+	tx.Write(r.free(), tx.Read(r.free())+1)
 	return true
 }
 
 // UpdatePrice sets the current price.
-func (r *Reservation) UpdatePrice(tx *stm.Tx, price uint64) {
-	if tx.Read(&r.price) != price {
-		tx.Write(&r.price, price)
+func (r *reservation) UpdatePrice(tx *stm.Tx, price uint64) {
+	if tx.Read(r.price()) != price {
+		tx.Write(r.price(), price)
 	}
-}
-
-// registry is an append-only store of records referenced by dense handles
-// (1-based; 0 means "no record"). Records are never removed: a handle read
-// from a tree is therefore always resolvable, even by a doomed transaction
-// that will abort at commit.
-type registry[T any] struct {
-	mu    sync.Mutex
-	items []*T
-}
-
-func (g *registry[T]) add(item *T) uint64 {
-	g.mu.Lock()
-	g.items = append(g.items, item)
-	h := uint64(len(g.items))
-	g.mu.Unlock()
-	return h
-}
-
-func (g *registry[T]) get(h uint64) *T {
-	g.mu.Lock()
-	it := g.items[h-1]
-	g.mu.Unlock()
-	return it
 }

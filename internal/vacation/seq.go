@@ -6,10 +6,10 @@ import (
 )
 
 // This file is the bare sequential implementation of vacation: identical
-// client logic over plain Go data structures with no synchronization at
-// all. Fig. 6 reports each concurrent tree library's speedup over exactly
-// this baseline ("the performance of bare sequential code of vacation
-// without synchronization").
+// client logic over plain Go maps with no synchronization at all. It is the
+// tests' reference: driven from the same seeds as one Client, it must end
+// with the same database, row for row (TestSeqMatchesConcurrentSingleClient).
+// It is not Fig. 6's baseline, which is the red-black tree at one thread.
 
 type seqReservation struct {
 	used, free, total, price int64
@@ -107,8 +107,7 @@ func (m *SeqManager) deleteCustomer(id uint64) bool {
 		return false
 	}
 	for key := range c.res {
-		t := ResType(key >> 48)
-		resID := key & (1<<48 - 1)
+		t, resID := splitInfoKey(key)
 		if r, ok := m.tables[t][resID]; ok {
 			r.used--
 			r.free++
@@ -163,11 +162,8 @@ func (c *SeqClient) makeReservation() {
 	qr := c.cfg.QueryRange()
 	numQuery := c.rng.Intn(c.cfg.NumQueryPerTx) + 1
 	customerID := uint64(c.rng.Intn(qr) + 1)
-	var maxPrice [numResTypes]int64
+	maxPrice := [numResTypes]int64{-1, -1, -1}
 	var maxID [numResTypes]uint64
-	for t := range maxPrice {
-		maxPrice[t] = -1
-	}
 	for n := 0; n < numQuery; n++ {
 		t := ResType(c.rng.Intn(int(numResTypes)))
 		id := uint64(c.rng.Intn(qr) + 1)
@@ -176,21 +172,16 @@ func (c *SeqClient) makeReservation() {
 			maxID[t] = id
 		}
 	}
-	found := false
+	added := false
 	for t := Car; t < numResTypes; t++ {
-		if maxPrice[t] >= 0 {
-			found = true
-			break
+		if maxPrice[t] < 0 {
+			continue
 		}
-	}
-	if !found {
-		return
-	}
-	c.m.addCustomer(customerID)
-	for t := Car; t < numResTypes; t++ {
-		if maxPrice[t] >= 0 {
-			c.m.reserve(customerID, t, maxID[t])
+		if !added {
+			added = true
+			c.m.addCustomer(customerID)
 		}
+		c.m.reserve(customerID, t, maxID[t])
 	}
 }
 
@@ -220,7 +211,7 @@ func (c *SeqClient) updateTables() {
 }
 
 // CheckSeqConsistency verifies the sequential database's accounting, so the
-// baseline itself is testable.
+// reference itself is testable.
 func (m *SeqManager) CheckSeqConsistency() error {
 	held := map[uint64]int64{}
 	for _, c := range m.cust {
@@ -241,7 +232,8 @@ func (m *SeqManager) CheckSeqConsistency() error {
 	}
 	for key, n := range held {
 		if n > 0 {
-			return fmt.Errorf("%v %d held but row missing", ResType(key>>48), key&(1<<48-1))
+			t, id := splitInfoKey(key)
+			return fmt.Errorf("%v %d held but row missing", t, id)
 		}
 	}
 	return nil

@@ -149,7 +149,7 @@ func TestDeleteCustomerReleasesUnits(t *testing.T) {
 }
 
 // TestSeqMatchesConcurrentSingleClient drives the transactional manager and
-// the sequential baseline with identical seeds from one thread; the final
+// the sequential reference with identical seeds from one thread; the final
 // databases must agree row for row.
 func TestSeqMatchesConcurrentSingleClient(t *testing.T) {
 	for _, kind := range []trees.Kind{trees.SF, trees.SFOpt, trees.RB, trees.AVL, trees.NR} {
@@ -190,13 +190,13 @@ func TestSeqMatchesConcurrentSingleClient(t *testing.T) {
 					th.Atomic(func(tx *stm.Tx) {
 						h, _ := m.Table(tt).GetTx(tx, id)
 						r := m.reservation(h)
-						if int64(tx.Read(&r.numUsed)) != sr.used ||
-							int64(tx.Read(&r.numFree)) != sr.free ||
-							int64(tx.Read(&r.numTotal)) != sr.total ||
-							int64(tx.Read(&r.price)) != sr.price {
+						if int64(tx.Read(r.used())) != sr.used ||
+							int64(tx.Read(r.free())) != sr.free ||
+							int64(tx.Read(r.total())) != sr.total ||
+							int64(tx.Read(r.price())) != sr.price {
 							t.Errorf("%v %d diverged: tx(%d,%d,%d,%d) seq(%d,%d,%d,%d)",
 								tt, id,
-								tx.Read(&r.numUsed), tx.Read(&r.numFree), tx.Read(&r.numTotal), tx.Read(&r.price),
+								tx.Read(r.used()), tx.Read(r.free()), tx.Read(r.total()), tx.Read(r.price()),
 								sr.used, sr.free, sr.total, sr.price)
 						}
 					})
@@ -306,5 +306,30 @@ func TestVacationOnElasticDomain(t *testing.T) {
 	cl.Run(300)
 	if err := m.CheckConsistency(th); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestClientActionsZeroAllocs: a warmed-up client's transactions allocate
+// nothing. Its plan slice and its three action bodies are bound once in
+// NewClient, and rows and list cells are arena nodes.
+func TestClientActionsZeroAllocs(t *testing.T) {
+	presets := []struct {
+		name string
+		cfg  Config
+	}{{"high", HighContention(256, 0)}, {"low", LowContention(256, 0)}}
+	for _, kind := range []trees.Kind{trees.RB, trees.SFOpt} {
+		for _, p := range presets {
+			t.Run(string(kind)+"/"+p.name, func(t *testing.T) {
+				s := stm.New()
+				m := NewManager(s, kind)
+				th := s.NewThread()
+				Populate(m, th, p.cfg, 1)
+				cl := NewClient(m, th, p.cfg, 2)
+				cl.Run(2000)
+				if a := testing.AllocsPerRun(1000, func() { cl.Run(1) }); a != 0 {
+					t.Fatalf("%.2f allocs per transaction, want 0", a)
+				}
+			})
+		}
 	}
 }

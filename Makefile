@@ -150,16 +150,20 @@ fuzz:
 	$(GO) test ./internal/durable -run '^$$' -fuzz FuzzRecordDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/durable -run '^$$' -fuzz FuzzCheckpointDecode -fuzztime $(FUZZTIME)
 
-# CPU + allocation profiles of the paper's hot path — the optimized
-# speculation-friendly tree under 20% effective updates (Fig. 5(a)'s
-# OptSFtree cell) — written under profiles/ with the test binary they
-# belong to. Inspect with: go tool pprof -top profiles/cpu.pb.gz
+# CPU + allocation profiles of one benchmark, written under profiles/ with
+# the test binary they belong to. By default the paper's hot path — the
+# optimized speculation-friendly tree under 20% effective updates
+# (Fig. 5(a)'s OptSFtree cell); PROFILE_PKG and PROFILE_BENCH pick another,
+# e.g. make profile PROFILE_PKG=./internal/forest PROFILE_BENCH=AtomicTransferS8.
+# Inspect with: go tool pprof -top profiles/cpu.pb.gz
 PROFILE_DURATION ?= 3s
+PROFILE_PKG ?= .
+PROFILE_BENCH ?= Fig5a/OptSFtree
 profile:
 	mkdir -p profiles
-	$(GO) test -run '^$$' -bench 'Fig5a/OptSFtree' -benchtime $(PROFILE_DURATION) \
-		-o profiles/repro.test -outputdir profiles \
-		-cpuprofile cpu.pb.gz -memprofile mem.pb.gz .
+	$(GO) test -run '^$$' -bench '$(PROFILE_BENCH)' -benchtime $(PROFILE_DURATION) \
+		-o profiles/bench.test -outputdir profiles \
+		-cpuprofile cpu.pb.gz -memprofile mem.pb.gz $(PROFILE_PKG)
 	@echo "profiles written: profiles/cpu.pb.gz profiles/mem.pb.gz"
 
 # A/B measurement of the working tree against a git ref with the repo

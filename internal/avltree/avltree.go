@@ -135,7 +135,7 @@ func (t *Tree) Contains(th *stm.Thread, k uint64) bool {
 
 // ContainsTx is the composable form of Contains.
 func (t *Tree) ContainsTx(tx *stm.Tx, k uint64) bool {
-	_, ok := t.GetTx(tx, k)
+	_, ok := t.ValTx(tx, k)
 	return ok
 }
 
@@ -149,20 +149,32 @@ func (t *Tree) Get(th *stm.Thread, k uint64) (uint64, bool) {
 
 // GetTx is the composable form of Get.
 func (t *Tree) GetTx(tx *stm.Tx, k uint64) (uint64, bool) {
+	w, ok := t.ValTx(tx, k)
+	if !ok {
+		return 0, false
+	}
+	return tx.Read(w), true
+}
+
+// ValTx returns the word holding k's value in tx's snapshot, or false when
+// k is absent. A delete of a node with two children moves its successor's
+// key and value into it (deleteRec): a caller that writes the word later in
+// tx must do so before any DeleteTx of the same transaction.
+func (t *Tree) ValTx(tx *stm.Tx, k uint64) (*stm.Word, bool) {
 	ref := tx.Read(&t.root)
 	for ref != arena.Nil {
 		n := t.node(ref)
 		key := tx.Read(&n.Key)
 		switch {
 		case k == key:
-			return tx.Read(&n.Val), true
+			return &n.Val, true
 		case k < key:
 			ref = tx.Read(&n.L)
 		default:
 			ref = tx.Read(&n.R)
 		}
 	}
-	return 0, false
+	return nil, false
 }
 
 // Insert maps k to v if absent, rebalancing within the same transaction.
@@ -186,21 +198,11 @@ func (t *Tree) InsertTx(tx *stm.Tx, k, v uint64) bool {
 // SetTx maps k to v within the enclosing transaction regardless of whether
 // k is present (an upsert): a present node's value is overwritten in
 // place, an absent key inserts. It is how the transaction coordinator
-// (internal/ftx) applies a buffered put.
+// (internal/ftx) applies a put of a key it did not find present.
 func (t *Tree) SetTx(tx *stm.Tx, k, v uint64) {
-	ref := tx.Read(&t.root)
-	for ref != arena.Nil {
-		n := t.node(ref)
-		key := tx.Read(&n.Key)
-		switch {
-		case k == key:
-			tx.Write(&n.Val, v)
-			return
-		case k < key:
-			ref = tx.Read(&n.L)
-		default:
-			ref = tx.Read(&n.R)
-		}
+	if w, ok := t.ValTx(tx, k); ok {
+		tx.Write(w, v)
+		return
 	}
 	t.InsertTx(tx, k, v)
 }

@@ -112,7 +112,7 @@ func TestFig6Runs(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"high contention", "low contention", "baseline: RBtree at 1 thread", "RBtree speedup", "[rotations]"} {
+	for _, want := range []string{"high contention", "low contention", "baseline: RBtree at 1 thread, median of 3", "RBtree speedup", "[rotations]"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("missing %q in:\n%s", want, out)
 		}

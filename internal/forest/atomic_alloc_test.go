@@ -246,9 +246,9 @@ func BenchmarkAtomicAuditS8(b *testing.B) {
 }
 
 // TestAtomicLargeTransaction runs transactions far past the size at which
-// the write buffer is scanned — up to 4096 keys over 8 shards, mixing
+// the key log is scanned — up to 4096 keys over 8 shards, mixing
 // reads, overwrites, deletes, inserts and reads of its own writes — against
-// a map oracle, and logs the cost per key at both sizes (the buffer indexes
+// a map oracle, and logs the cost per key at both sizes (the log indexes
 // itself past a handful of entries; see ftx's keyLog).
 func TestAtomicLargeTransaction(t *testing.T) {
 	const span = 1 << 13

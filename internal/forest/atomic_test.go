@@ -172,3 +172,47 @@ func TestHandleSurvivesPanic(t *testing.T) {
 		t.Fatalf("maintenance stats %+v: no removed node was freed", st)
 	}
 }
+
+// TestAtomicWritesInPlaceBeforeDeletes: on the RB and AVL trees a delete of
+// a node with two children moves its successor's key and value into that
+// node and unlinks the successor's. One Atomic reads a — b's successor —
+// deletes b and puts a new value at a. The commit writes a's value word,
+// found by the Get, in place; that write must be buffered before the delete
+// copies a's value, or the new value lands in the unlinked node and the old
+// one survives.
+func TestAtomicWritesInPlaceBeforeDeletes(t *testing.T) {
+	type checker interface{ CheckInvariants() error }
+	for _, kind := range []trees.Kind{trees.RB, trees.AVL} {
+		f := New(kind)
+		h := f.NewHandle()
+		// Both trees shape these as 20 over 10 and 30, with 25 the left
+		// child of 30: b = 20 has two children and a = 25 is its successor.
+		for _, k := range []uint64{20, 10, 30, 25} {
+			h.Insert(k, k)
+		}
+		const a, b = 25, 20
+		if err := h.Atomic(func(tx *ftx.Tx) error {
+			v, _ := tx.Get(a)
+			tx.Delete(b)
+			tx.Put(a, v+100)
+			return nil
+		}); err != nil {
+			t.Fatalf("%s: Atomic: %v", kind, err)
+		}
+		if v, ok := h.Get(a); !ok || v != a+100 {
+			t.Errorf("%s: Get(%d) = (%d,%t), want %d", kind, a, v, ok, a+100)
+		}
+		if h.Contains(b) {
+			t.Errorf("%s: deleted key %d still present", kind, b)
+		}
+		for _, k := range []uint64{10, 30} {
+			if v, ok := h.Get(k); !ok || v != k {
+				t.Errorf("%s: Get(%d) = (%d,%t), want %d", kind, k, v, ok, k)
+			}
+		}
+		if err := f.maps[0].(checker).CheckInvariants(); err != nil {
+			t.Errorf("%s: %v", kind, err)
+		}
+		f.Close()
+	}
+}

@@ -19,11 +19,15 @@
 // whatever the shards it touches: every shard of a domain lives in one STM
 // (the construction checks it). Get/Contains/Delete read through to the
 // owning shard's tree inside that transaction, so everything fn reads
-// belongs to one snapshot; a repeated Get of a key traverses again.
-// Put/Delete/Insert buffer the key's final state in a write buffer, which
-// later reads of the key see (read-your-writes). When fn returns nil the
-// transaction applies the buffered writes and commits: the STM's own
-// validation makes the reads and the writes atomic at its commit position.
+// belongs to one snapshot. Each key is looked up once per attempt: the Tx
+// keeps a per-key log of what it found — the value, and the tree word that
+// holds it — which answers a repeated read. Put/Delete/Insert record the
+// key's final state in the same log, which later reads of the key see
+// (read-your-writes). When fn returns nil the transaction applies the
+// writes and commits: a Put after a Get writes the found node's value word
+// in place, and structural changes — SetTx for keys read absent or never
+// read, DeleteTx for deleted ones — apply last. The STM's own validation
+// makes the reads and the writes atomic at its commit position.
 // When fn returns an error the transaction writes nothing and commits
 // read-only, so the error was decided on one consistent snapshot and no
 // lock or tree node was taken — the reason writes are buffered rather than
@@ -42,7 +46,7 @@
 //
 // # One context per coordinator
 //
-// Everything a transaction needs — the Tx with its write buffer, the WAL
+// Everything a transaction needs — the Tx with its key log, the WAL
 // record buffer, and the closure handed to the STM — belongs to the
 // Coordinator and is reset, not rebuilt, for every attempt. A transaction
 // therefore allocates nothing once the coordinator has grown to its size
@@ -241,14 +245,14 @@ func (c *Coordinator) Run(fn func(*Tx) error) error {
 	if c.err != nil {
 		c.stats.UserAborts++
 	} else {
-		if c.wal != nil && len(t.writes.recs) > 0 {
+		if c.wal != nil && t.keys.written > 0 {
 			c.log(c.th.LastCommit())
 		}
 		c.stats.Commits++
 		switch {
 		case !t.multi:
 			c.stats.Fallbacks++
-		case len(t.writes.recs) == 0:
+		case t.keys.written == 0:
 			c.stats.ReadOnly++
 		}
 	}
@@ -264,8 +268,7 @@ func (c *Coordinator) finish() {
 }
 
 // body is one attempt of the transaction: run fn on the emptied Tx and, if
-// it returns nil, apply the buffered writes. An error leaves the attempt
-// read-only.
+// it returns nil, apply its writes. An error leaves the attempt read-only.
 func (c *Coordinator) body(stx *stm.Tx) {
 	c.attempts++
 	if retries := c.attempts - 1; retries >= ftxAbortStormRetry {
@@ -281,7 +284,7 @@ func (c *Coordinator) body(stx *stm.Tx) {
 	if c.err != nil {
 		return
 	}
-	applyWrites(t.maps, stx, t.writes.recs)
+	applyWrites(t.maps, stx, t.keys.recs)
 }
 
 // Single wraps one (map, thread) pair as a one-shard Domain, which makes
@@ -291,26 +294,40 @@ func Single(m trees.Map, th *stm.Thread) Domain {
 	return Domain{Thread: th, Maps: []trees.Map{m}, ShardOf: func(uint64) int { return 0 }}
 }
 
-// log appends a committed transaction's write set to the durable domain's
+// log appends a committed transaction's written keys to the durable domain's
 // WAL as one record at its commit position, whichever shards it touched.
 func (c *Coordinator) log(pos uint64) {
 	ops := c.ops[:0]
-	for i := range c.tx.writes.recs {
-		w := &c.tx.writes.recs[i]
-		ops = append(ops, durable.Op{Key: w.key, Val: w.val, Del: !w.present})
+	for i := range c.tx.keys.recs {
+		if e := &c.tx.keys.recs[i]; e.written {
+			ops = append(ops, durable.Op{Key: e.key, Val: e.val, Del: !e.present})
+		}
 	}
 	c.ops = ops
 	c.wal.Append(pos, ops, c.traceID)
 }
 
-// applyWrites applies the buffered writes inside tx.
-func applyWrites(maps []trees.Map, tx *stm.Tx, writes []keyState) {
-	for i := range writes {
-		w := &writes[i]
-		if w.present {
-			maps[w.shard].SetTx(tx, w.key, w.val)
-		} else {
-			maps[w.shard].DeleteTx(tx, w.key)
+// applyWrites applies the attempt's writes inside tx, in two passes. The
+// first writes the value word of every written key the attempt read
+// present — the word its lookup found, with no second traversal. The second
+// runs SetTx for the keys read absent or never read and DeleteTx for the
+// deleted ones. The order matters: an RB or AVL delete of a node with two
+// children copies its successor's value with tx.Read, so it must find the
+// in-place writes already buffered, and it unlinks the successor's node, so
+// a word written after it would be a dead node's.
+func applyWrites(maps []trees.Map, tx *stm.Tx, keys []keyState) {
+	for i := range keys {
+		if e := &keys[i]; e.inPlace() {
+			tx.Write(e.word, e.val)
+		}
+	}
+	for i := range keys {
+		switch e := &keys[i]; {
+		case !e.written || e.inPlace():
+		case e.present:
+			maps[e.shard].SetTx(tx, e.key, e.val)
+		default:
+			maps[e.shard].DeleteTx(tx, e.key)
 		}
 	}
 }

@@ -1,25 +1,37 @@
 package ftx
 
-// keyState is one buffered write: the key's final state in the
-// transaction — a put of val, or a deletion when present is false. shard is
-// the shard owning key.
+import "repro/internal/stm"
+
+// keyState is the attempt's entry for one key it touched: the key's state
+// as the transaction observes it — val when present, absent otherwise —
+// and shard, the shard owning key. word is the tree word holding the
+// key's value when the attempt read it present (nil when the key was read
+// absent or never read), so a write of the key goes to that word with no
+// second lookup. written marks a Put or Delete: the entry's state is then
+// the key's final one, applied at commit.
 type keyState struct {
 	key     uint64
 	val     uint64
-	present bool
+	word    *stm.Word
 	shard   int32
+	present bool
+	written bool
 }
 
-// A keyLog is a transaction's write buffer: at most one keyState per key,
-// found by key. Lookups scan the log while it holds at most logScanMax
-// entries — a transfer-sized transaction never gets further — and go
-// through a map from key to position above that, so a transaction of
-// thousands of keys stays linear in its size. The slice and the map are kept
-// across transactions: a warmed-up log allocates nothing.
+// inPlace reports whether e's write goes to the value word its read found.
+func (e *keyState) inPlace() bool { return e.written && e.present && e.word != nil }
+
+// A keyLog is a transaction's per-key log of reads and writes: at most one
+// keyState per key, found by key. Lookups scan the log while it holds at
+// most logScanMax entries — a transfer-sized transaction never gets
+// further — and go through a map from key to position above that, so a
+// transaction of thousands of keys stays linear in its size. The slice and
+// the map are kept across transactions: a warmed-up log allocates nothing.
 type keyLog struct {
 	recs    []keyState
 	pos     map[uint64]int32 // key → index in recs, while indexed
 	indexed bool
+	written int // entries with written set
 }
 
 // logScanMax is the log size at or below which find scans.
@@ -28,6 +40,7 @@ const logScanMax = 8
 // reset empties the log for the next transaction, keeping its capacity.
 func (l *keyLog) reset() {
 	l.recs = l.recs[:0]
+	l.written = 0
 	l.dropIndex()
 }
 
@@ -54,10 +67,12 @@ func (l *keyLog) find(k uint64) *keyState {
 	return nil
 }
 
-// add appends the entry of a key the log does not hold yet.
-func (l *keyLog) add(s keyState) {
+// add appends the entry of a key the log does not hold yet and returns it,
+// good until the next add.
+func (l *keyLog) add(s keyState) *keyState {
 	l.recs = append(l.recs, s)
-	switch n := len(l.recs); {
+	n := len(l.recs)
+	switch {
 	case n <= logScanMax:
 	case l.indexed:
 		l.pos[s.key] = int32(n - 1)
@@ -70,4 +85,15 @@ func (l *keyLog) add(s keyState) {
 		}
 		l.indexed = true
 	}
+	return &l.recs[n-1]
+}
+
+// write sets e, an entry of l, to the key's final state: val when present,
+// deleted otherwise.
+func (l *keyLog) write(e *keyState, val uint64, present bool) {
+	if !e.written {
+		e.written = true
+		l.written++
+	}
+	e.val, e.present = val, present
 }

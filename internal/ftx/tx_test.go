@@ -96,12 +96,12 @@ func TestKeyLogScanToIndex(t *testing.T) {
 
 // TestParticipantsOrder drives random interleavings of reads, writes and
 // deletes through the Tx and checks the footprint the commit applies: the
-// write buffer holds exactly the keys written, in first-write order, each
-// tagged with its owning shard and carrying its final state (a Delete of a
-// buffered put buffers a deletion; a Delete of an absent key buffers
-// nothing), and multi tells one shard from several. Every transaction
-// returns an error, so the trees stay empty and the buffer is left for the
-// check.
+// key log holds one entry per key touched, in first-touch order, each
+// tagged with its owning shard; the written ones — exactly the keys put —
+// carry their final state (a Delete of a put key logs a deletion; a Delete
+// of an absent key writes nothing), and multi tells one shard from several.
+// Every transaction returns an error, so the trees stay empty and the log
+// is left for the check.
 func TestParticipantsOrder(t *testing.T) {
 	const shards = 5
 	d := newModDomain(shards)
@@ -118,22 +118,25 @@ func TestParticipantsOrder(t *testing.T) {
 		for i, n := 0, rng.Intn(80); i < n; i++ {
 			ops = append(ops, op{rng.Intn(4), uint64(rng.Intn(int(span)))})
 		}
-		var writes []uint64
+		var order []uint64
 		final := map[uint64]keyState{}
 		touched := map[int]bool{}
 		for i, o := range ops {
 			si := int32(d.ShardOf(o.k))
 			touched[int(si)] = true
-			_, written := final[o.k]
+			s, seen := final[o.k]
+			if !seen {
+				order = append(order, o.k)
+			}
 			switch {
 			case o.kind == 1 || o.kind == 2:
-				if !written {
-					writes = append(writes, o.k)
-				}
-				final[o.k] = keyState{key: o.k, val: uint64(i), present: true, shard: si}
-			case o.kind == 3 && written:
-				final[o.k] = keyState{key: o.k, shard: si}
+				s = keyState{key: o.k, val: uint64(i), present: true, shard: si, written: true}
+			case o.kind == 3 && s.written:
+				s = keyState{key: o.k, shard: si, written: true}
+			case !seen:
+				s = keyState{key: o.k, shard: si}
 			}
+			final[o.k] = s
 		}
 		err := c.Run(func(tx *Tx) error {
 			for i, o := range ops {
@@ -151,14 +154,21 @@ func TestParticipantsOrder(t *testing.T) {
 		if err != skip {
 			t.Fatalf("round %d: Run = %v, want the fn error", round, err)
 		}
-		recs := c.tx.writes.recs
-		if len(recs) != len(writes) {
-			t.Fatalf("round %d: %d writes, want %d", round, len(recs), len(writes))
+		recs := c.tx.keys.recs
+		if len(recs) != len(order) {
+			t.Fatalf("round %d: %d entries, want %d", round, len(recs), len(order))
 		}
+		written := 0
 		for i, r := range recs {
-			if want := final[writes[i]]; r != want {
-				t.Fatalf("round %d: writes[%d] = %+v, want %+v", round, i, r, want)
+			if want := final[order[i]]; r != want {
+				t.Fatalf("round %d: entry %d = %+v, want %+v", round, i, r, want)
 			}
+			if r.written {
+				written++
+			}
+		}
+		if c.tx.keys.written != written {
+			t.Fatalf("round %d: log counts %d written entries, holds %d", round, c.tx.keys.written, written)
 		}
 		if c.tx.multi != (len(touched) > 1) {
 			t.Fatalf("round %d: multi = %t with %d shards touched", round, c.tx.multi, len(touched))
@@ -166,6 +176,54 @@ func TestParticipantsOrder(t *testing.T) {
 	}
 	if st := c.Stats(); st.Commits != 0 || st.UserAborts != 200 || st.Aborts != 0 {
 		t.Fatalf("stats %+v, want 200 user aborts and nothing else", st)
+	}
+}
+
+// TestRepeatedGetAndPutDoNotTraverse: inside one fn, Get, Get, Put and Get
+// of the same key return the new value last, and on every kind the attempt
+// reads exactly as much as a lone Get: the later Gets are answered from the
+// key log, and the commit writes the value word the first Get found rather
+// than looking the key up again.
+func TestRepeatedGetAndPutDoNotTraverse(t *testing.T) {
+	const n, k = 256, 77
+	for _, kind := range trees.Kinds() {
+		s := stm.New()
+		th := s.NewThread()
+		m := trees.New(kind, s)
+		for i := uint64(0); i < n; i++ {
+			m.Insert(th, i*97%n, i)
+		}
+		c := NewCoordinator(Single(m, th))
+		reads := func(fn func(*Tx) error) uint64 {
+			before := th.Stats()
+			if err := c.Run(fn); err != nil {
+				t.Fatalf("%s: Run: %v", kind, err)
+			}
+			after := th.Stats()
+			if after.Aborts != before.Aborts {
+				t.Fatalf("%s: the transaction aborted", kind)
+			}
+			return after.Reads + after.UReads - before.Reads - before.UReads
+		}
+		v0, _ := m.Get(th, k)
+		lone := reads(func(tx *Tx) error { tx.Get(k); return nil })
+		got := reads(func(tx *Tx) error {
+			v, _ := tx.Get(k)
+			if again, _ := tx.Get(k); again != v {
+				t.Errorf("%s: repeated Get = %d, first %d", kind, again, v)
+			}
+			tx.Put(k, v+1000)
+			if w, ok := tx.Get(k); !ok || w != v+1000 {
+				t.Errorf("%s: Get after Put = (%d,%t), want %d", kind, w, ok, v+1000)
+			}
+			return nil
+		})
+		if got != lone {
+			t.Errorf("%s: Get, Get, Put, Get and commit read %d words, a lone Get %d", kind, got, lone)
+		}
+		if v, ok := m.Get(th, k); !ok || v != v0+1000 {
+			t.Errorf("%s: key %d = (%d,%t) after the commit, want %d", kind, k, v, ok, v0+1000)
+		}
 	}
 }
 

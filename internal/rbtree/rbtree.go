@@ -190,7 +190,8 @@ func (t *Tree) Contains(th *stm.Thread, k uint64) bool {
 
 // ContainsTx is the composable form of Contains.
 func (t *Tree) ContainsTx(tx *stm.Tx, k uint64) bool {
-	return t.lookup(tx, k) != arena.Nil
+	_, ok := t.ValTx(tx, k)
+	return ok
 }
 
 // Get returns the value mapped to k.
@@ -203,11 +204,23 @@ func (t *Tree) Get(th *stm.Thread, k uint64) (uint64, bool) {
 
 // GetTx is the composable form of Get.
 func (t *Tree) GetTx(tx *stm.Tx, k uint64) (uint64, bool) {
-	ref := t.lookup(tx, k)
-	if ref == arena.Nil {
+	w, ok := t.ValTx(tx, k)
+	if !ok {
 		return 0, false
 	}
-	return tx.Read(&t.node(ref).Val), true
+	return tx.Read(w), true
+}
+
+// ValTx returns the word holding k's value in tx's snapshot, or false when
+// k is absent. A delete of a node with two children moves its successor's
+// key and value into it (deleteEntry): a caller that writes the word later
+// in tx must do so before any DeleteTx of the same transaction.
+func (t *Tree) ValTx(tx *stm.Tx, k uint64) (*stm.Word, bool) {
+	ref := t.lookup(tx, k)
+	if ref == arena.Nil {
+		return nil, false
+	}
+	return &t.node(ref).Val, true
 }
 
 func (t *Tree) lookup(tx *stm.Tx, k uint64) arena.Ref {
@@ -277,12 +290,12 @@ func (t *Tree) InsertTx(tx *stm.Tx, k, v uint64) bool {
 // SetTx maps k to v within the enclosing transaction regardless of whether
 // k is present (an upsert): a present node's value is overwritten in
 // place, an absent key inserts. It is how the transaction coordinator
-// (internal/ftx) applies a buffered put. A present key costs one lookup and
-// one value write; an absent key pays the lookup plus InsertTx's descent
-// (the paths overlap, so the reads dedup against the transaction's log).
+// (internal/ftx) applies a put of a key it did not find present. A present
+// key costs one lookup and one value write; an absent key pays the lookup
+// plus InsertTx's descent.
 func (t *Tree) SetTx(tx *stm.Tx, k, v uint64) {
-	if ref := t.lookup(tx, k); ref != arena.Nil {
-		tx.Write(&t.node(ref).Val, v)
+	if w, ok := t.ValTx(tx, k); ok {
+		tx.Write(w, v)
 		return
 	}
 	t.InsertTx(tx, k, v)

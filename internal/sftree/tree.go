@@ -254,13 +254,8 @@ func (t *Tree) Contains(th *stm.Thread, k uint64) bool {
 // ContainsTx is the composable form of Contains for use inside an enclosing
 // transaction (paper §5.4's reusability).
 func (t *Tree) ContainsTx(tx *stm.Tx, k uint64) bool {
-	checkKey(k)
-	curr := t.find(tx, k)
-	n := t.node(curr)
-	if n.Key.Plain() != k {
-		return false
-	}
-	return tx.Read(&n.Del) == 0
+	_, ok := t.ValTx(tx, k)
+	return ok
 }
 
 // Get returns the value mapped to k, if present.
@@ -273,16 +268,25 @@ func (t *Tree) Get(th *stm.Thread, k uint64) (uint64, bool) {
 
 // GetTx is the composable form of Get.
 func (t *Tree) GetTx(tx *stm.Tx, k uint64) (uint64, bool) {
+	w, ok := t.ValTx(tx, k)
+	if !ok {
+		return 0, false
+	}
+	return tx.Read(w), true
+}
+
+// ValTx returns the word holding k's value in tx's snapshot, or false when
+// k is absent: the one lookup behind GetTx and ContainsTx. The candidate's
+// reads (its deleted flag, and find's pins on its position) are in tx's
+// read set, so a write of the word later in tx commits only while k's node
+// is still the live one.
+func (t *Tree) ValTx(tx *stm.Tx, k uint64) (*stm.Word, bool) {
 	checkKey(k)
-	curr := t.find(tx, k)
-	n := t.node(curr)
-	if n.Key.Plain() != k {
-		return 0, false
+	n := t.node(t.find(tx, k))
+	if n.Key.Plain() != k || tx.Read(&n.Del) != 0 {
+		return nil, false
 	}
-	if tx.Read(&n.Del) != 0 {
-		return 0, false
-	}
-	return tx.Read(&n.Val), true
+	return &n.Val, true
 }
 
 // Insert maps k to v if k is absent, returning true on success (false when
@@ -318,9 +322,8 @@ func (t *Tree) InsertTx(tx *stm.Tx, k, v uint64) bool {
 // SetTx maps k to v within the enclosing transaction regardless of whether
 // k is present (an upsert): a live node's value is overwritten in place, a
 // logically deleted node is resurrected, and an absent key gains a new
-// leaf. It is how the transaction coordinator (internal/ftx) applies its
-// write buffer, which holds each written key's final state and applies it
-// without knowing presence.
+// leaf. It is how the transaction coordinator (internal/ftx) applies the
+// final state of a written key it did not find present.
 func (t *Tree) SetTx(tx *stm.Tx, k, v uint64) {
 	checkKey(k)
 	n := t.node(t.find(tx, k))

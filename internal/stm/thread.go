@@ -71,12 +71,14 @@ type Thread struct {
 	_       cacheLinePad
 
 	// live mirrors the subset of stats that is scrapeable while the thread
-	// runs (STM.LiveStats): the owner publishes each counter with a plain
-	// atomic store right after bumping its plain twin — the completeOp
-	// owner-local-mirror pattern, a MOV rather than a LOCK XADD on x86 — so
-	// a /metrics scrape sums them race-free without pausing anything. Like
-	// pending/opCount these are the only fields foreign goroutines read
-	// while the owner is hot, hence their own padded region.
+	// runs (STM.LiveStats): the owner publishes each counter with an atomic
+	// store right after bumping its plain twin — the completeOp
+	// owner-local-mirror pattern — so a /metrics scrape sums them race-free
+	// without pausing anything. On amd64 such a store is an XCHG, which is
+	// implicitly locked: it saves the load-add round trip of an atomic
+	// increment, not the locked instruction. Like pending/opCount these are
+	// the only fields foreign goroutines read while the owner is hot, hence
+	// their own padded region.
 	live liveMirror
 	_    cacheLinePad
 
@@ -196,9 +198,15 @@ func (th *Thread) settle() {
 }
 
 // completeOp counts one completed operation for the §3.4 limbos. The
-// published counter is only ever written by the owning goroutine, so a plain
-// atomic store of an owner-local mirror replaces the read-modify-write an
-// atomic increment would cost on the hot path.
+// published counter is only ever written by the owning goroutine, so an
+// atomic store of an owner-local mirror replaces an atomic increment. On
+// amd64 Go compiles that store to XCHGQ (go tool objdump -s endOp shows
+// it), which is locked like the LOCK XADD it replaces: endOp pays two
+// locked instructions, this one and pending's XCHGL. Merging pending and
+// opCount into one word and dropping the live.commits store saves two of
+// them per operation, but measured no gain on paper-u20 (6 interleaved
+// pairs on a 2-vCPU host: 3.72 M → 3.84 M ops/s, ahead in 4 of 6; read
+// p50 462 → 464 ns), so the two words stay.
 func (th *Thread) completeOp() {
 	th.opsDone++
 	th.opCount.Store(th.opsDone)

@@ -40,6 +40,12 @@ type Map interface {
 	// Composable forms.
 	GetTx(tx *stm.Tx, k uint64) (uint64, bool)
 	ContainsTx(tx *stm.Tx, k uint64) bool
+	// ValTx returns the word holding k's value in tx's snapshot, or false
+	// when k is absent; GetTx is ValTx then tx.Read. Writing the word later
+	// in tx updates k in place with no second lookup, provided no DeleteTx
+	// of tx runs in between (an RB or AVL delete may move a successor's
+	// value into another node).
+	ValTx(tx *stm.Tx, k uint64) (*stm.Word, bool)
 	// InsertTx maps k to v if k is absent (false when present). Its new
 	// node comes from tx.Alloc, which gives it back to the tree's arena if
 	// the attempt does not commit: the caller never sees it.

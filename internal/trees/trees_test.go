@@ -304,7 +304,7 @@ func TestMoveOnAllKinds(t *testing.T) {
 
 // TestSetTxOnAllKinds: every registry tree provides a native SetTx upsert
 // (sftree directly, rb/avl natively, nr via embedding) — how ftx applies
-// its write buffer. Upserting must overwrite a
+// the writes of keys it did not find present. Upserting must overwrite a
 // present key in place, insert an absent one, and resurrect a logically
 // deleted one, all composably inside an enclosing transaction.
 func TestSetTxOnAllKinds(t *testing.T) {
@@ -327,6 +327,52 @@ func TestSetTxOnAllKinds(t *testing.T) {
 		}
 		if n := m.Size(th); n != 3 {
 			t.Fatalf("%s: size %d after upserts, want 3", kind, n)
+		}
+	}
+}
+
+// TestValTxOnAllKinds: on every kind, ValTx of a present key returns the
+// word whose read GetTx returns, and a write through it is what GetTx then
+// sees; an absent key — never inserted, deleted by an earlier transaction,
+// or deleted earlier in the same attempt — returns false.
+func TestValTxOnAllKinds(t *testing.T) {
+	const n = 64
+	for _, kind := range Kinds() {
+		s := stm.New()
+		m := New(kind, s)
+		th := s.NewThread()
+		for k := uint64(0); k < n; k++ {
+			m.Insert(th, k*37%n, k)
+		}
+		m.Delete(th, 5) // logical on the sf family, physical on rb/avl
+		th.AtomicMode(stm.CTL, func(tx *stm.Tx) {
+			for k := uint64(0); k < n; k++ {
+				w, ok := m.ValTx(tx, k)
+				v, present := m.GetTx(tx, k)
+				if ok != present || ok != (k != 5) {
+					t.Fatalf("%s: ValTx(%d) ok = %t, GetTx ok = %t", kind, k, ok, present)
+				}
+				if ok && tx.Read(w) != v {
+					t.Fatalf("%s: ValTx(%d) word reads %d, GetTx %d", kind, k, tx.Read(w), v)
+				}
+			}
+			if _, ok := m.ValTx(tx, n+1); ok {
+				t.Fatalf("%s: ValTx of a never-inserted key found it", kind)
+			}
+			w, _ := m.ValTx(tx, 7)
+			tx.Write(w, 700)
+			if v, _ := m.GetTx(tx, 7); v != 700 {
+				t.Fatalf("%s: GetTx(7) = %d after writing its word, want 700", kind, v)
+			}
+			if !m.DeleteTx(tx, 9) {
+				t.Fatalf("%s: DeleteTx(9) found nothing", kind)
+			}
+			if _, ok := m.ValTx(tx, 9); ok {
+				t.Fatalf("%s: ValTx found a key deleted earlier in the attempt", kind)
+			}
+		})
+		if v, ok := m.Get(th, 7); !ok || v != 700 {
+			t.Fatalf("%s: key 7 = (%d,%v) after the commit, want 700", kind, v, ok)
 		}
 	}
 }

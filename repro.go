@@ -554,10 +554,11 @@ func (h *Handle) Contains(k uint64) bool { return h.fh.Contains(k) }
 func (h *Handle) Move(src, dst uint64) bool { return h.fh.Move(src, dst) }
 
 // Txn is the transaction Handle.Atomic runs: Get/Contains read through to
-// the owning shard inside the one STM transaction (one snapshot; a repeated
-// read traverses again), Put/Insert/Delete buffer their effect, and
-// everything commits atomically — all or none — when the function returns
-// nil.
+// the owning shard inside the one STM transaction (one snapshot; each key
+// is looked up once, a repeated read answered from the Txn),
+// Put/Insert/Delete buffer their effect, and everything commits atomically
+// — all or none — when the function returns nil. A Put after a Get writes
+// the found node's value word in place; structural changes apply last.
 type Txn = ftx.Tx
 
 // Atomic runs fn as one atomic transaction over the whole key space,

@@ -27,9 +27,10 @@ test:
 # no-restructuring packages, which start maintenance through trees.Start
 # beside concurrent clients; the arena and the red-black and AVL trees,
 # whose aborted attempts give their nodes back to the arena's free list
-# while other threads allocate from it; and the transactional list under
-# vacation's reservations). The forest and ftx packages run a second time
-# at -cpu 2,8: every shard of a forest commits on one version clock, and 8
+# while other threads allocate from it; the transactional list under
+# vacation's reservations; and the whole-operation layer every tree embeds,
+# whose per-thread frame cache grows while other threads read it). The
+# forest and ftx packages run a second time at -cpu 2,8: every shard of a forest commits on one version clock, and 8
 # Ps on a machine with fewer cores interleave its clock and lock traffic in
 # ways the default P count does not. The
 # timeout guards against a stress test livelocking under the detector's
@@ -39,7 +40,7 @@ test:
 # toolchain change make them fail here only, skip them under a `race` build
 # tag rather than loosen them.
 race:
-	$(GO) test -race -timeout 10m ./internal/stm ./internal/sftree ./internal/trees ./internal/ring ./internal/durable ./internal/obs ./internal/vacation ./internal/experiments ./internal/nrtree ./internal/arena ./internal/rbtree ./internal/avltree ./internal/tlist .
+	$(GO) test -race -timeout 10m ./internal/stm ./internal/sftree ./internal/trees ./internal/ring ./internal/durable ./internal/obs ./internal/vacation ./internal/experiments ./internal/nrtree ./internal/arena ./internal/rbtree ./internal/avltree ./internal/tlist ./internal/txmap .
 	$(GO) test -race -timeout 10m -cpu 2,8 ./internal/forest ./internal/ftx
 
 # The internal packages' tests on a 32-bit build: the only run where int is

@@ -17,30 +17,27 @@ import (
 
 	"repro/internal/arena"
 	"repro/internal/stm"
+	"repro/internal/txmap"
 )
 
-// Tree is a transactional AVL tree. The root reference itself is a
-// transactional word: rotations at the top of the tree write it, making the
-// root a genuine contention point, as in the baseline implementations.
+// Tree is a transactional AVL tree. Its whole operations, lookup, upsert
+// and range scan come from the embedded txmap.Coupled; the tree supplies
+// InsertTx and DeleteTx with their rebalancing. The root reference itself
+// is a transactional word: rotations at the top of the tree write it,
+// making the root a genuine contention point, as in the baseline
+// implementations.
 type Tree struct {
-	s  *stm.STM
-	ar *arena.Arena
-
-	root stm.Word // arena.Ref of the root node
+	txmap.Coupled
 }
-
-// STM returns the domain the tree lives in.
-func (t *Tree) STM() *stm.STM { return t.s }
 
 // New creates an empty AVL tree on the given STM domain.
 func New(s *stm.STM) *Tree {
-	return &Tree{s: s, ar: arena.New()}
+	t := &Tree{}
+	t.Init(t, s)
+	return t
 }
 
-// Arena exposes the node arena for instrumentation.
-func (t *Tree) Arena() *arena.Arena { return t.ar }
-
-func (t *Tree) node(r arena.Ref) *arena.Node { return t.ar.Get(r) }
+func (t *Tree) node(r arena.Ref) *arena.Node { return t.Nodes.Get(r) }
 
 // height reads a subtree height (0 for ⊥). Heights are stored in Balance().
 func (t *Tree) height(tx *stm.Tx, ref arena.Ref) uint64 {
@@ -126,90 +123,21 @@ func (t *Tree) rebalance(tx *stm.Tx, ref arena.Ref) arena.Ref {
 	return ref
 }
 
-// Contains reports whether k is present.
-func (t *Tree) Contains(th *stm.Thread, k uint64) bool {
-	var ok bool
-	t.atomic(th, func(tx *stm.Tx) { ok = t.ContainsTx(tx, k) })
-	return ok
-}
-
-// ContainsTx is the composable form of Contains.
-func (t *Tree) ContainsTx(tx *stm.Tx, k uint64) bool {
-	_, ok := t.ValTx(tx, k)
-	return ok
-}
-
-// Get returns the value mapped to k.
-func (t *Tree) Get(th *stm.Thread, k uint64) (uint64, bool) {
-	var v uint64
-	var ok bool
-	t.atomic(th, func(tx *stm.Tx) { v, ok = t.GetTx(tx, k) })
-	return v, ok
-}
-
-// GetTx is the composable form of Get.
-func (t *Tree) GetTx(tx *stm.Tx, k uint64) (uint64, bool) {
-	w, ok := t.ValTx(tx, k)
-	if !ok {
-		return 0, false
-	}
-	return tx.Read(w), true
-}
-
-// ValTx returns the word holding k's value in tx's snapshot, or false when
-// k is absent. A delete of a node with two children moves its successor's
-// key and value into it (deleteRec): a caller that writes the word later in
-// tx must do so before any DeleteTx of the same transaction.
-func (t *Tree) ValTx(tx *stm.Tx, k uint64) (*stm.Word, bool) {
-	ref := tx.Read(&t.root)
-	for ref != arena.Nil {
-		n := t.node(ref)
-		key := tx.Read(&n.Key)
-		switch {
-		case k == key:
-			return &n.Val, true
-		case k < key:
-			ref = tx.Read(&n.L)
-		default:
-			ref = tx.Read(&n.R)
-		}
-	}
-	return nil, false
-}
-
-// Insert maps k to v if absent, rebalancing within the same transaction.
-func (t *Tree) Insert(th *stm.Thread, k, v uint64) bool {
-	var ok bool
-	t.atomic(th, func(tx *stm.Tx) { ok = t.InsertTx(tx, k, v) })
-	return ok
-}
-
-// InsertTx is the composable form of Insert. The new node comes from
-// tx.Alloc, so an attempt that does not commit gives it back.
+// InsertTx maps k to v if absent, rebalancing within the same
+// transaction. The new node comes from tx.Alloc, so an attempt that does
+// not commit gives it back.
 func (t *Tree) InsertTx(tx *stm.Tx, k, v uint64) bool {
-	rootRef := tx.Read(&t.root)
+	rootRef := tx.Read(&t.Root)
 	newRoot, added := t.insertRec(tx, rootRef, k, v)
 	if added && newRoot != rootRef {
-		tx.Write(&t.root, newRoot)
+		tx.Write(&t.Root, newRoot)
 	}
 	return added
 }
 
-// SetTx maps k to v within the enclosing transaction regardless of whether
-// k is present (an upsert): a present node's value is overwritten in
-// place, an absent key inserts. It is how the transaction coordinator
-// (internal/ftx) applies a put of a key it did not find present.
-func (t *Tree) SetTx(tx *stm.Tx, k, v uint64) {
-	if w, ok := t.ValTx(tx, k); ok {
-		tx.Write(w, v)
-		return
-	}
-	t.InsertTx(tx, k, v)
-}
-
 func (t *Tree) insertRec(tx *stm.Tx, ref arena.Ref, k, v uint64) (arena.Ref, bool) {
 	if ref == arena.Nil {
-		r := tx.Alloc(t.ar, k, v)
+		r := tx.Alloc(t.Nodes, k, v)
 		t.node(r).Balance().SetPlain(1) // height of a fresh leaf
 		return r, true
 	}
@@ -241,20 +169,13 @@ func (t *Tree) insertRec(tx *stm.Tx, ref arena.Ref, k, v uint64) (arena.Ref, boo
 	}
 }
 
-// Delete removes k, physically unlinking (or successor-replacing) the node
-// and rebalancing, all inside one transaction.
-func (t *Tree) Delete(th *stm.Thread, k uint64) bool {
-	var ok bool
-	t.atomic(th, func(tx *stm.Tx) { ok = t.DeleteTx(tx, k) })
-	return ok
-}
-
-// DeleteTx is the composable form of Delete.
+// DeleteTx removes k, physically unlinking (or successor-replacing) the
+// node and rebalancing, all inside one transaction.
 func (t *Tree) DeleteTx(tx *stm.Tx, k uint64) bool {
-	rootRef := tx.Read(&t.root)
+	rootRef := tx.Read(&t.Root)
 	newRoot, deleted := t.deleteRec(tx, rootRef, k)
 	if deleted && newRoot != rootRef {
-		tx.Write(&t.root, newRoot)
+		tx.Write(&t.Root, newRoot)
 	}
 	return deleted
 }
@@ -294,7 +215,7 @@ func (t *Tree) deleteRec(tx *stm.Tx, ref arena.Ref, k uint64) (arena.Ref, bool) 
 		// The caller links child in n's place: n is unlinked, and the
 		// thread's limbo frees it once no operation that could still hold
 		// it is running (stm.Tx.Retire).
-		tx.Retire(t.ar, ref)
+		tx.Retire(t.Nodes, ref)
 		child := lRef
 		if child == arena.Nil {
 			child = rRef
@@ -326,99 +247,11 @@ func (t *Tree) minOf(tx *stm.Tx, ref arena.Ref) (uint64, uint64) {
 	}
 }
 
-// Size counts elements in one transaction.
-func (t *Tree) Size(th *stm.Thread) int {
-	var c int
-	t.atomic(th, func(tx *stm.Tx) {
-		c = 0
-		t.walk(tx, tx.Read(&t.root), func(*arena.Node) { c++ })
-	})
-	return c
-}
-
-// Keys returns the sorted key set in one transaction.
-func (t *Tree) Keys(th *stm.Thread) []uint64 {
-	var out []uint64
-	t.atomic(th, func(tx *stm.Tx) {
-		out = out[:0]
-		t.walk(tx, tx.Read(&t.root), func(n *arena.Node) {
-			out = append(out, tx.Read(&n.Key))
-		})
-	})
-	return out
-}
-
-func (t *Tree) walk(tx *stm.Tx, ref arena.Ref, visit func(*arena.Node)) {
-	if ref == arena.Nil {
-		return
-	}
-	n := t.node(ref)
-	t.walk(tx, tx.Read(&n.L), visit)
-	visit(n)
-	t.walk(tx, tx.Read(&n.R), visit)
-}
-
-// Range visits every element with key in [lo, hi] (inclusive) in ascending
-// order; fn returning false stops the scan. It reports whether the scan ran
-// to the end of the interval. The interval is snapshotted in one
-// transaction and fn runs after it commits — once per element, never from
-// an aborted attempt — so fn may accumulate state freely.
-func (t *Tree) Range(th *stm.Thread, lo, hi uint64, fn func(k, v uint64) bool) bool {
-	var buf [][2]uint64
-	t.atomic(th, func(tx *stm.Tx) {
-		buf = buf[:0]
-		t.RangeTx(tx, lo, hi, func(k, v uint64) bool {
-			buf = append(buf, [2]uint64{k, v})
-			return true
-		})
-	})
-	for _, e := range buf {
-		if !fn(e[0], e[1]) {
-			return false
-		}
-	}
-	return true
-}
-
-// RangeTx is the composable form of Range. Unlike the speculation-friendly
-// tree, keys here are transactional (deletion replaces them in place), so
-// the bounded traversal reads each visited key through the STM.
-func (t *Tree) RangeTx(tx *stm.Tx, lo, hi uint64, fn func(k, v uint64) bool) bool {
-	if lo > hi {
-		return true
-	}
-	return t.rangeWalk(tx, tx.Read(&t.root), lo, hi, fn)
-}
-
-func (t *Tree) rangeWalk(tx *stm.Tx, ref arena.Ref, lo, hi uint64, fn func(k, v uint64) bool) bool {
-	if ref == arena.Nil {
-		return true
-	}
-	n := t.node(ref)
-	k := tx.Read(&n.Key)
-	if lo < k {
-		if !t.rangeWalk(tx, tx.Read(&n.L), lo, hi, fn) {
-			return false
-		}
-	}
-	if lo <= k && k <= hi {
-		if !fn(k, tx.Read(&n.Val)) {
-			return false
-		}
-	}
-	if k < hi {
-		if !t.rangeWalk(tx, tx.Read(&n.R), lo, hi, fn) {
-			return false
-		}
-	}
-	return true
-}
-
 // CheckInvariants verifies (with plain reads; quiescent use only) that the
 // tree is a valid BST, that every stored height is exact, and that every
 // node satisfies the AVL balance condition.
 func (t *Tree) CheckInvariants() error {
-	_, err := t.checkRec(t.root.Plain(), 0, false, 0, false)
+	_, err := t.checkRec(t.Root.Plain(), 0, false, 0, false)
 	return err
 }
 
@@ -457,20 +290,4 @@ func (t *Tree) checkRec(ref arena.Ref, lo uint64, loSet bool, hi uint64, hiSet b
 		return 0, fmt.Errorf("key %d violates AVL balance: %d vs %d", k, lh, rh)
 	}
 	return h, nil
-}
-
-// ElasticSafe reports that this tree must not run under elastic cutting:
-// like the red-black baseline it mutates keys in place on deletion and
-// rebalances inside the update transaction, so cut reads can commit
-// structural corruption. See the rbtree package for the full argument.
-func (t *Tree) ElasticSafe() bool { return false }
-
-// atomic runs fn in the thread's default TM mode, demoted from Elastic to
-// CTL (see ElasticSafe).
-func (t *Tree) atomic(th *stm.Thread, fn func(*stm.Tx)) {
-	mode := th.STM().DefaultMode()
-	if mode == stm.Elastic {
-		mode = stm.CTL
-	}
-	th.AtomicMode(mode, fn)
 }

@@ -140,7 +140,6 @@ func fill(m trees.Map, s *stm.STM, keyRange uint64, seed int64) {
 type Runner struct {
 	m   trees.Map
 	th  *stm.Thread
-	mv  trees.Mover
 	rng *rand.Rand
 	wl  Workload
 
@@ -170,7 +169,7 @@ func (w *Runner) Step() {
 	case roll < w.wl.MovePercent:
 		src := w.key(false)
 		dst := w.key(true)
-		if trees.MoveWith(&w.mv, w.m, w.th, src, dst) {
+		if w.m.Move(w.th, src, dst) {
 			w.EffMoves++
 			w.EffUpdates++
 		}

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/ftx"
+	"repro/internal/stm"
 	"repro/internal/trees"
 )
 
@@ -214,5 +215,66 @@ func TestAtomicWritesInPlaceBeforeDeletes(t *testing.T) {
 			t.Errorf("%s: %v", kind, err)
 		}
 		f.Close()
+	}
+}
+
+// TestUpdateAtomicUnderElastic: Update's fn reads keys and writes values
+// computed from them, so every read must be validated at commit, whatever
+// the domain's default mode. On a speculation-friendly forest whose
+// default is Elastic, four goroutines each run two-key transfers — Get a,
+// Get b, then Delete and Insert of each with the moved amount — and the
+// balances must still sum to what they were seeded with. Run elastic, the
+// Gets' reads are cut before the first write, a concurrent transfer of the
+// same account slips in between, and amounts vanish.
+func TestUpdateAtomicUnderElastic(t *testing.T) {
+	const (
+		workers     = 4
+		transfers   = 5000
+		accounts    = 8
+		initBalance = 1000
+	)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	f := New(trees.SF, WithShards(1), WithTMMode(stm.Elastic), WithYield(4))
+	defer f.Close()
+	seed := f.NewHandle()
+	for k := uint64(0); k < accounts; k++ {
+		seed.Insert(k, initBalance)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			h := f.NewHandle()
+			rng := rand.New(rand.NewSource(int64(w) + 1))
+			for i := 0; i < transfers; i++ {
+				a := uint64(rng.Intn(accounts))
+				b := (a + 1 + uint64(rng.Intn(accounts-1))) % accounts
+				h.Update(func(op *Op) {
+					av, okA := op.Get(a)
+					bv, okB := op.Get(b)
+					if !okA || !okB || av == 0 {
+						return
+					}
+					op.Delete(a)
+					op.Insert(a, av-1)
+					op.Delete(b)
+					op.Insert(b, bv+1)
+				})
+			}
+		}(w)
+	}
+	wg.Wait()
+	h := f.NewHandle()
+	var sum uint64
+	for k := uint64(0); k < accounts; k++ {
+		v, ok := h.Get(k)
+		if !ok {
+			t.Fatalf("account %d vanished", k)
+		}
+		sum += v
+	}
+	if want := uint64(accounts * initBalance); sum != want {
+		t.Fatalf("balances sum to %d, want %d: an Update committed on cut reads", sum, want)
 	}
 }

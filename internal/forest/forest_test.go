@@ -233,7 +233,7 @@ func TestSingleShardMatchesBareTree(t *testing.T) {
 					}
 				default:
 					src, dst := k, uint64(rng.Intn(keyRange))
-					if fh.Move(src, dst) != trees.Move(bare, th, src, dst) {
+					if fh.Move(src, dst) != bare.Move(th, src, dst) {
 						t.Fatalf("op %d: move(%d,%d) diverged", i, src, dst)
 					}
 				}

@@ -27,6 +27,13 @@ import (
 //     and updates only its own, mirroring every committed effect into the
 //     shared model under its mutex. Per-key single-writership makes the
 //     model's final state exact, so the tree must match it key for key.
+//
+// One churn transaction is the shape that makes an RB or AVL commit order
+// matter: Get a, Delete b, Put a, where a is b's in-order successor in
+// their shard's tree. Nothing but the worker's own keys lies between two
+// of its churn keys, so the next present one after b in b's shard is that
+// successor; whenever b has two children, the delete copies a's key and
+// value into b's node and unlinks a's, and the Put must still land.
 func TestFtxRandomizedOracle(t *testing.T) {
 	const (
 		workers     = 4
@@ -59,7 +66,7 @@ func TestFtxRandomizedOracle(t *testing.T) {
 						rng := rand.New(rand.NewSource(int64(w)*7919 + 1))
 						churnBase := uint64(100000 + w*churnSpan)
 						for i := 0; i < iterations; i++ {
-							switch rng.Intn(4) {
+							switch rng.Intn(5) {
 							case 0: // multi-key ftx transfer between two accounts
 								a := uint64(rng.Intn(nAccounts))
 								b := uint64(rng.Intn(nAccounts))
@@ -97,6 +104,39 @@ func TestFtxRandomizedOracle(t *testing.T) {
 								h.Delete(k)
 								modelMu.Lock()
 								delete(model, k)
+								modelMu.Unlock()
+							case 3: // Get a, Delete b, Put a: a is b's successor
+								b := churnBase + uint64(rng.Intn(churnSpan))
+								a, ok := uint64(0), false
+								modelMu.Lock()
+								_, present := model[b]
+								for k := b + 1; present && k < churnBase+churnSpan; k++ {
+									if _, in := model[k]; in && f.ShardOf(k) == f.ShardOf(b) {
+										a, ok = k, true
+										break
+									}
+								}
+								modelMu.Unlock()
+								if !ok {
+									continue
+								}
+								var av uint64
+								err := h.Atomic(func(tx *ftx.Tx) error {
+									v, okA := tx.Get(a)
+									if !okA || !tx.Delete(b) {
+										t.Errorf("churn key %d or %d missing", a, b)
+										return nil
+									}
+									av = v + 1
+									tx.Put(a, av)
+									return nil
+								})
+								if err != nil {
+									t.Errorf("Atomic: %v", err)
+								}
+								modelMu.Lock()
+								delete(model, b)
+								model[a] = av
 								modelMu.Unlock()
 							default: // reads of anything
 								if rng.Intn(2) == 0 {

@@ -9,6 +9,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/stm"
 	"repro/internal/trees"
+	"repro/internal/txmap"
 )
 
 // Handle is a per-goroutine accessor to a Forest. It registers one STM
@@ -31,8 +32,8 @@ type Handle struct {
 	effects []durable.Op
 
 	// mv performs moves (the §5.4 composition, written once in
-	// sftree.Mover) between the source and destination keys' trees.
-	mv trees.Mover
+	// txmap.Mover) between the source and destination keys' trees.
+	mv txmap.Mover
 
 	// scan is the handle's reusable Range state (range.go): nil while a
 	// Range is feeding its callback, which may scan again on this handle.
@@ -267,13 +268,16 @@ func (h *Handle) Keys() []uint64 {
 
 // Update runs fn as one atomic transaction over the whole forest: each Op
 // routes its key to the owning shard's tree, and every operation belongs to
-// the one transaction whichever shards it touches. fn may be re-executed
-// and must be free of side effects beyond the Op and captured locals it
-// re-assigns. On a durable forest the transaction's effects are logged as
-// one WAL record at its commit position.
+// the one transaction whichever shards it touches. The transaction is CTL
+// whatever the forest's default mode: fn may write values computed from
+// what it read, so every read is validated at commit, where an elastic
+// transaction would cut the earlier ones. fn may be re-executed and must
+// be free of side effects beyond the Op and captured locals it re-assigns.
+// On a durable forest the transaction's effects are logged as one WAL
+// record at its commit position.
 func (h *Handle) Update(fn func(op *Op)) {
 	sp := h.begin(obs.OpUpdate)
-	trees.Atomic(h.f.maps[0], h.th, func(tx *stm.Tx) {
+	h.th.AtomicMode(stm.CTL, func(tx *stm.Tx) {
 		op := Op{f: h.f, tx: tx}
 		if h.f.wal != nil {
 			h.effects = h.effects[:0]

@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/arena"
 	"repro/internal/stm"
+	"repro/internal/txmap"
 )
 
 // Colors, stored in Node.Balance().
@@ -27,52 +28,28 @@ const (
 	black = uint64(1)
 )
 
-// Tree is a transactional red-black tree.
+// Tree is a transactional red-black tree. Its whole operations, lookup,
+// upsert and range scan come from the embedded txmap.Coupled; the tree
+// supplies InsertTx and DeleteTx with their rebalancing.
 type Tree struct {
-	s  *stm.STM
-	ar *arena.Arena
-
-	root stm.Word // arena.Ref of the root
+	txmap.Coupled
 
 	rotations atomic.Uint64
 }
 
-// STM returns the domain the tree lives in.
-func (t *Tree) STM() *stm.STM { return t.s }
-
 // New creates an empty red-black tree on the given STM domain.
 func New(s *stm.STM) *Tree {
-	return &Tree{s: s, ar: arena.New()}
+	t := &Tree{}
+	t.Init(t, s)
+	return t
 }
-
-// Arena exposes the node arena for instrumentation.
-func (t *Tree) Arena() *arena.Arena { return t.ar }
 
 // Rotations returns the number of rotations executed, including those of
 // transaction attempts that later aborted (the counter the §5.5 comparison
 // against the speculation-friendly tree's committed rotations uses).
 func (t *Tree) Rotations() uint64 { return t.rotations.Load() }
 
-func (t *Tree) node(r arena.Ref) *arena.Node { return t.ar.Get(r) }
-
-// ElasticSafe reports that this tree must NOT run under elastic cutting:
-// deletion replaces keys in place (successor copy), so a traversal whose
-// earlier reads were cut can mis-route undetectably, and rotation writes
-// computed from cut reads can commit structural corruption. See atomic.
-func (t *Tree) ElasticSafe() bool { return false }
-
-// atomic runs fn in the thread's default TM mode, demoted from Elastic to
-// CTL. Elastic transactions relax exactly the guarantee this tree's
-// coupled restructuring relies on — that every read on the path is
-// revalidated at commit — which is the paper's §5.3 point inverted: the TM
-// relaxation only pays off on structures designed for it.
-func (t *Tree) atomic(th *stm.Thread, fn func(*stm.Tx)) {
-	mode := th.STM().DefaultMode()
-	if mode == stm.Elastic {
-		mode = stm.CTL
-	}
-	th.AtomicMode(mode, fn)
-}
+func (t *Tree) node(r arena.Ref) *arena.Node { return t.Nodes.Get(r) }
 
 // --- transactional accessors (nil-tolerant, as in the sentinel-free code) --
 
@@ -140,7 +117,7 @@ func (t *Tree) rotateLeft(tx *stm.Tx, p arena.Ref) {
 	g := tx.Read(pn.Parent())
 	tx.Write(rn.Parent(), g)
 	if g == arena.Nil {
-		tx.Write(&t.root, r)
+		tx.Write(&t.Root, r)
 	} else if tx.Read(&t.node(g).L) == p {
 		tx.Write(&t.node(g).L, r)
 	} else {
@@ -169,7 +146,7 @@ func (t *Tree) rotateRight(tx *stm.Tx, p arena.Ref) {
 	g := tx.Read(pn.Parent())
 	tx.Write(ln.Parent(), g)
 	if g == arena.Nil {
-		tx.Write(&t.root, l)
+		tx.Write(&t.Root, l)
 	} else if tx.Read(&t.node(g).R) == p {
 		tx.Write(&t.node(g).R, l)
 	} else {
@@ -179,82 +156,17 @@ func (t *Tree) rotateRight(tx *stm.Tx, p arena.Ref) {
 	tx.Write(pn.Parent(), l)
 }
 
-// --- abstract operations ---------------------------------------------------
+// --- composable updates ----------------------------------------------------
 
-// Contains reports whether k is present.
-func (t *Tree) Contains(th *stm.Thread, k uint64) bool {
-	var ok bool
-	t.atomic(th, func(tx *stm.Tx) { ok = t.ContainsTx(tx, k) })
-	return ok
-}
-
-// ContainsTx is the composable form of Contains.
-func (t *Tree) ContainsTx(tx *stm.Tx, k uint64) bool {
-	_, ok := t.ValTx(tx, k)
-	return ok
-}
-
-// Get returns the value mapped to k.
-func (t *Tree) Get(th *stm.Thread, k uint64) (uint64, bool) {
-	var v uint64
-	var ok bool
-	t.atomic(th, func(tx *stm.Tx) { v, ok = t.GetTx(tx, k) })
-	return v, ok
-}
-
-// GetTx is the composable form of Get.
-func (t *Tree) GetTx(tx *stm.Tx, k uint64) (uint64, bool) {
-	w, ok := t.ValTx(tx, k)
-	if !ok {
-		return 0, false
-	}
-	return tx.Read(w), true
-}
-
-// ValTx returns the word holding k's value in tx's snapshot, or false when
-// k is absent. A delete of a node with two children moves its successor's
-// key and value into it (deleteEntry): a caller that writes the word later
-// in tx must do so before any DeleteTx of the same transaction.
-func (t *Tree) ValTx(tx *stm.Tx, k uint64) (*stm.Word, bool) {
-	ref := t.lookup(tx, k)
-	if ref == arena.Nil {
-		return nil, false
-	}
-	return &t.node(ref).Val, true
-}
-
-func (t *Tree) lookup(tx *stm.Tx, k uint64) arena.Ref {
-	ref := tx.Read(&t.root)
-	for ref != arena.Nil {
-		n := t.node(ref)
-		key := tx.Read(&n.Key)
-		switch {
-		case k == key:
-			return ref
-		case k < key:
-			ref = tx.Read(&n.L)
-		default:
-			ref = tx.Read(&n.R)
-		}
-	}
-	return arena.Nil
-}
-
-// Insert maps k to v if absent, rebalancing inside the same transaction.
-func (t *Tree) Insert(th *stm.Thread, k, v uint64) bool {
-	var ok bool
-	t.atomic(th, func(tx *stm.Tx) { ok = t.InsertTx(tx, k, v) })
-	return ok
-}
-
-// InsertTx is the composable form of Insert. The new node comes from
-// tx.Alloc, so an attempt that does not commit gives it back.
+// InsertTx maps k to v if absent, rebalancing inside the same transaction.
+// The new node comes from tx.Alloc, so an attempt that does not commit
+// gives it back.
 func (t *Tree) InsertTx(tx *stm.Tx, k, v uint64) bool {
-	ref := tx.Read(&t.root)
+	ref := tx.Read(&t.Root)
 	if ref == arena.Nil {
-		r := tx.Alloc(t.ar, k, v)
+		r := tx.Alloc(t.Nodes, k, v)
 		t.node(r).Balance().SetPlain(black)
-		tx.Write(&t.root, r)
+		tx.Write(&t.Root, r)
 		return true
 	}
 	var parent arena.Ref
@@ -273,7 +185,7 @@ func (t *Tree) InsertTx(tx *stm.Tx, k, v uint64) bool {
 			ref = tx.Read(&n.R)
 		}
 	}
-	x := tx.Alloc(t.ar, k, v)
+	x := tx.Alloc(t.Nodes, k, v)
 	xn := t.node(x)
 	xn.Balance().SetPlain(red)
 	xn.Parent().SetPlain(arena.Nil)
@@ -287,22 +199,8 @@ func (t *Tree) InsertTx(tx *stm.Tx, k, v uint64) bool {
 	return true
 }
 
-// SetTx maps k to v within the enclosing transaction regardless of whether
-// k is present (an upsert): a present node's value is overwritten in
-// place, an absent key inserts. It is how the transaction coordinator
-// (internal/ftx) applies a put of a key it did not find present. A present
-// key costs one lookup and one value write; an absent key pays the lookup
-// plus InsertTx's descent.
-func (t *Tree) SetTx(tx *stm.Tx, k, v uint64) {
-	if w, ok := t.ValTx(tx, k); ok {
-		tx.Write(w, v)
-		return
-	}
-	t.InsertTx(tx, k, v)
-}
-
 func (t *Tree) fixAfterInsertion(tx *stm.Tx, x arena.Ref) {
-	for x != arena.Nil && x != tx.Read(&t.root) && t.colorOf(tx, t.parentOf(tx, x)) == red {
+	for x != arena.Nil && x != tx.Read(&t.Root) && t.colorOf(tx, t.parentOf(tx, x)) == red {
 		p := t.parentOf(tx, x)
 		g := t.parentOf(tx, p)
 		if p == t.leftOf(tx, g) {
@@ -343,19 +241,12 @@ func (t *Tree) fixAfterInsertion(tx *stm.Tx, x arena.Ref) {
 			}
 		}
 	}
-	t.setColor(tx, tx.Read(&t.root), black)
+	t.setColor(tx, tx.Read(&t.Root), black)
 }
 
-// Delete removes k, unlinking and rebalancing in the same transaction.
-func (t *Tree) Delete(th *stm.Thread, k uint64) bool {
-	var ok bool
-	t.atomic(th, func(tx *stm.Tx) { ok = t.DeleteTx(tx, k) })
-	return ok
-}
-
-// DeleteTx is the composable form of Delete.
+// DeleteTx removes k, unlinking and rebalancing in the same transaction.
 func (t *Tree) DeleteTx(tx *stm.Tx, k uint64) bool {
-	p := t.lookup(tx, k)
+	p := t.Lookup(tx, k)
 	if p == arena.Nil {
 		return false
 	}
@@ -388,7 +279,7 @@ func (t *Tree) deleteEntry(tx *stm.Tx, p arena.Ref) {
 	case replacement != arena.Nil:
 		tx.Write(t.node(replacement).Parent(), parent)
 		if parent == arena.Nil {
-			tx.Write(&t.root, replacement)
+			tx.Write(&t.Root, replacement)
 		} else if p == tx.Read(&t.node(parent).L) {
 			tx.Write(&t.node(parent).L, replacement)
 		} else {
@@ -401,7 +292,7 @@ func (t *Tree) deleteEntry(tx *stm.Tx, p arena.Ref) {
 			t.fixAfterDeletion(tx, replacement)
 		}
 	case parent == arena.Nil:
-		tx.Write(&t.root, arena.Nil)
+		tx.Write(&t.Root, arena.Nil)
 	default:
 		// p is a leaf: fix up with p still in place, then unlink it.
 		if tx.Read(pn.Balance()) == black {
@@ -418,7 +309,7 @@ func (t *Tree) deleteEntry(tx *stm.Tx, p arena.Ref) {
 			tx.Write(pn.Parent(), arena.Nil)
 		}
 	}
-	tx.Retire(t.ar, p)
+	tx.Retire(t.Nodes, p)
 }
 
 // successor returns the in-order successor of a node that has a right child.
@@ -437,7 +328,7 @@ func (t *Tree) successor(tx *stm.Tx, p arena.Ref) arena.Ref {
 }
 
 func (t *Tree) fixAfterDeletion(tx *stm.Tx, x arena.Ref) {
-	for x != tx.Read(&t.root) && t.colorOf(tx, x) == black {
+	for x != tx.Read(&t.Root) && t.colorOf(tx, x) == black {
 		p := t.parentOf(tx, x)
 		if x == t.leftOf(tx, p) {
 			sib := t.rightOf(tx, p)
@@ -463,7 +354,7 @@ func (t *Tree) fixAfterDeletion(tx *stm.Tx, x arena.Ref) {
 				t.setColor(tx, p, black)
 				t.setColor(tx, t.rightOf(tx, sib), black)
 				t.rotateLeft(tx, p)
-				x = tx.Read(&t.root)
+				x = tx.Read(&t.Root)
 			}
 		} else {
 			sib := t.leftOf(tx, p)
@@ -489,99 +380,11 @@ func (t *Tree) fixAfterDeletion(tx *stm.Tx, x arena.Ref) {
 				t.setColor(tx, p, black)
 				t.setColor(tx, t.leftOf(tx, sib), black)
 				t.rotateRight(tx, p)
-				x = tx.Read(&t.root)
+				x = tx.Read(&t.Root)
 			}
 		}
 	}
 	t.setColor(tx, x, black)
-}
-
-// Size counts elements in one transaction.
-func (t *Tree) Size(th *stm.Thread) int {
-	var c int
-	t.atomic(th, func(tx *stm.Tx) {
-		c = 0
-		t.walk(tx, tx.Read(&t.root), func(*arena.Node) { c++ })
-	})
-	return c
-}
-
-// Keys returns the sorted key set in one transaction.
-func (t *Tree) Keys(th *stm.Thread) []uint64 {
-	var out []uint64
-	t.atomic(th, func(tx *stm.Tx) {
-		out = out[:0]
-		t.walk(tx, tx.Read(&t.root), func(n *arena.Node) {
-			out = append(out, tx.Read(&n.Key))
-		})
-	})
-	return out
-}
-
-func (t *Tree) walk(tx *stm.Tx, ref arena.Ref, visit func(*arena.Node)) {
-	if ref == arena.Nil {
-		return
-	}
-	n := t.node(ref)
-	t.walk(tx, tx.Read(&n.L), visit)
-	visit(n)
-	t.walk(tx, tx.Read(&n.R), visit)
-}
-
-// Range visits every element with key in [lo, hi] (inclusive) in ascending
-// order; fn returning false stops the scan. It reports whether the scan ran
-// to the end of the interval. The interval is snapshotted in one
-// transaction and fn runs after it commits — once per element, never from
-// an aborted attempt — so fn may accumulate state freely.
-func (t *Tree) Range(th *stm.Thread, lo, hi uint64, fn func(k, v uint64) bool) bool {
-	var buf [][2]uint64
-	t.atomic(th, func(tx *stm.Tx) {
-		buf = buf[:0]
-		t.RangeTx(tx, lo, hi, func(k, v uint64) bool {
-			buf = append(buf, [2]uint64{k, v})
-			return true
-		})
-	})
-	for _, e := range buf {
-		if !fn(e[0], e[1]) {
-			return false
-		}
-	}
-	return true
-}
-
-// RangeTx is the composable form of Range. Keys are transactional in this
-// tree (deletion copies the successor's key in place), so the bounded
-// traversal reads every visited key through the STM.
-func (t *Tree) RangeTx(tx *stm.Tx, lo, hi uint64, fn func(k, v uint64) bool) bool {
-	if lo > hi {
-		return true
-	}
-	return t.rangeWalk(tx, tx.Read(&t.root), lo, hi, fn)
-}
-
-func (t *Tree) rangeWalk(tx *stm.Tx, ref arena.Ref, lo, hi uint64, fn func(k, v uint64) bool) bool {
-	if ref == arena.Nil {
-		return true
-	}
-	n := t.node(ref)
-	k := tx.Read(&n.Key)
-	if lo < k {
-		if !t.rangeWalk(tx, tx.Read(&n.L), lo, hi, fn) {
-			return false
-		}
-	}
-	if lo <= k && k <= hi {
-		if !fn(k, tx.Read(&n.Val)) {
-			return false
-		}
-	}
-	if k < hi {
-		if !t.rangeWalk(tx, tx.Read(&n.R), lo, hi, fn) {
-			return false
-		}
-	}
-	return true
 }
 
 // CheckInvariants verifies (plain reads, quiescent use) the BST property,
@@ -589,7 +392,7 @@ func (t *Tree) rangeWalk(tx *stm.Tx, ref arena.Ref, lo, hi uint64, fn func(k, v 
 // black, no red node has a red child, and every root-to-leaf path crosses
 // the same number of black nodes.
 func (t *Tree) CheckInvariants() error {
-	root := t.root.Plain()
+	root := t.Root.Plain()
 	if root == arena.Nil {
 		return nil
 	}

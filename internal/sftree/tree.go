@@ -28,16 +28,21 @@
 // the maintenance thread's limbo frees it with the epoch scheme of §3.4
 // once no operation that could still hold it is running
 // (stm.Thread.Reclaim, stepped once per maintenance pass).
+//
+// The tree supplies the composable forms (ValTx, InsertTx, SetTx,
+// DeleteTx, RangeTx) and its maintenance; the whole operations (Contains,
+// Get, Insert, Delete, Move, Range, RangeElastic, Size, Keys) come from the
+// embedded txmap.Base, the layer the red-black and AVL baselines run on
+// too.
 package sftree
 
 import (
 	"fmt"
-	"slices"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/arena"
 	"repro/internal/stm"
+	"repro/internal/txmap"
 )
 
 // MaxKey is the sentinel key of the fixed root node (the paper's +∞ root,
@@ -103,7 +108,10 @@ func (s *Stats) Add(o Stats) {
 // most one maintenance driver at a time (a Driver, or RunMaintenancePass
 // and Quiesce for deterministic tests).
 type Tree struct {
-	stm     *stm.STM
+	// Base runs the whole operations (Contains, Get, Insert, Delete, Move,
+	// Range, RangeElastic, Size, Keys) on the tree's composable forms.
+	txmap.Base
+
 	ar      *arena.Arena
 	variant Variant
 
@@ -138,12 +146,6 @@ type Tree struct {
 	// maintVisits counts nodes visited by maintenance traversals; it is
 	// only touched by the single maintenance driver (see maintYieldStride).
 	maintVisits uint64
-
-	// frames caches one opFrame per registered thread slot (frame.go), the
-	// allocation-free argument-passing scheme of the abstract operations;
-	// frameMu serializes the copy-on-write growth of the slice.
-	frames  atomic.Pointer[[]*opFrame]
-	frameMu sync.Mutex
 }
 
 // Option configures a Tree.
@@ -166,11 +168,21 @@ func New(s *stm.STM, opts ...Option) *Tree {
 	}
 	ar := arena.New()
 	t := &Tree{
-		stm:     s,
 		ar:      ar,
 		variant: c.variant,
 		root:    ar.Alloc(MaxKey, 0),
 	}
+	// The portable variant tolerates elastic (cut) read tracking: its
+	// abstract operations pin their outcome with at most the two trailing
+	// reads that the elastic hand-over-hand window always validates
+	// (arrival hop + deleted flag, or arrival hop + ⊥ child). The optimized
+	// variant does not — its find pins three reads (removed flag, ⊥ child,
+	// parent link), one more than the window covers — and has no use for
+	// elasticity anyway, since its traversal already runs on unit reads.
+	// This matches the paper, which evaluates the non-optimized tree on
+	// E-STM (Fig. 4 left) and the optimized one on TinySTM's explicit unit
+	// loads (§3.3).
+	t.Init(t, s, t.variant == Portable)
 	if t.variant == Optimized {
 		t.rotateFn, t.removeFn = t.rotateOptTx, t.removeOptTx
 	} else {
@@ -189,9 +201,6 @@ func (t *Tree) Variant() Variant { return t.variant }
 
 // Arena exposes the node arena (for instrumentation and white-box tests).
 func (t *Tree) Arena() *arena.Arena { return t.ar }
-
-// STM returns the domain the tree was built on.
-func (t *Tree) STM() *stm.STM { return t.stm }
 
 // Stats returns a snapshot of the structural-activity counters.
 func (t *Tree) Stats() Stats {
@@ -214,66 +223,10 @@ func checkKey(k uint64) {
 // node resolves a Ref.
 func (t *Tree) node(r arena.Ref) *arena.Node { return t.ar.Get(r) }
 
-// ElasticSafe reports whether the tree tolerates elastic (cut) read
-// tracking. The portable variant does: its abstract operations pin their
-// outcome with at most the two trailing reads that the elastic
-// hand-over-hand window always validates (arrival hop + deleted flag, or
-// arrival hop + ⊥ child). The optimized variant does not — its find pins
-// three reads (removed flag, ⊥ child, parent link), one more than the
-// window covers — and has no use for elasticity anyway, since its traversal
-// already runs on unit reads. This matches the paper, which evaluates the
-// non-optimized tree on E-STM (Fig. 4 left) and the optimized one on
-// TinySTM's explicit unit loads (§3.3).
-func (t *Tree) ElasticSafe() bool { return t.variant == Portable }
-
-// atomic runs an abstract operation in the thread's default mode, demoting
-// Elastic to CTL for the optimized variant (see ElasticSafe).
-func (t *Tree) atomic(th *stm.Thread, fn func(*stm.Tx)) {
-	mode := th.STM().DefaultMode()
-	if mode == stm.Elastic && t.variant == Optimized {
-		mode = stm.CTL
-	}
-	th.AtomicMode(mode, fn)
-}
-
 // ---------------------------------------------------------------------------
-// Abstract operations (paper Algorithm 1, lines 23–44 and 60–70).
+// Composable operations (paper Algorithm 1, lines 23–44 and 60–70). The
+// whole operations run them through the embedded txmap.Base.
 // ---------------------------------------------------------------------------
-
-// Contains reports whether k is in the set. It runs as one transaction.
-// Like the other abstract operations it passes arguments and results
-// through the thread's reusable operation frame (frame.go) instead of a
-// closure, keeping the steady-state hot path allocation-free.
-func (t *Tree) Contains(th *stm.Thread, k uint64) bool {
-	f := t.frame(th)
-	f.k = k
-	t.atomic(th, f.containsFn)
-	return f.okOut
-}
-
-// ContainsTx is the composable form of Contains for use inside an enclosing
-// transaction (paper §5.4's reusability).
-func (t *Tree) ContainsTx(tx *stm.Tx, k uint64) bool {
-	_, ok := t.ValTx(tx, k)
-	return ok
-}
-
-// Get returns the value mapped to k, if present.
-func (t *Tree) Get(th *stm.Thread, k uint64) (uint64, bool) {
-	f := t.frame(th)
-	f.k = k
-	t.atomic(th, f.getFn)
-	return f.valOut, f.okOut
-}
-
-// GetTx is the composable form of Get.
-func (t *Tree) GetTx(tx *stm.Tx, k uint64) (uint64, bool) {
-	w, ok := t.ValTx(tx, k)
-	if !ok {
-		return 0, false
-	}
-	return tx.Read(w), true
-}
 
 // ValTx returns the word holding k's value in tx's snapshot, or false when
 // k is absent: the one lookup behind GetTx and ContainsTx. The candidate's
@@ -289,19 +242,9 @@ func (t *Tree) ValTx(tx *stm.Tx, k uint64) (*stm.Word, bool) {
 	return &n.Val, true
 }
 
-// Insert maps k to v if k is absent, returning true on success (false when
-// k was already present). It runs as one transaction.
-func (t *Tree) Insert(th *stm.Thread, k, v uint64) bool {
-	checkKey(k)
-	f := t.frame(th)
-	f.k, f.v = k, v
-	t.atomic(th, f.insertFn)
-	return f.okOut
-}
-
-// InsertTx is the composable form of Insert for use inside an enclosing
-// transaction. The new node, when one is needed, comes from tx.Alloc, so an
-// attempt that does not commit gives it back.
+// InsertTx maps k to v if k is absent, returning true on success (false
+// when k was already present). The new node, when one is needed, comes
+// from tx.Alloc, so an attempt that does not commit gives it back.
 func (t *Tree) InsertTx(tx *stm.Tx, k, v uint64) bool {
 	checkKey(k)
 	n := t.node(t.find(tx, k))
@@ -348,17 +291,9 @@ func (t *Tree) link(tx *stm.Tx, n *arena.Node, k, v uint64) {
 	}
 }
 
-// Delete removes k from the set, returning true when k was present. The
+// DeleteTx removes k from the set, returning true when k was present. The
 // removal is logical (paper §3.2): only the deleted flag is written; the
 // node is unlinked later by the maintenance thread.
-func (t *Tree) Delete(th *stm.Thread, k uint64) bool {
-	f := t.frame(th)
-	f.k = k
-	t.atomic(th, f.deleteFn)
-	return f.okOut
-}
-
-// DeleteTx is the composable form of Delete.
 func (t *Tree) DeleteTx(tx *stm.Tx, k uint64) bool {
 	checkKey(k)
 	curr := t.find(tx, k)
@@ -371,44 +306,4 @@ func (t *Tree) DeleteTx(tx *stm.Tx, k uint64) bool {
 	}
 	tx.Write(&n.Del, 1)
 	return true
-}
-
-// Move atomically relocates the value at key src to key dst. It succeeds —
-// deleting src and inserting dst — only when src is present and dst is
-// absent (src == dst: when it is present). Move is the composed operation of
-// paper §5.4, built from the exported *Tx forms exactly as an application
-// programmer would: see Mover, the one place the composition is written.
-func (t *Tree) Move(th *stm.Thread, src, dst uint64) bool {
-	checkKey(src)
-	checkKey(dst)
-	mv := &t.frame(th).mv
-	t.atomic(th, mv.Bind(t, t, src, dst))
-	return mv.Moved()
-}
-
-// Size counts the abstraction's elements in one read-only transaction
-// (stm.Thread.AtomicRO: CTL whatever the domain's default, so the count is
-// one consistent snapshot even under elastic transactions). It is intended
-// for tests and example programs, not hot paths: it is the length of a
-// whole-tree scan.
-func (t *Tree) Size(th *stm.Thread) int {
-	f := t.frame(th)
-	f.snapshot(th, 0, MaxKey)
-	buf := f.takeBuf()
-	f.putBuf(buf)
-	return len(buf)
-}
-
-// Keys returns the sorted keys of the abstraction, one consistent snapshot
-// (see Size).
-func (t *Tree) Keys(th *stm.Thread) []uint64 {
-	f := t.frame(th)
-	f.snapshot(th, 0, MaxKey)
-	buf := f.takeBuf()
-	keys := slices.Grow([]uint64(nil), len(buf)) // nil when empty, as ever
-	for _, e := range buf {
-		keys = append(keys, e[0])
-	}
-	f.putBuf(buf)
-	return keys
 }

@@ -1,9 +1,14 @@
-// Package trees defines the common transactional-map interface the four
+// Package trees defines the common transactional-map interface the
 // benchmarked tree libraries implement, and a registry to construct them by
 // the names used in the paper's figures. The paper-figure runner
 // (internal/experiments), the vacation application, the sharded forest and
 // the public facade all program against this interface, so every
 // experiment can swap tree libraries with a flag.
+//
+// Every tree runs its whole operations through one layer, txmap.Base: a
+// tree supplies its composable forms (ValTx, InsertTx, DeleteTx, RangeTx,
+// SetTx) and gets Contains, Get, Insert, Delete, Move, Range, Size, Keys,
+// GetTx and ContainsTx from it, all allocation-free in steady state.
 package trees
 
 import (
@@ -14,6 +19,7 @@ import (
 	"repro/internal/rbtree"
 	"repro/internal/sftree"
 	"repro/internal/stm"
+	"repro/internal/txmap"
 )
 
 // Map is the transactional associative-array abstraction all trees
@@ -25,6 +31,11 @@ type Map interface {
 	Delete(th *stm.Thread, k uint64) bool
 	Get(th *stm.Thread, k uint64) (uint64, bool)
 	Contains(th *stm.Thread, k uint64) bool
+	// Move atomically relocates the value at src to dst: it succeeds —
+	// deleting src and inserting dst — only when src is present and dst
+	// absent (src == dst: when it is present). It is paper §5.4's
+	// composition of the *Tx forms (txmap.Mover).
+	Move(th *stm.Thread, src, dst uint64) bool
 	Size(th *stm.Thread) int
 	Keys(th *stm.Thread) []uint64
 	// Range visits, in ascending key order, every element whose key lies
@@ -41,10 +52,12 @@ type Map interface {
 	GetTx(tx *stm.Tx, k uint64) (uint64, bool)
 	ContainsTx(tx *stm.Tx, k uint64) bool
 	// ValTx returns the word holding k's value in tx's snapshot, or false
-	// when k is absent; GetTx is ValTx then tx.Read. Writing the word later
-	// in tx updates k in place with no second lookup, provided no DeleteTx
-	// of tx runs in between (an RB or AVL delete may move a successor's
-	// value into another node).
+	// when k is absent; GetTx is ValTx then tx.Read, and ContainsTx is
+	// ValTx's second result. Writing the word later in tx updates k in
+	// place with no second lookup, provided no DeleteTx of tx runs in
+	// between: an RB or AVL delete of a node with two children copies its
+	// in-order successor's key and value into it and unlinks the
+	// successor's node, whose word is then dead.
 	ValTx(tx *stm.Tx, k uint64) (*stm.Word, bool)
 	// InsertTx maps k to v if k is absent (false when present). Its new
 	// node comes from tx.Alloc, which gives it back to the tree's arena if
@@ -63,6 +76,11 @@ type Map interface {
 	// STM returns the domain the tree lives in: composable forms of two
 	// maps may share a transaction only when they share it.
 	STM() *stm.STM
+	// ElasticSafe reports whether the tree tolerates elastic (cut) read
+	// tracking (see txmap.Mode): the portable speculation-friendly tree and
+	// the no-restructuring tree do; the optimized one and the RB and AVL
+	// baselines do not.
+	ElasticSafe() bool
 }
 
 // Maintained is implemented by trees with a maintenance sweep (the
@@ -149,51 +167,16 @@ func Quiesce(m Map, maxPasses int) {
 	}
 }
 
-// ElasticAware is implemented by trees that declare whether they tolerate
-// elastic (cut) read tracking. Trees without the method are treated as
-// elastic-safe (the speculation-friendly trees are, by design: immutable
-// keys, signposted removals, candidate reads pinned transactionally).
-type ElasticAware interface {
-	ElasticSafe() bool
-}
-
-// ElasticSafe reports whether m tolerates elastic transactions.
-func ElasticSafe(m Map) bool {
-	if ea, ok := m.(ElasticAware); ok {
-		return ea.ElasticSafe()
-	}
-	return true
-}
-
-// Atomic runs fn as one transaction in the thread's default mode, demoted
-// from Elastic to CTL when the map does not tolerate cut reads. All
-// compositions over a Map (Move, the vacation transactions, the forest's
-// Move and Update) must go through this helper rather than calling
-// Thread.Atomic directly.
+// Atomic runs fn as one transaction in the mode m's own operations run
+// in: the thread's default, demoted from Elastic to CTL when m does not
+// tolerate cut reads (txmap.Mode). The forest's Move and vacation's actions
+// run in it. An elastic transaction cuts the reads outside its trailing
+// window, so a composition that writes values computed from several
+// earlier reads — a transfer between two keys — can commit on reads
+// nobody revalidated: run such a composition in stm.CTL, as the forest's
+// Update and Atomic do.
 func Atomic(m Map, th *stm.Thread, fn func(*stm.Tx)) {
-	mode := th.STM().DefaultMode()
-	if mode == stm.Elastic && !ElasticSafe(m) {
-		mode = stm.CTL
-	}
-	th.AtomicMode(mode, fn)
-}
-
-// Mover is the reusable holder of the §5.4 move composition (see
-// sftree.Mover): a caller that moves repeatedly keeps one per thread and
-// runs it with MoveWith, which then allocates nothing.
-type Mover = sftree.Mover
-
-// MoveWith atomically relocates the value at src to dst on any Map through
-// the caller's Mover: it succeeds — deleting src and inserting dst — only
-// when src is present and dst absent.
-func MoveWith(mv *Mover, m Map, th *stm.Thread, src, dst uint64) bool {
-	Atomic(m, th, mv.Bind(m, m, src, dst))
-	return mv.Moved()
-}
-
-// Move is MoveWith for the occasional caller with no Mover at hand.
-func Move(m Map, th *stm.Thread, src, dst uint64) bool {
-	return MoveWith(new(Mover), m, th, src, dst)
+	th.AtomicMode(txmap.Mode(th, m.ElasticSafe()), fn)
 }
 
 // Rotations reports structural rotations for kinds that expose them:

@@ -198,7 +198,7 @@ func TestAtomicDemotesElasticForUnsafeTrees(t *testing.T) {
 	// more than the elastic window) — all three must demote.
 	for _, kind := range []Kind{RB, AVL, SFOpt} {
 		m := New(kind, s)
-		if ElasticSafe(m) {
+		if m.ElasticSafe() {
 			t.Fatalf("%s must not be elastic-safe", kind)
 		}
 		th := s.NewThread()
@@ -210,7 +210,7 @@ func TestAtomicDemotesElasticForUnsafeTrees(t *testing.T) {
 	}
 	for _, kind := range []Kind{SF, NR} {
 		m := New(kind, s)
-		if !ElasticSafe(m) {
+		if !m.ElasticSafe() {
 			t.Fatalf("%s should be elastic-safe", kind)
 		}
 		th := s.NewThread()
@@ -256,8 +256,8 @@ func TestMoveElasticNoHalfCommit(t *testing.T) {
 		defer wg.Done()
 		th := s.NewThread()
 		for !stop.Load() {
-			if !Move(m, th, a, b) {
-				Move(m, th, b, a)
+			if !m.Move(th, a, b) {
+				m.Move(th, b, a)
 			}
 		}
 	}()
@@ -281,19 +281,19 @@ func TestMoveOnAllKinds(t *testing.T) {
 		th := s.NewThread()
 		m.Insert(th, 1, 11)
 		m.Insert(th, 2, 22)
-		if Move(m, th, 9, 3) {
+		if m.Move(th, 9, 3) {
 			t.Fatalf("%s: move of absent key succeeded", kind)
 		}
-		if Move(m, th, 1, 2) {
+		if m.Move(th, 1, 2) {
 			t.Fatalf("%s: move onto occupied key succeeded", kind)
 		}
-		if !Move(m, th, 1, 3) {
+		if !m.Move(th, 1, 3) {
 			t.Fatalf("%s: legitimate move failed", kind)
 		}
 		if v, ok := m.Get(th, 3); !ok || v != 11 {
 			t.Fatalf("%s: moved value (%d,%v)", kind, v, ok)
 		}
-		if !Move(m, th, 2, 2) {
+		if !m.Move(th, 2, 2) {
 			t.Fatalf("%s: self-move of present key failed", kind)
 		}
 		if m.Size(th) != 2 {

@@ -1,9 +1,9 @@
-package sftree
+package txmap
 
 import "repro/internal/stm"
 
 // TxMap is what the move composition needs of a map: the composable forms
-// every tree library of this repository exports (trees.Map has them all).
+// every tree of this repository has (trees.Map has them all).
 type TxMap interface {
 	GetTx(tx *stm.Tx, k uint64) (uint64, bool)
 	ContainsTx(tx *stm.Tx, k uint64) bool
@@ -14,8 +14,8 @@ type TxMap interface {
 // Mover is the composed move of paper §5.4 — relocate the value at src to
 // dst, succeeding only when src is present and dst absent — written once,
 // from the exported *Tx forms exactly as an application programmer would
-// write it, for every map and every caller: the tree's own Move, trees.Move
-// on any library, the facade and the forest's same-shard move.
+// write it, for every map and every caller: every tree's Move (Base.Move)
+// and the forest's move.
 //
 // The source and destination may be two maps of one STM — a forest's
 // cross-shard move is the same composition over the source key's shard and
@@ -27,7 +27,7 @@ type TxMap interface {
 // per call costs the closure and every variable it captures. The caller runs
 // the body in whatever transaction suits the maps, then calls Moved:
 //
-//	trees.Atomic(m, th, mv.Bind(m, m, src, dst))
+//	trees.Atomic(sm, th, mv.Bind(sm, dm, src, dst))
 //	ok := mv.Moved()
 //
 // The destination node comes from dm's InsertTx, which takes it with

@@ -611,9 +611,11 @@ func (h *Handle) Ascend(fn func(k, v uint64) bool) bool {
 
 // Update runs fn as one atomic transaction; every operation on the Op
 // belongs to that transaction, whichever shards its keys live on, so
-// arbitrary compositions execute atomically and deadlock-free. fn may
-// re-run on conflict: it must not have side effects beyond the Op and
-// locals it re-assigns.
+// arbitrary compositions execute atomically and deadlock-free. It is a CTL
+// transaction under any WithTMMode: every read fn makes is validated at
+// commit, so fn may write values computed from what it read. fn may re-run
+// on conflict: it must not have side effects beyond the Op and locals it
+// re-assigns.
 func (h *Handle) Update(fn func(op *Op)) { h.fh.Update(fn) }
 
 // Op exposes the tree operations inside a Handle.Update transaction:

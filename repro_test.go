@@ -350,12 +350,18 @@ func TestCloseStatsRace(t *testing.T) {
 
 // TestRangeMoveZeroAllocsFacade: Handle.Range and Handle.Move stay off the
 // allocator in steady state at one shard and at eight (the handle's scan
-// state, its same-shard Mover or pooled cross-shard transaction), and a
-// Range callback may use the handle it came from.
+// state, its same-shard Mover or pooled cross-shard transaction), on the
+// speculation-friendly tree and on the red-black baseline, and so do Get
+// and an Insert+Delete pair (the tree's operation frame); a Range callback
+// may use the handle it came from.
 func TestRangeMoveZeroAllocsFacade(t *testing.T) {
 	const n = 1 << 10
-	for _, shards := range []int{1, 8} {
-		tr := NewTree(SpeculationFriendlyOptimized, WithShards(shards), WithoutMaintenance())
+	for _, c := range []struct {
+		kind   Kind
+		shards int
+	}{{SpeculationFriendlyOptimized, 1}, {SpeculationFriendlyOptimized, 8}, {RedBlack, 1}, {RedBlack, 8}} {
+		kind, shards := c.kind, c.shards
+		tr := NewTree(kind, WithShards(shards), WithoutMaintenance())
 		h := tr.NewHandle()
 		for i := uint64(0); i < n; i++ {
 			h.Insert(i*40503&(n-1), i)
@@ -379,20 +385,29 @@ func TestRangeMoveZeroAllocsFacade(t *testing.T) {
 				src, dst = dst, src
 			}
 			if !h.Move(src, dst) {
-				t.Fatalf("shards=%d: Move(%d, %d) failed", shards, src, dst)
+				t.Fatalf("%s shards=%d: Move(%d, %d) failed", kind, shards, src, dst)
 			}
 			odd[i] = !odd[i]
 		}
-		for name, op := range map[string]func(){"Range": scan, "Move": move} {
+		get := func() {
+			i = (i + 97) % (n / 2)
+			h.Get(2 * i)
+		}
+		insertDelete := func() { // a key beyond the filled range
+			if !h.Insert(n+7, 7) || !h.Delete(n+7) {
+				t.Fatalf("%s shards=%d: Insert+Delete of an absent key failed", kind, shards)
+			}
+		}
+		for name, op := range map[string]func(){"Range": scan, "Move": move, "Get": get, "InsertDelete": insertDelete} {
 			for w := 0; w < 8; w++ {
-				op() // warm up: scan buffers, the mover's state
+				op() // warm up: scan buffers, the mover's state, the frame
 			}
 			if avg := testing.AllocsPerRun(100, op); avg != 0 {
-				t.Errorf("shards=%d: %s allocates %.2f times per run, want 0", shards, name, avg)
+				t.Errorf("%s shards=%d: %s allocates %.2f times per run, want 0", kind, shards, name, avg)
 			}
 		}
 		if visited == 0 {
-			t.Errorf("shards=%d: the scans visited nothing", shards)
+			t.Errorf("%s shards=%d: the scans visited nothing", kind, shards)
 		}
 
 		nested := 0
@@ -404,7 +419,7 @@ func TestRangeMoveZeroAllocsFacade(t *testing.T) {
 			return true
 		})
 		if nested != 50+n/2 {
-			t.Errorf("shards=%d: a scan and a Len nested in a Range callback counted %d, want %d", shards, nested, 50+n/2)
+			t.Errorf("%s shards=%d: a scan and a Len nested in a Range callback counted %d, want %d", kind, shards, nested, 50+n/2)
 		}
 		tr.Close()
 	}

@@ -61,12 +61,16 @@ allocs:
 
 # Inlining gate: arena.Get resolves a Ref once per traversal hop in every
 # tree and must stay inlineable (see its doc comment), and so must the
+# STM thread's maybeYield, which every transactional access calls and
+# which must cost a load and a branch with yield injection off, and the
 # forest handle's span helpers begin/end, which keep every operation's
 # tracing-off path at one atomic load and a branch; the build fails here
 # when an edit pushes one past the inliner's budget.
 inline:
 	@$(GO) build -gcflags=-m ./internal/arena 2>&1 | grep -q 'can inline (\*Arena).Get$$' || \
 		{ echo 'inline: (*arena.Arena).Get is no longer inlineable'; exit 1; }
+	@$(GO) build -gcflags=-m ./internal/stm 2>&1 | grep -q 'can inline (\*Thread).maybeYield$$' || \
+		{ echo 'inline: (*stm.Thread).maybeYield is no longer inlineable'; exit 1; }
 	@$(GO) build -gcflags=-m ./internal/forest 2>&1 | grep -c 'can inline (\*Handle)\.\(begin\|end\)$$' | grep -qx 2 || \
 		{ echo 'inline: (*forest.Handle).begin and end are no longer both inlineable'; exit 1; }
 

@@ -38,7 +38,7 @@ const yieldEvery = 8
 // benchWorkers goroutines against a freshly filled tree.
 func runTreeBench(b *testing.B, kind trees.Kind, mode stm.Mode, wl experiments.Workload) {
 	b.Helper()
-	s := stm.New(stm.WithMode(mode), stm.WithYield(yieldEvery), stm.WithContentionManager(stm.Suicide()))
+	s := stm.New(stm.WithMode(mode), stm.WithYield(yieldEvery))
 	m := trees.New(kind, s)
 	fillTh := s.NewThread()
 	rng := rand.New(rand.NewSource(17))
@@ -194,7 +194,7 @@ func BenchmarkFig6(b *testing.B) {
 		cfg := preset.mk(relations, 0)
 		for _, kind := range []trees.Kind{trees.RB, trees.SFOpt, trees.NR} {
 			b.Run(fmt.Sprintf("%s/%s", preset.name, kind), func(b *testing.B) {
-				s := stm.New(stm.WithYield(yieldEvery), stm.WithContentionManager(stm.Suicide()))
+				s := stm.New(stm.WithYield(yieldEvery))
 				m := vacation.NewManager(s, kind)
 				setup := s.NewThread()
 				vacation.Populate(m, setup, cfg, 5)
@@ -226,7 +226,7 @@ func BenchmarkFig6(b *testing.B) {
 func BenchmarkAblationMaintenanceCoupling(b *testing.B) {
 	wl := experiments.Workload{KeyRange: 1 << 12, UpdatePercent: 40, Effective: true}
 	run := func(b *testing.B, coupled bool) {
-		s := stm.New(stm.WithYield(yieldEvery), stm.WithContentionManager(stm.Suicide()))
+		s := stm.New(stm.WithYield(yieldEvery))
 		tr := sftree.New(s, sftree.WithVariant(sftree.Portable))
 		fillTh := s.NewThread()
 		rng := rand.New(rand.NewSource(23))

@@ -13,17 +13,19 @@ import (
 // execution time of the travel-reservation application built on the
 // red-black tree (STAMP's default), the optimized speculation-friendly
 // tree and the no-restructuring tree, under the two official contention
-// presets and with 1x, 8x and 16x the base transaction count. Every paper
-// claim is relative, so each cell's speedup is over the red-black tree at
-// one thread: the median of baselineRuns runs of that cell, the sweep's own
-// run among them when 1 is among the thread counts (one timing of it moved
-// 15–25 % between runs). Every run checks its database (vacation.Run).
+// presets and with 1x, 8x and 16x the base transaction count. Every
+// (kind, threads) cell is the median of cellRuns runs, the kinds
+// interleaved run by run (one timing of a cell moved 15–25 % between
+// runs). Every paper claim is relative, so each cell's speedup is over the
+// red-black tree's cell at one thread, timed cellRuns times on its own when
+// 1 is not among the thread counts. Every run checks its database
+// (vacation.Run).
 //
 // It also reports the §5.5 rotation-count comparison: on the paper's
 // machine the red-black vacation triggered ≈130k rotations where the
 // speculation-friendly one needed ≈50k.
 func Fig6(o Opts) error {
-	const baselineRuns = 3
+	const cellRuns = 3
 	o.defaults()
 	relations, baseTx := 1024, 4096
 	if o.Scale == Full {
@@ -56,37 +58,44 @@ func Fig6(o Opts) error {
 				return res, err
 			}
 			threads := sortedCopy(o.Threads)
-			durs := make([][]time.Duration, len(threads)) // [threads][kind]
-			// base collects the timings of RB at one thread.
-			var base []time.Duration
+			durs := make([][]time.Duration, len(threads)) // [threads][kind], medians
 			for i, th := range threads {
-				for _, kind := range kinds {
-					res, err := run(kind, th)
+				cell := make([][]time.Duration, len(kinds))
+				for r := range cellRuns {
+					for j, kind := range kinds {
+						res, err := run(kind, th)
+						if err != nil {
+							return err
+						}
+						cell[j] = append(cell[j], res.Duration)
+						// §5.5 rotation comparison at the 8-thread (or max)
+						// high-contention point, as in the paper's text.
+						if r == 0 && preset.name == "high contention" && mult == 8 && th == o.maxThreads() &&
+							(kind == trees.RB || kind == trees.SFOpt) {
+							fmt.Fprintf(o.Out, "  [rotations] %s at %d threads: %d\n", kind.Label(), th, res.Rotations)
+						}
+					}
+				}
+				for _, c := range cell {
+					durs[i] = append(durs[i], median(c))
+				}
+			}
+			var baseline time.Duration
+			if i := slices.Index(threads, 1); i >= 0 {
+				baseline = durs[i][0] // RB is kinds[0]
+			} else {
+				var base []time.Duration
+				for range cellRuns {
+					res, err := run(trees.RB, 1)
 					if err != nil {
 						return err
 					}
-					durs[i] = append(durs[i], res.Duration)
-					if kind == trees.RB && th == 1 {
-						base = append(base, res.Duration)
-					}
-					// §5.5 rotation comparison at the 8-thread (or max)
-					// high-contention point, as in the paper's text.
-					if preset.name == "high contention" && mult == 8 && th == o.maxThreads() &&
-						(kind == trees.RB || kind == trees.SFOpt) {
-						fmt.Fprintf(o.Out, "  [rotations] %s at %d threads: %d\n", kind.Label(), th, res.Rotations)
-					}
+					base = append(base, res.Duration)
 				}
+				baseline = median(base)
 			}
-			for len(base) < baselineRuns {
-				res, err := run(trees.RB, 1)
-				if err != nil {
-					return err
-				}
-				base = append(base, res.Duration)
-			}
-			slices.Sort(base)
-			baseline := base[len(base)/2]
-			fmt.Fprintf(o.Out, "baseline: RBtree at 1 thread, median of %d, %.3fs\n\n", baselineRuns, baseline.Seconds())
+			fmt.Fprintf(o.Out, "every cell the median of %d runs\nbaseline: RBtree at 1 thread, median of %d, %.3fs\n\n",
+				cellRuns, cellRuns, baseline.Seconds())
 			t := &table{header: []string{"threads"}}
 			for _, k := range kinds {
 				t.header = append(t.header, k.Label()+" speedup", k.Label()+" dur(s)")
@@ -105,4 +114,10 @@ func Fig6(o Opts) error {
 	fmt.Fprintln(o.Out, "paper: vacation always faster on Opt SFtree than RBtree (up to 1.3x at 1x txs, 3.5x at 16x);")
 	fmt.Fprintln(o.Out, "       NRtree comparable to Opt SFtree; RB ≈130k rotations vs SF ≈50k (8 threads, high contention).")
 	return nil
+}
+
+// median sorts ds and returns its middle element.
+func median(ds []time.Duration) time.Duration {
+	slices.Sort(ds)
+	return ds[len(ds)/2]
 }

@@ -69,7 +69,7 @@ func run(o *Opts, kind trees.Kind, mode stm.Mode, threads int, wl Workload) Resu
 	if wl.KeyRange < 2 {
 		panic("experiments: KeyRange must be >= 2")
 	}
-	s := stm.New(stm.WithMode(mode), stm.WithYield(o.yieldEvery()), stm.WithContentionManager(stm.Suicide()))
+	s := stm.New(stm.WithMode(mode), stm.WithYield(o.yieldEvery()))
 	m := trees.New(kind, s)
 	fill(m, s, wl.KeyRange, o.Seed)
 	return measure(o, m, s, threads, wl)

@@ -23,7 +23,7 @@ type stream struct {
 // replay runs 10 000 Steps of wl against a freshly filled 2^10-key SF-opt
 // tree, single thread, no maintenance, seed 42.
 func replay(wl Workload) stream {
-	s := stm.New(stm.WithContentionManager(stm.Suicide()))
+	s := stm.New()
 	m := trees.New(trees.SFOpt, s)
 	fill(m, s, wl.KeyRange, 42)
 	r := NewRunner(m, s.NewThread(), wl, 42)
@@ -105,7 +105,7 @@ func TestRunner(t *testing.T) {
 				}
 			}},
 		{name: "RotationsReportedForSF", body: func(t *testing.T) {
-			s := stm.New(stm.WithContentionManager(stm.Suicide()))
+			s := stm.New()
 			m := trees.New(trees.SFOpt, s)
 			wl := Workload{KeyRange: 1 << 8, UpdatePercent: 40, Effective: true}
 			fill(m, s, wl.KeyRange, 1)

@@ -196,7 +196,6 @@ type Option func(*cfg)
 type cfg struct {
 	shards      int
 	mode        stm.Mode
-	cm          stm.ContentionManager
 	maintenance bool
 	yieldEvery  int
 }
@@ -206,12 +205,6 @@ func WithShards(n int) Option { return func(c *cfg) { c.shards = n } }
 
 // WithTMMode selects the TM algorithm of the forest's STM domain.
 func WithTMMode(m stm.Mode) Option { return func(c *cfg) { c.mode = m } }
-
-// WithContentionManager selects the abort→retry policy of the forest's STM
-// domain (default stm.Backoff; nil is ignored).
-func WithContentionManager(cm stm.ContentionManager) Option {
-	return func(c *cfg) { c.cm = cm }
-}
 
 // WithoutMaintenance suppresses the maintenance workers; the caller
 // drives maintenance manually via Quiesce.
@@ -232,7 +225,7 @@ func New(kind trees.Kind, opts ...Option) *Forest {
 	if c.shards < 1 {
 		panic(fmt.Sprintf("forest: shard count %d < 1", c.shards))
 	}
-	s := stm.New(stm.WithMode(c.mode), stm.WithContentionManager(c.cm), stm.WithYield(c.yieldEvery))
+	s := stm.New(stm.WithMode(c.mode), stm.WithYield(c.yieldEvery))
 	f := &Forest{kind: kind, stm: s, maps: make([]trees.Map, c.shards)}
 	var swept []*sftree.Tree
 	for i := range f.maps {

@@ -204,11 +204,11 @@ func TestUpdateRoutedAndGuarded(t *testing.T) {
 func TestSingleShardMatchesBareTree(t *testing.T) {
 	for _, kind := range []trees.Kind{trees.SF, trees.SFOpt, trees.RB} {
 		t.Run(string(kind), func(t *testing.T) {
-			f := New(kind, WithShards(1), WithContentionManager(stm.Suicide()), WithoutMaintenance())
+			f := New(kind, WithShards(1), WithoutMaintenance())
 			defer f.Close()
 			fh := f.NewHandle()
 
-			s := stm.New(stm.WithContentionManager(stm.Suicide()))
+			s := stm.New()
 			bare := trees.New(kind, s)
 			th := s.NewThread()
 

@@ -94,7 +94,7 @@ func (h *Handle) end(sp span, a int64) {
 
 // traceStart makes the one sampling decision for an operation: on a hit,
 // allocate a trace id and attach the thread's trace context so the STM
-// lifecycle records per-attempt spans. An attached-but-unsampled op pays
+// retry loop records per-attempt spans. An attached-but-unsampled op pays
 // one xorshift draw and a compare. It loads the tracer itself — passing it
 // from begin would cost begin its inlining — so a tracer detached since
 // begin's check samples nothing.

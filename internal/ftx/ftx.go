@@ -31,8 +31,8 @@
 // When fn returns an error the transaction writes nothing and commits
 // read-only, so the error was decided on one consistent snapshot and no
 // lock or tree node was taken — the reason writes are buffered rather than
-// performed. A conflict re-executes fn through the STM's lifecycle engine
-// and contention manager, so fn must be free of side effects beyond the Tx
+// performed. A conflict re-executes fn through the STM's retry loop (after
+// its pause), so fn must be free of side effects beyond the Tx
 // and locals it re-assigns. The transaction tracks every read (CTL)
 // whatever the domain default: an elastic cut would drop exactly the
 // validation atomicity depends on.

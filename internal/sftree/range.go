@@ -8,24 +8,15 @@ import (
 // This file implements ordered range scans over the speculation-friendly
 // tree: a bounded in-order traversal that visits every live key in
 // [lo, hi] (inclusive) in ascending order, skipping logically deleted
-// nodes. Two disciplines are provided:
+// nodes. The scan reads the structure with the same transactional reads as
+// find — every child pointer and every deleted flag on the visited frontier
+// — so a committed scan is one consistent snapshot (exactly the discipline
+// Size and Keys use, pruned to the requested interval). Inside an enclosing
+// transaction (RangeTx) the reads join its read set; Range, a read-only
+// transaction of its own, logs them only on a retry (stm.Thread.AtomicRO).
 //
-//   - RangeTx / Range read the structure with the same transactional reads
-//     as find — every child pointer and every deleted flag on the visited
-//     frontier — so a committed scan is one consistent snapshot (exactly
-//     the discipline Size and Keys use, pruned to the requested interval).
-//     Inside an enclosing transaction (RangeTx) the reads join its read
-//     set; Range, a read-only transaction of its own, logs them only on a
-//     retry (stm.Thread.AtomicRO).
-//   - RangeElastic runs the scan as a read-only elastic transaction (the
-//     paper's §4 / E-STM model): only a short hand-over-hand window of
-//     trailing reads is validated and older reads are cut, so the scan
-//     never causes — nor suffers — false conflicts from concurrent updates
-//     outside its current window. It is elastic on the Portable variant
-//     only (the Optimized one does not tolerate cut reads, see New).
-//
-// Range, RangeElastic, Size and Keys are txmap.Base's scans; this file
-// supplies the RangeTx they run.
+// Range, Size and Keys are txmap.Base's scans; this file supplies the
+// RangeTx they run.
 //
 // Keys are immutable after insertion in this tree (successor replacement
 // never happens; deletion is logical), so keys are read plainly, as in the

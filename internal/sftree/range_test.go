@@ -73,43 +73,3 @@ func TestRangeSkipsDeletedAndSurvivesMaintenance(t *testing.T) {
 		}
 	}
 }
-
-// TestRangeElastic checks the elastic scan returns correct results on a
-// quiescent tree (where cutting changes nothing) and exercises it under
-// churn (sortedness within the scan is still guaranteed by the in-order
-// walk; elastic cuts are counted to prove the discipline actually ran).
-func TestRangeElastic(t *testing.T) {
-	s := stm.New(stm.WithMode(stm.Elastic))
-	tr := New(s, WithVariant(Portable))
-	th := s.NewThread()
-	for k := uint64(0); k < 500; k++ {
-		tr.Insert(th, k, k*2)
-	}
-	var got []uint64
-	if !tr.RangeElastic(th, 100, 199, func(k, v uint64) bool {
-		if v != k*2 {
-			t.Fatalf("value %d at key %d", v, k)
-		}
-		got = append(got, k)
-		return true
-	}) {
-		t.Fatal("elastic scan reported early stop")
-	}
-	if len(got) != 100 || got[0] != 100 || got[99] != 199 {
-		t.Fatalf("elastic scan saw %d keys [%d..%d]", len(got), got[0], got[len(got)-1])
-	}
-	if th.Stats().ElasticCuts == 0 {
-		t.Fatal("elastic scan performed no cuts (discipline did not engage)")
-	}
-
-	// The optimized variant demotes to CTL (still correct, no cuts needed).
-	so := stm.New(stm.WithMode(stm.Elastic))
-	tro := New(so, WithVariant(Optimized))
-	tho := so.NewThread()
-	tro.Insert(tho, 1, 10)
-	n := 0
-	tro.RangeElastic(tho, 0, 10, func(_, _ uint64) bool { n++; return true })
-	if n != 1 {
-		t.Fatalf("optimized elastic scan visited %d", n)
-	}
-}

@@ -104,8 +104,7 @@ func TestScanMoveZeroAllocs(t *testing.T) {
 				lo := rng.next() % (churnKeys - 100)
 				tr.Range(th, lo, lo+99, fn)
 			},
-			"RangeElastic": func() { tr.RangeElastic(th, 1000, 1099, fn) },
-			"Move":         func() { p.step(t) },
+			"Move": func() { p.step(t) },
 		}
 		for name, op := range ops {
 			op() // warm up: the frame, its buffer

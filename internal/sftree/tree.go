@@ -31,7 +31,7 @@
 //
 // The tree supplies the composable forms (ValTx, InsertTx, SetTx,
 // DeleteTx, RangeTx) and its maintenance; the whole operations (Contains,
-// Get, Insert, Delete, Move, Range, RangeElastic, Size, Keys) come from the
+// Get, Insert, Delete, Move, Range, Size, Keys) come from the
 // embedded txmap.Base, the layer the red-black and AVL baselines run on
 // too.
 package sftree
@@ -109,7 +109,7 @@ func (s *Stats) Add(o Stats) {
 // and Quiesce for deterministic tests).
 type Tree struct {
 	// Base runs the whole operations (Contains, Get, Insert, Delete, Move,
-	// Range, RangeElastic, Size, Keys) on the tree's composable forms.
+	// Range, Size, Keys) on the tree's composable forms.
 	txmap.Base
 
 	ar      *arena.Arena

@@ -1,71 +1,29 @@
 package stm
 
 import (
+	"runtime"
 	"time"
-
-	"repro/internal/obs"
 )
 
-// The transaction-lifecycle engine: drives one operation (one
-// Atomic/AtomicMode call) from its first attempt to its commit, consulting
-// the domain's ContentionManager between attempts. It was extracted from the
-// original Thread.AtomicMode retry loop so that the abort→retry path is a
-// pluggable policy rather than a hard-coded backoff. The cycle is
-// begin → run → (commit | abort → contention-manager stall → begin). The one
-// abort that skips the stall is a read-only operation's unlogged first
-// attempt giving its snapshot up (lostUnlogged).
-//
-// lifecycle lives on the thread's stack for the duration of one AtomicMode
-// call.
-type lifecycle struct {
-	th      *Thread
-	mode    Mode
-	fn      func(*Tx)
-	retries int // aborted attempts so far
-}
-
-// run drives the operation to commit. On every abort it charges one retry to
-// the thread's statistics and hands control to the contention manager, whose
-// stall is the only wait in the loop.
-func (lc *lifecycle) run() {
-	th := lc.th
-	if th.traceID != 0 {
-		lc.runTraced()
-		return
-	}
-	tx := &th.tx
-	cm := th.stm.cm
-	for {
-		if !tx.readOnly && th.stm.gate.Load() != 0 {
-			th.waitGate()
-		}
-		tx.begin(lc.mode)
-		if th.runAttempt(tx, lc.fn) {
-			return
-		}
-		lc.retries++
-		th.noteRetry()
-		if tx.lostUnlogged() || lc.starving() {
-			continue
-		}
-		cm.OnAbort(th, lc.retries)
-	}
-}
+// The abort→retry path of an operation. AtomicMode drives it from its first
+// attempt to its commit: begin → run → (commit | abort → pause → begin).
+// Two aborts skip the pause: a read-only operation's unlogged first attempt
+// giving its snapshot up (lostUnlogged), and a read-only operation that
+// holds the writer gate (starving).
 
 // gateRetries is the number of lost attempts after which a read-only
 // operation takes the domain's writer gate (see STM.gate).
 const gateRetries = 8
 
-// starving is called after an aborted attempt. A read-only operation that
-// has lost gateRetries attempts takes the writer gate; one that holds it
-// retries at once, since every new writer now waits for it — the
-// contention manager's stall would only hold them longer.
-func (lc *lifecycle) starving() bool {
-	th := lc.th
+// starving is called after the retries-th aborted attempt. A read-only
+// operation that has lost gateRetries attempts takes the writer gate; one
+// that holds it retries at once, since every new writer now waits for it —
+// a pause would only hold them longer.
+func (th *Thread) starving(retries int) bool {
 	if !th.tx.readOnly {
 		return false
 	}
-	if lc.retries == gateRetries {
+	if retries == gateRetries {
 		th.gated = true
 		th.stm.gate.Add(1)
 	}
@@ -76,8 +34,8 @@ func (lc *lifecycle) starving() bool {
 // phase of an AtomicRO call — every later attempt logs its reads and can
 // extend — and reports whether the attempt was lost to that phase's own
 // rule (a word newer than the snapshot, AbortUnlogged) rather than to a
-// conflict: nobody holds anything the retry has to wait for, so the
-// contention manager is not consulted.
+// conflict: nobody holds anything the retry has to wait for, so it does
+// not pause.
 func (tx *Tx) lostUnlogged() bool {
 	if !tx.unlogged {
 		return false
@@ -86,33 +44,18 @@ func (tx *Tx) lostUnlogged() bool {
 	return tx.th.lastCause == AbortUnlogged
 }
 
-// runTraced is the sampled-op variant of run: identical control flow plus
-// one SpanAttempt per attempt (A = -1 for the committing attempt, otherwise
-// the abort cause; B = the attempt index). It is a separate loop so the
-// untraced path — the overwhelmingly common one — pays exactly one branch.
-// time.Now and Tracer.Record never allocate, keeping AllocsPerRun=0 on the
-// sampled path too.
-func (lc *lifecycle) runTraced() {
-	th := lc.th
-	tx := &th.tx
-	cm := th.stm.cm
-	tr, id, op := th.tr, th.traceID, th.traceOp
-	for {
-		if !tx.readOnly && th.stm.gate.Load() != 0 {
-			th.waitGate()
-		}
-		start := time.Now().UnixNano()
-		tx.begin(lc.mode)
-		if th.runAttempt(tx, lc.fn) {
-			tr.Record(id, obs.SpanAttempt, op, start, time.Now().UnixNano(), -1, int64(lc.retries))
-			return
-		}
-		tr.Record(id, obs.SpanAttempt, op, start, time.Now().UnixNano(), int64(th.lastCause), int64(lc.retries))
-		lc.retries++
-		th.noteRetry()
-		if tx.lostUnlogged() || lc.starving() {
-			continue
-		}
-		cm.OnAbort(th, lc.retries)
+// pause is the wait between the retries-th aborted attempt and its retry:
+// TinySTM's suicide contention manager, the one the paper's runs use. The
+// loser retries almost at once, after a random spin of at most
+// 2^min(retries-1,16) iterations and one scheduler yield. Its time is
+// charged to Stats.BackoffNanos.
+func (th *Thread) pause(retries int) {
+	start := time.Now()
+	spin := th.nextRand() % (1 << min(retries-1, 16))
+	for i := uint64(0); i < spin; i++ {
+		// Pure CPU delay; the loop body must not be optimizable away.
+		th.rngState += i
 	}
+	runtime.Gosched()
+	th.stats.BackoffNanos += uint64(time.Since(start))
 }

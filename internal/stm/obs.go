@@ -16,7 +16,7 @@ func (s *STM) RegisterObs(r *obs.Registry, labels string) {
 		}
 		counter("stm_commits_total", "Committed transactions.", ls.Commits)
 		counter("stm_aborts_total", "Aborted transaction attempts.", ls.Aborts)
-		counter("stm_retries_total", "Abort-to-retry transitions of the lifecycle engine.", ls.Retries)
+		counter("stm_retries_total", "Abort-to-retry transitions of the retry loop.", ls.Retries)
 		counter("stm_structural_commits_total", "Commits by structural (maintenance) threads.", ls.StructuralCommits)
 		counter("stm_structural_aborts_total", "Aborts by structural (maintenance) threads.", ls.StructuralAborts)
 		for c := AbortCause(0); c < NumAbortCauses; c++ {

@@ -38,8 +38,7 @@ type Prepared struct {
 // acquired, writes buffered but unpublished. It returns (nil, false) when
 // the attempt aborts — a validation failure, a lost lock race, or an
 // explicit Tx.Restart — leaving no locks behind; Prepare itself never
-// retries and never consults the contention manager (the caller owns the
-// retry policy).
+// retries and never pauses (the caller owns the retry).
 //
 // fn runs under the same contract as AtomicMode's fn: transactional
 // accesses only, no side effects beyond locals, impossible observations

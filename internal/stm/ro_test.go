@@ -11,9 +11,10 @@ import (
 // TestAtomicROUnloggedThenLogged drives one AtomicRO call through both of
 // its phases from a single goroutine: the first attempt logs nothing and,
 // on meeting a word a second thread committed after its snapshot, aborts —
-// once, under its own cause, without backoff — and the retry is an ordinary
+// once, under its own cause, without a pause — and the retry is an ordinary
 // logged CTL attempt that extends over the next such word instead. Run
-// untraced and traced: both lifecycle loops must honour the hand-over.
+// untraced and traced: the retry loop's traced branches must not disturb
+// the hand-over.
 func TestAtomicROUnloggedThenLogged(t *testing.T) {
 	for _, traced := range []bool{false, true} {
 		s := New()
@@ -63,7 +64,7 @@ func TestAtomicROUnloggedThenLogged(t *testing.T) {
 				traced, st.Commits, st.Aborts, st.AbortCauses[AbortUnlogged], st.Retries)
 		}
 		if st.Extensions != 1 || st.BackoffNanos != 0 {
-			t.Errorf("traced=%v: extensions %d, backoff %d ns; want 1 and no backoff", traced, st.Extensions, st.BackoffNanos)
+			t.Errorf("traced=%v: extensions %d, pause %d ns; want 1 and no pause", traced, st.Extensions, st.BackoffNanos)
 		}
 		if st.Reads != 4 || st.MaxOpReads != 4 {
 			t.Errorf("traced=%v: reads %d, max per op %d; want 4 and 4 (unlogged reads count)", traced, st.Reads, st.MaxOpReads)

@@ -20,8 +20,8 @@ const (
 	// AbortSpinExhausted: a read burned through its full spin budget twice
 	// on a locked word and gave up rather than risk livelock.
 	AbortSpinExhausted
-	// AbortExplicit: user code called Tx.Restart — the contention-manager
-	// kill path and "impossible observation" restarts of zombie attempts.
+	// AbortExplicit: user code called Tx.Restart — "impossible
+	// observation" restarts of zombie attempts.
 	AbortExplicit
 	// AbortCoordinated: a prepared sub-transaction was dropped by its
 	// cross-shard coordinator (Prepared.Drop) because some other shard of
@@ -29,8 +29,8 @@ const (
 	AbortCoordinated
 	// AbortUnlogged: the unlogged first attempt of a read-only operation
 	// (Thread.AtomicRO) met a word newer than its snapshot and, having no
-	// read set to extend over, was retried with logging. Not contention in
-	// the contention manager's sense: the retry starts at once.
+	// read set to extend over, was retried with logging. Not contention:
+	// the retry starts at once, without a pause.
 	AbortUnlogged
 	// NumAbortCauses sizes per-cause counter arrays.
 	NumAbortCauses = iota
@@ -93,16 +93,17 @@ type Stats struct {
 	Extensions uint64
 	// ElasticCuts counts reads dropped from elastic read sets.
 	ElasticCuts uint64
-	// Retries counts abort→retry transitions of the transaction-lifecycle
-	// engine (every aborted attempt of an Atomic operation charges one).
+	// Retries counts abort→retry transitions of AtomicMode's retry loop
+	// (every aborted attempt of an Atomic operation charges one).
 	Retries uint64
 	// Prepares counts transaction attempts successfully driven to the
 	// prepared state (Thread.Prepare) by a two-phase-commit coordinator;
 	// whether each one then committed or rolled back shows up in Commits
 	// and Aborts as usual (Prepared.Finalize / Prepared.Drop).
 	Prepares uint64
-	// BackoffNanos is the total time, in nanoseconds, the contention
-	// manager stalled this thread between an abort and its retry.
+	// BackoffNanos is the total time, in nanoseconds, this thread paused
+	// between an abort and its retry (the suicide spin and yield, see
+	// Thread.pause).
 	BackoffNanos uint64
 	// SpinExhausted counts the times a read or an eager lock acquisition
 	// burned through its full spin budget on a locked word and had to yield

@@ -96,22 +96,12 @@ type STM struct {
 	// Read-mostly configuration: written by New, read-only afterwards.
 	defaultMode Mode
 
-	// cm is the contention manager consulted by the transaction-lifecycle
-	// engine between an abort and the retry. Shared by all threads of the
-	// domain; policies keep per-thread state on the Thread.
-	cm ContentionManager
-
-	// maxSpin bounds the number of times a unit read re-samples a locked
-	// word before yielding the processor. Threads cache it at registration
-	// (Thread.maxSpin); it lives here as the domain-level knob.
-	maxSpin int
-
 	// yieldEvery > 0 makes every thread yield the processor after that
 	// many transactional accesses. On hosts with fewer cores than worker
 	// threads this simulates the transaction overlap a multicore testbed
 	// produces naturally: without it, goroutines on one core serialize and
 	// conflicts — the phenomenon the paper measures — almost never occur.
-	// Cached on the Thread at registration like maxSpin.
+	// Cached on the Thread at registration.
 	yieldEvery int
 
 	// gate counts the read-only operations (AtomicRO) that lost gateRetries
@@ -140,20 +130,9 @@ func WithMode(m Mode) Option { return func(s *STM) { s.defaultMode = m } }
 // transaction overlap on hosts with few cores; see the field comment.
 func WithYield(n int) Option { return func(s *STM) { s.yieldEvery = n } }
 
-// WithContentionManager selects the abort→retry policy used by the
-// transaction-lifecycle engine (default Backoff; nil is ignored). Use
-// Suicide to reproduce the pre-forest engine's behavior exactly.
-func WithContentionManager(cm ContentionManager) Option {
-	return func(s *STM) {
-		if cm != nil {
-			s.cm = cm
-		}
-	}
-}
-
 // New creates an empty STM domain with the version clock at zero.
 func New(opts ...Option) *STM {
-	s := &STM{defaultMode: CTL, maxSpin: 64, cm: Backoff()}
+	s := &STM{defaultMode: CTL}
 	for _, o := range opts {
 		o(s)
 	}
@@ -176,10 +155,9 @@ func (s *STM) NewThread() *Thread {
 	th := &Thread{
 		stm:  s,
 		slot: uint64(len(s.threads) + 1), // slot 0 is reserved as "no owner"
-		// Cache the per-access config on the thread: maxSpin/yieldEvery are
-		// consulted on every transactional access, and loading them through
+		// Cache the per-access config on the thread: yieldEvery is
+		// consulted on every transactional access, and loading it through
 		// the STM pointer costs an extra dependent cache line per access.
-		maxSpin:    s.maxSpin,
 		yieldEvery: s.yieldEvery,
 	}
 	th.tx.init(th)

@@ -467,9 +467,13 @@ func TestStatsCounting(t *testing.T) {
 	if st.MaxOpReads != 2 {
 		t.Fatalf("MaxOpReads=%d, want 2", st.MaxOpReads)
 	}
+	th.noteSpinExhausted()
 	th.ResetStats()
 	if th.Stats().Commits != 0 {
 		t.Fatal("ResetStats did not clear counters")
+	}
+	if ls := th.liveStats(); ls != (LiveStats{}) {
+		t.Fatalf("ResetStats left live counters %+v", ls)
 	}
 }
 

@@ -10,8 +10,9 @@ import (
 
 // A Thread is the per-goroutine execution context for transactions: it owns
 // a reusable transaction descriptor, statistics, a pseudo-random state for
-// contention-management backoff, the pending/completed counters that every
-// thread's limbo inspects, and its own limbo of retired nodes (paper §3.4).
+// the pause between an abort and its retry, the pending/completed counters
+// that every thread's limbo inspects, and its own limbo of retired nodes
+// (paper §3.4).
 //
 // A Thread must not be shared between goroutines.
 type Thread struct {
@@ -21,12 +22,11 @@ type Thread struct {
 	// Domain config cached at registration (see STM.NewThread): consulted
 	// on every transactional access, so it must live on the thread's own
 	// hot line rather than behind the shared STM pointer.
-	maxSpin    int
 	yieldEvery int
 
 	stats    Stats
 	opReads  uint64 // transactional reads accumulated by the current operation
-	rngState uint64 // xorshift state for backoff jitter
+	rngState uint64 // xorshift state for pause's spin
 	inAtomic bool
 	gated    bool   // this thread's AtomicRO holds the domain's writer gate
 	accesses uint64 // transactional accesses, for the yield-injection knob
@@ -40,9 +40,9 @@ type Thread struct {
 
 	// Trace context: attached by the facade at op start when the op was
 	// sampled (SetTraceContext), cleared at op end. While traceID is
-	// non-zero the lifecycle engine records one SpanAttempt per attempt
-	// under it; lastCause remembers the most recent abort's cause so the
-	// traced loop can label the span. Owner-goroutine only, like stats.
+	// non-zero AtomicMode records one SpanAttempt per attempt under it;
+	// lastCause remembers the most recent abort's cause so the attempt span
+	// can name it. Owner-goroutine only, like stats.
 	tr        *obs.Tracer
 	traceID   uint64
 	traceOp   obs.OpKind
@@ -86,14 +86,10 @@ type Thread struct {
 	// field (it embeds the inline read/write sets), so it sits after the
 	// fields above have settled into the leading lines. It starts on a
 	// cache line (offset 576, pinned by TestThreadLayout): 8 B off it,
-	// paper-u20 lost ≈ 5 % on a 2-vCPU host. A field added before it must
-	// keep that; prep's size is the slack to trade.
+	// paper-u20 lost ≈ 5 % on a 2-vCPU host. A field added before it, or
+	// removed, must keep that; prep's and live's sizes are the slack to
+	// trade.
 	tx Tx
-
-	// spinExhausted is the live mirror of stats.SpinExhausted. It belongs
-	// with live, but it is charged on a cold path only, and kept behind tx it
-	// moves none of the offsets above.
-	spinExhausted atomic.Uint64
 
 	// limbo holds what this thread's committed transactions retired until
 	// it is safe to free (Reclaim). Owner-goroutine only; behind tx, so
@@ -221,6 +217,7 @@ type liveMirror struct {
 	causes        [NumAbortCauses]atomic.Uint64
 	structCommits atomic.Uint64
 	structAborts  atomic.Uint64
+	spinExhausted atomic.Uint64
 }
 
 // noteCommit charges one committed transaction: the plain counter for
@@ -257,7 +254,7 @@ func (th *Thread) noteRetry() {
 // follows maxSpin failed samples).
 func (th *Thread) noteSpinExhausted() {
 	th.stats.SpinExhausted++
-	th.spinExhausted.Store(th.stats.SpinExhausted)
+	th.live.spinExhausted.Store(th.stats.SpinExhausted)
 }
 
 // MarkStructural marks this thread as a maintenance (structural) driver:
@@ -284,7 +281,7 @@ func (th *Thread) liveStats() LiveStats {
 	}
 	ls.StructuralCommits = th.live.structCommits.Load()
 	ls.StructuralAborts = th.live.structAborts.Load()
-	ls.SpinExhausted = th.spinExhausted.Load()
+	ls.SpinExhausted = th.live.spinExhausted.Load()
 	return ls
 }
 
@@ -311,6 +308,7 @@ func (th *Thread) ResetStats() {
 	}
 	th.live.structCommits.Store(0)
 	th.live.structAborts.Store(0)
+	th.live.spinExhausted.Store(0)
 }
 
 // SetTraceContext attaches a sampled operation's trace context: while id is
@@ -345,10 +343,9 @@ func (th *Thread) Atomic(fn func(*Tx)) {
 }
 
 // AtomicMode runs fn as a transaction in the given mode, retrying until the
-// transaction commits; the delay between attempts is decided by the domain's
-// ContentionManager (see the lifecycle engine in lifecycle.go). Within fn all
-// shared state must be accessed through the transaction's Read/Write/URead
-// methods.
+// transaction commits; an aborted attempt pauses before its retry (see
+// lifecycle.go). Within fn all shared state must be accessed through the
+// transaction's Read/Write/URead methods.
 // fn may be re-executed arbitrarily many times; it must be free of side
 // effects other than transactional accesses and writes to captured locals
 // that are re-assigned on every attempt. An attempt that is already doomed
@@ -371,9 +368,43 @@ func (th *Thread) AtomicMode(mode Mode, fn func(*Tx)) {
 	th.inAtomic = true
 	th.pending.Store(true)
 	th.opReads = 0
-	lc := lifecycle{th: th, mode: mode, fn: fn}
-	lc.run()
+	tx := &th.tx
+	traced := th.traceID != 0
+	var start int64
+	for retries := 0; ; {
+		if !tx.readOnly && th.stm.gate.Load() != 0 {
+			th.waitGate()
+		}
+		if traced {
+			start = time.Now().UnixNano()
+		}
+		tx.begin(mode)
+		ok := th.runAttempt(tx, fn)
+		if traced {
+			th.recordAttempt(start, ok, retries)
+		}
+		if ok {
+			break
+		}
+		retries++
+		th.noteRetry()
+		if !tx.lostUnlogged() && !th.starving(retries) {
+			th.pause(retries)
+		}
+	}
 	th.endOp()
+}
+
+// recordAttempt records a sampled operation's attempt that began at start
+// as one SpanAttempt: A is -1 for the committing attempt, otherwise the
+// abort cause; B is the attempt's index. time.Now and Tracer.Record never
+// allocate, so the sampled path keeps AllocsPerRun=0 too.
+func (th *Thread) recordAttempt(start int64, ok bool, index int) {
+	a := int64(-1)
+	if !ok {
+		a = int64(th.lastCause)
+	}
+	th.tr.Record(th.traceID, obs.SpanAttempt, th.traceOp, start, time.Now().UnixNano(), a, int64(index))
 }
 
 // AtomicRO runs fn as a read-only CTL transaction — an operation exactly as
@@ -398,9 +429,9 @@ func (th *Thread) AtomicMode(mode Mode, fn func(*Tx)) {
 //
 // The retry is the logged attempt AtomicMode(CTL, fn) has always run, with
 // extension, and it starts at once — a lost unlogged attempt found a newer
-// word, not a held one, so the contention manager is not consulted. Under
-// heavy writers the worst case is therefore what it was, plus one attempt
-// that stopped at the first word newer than its snapshot.
+// word, not a held one, so it does not pause. Under heavy writers the worst
+// case is therefore what it was, plus one attempt that stopped at the first
+// word newer than its snapshot.
 //
 // A scan that keeps losing to writers — gateRetries attempts in a row —
 // takes the domain's writer gate (STM.gate): new writing attempts wait until
@@ -455,25 +486,6 @@ func (th *Thread) runAttempt(tx *Tx, fn func(*Tx)) (ok bool) {
 	}()
 	fn(tx)
 	return tx.commit()
-}
-
-// stall delays the thread for roughly d, yielding the processor instead of
-// sleeping (on machines where goroutines outnumber processors a kernel sleep
-// costs far more than the contention window it is meant to cover). The time
-// actually spent is charged to Stats.BackoffNanos.
-func (th *Thread) stall(d time.Duration) {
-	if d <= 0 {
-		runtime.Gosched()
-		return
-	}
-	start := time.Now()
-	for {
-		runtime.Gosched()
-		if elapsed := time.Since(start); elapsed >= d {
-			th.stats.BackoffNanos += uint64(elapsed)
-			return
-		}
-	}
 }
 
 // maybeYield implements the WithYield interleaving simulation: after every

@@ -91,8 +91,8 @@ type Tx struct {
 
 	// unlogged marks the first attempt of an AtomicRO call: Read accepts a
 	// word only at a version within the snapshot, logs nothing, and aborts
-	// where a logged attempt would try a timestamp extension. The lifecycle
-	// engine clears it when that attempt is lost, so the retry is logged.
+	// where a logged attempt would try a timestamp extension. AtomicMode's
+	// retry loop clears it when that attempt is lost, so the retry is logged.
 	// (It shares hasWrite's padding: no other field moves.)
 	unlogged bool
 
@@ -164,8 +164,8 @@ func (tx *Tx) Snapshot() uint64 { return tx.rv }
 func (tx *Tx) Mode() Mode { return tx.mode }
 
 // Restart aborts the current attempt; Atomic will re-run the transaction
-// from the beginning after backoff. Charged as an explicit abort in the
-// cause taxonomy.
+// from the beginning after the retry pause. Charged as an explicit abort in
+// the cause taxonomy.
 func (tx *Tx) Restart() { tx.abort(AbortExplicit) }
 
 // Alloc takes a fresh node for (k, v) from a and logs it with the attempt.
@@ -278,11 +278,11 @@ func (tx *Tx) Read(w *Word) uint64 {
 // with the full budget, yield once, spin again, abort if the word is still
 // locked (under a single-core scheduler spinning forever would livelock).
 func (tx *Tx) sampleContended(w *Word) (uint64, uint64) {
-	v, meta, ok := w.sampleUnlocked(tx.th.maxSpin)
+	v, meta, ok := w.sampleUnlocked()
 	if !ok {
 		tx.th.noteSpinExhausted()
 		runtime.Gosched()
-		v, meta, ok = w.sampleUnlocked(tx.th.maxSpin)
+		v, meta, ok = w.sampleUnlocked()
 		if !ok {
 			tx.th.noteSpinExhausted()
 			tx.abort(AbortSpinExhausted)
@@ -322,7 +322,7 @@ func (tx *Tx) URead(w *Word) uint64 {
 // observed unlocked; unit reads never abort on contention.
 func (tx *Tx) uReadContended(w *Word) uint64 {
 	for {
-		v, _, ok := w.sampleUnlocked(tx.th.maxSpin)
+		v, _, ok := w.sampleUnlocked()
 		if ok {
 			return v
 		}
@@ -376,7 +376,7 @@ func (tx *Tx) writeETL(w *Word, v uint64) {
 			tx.noteWrite(w)
 			return
 		}
-		if spins++; spins >= tx.th.maxSpin {
+		if spins++; spins >= maxSpin {
 			spins = 0
 			tx.th.noteSpinExhausted()
 			runtime.Gosched()

@@ -75,18 +75,22 @@ func (w *Word) fastSample() (uint64, uint64, bool) {
 	return 0, 0, false
 }
 
+// maxSpin bounds the number of times a read re-samples a locked word (and
+// an eager lock acquisition retries its CAS) before yielding the processor.
+const maxSpin = 64
+
 // sampleUnlocked spins until the word is observed unlocked with a stable
-// meta, returning (value, meta). spins is consumed as a budget; when it is
-// exhausted the caller should yield (and charge Stats.SpinExhausted). The
-// bool result reports success.
+// meta, returning (value, meta). It re-samples at most maxSpin times; when
+// that budget is exhausted the caller should yield (and charge
+// Stats.SpinExhausted). The bool result reports success.
 //
 // While the word is locked the loop backs off with an exponentially growing
 // pause between re-polls instead of hammering the owner's cache line with
 // back-to-back loads — on real hardware each such load forces a coherence
 // transition on the line the lock holder is about to write through.
-func (w *Word) sampleUnlocked(budget int) (uint64, uint64, bool) {
+func (w *Word) sampleUnlocked() (uint64, uint64, bool) {
 	pause := uint32(4)
-	for i := 0; i < budget; i++ {
+	for i := 0; i < maxSpin; i++ {
 		m1 := w.meta.Load()
 		if isLocked(m1) {
 			cpuRelax(pause)

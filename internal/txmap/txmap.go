@@ -162,25 +162,6 @@ func (b *Base) Range(th *stm.Thread, lo, hi uint64, fn func(k, v uint64) bool) b
 	return f.feed(fn)
 }
 
-// RangeElastic is Range under the elastic read discipline of the paper's
-// §4: the traversal validates only the hand-over-hand window of trailing
-// reads and cuts everything older, so a long scan neither aborts on nor
-// invalidates concurrent updates to parts of the interval it has already
-// passed. The price is the snapshot guarantee: the reported elements
-// reflect a mixture of tree states, and a scan racing concurrent rotations
-// can miss or duplicate keys near the rotation point. Use it for cheap
-// approximate scans; use Range when the result must be a snapshot. On a
-// tree that does not tolerate elastic reads RangeElastic is Range.
-func (b *Base) RangeElastic(th *stm.Thread, lo, hi uint64, fn func(k, v uint64) bool) bool {
-	if !b.elastic {
-		return b.Range(th, lo, hi, fn)
-	}
-	f := b.frame(th)
-	f.lo, f.hi = lo, hi
-	th.AtomicMode(stm.Elastic, f.rangeFn)
-	return f.feed(fn)
-}
-
 // Size counts the elements in one read-only snapshot (see Range). It is
 // the length of a whole-tree scan: meant for tests and examples, not hot
 // paths.

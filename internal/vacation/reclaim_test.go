@@ -22,7 +22,7 @@ func TestRowChurnFreesRows(t *testing.T) {
 		t.Run(string(kind), func(t *testing.T) {
 			const clients, seed = 4, 42
 			cfg := HighContention(1024, 8*4096)
-			s := stm.New(stm.WithContentionManager(stm.Suicide()))
+			s := stm.New()
 			m := NewManager(s, kind)
 			setup := s.NewThread()
 			Populate(m, setup, cfg, seed)

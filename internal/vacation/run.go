@@ -24,7 +24,7 @@ type Result struct {
 // stopped, Run checks the database: a non-nil error means the run left it
 // inconsistent.
 func Run(kind trees.Kind, cfg Config, threads int, seed int64, yieldEvery int) (Result, error) {
-	s := stm.New(stm.WithYield(yieldEvery), stm.WithContentionManager(stm.Suicide()))
+	s := stm.New(stm.WithYield(yieldEvery))
 	m := NewManager(s, kind)
 	setup := s.NewThread()
 	Populate(m, setup, cfg, seed)

@@ -109,7 +109,7 @@ func TestObsEndpointSmoke(t *testing.T) {
 		t.Skip("live endpoint scrape; skipped in -short")
 	}
 	tr, err := Open(t.TempDir(), SpeculationFriendlyOptimized, WithShards(2),
-		WithContention(ContentionBackoff), WithObservability("127.0.0.1:0"))
+		WithObservability("127.0.0.1:0"))
 	if err != nil {
 		t.Fatal(err)
 	}

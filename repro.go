@@ -41,10 +41,12 @@
 // clock (a durable tree logs one WAL record per transaction and checkpoints
 // at one cut, whatever the shard count). That single global clock is TL2's known scaling limit at many
 // cores; the 2-vCPU host this was measured on cannot probe it.
-// WithContention selects the abort→retry policy:
 //
-//	t := repro.NewTree(repro.SpeculationFriendlyOptimized,
-//		repro.WithShards(8), repro.WithContention(repro.ContentionBackoff))
+//	t := repro.NewTree(repro.SpeculationFriendlyOptimized, repro.WithShards(8))
+//
+// An aborted attempt retries after the pause of the paper's suicide
+// contention manager (a short random spin and one scheduler yield); there
+// is no other retry policy.
 //
 // Update composes tree operations inside one STM transaction on any shards;
 // Handle.Atomic runs fn inside one STM transaction too, but buffers its
@@ -106,19 +108,6 @@ const (
 	ElasticTransactions = stm.Elastic
 )
 
-// ContentionPolicy names an abort→retry policy of the STM's
-// transaction-lifecycle engine.
-type ContentionPolicy string
-
-const (
-	// ContentionSuicide retries an aborted transaction almost immediately
-	// (the paper reproduction's original behavior).
-	ContentionSuicide ContentionPolicy = "suicide"
-	// ContentionBackoff stalls aborted transactions with randomized
-	// exponential backoff (the default).
-	ContentionBackoff ContentionPolicy = "backoff"
-)
-
 // Tree is a concurrent ordered map from uint64 keys to uint64 values backed
 // by one of the paper's tree libraries over the package's STM. It is a
 // hash-sharded forest of such trees in one STM domain; the default of one
@@ -148,7 +137,6 @@ type treeCfg struct {
 	mode        stm.Mode
 	maintenance bool
 	shards      int
-	cm          stm.ContentionManager
 	dur         *durable.Options
 	obs         bool
 	obsAddr     string
@@ -186,8 +174,8 @@ func WithShards(n int) Option { return func(c *treeCfg) { c.shards = n } }
 // Tree.Obs). The hot-path hooks are single padded atomic adds; the scrape
 // path never pauses application or maintenance threads.
 //
-// NewTree panics when addr cannot be listened on (a configuration error,
-// like WithContention's unknown policy); Open returns the error.
+// NewTree panics when addr cannot be listened on (a configuration error);
+// Open returns the error.
 func WithObservability(addr string) Option {
 	return func(c *treeCfg) {
 		c.obs = true
@@ -214,17 +202,6 @@ func WithTracing(sampleEvery int) Option {
 		}
 		c.trace = sampleEvery
 	}
-}
-
-// WithContention selects the contention-management policy consulted between
-// an aborted transaction attempt and its retry (default ContentionBackoff).
-// It panics on unknown policies (a configuration error).
-func WithContention(p ContentionPolicy) Option {
-	cm, err := stm.ManagerByName(string(p))
-	if err != nil {
-		panic(err)
-	}
-	return func(c *treeCfg) { c.cm = cm }
 }
 
 // DurabilityOptions re-exports the durable layer's dials for WithDurability:
@@ -260,7 +237,6 @@ func (c *treeCfg) newForest(kind Kind) *forest.Forest {
 	fopts := []forest.Option{
 		forest.WithShards(c.shards),
 		forest.WithTMMode(c.mode),
-		forest.WithContentionManager(c.cm),
 	}
 	if !c.maintenance {
 		fopts = append(fopts, forest.WithoutMaintenance())

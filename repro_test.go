@@ -152,7 +152,7 @@ func TestBaselineKindsStats(t *testing.T) {
 }
 
 func TestShardedTreeBasics(t *testing.T) {
-	tr := NewTree(SpeculationFriendlyOptimized, WithShards(4), WithContention(ContentionBackoff))
+	tr := NewTree(SpeculationFriendlyOptimized, WithShards(4))
 	defer tr.Close()
 	if tr.Shards() != 4 {
 		t.Fatalf("shards = %d", tr.Shards())
@@ -219,22 +219,13 @@ func TestShardedUpdate(t *testing.T) {
 }
 
 func TestUpdateOnUnshardedTree(t *testing.T) {
-	tr := NewTree(RedBlack, WithContention(ContentionSuicide))
+	tr := NewTree(RedBlack)
 	defer tr.Close()
 	h := tr.NewHandle()
 	h.Update(func(op *Op) { op.Insert(5, 50) })
 	if v, ok := h.Get(5); !ok || v != 50 {
 		t.Fatal("Update not applied")
 	}
-}
-
-func TestWithContentionUnknownPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("unknown contention policy did not panic")
-		}
-	}()
-	WithContention(ContentionPolicy("polite"))
 }
 
 // TestNewTreeRejectsBadShardCount: a shard count below one is a

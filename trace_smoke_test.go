@@ -44,7 +44,6 @@ func TestTraceEndpointSmoke(t *testing.T) {
 	// are preempted against each other by the OS even on a one-CPU host.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
 	tr, err := Open(t.TempDir(), SpeculationFriendlyOptimized, WithShards(2),
-		WithContention(ContentionSuicide), // no backoff: aborts stay frequent
 		WithTracing(1), WithObservability("127.0.0.1:0"))
 	if err != nil {
 		t.Fatal(err)

@@ -64,8 +64,10 @@ allocs:
 # STM thread's maybeYield, which every transactional access calls and
 # which must cost a load and a branch with yield injection off, and the
 # forest handle's span helpers begin/end, which keep every operation's
-# tracing-off path at one atomic load and a branch; the build fails here
-# when an edit pushes one past the inliner's budget.
+# tracing-off path at one atomic load and a branch, and the maintenance
+# walk's touch of the right child, which must stay two loads rather than a
+# call per visited node; the build fails here when an edit pushes one past
+# the inliner's budget.
 inline:
 	@$(GO) build -gcflags=-m ./internal/arena 2>&1 | grep -q 'can inline (\*Arena).Get$$' || \
 		{ echo 'inline: (*arena.Arena).Get is no longer inlineable'; exit 1; }
@@ -73,6 +75,8 @@ inline:
 		{ echo 'inline: (*stm.Thread).maybeYield is no longer inlineable'; exit 1; }
 	@$(GO) build -gcflags=-m ./internal/forest 2>&1 | grep -c 'can inline (\*Handle)\.\(begin\|end\)$$' | grep -qx 2 || \
 		{ echo 'inline: (*forest.Handle).begin and end are no longer both inlineable'; exit 1; }
+	@$(GO) build -gcflags=-m ./internal/sftree 2>&1 | grep -q 'inlining call to touch$$' || \
+		{ echo 'inline: sftree.touch is no longer inlined into the maintenance walk'; exit 1; }
 
 # Live-endpoint smoke: drive a short durable sharded workload through the
 # facade with the observability server attached and scrape /metrics

@@ -274,10 +274,11 @@ func BenchmarkAblationMaintenanceCoupling(b *testing.B) {
 	b.Run("coupled", func(b *testing.B) { run(b, true) })
 }
 
-// BenchmarkAblationContentionManagement compares the STM acquirement
-// policies on an identical update-heavy tree workload (CTL vs ETL vs
-// Elastic), the ablation behind Fig. 4.
-func BenchmarkAblationContentionManagement(b *testing.B) {
+// BenchmarkAblationTMMode compares the STM's TM algorithms — commit-time
+// locking (CTL), encounter-time locking (ETL) and elastic transactions —
+// on an identical update-heavy tree workload, the ablation behind Fig. 4.
+// Every mode retries aborts under the same suicide contention manager.
+func BenchmarkAblationTMMode(b *testing.B) {
 	for _, mode := range []stm.Mode{stm.CTL, stm.ETL, stm.Elastic} {
 		b.Run(mode.String(), func(b *testing.B) {
 			runTreeBench(b, trees.SFOpt, mode, experiments.Workload{

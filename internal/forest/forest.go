@@ -275,13 +275,33 @@ type PoolStats struct {
 func (f *Forest) PoolStats() PoolStats { return PoolStats{DriverStats: f.drv.Stats()} }
 
 // Quiesce runs maintenance sweeps on every shard until clean (up to
-// maxPasses each). The workers are paused for the duration (the sweeps
-// are single-driver).
+// maxPasses each; sftree.Tree.Quiesce). The workers are paused for the
+// duration (the sweeps are single-driver). The shards are quiesced in
+// parallel by min(shards, GOMAXPROCS) goroutines, the caller among them,
+// each pulling the next shard index from a shared counter: every shard
+// keeps its own maintenance thread and arena, so the shards share nothing
+// but the STM's clock, and each ends exactly as a Quiesce of it alone
+// would leave it. A one-shard forest, or one running on one P, quiesces
+// inline. The wall time is thus about the largest shard's, or the sum
+// over the shards divided by the P count, whichever is longer.
 func (f *Forest) Quiesce(maxPasses int) {
 	defer f.drv.Pause()()
-	for _, m := range f.maps {
-		trees.Quiesce(m, maxPasses)
+	var next atomic.Int64
+	quiesce := func() {
+		for i := next.Add(1) - 1; i < int64(len(f.maps)); i = next.Add(1) - 1 {
+			trees.Quiesce(f.maps[i], maxPasses)
+		}
 	}
+	var wg sync.WaitGroup
+	for range min(len(f.maps), runtime.GOMAXPROCS(0)) - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			quiesce()
+		}()
+	}
+	quiesce()
+	wg.Wait()
 }
 
 // mix is the splitmix64 finalizer: a full-avalanche bijection on uint64, so

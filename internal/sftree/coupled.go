@@ -41,6 +41,7 @@ func (t *Tree) RunMaintenancePassCoupled() int {
 		work = w
 	})
 	t.removals.Add(uint64(removed))
+	t.passes.Add(1)
 	return work + t.reclaim()
 }
 

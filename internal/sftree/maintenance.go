@@ -30,38 +30,61 @@ const maintYieldStride = 64
 // returns the amount of structural work done (rotations + removals + nodes
 // freed); a return of 0 means the tree was balanced, fully unlinked and
 // garbage-free. It must not run beside a Driver over the tree (Pause it
-// first) or another pass.
+// first) or another pass. A pass costs one visit per reachable node, each
+// a dependent cache miss on a tree beyond cache, partly overlapped by the
+// touch of the right child (maintain).
 func (t *Tree) RunMaintenancePass() int {
+	return t.sweep() + t.reclaim()
+}
+
+// sweep is the depth-first walk of one pass, counted in Stats.Passes. It
+// returns the rotations and removals it made.
+func (t *Tree) sweep() int {
 	rootN := t.node(t.root)
 	h, work := t.maintain(t.root, true, rootN.L.Plain())
 	rootN.LeftH.Store(h)
 	rootN.LocalH.Store(h + 1)
 	t.heightEst.Store(h)
-	return work + t.reclaim()
+	t.passes.Add(1)
+	return work
 }
 
-// reclaim ends a pass: it steps the maintenance thread's limbo and counts
-// the pass and the nodes freed.
+// reclaim steps the maintenance thread's limbo and counts the nodes freed.
 func (t *Tree) reclaim() int {
 	freed := t.maintTh.Reclaim()
 	t.freed.Add(uint64(freed))
-	t.passes.Add(1)
 	return freed
 }
 
-// Quiesce runs maintenance passes until one does no structural work (or
-// maxPasses is hit), leaving the tree balanced and physically clean. It is
-// a driver like any other: a Driver over the tree must be paused for the
-// duration (passes are single-driver, see RunMaintenancePass). Intended
-// for tests and for phase changes in benchmarks; concurrent updates may
-// legitimately prevent quiescence, hence the bound.
+// Quiesce leaves the tree balanced, physically clean and garbage-free, in
+// at most maxPasses steps, and reports whether it got there. It runs
+// passes until one makes no rotation and no removal: with no writer
+// running, such a pass has propagated exact heights everywhere and found
+// nothing to change, so another walk would find nothing either. What the
+// earlier passes retired may still wait in the limbo; Quiesce then steps
+// the limbo alone (each step counts against maxPasses, yielding first so
+// an operation the limbo waits for can end) until it is empty. A tree
+// that needed k passes of structural work thus costs k+1 walks, and a
+// settled one a single walk. It is a driver like any other: a Driver over
+// the tree must be paused for the duration (passes are single-driver, see
+// RunMaintenancePass). Intended for tests and for phase changes in
+// benchmarks; concurrent updates may legitimately prevent quiescence,
+// hence the bound.
 func (t *Tree) Quiesce(maxPasses int) bool {
-	for i := 0; i < maxPasses; i++ {
-		if t.RunMaintenancePass() == 0 {
-			return true
-		}
+	clean := false
+	for ; maxPasses > 0 && !clean; maxPasses-- {
+		clean = t.sweep() == 0
+		t.reclaim()
 	}
-	return false
+	for clean && t.maintTh.Retiring() != 0 {
+		if maxPasses == 0 {
+			return false
+		}
+		maxPasses--
+		runtime.Gosched()
+		t.reclaim()
+	}
+	return clean
 }
 
 // maintain processes the subtree rooted at ref (a child of parentRef on the
@@ -93,7 +116,11 @@ func (t *Tree) maintain(parentRef arena.Ref, leftChild bool, ref arena.Ref) (int
 		}
 	}
 	// Post-order: settle the children first so the heights we propagate
-	// are the freshest available estimates.
+	// are the freshest available estimates. The right child is touched
+	// before the left descent so its miss overlaps the left child's.
+	if r := n.R.Plain(); r != arena.Nil {
+		touch(t.node(r))
+	}
 	lh, lw := t.maintain(ref, true, n.L.Plain())
 	rh, rw := t.maintain(ref, false, n.R.Plain())
 	setHeights(n, lh, rh)
@@ -112,6 +139,20 @@ func (t *Tree) maintain(parentRef arena.Ref, leftChild bool, ref arena.Ref) (int
 		cur = p.R.Plain()
 	}
 	return t.heightOf(cur), work
+}
+
+// touch loads both cache lines of n — the child links on the first, the
+// deleted flag and height estimates on the second — so that maintain's
+// later visit of n finds them cached; nothing depends on the loaded
+// values, so the out-of-order core overlaps these misses with the walk of
+// n's left sibling. The loads are atomic, which keeps the compiler from
+// dropping them as dead. They must stay loads into nothing: storing the
+// values anywhere shared (a package-level sink, a Tree field) would be a
+// write that the shards' maintenance threads, run in parallel by
+// forest.Quiesce, race on, and a cache line they all dirty.
+func touch(n *arena.Node) {
+	n.L.Plain()
+	n.Del.Plain()
 }
 
 // setHeights refreshes n's height estimates from its children's, storing

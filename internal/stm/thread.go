@@ -151,6 +151,10 @@ func (th *Thread) Reclaim() int {
 	return freed
 }
 
+// Retiring returns the number of retired nodes the thread's limbo still
+// holds, sealed or not. Owner goroutine only, like Reclaim.
+func (th *Thread) Retiring() int { return len(th.limbo.nodes) }
+
 // expired reports whether no thread is still inside an operation it was
 // running when the sealed generation was snapshotted.
 func (l *limbo) expired() bool {

@@ -88,7 +88,8 @@ type Map interface {
 // no-ops). Quiesce is single-driver: nothing else may drive the tree's
 // maintenance meanwhile.
 type Maintained interface {
-	// Quiesce runs sweeps until one does no structural work.
+	// Quiesce runs sweeps until one does no structural work, then frees
+	// what the sweeps unlinked.
 	Quiesce(maxPasses int) bool
 }
 

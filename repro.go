@@ -475,7 +475,12 @@ func (t *Tree) Close() {
 }
 
 // Maintain runs maintenance passes until the structure is quiescent or
-// maxPasses is reached (no-op for kinds without maintenance).
+// maxPasses is reached (no-op for kinds without maintenance). The
+// background maintenance pauses meanwhile. Each shard is walked until a
+// pass makes no rotation and no removal, then its limbo is emptied
+// without further walks; the shards are quiesced in parallel on up to
+// GOMAXPROCS goroutines (forest.Forest.Quiesce), so the call takes about
+// the largest shard's time when there are cores to spare.
 func (t *Tree) Maintain(maxPasses int) { t.f.Quiesce(maxPasses) }
 
 // Shards reports the number of partitions (1 unless WithShards was given).

@@ -67,7 +67,17 @@ allocs:
 # tracing-off path at one atomic load and a branch, and the maintenance
 # walk's touch of the right child, which must stay two loads rather than a
 # call per visited node; the build fails here when an edit pushes one past
-# the inliner's budget.
+# the inliner's budget. arena.Node.Child, which picks a hop's child word,
+# must inline into sftree's optimized find and the RB/AVL lookup
+# (inlined-into PKG,FILE,FUNC,CALLEE checks that -m reports the call site
+# inside FUNC's lines of FILE), and on amd64 the optimized find must select
+# the child with a CMOV: a branch on a uniform search's direction is
+# mispredicted on about half the hops, and the plain
+# `w := &n.L; if right { w = &n.R }` select compiles to one.
+inlined-into = $(GO) build -gcflags=-m ./$(1) 2>&1 | awk -v src='$(1)/$(2)' -v fn='$(3)' -v callee='$(4)' \
+	'BEGIN { while ((getline l < src) > 0) { n++; if (l ~ "^func .*[ )]" fn "\\(") lo = n; else if (lo && !hi && l == "}") hi = n } } \
+	index($$0, src ":") == 1 && index($$0, ": inlining call to " callee) { split($$1, p, ":"); if (lo && p[2] >= lo && p[2] <= hi) ok = 1 } \
+	END { exit !ok }'
 inline:
 	@$(GO) build -gcflags=-m ./internal/arena 2>&1 | grep -q 'can inline (\*Arena).Get$$' || \
 		{ echo 'inline: (*arena.Arena).Get is no longer inlineable'; exit 1; }
@@ -77,6 +87,15 @@ inline:
 		{ echo 'inline: (*forest.Handle).begin and end are no longer both inlineable'; exit 1; }
 	@$(GO) build -gcflags=-m ./internal/sftree 2>&1 | grep -q 'inlining call to touch$$' || \
 		{ echo 'inline: sftree.touch is no longer inlined into the maintenance walk'; exit 1; }
+	@$(GO) build -gcflags=-m ./internal/arena 2>&1 | grep -q 'can inline (\*Node).Child$$' || \
+		{ echo 'inline: (*arena.Node).Child is no longer inlineable'; exit 1; }
+	@$(call inlined-into,internal/sftree,find.go,findOptimized,arena.(*Node).Child) || \
+		{ echo 'inline: arena.Node.Child is no longer inlined into sftree.(*Tree).findOptimized'; exit 1; }
+	@$(call inlined-into,internal/txmap,coupled.go,Lookup,arena.(*Node).Child) || \
+		{ echo 'inline: arena.Node.Child is no longer inlined into txmap.(*Coupled).Lookup'; exit 1; }
+	@[ "$$($(GO) env GOARCH)" != amd64 ] || $(GO) build -gcflags=-S ./internal/sftree 2>&1 | \
+		awk '/^[^ \t]/ { in_fn = index($$0, "repro/internal/sftree.(*Tree).findOptimized STEXT") == 1 } in_fn && /\tCMOV/ { ok = 1 } END { exit !ok }' || \
+		{ echo 'inline: sftree.(*Tree).findOptimized selects its child without a CMOV'; exit 1; }
 
 # Live-endpoint smoke: drive a short durable sharded workload through the
 # facade with the observability server attached and scrape /metrics

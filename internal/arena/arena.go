@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/stm"
 )
@@ -80,11 +81,12 @@ const (
 //
 // Layout: the struct is exactly two 64-byte cache lines, grouped by access
 // pattern. Line one holds what a search traversal touches at every hop
-// (Key to branch, L/R to descend, Rem to reject removed nodes — the RB
-// tree's parent link is read on its rebalancing paths only); line two holds
-// what only the found node, an update or the maintenance sweep touches
-// (Del/Val at the candidate, the heights and the free-list link; 12 bytes
-// are padding). Chunks start on a 2 MiB boundary (mapped) or at least a
+// (Key to compare, L/R to descend, Rem to reject removed nodes — the RB
+// tree's parent link is read on its rebalancing paths only; a hop picks L
+// or R with Child, by arithmetic on the comparison rather than a branch);
+// line two holds what only the found node, an update or the maintenance
+// sweep touches (Del/Val at the candidate, the heights and the free-list
+// link; 12 bytes are padding). Chunks start on a 2 MiB boundary (mapped) or at least a
 // 64-byte one (heap fallback), and 128 divides both, so every node's lines
 // coincide with hardware lines and a k-node traversal costs k data lines; a
 // chunk holds exactly 16 384 nodes, one huge page. Node holds no Go
@@ -106,6 +108,27 @@ type Node struct {
 	nextFree Ref // free-list link, guarded by the arena mutex
 
 	_ [8]byte // pad to 2 full cache lines; see the layout comment
+}
+
+// rightOff is the distance from a node's L word to its R word.
+const rightOff = unsafe.Offsetof(Node{}.R) - unsafe.Offsetof(Node{}.L)
+
+// Child returns the child word a search for a key on the given side of
+// the node's key follows: &n.L when right is false, &n.R when it is true.
+// For uniform keys a search hop goes each way with equal probability, so a
+// branch on the direction is mispredicted on about half the hops and every
+// miss discards the speculative load of the next node. Child selects by
+// arithmetic instead — a byte offset that is 0 or the L→R distance, which
+// the compiler turns into a conditional move — so the next hop's address
+// depends on the comparison as data, never as control. Every tree's
+// descent picks its child here, and `make inline` checks that it inlines
+// into the searches and that sftree's optimized find keeps the CMOV.
+func (n *Node) Child(right bool) *stm.Word {
+	var off uintptr
+	if right {
+		off = rightOff
+	}
+	return (*stm.Word)(unsafe.Add(unsafe.Pointer(&n.L), off))
 }
 
 // Parent is the red-black tree's parent link, kept in the Rem slot.

@@ -31,6 +31,22 @@ func TestAllocInitialState(t *testing.T) {
 	}
 }
 
+// TestNodeChild pins the child-word select every tree's search hop uses:
+// Child(false) is the L word and Child(true) the R word of the same node,
+// in a mapped chunk and, under GOARCH=386 or -race, in a heap chunk.
+func TestNodeChild(t *testing.T) {
+	a := New()
+	for _, r := range []Ref{a.Alloc(1, 0), a.Alloc(2, 0)} {
+		n := a.Get(r)
+		if got := n.Child(false); got != &n.L {
+			t.Errorf("node %d: Child(false) = %p, want &L = %p", r, got, &n.L)
+		}
+		if got := n.Child(true); got != &n.R {
+			t.Errorf("node %d: Child(true) = %p, want &R = %p", r, got, &n.R)
+		}
+	}
+}
+
 // TestNodeLayout pins the two-cache-line contract of the Node doc comment:
 // 128 bytes, the traversal words on the first line, the found-node words on
 // the second, and 2 MiB chunks that start on chunkAlign (a huge-page boundary

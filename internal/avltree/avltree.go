@@ -143,30 +143,19 @@ func (t *Tree) insertRec(tx *stm.Tx, ref arena.Ref, k, v uint64) (arena.Ref, boo
 	}
 	n := t.node(ref)
 	key := tx.Read(&n.Key)
-	switch {
-	case k == key:
+	if k == key {
 		return ref, false
-	case k < key:
-		lRef := tx.Read(&n.L)
-		nl, added := t.insertRec(tx, lRef, k, v)
-		if !added {
-			return ref, false
-		}
-		if nl != lRef {
-			tx.Write(&n.L, nl)
-		}
-		return t.rebalance(tx, ref), true
-	default:
-		rRef := tx.Read(&n.R)
-		nr, added := t.insertRec(tx, rRef, k, v)
-		if !added {
-			return ref, false
-		}
-		if nr != rRef {
-			tx.Write(&n.R, nr)
-		}
-		return t.rebalance(tx, ref), true
 	}
+	w := n.Child(k > key)
+	cRef := tx.Read(w)
+	nc, added := t.insertRec(tx, cRef, k, v)
+	if !added {
+		return ref, false
+	}
+	if nc != cRef {
+		tx.Write(w, nc)
+	}
+	return t.rebalance(tx, ref), true
 }
 
 // DeleteTx removes k, physically unlinking (or successor-replacing) the
@@ -186,25 +175,15 @@ func (t *Tree) deleteRec(tx *stm.Tx, ref arena.Ref, k uint64) (arena.Ref, bool) 
 	}
 	n := t.node(ref)
 	key := tx.Read(&n.Key)
-	switch {
-	case k < key:
-		lRef := tx.Read(&n.L)
-		nl, deleted := t.deleteRec(tx, lRef, k)
+	if k != key {
+		w := n.Child(k > key)
+		cRef := tx.Read(w)
+		nc, deleted := t.deleteRec(tx, cRef, k)
 		if !deleted {
 			return ref, false
 		}
-		if nl != lRef {
-			tx.Write(&n.L, nl)
-		}
-		return t.rebalance(tx, ref), true
-	case k > key:
-		rRef := tx.Read(&n.R)
-		nr, deleted := t.deleteRec(tx, rRef, k)
-		if !deleted {
-			return ref, false
-		}
-		if nr != rRef {
-			tx.Write(&n.R, nr)
+		if nc != cRef {
+			tx.Write(w, nc)
 		}
 		return t.rebalance(tx, ref), true
 	}

@@ -170,7 +170,7 @@ func (t *Tree) InsertTx(tx *stm.Tx, k, v uint64) bool {
 		return true
 	}
 	var parent arena.Ref
-	var goLeft bool
+	var right bool
 	for ref != arena.Nil {
 		n := t.node(ref)
 		key := tx.Read(&n.Key)
@@ -178,23 +178,15 @@ func (t *Tree) InsertTx(tx *stm.Tx, k, v uint64) bool {
 			return false
 		}
 		parent = ref
-		goLeft = k < key
-		if goLeft {
-			ref = tx.Read(&n.L)
-		} else {
-			ref = tx.Read(&n.R)
-		}
+		right = k > key
+		ref = tx.Read(n.Child(right))
 	}
 	x := tx.Alloc(t.Nodes, k, v)
 	xn := t.node(x)
 	xn.Balance().SetPlain(red)
 	xn.Parent().SetPlain(arena.Nil)
 	tx.Write(xn.Parent(), parent)
-	if goLeft {
-		tx.Write(&t.node(parent).L, x)
-	} else {
-		tx.Write(&t.node(parent).R, x)
-	}
+	tx.Write(t.node(parent).Child(right), x)
 	t.fixAfterInsertion(tx, x)
 	return true
 }

@@ -12,7 +12,11 @@ import (
 // Note on the pseudocode: Algorithm 1 lines 19–20 and Algorithm 2 lines 39
 // and 44–45 of the paper print the left/right choice inverted relative to
 // Algorithm 2 lines 48–50, the insert code and the proofs ("its left child
-// has range [−∞,k]"). We follow the proofs: smaller keys to the left.
+// has range [−∞,k]"). We follow the proofs: smaller keys to the left. A
+// hop that did not find k goes right exactly when k > key, and takes its
+// child word from arena.Node.Child, which selects L or R by arithmetic: the
+// direction of a uniform search is a coin flip, and a branch on it would be
+// mispredicted on about half the hops.
 func (t *Tree) find(tx *stm.Tx, k uint64) arena.Ref {
 	if t.variant == Optimized {
 		return t.findOptimized(tx, k)
@@ -35,11 +39,7 @@ func (t *Tree) findPortable(tx *stm.Tx, k uint64) arena.Ref {
 		if val == k {
 			break
 		}
-		if k < val {
-			next = tx.Read(&n.L)
-		} else {
-			next = tx.Read(&n.R)
-		}
+		next = tx.Read(n.Child(k > val))
 		if next == arena.Nil {
 			break
 		}
@@ -105,22 +105,14 @@ func (t *Tree) findOptimized(tx *stm.Tx, k uint64) arena.Ref {
 				}
 				continue
 			}
-			if k < val {
-				next = tx.URead(&n.L)
-			} else {
-				next = tx.URead(&n.R)
-			}
+			next = tx.URead(n.Child(k > val))
 			if next != arena.Nil {
 				continue
 			}
 			// Reached what looks like the insertion point: re-check with
 			// transactional reads (Algorithm 2 lines 42–49).
 			if tx.Read(&n.Rem) == arena.RemFalse {
-				if k < val {
-					next = tx.Read(&n.L)
-				} else {
-					next = tx.Read(&n.R)
-				}
+				next = tx.Read(n.Child(k > val))
 				if next == arena.Nil {
 					// Leaf candidate: the ⊥ child pointer is now in the
 					// read set, so a concurrent insert of k conflicts.
@@ -153,13 +145,7 @@ func (t *Tree) findOptimized(tx *stm.Tx, k uint64) arena.Ref {
 		// 50–56): the parent must still point at the candidate, which both
 		// pins the candidate's position and forces the STM to validate.
 		pn := t.node(parent)
-		var tmp arena.Ref
-		if t.node(curr).Key.Plain() > pn.Key.Plain() {
-			tmp = tx.Read(&pn.R)
-		} else {
-			tmp = tx.Read(&pn.L)
-		}
-		if tmp == curr {
+		if tx.Read(pn.Child(t.node(curr).Key.Plain() > pn.Key.Plain())) == curr {
 			return curr
 		}
 		// The parent no longer points at the candidate. Either the

@@ -284,11 +284,7 @@ func (t *Tree) SetTx(tx *stm.Tx, k, v uint64) {
 // link hangs a new leaf for (k, v) under n, the leaf find stopped at.
 func (t *Tree) link(tx *stm.Tx, n *arena.Node, k, v uint64) {
 	ref := tx.Alloc(t.ar, k, v)
-	if k < n.Key.Plain() {
-		tx.Write(&n.L, ref)
-	} else {
-		tx.Write(&n.R, ref)
-	}
+	tx.Write(n.Child(k > n.Key.Plain()), ref)
 }
 
 // DeleteTx removes k from the set, returning true when k was present. The

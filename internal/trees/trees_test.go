@@ -1,12 +1,14 @@
 package trees
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/arena"
+	"repro/internal/sftree"
 	"repro/internal/stm"
 )
 
@@ -298,6 +300,86 @@ func TestMoveOnAllKinds(t *testing.T) {
 		}
 		if m.Size(th) != 2 {
 			t.Fatalf("%s: size %d after moves", kind, m.Size(th))
+		}
+	}
+}
+
+// TestBoundaryKeysOnAllKinds inserts, reads and deletes the keys at both
+// ends of the key space — 0, 1, MaxKey-2 and MaxKey-1, the largest key the
+// speculation-friendly trees accept under their MaxKey root sentinel — in
+// ascending and in descending order on every kind, checking the tree's
+// invariants after each phase. Every descent turns right exactly when
+// k > key (arena.Node.Child), so an off-by-one in that comparison shows at
+// the ends of the range first: beside the sentinel on the sf family, and at
+// the leftmost and rightmost leaves everywhere.
+func TestBoundaryKeysOnAllKinds(t *testing.T) {
+	type checker interface{ CheckInvariants() error }
+	keys := []uint64{0, 1, sftree.MaxKey - 2, sftree.MaxKey - 1}
+	absent := []uint64{2, sftree.MaxKey - 3}
+	for _, kind := range Kinds() {
+		for _, order := range []string{"ascending", "descending"} {
+			t.Run(string(kind)+"/"+order, func(t *testing.T) {
+				ks := append([]uint64(nil), keys...)
+				if order == "descending" {
+					slices.Reverse(ks)
+				}
+				s := stm.New()
+				m := New(kind, s)
+				th := s.NewThread()
+				check := func(phase string) {
+					t.Helper()
+					if err := m.(checker).CheckInvariants(); err != nil {
+						t.Fatalf("after %s: %v", phase, err)
+					}
+					Quiesce(m, 1000)
+					if err := m.(checker).CheckInvariants(); err != nil {
+						t.Fatalf("after %s and Quiesce: %v", phase, err)
+					}
+				}
+
+				for _, k := range ks {
+					if !m.Insert(th, k, k^1) {
+						t.Fatalf("Insert(%d) = false on a fresh key", k)
+					}
+					if m.Insert(th, k, 0) {
+						t.Fatalf("Insert(%d) = true on a present key", k)
+					}
+				}
+				check("inserts")
+
+				for _, k := range ks {
+					if v, ok := m.Get(th, k); !ok || v != k^1 {
+						t.Fatalf("Get(%d) = (%d,%v), want (%d,true)", k, v, ok, k^1)
+					}
+				}
+				for _, k := range absent {
+					if m.Contains(th, k) {
+						t.Fatalf("Contains(%d) = true for a key never inserted", k)
+					}
+				}
+				if got := m.Keys(th); !slices.Equal(got, keys) {
+					t.Fatalf("Keys = %v, want %v", got, keys)
+				}
+				check("gets")
+
+				for _, k := range ks {
+					if !m.Delete(th, k) {
+						t.Fatalf("Delete(%d) = false on a present key", k)
+					}
+					if m.Delete(th, k) {
+						t.Fatalf("Delete(%d) = true on a deleted key", k)
+					}
+				}
+				check("deletes")
+				for _, k := range ks {
+					if m.Contains(th, k) {
+						t.Fatalf("Contains(%d) = true after its delete", k)
+					}
+				}
+				if n := m.Size(th); n != 0 {
+					t.Fatalf("Size = %d after deleting every key", n)
+				}
+			})
 		}
 	}
 }

@@ -35,14 +35,10 @@ func (c *Coupled) Lookup(tx *stm.Tx, k uint64) arena.Ref {
 	for ref != arena.Nil {
 		n := c.Nodes.Get(ref)
 		key := tx.Read(&n.Key)
-		switch {
-		case k == key:
+		if k == key {
 			return ref
-		case k < key:
-			ref = tx.Read(&n.L)
-		default:
-			ref = tx.Read(&n.R)
 		}
+		ref = tx.Read(n.Child(k > key))
 	}
 	return arena.Nil
 }

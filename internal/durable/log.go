@@ -2,8 +2,9 @@
 // group-committed, checksummed write-ahead log fed by every writer once its
 // transaction has returned, plus periodic consistent checkpoints built from
 // snapshot scans of the store, with log rotation and truncation once a
-// checkpoint seals. Recovery loads the newest sealed checkpoint and replays
-// the surviving WAL tail idempotently.
+// checkpoint seals. Recovery is one serial pass: it loads the newest sealed
+// checkpoint into one map and replays the surviving WAL tail over it
+// idempotently, in commit-position order.
 //
 // # What is logged, and when
 //
@@ -80,9 +81,6 @@ const (
 	// DefaultMaxUnsynced is the backpressure bound on bytes appended but
 	// not yet fsynced under group commit.
 	DefaultMaxUnsynced = 1 << 20
-	// defaultRecoveryAppliers caps the parallel recovery applier count when
-	// none is configured (the effective count is min(shards, this)).
-	defaultRecoveryAppliers = 8
 )
 
 // segMagic is a WAL segment's whole header.
@@ -120,11 +118,6 @@ type Options struct {
 	// loss window when writers outrun the committer). 0 selects
 	// DefaultMaxUnsynced; a negative value disables the bound.
 	MaxUnsynced int
-	// RecoveryAppliers is the number of parallel applier goroutines
-	// recovery partitions its replay across. 0 selects min(shards,
-	// defaultRecoveryAppliers), shards being Open's argument; 1 forces the
-	// serial path.
-	RecoveryAppliers int
 }
 
 func (o Options) groupCommit() time.Duration {
@@ -155,14 +148,6 @@ func (o Options) maxUnsynced() int {
 		return int(^uint(0) >> 1)
 	}
 	return o.MaxUnsynced
-}
-
-func (o Options) recoveryAppliers(shards int) int {
-	n := o.RecoveryAppliers
-	if n <= 0 {
-		n = min(shards, defaultRecoveryAppliers)
-	}
-	return max(1, n)
 }
 
 // Source is the in-memory store a Log checkpoints: a snapshot cut at a
@@ -331,19 +316,20 @@ type Log struct {
 // logBufSize is the initial capacity of each of the two append buffers.
 const logBufSize = 1 << 16
 
-// Open recovers the directory's durable state and opens a fresh log
-// generation for appends. shards is the shard count of the store the log
-// feeds; it only sizes the default recovery applier count (see
-// Options.RecoveryAppliers) — nothing on disk depends on it, so a directory
-// reopens under any count. The returned Recovery holds the recovered
-// key/value state; the caller loads it into the store, attaches the log,
-// and should then seal a fresh checkpoint (repro.Open does) so the
-// replayed history is rebased onto the new process's clock.
-func Open(dir string, shards int, o Options) (*Log, *Recovery, error) {
+// Open recovers the directory's durable state in one serial pass (the
+// checkpoint's pairs into one map, then the WAL tail above its cut, in
+// position order) and opens a fresh log generation for appends. The second
+// argument, once the store's shard count, is ignored: nothing on disk
+// depends on the shard count, so a directory reopens under any count. The
+// returned Recovery holds the recovered key/value state; the caller loads
+// it into the store, attaches the log, and should then seal a fresh
+// checkpoint (repro.Open does) so the replayed history is rebased onto the
+// new process's clock.
+func Open(dir string, _ int, o Options) (*Log, *Recovery, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, err
 	}
-	rec, maxSeg, maxGen, err := recoverDir(dir, o.recoveryAppliers(shards))
+	rec, maxSeg, maxGen, err := recoverDir(dir)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -360,9 +346,6 @@ func Open(dir string, shards int, o Options) (*Log, *Recovery, error) {
 	}
 	return l, rec, nil
 }
-
-// Dir returns the log's directory.
-func (l *Log) Dir() string { return l.dir }
 
 // Stats returns a snapshot of the log's counters.
 func (l *Log) Stats() Stats {

@@ -231,7 +231,7 @@ func TestLogTornTailPrefix(t *testing.T) {
 		if err := os.WriteFile(cdir+"/"+"wal-0000000000000001.log", blob[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		rec, _, _, err := recoverDir(cdir, 2)
+		rec, _, _, err := recoverDir(cdir)
 		if err != nil {
 			t.Fatalf("cut %d: %v", cut, err)
 		}

@@ -9,7 +9,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 )
 
@@ -34,12 +33,10 @@ type Recovery struct {
 	// TailDroppedBytes counts bytes discarded at the first torn or
 	// corrupted record (everything from it on is dropped).
 	TailDroppedBytes int
-	// Bytes is the total WAL bytes scanned; Appliers the parallel applier
-	// partitions the replay ran across; Elapsed the wall time the whole
+	// Bytes is the total WAL bytes scanned; Elapsed the wall time the whole
 	// recovery took.
-	Bytes    int64
-	Appliers int
-	Elapsed  time.Duration
+	Bytes   int64
+	Elapsed time.Duration
 }
 
 // parseIndexed extracts the numeric index from names like wal-%016d.log.
@@ -55,31 +52,11 @@ func parseIndexed(name, prefix, suffix string) (uint64, bool) {
 	return i, true
 }
 
-// mix64 is the splitmix64 finalizer: a full-avalanche bijection used to
-// spread keys over the recovery applier partitions. Partitioning is by key
-// (recovery knows nothing of the store's shard routing), which is sound
-// because replay ordering only matters per key: each partition applies its
-// ops in global position order.
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e9b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
-// loaded is one checkpoint loaded for replay, its pairs bucketed by key
-// partition for the appliers.
-type loaded struct {
-	checkpointMeta
-	base  [][]kvPair // pairs, bucketed by key partition
-	pairs int
-}
-
-// recoverDir reconstructs the durable state of dir: the newest
-// provably-complete checkpoint plus an idempotent, partitioned replay of the
-// surviving WAL tail across `appliers` goroutines. It also reports the
+// recoverDir reconstructs the durable state of dir in one serial pass:
+// the newest provably-complete checkpoint's pairs are put straight into the
+// state map, then the surviving WAL tail is decoded segment by segment,
+// sorted by position and replayed over it — every op whose record lies
+// above the checkpoint's cut, in position order. It also reports the
 // highest segment and generation indices seen, so the caller opens fresh
 // ones beyond them, and removes stale temporary files.
 //
@@ -92,9 +69,9 @@ type loaded struct {
 // a segment or checkpoint recovery reads with an old magic, and any
 // delta-*.ckpt (that format's incremental checkpoints). A stray
 // manifest-*.mf is ignored.
-func recoverDir(dir string, appliers int) (*Recovery, uint64, uint64, error) {
+func recoverDir(dir string) (*Recovery, uint64, uint64, error) {
 	start := time.Now()
-	rec := &Recovery{State: make(map[uint64]uint64)}
+	rec := &Recovery{}
 
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -123,12 +100,6 @@ func recoverDir(dir string, appliers int) (*Recovery, uint64, uint64, error) {
 	sort.Slice(segs, func(i, j int) bool { return segs[i] < segs[j] })
 	sort.Slice(ckpts, func(i, j int) bool { return ckpts[i] > ckpts[j] })
 
-	if appliers < 1 {
-		appliers = 1
-	}
-	W := appliers
-	rec.Appliers = W
-
 	// contiguous reports whether the segment suffix at or above base has
 	// no gaps up to the highest segment present.
 	contiguous := func(base uint64) bool {
@@ -145,116 +116,63 @@ func recoverDir(dir string, appliers int) (*Recovery, uint64, uint64, error) {
 		return true
 	}
 
-	var cp *loaded
-	for pass := 0; pass < 2 && cp == nil; pass++ {
+	var meta checkpointMeta
+	var base []kvPair
+	found := false
+	for pass := 0; pass < 2 && !found; pass++ {
 		for _, g := range ckpts {
-			c, err := loadCheckpoint(checkpointName(dir, g), W)
+			m, pairs, err := readCheckpoint(checkpointName(dir, g))
 			if errors.Is(err, errOldFormat) {
 				return nil, 0, 0, err
 			}
-			if err != nil || (pass == 0 && !contiguous(c.baseSeg)) {
+			if err != nil || (pass == 0 && !contiguous(m.baseSeg)) {
 				continue
 			}
-			cp = c
+			meta, base, found = m, pairs, true
 			break
 		}
 	}
-	if cp == nil {
-		cp = &loaded{base: make([][]kvPair, W)}
-	}
-	rec.CheckpointGen = cp.gen
-	rec.CheckpointPairs = cp.pairs
+	rec.CheckpointGen = meta.gen
+	rec.CheckpointPairs = len(base)
 
-	// Decode the surviving segments — in parallel, since each segment's
-	// CRC checks and record parsing are independent — then resolve the
-	// prefix discipline serially in segment order: nothing after the first
-	// torn record is trusted, and segments past a torn one contribute
-	// nothing (they are not even counted, matching the serial semantics).
-	type segResult struct {
-		recs    []record
-		records int
-		bytes   int
-		dropped int
-		torn    bool
-		err     error
-	}
-	var replaySegs []uint64
+	// Decode the surviving segments in order. Nothing after the first torn
+	// record is trusted: the rest of its segment is dropped and the
+	// segments past it are not even read.
+	var recs []record
 	for _, si := range segs {
-		if si >= cp.baseSeg {
-			replaySegs = append(replaySegs, si)
+		if si < meta.baseSeg {
+			continue
 		}
-	}
-	results := make([]segResult, len(replaySegs))
-	decodeSeg := func(i int) {
-		r := &results[i]
-		name := segmentName(dir, replaySegs[i])
+		name := segmentName(dir, si)
 		b, err := os.ReadFile(name)
 		if err != nil {
-			r.err = err
-			return
+			return nil, 0, 0, err
 		}
-		r.bytes = len(b)
 		if bytes.HasPrefix(b, []byte(segMagicV1)) {
-			r.err = fmt.Errorf("durable: %s: %w", name, errOldFormat)
-			return
-		}
-		if !bytes.HasPrefix(b, []byte(segMagic)) {
-			// Segment created but its header never reached disk: an empty
-			// tail, nothing to replay.
-			r.dropped = len(b)
-			r.torn = true
-			return
-		}
-		off := len(segMagic)
-		for off < len(b) {
-			rc, n, err := readRecord(b[off:])
-			if err != nil {
-				r.dropped = len(b) - off
-				r.torn = true
-				break
-			}
-			r.records++
-			r.recs = append(r.recs, rc)
-			off += n
-		}
-	}
-	if W > 1 && len(replaySegs) > 1 {
-		var wg sync.WaitGroup
-		idx := make(chan int)
-		for w := 0; w < min(W, len(replaySegs)); w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					decodeSeg(i)
-				}
-			}()
-		}
-		for i := range replaySegs {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
-	} else {
-		for i := range replaySegs {
-			decodeSeg(i)
-		}
-	}
-	var recs []record
-	for i := range results {
-		r := &results[i]
-		if r.err != nil {
-			return nil, 0, 0, r.err
+			return nil, 0, 0, fmt.Errorf("durable: %s: %w", name, errOldFormat)
 		}
 		rec.Segments++
-		rec.Bytes += int64(r.bytes)
-		rec.Records += r.records
-		rec.TailDroppedBytes += r.dropped
-		recs = append(recs, r.recs...)
-		if r.torn {
+		rec.Bytes += int64(len(b))
+		off := len(segMagic)
+		torn := !bytes.HasPrefix(b, []byte(segMagic))
+		if torn {
+			off = 0 // the header never reached disk: an empty tail
+		}
+		for !torn && off < len(b) {
+			rc, n, err := readRecord(b[off:])
+			if err != nil {
+				torn = true
+				break
+			}
+			recs = append(recs, rc)
+			off += n
+		}
+		rec.TailDroppedBytes += len(b) - off
+		if torn {
 			break
 		}
 	}
+	rec.Records = len(recs)
 
 	// Restore commit order (append order can differ from commit order
 	// under concurrency). Clock positions may be shared by concurrent
@@ -264,93 +182,26 @@ func recoverDir(dir string, appliers int) (*Recovery, uint64, uint64, error) {
 	// stable sort's arbitrary tie order is irrelevant.
 	sort.SliceStable(recs, func(i, j int) bool { return recs[i].pos < recs[j].pos })
 
-	// Bucket the ops by key partition (order within a bucket preserves the
-	// global sort), then run one applier per partition: checkpoint pairs,
-	// then the record ops — skipping an op when its record's position is at
-	// or below the checkpoint's cut (see Source for why that loses nothing).
-	type replayOp struct {
-		key, val, pos uint64
-		del           bool
+	// The checkpoint's pairs, then every record op above its cut (see
+	// Source for why skipping the rest loses nothing).
+	rec.State = make(map[uint64]uint64, len(base))
+	for _, kv := range base {
+		rec.State[kv.k] = kv.v
 	}
-	opBuckets := make([][]replayOp, W)
 	for _, rc := range recs {
+		if rc.pos <= meta.cut {
+			rec.OpsSkipped += len(rc.ops)
+			continue
+		}
 		for _, op := range rc.ops {
-			w := 0
-			if W > 1 {
-				w = int(mix64(op.Key) % uint64(W))
-			}
-			opBuckets[w] = append(opBuckets[w], replayOp{key: op.Key, val: op.Val, pos: rc.pos, del: op.Del})
-		}
-	}
-	type partResult struct {
-		state            map[uint64]uint64
-		applied, skipped int
-	}
-	parts := make([]partResult, W)
-	apply := func(w int) {
-		p := &parts[w]
-		p.state = make(map[uint64]uint64, len(cp.base[w])+len(opBuckets[w])/2)
-		for _, kv := range cp.base[w] {
-			p.state[kv.k] = kv.v
-		}
-		for _, op := range opBuckets[w] {
-			if op.pos <= cp.cut {
-				p.skipped++
-				continue
-			}
-			if op.del {
-				delete(p.state, op.key)
+			if op.Del {
+				delete(rec.State, op.Key)
 			} else {
-				p.state[op.key] = op.val
+				rec.State[op.Key] = op.Val
 			}
-			p.applied++
 		}
-	}
-	if W > 1 {
-		var wg sync.WaitGroup
-		for w := 0; w < W; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				apply(w)
-			}(w)
-		}
-		wg.Wait() // merge barrier: every partition (and so every record,
-		// its ops spread across partitions by key) is fully applied
-		// before the states merge
-	} else {
-		apply(0)
-	}
-	total := 0
-	for w := range parts {
-		total += len(parts[w].state)
-	}
-	rec.State = make(map[uint64]uint64, total)
-	for w := range parts {
-		for k, v := range parts[w].state {
-			rec.State[k] = v
-		}
-		rec.OpsApplied += parts[w].applied
-		rec.OpsSkipped += parts[w].skipped
+		rec.OpsApplied += len(rc.ops)
 	}
 	rec.Elapsed = time.Since(start)
 	return rec, maxSeg, maxGen, nil
-}
-
-// loadCheckpoint loads one checkpoint, bucketing its pairs by key
-// partition for the W appliers.
-func loadCheckpoint(path string, W int) (*loaded, error) {
-	meta, pairs, err := readCheckpoint(path)
-	if err != nil {
-		return nil, err
-	}
-	c := &loaded{checkpointMeta: meta, base: make([][]kvPair, W), pairs: len(pairs)}
-	for _, p := range pairs {
-		w := 0
-		if W > 1 {
-			w = int(mix64(p.k) % uint64(W))
-		}
-		c.base[w] = append(c.base[w], p)
-	}
-	return c, nil
 }

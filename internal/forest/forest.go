@@ -274,34 +274,75 @@ type PoolStats struct {
 // them.
 func (f *Forest) PoolStats() PoolStats { return PoolStats{DriverStats: f.drv.Stats()} }
 
-// Quiesce runs maintenance sweeps on every shard until clean (up to
-// maxPasses each; sftree.Tree.Quiesce). The workers are paused for the
-// duration (the sweeps are single-driver). The shards are quiesced in
-// parallel by min(shards, GOMAXPROCS) goroutines, the caller among them,
-// each pulling the next shard index from a shared counter: every shard
-// keeps its own maintenance thread and arena, so the shards share nothing
-// but the STM's clock, and each ends exactly as a Quiesce of it alone
-// would leave it. A one-shard forest, or one running on one P, quiesces
-// inline. The wall time is thus about the largest shard's, or the sum
-// over the shards divided by the P count, whichever is longer.
-func (f *Forest) Quiesce(maxPasses int) {
-	defer f.drv.Pause()()
+// eachShard runs work(w, i) once for every shard index i on
+// min(shards, GOMAXPROCS) goroutines, the caller among them, each pulling
+// the next index from a shared counter; w, the worker's index, is below
+// the shard count and keys per-worker state. A one-shard forest, or one
+// running on one P, runs inline. The wall time is about the largest
+// shard's, or the sum over the shards divided by the P count, whichever is
+// longer.
+func (f *Forest) eachShard(work func(w, i int)) {
 	var next atomic.Int64
-	quiesce := func() {
+	run := func(w int) {
 		for i := next.Add(1) - 1; i < int64(len(f.maps)); i = next.Add(1) - 1 {
-			trees.Quiesce(f.maps[i], maxPasses)
+			work(w, int(i))
 		}
 	}
 	var wg sync.WaitGroup
-	for range min(len(f.maps), runtime.GOMAXPROCS(0)) - 1 {
+	for w := 1; w < min(len(f.maps), runtime.GOMAXPROCS(0)); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			quiesce()
+			run(w)
 		}()
 	}
-	quiesce()
+	run(0)
 	wg.Wait()
+}
+
+// Quiesce runs maintenance sweeps on every shard until clean (up to
+// maxPasses each; sftree.Tree.Quiesce). The workers are paused for the
+// duration (the sweeps are single-driver). The shards are quiesced in
+// parallel (eachShard): every shard keeps its own maintenance thread and
+// arena, so the shards share nothing but the STM's clock, and each ends
+// exactly as a Quiesce of it alone would leave it.
+func (f *Forest) Quiesce(maxPasses int) {
+	defer f.drv.Pause()()
+	f.eachShard(func(_, i int) { trees.Quiesce(f.maps[i], maxPasses) })
+}
+
+// Load inserts every pair of state, a recovered durable state, into the
+// forest: the pairs are bucketed by ShardOf, then each shard's bucket is
+// inserted shard by shard in parallel (eachShard), every worker on an STM
+// thread of its own. An empty state starts no worker and registers no
+// thread. Load logs nothing, so it runs before AttachWAL (repro.Open calls
+// it between recovery and attaching the log) and panics after it.
+//
+// The pairs go in as plain inserts in the map's iteration order, which Go
+// leaves unordered: that is what keeps a speculation-friendly shard from
+// being built as a path, as sorted inserts would build it, until a bulk
+// build from sorted pairs replaces the inserts.
+func (f *Forest) Load(state map[uint64]uint64) {
+	if f.wal != nil {
+		panic("forest: Load after AttachWAL")
+	}
+	if len(state) == 0 {
+		return
+	}
+	buckets := make([][]kv, len(f.maps))
+	for k, v := range state {
+		i := f.ShardOf(k)
+		buckets[i] = append(buckets[i], kv{k, v})
+	}
+	ths := make([]*stm.Thread, len(f.maps))
+	f.eachShard(func(w, i int) {
+		if ths[w] == nil {
+			ths[w] = f.stm.NewThread()
+		}
+		for _, e := range buckets[i] {
+			f.maps[i].Insert(ths[w], e.k, e.v)
+		}
+	})
 }
 
 // mix is the splitmix64 finalizer: a full-avalanche bijection on uint64, so

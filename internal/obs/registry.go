@@ -19,9 +19,6 @@ type Sample struct {
 	Hist  *HistSnapshot `json:"hist,omitempty"`
 }
 
-// KindName exposes the kind for JSON consumers.
-func (s Sample) KindName() string { return s.Kind.String() }
-
 // Collector is a callback that emits samples at snapshot time. Layers
 // whose statistics live outside the registry's owned primitives (per-thread
 // STM mirrors, the durable log's mutex-guarded counters) register one and

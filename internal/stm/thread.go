@@ -269,9 +269,6 @@ func (th *Thread) noteSpinExhausted() {
 // not synchronized.
 func (th *Thread) MarkStructural() { th.structural = true }
 
-// Structural reports whether MarkStructural was called.
-func (th *Thread) Structural() bool { return th.structural }
-
 // liveStats reads the thread's atomically published mirror. Safe from any
 // goroutine at any time; the fields are individually current but, as with
 // any live scrape, not mutually transactional.

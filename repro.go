@@ -64,8 +64,6 @@ package repro
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"repro/internal/durable"
 	"repro/internal/forest"
@@ -156,7 +154,7 @@ func WithoutMaintenance() Option { return func(c *treeCfg) { c.maintenance = fal
 // Range are one transaction each. What sharding buys is partitioned trees:
 // shallower trees and maintenance split across a worker pool. What it does
 // not split is the version clock, which every commit advances; nothing on
-// disk depends on n (Open sizes its default recovery applier count by it).
+// disk depends on n, so Open recovers a directory under any shard count.
 // NewTree panics on n < 1; Open returns the error.
 func WithShards(n int) Option { return func(c *treeCfg) { c.shards = n } }
 
@@ -206,9 +204,10 @@ func WithTracing(sampleEvery int) Option {
 
 // DurabilityOptions re-exports the durable layer's dials for WithDurability:
 // Sync (fsync per operation), GroupCommit (background flush+fsync interval),
-// CheckpointEvery (periodic full-checkpoint interval; negative disables),
-// MaxUnsynced (backpressure bound on unsynced bytes under group commit),
-// and RecoveryAppliers (parallelism of recovery replay).
+// CheckpointEvery (periodic full-checkpoint interval; negative disables)
+// and MaxUnsynced (backpressure bound on unsynced bytes under group commit).
+// Recovery has no dial: Open replays the directory in one serial pass and
+// loads the forest shard by shard (forest.Forest.Load).
 type DurabilityOptions = durable.Options
 
 // WithDurability sets the durability dials used by Open (the zero value
@@ -297,7 +296,7 @@ func Open(dir string, kind Kind, opts ...Option) (*Tree, error) {
 	if cfg.dur != nil {
 		dopts = *cfg.dur
 	}
-	l, rec, err := durable.Open(dir, cfg.shards, dopts)
+	l, rec, err := durable.Open(dir, 0, dopts)
 	if err != nil {
 		return nil, err
 	}
@@ -306,7 +305,7 @@ func Open(dir string, kind Kind, opts ...Option) (*Tree, error) {
 	// generation — whose record positions belong to the previous process's
 	// clock — is truncated and the cut rebased.
 	f := cfg.newForest(kind)
-	reload(f, rec.State)
+	f.Load(rec.State)
 	f.AttachWAL(l)
 	if err := l.Checkpoint(f); err != nil {
 		l.Close()
@@ -382,49 +381,6 @@ func (t *Tree) ObsAddr() string {
 		return ""
 	}
 	return t.obsSrv.Addr()
-}
-
-// reload rebuilds the recovered state into the fresh forest — in parallel
-// when it is big enough to matter, one inserter goroutine per slice of the
-// state with its own handle (handles are per-goroutine; the shards'
-// per-key transactions make concurrent inserts safe). This is the second
-// half of segment-parallel recovery: the durable layer replays the WAL
-// across partitioned appliers, and the reload spreads the resulting map
-// across inserter goroutines the same way.
-func reload(f *forest.Forest, state map[uint64]uint64) {
-	const parallelMin = 1 << 12
-	workers := min(f.Shards(), runtime.GOMAXPROCS(0))
-	if len(state) < parallelMin || workers < 2 {
-		h := f.NewHandle()
-		for k, v := range state {
-			h.Insert(k, v)
-		}
-		return
-	}
-	type kv struct{ k, v uint64 }
-	chunks := make([][]kv, workers)
-	per := len(state)/workers + 1
-	i := 0
-	for k, v := range state {
-		w := i / per
-		chunks[w] = append(chunks[w], kv{k, v})
-		i++
-	}
-	var wg sync.WaitGroup
-	for _, chunk := range chunks {
-		if len(chunk) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(chunk []kv) {
-			defer wg.Done()
-			h := f.NewHandle()
-			for _, e := range chunk {
-				h.Insert(e.k, e.v)
-			}
-		}(chunk)
-	}
-	wg.Wait()
 }
 
 // Durable returns the tree's write-ahead log for instrumentation (byte and

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -675,18 +676,20 @@ func TestDurableChunkedCheckpointCrashOracle(t *testing.T) {
 }
 
 // TestDurableRecoveryFallbacks drives recovery's fallbacks on damaged or
-// foreign directories, at shards {1, 8} × recovery appliers {1, 4}: a
-// corrupted newest checkpoint, a deleted middle WAL segment, and files of
-// the old on-disk format. Each history
-// phase writes its own key range, so a degraded recovery's expected state
-// is computable.
+// foreign directories, at shards {1, 8} × appliers {1, 4}: a corrupted
+// newest checkpoint, a deleted middle WAL segment, and files of the old
+// on-disk format. The appliers are the workers that load the recovered
+// state into the forest (Forest.Load runs min(shards, GOMAXPROCS) of
+// them), so each case runs with GOMAXPROCS set to the applier count. Each
+// history phase writes its own key range, so a degraded recovery's
+// expected state is computable.
 func TestDurableRecoveryFallbacks(t *testing.T) {
 	for _, shards := range []int{1, 8} {
 		for _, appliers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("shards=%d/appliers=%d", shards, appliers), func(t *testing.T) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(appliers))
 				opts := []Option{WithShards(shards), WithoutMaintenance(),
-					WithDurability(DurabilityOptions{Sync: true, CheckpointEvery: -1,
-						RecoveryAppliers: appliers})}
+					WithDurability(DurabilityOptions{Sync: true, CheckpointEvery: -1})}
 				t.Run("corrupt-newest-checkpoint", func(t *testing.T) { fallbackCorruptNewest(t, opts) })
 				t.Run("missing-middle-segment", func(t *testing.T) { fallbackMissingSegment(t, opts) })
 				t.Run("old-format-files", func(t *testing.T) { fallbackOldFormatFiles(t, opts) })
